@@ -218,7 +218,10 @@ let alloc_object st ~cls =
   grow_heap st;
   let id = st.heap_count in
   st.obj_cls.(id) <- cls;
-  st.obj_fields.(id) <- Array.make (max 1 st.image.classes.(cls).k_nfields) 0;
+  let nfields = st.image.classes.(cls).k_nfields in
+  (* Int comparisons, not [Stdlib.max]: that one is polymorphic, and this
+     runs on every [new] (and [push_frame] on every invoke). *)
+  st.obj_fields.(id) <- Array.make (if nfields > 1 then nfields else 1) 0;
   st.heap_count <- id + 1;
   id + 1
 
@@ -289,7 +292,7 @@ let push_frame st ~nargs ~nlocals ~ret =
   st.saved_locals.(st.fsp) <- st.locals;
   st.saved_ret.(st.fsp) <- ret;
   st.fsp <- st.fsp + 1;
-  let locals = Array.make (max 1 nlocals) 0 in
+  let locals = Array.make (if nlocals > 1 then nlocals else 1) 0 in
   for i = nargs - 1 downto 0 do
     locals.(i) <- pop st
   done;

@@ -49,7 +49,7 @@ let ub_create () =
     ub_mask = cap - 1;
   }
 
-let ub_slot u branch =
+let[@inline] ub_slot u branch =
   (* Multiplicative hash; linear probe.  The table never exceeds half
      load, so probes terminate. *)
   let i = ref ((branch * 0x9E3779B1) lsr 7 land u.ub_mask) in
@@ -143,7 +143,7 @@ let create cfg =
 let config t = t.cfg
 let set_observer t obs = t.observer <- obs
 
-let set_index t branch =
+let[@inline] set_index t branch =
   (* Branch addresses are byte addresses; drop low bits so neighbouring
      branches do not all collide in set 0. *)
   let h = branch lsr 2 in
@@ -177,14 +177,11 @@ let predict t ~branch =
    saturates the counter at 3; an incorrect one decrements it and only
    replaces the target once the counter drops below 2. *)
 
-let observe t ~branch ~set outcome =
-  match t.observer with None -> () | Some f -> f ~branch ~set outcome
-
 (* [access_*] run once per dispatch token per bank configuration -- the
    hottest code in replay -- so they avoid the option-allocating lookups
    and only build observer payloads when an observer is installed. *)
 
-let access_unbounded t ~branch ~target =
+let[@inline] access_unbounded t ~branch ~target =
   if branch < 0 then invalid_arg "Btb.access: negative branch address";
   let u = t.unbounded in
   let i = ub_slot u branch in
@@ -205,8 +202,7 @@ let access_unbounded t ~branch ~target =
      end);
     (match t.observer with
     | None -> ()
-    | Some _ ->
-        observe t ~branch ~set:(-1) (if correct then Hit else Wrong_target));
+    | Some f -> f ~branch ~set:(-1) (if correct then Hit else Wrong_target));
     correct
   end
   else begin
@@ -215,11 +211,13 @@ let access_unbounded t ~branch ~target =
     u.ub_counters.(i) <- 2;
     u.ub_count <- u.ub_count + 1;
     if 2 * u.ub_count > Array.length u.ub_keys then ub_grow t.unbounded;
-    observe t ~branch ~set:(-1) (Miss { evicted = -1 });
+    (match t.observer with
+    | None -> ()
+    | Some f -> f ~branch ~set:(-1) (Miss { evicted = -1 }));
     false
   end
 
-let access_finite t ~branch ~target =
+let[@inline] access_finite t ~branch ~target =
   t.tick <- t.tick + 1;
   let assoc = t.assoc in
   let si = set_index t branch in
@@ -249,8 +247,7 @@ let access_finite t ~branch ~target =
     Array.unsafe_set t.f_stamps j t.tick;
     (match t.observer with
     | None -> ()
-    | Some _ ->
-        observe t ~branch ~set:si (if correct then Hit else Wrong_target));
+    | Some f -> f ~branch ~set:si (if correct then Hit else Wrong_target));
     correct
   end
   else begin
@@ -267,13 +264,29 @@ let access_finite t ~branch ~target =
     Array.unsafe_set t.f_targets j target;
     Array.unsafe_set t.f_counters j 2;
     Array.unsafe_set stamps j t.tick;
-    observe t ~branch ~set:si (Miss { evicted });
+    (match t.observer with
+    | None -> ()
+    | Some f -> f ~branch ~set:si (Miss { evicted }));
     false
   end
 
-let access t ~branch ~target =
+let[@inline] access t ~branch ~target =
   if t.assoc = 0 then access_unbounded t ~branch ~target
   else access_finite t ~branch ~target
+
+(* The banked-replay kernel, here so [access] inlines into the loop (the
+   libraries build with [-opaque]; nothing inlines across modules). *)
+let replay_block t ~branch ~target ~vm_transfer ~codes ~len ~mis ~vm_mis =
+  let m = ref 0 and v = ref 0 in
+  for i = 0 to len - 1 do
+    let c = codes.(i) in
+    if not (access t ~branch:branch.(c) ~target:target.(c)) then begin
+      incr m;
+      v := !v + vm_transfer.(c)
+    end
+  done;
+  mis := !mis + !m;
+  vm_mis := !vm_mis + !v
 
 let reset t =
   ub_reset t.unbounded;

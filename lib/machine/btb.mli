@@ -49,6 +49,23 @@ val access : t -> branch:int -> target:int -> bool
 (** Perform one predict-and-update cycle: returns [true] when the stored
     prediction matched [target], then trains the table on the outcome. *)
 
+val replay_block :
+  t ->
+  branch:int array ->
+  target:int array ->
+  vm_transfer:int array ->
+  codes:int array ->
+  len:int ->
+  mis:int ref ->
+  vm_mis:int ref ->
+  unit
+(** Block kernel of a banked replay: {!access} once for each of the events
+    [codes.(0)] .. [codes.(len - 1)], in order, where event [c] is the
+    branch [branch.(c)] going to [target.(c)].  Adds the mispredictions
+    to [mis] and the subset whose [vm_transfer.(c)] is [1] (a VM-level
+    control transfer; [0] otherwise) to [vm_mis].  Same outcomes, same
+    state and same observer calls as the per-event loop. *)
+
 val reset : t -> unit
 (** Forget all stored targets. *)
 

@@ -20,4 +20,17 @@ val access : t -> opcode:int -> target:int -> bool
 (** Predict the target for the dispatch on [opcode] and train the table;
     returns [true] on a correct prediction. *)
 
+val replay_block :
+  t ->
+  opcode:int array ->
+  target:int array ->
+  vm_transfer:int array ->
+  codes:int array ->
+  len:int ->
+  mis:int ref ->
+  vm_mis:int ref ->
+  unit
+(** Block kernel of a banked replay, with {!Btb.replay_block}'s contract,
+    except that event [c] dispatches on [opcode.(c)]. *)
+
 val reset : t -> unit

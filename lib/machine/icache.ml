@@ -105,7 +105,7 @@ let create_bank configs =
 let config t = t.cfg
 let set_observer t obs = t.observer <- obs
 
-let touch_line t line =
+let[@inline] touch_line t line =
   let assoc = t.assoc in
   let set = if t.set_mask >= 0 then line land t.set_mask else line mod t.nsets in
   let base = set * assoc in
@@ -140,11 +140,17 @@ let touch_line t line =
     false
   end
 
-let fetch t ~addr ~bytes ~hits ~misses =
-  let shift = t.line_shift in
-  let first = addr lsr shift in
-  let last = (addr + max 1 bytes - 1) lsr shift in
-  if t.infinite then hits := !hits + (last - first + 1)
+(* The last line a fetch of [bytes] at [addr] touches; a zero-byte fetch
+   still touches its first line.  An int comparison, not [Stdlib.max]:
+   that one is polymorphic, costs a call, and this runs on every fetch. *)
+let[@inline] last_line_of t ~addr ~bytes =
+  (addr + (if bytes > 1 then bytes else 1) - 1) lsr t.line_shift
+
+(* Touch lines [first .. last] and return how many of them missed; the
+   rest hit.  Shared by [fetch] and the block kernel, so both run the
+   same bookkeeping. *)
+let[@inline] fetch_lines t first last =
+  if t.infinite then 0
   else if last = first && first = t.last_line then begin
     (* Single-line memo hit, the overwhelmingly common fetch: straight-line
        code re-fetching the line it already ran from.  Same bookkeeping as
@@ -152,9 +158,10 @@ let fetch t ~addr ~bytes ~hits ~misses =
     let tk = t.tick + 1 in
     t.tick <- tk;
     Array.unsafe_set t.stamps t.last_slot tk;
-    incr hits
+    0
   end
-  else
+  else begin
+    let missed = ref 0 in
     for line = first to last do
       if line = t.last_line then begin
         (* Memo hit: the line is resident in [last_slot].  Advance the LRU
@@ -162,14 +169,39 @@ let fetch t ~addr ~bytes ~hits ~misses =
            so the memoized run stays in lock-step with a memo-free one. *)
         let tk = t.tick + 1 in
         t.tick <- tk;
-        Array.unsafe_set t.stamps t.last_slot tk;
-        incr hits
+        Array.unsafe_set t.stamps t.last_slot tk
       end
       else begin
         t.last_line <- line;
-        if touch_line t line then incr hits else incr misses
+        if not (touch_line t line) then incr missed
       end
-    done
+    done;
+    !missed
+  end
+
+let fetch t ~addr ~bytes ~hits ~misses =
+  let first = addr lsr t.line_shift in
+  let last = last_line_of t ~addr ~bytes in
+  let missed = fetch_lines t first last in
+  hits := !hits + (last - first + 1 - missed);
+  misses := !misses + missed
+
+(* The banked-replay kernel: [fetch] once per event of a decoded block,
+   in this module so that [fetch_lines] inlines into the loop (the
+   libraries build with [-opaque]; nothing inlines across modules). *)
+let replay_block t ~addr ~bytes ~codes ~len ~hits ~misses =
+  let h = ref 0 and m = ref 0 in
+  for i = 0 to len - 1 do
+    let c = codes.(i) in
+    let addr = addr.(c) in
+    let first = addr lsr t.line_shift in
+    let last = last_line_of t ~addr ~bytes:bytes.(c) in
+    let missed = fetch_lines t first last in
+    h := !h + (last - first + 1 - missed);
+    m := !m + missed
+  done;
+  hits := !hits + !h;
+  misses := !misses + !m
 
 let clock t = t.tick
 

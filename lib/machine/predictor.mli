@@ -49,4 +49,25 @@ val access : t -> branch:int -> target:int -> opcode:int -> bool
     dispatched to (used only by the case block table).  Returns [true] when
     the prediction was correct. *)
 
+val replay_block :
+  t ->
+  branch:int array ->
+  target:int array ->
+  opcode:int array ->
+  vm_transfer:int array ->
+  codes:int array ->
+  len:int ->
+  mis:int ref ->
+  vm_mis:int ref ->
+  unit
+(** Block kernel of a banked replay: {!access} once per event
+    [codes.(0)] .. [codes.(len - 1)], where event [c] is the dispatch
+    [branch.(c)] -> [target.(c)] on [opcode.(c)], and [vm_transfer.(c)] is
+    [1] when the dispatching instruction is a VM-level control transfer
+    ([0] otherwise).  Adds the mispredictions to [mis] and their
+    VM-transfer subset to [vm_mis].  One match per block picks the
+    family's own kernel ({!Btb.replay_block}, {!Two_level.replay_block},
+    {!Case_block_table.replay_block}), whose loop inlines that family's
+    access; [Perfect] and [Never] only count. *)
+
 val reset : t -> unit

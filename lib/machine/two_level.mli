@@ -30,6 +30,20 @@ val create : config -> t
 val access : t -> branch:int -> target:int -> bool
 (** Predict-and-update; returns [true] on a correct prediction. *)
 
+val replay_block :
+  t ->
+  branch:int array ->
+  target:int array ->
+  vm_transfer:int array ->
+  codes:int array ->
+  len:int ->
+  mis:int ref ->
+  vm_mis:int ref ->
+  unit
+(** Block kernel of a banked replay, with {!Btb.replay_block}'s contract:
+    {!access} once per event [codes.(0)] .. [codes.(len - 1)], adding the
+    mispredictions to [mis] and their VM-transfer subset to [vm_mis]. *)
+
 val set_observer :
   t -> (branch:int -> index:int -> empty:bool -> correct:bool -> unit) option
   -> unit

@@ -95,24 +95,6 @@ let push_token budget b code =
   Bytes.unsafe_set b.cur (b.pos + 2) (Char.unsafe_chr ((code lsr 16) land 0xff));
   b.pos <- b.pos + 3
 
-(* Iterate tokens oldest-first. *)
-let buf_iter_tokens b f =
-  let scan c limit =
-    let i = ref 0 in
-    while !i + 3 <= limit do
-      let code =
-        Char.code (Bytes.unsafe_get c !i)
-        lor (Char.code (Bytes.unsafe_get c (!i + 1)) lsl 8)
-        lor (Char.code (Bytes.unsafe_get c (!i + 2)) lsl 16)
-      in
-      f code;
-      i := !i + 3
-    done
-  in
-  List.iter (fun c -> scan c (Bytes.length c - ((Bytes.length c) mod 3)))
-    (List.rev b.filled);
-  if b.pos > 0 then scan b.cur b.pos
-
 (* ------------------------------------------------------------------ *)
 (* Dictionary coding.
 
@@ -368,65 +350,116 @@ let memo_sizes t =
   Mutex.unlock t.memo_lock;
   r
 
+(* ------------------------------------------------------------------ *)
+(* Banked replay, config-major over decoded blocks.
+
+   A bank walks each stream once.  Every block of [block_tokens] tokens is
+   decoded once into an int array of dictionary codes, then handed to each
+   configuration's block kernel in turn ([Predictor.replay_block],
+   [Icache.replay_block]), which runs its whole block before the next
+   configuration starts.  The kernels live in the simulator modules, not
+   here: the libraries build with [-opaque], so nothing inlines across
+   modules, and a per-token call from here into a simulator would cost a
+   closure call plus the simulator's own dispatch for every token of
+   every configuration.  Inside its own module a kernel's loop inlines
+   the same access function the per-event API calls, so there is one copy
+   of each simulator's logic, and this layer pays one call per block. *)
+
 (* Replays poll far less often than the engine: one token is a handful of
    array reads, so ~65k tokens still bounds the watchdog's blind spot to
    well under a millisecond. *)
-let replay_poll_mask = 65536 - 1
+let replay_poll_tokens = 65536
 
-(* One traversal of the dispatch stream drives every simulator in the
-   bank; the counters live in plain int arrays (struct-of-arrays) so the
-   inner per-token loop touches two dense arrays, not a list of boxed
-   accumulators. *)
+(* A block's codes stay cache-resident while every configuration runs
+   over them.  Must divide [replay_poll_tokens], so polls land on block
+   boundaries. *)
+let block_tokens = 2048
+
+let () = assert (replay_poll_tokens mod block_tokens = 0)
+
+(* Walk [b]'s tokens oldest-first, [f codes len] once per block, where
+   [codes.(0 .. len-1)] are the block's decoded dictionary codes.  Polls
+   after each block that ends on a multiple of [replay_poll_tokens]
+   tokens, so a walk of [n] tokens polls [n / 65536] times.  The block
+   buffer belongs to this call: banks run concurrently on several
+   domains. *)
+let walk_blocks ~poll b f =
+  let codes = Array.make block_tokens 0 in
+  let n = ref 0 and walked = ref 0 in
+  let scan c limit =
+    let pos = ref 0 in
+    while !pos < limit do
+      let room = block_tokens - !n and left = (limit - !pos) / 3 in
+      let take = if room < left then room else left in
+      let p = !pos and k = !n in
+      for i = 0 to take - 1 do
+        let q = p + (3 * i) in
+        Array.unsafe_set codes (k + i)
+          (Char.code (Bytes.unsafe_get c q)
+          lor (Char.code (Bytes.unsafe_get c (q + 1)) lsl 8)
+          lor (Char.code (Bytes.unsafe_get c (q + 2)) lsl 16))
+      done;
+      pos := p + (3 * take);
+      n := k + take;
+      if !n = block_tokens then begin
+        f codes block_tokens;
+        n := 0;
+        walked := !walked + block_tokens;
+        if !walked mod replay_poll_tokens = 0 then poll ()
+      end
+    done
+  in
+  (* A filled chunk holds a whole number of tokens up to its spare tail
+     (see [push_token]). *)
+  List.iter
+    (fun c -> scan c (Bytes.length c - (Bytes.length c mod 3)))
+    (List.rev b.filled);
+  scan b.cur b.pos;
+  if !n > 0 then f codes !n
+
+(* Drive the fresh predictor configurations over the dispatch stream.  The
+   dictionary's packed [b] word is split into target, opcode and
+   VM-transfer columns once per bank, so the kernels index plain int
+   arrays by code. *)
 let bank_predictors poll t fresh =
-  let n = Array.length fresh in
   let sims = Array.map snd fresh in
-  let mis = Array.make n 0 and vmis = Array.make n 0 in
-  let opcode_mask = (1 lsl dispatch_opcode_bits) - 1 in
-  let rev_a = t.dispatch_dict.rev_a and rev_b = t.dispatch_dict.rev_b in
-  let seen = ref 0 in
-  buf_iter_tokens t.dispatch (fun code ->
-      incr seen;
-      if !seen land replay_poll_mask = 0 then poll ();
-      let branch = Array.unsafe_get rev_a code in
-      let w = Array.unsafe_get rev_b code in
-      let target = w lsr (dispatch_opcode_bits + 1) in
-      let opcode = (w lsr 1) land opcode_mask in
-      let vm_transfer = w land 1 = 1 in
-      for j = 0 to n - 1 do
-        if
-          not
-            (Predictor.access (Array.unsafe_get sims j) ~branch ~target
-               ~opcode)
-        then begin
-          Array.unsafe_set mis j (Array.unsafe_get mis j + 1);
-          if vm_transfer then
-            Array.unsafe_set vmis j (Array.unsafe_get vmis j + 1)
-        end
-      done);
+  let n = Array.length sims in
+  let mis = Array.init n (fun _ -> ref 0) in
+  let vm_mis = Array.init n (fun _ -> ref 0) in
+  let d = t.dispatch_dict in
+  let column f = Array.init d.next (fun c -> f (Array.unsafe_get d.rev_b c)) in
+  let branch = d.rev_a in
+  let target = column (fun w -> w lsr (dispatch_opcode_bits + 1)) in
+  let opcode =
+    column (fun w -> (w lsr 1) land ((1 lsl dispatch_opcode_bits) - 1))
+  in
+  let vm_transfer = column (fun w -> w land 1) in
+  let run_block codes len =
+    for j = 0 to n - 1 do
+      Predictor.replay_block sims.(j) ~branch ~target ~opcode ~vm_transfer
+        ~codes ~len ~mis:mis.(j) ~vm_mis:vm_mis.(j)
+    done
+  in
+  walk_blocks ~poll t.dispatch run_block;
   Array.iteri
-    (fun j (d, _) -> memo_add t t.pred_memo d (mis.(j), vmis.(j)))
+    (fun j (d, _) -> memo_add t t.pred_memo d (!(mis.(j)), !(vm_mis.(j))))
     fresh
 
-(* Same single-pass shape over the fetch stream.  The accumulator refs are
-   allocated once per bank, before the walk, so the per-token loop does not
-   allocate. *)
+(* Same shape over the fetch stream, whose dictionary is already the
+   (addr, bytes) columns. *)
 let bank_icaches poll t fresh =
-  let n = Array.length fresh in
   let sims = Array.map snd fresh in
+  let n = Array.length sims in
   let hits = Array.init n (fun _ -> ref 0) in
   let misses = Array.init n (fun _ -> ref 0) in
-  let rev_a = t.fetch_dict.rev_a and rev_b = t.fetch_dict.rev_b in
-  let seen = ref 0 in
-  buf_iter_tokens t.fetch (fun code ->
-      incr seen;
-      if !seen land replay_poll_mask = 0 then poll ();
-      let addr = Array.unsafe_get rev_a code in
-      let bytes = Array.unsafe_get rev_b code in
-      for j = 0 to n - 1 do
-        Icache.fetch (Array.unsafe_get sims j) ~addr ~bytes
-          ~hits:(Array.unsafe_get hits j)
-          ~misses:(Array.unsafe_get misses j)
-      done);
+  let addr = t.fetch_dict.rev_a and bytes = t.fetch_dict.rev_b in
+  let run_block codes len =
+    for j = 0 to n - 1 do
+      Icache.replay_block sims.(j) ~addr ~bytes ~codes ~len ~hits:hits.(j)
+        ~misses:misses.(j)
+    done
+  in
+  walk_blocks ~poll t.fetch run_block;
   Array.iteri
     (fun j (d, _) ->
       memo_add t t.icache_memo d (!(hits.(j)) + !(misses.(j)), !(misses.(j))))

@@ -53,12 +53,20 @@ val replay_bank :
   icaches:Vmbp_machine.Icache.config list ->
   int
 (** Banked replay: simulate every requested configuration in one traversal
-    per stream.  The dispatch stream is walked once driving an array of
-    predictor simulators (one per distinct, not-yet-memoized configuration,
-    with per-configuration counters in struct-of-arrays layout), and the
-    fetch stream likewise drives an array of I-cache simulators; the
-    results land in the trace's memo tables, from which {!replay} and
-    {!replay_memo} then answer at cost-model price.  Returns the number of
+    per stream, one simulator per distinct, not-yet-memoized
+    configuration.  The walk is config-major over decoded blocks: each
+    block of 2048 tokens is decoded once into an int array of dictionary
+    codes, and every configuration then runs the whole block through its
+    family's kernel ({!Vmbp_machine.Predictor.replay_block},
+    {!Vmbp_machine.Icache.replay_block}) before the next configuration
+    starts.  The dispatch dictionary is split into branch, target, opcode
+    and VM-transfer columns once per bank.  The kernels live in the
+    simulator modules because the libraries build with [-opaque]: nothing
+    inlines across modules, so only a loop inside the simulator's own
+    module can inline its access path, and this walk pays one call per
+    block instead of one per token.  The results land in the trace's memo
+    tables, from which {!replay} and {!replay_memo} then answer at
+    cost-model price.  Returns the number of
     configurations freshly simulated (0 when everything was already
     memoized).  Configurations are deduplicated by their canonical
     descriptor; invalid ones (whose simulator constructor raises) are
@@ -68,7 +76,9 @@ val replay_bank :
     Polling contract: [poll] is invoked once on entry -- regardless of
     memo state, so a long run of memo-served groups cannot blind-spot a
     watchdog deadline -- and then after every 65536 tokens of each stream
-    walk.  Raises [Invalid_argument] on a [release]d trace. *)
+    walk (the block size divides 65536), so a bank that walks [n]
+    dispatch and [m] fetch tokens polls [1 + n / 65536 + m / 65536]
+    times.  Raises [Invalid_argument] on a [release]d trace. *)
 
 val replay :
   ?poll:(unit -> unit) ->

@@ -423,6 +423,8 @@ let test_two_level_rejects_bad_config () =
 let predictor_kinds =
   [
     ("btb-ideal", Predictor.Btb Btb.ideal);
+    ( "btb-ideal-counters",
+      Predictor.Btb (Btb.with_counters ~entries:0 ~associativity:1) );
     ("btb-classic-16x4", Predictor.Btb (Btb.classic ~entries:16 ~associativity:4));
     ( "btb-counters-16x4",
       Predictor.Btb (Btb.with_counters ~entries:16 ~associativity:4) );
@@ -483,6 +485,122 @@ let icache_geometries =
     ("infinite", Icache.infinite);
   ]
 
+(* The block kernels are one more input to the same equivalence: a
+   stream is dictionary-coded the way a recorded trace is (distinct
+   events become column entries, the stream becomes codes), cut into
+   blocks at random boundaries -- empty and one-event blocks included --
+   and each block handed to [replay_block] in a buffer longer than the
+   block, whose tail holds a code the kernel must not read.  The totals
+   must equal a fold of the reference model over the uncut stream. *)
+
+let dictionary_code events =
+  let tbl = Hashtbl.create 64 and distinct = ref [] and next = ref 0 in
+  let codes =
+    List.map
+      (fun e ->
+        match Hashtbl.find_opt tbl e with
+        | Some c -> c
+        | None ->
+            let c = !next in
+            Hashtbl.add tbl e c;
+            distinct := e :: !distinct;
+            incr next;
+            c)
+      events
+  in
+  (Array.of_list (List.rev !distinct), Array.of_list codes)
+
+let block_sizes_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 30) (oneof [ return 0; return 1; int_range 2 64 ]))
+
+(* Hand [codes] to [kernel buf len] block by block, cutting at [sizes]
+   (reused cyclically).  A cut list with no positive size would never
+   advance, so then the rest goes as one block. *)
+let iter_blocks sizes codes kernel =
+  let n = Array.length codes in
+  let buf = Array.make (n + 1) 0 in
+  let block pos len =
+    Array.blit codes pos buf 0 len;
+    buf.(len) <- max_int;
+    kernel buf len
+  in
+  let rec go pos pending =
+    if pos < n then
+      match pending with
+      | [] when not (List.exists (fun k -> k > 0) sizes) -> block pos (n - pos)
+      | [] -> go pos sizes
+      | k :: rest ->
+          let len = min k (n - pos) in
+          block pos len;
+          go (pos + len) rest
+  in
+  go 0 sizes
+
+let kernel_stream_gen =
+  QCheck.Gen.(
+    pair
+      (list_size (int_range 1 400)
+         (quad (map (fun n -> n * 4) (int_bound 63)) (int_bound 7) (int_bound 63)
+            (int_bound 1)))
+      block_sizes_gen)
+
+let prop_predictor_kernel_matches_reference (name, kind) =
+  QCheck.Test.make ~count:150
+    ~name:(Printf.sprintf "%s block kernel agrees with reference" name)
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list (quad int int int int)) (list int))
+       kernel_stream_gen)
+    (fun (events, sizes) ->
+      let oracle = Reference.create_predictor kind in
+      let rmis, rvm =
+        List.fold_left
+          (fun (m, v) (branch, target, opcode, vm) ->
+            if Reference.access oracle ~branch ~target ~opcode then (m, v)
+            else (m + 1, v + vm))
+          (0, 0) events
+      in
+      let columns, codes = dictionary_code events in
+      let col f = Array.map f columns in
+      let branch = col (fun (b, _, _, _) -> b)
+      and target = col (fun (_, t, _, _) -> t)
+      and opcode = col (fun (_, _, o, _) -> o)
+      and vm_transfer = col (fun (_, _, _, v) -> v) in
+      let fast = Predictor.create kind in
+      let mis = ref 0 and vm_mis = ref 0 in
+      iter_blocks sizes codes (fun codes len ->
+          Predictor.replay_block fast ~branch ~target ~opcode ~vm_transfer ~codes
+            ~len ~mis ~vm_mis);
+      !mis = rmis && !vm_mis = rvm)
+
+let kernel_fetch_gen =
+  QCheck.Gen.(
+    pair
+      (list_size (int_range 1 400) (pair (int_bound 1023) (int_range 0 48)))
+      block_sizes_gen)
+
+let prop_icache_kernel_matches_reference (name, cfg) =
+  QCheck.Test.make ~count:150
+    ~name:(Printf.sprintf "icache %s block kernel agrees with reference" name)
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list (pair int int)) (list int))
+       kernel_fetch_gen)
+    (fun (fetches, sizes) ->
+      let oracle = Reference.create_icache cfg in
+      let rh = ref 0 and rm = ref 0 in
+      List.iter
+        (fun (addr, bytes) -> Reference.fetch oracle ~addr ~bytes ~hits:rh ~misses:rm)
+        fetches;
+      let columns, codes = dictionary_code fetches in
+      let addr = Array.map fst columns and bytes = Array.map snd columns in
+      let fast = Icache.create cfg in
+      let hits = ref 0 and misses = ref 0 in
+      iter_blocks sizes codes (fun codes len ->
+          Icache.replay_block fast ~addr ~bytes ~codes ~len ~hits ~misses);
+      (* The memo path advances the clock like the full scan. *)
+      let clock = if cfg.Icache.size_bytes = 0 then 0 else !hits + !misses in
+      !hits = !rh && !misses = !rm && Icache.clock fast = clock)
+
 (* -------------------------------------------------------------------- *)
 (* Observer hooks (the attribution substrate of the explain tooling) *)
 
@@ -542,6 +660,22 @@ let test_btb_observer_is_passive () =
   in
   Alcotest.(check (list bool)) "observer never changes decisions"
     (run false) (run true)
+
+let test_btb_miss_path_allocates_nothing () =
+  (* Eight branches share the one set of a 4-way table and are visited
+     round-robin, so under LRU every access misses.  With no observer
+     installed, the miss path must not build an outcome payload. *)
+  let btb = Btb.create (Btb.classic ~entries:4 ~associativity:4) in
+  let n = 1_000_000 in
+  let misses = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    if not (Btb.access btb ~branch:((i land 7) * 4) ~target:1) then
+      incr misses
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "every access missed" n !misses;
+  Alcotest.(check (float 0.)) "minor words over 1M misses" 0. words
 
 let test_two_level_observer () =
   let p = Two_level.create { Two_level.entries = 64; history = 2 } in
@@ -661,6 +795,8 @@ let () =
             test_btb_observer_outcomes;
           Alcotest.test_case "btb observer is passive" `Quick
             test_btb_observer_is_passive;
+          Alcotest.test_case "btb miss path allocates nothing" `Quick
+            test_btb_miss_path_allocates_nothing;
           Alcotest.test_case "two-level slot reporting" `Quick
             test_two_level_observer;
           Alcotest.test_case "two-level reports access result" `Quick
@@ -671,7 +807,9 @@ let () =
       ( "reference-equivalence",
         List.map qt
           (List.map prop_predictor_matches_reference predictor_kinds
-          @ List.map prop_icache_matches_reference icache_geometries) );
+          @ List.map prop_icache_matches_reference icache_geometries
+          @ List.map prop_predictor_kernel_matches_reference predictor_kinds
+          @ List.map prop_icache_kernel_matches_reference icache_geometries) );
       ( "cost-model",
         [
           Alcotest.test_case "cycle formula" `Quick test_cycles_model;

@@ -784,6 +784,46 @@ let test_memoized_replay_still_polls () =
   check_bool "memo-served bank polls at least once" true (!polls >= 1);
   Vmbp_report.Runner.release_trace tr
 
+(* The bank's poll contract, counted exactly: one entry poll, then one
+   per 65536 tokens of each stream it walks, whatever its block size. *)
+let test_bank_poll_count () =
+  let program = Vmbp_toyvm.Toy_vm.table1_loop () in
+  let layout = Config.build_layout (Config.make Technique.plain) ~program in
+  let state =
+    Vmbp_toyvm.Toy_vm.create_state ~counters:(Array.make 16 40_000) ()
+  in
+  let tr =
+    Option.get
+      (Vmbp_report.Trace.record ~layout ~exec:(Vmbp_toyvm.Toy_vm.exec state)
+         ~output:(fun () -> "") ())
+  in
+  let nd = Vmbp_report.Trace.dispatch_events tr in
+  let nf = Vmbp_report.Trace.fetch_events tr in
+  check_bool "streams span several poll intervals" true
+    (nd > 2 * 65536 && nf > 2 * 65536);
+  let polls = ref 0 in
+  let poll () = incr polls in
+  let bank ~predictors ~icaches =
+    polls := 0;
+    ignore (Vmbp_report.Trace.replay_bank ~poll tr ~predictors ~icaches : int);
+    !polls
+  in
+  let icache size_bytes =
+    Icache.make_config ~size_bytes ~line_bytes:32 ~associativity:2
+  in
+  check_int "dispatch walk" (1 + (nd / 65536))
+    (bank
+       ~predictors:
+         [ Predictor.Btb Btb.ideal; Predictor.Two_level Two_level.default ]
+       ~icaches:[]);
+  check_int "fetch walk" (1 + (nf / 65536))
+    (bank ~predictors:[] ~icaches:[ icache 1024; icache 2048 ]);
+  check_int "both walks" (1 + (nd / 65536) + (nf / 65536))
+    (bank ~predictors:[ Predictor.Case_block 64 ] ~icaches:[ icache 4096 ]);
+  check_int "memo-served: entry poll only" 1
+    (bank ~predictors:[ Predictor.Case_block 64 ] ~icaches:[ icache 4096 ]);
+  Vmbp_report.Trace.release tr
+
 (* Satellite: the canonical descriptors that key the banked memo tables
    must never collide across distinct configurations -- checked over a
    dense grid of every predictor family and I-cache geometry. *)
@@ -1658,6 +1698,8 @@ let () =
             test_memo_insert_race_free;
           Alcotest.test_case "memo-served replay still polls" `Quick
             test_memoized_replay_still_polls;
+          Alcotest.test_case "bank polls once per 65536 tokens" `Quick
+            test_bank_poll_count;
           Alcotest.test_case "bank descriptors injective" `Quick
             test_bank_descriptor_injective;
         ] );

@@ -59,10 +59,12 @@ let status reply =
 
 let source reply = Vmbp_store.Sjson.str_opt (fields_of reply) "source"
 
-(* Start a server in its own domain with a fresh socket and store; stop it
-   (via the shutdown verb unless the test already did) and clean up. *)
-let with_server ?(chaos = "") ?(admission = 64) ?(degraded_after = 2.)
-    ?(request_timeout = 30.) ?flight_dir f =
+(* Start a server in its own domain with a fresh socket and store.  The
+   returned [stop] shuts it down (via the shutdown verb unless the test
+   already did), joins its domain and cleans up; it is idempotent.  After
+   [stop] the daemon has drained: every span it records is recorded. *)
+let start_server ?(chaos = "") ?(admission = 64) ?(degraded_after = 2.)
+    ?(request_timeout = 30.) ?flight_dir () =
   let id = uniq () in
   let socket = Filename.concat "/tmp" ("vmbp-svc-" ^ id ^ ".sock") in
   let store = Filename.concat "/tmp" ("vmbp-svc-store-" ^ id) in
@@ -81,10 +83,12 @@ let with_server ?(chaos = "") ?(admission = 64) ?(degraded_after = 2.)
     }
   in
   let srv = Domain.spawn (fun () -> Service.serve cfg) in
-  Fun.protect
-    ~finally:(fun () ->
-      (* Idempotent stop: if the test already shut the server down, the
-         connect fails and the domain is already finishing. *)
+  let stopped = ref false in
+  let stop () =
+    if not !stopped then begin
+      stopped := true;
+      (* If the test already shut the server down, the connect fails and
+         the domain is already finishing. *)
       (try
          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
          (try
@@ -95,8 +99,18 @@ let with_server ?(chaos = "") ?(admission = 64) ?(degraded_after = 2.)
        with _ -> ());
       Domain.join srv;
       Faults.reset ();
-      rm_rf store)
-    (fun () -> f socket)
+      rm_rf store
+    end
+  in
+  (socket, stop)
+
+let with_server ?chaos ?admission ?degraded_after ?request_timeout ?flight_dir
+    f =
+  let socket, stop =
+    start_server ?chaos ?admission ?degraded_after ?request_timeout
+      ?flight_dir ()
+  in
+  Fun.protect ~finally:stop (fun () -> f socket)
 
 let counter name =
   match Vmbp_obs.Registry.find_counter name with
@@ -410,7 +424,8 @@ let test_trace_links_coalesced_rids () =
      rid's admit span names the in-flight key, and exactly one
      compute-batch span serves that key -- the cross-thread fan-in the
      trace view hangs the four request trees on. *)
-  with_server ~chaos:"pool-wedge=1@0.4" (fun socket ->
+  let socket, stop = start_server ~chaos:"pool-wedge=1@0.4" () in
+  Fun.protect ~finally:stop (fun () ->
       Vmbp_obs.Span.enable ();
       Fun.protect
         ~finally:(fun () -> Vmbp_obs.Span.disable ())
@@ -434,6 +449,10 @@ let test_trace_links_coalesced_rids () =
                     = Some rid))
             fds rids;
           List.iter Unix.close fds;
+          (* The daemon records a reply's flush span only once its event
+             loop sees the write complete, which can trail the client's
+             read; read the spans after the server has drained. *)
+          stop ();
           let events = Vmbp_obs.Span.events () in
           let arg (e : Vmbp_obs.Span.event) k =
             Option.value ~default:"" (List.assoc_opt k e.Vmbp_obs.Span.args)
