@@ -401,11 +401,15 @@ let finish_obs trace_out metrics =
       in
       Printf.eprintf
         "[obs] trace cache %s live / %s memo / %s miss (%s evictions); \
-         journal %s served / %s appended; cells %s retries / %s timeouts\n"
+         vm path %s records / %s replays (%.0f bytes); journal %s served / \
+         %s appended; cells %s retries / %s timeouts\n"
         (c "trace_cache.live_hits")
         (c "trace_cache.memo_hits")
         (c "trace_cache.misses")
         (c "trace_cache.evictions")
+        (c "vm_path.records") (c "vm_path.replays")
+        (Vmbp_obs.Registry.gauge_value
+           (Vmbp_obs.Registry.gauge "vm_path.bytes"))
         (c "journal.served") (c "journal.appended") (c "cells.retries")
         (c "cells.timeouts");
       Printf.eprintf "wrote metrics to %s\n" file

@@ -6,12 +6,14 @@ Usage: python3 dev/hotpath_lint.py [--build-dir _build/default]
 Disassembles the native objects of a dune build with `objdump -dr` and
 checks the functions that run once per dispatch, fetch or VM call: the
 simulators' access, fetch and replay_block functions, the banked-replay
-walk in Trace, Engine.run_events and the JVM runtime's push_frame and
-alloc_object.  None of them may reference `Stdlib.max`, `Stdlib.min`,
-`Stdlib.compare` or a polymorphic `caml_*` compare primitive: on ints
-those cost a call and a tag dispatch where an int comparison costs one
-instruction, and nothing inlines them away under dune's default
-(`-opaque`) build.  Run `dune build` first.  Stdlib only.
+walk in Trace, Engine.run_events, the VM path recorder's and replayer's
+per-step functions (Vm_path.record_step, Vm_path.replay_step) and the
+JVM runtime's push_frame and alloc_object.  None of them may reference
+`Stdlib.max`, `Stdlib.min`, `Stdlib.compare` or a polymorphic `caml_*`
+compare primitive: on ints those cost a call and a tag dispatch where an
+int comparison costs one instruction, and nothing inlines them away
+under dune's default (`-opaque`) build.  Run `dune build` first.
+Stdlib only.
 
 Exit status: 0 clean, 1 a function references a forbidden symbol,
 2 an object or a listed function is missing (a rename must update the
@@ -45,6 +47,8 @@ HOT = [
      ["walk_blocks", "scan", "bank_predictors", "bank_icaches", "run_block"]),
     ("lib/core/.vmbp_core.objs/native/vmbp_core__Engine.o",
      "Vmbp_core__Engine", ["run_events"]),
+    ("lib/core/.vmbp_core.objs/native/vmbp_core__Vm_path.o",
+     "Vmbp_core__Vm_path", ["record_step", "replay_step"]),
     ("lib/jvm/.vmbp_jvm.objs/native/vmbp_jvm__Runtime.o",
      "Vmbp_jvm__Runtime", ["push_frame", "alloc_object"]),
 ]

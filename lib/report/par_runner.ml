@@ -318,8 +318,13 @@ let drain_log () =
 
    Recorded (workload, technique, scale) executions are retained across
    [run_cells] calls, because the experiment registry revisits the same
-   groups under different CPUs (e.g. the Celeron and Pentium 4 speedup
-   figures share every Forth group).  Retained event-stream bytes are
+   groups under different CPUs.  Only a revisit that finds its group's
+   trace here replays it: a group with a single cell to run is never
+   recorded ([record_or_direct]), so e.g. the Pentium 4 speedup figure's
+   one-cell groups re-run the engine on groups the Celeron figure already
+   ran -- on the workload's replayed VM control path, see
+   {!Runner.run} -- and exact revisits of a cell hit the full-result cache
+   below instead.  Retained event-stream bytes are
    bounded by [trace_cap_mb] with least-recently-used eviction, but
    eviction only recycles the streams: the entry stays in the list as a
    kilobyte-sized summary whose per-configuration memo tables (see
@@ -468,7 +473,8 @@ let clear_trace_cache () =
     !cache;
   cache := [];
   cache_bytes := 0;
-  Mutex.unlock cache_lock
+  Mutex.unlock cache_lock;
+  Runner.clear_vm_paths ()
 
 let trace_cache_bytes () =
   Mutex.lock cache_lock;
@@ -548,6 +554,11 @@ let result_key c =
 
 let result_enabled () = (not !self_check) && !trace_cap_mb > 0
 
+(* VM path replay ({!Runner.run}'s [path_cap]) follows the same gate, so
+   [--self-check] and [--trace-cap-mb 0] stay all-live references; the
+   trace cap also bounds the cached path bytes. *)
+let path_cap () = if result_enabled () then Some (cap_bytes ()) else None
+
 let result_find c =
   if not (result_enabled ()) then None
   else begin
@@ -579,7 +590,8 @@ let result_store c (t : timed) =
 let clear_result_cache () =
   Mutex.lock result_lock;
   Hashtbl.reset result_cache;
-  Mutex.unlock result_lock
+  Mutex.unlock result_lock;
+  Runner.clear_vm_paths ()
 
 let journal : Journal.t option ref = ref None
 
@@ -837,7 +849,8 @@ let run_cell c =
           supervised (fun ?poll () ->
               Ok
                 (Runner.run ~scale:c.scale ?poll ?predictor:c.predictor
-                   ~cpu:c.cpu ~technique:c.technique c.workload)))
+                   ?path_cap:(path_cap ()) ~cpu:c.cpu ~technique:c.technique
+                   c.workload)))
   in
   Vmbp_obs.Registry.observe h_cell_minor_words (minor_words () -. w0);
   {
@@ -1128,7 +1141,7 @@ let run_group results arr idxs =
         ~args:[ ("cell", cell_name c0) ]
         (fun () ->
           Runner.record ~scale:c0.scale ?poll ~cap_bytes:(cap_bytes ())
-            ~technique:c0.technique c0.workload)
+            ?path_cap:(path_cap ()) ~technique:c0.technique c0.workload)
     with
     | Error (`Overflow | `Failed _) -> direct ()
     | Ok tr ->

@@ -28,9 +28,16 @@
     per-group replay cost is O(events), not O(cells x events); the
     per-cell results are then fanned back out of the trace's memo tables.
     Recorded traces are kept in a
-    process-wide LRU cache bounded by {!trace_cap_mb}, so later experiments
-    over the same grid (the common shape: one figure per CPU) skip the VM
-    execution entirely.  Eviction recycles a trace's stream storage but
+    process-wide LRU cache bounded by {!trace_cap_mb}.  A group with at
+    most one cell to run is not recorded but simulated directly, and an
+    exact revisit of a cell (same configuration, e.g. a counter figure
+    re-running a speedup figure's cell) is served from the full-result
+    cache without any simulation.  A later experiment that revisits a group
+    under another CPU (the common shape: one figure per CPU, one cell per
+    group) therefore re-runs the engine for it; that run skips the VM
+    semantics by replaying the workload's recorded control path
+    ({!Runner.run}'s [path_cap], on exactly when the result cache is).
+    Eviction recycles a trace's stream storage but
     keeps a memo-only summary that still answers every simulator
     configuration the trace ever served ({!Runner.replay_memo}); only a new
     configuration on an evicted group re-records.  Simulated numbers are

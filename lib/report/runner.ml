@@ -97,7 +97,106 @@ let effective_profile ?profile ~scale ~technique (workload : Vmbp_workloads.t)
              ~target:workload.Vmbp_workloads.name ~scale ())
       else None
 
-let run ?(scale = 1) ?poll ?predictor ?profile ~cpu ~technique
+(* ------------------------------------------------------------------ *)
+(* VM path cache.  A workload's control path -- the outcome its semantics
+   returns at each step -- is the same under every technique, CPU and
+   predictor, so the first complete live run of a loaded workload records
+   it ({!Vm_path}) and every later run replays it instead of executing the
+   VM semantics.  Keys are the loaded workload's physical identity, like
+   the trace cache's workload keys: the registry memoises its loaded
+   workloads for the process lifetime, and a freshly constructed one can
+   never alias a stale path.  Paths are never evicted; the ones kept stay
+   within the byte budget the caller passes, and a workload whose path
+   did not fit is marked [Unfit] and keeps running live without recording
+   again.  Two domains may record the same workload at once; the first
+   path stored wins. *)
+
+type path_slot = Kept of Vm_path.t | Unfit
+
+let m_path_records = Vmbp_obs.Registry.counter "vm_path.records"
+let m_path_replays = Vmbp_obs.Registry.counter "vm_path.replays"
+let g_path_bytes = Vmbp_obs.Registry.gauge "vm_path.bytes"
+
+let paths : (Vmbp_workloads.loaded * path_slot) list ref = ref []
+let paths_bytes = ref 0
+let paths_lock = Mutex.create ()
+
+let with_paths f =
+  Mutex.lock paths_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock paths_lock) f
+
+let path_find loaded = with_paths (fun () -> List.assq_opt loaded !paths)
+
+let path_store ~cap loaded outcome =
+  with_paths (fun () ->
+      if not (List.mem_assq loaded !paths) then
+        match outcome with
+        | Ok p when !paths_bytes + Vm_path.bytes p <= cap ->
+            paths := (loaded, Kept p) :: !paths;
+            paths_bytes := !paths_bytes + Vm_path.bytes p;
+            Vmbp_obs.Registry.add m_path_records 1;
+            Vmbp_obs.Registry.gauge_set g_path_bytes (float_of_int !paths_bytes)
+        | Ok _ | Error `Overflow -> paths := (loaded, Unfit) :: !paths
+        | Error `Incomplete -> ())
+
+let clear_vm_paths () =
+  with_paths (fun () ->
+      paths := [];
+      paths_bytes := 0;
+      Vmbp_obs.Registry.gauge_set g_path_bytes 0.)
+
+(* The semantics one run drives: [exec], the program [output] to read
+   once the run returned, and [keep], which stores the path a recording
+   run captured.  Without [path_cap] the run is live on a fresh session;
+   with it, the run replays the workload's path when one is cached and
+   otherwise records one while running live. *)
+type semantics = {
+  exec : Engine.exec;
+  output : unit -> string;
+  keep : steps:int -> trapped:string option -> output:string -> unit;
+}
+
+let no_keep ~steps:_ ~trapped:_ ~output:_ = ()
+
+let semantics ?path_cap (loaded : Vmbp_workloads.loaded) =
+  let live () =
+    let s = loaded.Vmbp_workloads.fresh_session () in
+    {
+      exec = s.Vmbp_workloads.exec;
+      output = s.Vmbp_workloads.output;
+      keep = no_keep;
+    }
+  in
+  match path_cap with
+  | None -> live ()
+  | Some cap -> (
+      match path_find loaded with
+      | Some (Kept p) ->
+          Vmbp_obs.Registry.add m_path_replays 1;
+          {
+            exec = Vm_path.replayer p;
+            output = (fun () -> Vm_path.output p);
+            keep = no_keep;
+          }
+      | Some Unfit -> live ()
+      | None ->
+          let s = live () in
+          let recorder, exec =
+            Vm_path.recorder
+              ~cap_bytes:(cap - with_paths (fun () -> !paths_bytes))
+              ~slots:(Vmbp_vm.Program.length loaded.Vmbp_workloads.program)
+              s.exec
+          in
+          {
+            s with
+            exec;
+            keep =
+              (fun ~steps ~trapped ~output ->
+                path_store ~cap loaded
+                  (Vm_path.finish recorder ~steps ~trapped ~output));
+          })
+
+let run ?(scale = 1) ?poll ?predictor ?profile ?path_cap ~cpu ~technique
     (workload : Vmbp_workloads.t) =
   let cacheable = profile = None in
   let loaded, config, layout, translation =
@@ -116,27 +215,26 @@ let run ?(scale = 1) ?poll ?predictor ?profile ~cpu ~technique
         in
         (loaded, config, layout, translation))
   in
-  let session = loaded.Vmbp_workloads.fresh_session () in
+  let sem = semantics ?path_cap loaded in
   let result =
     Vmbp_obs.Span.with_ ~name:"engine"
       ~args:[ ("workload", workload.Vmbp_workloads.name) ]
       (fun () ->
         Engine.run ~fuel:engine_fuel ?poll ~translation ~config ~layout
-          ~exec:session.Vmbp_workloads.exec ())
+          ~exec:sem.exec ())
   in
+  let output = sem.output () in
+  sem.keep ~steps:result.Engine.steps ~trapped:result.Engine.trapped ~output;
   (match result.Engine.trapped with
   | Some msg -> raise (Run_failed (trap_message workload technique msg))
   | None -> ());
-  {
-    workload;
-    technique;
-    cpu;
-    result;
-    output = session.Vmbp_workloads.output ();
-  }
+  { workload; technique; cpu; result; output }
 
-let run_result ?scale ?poll ?predictor ?profile ~cpu ~technique workload =
-  match run ?scale ?poll ?predictor ?profile ~cpu ~technique workload with
+let run_result ?scale ?poll ?predictor ?profile ?path_cap ~cpu ~technique
+    workload =
+  match
+    run ?scale ?poll ?predictor ?profile ?path_cap ~cpu ~technique workload
+  with
   | r -> Ok r
   | exception Run_failed msg -> Error msg
   | exception exn -> Error (Printexc.to_string exn)
@@ -217,7 +315,7 @@ type trace = {
   t_data : Trace.t;
 }
 
-let record ?(scale = 1) ?poll ?profile ?cap_bytes ~technique
+let record ?(scale = 1) ?poll ?profile ?cap_bytes ?path_cap ~technique
     (workload : Vmbp_workloads.t) =
   match
     let cacheable = profile = None in
@@ -233,10 +331,17 @@ let record ?(scale = 1) ?poll ?profile ?cap_bytes ~technique
     let translation =
       translation_for ~cacheable ~technique ~scale workload layout
     in
-    let session = loaded.Vmbp_workloads.fresh_session () in
-    Trace.record ~fuel:engine_fuel ?poll ~translation ?cap_bytes ~layout
-      ~exec:session.Vmbp_workloads.exec ~output:session.Vmbp_workloads.output
-      ()
+    let sem = semantics ?path_cap loaded in
+    let data =
+      Trace.record ~fuel:engine_fuel ?poll ~translation ?cap_bytes ~layout
+        ~exec:sem.exec ~output:sem.output ()
+    in
+    Option.iter
+      (fun d ->
+        sem.keep ~steps:(Trace.steps d) ~trapped:(Trace.trapped d)
+          ~output:(Trace.output d))
+      data;
+    data
   with
   | Some data ->
       Ok { t_workload = workload; t_technique = technique; t_scale = scale; t_data = data }

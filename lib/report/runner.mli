@@ -33,6 +33,7 @@ val run :
   ?poll:(unit -> unit) ->
   ?predictor:Vmbp_machine.Predictor.kind ->
   ?profile:Vmbp_vm.Profile.t ->
+  ?path_cap:int ->
   cpu:Vmbp_machine.Cpu_model.t ->
   technique:Vmbp_core.Technique.t ->
   Vmbp_workloads.t ->
@@ -42,13 +43,25 @@ val run :
     is used (see {!Vmbp_workloads.training_profile}).  [poll] is the
     engine's cooperative watchdog hook (see
     {!Vmbp_core.Engine.run_events}); a deadline exception raised from it
-    escapes this function unchanged. *)
+    escapes this function unchanged.
+
+    [path_cap] turns on VM path replay (see {!Vmbp_core.Vm_path}).
+    Without it the run executes the VM semantics live on a fresh session.
+    With it, a run of a loaded workload whose control path is cached
+    drives the engine from that path and reports the recorded program
+    output, skipping the semantics; the result is field-for-field the live
+    one.  Otherwise the run records the path while it executes live and
+    caches it if the run returned normally without running out of fuel
+    and the cache's total stays within [path_cap] bytes.  A workload
+    whose path does not fit keeps running live.  The engine loop, layout
+    and simulators run exactly as in a live run either way. *)
 
 val run_result :
   ?scale:int ->
   ?poll:(unit -> unit) ->
   ?predictor:Vmbp_machine.Predictor.kind ->
   ?profile:Vmbp_vm.Profile.t ->
+  ?path_cap:int ->
   cpu:Vmbp_machine.Cpu_model.t ->
   technique:Vmbp_core.Technique.t ->
   Vmbp_workloads.t ->
@@ -107,13 +120,15 @@ val record :
   ?poll:(unit -> unit) ->
   ?profile:Vmbp_vm.Profile.t ->
   ?cap_bytes:int ->
+  ?path_cap:int ->
   technique:Vmbp_core.Technique.t ->
   Vmbp_workloads.t ->
   (trace, [ `Overflow | `Failed of string ]) result
-(** One full engine execution with the same fuel and training-profile
-    policy as {!run}.  [`Overflow] reports that the event storage would
-    exceed [cap_bytes]; [`Failed] carries the exception of a run that did
-    not even record.  In both cases callers must fall back to direct
+(** One full engine execution with the same fuel, training-profile policy
+    and VM path replay ([path_cap]) as {!run}.  [`Overflow] reports that
+    the event storage would exceed [cap_bytes] (such a run keeps no VM
+    path either); [`Failed] carries the exception of a run that did not
+    even record.  In both cases callers must fall back to direct
     {!run_result} calls.  A run that merely traps records fine: its trace
     replays to the same [Error] cell a direct run would produce. *)
 
@@ -153,6 +168,10 @@ val replay_memo :
     have both been replayed on the trace before.  Works on a
     [release_trace]d trace, so an evicted trace still serves repeat
     configurations (see {!Trace.replay_memo}). *)
+
+val clear_vm_paths : unit -> unit
+(** Drop every cached VM path (and every [Unfit] mark), so the next run
+    of each workload records afresh. *)
 
 val trace_bytes : trace -> int
 (** Storage footprint in bytes, for cache accounting. *)

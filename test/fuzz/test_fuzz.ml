@@ -187,7 +187,9 @@ let prop_toy_program_oracle seed =
    stream on every generated program, under a technique drawn from the
    full grid (including the quickening dynamic ones, so incremental
    re-translation is fuzzed too) and a fuel budget that sometimes cuts
-   the run short mid-block. *)
+   the run short mid-block.  The translated run also records its VM
+   control path, and a third run replays it: the replay must match too,
+   and a run cut short by fuel must have kept no path. *)
 let prop_toy_translated_vs_legacy seed =
   let rng = rng_of_seed seed in
   let size = 8 + rand rng 56 in
@@ -198,12 +200,17 @@ let prop_toy_translated_vs_legacy seed =
     Printf.sprintf "translated seed=%d size=%d fuel=%d %s" seed size fuel
       (Technique.name technique)
   in
-  let run legacy =
+  let run drive =
     let program = Vmbp_vm.Program.copy program in
     let config = Config.make ~cpu:Cpu_model.celeron_800 technique in
     let layout = Config.build_layout config ~program in
     let state =
       Vmbp_toyvm.Toy_vm.create_state ~counters:(Array.make 16 5) ()
+    in
+    let recorder, recording =
+      Vm_path.recorder
+        ~slots:(Vmbp_vm.Program.length program)
+        (Vmbp_toyvm.Toy_vm.exec state)
     in
     let events = ref [] in
     let sink =
@@ -219,26 +226,54 @@ let prop_toy_translated_vs_legacy seed =
     in
     let m = Metrics.create () in
     let steps, trapped =
-      if legacy then
-        Engine.run_events_legacy ~fuel ~metrics:m ~layout
-          ~exec:(Vmbp_toyvm.Toy_vm.exec state) ~sink ()
-      else
-        Engine.run_events ~fuel ~metrics:m ~layout
-          ~exec:(Vmbp_toyvm.Toy_vm.exec state) ~sink ()
+      match drive with
+      | `Legacy ->
+          Engine.run_events_legacy ~fuel ~metrics:m ~layout
+            ~exec:(Vmbp_toyvm.Toy_vm.exec state) ~sink ()
+      | `Translated ->
+          Engine.run_events ~fuel ~metrics:m ~layout ~exec:recording ~sink ()
+      | `Replayed p ->
+          Engine.run_events ~fuel ~metrics:m ~layout
+            ~exec:(Vm_path.replayer p) ~sink ()
     in
-    (steps, trapped, Vmbp_toyvm.Toy_vm.checksum state, m, List.rev !events)
+    let checksum =
+      match drive with
+      | `Replayed p -> int_of_string (Vm_path.output p)
+      | `Legacy | `Translated -> Vmbp_toyvm.Toy_vm.checksum state
+    in
+    let path =
+      match drive with
+      | `Translated ->
+          Result.to_option
+            (Vm_path.finish recorder ~steps ~trapped
+               ~output:(string_of_int checksum))
+      | `Legacy | `Replayed _ -> None
+    in
+    ((steps, trapped, checksum, m, List.rev !events), path)
   in
-  let s1, t1, k1, m1, e1 = run false and s2, t2, k2, m2, e2 = run true in
-  if s1 <> s2 then fail "%s: steps %d vs %d" what s1 s2;
-  if t1 <> t2 then
-    fail "%s: trap %s vs %s" what
-      (Option.value ~default:"-" t1)
-      (Option.value ~default:"-" t2);
-  if k1 <> k2 then fail "%s: checksum %d vs %d" what k1 k2;
-  if m1 <> m2 then fail "%s: metrics differ" what;
-  if e1 <> e2 then
-    fail "%s: event streams differ (%d vs %d events)" what (List.length e1)
-      (List.length e2);
+  let compare_runs what (s1, t1, k1, m1, e1) (s2, t2, k2, m2, e2) =
+    if s1 <> s2 then fail "%s: steps %d vs %d" what s1 s2;
+    if t1 <> t2 then
+      fail "%s: trap %s vs %s" what
+        (Option.value ~default:"-" t1)
+        (Option.value ~default:"-" t2);
+    if k1 <> k2 then fail "%s: checksum %d vs %d" what k1 k2;
+    if m1 <> m2 then fail "%s: metrics differ" what;
+    if e1 <> e2 then
+      fail "%s: event streams differ (%d vs %d events)" what (List.length e1)
+        (List.length e2)
+  in
+  let translated, path = run `Translated in
+  let legacy, _ = run `Legacy in
+  compare_runs what translated legacy;
+  let _, trapped, _, _, _ = translated in
+  (match path with
+  | Some _ when trapped = Some Engine.out_of_fuel ->
+      fail "%s: a run that ran out of fuel kept a path" what
+  | Some p -> compare_runs (what ^ " replayed") (fst (run (`Replayed p))) legacy
+  | None ->
+      if trapped <> Some Engine.out_of_fuel then
+        fail "%s: a run that did not run out of fuel kept no path" what);
   true
 
 (* Conservation of the audit counters themselves, on the recorded event

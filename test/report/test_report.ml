@@ -1512,6 +1512,102 @@ let test_audit_sample_crosschecks_replays () =
   check_int "nothing audited at rate 0" 0 (Audit.audited_count ());
   ignore (PR.drain_log ())
 
+(* VM path replay: the first live run of a loaded workload records its
+   control path and every later engine run of it, under any technique,
+   replays the path -- with numbers identical to all-live runs.  The
+   oracles stay live: no path is recorded or replayed under --self-check
+   or --trace-cap-mb 0, and the audit cross-check's fresh run executes
+   the semantics even when a path is cached. *)
+let test_vm_path_replay () =
+  (* Loaded once, like a registry workload: the path cache keys on the
+     loaded workload's physical identity. *)
+  let loaded =
+    lazy
+      {
+        Vmbp_workloads.program =
+          Vmbp_toyvm.Toy_vm.random_program ~seed:41 ~size:40;
+        fresh_session =
+          (fun () ->
+            let state =
+              Vmbp_toyvm.Toy_vm.create_state ~counters:(Array.make 16 50) ()
+            in
+            {
+              Vmbp_workloads.exec = Vmbp_toyvm.Toy_vm.exec state;
+              output =
+                (fun () -> string_of_int (Vmbp_toyvm.Toy_vm.checksum state));
+            });
+      }
+  in
+  let w =
+    {
+      Vmbp_workloads.vm = Vmbp_workloads.Forth;
+      name = "path-toy";
+      description = "synthetic toy workload, loaded once";
+      load = (fun ~scale:_ -> Lazy.force loaded);
+    }
+  in
+  let counter name =
+    Int64.to_int
+      (Option.value ~default:0L (Vmbp_obs.Registry.find_counter name))
+  in
+  let run cells =
+    Vmbp_obs.Registry.reset ();
+    PR.clear_trace_cache ();
+    PR.clear_result_cache ();
+    let results = PR.run_cells ~jobs:1 cells in
+    ignore (PR.drain_log ());
+    let outputs =
+      List.map
+        (fun (t : PR.timed) ->
+          match t.PR.outcome with
+          | Ok r -> r.Vmbp_report.Runner.output
+          | Error e -> e)
+        results
+    in
+    ( (signature results, outputs),
+      (counter "vm_path.records", counter "vm_path.replays") )
+  in
+  let cell ?(cpu = Cpu_model.pentium4_northwood) technique =
+    PR.cell ~tag:"vm-path" ~cpu ~technique w
+  in
+  let techniques = [ cell Technique.plain; cell Technique.dynamic_repl ] in
+  let same =
+    Alcotest.(check (pair (list (pair string string)) (list string)))
+  in
+  let counts = Alcotest.(check (pair int int)) in
+  Fun.protect
+    ~finally:(fun () -> PR.trace_cap_mb := 256)
+    (fun () ->
+      PR.trace_cap_mb := 0;
+      let live, n = run techniques in
+      counts "--trace-cap-mb 0 records and replays nothing" (0, 0) n;
+      PR.trace_cap_mb := 256;
+      let replayed, n = run techniques in
+      counts "two techniques: one path recorded, replayed once" (1, 1) n;
+      same "replayed numbers and output equal live" live replayed;
+      check_bool "path bytes gauged" true
+        (Vmbp_obs.Registry.gauge_value (Vmbp_obs.Registry.gauge "vm_path.bytes")
+        > 0.);
+      PR.self_check := true;
+      let checked, n = run techniques in
+      PR.self_check := false;
+      counts "--self-check records and replays nothing" (0, 0) n;
+      same "self-checked numbers equal live" live checked;
+      (* One group of two CPUs: a trace replay, audited by a fresh run.
+         Recording the trace keeps the path; the audit must not use it. *)
+      PR.audit_sample := 1.0;
+      Audit.reset_stats ();
+      let _, n =
+        run
+          [
+            cell Technique.plain;
+            cell ~cpu:Cpu_model.celeron_800 Technique.plain;
+          ]
+      in
+      counts "the audit's fresh run replays nothing" (1, 0) n;
+      check_int "the replayed cell was audited" 1 (Audit.audited_count ());
+      check_int "no divergences" 0 (Audit.divergence_count ()))
+
 let test_sampling_deterministic () =
   let keys = List.init 1000 (Printf.sprintf "cell-%d") in
   let decide rate = List.map (fun key -> Audit.sampled ~key ~rate) keys in
@@ -1742,6 +1838,8 @@ let () =
             (audited_test test_self_check_catches_mutation);
           Alcotest.test_case "audit-sample cross-checks replays" `Quick
             (audited_test test_audit_sample_crosschecks_replays);
+          Alcotest.test_case "vm path replay, oracles live" `Quick
+            (audited_test test_vm_path_replay);
           Alcotest.test_case "sampling deterministic" `Quick
             test_sampling_deterministic;
           Alcotest.test_case "descriptor+fingerprint injective" `Quick
