@@ -343,19 +343,13 @@ let () =
         | None -> "0"
       in
       Printf.eprintf
-        "[obs] trace cache %s live / %s memo / %s miss (%s evictions); \
-         bank %s replays / %s configs; vm path %s records / %s replays \
-         (%.0f bytes); journal %s served / %s appended; cells %s retries / \
+        "[obs] vm path %s records / %s walks (%.0f bytes); group walks %s \
+         / %s configs; journal %s served / %s appended; cells %s retries / \
          %s timeouts\n"
-        (c "trace_cache.live_hits")
-        (c "trace_cache.memo_hits")
-        (c "trace_cache.misses")
-        (c "trace_cache.evictions")
-        (c "trace.bank_replays")
-        (c "trace.banked_configs")
-        (c "vm_path.records") (c "vm_path.replays")
+        (c "vm_path.records") (c "vm_path.walks")
         (Vmbp_obs.Registry.gauge_value
            (Vmbp_obs.Registry.gauge "vm_path.bytes"))
+        (c "trace.bank_replays") (c "trace.banked_configs")
         (c "journal.served") (c "journal.appended") (c "cells.retries")
         (c "cells.timeouts");
       Printf.eprintf "wrote metrics to %s\n" file);

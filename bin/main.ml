@@ -199,9 +199,10 @@ let trace_cap_arg =
     & opt int !Vmbp_report.Par_runner.trace_cap_mb
     & info [ "trace-cap-mb" ] ~docv:"MB"
         ~doc:
-          "Memory budget for recorded dispatch traces (record-once / \
-           replay-many across CPUs).  0 or negative disables record/replay \
-           and simulates every cell directly.")
+          "Memory budget for the VM control paths kept for path walks \
+           (each workload's path is recorded by its first live run and \
+           walked by every later cell).  0 or negative disables path walks \
+           and the result cache, so every cell runs live.")
 
 let journal_arg =
   Arg.(
@@ -295,9 +296,10 @@ let audit_sample_arg =
     & opt sample_conv !Vmbp_report.Par_runner.audit_sample
     & info [ "audit-sample" ] ~docv:"P"
         ~doc:
-          "Cross-check this fraction of trace-replay and memo-served \
-           cells against a fresh direct simulation (deterministic, \
-           seeded per-cell sampling).  0 disables; default 0.02.")
+          "Cross-check this fraction of the cells not produced by a live \
+           run (path walks and result-cache hits) against a fresh live \
+           run (deterministic, seeded per-cell sampling).  0 disables; \
+           default 0.02.")
 
 let repro_dir_arg =
   Arg.(
@@ -312,7 +314,7 @@ let trace_out_arg =
     & opt (some string) None
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
-          "Collect phase-timing spans (layout, engine runs, record/replay, \
+          "Collect phase-timing spans (layout, engine runs and walks, \
            journal I/O, audits) and write them to $(docv) as Chrome \
            trace-event JSON, loadable in Perfetto or chrome://tracing.")
 
@@ -400,16 +402,13 @@ let finish_obs trace_out metrics =
         | None -> "0"
       in
       Printf.eprintf
-        "[obs] trace cache %s live / %s memo / %s miss (%s evictions); \
-         vm path %s records / %s replays (%.0f bytes); journal %s served / \
-         %s appended; cells %s retries / %s timeouts\n"
-        (c "trace_cache.live_hits")
-        (c "trace_cache.memo_hits")
-        (c "trace_cache.misses")
-        (c "trace_cache.evictions")
-        (c "vm_path.records") (c "vm_path.replays")
+        "[obs] vm path %s records / %s walks (%.0f bytes); group walks %s \
+         / %s configs; journal %s served / %s appended; cells %s retries / \
+         %s timeouts\n"
+        (c "vm_path.records") (c "vm_path.walks")
         (Vmbp_obs.Registry.gauge_value
            (Vmbp_obs.Registry.gauge "vm_path.bytes"))
+        (c "trace.bank_replays") (c "trace.banked_configs")
         (c "journal.served") (c "journal.appended") (c "cells.retries")
         (c "cells.timeouts");
       Printf.eprintf "wrote metrics to %s\n" file

@@ -4,11 +4,12 @@
 Usage: python3 dev/hotpath_lint.py [--build-dir _build/default]
 
 Disassembles the native objects of a dune build with `objdump -dr` and
-checks the functions that run once per dispatch, fetch or VM call: the
-simulators' access, fetch and replay_block functions, the banked-replay
-walk in Trace, Engine.run_events, the VM path recorder's and replayer's
-per-step functions (Vm_path.record_step, Vm_path.replay_step) and the
-JVM runtime's push_frame and alloc_object.  None of them may reference
+checks the functions that run once per dispatch, fetch, VM call or path
+range: the simulators' access, fetch, replay_block and run_ranges
+functions, the banked-replay walk in Trace, Engine.run_events, the path
+walk's per-range function (Path_walk.range), the VM path recorder's and
+replayer's per-step functions (Vm_path.record_step, Vm_path.replay_step)
+and the JVM runtime's push_frame and alloc_object.  None of them may reference
 `Stdlib.max`, `Stdlib.min`, `Stdlib.compare` or a polymorphic `caml_*`
 compare primitive: on ints those cost a call and a tag dispatch where an
 int comparison costs one instruction, and nothing inlines them away
@@ -32,21 +33,26 @@ import sys
 HOT = [
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Btb.o",
      "Vmbp_machine__Btb",
-     ["access", "access_unbounded", "access_finite", "replay_block"]),
+     ["access", "access_unbounded", "access_finite", "replay_block",
+      "run_ranges"]),
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Two_level.o",
-     "Vmbp_machine__Two_level", ["access", "replay_block"]),
+     "Vmbp_machine__Two_level", ["access", "replay_block", "run_ranges"]),
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Case_block_table.o",
-     "Vmbp_machine__Case_block_table", ["access", "replay_block"]),
+     "Vmbp_machine__Case_block_table",
+     ["access", "replay_block", "run_ranges"]),
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Icache.o",
      "Vmbp_machine__Icache",
-     ["fetch", "fetch_lines", "touch_line", "replay_block"]),
+     ["fetch", "fetch_lines", "touch_line", "replay_block", "run_ranges"]),
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Predictor.o",
-     "Vmbp_machine__Predictor", ["access", "replay_block"]),
+     "Vmbp_machine__Predictor",
+     ["access", "replay_block", "run_ranges", "never_ranges"]),
     ("lib/report/.vmbp_report.objs/native/vmbp_report__Trace.o",
      "Vmbp_report__Trace",
      ["walk_blocks", "scan", "bank_predictors", "bank_icaches", "run_block"]),
     ("lib/core/.vmbp_core.objs/native/vmbp_core__Engine.o",
      "Vmbp_core__Engine", ["run_events"]),
+    ("lib/core/.vmbp_core.objs/native/vmbp_core__Path_walk.o",
+     "Vmbp_core__Path_walk", ["range", "walk"]),
     ("lib/core/.vmbp_core.objs/native/vmbp_core__Vm_path.o",
      "Vmbp_core__Vm_path", ["record_step", "replay_step"]),
     ("lib/jvm/.vmbp_jvm.objs/native/vmbp_jvm__Runtime.o",

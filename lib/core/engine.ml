@@ -59,6 +59,7 @@ let poll_mask = poll_interval - 1
 
 type translation = {
   t_n : int;
+  t_shadow : bool;  (* decoded from the layout's shadow sites *)
   t_entry : int array;  (* site entry_addr *)
   t_fetch_addr : int array;
   t_fetch_bytes : int array;
@@ -81,7 +82,10 @@ type translation = {
 (* Decode one slot of the layout into the parallel arrays. *)
 let translate_slot tr (layout : Code_layout.t) k =
   let program = layout.Code_layout.program in
-  let s = layout.Code_layout.sites.(k) in
+  let s =
+    if tr.t_shadow then layout.Code_layout.shadow.(k)
+    else layout.Code_layout.sites.(k)
+  in
   tr.t_entry.(k) <- s.Code_layout.entry_addr;
   tr.t_fetch_addr.(k) <- s.Code_layout.fetch_addr;
   tr.t_fetch_bytes.(k) <- s.Code_layout.fetch_bytes;
@@ -113,12 +117,13 @@ let translate_slot tr (layout : Code_layout.t) k =
   tr.t_call_addr.(k) <- s.Code_layout.call_fetch_addr;
   tr.t_call_bytes.(k) <- s.Code_layout.call_fetch_bytes
 
-let translate (layout : Code_layout.t) =
+let translate_sites ~shadow (layout : Code_layout.t) =
   let n = Program.length layout.Code_layout.program in
   let mk () = Array.make n 0 in
   let tr =
     {
       t_n = n;
+      t_shadow = shadow;
       t_entry = mk ();
       t_fetch_addr = mk ();
       t_fetch_bytes = mk ();
@@ -158,6 +163,9 @@ let translate (layout : Code_layout.t) =
   done;
   tr
 
+let translate layout = translate_sites ~shadow:false layout
+let translate_shadow layout = translate_sites ~shadow:true layout
+
 (* Re-read everything a quickening of [slot] may have repaired. *)
 let retranslate tr layout slot =
   for j = tr.t_inv_lo.(slot) to tr.t_inv_hi.(slot) do
@@ -174,7 +182,7 @@ let retranslate tr layout slot =
    translation by copying the arrays instead of re-walking the site
    records.  The plan itself is never mutated -- quickening only touches
    the per-run copy -- so one plan serves every engine run of a group
-   (see {!Vmbp_report.Par_runner}'s translation cache). *)
+   (see {!Vmbp_report.Runner}'s plan cache). *)
 
 type plan = { p_technique : Technique.t; p_tr : translation }
 
@@ -187,6 +195,7 @@ let instantiate p =
   let tr = p.p_tr in
   {
     t_n = tr.t_n;
+    t_shadow = tr.t_shadow;
     t_entry = Array.copy tr.t_entry;
     t_fetch_addr = Array.copy tr.t_fetch_addr;
     t_fetch_bytes = Array.copy tr.t_fetch_bytes;
@@ -666,40 +675,14 @@ let run ?fuel ?poll ?exec_counts ?translation ~config ~layout ~exec () =
   let predictor = Predictor.create (Config.predictor_kind config) in
   let icache = Icache.create cpu.Cpu_model.icache in
   let hits = ref 0 and misses = ref 0 in
-  (* Specialize the dispatch callback on the predictor kind up front: the
-     common table kinds are called straight through their module, skipping
-     [Predictor.access]'s per-event dispatch -- without cross-module
-     inlining every call layer on this path is a real indirect call, and
-     it runs once per dispatch token. *)
-  let on_dispatch =
-    match Predictor.btb predictor with
-    | Some b ->
-        fun ~branch ~target ~opcode:_ ~vm_transfer ->
-          if not (Btb.access b ~branch ~target) then begin
-            m.Metrics.mispredicts <- m.Metrics.mispredicts + 1;
-            if vm_transfer then
-              m.Metrics.vm_branch_mispredicts <-
-                m.Metrics.vm_branch_mispredicts + 1
-          end
-    | None -> (
-        match Predictor.two_level predictor with
-        | Some p ->
-            fun ~branch ~target ~opcode:_ ~vm_transfer ->
-              if not (Two_level.access p ~branch ~target) then begin
-                m.Metrics.mispredicts <- m.Metrics.mispredicts + 1;
-                if vm_transfer then
-                  m.Metrics.vm_branch_mispredicts <-
-                    m.Metrics.vm_branch_mispredicts + 1
-              end
-        | None ->
-            fun ~branch ~target ~opcode ~vm_transfer ->
-              if not (Predictor.access predictor ~branch ~target ~opcode)
-              then begin
-                m.Metrics.mispredicts <- m.Metrics.mispredicts + 1;
-                if vm_transfer then
-                  m.Metrics.vm_branch_mispredicts <-
-                    m.Metrics.vm_branch_mispredicts + 1
-              end)
+  (* Live runs only (the first run of a workload, oracles, audits): every
+     later run walks the workload's path ({!Path_walk}). *)
+  let on_dispatch ~branch ~target ~opcode ~vm_transfer =
+    if not (Predictor.access predictor ~branch ~target ~opcode) then begin
+      m.Metrics.mispredicts <- m.Metrics.mispredicts + 1;
+      if vm_transfer then
+        m.Metrics.vm_branch_mispredicts <- m.Metrics.vm_branch_mispredicts + 1
+    end
   in
   let sink =
     {

@@ -50,21 +50,55 @@ type sink = {
 val out_of_fuel : string
 (** The trap message reported when a run exhausts its fuel. *)
 
+val pc_out_of_range : string
+(** The trap message reported when control leaves the program. *)
+
 (** {1 Translations} *)
 
-type translation
-(** The decode-once form of one layout: per-slot code addresses, sizes,
-    dispatch branch addresses, instruction counts, opcode and transfer
-    classification, flattened out of the option-typed site records into
-    parallel int arrays read with one unguarded load each on the hot path.
+type translation = private {
+  t_n : int;
+  t_shadow : bool;  (** decoded from the shadow sites ({!translate_shadow}) *)
+  t_entry : int array;
+  t_fetch_addr : int array;
+  t_fetch_bytes : int array;
+  t_work : int array;
+  t_opcode : int array;
+  t_transfer : bool array;
+  t_pre_addr : int array;  (** [-1] = no pre-dispatch *)
+  t_pre_instrs : int array;
+  t_fall_addr : int array;  (** [-1] = no fall-through dispatch *)
+  t_fall_instrs : int array;
+  t_taken_addr : int array;  (** [-1] = no taken dispatch *)
+  t_taken_instrs : int array;
+  t_fall_extra : int array;
+  t_call_addr : int array;
+  t_call_bytes : int array;  (** [0] = no call *)
+  t_inv_lo : int array;
+  t_inv_hi : int array;
+      (** the straight-line run a quickening of the slot may repair *)
+}
+(** The decode-once form of one layout: every per-slot fact of its
+    {!Code_layout.site}s (addresses, sizes, dispatch branches, instruction
+    counts) plus the opcode and transfer classification, flattened into
+    parallel arrays read with one unguarded load each on the hot path.
     Mutable: quickening re-translates the enclosing straight-line block so
     the translation always mirrors the layout it was built from.  A
     translation is therefore private to one run; to share decode work
-    across runs, share a {!plan}. *)
+    across runs, share a {!plan}.  Readable so the path walk
+    ({!Path_walk}) can hand the arrays to the simulators' range kernels;
+    only this module builds or mutates one. *)
 
 val translate : Code_layout.t -> translation
 (** Build the translation of [layout] as it currently stands (one pass over
     the sites). *)
+
+val translate_shadow : Code_layout.t -> translation
+(** The same over the layout's non-replicated fallback sites (the ones a
+    shadow window runs through). *)
+
+val retranslate : translation -> Code_layout.t -> int -> unit
+(** [retranslate tr layout slot], after {!Code_layout.quicken} of [slot],
+    re-reads every slot the quickening may have repaired. *)
 
 type plan
 (** An immutable pristine translation snapshot plus the technique it was
@@ -72,7 +106,7 @@ type plan
     scale), so one plan -- captured from a freshly built layout -- serves
     every subsequent run of the group: {!translation} instantiates a
     private mutable copy by array blits instead of re-decoding the sites.
-    Plans are what {!Vmbp_report.Par_runner} caches alongside traces. *)
+    {!Vmbp_report.Runner} caches plans per group. *)
 
 val plan : Code_layout.t -> plan
 (** Capture a plan from a freshly built (pristine, un-quickened) layout. *)

@@ -186,3 +186,6 @@ let replayer p =
 let steps p = p.steps
 let output p = p.output
 let bytes p = p.bytes
+let slots p = p.slots
+let entries p = p.entries
+let side p i = fresh p.side.(i)

@@ -6,9 +6,10 @@
     step, is the same under every technique, CPU and predictor (the
     paper's Figures 10-13 show identical VM instruction counts for plain,
     static and dynamic replication).  This module records that {e control
-    path} from one live run and replays it as an {!Engine.exec}, so every
-    later engine run of the workload skips the VM semantics while the
-    engine loop, layouts and simulators run exactly as before.
+    path} from one live run; every later run of the workload walks it
+    ({!Path_walk}) and skips the VM semantics.  {!replayer} replays it as
+    an {!Engine.exec} instead, the step-by-step oracle the walk is tested
+    against.
 
     {b Encoding.}  Only non-[Next] outcomes are stored, one packed int
     each: the count of [Next]s before it and a code.  A code below the
@@ -60,3 +61,19 @@ val output : t -> string
 
 val bytes : t -> int
 (** Approximate heap footprint, for cache budgets. *)
+
+(** {2 The packed stream, for {!Path_walk}} *)
+
+val code_bits : int
+(** Entry [e] stands for [e lsr code_bits] [Next]s followed by the
+    outcome coded [e land code_mask]: [Jump c] for a code [c] below
+    {!slots}, else [side p (c - slots p)]. *)
+
+val code_mask : int
+val slots : t -> int
+
+val entries : t -> int array
+(** The stored outcomes in order, the end marker last.  Do not mutate. *)
+
+val side : t -> int -> Vmbp_vm.Control.t
+(** A side-table outcome; a [Quicken] carries a fresh operand copy. *)

@@ -288,6 +288,45 @@ let replay_block t ~branch ~target ~vm_transfer ~codes ~len ~mis ~vm_mis =
   mis := !mis + !m;
   vm_mis := !vm_mis + !v
 
+(* The path-walk kernel: every dispatch of a block of slot ranges (see
+   {!Slot_ranges}), in order -- the entering dispatch of each slot, then
+   its pre-dispatch.  Here for the same reason as [replay_block]. *)
+let run_ranges t (b : Slot_ranges.t) ~mis ~vm_mis =
+  let m = ref 0 and v = ref 0 in
+  for r = 0 to b.Slot_ranges.len - 1 do
+    let c =
+      if Array.unsafe_get b.Slot_ranges.in_shadow r then b.Slot_ranges.shadow
+      else b.Slot_ranges.main
+    in
+    let entry = c.Slot_ranges.entry and fetch = c.Slot_ranges.fetch_addr in
+    let pre = c.Slot_ranges.pre_addr and fall = c.Slot_ranges.fall_addr in
+    let transfer = c.Slot_ranges.transfer in
+    let lo = Array.unsafe_get b.Slot_ranges.lo r in
+    let hi = Array.unsafe_get b.Slot_ranges.hi r in
+    let br = Array.unsafe_get b.Slot_ranges.enter r in
+    if br >= 0 && not (access t ~branch:br ~target:(Array.unsafe_get entry lo))
+    then begin
+      incr m;
+      if Array.unsafe_get b.Slot_ranges.enter_transfer r then incr v
+    end;
+    let p = Array.unsafe_get pre lo in
+    if p >= 0 && not (access t ~branch:p ~target:(Array.unsafe_get fetch lo))
+    then incr m;
+    for k = lo + 1 to hi do
+      let br = Array.unsafe_get fall (k - 1) in
+      if br >= 0 && not (access t ~branch:br ~target:(Array.unsafe_get entry k))
+      then begin
+        incr m;
+        if Array.unsafe_get transfer (k - 1) then incr v
+      end;
+      let p = Array.unsafe_get pre k in
+      if p >= 0 && not (access t ~branch:p ~target:(Array.unsafe_get fetch k))
+      then incr m
+    done
+  done;
+  mis := !mis + !m;
+  vm_mis := !vm_mis + !v
+
 let reset t =
   ub_reset t.unbounded;
   t.tick <- 0;

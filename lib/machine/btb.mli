@@ -66,6 +66,13 @@ val replay_block :
     control transfer; [0] otherwise) to [vm_mis].  Same outcomes, same
     state and same observer calls as the per-event loop. *)
 
+val run_ranges : t -> Slot_ranges.t -> mis:int ref -> vm_mis:int ref -> unit
+(** Range kernel of a path walk: {!access} once for every dispatch of the
+    block's ranges, in the order {!Slot_ranges} defines.  Adds the
+    mispredictions to [mis] and the subset out of a VM-level control
+    transfer to [vm_mis].  Same outcomes, same state and same observer
+    calls as the per-event loop. *)
+
 val reset : t -> unit
 (** Forget all stored targets. *)
 

@@ -33,4 +33,8 @@ val replay_block :
 (** Block kernel of a banked replay, with {!Btb.replay_block}'s contract,
     except that event [c] dispatches on [opcode.(c)]. *)
 
+val run_ranges : t -> Slot_ranges.t -> mis:int ref -> vm_mis:int ref -> unit
+(** Range kernel of a path walk, with {!Btb.run_ranges}' contract, except
+    that each dispatch is keyed on the opcode of the slot it enters. *)
+
 val reset : t -> unit

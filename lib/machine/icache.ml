@@ -203,6 +203,48 @@ let replay_block t ~addr ~bytes ~codes ~len ~hits ~misses =
   hits := !hits + !h;
   misses := !misses + !m
 
+(* The path-walk kernel: every fetch of a block of slot ranges (see
+   {!Slot_ranges}) -- per slot the pre-dispatch fetch, the call stub, then
+   the body -- in this module for the same reason as [replay_block].
+   Counts touched lines and misses; hits are the difference. *)
+let run_ranges t (b : Slot_ranges.t) ~hits ~misses =
+  let lines = ref 0 and m = ref 0 in
+  let shift = t.line_shift in
+  for r = 0 to b.Slot_ranges.len - 1 do
+    let c =
+      if Array.unsafe_get b.Slot_ranges.in_shadow r then b.Slot_ranges.shadow
+      else b.Slot_ranges.main
+    in
+    let entry = c.Slot_ranges.entry and pre = c.Slot_ranges.pre_addr in
+    let fetch = c.Slot_ranges.fetch_addr and bytes = c.Slot_ranges.fetch_bytes in
+    let call = c.Slot_ranges.call_addr and call_bytes = c.Slot_ranges.call_bytes in
+    let dispatch_bytes = c.Slot_ranges.dispatch_bytes in
+    for k = Array.unsafe_get b.Slot_ranges.lo r to Array.unsafe_get b.Slot_ranges.hi r do
+      if Array.unsafe_get pre k >= 0 then begin
+        let addr = Array.unsafe_get entry k in
+        let first = addr lsr shift in
+        let last = last_line_of t ~addr ~bytes:dispatch_bytes in
+        lines := !lines + (last - first + 1);
+        m := !m + fetch_lines t first last
+      end;
+      let cb = Array.unsafe_get call_bytes k in
+      if cb > 0 then begin
+        let addr = Array.unsafe_get call k in
+        let first = addr lsr shift in
+        let last = last_line_of t ~addr ~bytes:cb in
+        lines := !lines + (last - first + 1);
+        m := !m + fetch_lines t first last
+      end;
+      let addr = Array.unsafe_get fetch k in
+      let first = addr lsr shift in
+      let last = last_line_of t ~addr ~bytes:(Array.unsafe_get bytes k) in
+      lines := !lines + (last - first + 1);
+      m := !m + fetch_lines t first last
+    done
+  done;
+  hits := !hits + (!lines - !m);
+  misses := !misses + !m
+
 let clock t = t.tick
 
 let resident t ~line =

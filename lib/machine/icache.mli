@@ -60,6 +60,12 @@ val replay_block :
     [bytes.(c)] bytes at [addr.(c)].  Same counts, same state, same clock
     and same observer calls as the per-event loop. *)
 
+val run_ranges :
+  t -> Slot_ranges.t -> hits:int ref -> misses:int ref -> unit
+(** Range kernel of a path walk: {!fetch} once for every fetch of the
+    block's ranges, in {!Slot_ranges}' order.  Same counts, same state,
+    same clock and same observer calls as the per-event loop. *)
+
 val clock : t -> int
 (** Number of line accesses applied to the LRU recency clock so far.  For a
     finite cache this equals the total hits plus misses reported by [fetch];

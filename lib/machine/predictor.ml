@@ -87,6 +87,42 @@ let replay_block t ~branch ~target ~opcode ~vm_transfer ~codes ~len ~mis
       mis := !mis + len;
       vm_mis := !vm_mis + !v
 
+(* [Never] mispredicts every dispatch of the block; [Perfect] none. *)
+let never_ranges (b : Slot_ranges.t) ~mis ~vm_mis =
+  let m = ref 0 and v = ref 0 in
+  for r = 0 to b.Slot_ranges.len - 1 do
+    let c =
+      if Array.unsafe_get b.Slot_ranges.in_shadow r then b.Slot_ranges.shadow
+      else b.Slot_ranges.main
+    in
+    let pre = c.Slot_ranges.pre_addr and fall = c.Slot_ranges.fall_addr in
+    let transfer = c.Slot_ranges.transfer in
+    let lo = Array.unsafe_get b.Slot_ranges.lo r in
+    let hi = Array.unsafe_get b.Slot_ranges.hi r in
+    if Array.unsafe_get b.Slot_ranges.enter r >= 0 then begin
+      incr m;
+      if Array.unsafe_get b.Slot_ranges.enter_transfer r then incr v
+    end;
+    if Array.unsafe_get pre lo >= 0 then incr m;
+    for k = lo + 1 to hi do
+      if Array.unsafe_get fall (k - 1) >= 0 then begin
+        incr m;
+        if Array.unsafe_get transfer (k - 1) then incr v
+      end;
+      if Array.unsafe_get pre k >= 0 then incr m
+    done
+  done;
+  mis := !mis + !m;
+  vm_mis := !vm_mis + !v
+
+let run_ranges t b ~mis ~vm_mis =
+  match t.state with
+  | S_btb p -> Btb.run_ranges p b ~mis ~vm_mis
+  | S_two_level p -> Two_level.run_ranges p b ~mis ~vm_mis
+  | S_case_block p -> Case_block_table.run_ranges p b ~mis ~vm_mis
+  | S_perfect -> ()
+  | S_never -> never_ranges b ~mis ~vm_mis
+
 let reset t =
   match t.state with
   | S_btb b -> Btb.reset b

@@ -70,4 +70,12 @@ val replay_block :
     {!Case_block_table.replay_block}), whose loop inlines that family's
     access; [Perfect] and [Never] only count. *)
 
+val run_ranges : t -> Slot_ranges.t -> mis:int ref -> vm_mis:int ref -> unit
+(** Range kernel of a path walk: {!access} once per dispatch of the
+    block's ranges, in {!Slot_ranges}' order, adding the mispredictions to
+    [mis] and their VM-transfer subset to [vm_mis].  One match per block
+    picks the family's own kernel ({!Btb.run_ranges},
+    {!Two_level.run_ranges}, {!Case_block_table.run_ranges}); [Perfect]
+    and [Never] only count. *)
+
 val reset : t -> unit

@@ -44,6 +44,9 @@ val replay_block :
     {!access} once per event [codes.(0)] .. [codes.(len - 1)], adding the
     mispredictions to [mis] and their VM-transfer subset to [vm_mis]. *)
 
+val run_ranges : t -> Slot_ranges.t -> mis:int ref -> vm_mis:int ref -> unit
+(** Range kernel of a path walk, with {!Btb.run_ranges}' contract. *)
+
 val set_observer :
   t -> (branch:int -> index:int -> empty:bool -> correct:bool -> unit) option
   -> unit

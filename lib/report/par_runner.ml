@@ -38,20 +38,11 @@ type timed = {
    place; every update happens at cell or group granularity, never inside
    the simulation hot loops. *)
 
-let m_cache_live_hits = Vmbp_obs.Registry.counter "trace_cache.live_hits"
-let m_cache_memo_hits = Vmbp_obs.Registry.counter "trace_cache.memo_hits"
-let m_cache_misses = Vmbp_obs.Registry.counter "trace_cache.misses"
-let m_cache_insertions = Vmbp_obs.Registry.counter "trace_cache.insertions"
-
-(* An eviction demotes a live entry to a memo-only summary, so this also
-   counts memo demotions. *)
-let m_cache_evictions = Vmbp_obs.Registry.counter "trace_cache.evictions"
-
 (* Cells served verbatim from the full-result cache: no simulation ran. *)
 let m_result_hits = Vmbp_obs.Registry.counter "result_cache.hits"
 
-(* Banked replays: single-pass group traversals that fed at least one
-   fresh simulator configuration, and the configurations they fed. *)
+(* Group walks: one walk of a kept VM path serving a group of two or
+   more cells, and the distinct simulators those walks drove. *)
 let m_bank_replays = Vmbp_obs.Registry.counter "trace.bank_replays"
 let m_banked_configs = Vmbp_obs.Registry.counter "trace.banked_configs"
 let m_cell_retries = Vmbp_obs.Registry.counter "cells.retries"
@@ -158,13 +149,14 @@ let default_jobs = ref 1
 
 (* Differential checking, set from the command line: [self_check] routes
    every cell through the reference-model lockstep run ([--self-check]);
-   [audit_sample] is the deterministic fraction of trace-replay cells
-   cross-checked against a fresh direct execution ([--audit-sample]). *)
+   [audit_sample] is the deterministic fraction of cells not produced by
+   a live run -- walked or served from the result cache -- cross-checked
+   against a fresh live execution ([--audit-sample]). *)
 let self_check = ref false
 let audit_sample = ref 0.02
 
-(* Total budget for retained dispatch traces, in MB; [<= 0] disables
-   record/replay entirely (every cell simulates directly). *)
+(* Total budget for kept VM paths, in MB; [<= 0] disables path walks and
+   the result cache (every cell runs live). *)
 let trace_cap_mb = ref 256
 
 (* Watchdog/retry policy, set from the command line. *)
@@ -200,10 +192,10 @@ let worker_respawns () =
   Mutex.unlock respawn_lock;
   n
 
-(* Banked-replay accounting since process start, [worker_respawns]-style:
-   one [bank_replays] tick per group whose banked pass simulated at least
-   one fresh configuration, [banked_configs] summing those
-   configurations. *)
+(* Group-walk accounting since process start, [worker_respawns]-style:
+   one [bank_replays] tick per walk that served a group of two or more
+   cells, [banked_configs] summing the distinct simulators those walks
+   drove. *)
 let bank_lock = Mutex.create ()
 let bank_replays_n = ref 0
 let banked_configs_n = ref 0
@@ -238,6 +230,21 @@ let cell_name c =
     (Technique.name c.technique)
     c.cpu.Cpu_model.name
     (if c.scale = 1 then "" else Printf.sprintf "@%d" c.scale)
+
+(* A cell produced in one attempt, with no journal, timeout or audit. *)
+let timed_cell ?(attempts = 1) ?(serve_seconds = 0.) ~mode ~wall_seconds c
+    outcome =
+  {
+    cell = c;
+    outcome;
+    wall_seconds;
+    serve_seconds;
+    mode;
+    attempts;
+    timed_out = false;
+    from_journal = false;
+    audited = false;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Shared work queue: one producer, [jobs] consumers.  All cells are
@@ -313,174 +320,12 @@ let drain_log () =
   Mutex.unlock log_lock;
   List.rev l
 
-(* ------------------------------------------------------------------ *)
-(* Trace cache.
-
-   Recorded (workload, technique, scale) executions are retained across
-   [run_cells] calls, because the experiment registry revisits the same
-   groups under different CPUs.  Only a revisit that finds its group's
-   trace here replays it: a group with a single cell to run is never
-   recorded ([record_or_direct]), so e.g. the Pentium 4 speedup figure's
-   one-cell groups re-run the engine on groups the Celeron figure already
-   ran -- on the workload's replayed VM control path, see
-   {!Runner.run} -- and exact revisits of a cell hit the full-result cache
-   below instead.  Retained event-stream bytes are
-   bounded by [trace_cap_mb] with least-recently-used eviction, but
-   eviction only recycles the streams: the entry stays in the list as a
-   kilobyte-sized summary whose per-configuration memo tables (see
-   {!Trace.replay_memo}) still answer every predictor/I-cache combination
-   the trace ever served.  Most cross-experiment revisits repeat a
-   configuration (the counter figures and sweeps reuse the speedup
-   figures' CPUs), so they stay free no matter how small the cap is; only
-   a genuinely new configuration on an evicted group pays for re-recording.
-   Workload identity is physical: the registry's workload values persist
-   for the process lifetime, while freshly constructed (e.g. synthetic
-   test) workloads can never alias a stale trace. *)
-
-type cache_entry = {
-  ce_workload : Vmbp_workloads.t;
-  ce_technique : Technique.t;
-  ce_scale : int;
-  ce_trace : Runner.trace;
-  ce_bytes : int;
-  mutable ce_stamp : int;
-  mutable ce_refs : int;  (* groups currently replaying from this trace *)
-  mutable ce_dead : bool;
-      (* evicted: recycle storage once ce_refs = 0; the entry itself stays
-         listed as a memo-only summary *)
-}
-
-let cache : cache_entry list ref = ref []
-let cache_bytes = ref 0
-let cache_clock = ref 0
-let cache_lock = Mutex.create ()
-
 let cap_bytes () = !trace_cap_mb * 1024 * 1024
 
 let same_group a b =
   a.workload == b.workload && a.scale = b.scale && a.technique = b.technique
 
-let entry_matches c e =
-  e.ce_workload == c.workload && e.ce_scale = c.scale
-  && e.ce_technique = c.technique
-
-(* Deferred storage recycling: an evicted trace may still be feeding another
-   domain's replays, so eviction only marks the entry dead and the last
-   group using it returns the chunks to the pool. *)
-let entry_drop_locked e =
-  if e.ce_dead && e.ce_refs = 0 then Runner.release_trace e.ce_trace
-
-(* [`Live e] holds a reference on the entry's storage (the caller must
-   [cache_release] it); [`Summary e] is an evicted entry usable only
-   through {!Runner.replay_memo}, which needs no reference. *)
-let cache_find c =
-  Mutex.lock cache_lock;
-  let found = List.find_opt (entry_matches c) !cache in
-  let found =
-    match found with
-    | Some e when not e.ce_dead ->
-        incr cache_clock;
-        e.ce_stamp <- !cache_clock;
-        e.ce_refs <- e.ce_refs + 1;
-        `Live e
-    | Some e -> `Summary e
-    | None -> `Miss
-  in
-  Mutex.unlock cache_lock;
-  (match found with
-  | `Live _ -> Vmbp_obs.Registry.add m_cache_live_hits 1
-  | `Summary _ -> Vmbp_obs.Registry.add m_cache_memo_hits 1
-  | `Miss -> Vmbp_obs.Registry.add m_cache_misses 1);
-  found
-
-let cache_release e =
-  Mutex.lock cache_lock;
-  e.ce_refs <- e.ce_refs - 1;
-  entry_drop_locked e;
-  Mutex.unlock cache_lock
-
-(* Eviction demotes the least-recently-used live entry to a summary: its
-   stream storage is recycled but its memo tables keep answering repeat
-   configurations. *)
-let evict_to_cap_locked () =
-  let cap = cap_bytes () in
-  let continue = ref true in
-  while !cache_bytes > cap && !continue do
-    match List.filter (fun e -> not e.ce_dead) !cache with
-    | [] | [ _ ] -> continue := false
-    | live ->
-        let lru =
-          List.fold_left
-            (fun acc e -> if e.ce_stamp < acc.ce_stamp then e else acc)
-            (List.hd live) (List.tl live)
-        in
-        cache_bytes := !cache_bytes - lru.ce_bytes;
-        lru.ce_dead <- true;
-        Vmbp_obs.Registry.add m_cache_evictions 1;
-        entry_drop_locked lru
-  done
-
-(* Returns the entry now holding the group's trace, with one reference held
-   for the caller.  If another domain inserted the same group first, the
-   caller's freshly recorded duplicate is recycled and the existing live
-   entry is used instead.  A matching dead summary (the re-record path:
-   storage was evicted and then a new configuration arrived) is superseded:
-   the fresh entry is consed in front of it, and the stale summary is
-   unlisted once no domain still reads its memos. *)
-let cache_insert c trace =
-  let bytes = Runner.trace_bytes trace in
-  Mutex.lock cache_lock;
-  let entry =
-    match
-      List.find_opt (fun e -> entry_matches c e && not e.ce_dead) !cache
-    with
-    | Some e ->
-        Runner.release_trace trace;
-        incr cache_clock;
-        e.ce_stamp <- !cache_clock;
-        e.ce_refs <- e.ce_refs + 1;
-        e
-    | None ->
-        incr cache_clock;
-        let e =
-          {
-            ce_workload = c.workload;
-            ce_technique = c.technique;
-            ce_scale = c.scale;
-            ce_trace = trace;
-            ce_bytes = bytes;
-            ce_stamp = !cache_clock;
-            ce_refs = 1;
-            ce_dead = false;
-          }
-        in
-        cache :=
-          e :: List.filter (fun o -> not (entry_matches c o && o.ce_dead)) !cache;
-        cache_bytes := !cache_bytes + bytes;
-        Vmbp_obs.Registry.add m_cache_insertions 1;
-        evict_to_cap_locked ();
-        e
-  in
-  Mutex.unlock cache_lock;
-  entry
-
-let clear_trace_cache () =
-  Mutex.lock cache_lock;
-  List.iter
-    (fun e ->
-      e.ce_dead <- true;
-      entry_drop_locked e)
-    !cache;
-  cache := [];
-  cache_bytes := 0;
-  Mutex.unlock cache_lock;
-  Runner.clear_vm_paths ()
-
-let trace_cache_bytes () =
-  Mutex.lock cache_lock;
-  let b = !cache_bytes in
-  Mutex.unlock cache_lock;
-  b
+let clear_trace_cache () = Runner.clear_vm_paths ()
 
 (* ------------------------------------------------------------------ *)
 (* Cell identity for the resume journal.
@@ -534,7 +379,7 @@ let config_fingerprint c =
    every successful outcome is kept for the process lifetime keyed by the
    full configuration, and an exact revisit is served with no simulation
    at all.  Cached runs are treated as immutable by every consumer.
-   Workload identity is physical, like the trace cache's: a freshly
+   Workload identity is physical, like the kept paths': a freshly
    constructed workload can never alias a cached result.  Bypassed under
    [--self-check] (every cell must run a fresh lockstep execution) and
    when caching is disabled outright ([--trace-cap-mb 0]). *)
@@ -554,9 +399,9 @@ let result_key c =
 
 let result_enabled () = (not !self_check) && !trace_cap_mb > 0
 
-(* VM path replay ({!Runner.run}'s [path_cap]) follows the same gate, so
+(* VM path walks ({!Runner.run}'s [path_cap]) follow the same gate, so
    [--self-check] and [--trace-cap-mb 0] stay all-live references; the
-   trace cap also bounds the cached path bytes. *)
+   trace cap bounds the kept path bytes. *)
 let path_cap () = if result_enabled () then Some (cap_bytes ()) else None
 
 let result_find c =
@@ -775,10 +620,24 @@ let store_append c (t : timed) =
 
 exception Cell_deadline
 
+(* A poll hook for the engine's step loop and the path walk's blocks
+   that raises once a deadline [--cell-timeout] seconds after [t0]
+   passes (and ticks the progress heartbeat). *)
+let deadline_poll t0 =
+  let t = !cell_timeout in
+  if t > 0. then begin
+    let deadline = t0 +. t in
+    Some
+      (fun () ->
+        progress_tick ();
+        if Vmbp_sim.Env.now () > deadline then raise Cell_deadline)
+  end
+  else if !progress then Some progress_tick
+  else None
+
 (* Run one cell attempt under the watchdog/retry policy.  The body gets a
-   poll hook (threaded into the engine's step loop and the trace replay's
-   token loop) that raises once the attempt's deadline passes, so direct
-   and replayed cells both honour [--cell-timeout] without preemption.
+   poll hook that raises once the attempt's deadline passes, so every
+   cell honours [--cell-timeout] without preemption.
    Deterministic failures ([Runner.Run_failed] traps, or any [Error]
    return) are never retried; a timeout is not retried either (the next
    attempt would hit the same deadline); everything else -- including the
@@ -788,18 +647,7 @@ exception Cell_deadline
 let supervised body =
   let retries = max 0 !cell_retries in
   let rec attempt n =
-    let poll =
-      let t = !cell_timeout in
-      if t > 0. then begin
-        let deadline = Vmbp_sim.Env.now () +. t in
-        Some
-          (fun () ->
-            progress_tick ();
-            if Vmbp_sim.Env.now () > deadline then raise Cell_deadline)
-      end
-      else if !progress then Some progress_tick
-      else None
-    in
+    let poll = deadline_poll (Vmbp_sim.Env.now ()) in
     let verdict =
       match
         (* The slow-cell chaos point stalls after the deadline is armed:
@@ -836,7 +684,9 @@ let supervised body =
    attributable because a cell never migrates between domains. *)
 let minor_words () = (Gc.quick_stat ()).Gc.minor_words
 
-let run_cell c =
+(* One live cell.  With [record], a workload that has no path slot yet
+   records its path (see {!Runner.run}'s [path_cap]). *)
+let run_cell ?(record = false) c =
   let t0 = Vmbp_sim.Env.now () in
   let w0 = minor_words () in
   let outcome, attempts, timed_out =
@@ -849,89 +699,28 @@ let run_cell c =
           supervised (fun ?poll () ->
               Ok
                 (Runner.run ~scale:c.scale ?poll ?predictor:c.predictor
-                   ?path_cap:(path_cap ()) ~cpu:c.cpu ~technique:c.technique
-                   c.workload)))
+                   ?path_cap:(if record then path_cap () else None)
+                   ~cpu:c.cpu ~technique:c.technique c.workload)))
   in
   Vmbp_obs.Registry.observe h_cell_minor_words (minor_words () -. w0);
   {
-    cell = c;
-    outcome;
-    wall_seconds = Vmbp_sim.Env.now () -. t0;
-    serve_seconds = 0.;
-    mode = Direct;
-    attempts;
+    (timed_cell c outcome ~attempts ~mode:Direct
+       ~wall_seconds:(Vmbp_sim.Env.now () -. t0))
+    with
     timed_out;
-    from_journal = false;
     audited = !self_check;
   }
-
-let replay_cell mode tr c =
-  let t0 = Vmbp_sim.Env.now () in
-  let w0 = minor_words () in
-  let outcome, attempts, timed_out =
-    Vmbp_obs.Span.with_ ~name:"replay" ~args:[ ("cell", cell_name c) ]
-      (fun () ->
-        supervised (fun ?poll () ->
-            Runner.replay ?poll ?predictor:c.predictor ~cpu:c.cpu tr))
-  in
-  Vmbp_obs.Registry.observe h_cell_minor_words (minor_words () -. w0);
-  {
-    cell = c;
-    outcome;
-    wall_seconds = Vmbp_sim.Env.now () -. t0;
-    serve_seconds = 0.;
-    mode;
-    attempts;
-    timed_out;
-    from_journal = false;
-    audited = false;
-  }
-
-(* Replay every cell purely from an evicted entry's memo tables.  All or
-   nothing: a group whose cells mix known and new configurations re-records
-   instead, so the one engine execution also refreshes the stream for its
-   siblings. *)
-let memo_cells entry arr idxs =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | i :: rest -> (
-        let c = arr.(i) in
-        let t0 = Vmbp_sim.Env.now () in
-        match
-          Runner.replay_memo ?predictor:c.predictor ~cpu:c.cpu entry.ce_trace
-        with
-        | None -> None
-        | Some outcome ->
-            let wall = Vmbp_sim.Env.now () -. t0 in
-            go
-              (( i,
-                 {
-                   cell = c;
-                   outcome;
-                   wall_seconds = wall;
-                   (* A memo-served cell ran no simulator: its whole wall
-                      time is serving from the summary tables. *)
-                   serve_seconds = wall;
-                   mode = Replay;
-                   attempts = 1;
-                   timed_out = false;
-                   from_journal = false;
-                   audited = false;
-                 } )
-              :: acc)
-              rest)
-  in
-  go [] idxs
 
 (* ------------------------------------------------------------------ *)
 (* Sampled auditing of the fast paths.
 
-   Cells served without a fresh VM execution -- trace replays and
-   memo-served summaries (both [mode = Replay]) -- are the ones a silent
-   fast-path bug would corrupt, so a deterministic sample of them is
-   re-run directly through [Runner.run_result] and compared field for
-   field.  The sample is keyed on the cell key alone: the same cells are
-   audited on every run of the same grid, with any job count. *)
+   Cells served without a fresh VM execution -- path walks, whatever
+   their mode, and result-cache hits -- are the ones a silent fast-path
+   bug would corrupt, so a deterministic sample of them is re-run live
+   through [Runner.run_result] and compared field for field.  Live cells
+   are exempt: they are what the audit compares against.  The sample is
+   keyed on the cell key alone: the same cells are audited on every run
+   of the same grid, with any job count. *)
 
 let same_run (a : Runner.run) (b : Runner.run) =
   a.Runner.result.Engine.metrics = b.Runner.result.Engine.metrics
@@ -967,7 +756,7 @@ let outcome_summary = function
 
 let audit_crosscheck c (t : timed) =
   if
-    t.from_journal || t.mode <> Replay || !self_check
+    t.from_journal || !self_check
     || not (Audit.sampled ~key:(cell_key c) ~rate:!audit_sample)
   then t
   else begin
@@ -994,8 +783,8 @@ let audit_crosscheck c (t : timed) =
       let config = Config.make ~cpu:c.cpu ?predictor:c.predictor c.technique in
       let detail =
         Printf.sprintf
-          "replayed cell disagrees with a fresh direct run: replay %s, direct \
-           %s"
+          "walked or cached cell disagrees with a fresh live run: served \
+           %s, live %s"
           (outcome_summary t.outcome)
           (outcome_summary direct)
       in
@@ -1022,17 +811,20 @@ let audit_crosscheck c (t : timed) =
     end
   end
 
-(* One (workload, technique, scale) group: find or record its trace, then
-   replay every cell against its own CPU/predictor.  Any recording problem
-   (cap exceeded, load/build/run exception) falls back to direct per-cell
-   simulation, which reproduces exactly what the pre-trace runner did.
-   Every completed cell is journaled the moment its slot is filled, so a
-   crash loses at most the group in flight.  Already-filled slots (served
-   from the journal, or filled before a degradation rerun) are skipped,
-   which makes the group idempotent under fallback. *)
+(* One (workload, technique, scale) group.  Exact revisits are served from
+   the result cache; the rest run as one walk of the workload's kept VM
+   path over all their configurations ({!Runner.walk_group}).  A workload
+   with no path yet runs its first pending cell live, which records the
+   path, and walks the others.  Without a path that fits, under
+   [--self-check] and with [--trace-cap-mb 0] every cell runs live.  Any
+   problem in the walk degrades the group to per-cell live runs.  Every
+   completed cell is journaled the moment its slot is filled, so a crash
+   loses at most the group in flight.  Already-filled slots (served from
+   the journal, or filled before a degradation rerun) are skipped, which
+   makes the group idempotent under fallback. *)
 let run_group results arr idxs =
-  let finish i t =
-    let t = audit_crosscheck arr.(i) t in
+  let finish ~live i t =
+    let t = if live then t else audit_crosscheck arr.(i) t in
     results.(i) <- Some t;
     result_store arr.(i) t;
     Vmbp_obs.Registry.add m_cell_retries (max 0 (t.attempts - 1));
@@ -1043,188 +835,80 @@ let run_group results arr idxs =
     progress_cell_done ();
     progress_tick ()
   in
+  let pending () = List.filter (fun i -> results.(i) = None) idxs in
   let direct () =
-    List.iter
-      (fun i -> if results.(i) = None then finish i (run_cell arr.(i)))
-      idxs
+    List.iter (fun i -> finish ~live:true i (run_cell arr.(i))) (pending ())
   in
-  (* One banked traversal per group: every distinct pending configuration
-     is simulated in a single pass over each of the trace's token streams
-     ({!Runner.replay_bank}), so the per-cell replays below are served from
-     the memo tables instead of each re-walking the whole trace.  The bank
-     runs under the group-level deadline, like recording; any failure (a
-     deadline, an invalid configuration) just leaves configurations
-     un-memoized, and the per-cell path re-simulates them under its own
-     watchdog and reports its own error.  Returns the seconds spent, for
-     billing to the group's first live cell. *)
-  let bank_group entry idxs =
-    match List.filter (fun i -> results.(i) = None) idxs with
-    | [] -> 0.
-    | pending ->
+  (* One walk for [cells]; [false] when the workload has no kept path.
+     The walk runs under one group-level deadline; a deadline or any other
+     failure escapes to the group guard below.  Its wall time is billed to
+     the first cell, so summing wall_seconds still accounts all work. *)
+  let walk = function
+    | [] -> true
+    | i :: _ as cells -> (
+        let c0 = arr.(i) in
         let t0 = Vmbp_sim.Env.now () in
-        let poll =
-          let t = !cell_timeout in
-          if t > 0. then begin
-            let deadline = t0 +. t in
-            Some
-              (fun () ->
-                progress_tick ();
-                if Vmbp_sim.Env.now () > deadline then raise Cell_deadline)
-          end
-          else if !progress then Some progress_tick
-          else None
-        in
-        (match
-           Vmbp_obs.Span.with_ ~name:"bank"
-             ~args:[ ("cell", cell_name arr.(List.hd pending)) ]
-             (fun () ->
-               Runner.replay_bank ?poll
-                 ~configs:
-                   (List.map
-                      (fun i -> (arr.(i).cpu, arr.(i).predictor))
-                      pending)
-                 entry.ce_trace)
-         with
-        | fresh -> if fresh > 0 then note_bank fresh
-        | exception Faults.Worker_killed -> raise Faults.Worker_killed
-        | exception _ -> ());
-        Vmbp_sim.Env.now () -. t0
+        match
+          Vmbp_obs.Span.with_ ~name:"bank" ~args:[ ("cell", cell_name c0) ]
+            (fun () ->
+              Runner.walk_group ~scale:c0.scale
+                ?poll:(deadline_poll t0) ~technique:c0.technique
+                ~configs:
+                  (List.map (fun i -> (arr.(i).cpu, arr.(i).predictor)) cells)
+                c0.workload)
+        with
+        | None -> false
+        | Some (outcomes, sims) ->
+            (* Chaos point for the group walk: a failure here -- after the
+               walk, before any cell is filled -- must degrade to per-cell
+               runs via the group guard below, never escape into the
+               pool. *)
+            if Faults.fire Faults.Record_fail then
+              raise (Faults.Injected "chaos: injected record failure");
+            let single = match cells with [ _ ] -> true | _ -> false in
+            if not single then note_bank sims;
+            let wall = Vmbp_sim.Env.now () -. t0 in
+            List.iteri
+              (fun k (i, outcome) ->
+                finish ~live:false i
+                  (timed_cell arr.(i) outcome
+                     ~wall_seconds:(if k = 0 then wall else 0.)
+                     ~mode:
+                       (if single then Direct else if k = 0 then Record
+                        else Replay)))
+              (List.combine cells outcomes);
+            true)
   in
-  (* Replay every pending cell of the group from the banked memo tables.
-     [extra] -- the group's one engine execution plus the banked traversal
-     -- is billed to the first live cell, so summing wall_seconds still
-     accounts all work; [first_record] marks the group's first cell as the
-     one whose engine run produced the trace. *)
-  let replay_group entry ~first_record ~extra idxs =
-    let extra = ref (extra +. bank_group entry idxs) in
-    List.iteri
-      (fun k i ->
-        if results.(i) = None then begin
-          let timed =
-            replay_cell
-              (if first_record && k = 0 then Record else Replay)
-              entry.ce_trace arr.(i)
-          in
-          let timed =
-            if !extra > 0. then begin
-              let e = !extra in
-              extra := 0.;
-              { timed with wall_seconds = timed.wall_seconds +. e }
-            end
-            else timed
-          in
-          finish i timed
-        end)
-      idxs
+  let walked () =
+    match pending () with
+    | [] -> ()
+    | i :: _ as cells ->
+        if not (walk cells) then begin
+          finish ~live:true i (run_cell ~record:true arr.(i));
+          if not (walk (pending ())) then direct ()
+        end
   in
-  let record_group () =
-    let c0 = arr.(List.hd idxs) in
-    let t0 = Vmbp_sim.Env.now () in
-    (* The record execution serves the whole group but still honours the
-       per-cell deadline; a record timeout is caught by [Runner.record]'s
-       guard as [`Failed], degrading to direct runs where each cell gets
-       its own deadline. *)
-    let poll =
-      let t = !cell_timeout in
-      if t > 0. then begin
-        let deadline = t0 +. t in
-        Some
-          (fun () ->
-            progress_tick ();
-            if Vmbp_sim.Env.now () > deadline then raise Cell_deadline)
-      end
-      else if !progress then Some progress_tick
-      else None
-    in
-    match
-      Vmbp_obs.Span.with_ ~name:"record"
-        ~args:[ ("cell", cell_name c0) ]
-        (fun () ->
-          Runner.record ~scale:c0.scale ?poll ~cap_bytes:(cap_bytes ())
-            ?path_cap:(path_cap ()) ~technique:c0.technique c0.workload)
-    with
-    | Error (`Overflow | `Failed _) -> direct ()
-    | Ok tr ->
-        (* Chaos point for the group-level record path: a failure here --
-           after recording, before any per-cell guard engages -- must
-           degrade to direct runs via the group guard below, never escape
-           into the pool. *)
-        if Faults.fire Faults.Record_fail then begin
-          Runner.release_trace tr;
-          raise (Faults.Injected "chaos: injected record failure")
-        end;
-        let record_seconds = Vmbp_sim.Env.now () -. t0 in
-        let entry = cache_insert c0 tr in
-        replay_group entry ~first_record:true ~extra:record_seconds idxs;
-        cache_release entry
-  in
-  (* Recording only pays off when the trace serves more than one
-     configuration: the recording sink taxes every step, banking decodes
-     the stream again, and inserting the trace can evict entries other
-     groups would reuse.  A group with at most one unserved cell --
-     parameter-sweep points and single-CPU table rows -- is cheaper to
-     simulate directly; exact cross-batch revisits of such cells are
-     caught by the result cache instead, which costs nothing to fill.
-     The choice affects how a cell's numbers are produced, never what
-     they are. *)
-  let record_or_direct () =
-    match List.filter (fun i -> results.(i) = None) idxs with
-    | [] | [ _ ] -> direct ()
-    | _ -> record_group ()
-  in
-  (* Serve exact revisits from the full-result cache before any engine or
-     trace machinery engages.  Served cells are [Replay]-mode (no VM
-     execution produced them here), so sampled auditing covers this fast
-     path exactly like trace replays. *)
+  (* Serve exact revisits from the full-result cache before any engine
+     work engages.  Served cells are [Replay]-mode (no VM execution
+     produced them here) and audited like walks. *)
   let serve_cached () =
     List.iter
       (fun i ->
-        if results.(i) = None then begin
-          let t0 = Vmbp_sim.Env.now () in
-          match result_find arr.(i) with
-          | None -> ()
-          | Some run ->
-              let wall = Vmbp_sim.Env.now () -. t0 in
-              finish i
-                {
-                  cell = arr.(i);
-                  outcome = Ok run;
-                  wall_seconds = wall;
-                  serve_seconds = wall;
-                  mode = Replay;
-                  attempts = 1;
-                  timed_out = false;
-                  from_journal = false;
-                  audited = false;
-                }
-        end)
-      idxs
+        let t0 = Vmbp_sim.Env.now () in
+        match result_find arr.(i) with
+        | None -> ()
+        | Some run ->
+            let wall = Vmbp_sim.Env.now () -. t0 in
+            finish ~live:false i
+              (timed_cell arr.(i) (Ok run) ~mode:Replay ~wall_seconds:wall
+                 ~serve_seconds:wall))
+      (pending ())
   in
-  let traced () =
-    (* Self-check compares simulators event by event, which only a fresh
-       engine execution per cell provides: the trace fast path is
-       exactly what is under audit, so it is bypassed. *)
-    if !self_check || !trace_cap_mb <= 0 then direct ()
-    else
-      let c0 = arr.(List.hd idxs) in
-      match cache_find c0 with
-      | `Live entry ->
-          replay_group entry ~first_record:false ~extra:0. idxs;
-          cache_release entry
-      | `Summary entry -> (
-          match
-            memo_cells entry arr
-              (List.filter (fun i -> results.(i) = None) idxs)
-          with
-          | Some timed -> List.iter (fun (i, t) -> finish i t) timed
-          | None -> record_or_direct ())
-      | `Miss -> record_or_direct ()
-  in
-  (* Group-level guard: anything raised outside the per-cell guards
-     (recording machinery, cache bookkeeping, the injected record fault)
-     degrades this group to per-cell direct runs instead of escaping into
-     the pool.  Worker death is the deliberate exception -- it must escape
-     to exercise the supervision layer above. *)
+  (* Group-level guard: anything raised outside the per-cell guards (the
+     walk, its deadline, the injected record fault) degrades this group to
+     per-cell live runs instead of escaping into the pool.  Worker death
+     is the deliberate exception -- it must escape to exercise the
+     supervision layer above. *)
   progress_busy (cell_name arr.(List.hd idxs));
   Vmbp_obs.Registry.gauge_add g_busy_workers 1.;
   Fun.protect
@@ -1234,7 +918,9 @@ let run_group results arr idxs =
     (fun () ->
       match
         serve_cached ();
-        traced ()
+        (* Self-check compares simulators event by event, which only a
+           fresh live execution per cell provides. *)
+        if !self_check || !trace_cap_mb <= 0 then direct () else walked ()
       with
       | () -> ()
       | exception Faults.Worker_killed -> raise Faults.Worker_killed
@@ -1255,31 +941,13 @@ let group_cells arr =
 (* A cell skipped because shutdown was requested before it ran.
    [attempts = 0] keeps it out of the journal: nothing was computed. *)
 let interrupted_cell c =
-  {
-    cell = c;
-    outcome = Error "interrupted before this cell ran (partial report)";
-    wall_seconds = 0.;
-    serve_seconds = 0.;
-    mode = Direct;
-    attempts = 0;
-    timed_out = false;
-    from_journal = false;
-    audited = false;
-  }
+  timed_cell c ~attempts:0 ~mode:Direct ~wall_seconds:0.
+    (Error "interrupted before this cell ran (partial report)")
 
 (* A group abandoned after the respawn budget ran out. *)
 let abandoned_cell c =
-  {
-    cell = c;
-    outcome = Error "worker died repeatedly on this cell's group";
-    wall_seconds = 0.;
-    serve_seconds = 0.;
-    mode = Direct;
-    attempts = 0;
-    timed_out = false;
-    from_journal = false;
-    audited = false;
-  }
+  timed_cell c ~attempts:0 ~mode:Direct ~wall_seconds:0.
+    (Error "worker died repeatedly on this cell's group")
 
 (* How many rounds of worker respawning the pool tolerates before it gives
    the surviving groups up as poisoned.  Far above anything a real fault
@@ -1531,10 +1199,11 @@ let json_summary ?jobs results =
       (fun a t -> if t.mode = m then a +. t.wall_seconds else a)
       0. results
   in
-  (* [engine_runs] counts cells whose numbers came from a fresh VM
-     execution: every live direct cell plus one per recorded group.
-     Replayed and journal-served cells re-ran no VM semantics; cells
-     skipped by a shutdown ([attempts = 0]) ran nothing at all. *)
+  (* [engine_runs] counts engine runs: every [Direct] cell (a live run or
+     a one-cell walk) plus one per group walk ([Record]).  [Replay] cells
+     (the rest of a group walk, or result-cache hits) and journal-served
+     cells ran nothing of their own; cells skipped by a shutdown
+     ([attempts = 0]) ran nothing at all. *)
   let live m =
     List.length
       (List.filter
@@ -1565,10 +1234,9 @@ let json_summary ?jobs results =
     (Printf.sprintf ",\"injected_faults\":%d" (Faults.total_injected ()));
   Buffer.add_string b
     (Printf.sprintf ",\"worker_respawns\":%d" (worker_respawns ()));
-  (* vmbp-cells/5: banked-replay counters since process start --
-     [bank_replays] counts single-pass group traversals that simulated at
-     least one fresh configuration, [banked_configs] the configurations
-     those passes simulated. *)
+  (* vmbp-cells/5: group-walk counters since process start --
+     [bank_replays] counts walks that served two or more cells,
+     [banked_configs] the distinct simulators those walks drove. *)
   Buffer.add_string b
     (Printf.sprintf ",\"bank_replays\":%d" (bank_replays ()));
   Buffer.add_string b

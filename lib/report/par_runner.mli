@@ -18,31 +18,24 @@
     CLI harnesses dump as a machine-readable JSON summary ([--json FILE]) so
     the performance trajectory can be tracked across changes.
 
-    {b Record once, replay many.}  Cells that share (workload, technique,
+    {b Record once, walk many.}  Cells that share (workload, technique,
     scale) run the exact same VM execution -- only the modelled hardware
-    differs -- so the planner groups them, records the engine's event stream
-    once per group ({!Runner.record}), and replays every cell of the group
-    from that trace.  The replay itself is banked ({!Runner.replay_bank}):
-    the group's distinct (predictor, I-cache) configurations are collected
-    up front and simulated together in one traversal per event stream, so
-    per-group replay cost is O(events), not O(cells x events); the
-    per-cell results are then fanned back out of the trace's memo tables.
-    Recorded traces are kept in a
-    process-wide LRU cache bounded by {!trace_cap_mb}.  A group with at
-    most one cell to run is not recorded but simulated directly, and an
-    exact revisit of a cell (same configuration, e.g. a counter figure
-    re-running a speedup figure's cell) is served from the full-result
-    cache without any simulation.  A later experiment that revisits a group
-    under another CPU (the common shape: one figure per CPU, one cell per
-    group) therefore re-runs the engine for it; that run skips the VM
-    semantics by replaying the workload's recorded control path
-    ({!Runner.run}'s [path_cap], on exactly when the result cache is).
-    Eviction recycles a trace's stream storage but
-    keeps a memo-only summary that still answers every simulator
-    configuration the trace ever served ({!Runner.replay_memo}); only a new
-    configuration on an evicted group re-records.  Simulated numbers are
-    identical to direct runs by construction; any recording problem (budget
-    exceeded, trap during load) falls back to per-cell direct simulation. *)
+    differs -- and every technique of a workload runs the same VM control
+    path.  The first live run of each workload records that path
+    ({!Vmbp_core.Vm_path}); from then on the planner runs each group's
+    pending cells as one walk of the path against the group's
+    translation ({!Runner.walk_group}, {!Vmbp_core.Path_walk}): no VM
+    semantics, no per-step loop, and every distinct (predictor, I-cache)
+    configuration of the group driven config-major through the
+    simulators' range kernels in the same pass.  A group whose workload
+    has no path yet runs its first pending cell live, which records the
+    path, and walks the rest.  An exact revisit of a cell (same
+    configuration, e.g. a counter figure re-running a speedup figure's
+    cell) is served from the full-result cache without any simulation.
+    Kept paths are bounded by {!trace_cap_mb}; a workload whose path does
+    not fit runs every cell live.  Simulated numbers are identical to
+    live runs by construction; any problem in a walk degrades its group
+    to per-cell live runs. *)
 
 type cell = {
   tag : string;  (** experiment-level label carried into the JSON log *)
@@ -53,10 +46,11 @@ type cell = {
   predictor : Vmbp_machine.Predictor.kind option;
 }
 
-(** How a cell's numbers were produced: [Direct] = full engine execution for
-    this cell alone; [Record] = full engine execution whose trace also
-    served its group; [Replay] = no VM execution, simulators driven from a
-    recorded trace. *)
+(** How a cell's numbers were produced: [Direct] = an engine run for this
+    cell alone (a live run, or a walk of the workload's path when it is
+    the group's only pending cell); [Record] = the first cell of a group
+    walk, which carries the walk's time; [Replay] = another cell of a
+    group walk, or a cell served from the full-result cache. *)
 type mode = Direct | Record | Replay
 
 val mode_name : mode -> string
@@ -66,12 +60,12 @@ type timed = {
   outcome : (Runner.run, string) result;
   wall_seconds : float;
       (** wall-clock spent producing this cell; a [Record] cell carries its
-          group's one engine execution, so summing over cells accounts all
-          work *)
+          group's one walk, so summing over cells accounts all work *)
   serve_seconds : float;
       (** the part of this cell's cost that was pure serving -- journal
-          lookup and reconstruction, or memo-table replay -- with no
-          simulation at all; [0] for cells that ran a simulator *)
+          or store lookup and reconstruction, or a result-cache hit --
+          with no simulation at all; [0] for cells that ran a
+          simulator *)
   mode : mode;
   attempts : int;
       (** cell attempts consumed, [> 1] after transient-failure retries;
@@ -82,8 +76,8 @@ type timed = {
       (** served from the resume journal; no simulator ran for this cell *)
   audited : bool;
       (** the cell was cross-checked against an oracle: reference-model
-          lockstep under [--self-check], or a sampled fresh direct run
-          for replayed cells ([--audit-sample]) *)
+          lockstep under [--self-check], or a sampled fresh live run for
+          walked and result-cache cells ([--audit-sample]) *)
 }
 
 val default_jobs : int ref
@@ -100,19 +94,20 @@ val progress : bool ref
 
 (** {2 Differential self-check and sampled auditing}
 
-    With [self_check] set ([--self-check]), every cell runs directly
-    (the trace fast path is bypassed) through {!Runner.run_checked}: the
+    With [self_check] set ([--self-check]), every cell runs live (walks
+    and the result cache are bypassed) through {!Runner.run_checked}: the
     production predictor/I-cache and the naive reference models
     ({!Vmbp_machine.Reference}) observe the same event stream, and the
     first disagreement fails the cell with a structured divergence
     record plus a minimized repro artifact (see {!Audit}).
 
     Independently, [audit_sample] cross-checks a deterministic fraction
-    of the cells served by the record/replay and memo fast paths against
-    a fresh direct {!Runner.run_result}; any field-level difference is
-    recorded as a divergence and fails the cell.  Sampling is keyed on
-    the cell key, so the audited subset is stable across runs, machines
-    and job counts.
+    of the cells whose numbers came from a path walk or the result cache
+    -- every cell not produced by a live run, whatever its mode --
+    against a fresh live {!Runner.run_result}; any field-level difference
+    is recorded as a divergence and fails the cell.  Live cells are
+    exempt.  Sampling is keyed on the cell key, so the audited subset is
+    stable across runs, machines and job counts.
 
     Drivers should {!Audit.reset_stats} before a run and inspect
     {!Audit.divergence_count} after it (non-zero should map to a
@@ -123,13 +118,15 @@ val self_check : bool ref
     Default [false]; set from [--self-check]. *)
 
 val audit_sample : float ref
-(** Fraction (in [0, 1]) of replay/memo-served cells to cross-check
-    against a fresh direct run.  Default [0.02]; set from
+(** Fraction (in [0, 1]) of walked and result-cache cells to cross-check
+    against a fresh live run.  Default [0.02]; set from
     [--audit-sample P]. *)
 
 val cell_timeout : float ref
 (** Per-cell-attempt watchdog deadline in seconds, enforced cooperatively
-    through the engine/replay poll hook; [<= 0] (the default) disables it.
+    through the engine and path-walk poll hooks (a group walk runs under
+    one group-level deadline and degrades to per-cell live runs when it
+    passes); [<= 0] (the default) disables it.
     A timed-out cell reports [Error] with [timed_out = true] and is not
     retried.  Set from [--cell-timeout SEC]. *)
 
@@ -221,36 +218,33 @@ val worker_respawns : unit -> int
     fault harness's stand-in for a killed process. *)
 
 val bank_replays : unit -> int
-(** Banked group traversals ({!Runner.replay_bank}) that simulated at
-    least one fresh configuration since process start.  A group whose
-    configurations were all already memoized issues no traversal and is
+(** Group walks ({!Runner.walk_group}) that served two or more cells
+    since process start.  A group's only pending cell is walked too, but
     not counted. *)
 
 val banked_configs : unit -> int
-(** Distinct simulator configurations freshly simulated by those banked
-    traversals since process start. *)
+(** Distinct simulators (predictors plus I-caches) driven by those group
+    walks since process start. *)
 
 val trace_cap_mb : int ref
-(** Budget, in megabytes, for recorded traces retained in the process-wide
-    LRU cache; also caps any single recording (an over-budget group falls
-    back to direct runs).  [<= 0] disables record/replay entirely.  Set from
-    the [--trace-cap-mb N] command-line flag; defaults to 256. *)
+(** Budget, in megabytes, for the VM paths kept for walks (see
+    {!Runner.run}'s [path_cap]); a path that would exceed it is not kept
+    and its workload runs live.  [<= 0] disables path walks and the
+    full-result cache entirely: every cell runs live.  Set from the
+    [--trace-cap-mb N] command-line flag; defaults to 256. *)
 
 val clear_trace_cache : unit -> unit
-(** Drop every retained trace, including memo-only summaries (used by tests
-    and memory-sensitive harnesses). *)
-
-val trace_cache_bytes : unit -> int
-(** Current retained stream footprint in bytes (summaries are not
-    counted -- their streams are already recycled). *)
+(** Drop every kept VM path, so the next run of each workload records
+    afresh (used by tests and harnesses that want cold caches). *)
 
 val clear_result_cache : unit -> unit
 (** Drop every cached cell result.  Finished cells are retained for the
     process lifetime keyed by their full configuration (workload identity
     is physical), so an experiment batch that revisits a cell verbatim is
     served without any simulation; cells served this way are
-    [Replay]-mode and subject to sampled auditing like trace replays.
-    Disabled under [--self-check] and with [--trace-cap-mb 0]. *)
+    [Replay]-mode and subject to sampled auditing like walks.  Also drops
+    the kept VM paths.  Disabled under [--self-check] and with
+    [--trace-cap-mb 0]. *)
 
 val cell :
   ?tag:string ->
@@ -268,8 +262,8 @@ val run_cells : ?jobs:int -> cell list -> timed list
 (** Run every cell and return the outcomes in the input order regardless of
     completion order.  Cells are grouped by (workload, technique, scale);
     groups are the unit of parallelism, [?jobs] at a time (default
-    {!default_jobs}), and within a group one recorded execution feeds every
-    cell's replay. *)
+    {!default_jobs}), and within a group one walk of the workload's VM
+    path serves every pending cell. *)
 
 val matrix :
   ?scale:int ->
@@ -281,8 +275,10 @@ val matrix :
   (Vmbp_workloads.t
   * (Vmbp_core.Technique.t * (Runner.run, string) result) list)
   list
-(** The benchmark-times-variant grid of {!Runner.matrix}, run through the
-    pool.  Cell order inside the grid (workload-major, then technique) and
+(** The benchmark-times-variant grid used by the speedup figures, run
+    through the pool.  Failures are isolated per cell: one trapped
+    workload/technique pair yields an [Error] cell and every sibling still
+    runs.  Cell order inside the grid (workload-major, then technique) and
     the returned structure are deterministic. *)
 
 val drain_log : unit -> timed list
@@ -296,7 +292,8 @@ val json_summary : ?jobs:int -> timed list -> string
     cell was cross-checked), wall-clock seconds and [serve_seconds] (or
     the error for failed cells), plus top-level [engine_runs]/[replays]/
     [from_journal]/[retries]/[timeouts]/[interrupted]/[injected_faults]/
-    [worker_respawns]/[bank_replays]/[banked_configs] counters, the
+    [worker_respawns]/[bank_replays]/[banked_configs] counters (the last
+    two count group walks), the
     report-service counters
     ([store_hits]/[store_misses]/[coalesced]/[shed]/[degraded_seconds]),
     the differential-checking block

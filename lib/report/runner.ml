@@ -1,4 +1,5 @@
 open Vmbp_core
+open Vmbp_machine
 
 type run = {
   workload : Vmbp_workloads.t;
@@ -101,20 +102,21 @@ let effective_profile ?profile ~scale ~technique (workload : Vmbp_workloads.t)
 (* VM path cache.  A workload's control path -- the outcome its semantics
    returns at each step -- is the same under every technique, CPU and
    predictor, so the first complete live run of a loaded workload records
-   it ({!Vm_path}) and every later run replays it instead of executing the
-   VM semantics.  Keys are the loaded workload's physical identity, like
-   the trace cache's workload keys: the registry memoises its loaded
-   workloads for the process lifetime, and a freshly constructed one can
-   never alias a stale path.  Paths are never evicted; the ones kept stay
-   within the byte budget the caller passes, and a workload whose path
-   did not fit is marked [Unfit] and keeps running live without recording
-   again.  Two domains may record the same workload at once; the first
-   path stored wins. *)
+   it ({!Vm_path}) and every later run walks it ({!Path_walk}) instead of
+   executing the VM semantics.  Keys are the loaded workload's physical
+   identity: the registry memoises its loaded workloads for the process
+   lifetime, and a freshly constructed one can never alias a stale path.
+   Paths are never evicted; the ones kept stay within the byte budget the
+   caller passes, and a workload whose path did not fit is marked [Unfit]
+   and keeps running live without recording again.  Two domains may
+   record the same workload at once; the first path stored wins. *)
 
 type path_slot = Kept of Vm_path.t | Unfit
 
 let m_path_records = Vmbp_obs.Registry.counter "vm_path.records"
-let m_path_replays = Vmbp_obs.Registry.counter "vm_path.replays"
+
+(* Walks: runs (or whole groups) driven by a kept path. *)
+let m_path_walks = Vmbp_obs.Registry.counter "vm_path.walks"
 let g_path_bytes = Vmbp_obs.Registry.gauge "vm_path.bytes"
 
 let paths : (Vmbp_workloads.loaded * path_slot) list ref = ref []
@@ -126,6 +128,9 @@ let with_paths f =
   Fun.protect ~finally:(fun () -> Mutex.unlock paths_lock) f
 
 let path_find loaded = with_paths (fun () -> List.assq_opt loaded !paths)
+
+let kept_path loaded =
+  match path_find loaded with Some (Kept p) -> Some p | Some Unfit | None -> None
 
 let path_store ~cap loaded outcome =
   with_paths (fun () ->
@@ -145,90 +150,147 @@ let clear_vm_paths () =
       paths_bytes := 0;
       Vmbp_obs.Registry.gauge_set g_path_bytes 0.)
 
-(* The semantics one run drives: [exec], the program [output] to read
-   once the run returned, and [keep], which stores the path a recording
-   run captured.  Without [path_cap] the run is live on a fresh session;
-   with it, the run replays the workload's path when one is cached and
-   otherwise records one while running live. *)
-type semantics = {
-  exec : Engine.exec;
-  output : unit -> string;
-  keep : steps:int -> trapped:string option -> output:string -> unit;
-}
-
-let no_keep ~steps:_ ~trapped:_ ~output:_ = ()
-
-let semantics ?path_cap (loaded : Vmbp_workloads.loaded) =
-  let live () =
-    let s = loaded.Vmbp_workloads.fresh_session () in
-    {
-      exec = s.Vmbp_workloads.exec;
-      output = s.Vmbp_workloads.output;
-      keep = no_keep;
-    }
-  in
+(* The live semantics of one run on a fresh session: its [exec], its
+   program output, and what to do once the run returned.  With
+   [path_cap], a workload that has no path slot yet records one. *)
+let live ?path_cap (loaded : Vmbp_workloads.loaded) =
+  let s = loaded.Vmbp_workloads.fresh_session () in
+  let exec = s.Vmbp_workloads.exec and output = s.Vmbp_workloads.output in
   match path_cap with
-  | None -> live ()
-  | Some cap -> (
-      match path_find loaded with
-      | Some (Kept p) ->
-          Vmbp_obs.Registry.add m_path_replays 1;
-          {
-            exec = Vm_path.replayer p;
-            output = (fun () -> Vm_path.output p);
-            keep = no_keep;
-          }
-      | Some Unfit -> live ()
-      | None ->
-          let s = live () in
-          let recorder, exec =
-            Vm_path.recorder
-              ~cap_bytes:(cap - with_paths (fun () -> !paths_bytes))
-              ~slots:(Vmbp_vm.Program.length loaded.Vmbp_workloads.program)
-              s.exec
-          in
-          {
-            s with
-            exec;
-            keep =
-              (fun ~steps ~trapped ~output ->
-                path_store ~cap loaded
-                  (Vm_path.finish recorder ~steps ~trapped ~output));
-          })
+  | Some cap when path_find loaded = None ->
+      let recorder, exec =
+        Vm_path.recorder
+          ~cap_bytes:(cap - with_paths (fun () -> !paths_bytes))
+          ~slots:(Vmbp_vm.Program.length loaded.Vmbp_workloads.program)
+          exec
+      in
+      ( exec,
+        output,
+        fun ~steps ~trapped ~output ->
+          path_store ~cap loaded
+            (Vm_path.finish recorder ~steps ~trapped ~output) )
+  | Some _ | None -> (exec, output, fun ~steps:_ ~trapped:_ ~output:_ -> ())
+
+(* Load the workload and build the layout and translation a run of
+   [technique] uses. *)
+let prepare ?profile ~scale ~config ~technique (workload : Vmbp_workloads.t) =
+  Vmbp_obs.Span.with_ ~name:"layout"
+    ~args:[ ("workload", workload.Vmbp_workloads.name) ]
+    (fun () ->
+      let loaded = workload.Vmbp_workloads.load ~scale in
+      let cacheable = profile = None in
+      let profile = effective_profile ?profile ~scale ~technique workload in
+      let layout =
+        Config.build_layout ?profile config
+          ~program:loaded.Vmbp_workloads.program
+      in
+      let translation =
+        translation_for ~cacheable ~technique ~scale workload layout
+      in
+      (loaded, layout, translation))
+
+let run_of ~workload ~technique ~cpu result output =
+  match result.Engine.trapped with
+  | Some msg -> Error (trap_message workload technique msg)
+  | None -> Ok { workload; technique; cpu; result; output }
+
+let engine_span (workload : Vmbp_workloads.t) f =
+  Vmbp_obs.Span.with_ ~name:"engine"
+    ~args:[ ("workload", workload.Vmbp_workloads.name) ]
+    f
+
+(* The distinct simulators of [xs], by descriptor, in first-occurrence
+   order, and each descriptor's index among them -- or the message its
+   constructor raised. *)
+let simulators ~key ~create xs =
+  let slots = Hashtbl.create 8 and sims = ref [] in
+  List.iter
+    (fun x ->
+      if not (Hashtbl.mem slots (key x)) then
+        Hashtbl.add slots (key x)
+          (match create x with
+          | sim ->
+              sims := sim :: !sims;
+              Ok (List.length !sims - 1)
+          | exception e -> Error (Printexc.to_string e)))
+    xs;
+  (Array.of_list (List.rev !sims), Hashtbl.find slots)
+
+(* One walk of [path] for every (cpu, predictor override) of [configs]. *)
+let walk_configs ?poll ~workload ~technique ~layout ~translation ~path configs
+    =
+  Vmbp_obs.Registry.add m_path_walks 1;
+  let kinds =
+    List.map
+      (fun (cpu, predictor) ->
+        Config.predictor_kind (Config.make ~cpu ?predictor technique))
+      configs
+  in
+  let icache ((cpu : Cpu_model.t), _) = cpu.Cpu_model.icache in
+  let predictors, predictor_of =
+    simulators ~key:Predictor.descriptor ~create:Predictor.create kinds
+  in
+  let icaches, icache_of =
+    simulators ~key:Icache.descriptor ~create:Icache.create
+      (List.map icache configs)
+  in
+  let counts =
+    engine_span workload (fun () ->
+        Path_walk.walk ~fuel:engine_fuel ?poll ~translation ~path ~layout
+          ~predictors ~icaches ())
+  in
+  ( List.map2
+      (fun config kind ->
+        match
+          ( predictor_of (Predictor.descriptor kind),
+            icache_of (Icache.descriptor (icache config)) )
+        with
+        | Error msg, _ | _, Error msg -> Error msg
+        | Ok predictor, Ok icache ->
+            let cpu = fst config in
+            run_of ~workload ~technique ~cpu
+              (Path_walk.result counts ~cpu ~predictor ~icache)
+              (Vm_path.output path))
+      configs kinds,
+    Array.length predictors + Array.length icaches )
 
 let run ?(scale = 1) ?poll ?predictor ?profile ?path_cap ~cpu ~technique
     (workload : Vmbp_workloads.t) =
-  let cacheable = profile = None in
-  let loaded, config, layout, translation =
-    Vmbp_obs.Span.with_ ~name:"layout"
-      ~args:[ ("workload", workload.Vmbp_workloads.name) ]
-      (fun () ->
-        let loaded = workload.Vmbp_workloads.load ~scale in
-        let profile = effective_profile ?profile ~scale ~technique workload in
-        let config = Config.make ~cpu ?predictor technique in
-        let layout =
-          Config.build_layout ?profile config
-            ~program:loaded.Vmbp_workloads.program
-        in
-        let translation =
-          translation_for ~cacheable ~technique ~scale workload layout
-        in
-        (loaded, config, layout, translation))
+  let config = Config.make ~cpu ?predictor technique in
+  let loaded, layout, translation =
+    prepare ?profile ~scale ~config ~technique workload
   in
-  let sem = semantics ?path_cap loaded in
-  let result =
-    Vmbp_obs.Span.with_ ~name:"engine"
-      ~args:[ ("workload", workload.Vmbp_workloads.name) ]
-      (fun () ->
-        Engine.run ~fuel:engine_fuel ?poll ~translation ~config ~layout
-          ~exec:sem.exec ())
+  let outcome =
+    match if path_cap = None then None else kept_path loaded with
+    | Some path ->
+        List.hd
+          (fst
+             (walk_configs ?poll ~workload ~technique ~layout ~translation
+                ~path [ (cpu, predictor) ]))
+    | None ->
+        let exec, output, keep = live ?path_cap loaded in
+        let result =
+          engine_span workload (fun () ->
+              Engine.run ~fuel:engine_fuel ?poll ~translation ~config ~layout
+                ~exec ())
+        in
+        let output = output () in
+        keep ~steps:result.Engine.steps ~trapped:result.Engine.trapped ~output;
+        run_of ~workload ~technique ~cpu result output
   in
-  let output = sem.output () in
-  sem.keep ~steps:result.Engine.steps ~trapped:result.Engine.trapped ~output;
-  (match result.Engine.trapped with
-  | Some msg -> raise (Run_failed (trap_message workload technique msg))
-  | None -> ());
-  { workload; technique; cpu; result; output }
+  match outcome with Ok r -> r | Error msg -> raise (Run_failed msg)
+
+let walk_group ?(scale = 1) ?poll ~technique ~configs
+    (workload : Vmbp_workloads.t) =
+  Option.map
+    (fun path ->
+      (* Layouts depend on technique and costs only, never on the CPU. *)
+      let _, layout, translation =
+        prepare ~scale ~config:(Config.make technique) ~technique workload
+      in
+      walk_configs ?poll ~workload ~technique ~layout ~translation ~path
+        configs)
+    (kept_path (workload.Vmbp_workloads.load ~scale))
 
 let run_result ?scale ?poll ?predictor ?profile ?path_cap ~cpu ~technique
     workload =
@@ -303,99 +365,5 @@ let run_checked ?(scale = 1) ?poll ?predictor ?profile ?fast_maker ~cell ~cpu
            d.Audit.d_index d.Audit.d_detail)
   | exception Run_failed msg -> Error msg
   | exception exn -> Error (Printexc.to_string exn)
-
-(* ------------------------------------------------------------------ *)
-(* Record/replay: one full engine execution per (workload, technique,
-   scale), replayed for any number of CPU or predictor configurations. *)
-
-type trace = {
-  t_workload : Vmbp_workloads.t;
-  t_technique : Technique.t;
-  t_scale : int;
-  t_data : Trace.t;
-}
-
-let record ?(scale = 1) ?poll ?profile ?cap_bytes ?path_cap ~technique
-    (workload : Vmbp_workloads.t) =
-  match
-    let cacheable = profile = None in
-    let loaded = workload.Vmbp_workloads.load ~scale in
-    let profile = effective_profile ?profile ~scale ~technique workload in
-    (* The CPU of this config is irrelevant: layout building depends on
-       technique and costs only, and recording consumes neither the
-       predictor nor the I-cache. *)
-    let config = Config.make technique in
-    let layout =
-      Config.build_layout ?profile config ~program:loaded.Vmbp_workloads.program
-    in
-    let translation =
-      translation_for ~cacheable ~technique ~scale workload layout
-    in
-    let sem = semantics ?path_cap loaded in
-    let data =
-      Trace.record ~fuel:engine_fuel ?poll ~translation ?cap_bytes ~layout
-        ~exec:sem.exec ~output:sem.output ()
-    in
-    Option.iter
-      (fun d ->
-        sem.keep ~steps:(Trace.steps d) ~trapped:(Trace.trapped d)
-          ~output:(Trace.output d))
-      data;
-    data
-  with
-  | Some data ->
-      Ok { t_workload = workload; t_technique = technique; t_scale = scale; t_data = data }
-  | None -> Error `Overflow
-  | exception exn -> Error (`Failed (Printexc.to_string exn))
-
-let run_of_replay tr cpu result =
-  match result.Engine.trapped with
-  | Some msg -> Error (trap_message tr.t_workload tr.t_technique msg)
-  | None ->
-      Ok
-        {
-          workload = tr.t_workload;
-          technique = tr.t_technique;
-          cpu;
-          result;
-          output = Trace.output tr.t_data;
-        }
-
-let replay ?poll ?predictor ~cpu tr =
-  let config = Config.make ~cpu ?predictor tr.t_technique in
-  run_of_replay tr cpu
-    (Trace.replay ?poll tr.t_data ~cpu
-       ~predictor:(Config.predictor_kind config))
-
-let replay_bank ?poll ~configs tr =
-  let resolved =
-    List.map
-      (fun (cpu, predictor) ->
-        let config = Config.make ~cpu ?predictor tr.t_technique in
-        (Config.predictor_kind config, cpu.Vmbp_machine.Cpu_model.icache))
-      configs
-  in
-  Trace.replay_bank ?poll tr.t_data ~predictors:(List.map fst resolved)
-    ~icaches:(List.map snd resolved)
-
-let replay_memo ?predictor ~cpu tr =
-  let config = Config.make ~cpu ?predictor tr.t_technique in
-  Option.map (run_of_replay tr cpu)
-    (Trace.replay_memo tr.t_data ~cpu
-       ~predictor:(Config.predictor_kind config))
-
-let trace_bytes tr = Trace.bytes tr.t_data
-let release_trace tr = Trace.release tr.t_data
-
-let matrix ?scale ~cpu ~techniques workloads =
-  (* One trapped cell degrades to an [Error] entry; sibling experiments
-     still run and report. *)
-  List.map
-    (fun w ->
-      ( w,
-        List.map
-          (fun t -> (t, run_result ?scale ~cpu ~technique:t w))
-          techniques ))
-    workloads
 
 let speedup ~baseline r = baseline.result.Engine.cycles /. r.result.Engine.cycles

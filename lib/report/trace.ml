@@ -14,26 +14,8 @@ open Vmbp_machine
 
 exception Overflow
 
-let min_chunk_bits = 13 (* 8KB chunks *)
-let max_chunk_bits = 20 (* 1MB chunks *)
-let min_chunk_bytes = 1 lsl min_chunk_bits
-let max_chunk_bytes = 1 lsl max_chunk_bits
-
-(* Released chunks are recycled through per-size free lists instead of being
-   handed back to the allocator: a full report cycles gigabytes of trace
-   storage through the planner's cache, and returning that memory to the OS
-   on every eviction costs far more kernel time (page-table teardown plus
-   fault-in and re-zeroing at the next recording -- dramatically so under
-   the paravirtualised kernels this repo is benchmarked on) than the whole
-   simulation.  With the pool, each page is faulted in once per process and
-   the resident high-water mark stays bounded by the cache cap plus the
-   in-flight recordings. *)
-let pool : Bytes.t list array = Array.make (max_chunk_bits + 1) []
-let pool_lock = Mutex.create ()
-
-let size_class bytes =
-  let rec go k = if 1 lsl k >= bytes then k else go (k + 1) in
-  go min_chunk_bits
+let min_chunk_bytes = 1 lsl 13 (* 8KB chunks *)
+let max_chunk_bytes = 1 lsl 20 (* 1MB chunks *)
 
 type buf = {
   mutable filled : Bytes.t list;  (* completed chunks, newest first *)
@@ -49,28 +31,10 @@ let charge budget bytes =
 
 let alloc_chunk budget bytes =
   charge budget bytes;
-  let k = size_class bytes in
-  Mutex.lock pool_lock;
-  match pool.(k) with
-  | c :: rest ->
-      pool.(k) <- rest;
-      Mutex.unlock pool_lock;
-      (* Stale contents are fine: readers only see bytes below [pos]. *)
-      c
-  | [] ->
-      Mutex.unlock pool_lock;
-      Bytes.create bytes
+  Bytes.create bytes
 
+(* Readers only see bytes below [pos], so a dropped buffer is empty. *)
 let release_buf b =
-  Mutex.lock pool_lock;
-  List.iter
-    (fun c ->
-      if Bytes.length c > 0 then begin
-        let k = size_class (Bytes.length c) in
-        pool.(k) <- c :: pool.(k)
-      end)
-    (b.cur :: b.filled);
-  Mutex.unlock pool_lock;
   b.filled <- [];
   b.cur <- Bytes.empty;
   b.pos <- 0
@@ -104,8 +68,7 @@ let push_token budget b code =
    bytes), and every dispatch site jumps to a bounded set of targets.  So
    each stream stores distinct events once in an append-only dictionary and
    the stream itself is 3-byte dictionary codes -- roughly a 3-5x size
-   reduction over raw packed words, which is what keeps the planner's
-   retained working set small enough to recycle (see the pool note above).
+   reduction over raw packed words.
    A run that somehow exceeds 2^24 distinct events per stream aborts
    recording and the caller falls back to direct simulation, so coding can
    never silently corrupt a trace. *)
@@ -210,7 +173,7 @@ type t = {
   output : string;
   code_bytes : int;
   bytes : int;  (* bytes charged against the recording budget *)
-  mutable live : bool;  (* false once [release]d; chunks may be recycled *)
+  mutable live : bool;  (* false once [release]d; chunks dropped *)
   memo_lock : Mutex.t;
       (* Replay results are deterministic per simulator configuration, so
          sweeps that repeat a configuration (penalty sweeps vary only the
@@ -231,15 +194,9 @@ type t = {
 let record ?fuel ?poll ?translation ?(cap_bytes = max_int) ~layout ~exec ~output
     () =
   let budget = { allocated = 0; cap = cap_bytes } in
-  let bufs = ref [] in
   try
-    let mk () =
-      let b = buf_create budget in
-      bufs := b :: !bufs;
-      b
-    in
-    let dispatch = mk () in
-    let fetch = mk () in
+    let dispatch = buf_create budget in
+    let fetch = buf_create budget in
     let dispatch_dict = dict_create budget in
     let fetch_dict = dict_create budget in
     let n_dispatch = ref 0 and n_fetch = ref 0 in
@@ -300,10 +257,7 @@ let record ?fuel ?poll ?translation ?(cap_bytes = max_int) ~layout ~exec ~output
         pred_memo = Hashtbl.create 8;
         icache_memo = Hashtbl.create 8;
       }
-  with Overflow ->
-    (* Recycle whatever the aborted recording had already filled. *)
-    List.iter release_buf !bufs;
-    None
+  with Overflow -> None
 
 let release t =
   if not t.live then invalid_arg "Trace.release: already released";
@@ -522,8 +476,8 @@ let replay ?poll t ~cpu ~predictor =
   build_result t ~cpu pred_counts icache_counts
 
 (* Unlike [replay], valid on a released trace: the memo tables, base
-   metrics and output are ordinary GC-managed values that survive chunk
-   recycling, so a trace whose storage was evicted can still answer for
+   metrics and output outlive the chunks, so a released trace can still
+   answer for
    every simulator configuration it ever replayed -- including every
    configuration a banked replay simulated while the trace was live. *)
 let replay_memo t ~cpu ~predictor =

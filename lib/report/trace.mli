@@ -9,13 +9,14 @@
     compact dictionary-coded byte chunks, after which {!replay} reproduces the full
     {!Vmbp_core.Engine.result} of a direct run for {e any} CPU or predictor
     override by driving only the hardware simulators -- no VM semantics, no
-    layout rebuild.  This is the paper's own experimental shape (one
-    interpreter run swept across many predictor/BTB configurations,
-    Sections 2-3) applied to the reproduction's experiment grid.
+    layout rebuild.  The report runner no longer records traces -- it walks
+    each workload's VM path instead ({!Vmbp_core.Path_walk}); the
+    decomposition benchmark and the tests still time and check this
+    tier.
 
     Storage is dictionary-coded: each stream keeps its distinct events in an
     append-only dictionary and stores the stream itself as 3-byte codes into
-    recycled byte chunks, since an interpreter run repeats a small set of
+    byte chunks, since an interpreter run repeats a small set of
     fetch addresses and dispatch edges millions of times.  Memory stays
     bounded: every chunk and dictionary growth is accounted against the
     caller's cap, and recording aborts (returns [None]) rather than exceed
@@ -104,16 +105,12 @@ val replay_memo :
 (** [replay], answered purely from the memo tables: [Some] exactly when both
     the predictor kind and the I-cache geometry have been replayed on this
     trace before.  Valid on a [release]d trace -- the memos, base counters
-    and output are ordinary GC-managed values that survive chunk recycling
-    -- so an evicted trace still resolves every configuration it ever
-    served, at cost-model price. *)
+    and output outlive the chunks -- so a released trace still resolves
+    every configuration it ever served, at cost-model price. *)
 
 val release : t -> unit
-(** Return the trace's chunks to the recycling pool.  The trace must not be
-    used afterwards ([replay] raises); releasing twice raises.  Callers that
-    simply drop a trace may skip this -- the GC reclaims it -- but then its
-    pages are handed back to the OS instead of being reused by the next
-    recording. *)
+(** Drop the trace's chunks, keeping its memo tables.  The trace must not
+    be replayed afterwards ([replay] raises); releasing twice raises. *)
 
 val bytes : t -> int
 (** Bytes allocated for the event storage (the quantity capped by

@@ -3,7 +3,7 @@
 
     One event thread owns a Unix-domain listening socket and every
     connection; one compute domain runs misses through
-    {!Vmbp_report.Par_runner} (store pre-pass, grouped record/replay,
+    {!Vmbp_report.Par_runner} (store pre-pass, grouped path walks,
     watchdog, retries) with the process-wide store installed, so every
     freshly computed success is fsync'd to the store before its reply
     goes out -- a [kill -9] at any instant loses at most the cells in

@@ -646,9 +646,9 @@ let run_seed ?mutation ~check_memo seed =
       (* Spans run on the virtual clock with ids reset per seed, so the
          trace of a seed is a pure function of the seed (invariant 2 for
          the observability layer itself).  That requires cold runner
-         caches: a trace or result memo retained from an earlier seed in
-         this process would skip the record/replay spans the first run
-         recorded. *)
+         caches: a kept path or cached result from an earlier seed in
+         this process would skip the live-run and walk spans the first
+         run recorded. *)
       PR.clear_trace_cache ();
       PR.clear_result_cache ();
       Vmbp_obs.Span.set_clock (fun () -> Sim.now w);

@@ -8,10 +8,15 @@
    pc escape, semantic traps), and across real-VM workloads.  Each of
    those cases also runs the translated loop a third time, driven by a
    recorded VM control path ([Vm_path]) instead of the semantics, which
-   must reproduce the live run exactly.  A second group checks the
-   translation machinery itself: plan instantiation reproduces a fresh
-   decode, and quickening's incremental re-translation leaves the
-   translation equal to a from-scratch decode of the mutated layout. *)
+   must reproduce the live run exactly.  The "walk" group runs the same
+   cases once more as a walk of the path ([Path_walk]), which emits no
+   events: its deterministic counters, and what it counts on a set of
+   predictors and I-caches, must equal the legacy run's, and one walk
+   over many configurations must equal one walk per configuration.  A
+   last group checks the translation machinery itself: plan
+   instantiation reproduces a fresh decode, and quickening's incremental
+   re-translation leaves the translation equal to a from-scratch decode
+   of the mutated layout. *)
 
 open Vmbp_machine
 open Vmbp_core
@@ -49,16 +54,79 @@ type stream = {
   trapped : string option;
   output : string;  (* the toy VM's checksum, or a real VM's output *)
   metrics : Metrics.t;
-  events : event list;
+  events : event list option;  (* [None] for a walk, which emits none *)
+  sims : int list;  (* what [walk_kinds] and [walk_icaches] counted *)
   path : Vm_path.t option;
       (* the control path a [Translated] run recorded, if it kept one *)
 }
 
+(* The simulator configurations every stream is measured on: a live run
+   feeds its events through fresh ones, a walk drives them itself. *)
+let walk_kinds =
+  [
+    Predictor.Btb (Btb.classic ~entries:64 ~associativity:2);
+    Predictor.Btb (Btb.with_counters ~entries:32 ~associativity:1);
+    Predictor.Btb Btb.ideal;
+    Predictor.Two_level Two_level.default;
+    Predictor.Case_block 16;
+    Predictor.Perfect;
+    Predictor.Never;
+  ]
+
+let walk_icaches =
+  [
+    Icache.make_config ~size_bytes:512 ~line_bytes:32 ~associativity:2;
+    Icache.make_config ~size_bytes:4096 ~line_bytes:64 ~associativity:4;
+    Icache.infinite;
+  ]
+
+(* Per predictor its mispredictions and VM-transfer subset, then per
+   I-cache its fetches and misses. *)
+let sims_of_events events =
+  let preds = List.map (fun k -> (Predictor.create k, ref 0, ref 0)) walk_kinds in
+  let ics = List.map (fun c -> (Icache.create c, ref 0, ref 0)) walk_icaches in
+  List.iter
+    (function
+      | Dispatch { branch; target; opcode; vm_transfer } ->
+          List.iter
+            (fun (p, m, v) ->
+              if not (Predictor.access p ~branch ~target ~opcode) then begin
+                incr m;
+                if vm_transfer then incr v
+              end)
+            preds
+      | Fetch { addr; bytes; _ } ->
+          List.iter
+            (fun (ic, h, m) -> Icache.fetch ic ~addr ~bytes ~hits:h ~misses:m)
+            ics)
+    events;
+  List.concat_map (fun (_, m, v) -> [ !m; !v ]) preds
+  @ List.concat_map (fun (_, h, m) -> [ !h + !m; !m ]) ics
+
+let sims_of_walk (c : Path_walk.counts) =
+  List.concat
+    (List.mapi
+       (fun j _ ->
+         [ c.Path_walk.mispredicts.(j); c.Path_walk.vm_branch_mispredicts.(j) ])
+       walk_kinds)
+  @ List.concat
+      (List.mapi
+         (fun j _ ->
+           [ c.Path_walk.icache_fetches.(j); c.Path_walk.icache_misses.(j) ])
+         walk_icaches)
+
+let walk ?fuel ~path ~layout () =
+  Path_walk.walk ?fuel ~path ~layout
+    ~predictors:(Array.of_list (List.map Predictor.create walk_kinds))
+    ~icaches:(Array.of_list (List.map Icache.create walk_icaches))
+    ()
+
 (* How a run executes the semantics: live through the translated loop
    (recording the control path on the side), live through the legacy
-   loop, or through the translated loop driven by a recorded path, which
-   reports the output its recording run ended with. *)
-type drive = Translated | Legacy | Replayed of Vm_path.t
+   loop, through the translated loop driven by a recorded path, or as a
+   walk of a recorded path ({!Path_walk}); the last two report the output
+   their recording run ended with. *)
+type drive = Translated | Legacy | Replayed of Vm_path.t | Walked of Vm_path.t
 
 (* Run [exec] over [layout] through the loop [drive] selects; [output]
    reads the live session's output afterwards. *)
@@ -70,25 +138,51 @@ let run_drive ~drive ?fuel ~layout ~exec ~output () =
   let translated exec =
     Engine.run_events ?fuel ~metrics:m ~layout ~exec ~sink ()
   in
+  let walked = ref None in
   let steps, trapped =
     match drive with
     | Legacy ->
         Engine.run_events_legacy ?fuel ~metrics:m ~layout ~exec ~sink ()
     | Translated -> translated recording
     | Replayed p -> translated (Vm_path.replayer p)
+    | Walked path ->
+        let c = walk ?fuel ~path ~layout () in
+        walked := Some c;
+        (c.Path_walk.steps, c.Path_walk.trapped)
   in
   let output =
     match drive with
-    | Replayed p -> Vm_path.output p
+    | Replayed p | Walked p -> Vm_path.output p
     | Translated | Legacy -> output ()
   in
   let path =
     match drive with
     | Translated ->
         Result.to_option (Vm_path.finish recorder ~steps ~trapped ~output)
-    | Legacy | Replayed _ -> None
+    | Legacy | Replayed _ | Walked _ -> None
   in
-  { steps; trapped; output; metrics = m; events = events (); path }
+  match !walked with
+  | Some c ->
+      {
+        steps;
+        trapped;
+        output;
+        metrics = c.Path_walk.base;
+        events = None;
+        sims = sims_of_walk c;
+        path;
+      }
+  | None ->
+      let events = events () in
+      {
+        steps;
+        trapped;
+        output;
+        metrics = m;
+        events = Some events;
+        sims = sims_of_events events;
+        path;
+      }
 
 let toy_output state () = string_of_int (T.checksum state)
 
@@ -142,26 +236,34 @@ let check_streams_equal ~what a b =
     a.metrics.Metrics.indirect_branches b.metrics.Metrics.indirect_branches;
   check_int (what ^ ": quickenings") a.metrics.Metrics.quickenings
     b.metrics.Metrics.quickenings;
-  check_int (what ^ ": events") (List.length a.events) (List.length b.events);
-  check_bool (what ^ ": event streams identical") true (a.events = b.events)
+  Alcotest.(check (list int)) (what ^ ": simulator counts") a.sims b.sims;
+  match (a.events, b.events) with
+  | Some ea, Some eb ->
+      check_int (what ^ ": events") (List.length ea) (List.length eb);
+      check_bool (what ^ ": event streams identical") true (ea = eb)
+  | _ -> ()
 
 (* Translated vs legacy, then a third run replaying [path] (default: the
-   path the translated run itself recorded, when it kept one). *)
-let agree ?path ?profile ?fuel ?counters ~what ~technique program =
+   path the translated run itself recorded, when it kept one) -- or, with
+   [walk], walking it. *)
+let agree ?(walk = false) ?path ?profile ?fuel ?counters ~what ~technique
+    program =
   let run drive = stream ~drive ?profile ?fuel ?counters ~technique program in
   let t = run Translated in
   let l = run Legacy in
   check_streams_equal ~what t l;
   (match (path, t.path) with
   | Some p, _ | None, Some p ->
-      let r = run (Replayed p) in
+      let r = run (if walk then Walked p else Replayed p) in
       (* A path stores its complete run's output only, so a replay cut
          short by fuel has no output of its own to compare. *)
       let r =
         if r.trapped = Some Engine.out_of_fuel then { r with output = l.output }
         else r
       in
-      check_streams_equal ~what:(what ^ " replayed") r l
+      check_streams_equal
+        ~what:(what ^ if walk then " walked" else " replayed")
+        r l
   | None, None -> ());
   t
 
@@ -174,7 +276,9 @@ let profile_for technique program =
   end
   else None
 
-(* The paper grid: every dispatch technique the report compares. *)
+(* The paper grid: every dispatch technique the report compares.  Only
+   the last two with-static variants keep distinct shadow sites, and only
+   across-bb's enters shadow windows. *)
 let grid_techniques () =
   [
     Technique.switch;
@@ -187,12 +291,14 @@ let grid_techniques () =
     Technique.dynamic_both;
     Technique.across_bb;
     Technique.subroutine;
+    Technique.with_static_super ();
+    Technique.with_static_across_bb ();
   ]
 
 (* ------------------------------------------------------------------ *)
 (* 1. Translated vs legacy over the paper grid *)
 
-let test_grid_toy_programs () =
+let test_grid_toy_programs ~walk () =
   let programs =
     (("table1", T.table1_loop ()) :: ("table3", T.table3_loop ())
     :: List.map
@@ -211,7 +317,7 @@ let test_grid_toy_programs () =
           let what =
             Printf.sprintf "%s/%s" pname (Technique.descriptor technique)
           in
-          let s = agree ~path ~what ~technique program in
+          let s = agree ~walk ~path ~what ~technique program in
           check_bool (what ^ ": ran") true (s.steps > 0);
           check_bool (what ^ ": translated run kept its path") true
             (s.path <> None))
@@ -222,7 +328,7 @@ let test_grid_toy_programs () =
 (* 2. Trap paths *)
 
 (* A semantic trap from the workload: return with an empty call stack. *)
-let test_trap_return_underflow () =
+let test_trap_return_underflow ~walk () =
   let code =
     [|
       { Program.opcode = T.ops.T.op_a; operands = [||] };
@@ -234,14 +340,14 @@ let test_trap_return_underflow () =
   List.iter
     (fun technique ->
       let what = "underflow/" ^ Technique.descriptor technique in
-      let s = agree ~what ~technique program in
+      let s = agree ~walk ~what ~technique program in
       Alcotest.(check (option string))
         (what ^ ": trap message") (Some "return underflow") s.trapped)
     (grid_techniques ())
 
 (* Hostile code: a goto rewritten out of range after the layout was
    built must surface as the engine's pc-bounds trap in both loops. *)
-let test_trap_pc_escape () =
+let test_trap_pc_escape ~walk () =
   let fresh_code () =
     [|
       { Program.opcode = T.ops.T.op_a; operands = [||] };
@@ -285,8 +391,11 @@ let test_trap_pc_escape () =
           match t.path with
           | None -> Alcotest.failf "%s: a pc escape keeps its path" what
           | Some p ->
-              check_streams_equal ~what:(what ^ " replayed")
-                (run_escaped ~drive:(Replayed p) ~technique target)
+              check_streams_equal
+                ~what:(what ^ if walk then " walked" else " replayed")
+                (run_escaped
+                   ~drive:(if walk then Walked p else Replayed p)
+                   ~technique target)
                 l)
         (grid_techniques ()))
     [ -1; 3; 9999 ]
@@ -294,7 +403,7 @@ let test_trap_pc_escape () =
 (* Fuel exhaustion at every small budget: the translated loop's
    block-sized fuel credits must stop on exactly the same step as the
    per-step loop, including budgets that end mid-block. *)
-let test_trap_fuel () =
+let test_trap_fuel ~walk () =
   let program = T.table1_loop () in
   let path = functional_path ~counters:1_000_000 program in
   List.iter
@@ -305,7 +414,8 @@ let test_trap_fuel () =
             Printf.sprintf "fuel=%d/%s" fuel (Technique.descriptor technique)
           in
           let s =
-            agree ~path ~what ~technique ~fuel ~counters:1_000_000 program
+            agree ~walk ~path ~what ~technique ~fuel ~counters:1_000_000
+              program
           in
           Alcotest.(check (option string))
             (what ^ ": out of fuel") (Some Engine.out_of_fuel) s.trapped;
@@ -501,7 +611,7 @@ let test_cpu_predictor_matrix () =
 (* ------------------------------------------------------------------ *)
 (* 4. Real-VM workloads through both loops *)
 
-let test_real_vm_workloads () =
+let test_real_vm_workloads ~walk () =
   let pick vm name =
     match Vmbp_workloads.find ~vm name with
     | Some w -> w
@@ -540,15 +650,69 @@ let test_real_vm_workloads () =
           match t.path with
           | None -> Alcotest.failf "%s: a complete run keeps its path" what
           | Some p ->
-              let r = run (Replayed p) in
-              check_streams_equal ~what:(what ^ " replayed") r l;
-              check_bool (what ^ " replayed: metrics equal") true
-                (r.metrics = l.metrics))
+              let what = what ^ if walk then " walked" else " replayed" in
+              let r = run (if walk then Walked p else Replayed p) in
+              check_streams_equal ~what r l;
+              check_bool (what ^ ": metrics equal") true (r.metrics = l.metrics))
         [ Technique.plain; Technique.static_both (); Technique.dynamic_both ])
     workloads
 
 (* ------------------------------------------------------------------ *)
-(* 5. Translation machinery: plans and quickening invalidation *)
+(* 5. Path walks over many configurations *)
+
+(* One walk driving every configuration at once must count, for each of
+   them, exactly what a walk driving that configuration alone counts. *)
+let test_walk_many_configs () =
+  let layout technique program =
+    let program = Program.copy program in
+    Config.build_layout
+      ?profile:(profile_for technique program)
+      (Config.make ~cpu:Cpu_model.ideal technique)
+      ~program
+  in
+  List.iter
+    (fun seed ->
+      let program = T.random_program ~seed ~size:50 in
+      let path = functional_path program in
+      List.iter
+        (fun technique ->
+          let what =
+            Printf.sprintf "seed=%d/%s" seed (Technique.descriptor technique)
+          in
+          let many = walk ~path ~layout:(layout technique program) () in
+          let alone ~predictors ~icaches =
+            Path_walk.walk ~path ~layout:(layout technique program)
+              ~predictors:(Array.of_list (List.map Predictor.create predictors))
+              ~icaches:(Array.of_list (List.map Icache.create icaches))
+              ()
+          in
+          List.iteri
+            (fun j kind ->
+              let one = alone ~predictors:[ kind ] ~icaches:[] in
+              let label = what ^ "/" ^ Predictor.descriptor kind in
+              check_bool (label ^ ": base counters") true
+                (one.Path_walk.base = many.Path_walk.base);
+              check_int (label ^ ": mispredicts")
+                one.Path_walk.mispredicts.(0) many.Path_walk.mispredicts.(j);
+              check_int (label ^ ": vm mispredicts")
+                one.Path_walk.vm_branch_mispredicts.(0)
+                many.Path_walk.vm_branch_mispredicts.(j))
+            walk_kinds;
+          List.iteri
+            (fun j config ->
+              let one = alone ~predictors:[] ~icaches:[ config ] in
+              let label = what ^ "/" ^ Icache.descriptor config in
+              check_int (label ^ ": fetches")
+                one.Path_walk.icache_fetches.(0)
+                many.Path_walk.icache_fetches.(j);
+              check_int (label ^ ": misses") one.Path_walk.icache_misses.(0)
+                many.Path_walk.icache_misses.(j))
+            walk_icaches)
+        [ Technique.plain; Technique.dynamic_both; Technique.across_bb ])
+    [ 41; 42; 43 ]
+
+(* ------------------------------------------------------------------ *)
+(* 6. Translation machinery: plans and quickening invalidation *)
 
 let test_plan_instantiation () =
   List.iter
@@ -621,14 +785,31 @@ let () =
       ( "grid",
         [
           Alcotest.test_case "toy programs x paper grid" `Quick
-            test_grid_toy_programs;
+            (test_grid_toy_programs ~walk:false);
         ] );
       ( "traps",
         [
           Alcotest.test_case "return underflow" `Quick
-            test_trap_return_underflow;
-          Alcotest.test_case "pc escape" `Quick test_trap_pc_escape;
-          Alcotest.test_case "fuel exhaustion" `Quick test_trap_fuel;
+            (test_trap_return_underflow ~walk:false);
+          Alcotest.test_case "pc escape" `Quick
+            (test_trap_pc_escape ~walk:false);
+          Alcotest.test_case "fuel exhaustion" `Quick
+            (test_trap_fuel ~walk:false);
+        ] );
+      ( "walk",
+        [
+          Alcotest.test_case "toy programs x paper grid" `Quick
+            (test_grid_toy_programs ~walk:true);
+          Alcotest.test_case "return underflow" `Quick
+            (test_trap_return_underflow ~walk:true);
+          Alcotest.test_case "pc escape" `Quick
+            (test_trap_pc_escape ~walk:true);
+          Alcotest.test_case "fuel exhaustion" `Quick
+            (test_trap_fuel ~walk:true);
+          Alcotest.test_case "real-VM workloads" `Quick
+            (test_real_vm_workloads ~walk:true);
+          Alcotest.test_case "many configurations equal one each" `Quick
+            test_walk_many_configs;
         ] );
       ( "vm-path",
         [
@@ -644,7 +825,7 @@ let () =
           Alcotest.test_case "cpu x predictor matrix" `Quick
             test_cpu_predictor_matrix;
           Alcotest.test_case "real-VM workloads" `Quick
-            test_real_vm_workloads;
+            (test_real_vm_workloads ~walk:false);
         ] );
       ( "translation",
         [

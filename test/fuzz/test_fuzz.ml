@@ -263,6 +263,46 @@ let prop_toy_translated_vs_legacy seed =
       fail "%s: event streams differ (%d vs %d events)" what (List.length e1)
         (List.length e2)
   in
+  (* The fourth run walks the path ([Path_walk]): it emits no events, so
+     its counters are compared with what the legacy run's events give a
+     fresh predictor and I-cache of the same CPU. *)
+  let cpu = Cpu_model.celeron_800 in
+  let sims_of_events events =
+    let p = Predictor.create cpu.Cpu_model.predictor in
+    let ic = Icache.create cpu.Cpu_model.icache in
+    let mis = ref 0 and vm = ref 0 and hits = ref 0 and misses = ref 0 in
+    List.iter
+      (fun (kind, a, b, opcode, vmt) ->
+        if kind = 0 then begin
+          if not (Predictor.access p ~branch:a ~target:b ~opcode) then begin
+            incr mis;
+            vm := !vm + vmt
+          end
+        end
+        else Icache.fetch ic ~addr:a ~bytes:b ~hits ~misses)
+      events;
+    (!mis, !vm, !hits + !misses, !misses)
+  in
+  let walked p =
+    let program = Vmbp_vm.Program.copy program in
+    let layout =
+      Config.build_layout (Config.make ~cpu technique) ~program
+    in
+    let c =
+      Path_walk.walk ~fuel ~path:p ~layout
+        ~predictors:[| Predictor.create cpu.Cpu_model.predictor |]
+        ~icaches:[| Icache.create cpu.Cpu_model.icache |]
+        ()
+    in
+    ( c.Path_walk.steps,
+      c.Path_walk.trapped,
+      int_of_string (Vm_path.output p),
+      c.Path_walk.base,
+      ( c.Path_walk.mispredicts.(0),
+        c.Path_walk.vm_branch_mispredicts.(0),
+        c.Path_walk.icache_fetches.(0),
+        c.Path_walk.icache_misses.(0) ) )
+  in
   let translated, path = run `Translated in
   let legacy, _ = run `Legacy in
   compare_runs what translated legacy;
@@ -270,7 +310,16 @@ let prop_toy_translated_vs_legacy seed =
   (match path with
   | Some _ when trapped = Some Engine.out_of_fuel ->
       fail "%s: a run that ran out of fuel kept a path" what
-  | Some p -> compare_runs (what ^ " replayed") (fst (run (`Replayed p))) legacy
+  | Some p ->
+      compare_runs (what ^ " replayed") (fst (run (`Replayed p))) legacy;
+      let s1, t1, k1, m1, e1 = legacy in
+      let s2, t2, k2, m2, sims = walked p in
+      let what = what ^ " walked" in
+      if s1 <> s2 then fail "%s: steps %d vs %d" what s1 s2;
+      if t1 <> t2 then fail "%s: trap differs" what;
+      if k1 <> k2 then fail "%s: checksum %d vs %d" what k1 k2;
+      if m1 <> m2 then fail "%s: metrics differ" what;
+      if sims_of_events e1 <> sims then fail "%s: simulator counts differ" what
   | None ->
       if trapped <> Some Engine.out_of_fuel then
         fail "%s: a run that did not run out of fuel kept no path" what);

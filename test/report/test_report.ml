@@ -401,13 +401,15 @@ let test_observability_invisible () =
     "numbers identical with observability on" base traced;
   check_bool "spans were actually collected" true (Vmbp_obs.Span.count () > 0);
   check_bool "metrics were actually collected" true
-    (match Vmbp_obs.Registry.find_counter "trace_cache.misses" with
+    (match Vmbp_obs.Registry.find_counter "vm_path.records" with
     | Some n -> n > 0L
     | None -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Record/replay: a replayed cell must be field-for-field identical to a
-   direct engine run of the same configuration. *)
+(* Record once, walk many: every cell of a group walk must be
+   field-for-field identical to a live engine run of the same
+   configuration.  The token-trace cases at the end check {!Trace}, which
+   the decomposition benchmark still times. *)
 
 let check_result_equal name (a : Engine.result) (b : Engine.result) =
   let ma = a.Engine.metrics and mb = b.Engine.metrics in
@@ -431,186 +433,214 @@ let check_result_equal name (a : Engine.result) (b : Engine.result) =
   Alcotest.(check (option string)) (name ^ " trapped") a.Engine.trapped
     b.Engine.trapped
 
+(* One group walk over [configs], after a live run kept the workload's
+   path (or walked it, when an earlier test already kept one). *)
+let walk_group ?(scale = 1) ~technique ~configs w =
+  ignore
+    (Vmbp_report.Runner.run_result ~scale ~path_cap:max_int
+       ~cpu:Cpu_model.ideal ~technique w);
+  match Vmbp_report.Runner.walk_group ~scale ~technique ~configs w with
+  | Some (results, _) -> results
+  | None -> Alcotest.fail "a complete live run must keep the workload's path"
+
+(* Each walked configuration against a live run of it alone. *)
+let check_walk_matches_live ~label ~technique ~configs w =
+  List.iter2
+    (fun ((cpu : Cpu_model.t), predictor) walked ->
+      let label =
+        Printf.sprintf "%s/%s/%s" label cpu.Cpu_model.name
+          (match predictor with Some p -> Predictor.kind_name p | None -> "cpu")
+      in
+      match
+        (walked, Vmbp_report.Runner.run_result ?predictor ~cpu ~technique w)
+      with
+      | Ok a, Ok b ->
+          check_result_equal label b.Vmbp_report.Runner.result
+            a.Vmbp_report.Runner.result;
+          Alcotest.(check string)
+            (label ^ " output") b.Vmbp_report.Runner.output
+            a.Vmbp_report.Runner.output
+      | Error a, Error b -> Alcotest.(check string) (label ^ " error") b a
+      | _ -> Alcotest.fail (label ^ ": walked and live disagree"))
+    configs
+    (walk_group ~technique ~configs w)
+
 let test_replay_equivalence_gforth () =
   (* Every paper Gforth variant, two CPUs, plus a predictor override: one
-     recording must reproduce each direct run exactly. *)
+     walk per variant must reproduce each live run exactly. *)
   let w = Option.get (Vmbp_workloads.find ~vm:Vmbp_workloads.Forth "bench-gc") in
-  let cpus = [ Cpu_model.celeron_800; Cpu_model.pentium4_northwood ] in
+  let configs =
+    [
+      (Cpu_model.celeron_800, None);
+      (Cpu_model.pentium4_northwood, None);
+      (Cpu_model.pentium4_northwood, Some Predictor.Perfect);
+    ]
+  in
   List.iter
     (fun technique ->
-      let tname = Technique.name technique in
-      match Vmbp_report.Runner.record ~technique w with
-      | Error `Overflow -> Alcotest.fail (tname ^ ": record overflowed")
-      | Error (`Failed msg) -> Alcotest.fail (tname ^ ": record failed: " ^ msg)
-      | Ok tr ->
-          List.iter
-            (fun (cpu : Cpu_model.t) ->
-              let direct = Vmbp_report.Runner.run ~cpu ~technique w in
-              let replayed =
-                Result.get_ok (Vmbp_report.Runner.replay ~cpu tr)
-              in
-              check_result_equal
-                (tname ^ "/" ^ cpu.Cpu_model.name)
-                direct.Vmbp_report.Runner.result
-                replayed.Vmbp_report.Runner.result;
-              Alcotest.(check string)
-                (tname ^ " output")
-                direct.Vmbp_report.Runner.output
-                replayed.Vmbp_report.Runner.output)
-            cpus;
-          let cpu = Cpu_model.pentium4_northwood in
-          let direct =
-            Vmbp_report.Runner.run ~predictor:Predictor.Perfect ~cpu ~technique
-              w
-          in
-          let replayed =
-            Result.get_ok
-              (Vmbp_report.Runner.replay ~predictor:Predictor.Perfect ~cpu tr)
-          in
-          check_result_equal (tname ^ "/perfect-override")
-            direct.Vmbp_report.Runner.result
-            replayed.Vmbp_report.Runner.result)
+      check_walk_matches_live ~label:(Technique.name technique) ~technique
+        ~configs w)
     Technique.paper_gforth_variants
 
 let test_replay_equivalence_jvm_quickening () =
-  (* A JVM workload mutates its own program (quickening): the trace must
-     still replay exactly, on more than one CPU. *)
+  (* A JVM workload mutates its own program (quickening): the walk must
+     apply every recorded quickening and still match live runs, on more
+     than one CPU. *)
   let w = Option.get (Vmbp_workloads.find ~vm:Vmbp_workloads.Jvm "db") in
   let technique = Technique.plain in
-  let tr = Result.get_ok (Vmbp_report.Runner.record ~technique w) in
-  List.iter
-    (fun (cpu : Cpu_model.t) ->
-      let direct = Vmbp_report.Runner.run ~cpu ~technique w in
-      check_bool "workload actually quickens" true
-        (direct.Vmbp_report.Runner.result.Engine.metrics.Metrics.quickenings
-        > 0);
-      let replayed = Result.get_ok (Vmbp_report.Runner.replay ~cpu tr) in
-      check_result_equal ("jvm/" ^ cpu.Cpu_model.name)
-        direct.Vmbp_report.Runner.result replayed.Vmbp_report.Runner.result)
-    [ Cpu_model.celeron_800; Cpu_model.pentium_m ]
+  let live =
+    Vmbp_report.Runner.run ~cpu:Cpu_model.celeron_800 ~technique w
+  in
+  check_bool "workload actually quickens" true
+    (live.Vmbp_report.Runner.result.Engine.metrics.Metrics.quickenings > 0);
+  check_walk_matches_live ~label:"jvm" ~technique
+    ~configs:[ (Cpu_model.celeron_800, None); (Cpu_model.pentium_m, None) ]
+    w
+
+(* A toy workload loaded once, like a registry workload: kept paths key
+   on the loaded workload's physical identity. *)
+let loaded_once_toy ?trap name =
+  let w = toy_workload ?trap name in
+  let loaded = lazy (w.Vmbp_workloads.load ~scale:1) in
+  { w with Vmbp_workloads.load = (fun ~scale:_ -> Lazy.force loaded) }
 
 let test_replay_trap_and_fuel () =
-  (* A trapping run records fine and replays to the same Error a direct
+  (* A trapping run keeps its path and walks to the same Error a live
      run_result produces. *)
-  let w = toy_workload ~trap:true "trace-trap" in
-  let cpu = Cpu_model.pentium4_northwood in
-  let direct =
-    Vmbp_report.Runner.run_result ~cpu ~technique:Technique.plain w
-  in
-  let tr =
-    Result.get_ok (Vmbp_report.Runner.record ~technique:Technique.plain w)
-  in
-  let replayed = Vmbp_report.Runner.replay ~cpu tr in
-  (match (direct, replayed) with
-  | Error a, Error b -> Alcotest.(check string) "trap message" a b
-  | _ -> Alcotest.fail "both trap paths must fail");
-  (* Fuel exhaustion mid-run: partial metrics replay exactly. *)
-  let w = toy_workload "trace-fuel" in
+  check_walk_matches_live ~label:"trap" ~technique:Technique.plain
+    ~configs:[ (Cpu_model.ideal, None); (Cpu_model.pentium4_northwood, None) ]
+    (loaded_once_toy ~trap:true "walk-trap");
+  (* Fuel exhaustion mid-run: one walk of a complete path under less fuel
+     stops where each live run stops, with the same partial metrics. *)
+  let w = toy_workload "walk-fuel" in
   let loaded = w.Vmbp_workloads.load ~scale:1 in
-  let config = Config.make ~cpu Technique.plain in
-  let layout =
-    Config.build_layout config ~program:loaded.Vmbp_workloads.program
+  let layout () =
+    Config.build_layout (Config.make Technique.plain)
+      ~program:loaded.Vmbp_workloads.program
   in
-  let s1 = loaded.Vmbp_workloads.fresh_session () in
-  let direct =
-    Engine.run ~fuel:50 ~config ~layout ~exec:s1.Vmbp_workloads.exec ()
+  let path =
+    let s = loaded.Vmbp_workloads.fresh_session () in
+    let program = Vmbp_vm.Program.copy loaded.Vmbp_workloads.program in
+    let recorder, exec =
+      Vm_path.recorder ~slots:(Vmbp_vm.Program.length program)
+        s.Vmbp_workloads.exec
+    in
+    let steps, trapped = Engine.run_functional ~program ~exec () in
+    Result.get_ok (Vm_path.finish recorder ~steps ~trapped ~output:"")
   in
-  let s2 = loaded.Vmbp_workloads.fresh_session () in
-  let tr =
-    Option.get
-      (Vmbp_report.Trace.record ~fuel:50 ~layout
-         ~exec:s2.Vmbp_workloads.exec ~output:s2.Vmbp_workloads.output ())
+  let cpus = [ Cpu_model.celeron_800; Cpu_model.pentium4_northwood ] in
+  let kinds =
+    List.map (fun (c : Cpu_model.t) -> c.Cpu_model.predictor) cpus
   in
-  let replayed =
-    Vmbp_report.Trace.replay tr ~cpu
-      ~predictor:(Config.predictor_kind config)
+  let counts =
+    Path_walk.walk ~fuel:50 ~path ~layout:(layout ())
+      ~predictors:(Array.of_list (List.map Predictor.create kinds))
+      ~icaches:
+        (Array.of_list
+           (List.map (fun (c : Cpu_model.t) -> Icache.create c.Cpu_model.icache) cpus))
+      ()
   in
-  check_bool "fuel run trapped" true (direct.Engine.trapped <> None);
-  check_result_equal "fuel-exhausted" direct replayed
+  List.iteri
+    (fun j (cpu : Cpu_model.t) ->
+      let s = loaded.Vmbp_workloads.fresh_session () in
+      let live =
+        Engine.run ~fuel:50 ~config:(Config.make ~cpu Technique.plain)
+          ~layout:(layout ()) ~exec:s.Vmbp_workloads.exec ()
+      in
+      check_bool "fuel run trapped" true (live.Engine.trapped <> None);
+      check_result_equal
+        ("fuel-exhausted/" ^ cpu.Cpu_model.name)
+        live
+        (Path_walk.result counts ~cpu ~predictor:j ~icache:j))
+    cpus
 
 let test_record_overflow_and_fallback () =
-  (* An impossible budget must refuse to record... *)
-  let w = toy_workload "trace-cap" in
+  (* A path over its budget is not kept: the workload runs live from then
+     on and has nothing to walk... *)
+  let w = loaded_once_toy "walk-cap" in
   (match
-     Vmbp_report.Runner.record ~cap_bytes:1000 ~technique:Technique.plain w
+     Vmbp_report.Runner.run_result ~path_cap:64 ~cpu:Cpu_model.ideal
+       ~technique:Technique.plain w
    with
-  | Error `Overflow -> ()
-  | Ok _ -> Alcotest.fail "1000-word cap cannot hold any trace"
-  | Error (`Failed msg) -> Alcotest.fail ("unexpected failure: " ^ msg));
-  (* ...and the planner must fall back to direct cells yet still agree with
-     the traced run. *)
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  check_bool "an unfit path is never walked" true
+    (Vmbp_report.Runner.walk_group ~technique:Technique.plain
+       ~configs:[ (Cpu_model.ideal, None) ]
+       w
+    = None);
+  (* ...and the planner runs every cell live with --trace-cap-mb 0, yet
+     agrees with the walked run: one live cell keeps the path, one walk
+     serves the rest. *)
   Vmbp_report.Par_runner.clear_trace_cache ();
   let cells () =
-    let w = toy_workload "trace-fallback" in
+    let w = loaded_once_toy "walk-fallback" in
     List.map
       (fun cpu ->
         Vmbp_report.Par_runner.cell ~tag:"test" ~cpu
           ~technique:Technique.plain w)
-      [ Cpu_model.ideal; Cpu_model.pentium4_northwood ]
+      [ Cpu_model.ideal; Cpu_model.pentium4_northwood; Cpu_model.celeron_800 ]
   in
   let saved = !Vmbp_report.Par_runner.trace_cap_mb in
   Vmbp_report.Par_runner.trace_cap_mb := 0;
   let direct = Vmbp_report.Par_runner.run_cells ~jobs:1 (cells ()) in
   Vmbp_report.Par_runner.trace_cap_mb := saved;
-  let traced = Vmbp_report.Par_runner.run_cells ~jobs:1 (cells ()) in
+  let walked = Vmbp_report.Par_runner.run_cells ~jobs:1 (cells ()) in
   List.iter
     (fun (t : Vmbp_report.Par_runner.timed) ->
-      check_bool "cap 0 forces direct" true
+      check_bool "cap 0 forces live runs" true
         (t.Vmbp_report.Par_runner.mode = Vmbp_report.Par_runner.Direct))
     direct;
   Alcotest.(check (list string))
-    "one record then replays"
-    [ "record"; "replay" ]
+    "one live run, then one group walk"
+    [ "direct"; "record"; "replay" ]
     (List.map
        (fun (t : Vmbp_report.Par_runner.timed) ->
          Vmbp_report.Par_runner.mode_name t.Vmbp_report.Par_runner.mode)
-       traced);
+       walked);
   Alcotest.(check (list (pair string string)))
-    "direct and traced agree" (signature direct) (signature traced);
-  check_bool "trace retained for later experiments" true
-    (Vmbp_report.Par_runner.trace_cache_bytes () > 0);
+    "live and walked agree" (signature direct) (signature walked);
   Vmbp_report.Par_runner.clear_trace_cache ();
-  check_int "cache cleared" 0 (Vmbp_report.Par_runner.trace_cache_bytes ());
   ignore (Vmbp_report.Par_runner.drain_log ())
 
-let test_memo_survives_release () =
-  (* A released trace keeps answering configurations it already served:
-     the planner's eviction relies on this to turn evicted cache entries
-     into memo-only summaries. *)
-  let w = toy_workload "trace-memo" in
-  let tr =
-    match Vmbp_report.Runner.record ~technique:Technique.plain w with
-    | Ok tr -> tr
-    | Error _ -> Alcotest.fail "toy workload must record"
+(* Records one toy token trace, for the {!Trace} cases below. *)
+let toy_trace ?fuel name =
+  let w = toy_workload name in
+  let loaded = w.Vmbp_workloads.load ~scale:1 in
+  let layout =
+    Config.build_layout (Config.make Technique.plain)
+      ~program:loaded.Vmbp_workloads.program
   in
-  let cpu = Cpu_model.ideal in
-  let served =
-    match Vmbp_report.Runner.replay ~cpu tr with
-    | Ok r -> r
-    | Error msg -> Alcotest.fail msg
-  in
-  (match Vmbp_report.Runner.replay_memo ~cpu:Cpu_model.pentium4_northwood tr with
-  | None -> ()
-  | Some _ -> Alcotest.fail "unseen configuration must miss the memo");
-  Vmbp_report.Runner.release_trace tr;
-  (match Vmbp_report.Runner.replay_memo ~cpu tr with
-  | Some (Ok r) ->
-      check_result_equal "memo after release"
-        served.Vmbp_report.Runner.result r.Vmbp_report.Runner.result;
-      Alcotest.(check string)
-        "output after release" served.Vmbp_report.Runner.output
-        r.Vmbp_report.Runner.output
-  | Some (Error msg) -> Alcotest.fail msg
-  | None -> Alcotest.fail "served configuration must hit the memo");
-  match Vmbp_report.Runner.replay_memo ~cpu:Cpu_model.pentium4_northwood tr with
-  | None -> ()
-  | Some _ -> Alcotest.fail "released trace cannot serve new configurations"
+  let s = loaded.Vmbp_workloads.fresh_session () in
+  Option.get
+    (Vmbp_report.Trace.record ?fuel ~layout ~exec:s.Vmbp_workloads.exec
+       ~output:s.Vmbp_workloads.output ())
 
-(* Tentpole: one banked traversal must reproduce every per-cell replay
+let test_memo_survives_release () =
+  (* A released trace keeps answering configurations it already served
+     from its memo tables, and no others. *)
+  let tr = toy_trace "trace-memo" in
+  let cpu = Cpu_model.ideal and p4 = Cpu_model.pentium4_northwood in
+  let served =
+    Vmbp_report.Trace.replay tr ~cpu ~predictor:cpu.Cpu_model.predictor
+  in
+  check_bool "unseen configuration misses the memo" true
+    (Vmbp_report.Trace.replay_memo tr ~cpu:p4 ~predictor:p4.Cpu_model.predictor
+    = None);
+  Vmbp_report.Trace.release tr;
+  (match
+     Vmbp_report.Trace.replay_memo tr ~cpu ~predictor:cpu.Cpu_model.predictor
+   with
+  | Some r -> check_result_equal "memo after release" served r
+  | None -> Alcotest.fail "served configuration must hit the memo");
+  check_bool "released trace cannot serve new configurations" true
+    (Vmbp_report.Trace.replay_memo tr ~cpu:p4 ~predictor:p4.Cpu_model.predictor
+    = None)
+
+(* One banked traversal must reproduce every per-configuration replay
    field for field across the full CPU grid and predictor overrides,
-   including trapping runs; and because the bank lands in the trace's memo
-   tables, the LRU demotion path (release + replay_memo) serves every
-   banked configuration too. *)
+   including trapping runs, and the bank's memo tables keep serving every
+   banked configuration after release. *)
 let test_banked_replay_matches_per_cell () =
   let overrides =
     [
@@ -626,53 +656,54 @@ let test_banked_replay_matches_per_cell () =
   in
   let grid =
     List.concat_map
-      (fun cpu -> List.map (fun p -> (cpu, p)) overrides)
+      (fun (cpu : Cpu_model.t) ->
+        List.map
+          (fun p -> (cpu, Option.value ~default:cpu.Cpu_model.predictor p))
+          overrides)
       Cpu_model.all
   in
+  let predictors = List.map snd grid in
+  let icaches = List.map (fun ((c : Cpu_model.t), _) -> c.Cpu_model.icache) grid in
   List.iter
     (fun (name, trap) ->
-      let w = toy_workload ~trap name in
-      let technique = Technique.plain in
-      let banked = Result.get_ok (Vmbp_report.Runner.record ~technique w) in
-      let control = Result.get_ok (Vmbp_report.Runner.record ~technique w) in
-      let fresh = Vmbp_report.Runner.replay_bank ~configs:grid banked in
+      let record () =
+        let w = toy_workload ~trap name in
+        let loaded = w.Vmbp_workloads.load ~scale:1 in
+        let layout =
+          Config.build_layout (Config.make Technique.plain)
+            ~program:loaded.Vmbp_workloads.program
+        in
+        let s = loaded.Vmbp_workloads.fresh_session () in
+        Option.get
+          (Vmbp_report.Trace.record ~layout ~exec:s.Vmbp_workloads.exec
+             ~output:s.Vmbp_workloads.output ())
+      in
+      let banked = record () and control = record () in
+      let fresh = Vmbp_report.Trace.replay_bank banked ~predictors ~icaches in
       check_bool (name ^ ": bank simulated fresh configs") true (fresh > 0);
       check_int
         (name ^ ": re-banking the same grid simulates nothing")
         0
-        (Vmbp_report.Runner.replay_bank ~configs:grid banked);
+        (Vmbp_report.Trace.replay_bank banked ~predictors ~icaches);
       let compare_served tag =
         List.iter
           (fun ((cpu : Cpu_model.t), predictor) ->
             let label =
               Printf.sprintf "%s/%s/%s/%s" name tag cpu.Cpu_model.name
-                (match predictor with
-                | Some p -> Predictor.kind_name p
-                | None -> "cpu")
+                (Predictor.kind_name predictor)
             in
-            let served =
-              Vmbp_report.Runner.replay_memo ?predictor ~cpu banked
-            in
-            let reference =
-              Vmbp_report.Runner.replay ?predictor ~cpu control
-            in
-            match (served, reference) with
-            | Some (Ok a), Ok b ->
-                check_result_equal label a.Vmbp_report.Runner.result
-                  b.Vmbp_report.Runner.result;
-                Alcotest.(check string)
-                  (label ^ " output") b.Vmbp_report.Runner.output
-                  a.Vmbp_report.Runner.output
-            | Some (Error a), Error b ->
-                Alcotest.(check string) (label ^ " error") b a
-            | None, _ -> Alcotest.fail (label ^ ": bank must have memoized")
-            | _ -> Alcotest.fail (label ^ ": served and direct disagree"))
+            match Vmbp_report.Trace.replay_memo banked ~cpu ~predictor with
+            | Some a ->
+                check_result_equal label
+                  (Vmbp_report.Trace.replay control ~cpu ~predictor)
+                  a
+            | None -> Alcotest.fail (label ^ ": bank must have memoized"))
           grid
       in
       compare_served "banked";
-      Vmbp_report.Runner.release_trace banked;
+      Vmbp_report.Trace.release banked;
       compare_served "released";
-      Vmbp_report.Runner.release_trace control)
+      Vmbp_report.Trace.release control)
     [ ("bank-grid", false); ("bank-trap", true) ];
   (* Fuel exhaustion mid-run: the banked counters replay the partial
      metrics exactly. *)
@@ -763,26 +794,40 @@ let test_memo_insert_race_free () =
     icaches;
   Vmbp_report.Trace.release tr
 
-(* Satellite: a fully memo-served replay still polls, so a long run of
-   memo-served groups cannot blind-spot the --cell-timeout watchdog. *)
+(* Polls: a walk polls once before any work -- so a deadline that already
+   passed is noticed at once -- and after every block; and a fully
+   memo-served token-trace replay still polls, so a long run of them
+   cannot blind-spot the --cell-timeout watchdog. *)
 let test_memoized_replay_still_polls () =
-  let w = toy_workload "bank-poll" in
-  let cpu = Cpu_model.ideal in
-  let tr =
-    Result.get_ok (Vmbp_report.Runner.record ~technique:Technique.plain w)
-  in
-  ignore (Vmbp_report.Runner.replay_bank ~configs:[ (cpu, None) ] tr : int);
+  let w = loaded_once_toy "walk-poll" in
+  let configs = [ (Cpu_model.ideal, None); (Cpu_model.celeron_800, None) ] in
+  ignore (walk_group ~technique:Technique.plain ~configs w);
   let polls = ref 0 in
   let poll () = incr polls in
-  (match Vmbp_report.Runner.replay ~poll ~cpu tr with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.fail msg);
-  check_bool "memo-served replay polls at least once" true (!polls >= 1);
+  (match Vmbp_report.Runner.walk_group ~poll ~technique:Technique.plain ~configs w with
+  | Some _ -> ()
+  | None -> Alcotest.fail "the path is kept");
+  check_bool "a group walk polls before and after its blocks" true
+    (!polls >= 2);
+  let stalled () = raise Exit in
+  check_bool "a passed deadline stops the walk before any work" true
+    (match
+       Vmbp_report.Runner.walk_group ~poll:stalled ~technique:Technique.plain
+         ~configs w
+     with
+    | _ -> false
+    | exception Exit -> true);
+  let tr = toy_trace "bank-poll" in
+  let cpu = Cpu_model.ideal in
+  ignore
+    (Vmbp_report.Trace.replay tr ~cpu ~predictor:cpu.Cpu_model.predictor
+      : Engine.result);
   polls := 0;
-  check_int "fully memoized bank simulates nothing" 0
-    (Vmbp_report.Runner.replay_bank ~poll ~configs:[ (cpu, None) ] tr);
-  check_bool "memo-served bank polls at least once" true (!polls >= 1);
-  Vmbp_report.Runner.release_trace tr
+  ignore
+    (Vmbp_report.Trace.replay ~poll tr ~cpu ~predictor:cpu.Cpu_model.predictor
+      : Engine.result);
+  check_bool "memo-served replay polls at least once" true (!polls >= 1);
+  Vmbp_report.Trace.release tr
 
 (* The bank's poll contract, counted exactly: one entry poll, then one
    per 65536 tokens of each stream it walks, whatever its block size. *)
@@ -977,10 +1022,10 @@ let test_cell_raise_retry () =
   | _ -> Alcotest.fail "two cells in, two results out"
 
 let test_record_fail_degrades () =
-  (* A failure in the group-level record path must degrade the group to
-     per-cell direct runs with identical numbers -- never abort the pool. *)
+  (* A failure in the group walk must degrade the group to per-cell live
+     runs with identical numbers -- never abort the pool. *)
   let cells () =
-    let w = toy_workload "chaos-record" in
+    let w = loaded_once_toy "chaos-record" in
     List.map
       (fun cpu -> PR.cell ~tag:"test" ~cpu ~technique:Technique.plain w)
       [ Cpu_model.ideal; Cpu_model.pentium4_northwood ]
@@ -995,7 +1040,7 @@ let test_record_fail_degrades () =
       check_bool "degraded cells run direct" true (t.PR.mode = PR.Direct))
     chaos;
   Alcotest.(check (list (pair string string)))
-    "degraded group agrees with the traced run" reference (signature chaos)
+    "degraded group agrees with the walked run" reference (signature chaos)
 
 let test_slow_cell_timeout () =
   (* The slow-cell stall trips the cooperative deadline on both the direct
@@ -1474,33 +1519,40 @@ let test_self_check_catches_mutation () =
   | ds -> check_int "exactly one divergence recorded" 1 (List.length ds)
 
 let test_audit_sample_crosschecks_replays () =
-  (* Two CPUs per (workload, technique) group: one Record cell, one
-     Replay cell.  With --audit-sample 1.0 every replayed cell is
-     re-simulated directly and compared. *)
+  (* Per workload: a three-CPU group (its first cell runs live and keeps
+     the path, then one walk serves the other two as Record and Replay)
+     and a one-cell group (a Direct walk).  With --audit-sample 1.0 every
+     cell not produced by a live run is re-run live and compared; the
+     live cell is exempt. *)
   PR.audit_sample := 1.0;
   let cells =
     List.concat_map
       (fun w ->
         List.map
-          (fun cpu ->
-            PR.cell ~tag:"audit" ~cpu ~technique:Technique.plain w)
-          [ Cpu_model.ideal; Cpu_model.pentium4_northwood ])
-      [ toy_workload "audit-a"; toy_workload "audit-b" ]
+          (fun cpu -> PR.cell ~tag:"audit" ~cpu ~technique:Technique.plain w)
+          [ Cpu_model.ideal; Cpu_model.pentium4_northwood; Cpu_model.celeron_800 ]
+        @ [
+            PR.cell ~tag:"audit" ~cpu:Cpu_model.ideal
+              ~technique:Technique.dynamic_repl w;
+          ])
+      [ loaded_once_toy "audit-a"; loaded_once_toy "audit-b" ]
   in
   let results = PR.run_cells ~jobs:1 cells in
-  let replayed =
-    List.filter (fun (t : PR.timed) -> t.PR.mode = PR.Replay) results
-  in
-  check_bool "grid produced replay cells" true (List.length replayed > 0);
-  List.iter
-    (fun (t : PR.timed) ->
-      check_bool "replayed cell survives its audit" true
-        (Result.is_ok t.PR.outcome);
-      check_bool "replayed cell audited" true t.PR.audited)
-    replayed;
+  Alcotest.(check (list string))
+    "modes"
+    (List.concat
+       (List.init 2 (fun _ -> [ "direct"; "record"; "replay"; "direct" ])))
+    (List.map (fun (t : PR.timed) -> PR.mode_name t.PR.mode) results);
+  List.iteri
+    (fun k (t : PR.timed) ->
+      let live = k mod 4 = 0 in
+      check_bool "cell survives its audit" true (Result.is_ok t.PR.outcome);
+      check_bool
+        (Printf.sprintf "cell %d audited unless live" k)
+        (not live) t.PR.audited)
+    results;
   check_int "no divergences" 0 (Audit.divergence_count ());
-  check_int "every replay audited" (List.length replayed)
-    (Audit.audited_count ());
+  check_int "every non-live cell audited" 6 (Audit.audited_count ());
   (* Rate 0 audits nothing. *)
   Audit.reset_stats ();
   PR.clear_trace_cache ();
@@ -1512,12 +1564,12 @@ let test_audit_sample_crosschecks_replays () =
   check_int "nothing audited at rate 0" 0 (Audit.audited_count ());
   ignore (PR.drain_log ())
 
-(* VM path replay: the first live run of a loaded workload records its
+(* VM path walks: the first live run of a loaded workload records its
    control path and every later engine run of it, under any technique,
-   replays the path -- with numbers identical to all-live runs.  The
-   oracles stay live: no path is recorded or replayed under --self-check
+   walks the path -- with numbers identical to all-live runs.  The
+   oracles stay live: no path is recorded or walked under --self-check
    or --trace-cap-mb 0, and the audit cross-check's fresh run executes
-   the semantics even when a path is cached. *)
+   the semantics even when a path is kept. *)
 let test_vm_path_replay () =
   (* Loaded once, like a registry workload: the path cache keys on the
      loaded workload's physical identity. *)
@@ -1565,7 +1617,7 @@ let test_vm_path_replay () =
         results
     in
     ( (signature results, outputs),
-      (counter "vm_path.records", counter "vm_path.replays") )
+      (counter "vm_path.records", counter "vm_path.walks") )
   in
   let cell ?(cpu = Cpu_model.pentium4_northwood) technique =
     PR.cell ~tag:"vm-path" ~cpu ~technique w
@@ -1580,21 +1632,22 @@ let test_vm_path_replay () =
     (fun () ->
       PR.trace_cap_mb := 0;
       let live, n = run techniques in
-      counts "--trace-cap-mb 0 records and replays nothing" (0, 0) n;
+      counts "--trace-cap-mb 0 records and walks nothing" (0, 0) n;
       PR.trace_cap_mb := 256;
-      let replayed, n = run techniques in
-      counts "two techniques: one path recorded, replayed once" (1, 1) n;
-      same "replayed numbers and output equal live" live replayed;
+      let walked, n = run techniques in
+      counts "two techniques: one path recorded, walked once" (1, 1) n;
+      same "walked numbers and output equal live" live walked;
       check_bool "path bytes gauged" true
         (Vmbp_obs.Registry.gauge_value (Vmbp_obs.Registry.gauge "vm_path.bytes")
         > 0.);
       PR.self_check := true;
       let checked, n = run techniques in
       PR.self_check := false;
-      counts "--self-check records and replays nothing" (0, 0) n;
+      counts "--self-check records and walks nothing" (0, 0) n;
       same "self-checked numbers equal live" live checked;
-      (* One group of two CPUs: a trace replay, audited by a fresh run.
-         Recording the trace keeps the path; the audit must not use it. *)
+      (* One group of two CPUs: a live run that keeps the path, then a
+         walk of the other cell, audited by a fresh run that must not use
+         the path. *)
       PR.audit_sample := 1.0;
       Audit.reset_stats ();
       let _, n =
@@ -1604,8 +1657,8 @@ let test_vm_path_replay () =
             cell ~cpu:Cpu_model.celeron_800 Technique.plain;
           ]
       in
-      counts "the audit's fresh run replays nothing" (1, 0) n;
-      check_int "the replayed cell was audited" 1 (Audit.audited_count ());
+      counts "one walk; the audit's fresh run walks nothing" (1, 1) n;
+      check_int "the walked cell was audited" 1 (Audit.audited_count ());
       check_int "no divergences" 0 (Audit.divergence_count ()))
 
 let test_sampling_deterministic () =
