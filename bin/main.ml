@@ -76,6 +76,27 @@ let cpu_arg =
   Arg.conv
     (parse, fun ppf c -> Fmt.string ppf c.Vmbp_machine.Cpu_model.name)
 
+(* Scales and store shard counts are positive: zero or a negative value is
+   a one-line usage error naming the flag, never a silent clamp, an empty
+   run or an exception from deep inside. *)
+let positive_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected a positive integer"
+                s))
+  in
+  Arg.conv ~docv:"N" (parse, Fmt.int)
+
+let scale_arg =
+  Arg.(value & opt positive_conv 1 & info [ "scale" ] ~docv:"N")
+
+let scale_opt_arg =
+  Arg.(value & opt (some positive_conv) None & info [ "scale" ] ~docv:"N")
+
 let run_cmd =
   let doc = "Run one workload under one interpreter technique." in
   let vm =
@@ -96,9 +117,7 @@ let run_cmd =
       & opt cpu_arg Vmbp_machine.Cpu_model.pentium4_northwood
       & info [ "cpu" ] ~docv:"CPU")
   in
-  let scale =
-    Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N")
-  in
+  let scale = scale_arg in
   let show_output =
     Arg.(value & flag & info [ "output" ] ~doc:"print the program's output")
   in
@@ -204,27 +223,6 @@ let trace_cap_arg =
            walked by every later cell).  0 or negative disables path walks \
            and the result cache, so every cell runs live.")
 
-let journal_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "journal" ] ~docv:"FILE"
-        ~doc:
-          "Append every completed cell's outcome to $(docv) as fsync'd \
-           JSONL, so an interrupted run loses nothing already finished; \
-           combine with $(b,--resume) to serve completed cells from the \
-           file instead of re-running them.")
-
-let resume_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "resume" ]
-        ~doc:
-          "Load the $(b,--journal) file first and serve matching cells \
-           from it (key + configuration fingerprint must both match); the \
-           resumed report is byte-identical to an uninterrupted run.")
-
 let cell_timeout_arg =
   Arg.(
     value
@@ -264,9 +262,9 @@ let chaos_arg =
           "Deterministic fault injection, e.g. \
            'cell-raise=2,seed=7' or 'worker-death=2+1' (skip 2 \
            opportunities, then fire once) or 'slow-cell=1@0.2'.  Points: \
-           cell-raise, record-fail, slow-cell, journal-io, worker-death, \
-           conn-drop, store-io, slow-client, pool-wedge.  For exercising \
-           the supervision and service paths; see EXPERIMENTS.md.")
+           cell-raise, record-fail, slow-cell, worker-death, conn-drop, \
+           store-io, slow-client, pool-wedge.  For exercising the \
+           supervision and service paths; see EXPERIMENTS.md.")
 
 let self_check_arg =
   Arg.(
@@ -276,8 +274,8 @@ let self_check_arg =
         ~doc:
           "Run every cell in lockstep against the naive reference models \
            and fail on the first divergence, writing a minimized repro \
-           artifact (replay it with $(b,vmbp audit-repro)).  Bypasses the \
-           trace fast path; expect a slower run.")
+           artifact (replay it with $(b,vmbp audit-repro)).  Bypasses path \
+           walks and the result cache; expect a slower run.")
 
 (* A malformed probability must produce a one-line usage error naming the
    flag, not a float_of_string failure. *)
@@ -315,7 +313,7 @@ let trace_out_arg =
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
           "Collect phase-timing spans (layout, engine runs and walks, \
-           journal I/O, audits) and write them to $(docv) as Chrome \
+           store appends, audits) and write them to $(docv) as Chrome \
            trace-event JSON, loadable in Perfetto or chrome://tracing.")
 
 let metrics_arg =
@@ -324,7 +322,7 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write the process metrics registry (trace-cache and journal \
+          "Write the process metrics registry (path-walk, store and cell \
            counters, pool gauges, per-cell histograms) to $(docv) as JSON \
            (schema vmbp-metrics/1) and summarise the key counters on \
            stderr.")
@@ -338,13 +336,14 @@ let store_arg =
           "Serve completed cells from (and append fresh successes to) the \
            sharded, checksummed content-addressed store in $(docv) -- the \
            same store $(b,vmbp serve) answers from, so a report run warms \
-           the service and vice versa.  Corrupt records are skipped and \
-           counted on load.")
+           the service and vice versa.  Every append is fsync'd, so an \
+           interrupted run re-run with the same $(docv) resumes where it \
+           stopped.  Corrupt records are skipped and counted on load.")
 
 let store_shards_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_conv) None
     & info [ "store-shards" ] ~docv:"N"
         ~doc:
           "Shard count when creating a new store (default 8; an existing \
@@ -403,21 +402,20 @@ let finish_obs trace_out metrics =
       in
       Printf.eprintf
         "[obs] vm path %s records / %s walks (%.0f bytes); group walks %s \
-         / %s configs; journal %s served / %s appended; cells %s retries / \
-         %s timeouts\n"
+         / %s configs; store %s hits / %s appended; cells %s retries / %s \
+         timeouts\n"
         (c "vm_path.records") (c "vm_path.walks")
         (Vmbp_obs.Registry.gauge_value
            (Vmbp_obs.Registry.gauge "vm_path.bytes"))
-        (c "trace.bank_replays") (c "trace.banked_configs")
-        (c "journal.served") (c "journal.appended") (c "cells.retries")
-        (c "cells.timeouts");
+        (c "trace.bank_replays") (c "trace.banked_configs") (c "store.hits")
+        (c "store.appended") (c "cells.retries") (c "cells.timeouts");
       Printf.eprintf "wrote metrics to %s\n" file
 
 let set_jobs jobs = Vmbp_report.Par_runner.default_jobs := max 1 jobs
 let set_trace_cap mb = Vmbp_report.Par_runner.trace_cap_mb := mb
 
-(* First Ctrl-C: drain in-flight cells, flush the journal (already fsync'd
-   per append), emit the report marked partial.  Second Ctrl-C: force. *)
+(* First Ctrl-C: drain in-flight cells (the store is already fsync'd per
+   append), emit the report marked partial.  Second Ctrl-C: force. *)
 let install_sigint () =
   let seen = ref false in
   Sys.set_signal Sys.sigint
@@ -432,8 +430,8 @@ let install_sigint () =
               again to force quit)"
          end))
 
-let setup_supervision journal resume cell_timeout cell_retries chaos
-    self_check audit_sample repro_dir =
+let setup_supervision cell_timeout cell_retries chaos self_check
+    audit_sample repro_dir =
   Vmbp_report.Par_runner.cell_timeout := cell_timeout;
   Vmbp_report.Par_runner.cell_retries := max 0 cell_retries;
   Vmbp_report.Par_runner.self_check := self_check;
@@ -450,12 +448,6 @@ let setup_supervision journal resume cell_timeout cell_retries chaos
       | Error msg ->
           Printf.eprintf "vmbp: bad --chaos spec: %s\n" msg;
           exit 2));
-  (match (journal, resume) with
-  | Some file, resume -> Vmbp_report.Par_runner.set_journal ~file ~resume
-  | None, true ->
-      Printf.eprintf "vmbp: --resume requires --journal FILE\n";
-      exit 2
-  | None, false -> ());
   install_sigint ()
 
 let partial_marker () =
@@ -463,20 +455,21 @@ let partial_marker () =
     print_newline ();
     print_endline
       "== PARTIAL REPORT: the run was interrupted; unfinished cells are \
-       reported as errors.  Re-run with --journal FILE --resume to \
-       complete it. =="
+       reported as errors.  Re-run with the same --store DIR to complete \
+       it. =="
   end
 
 (* A worker death with no pool above it (sequential runs) stands in for a
-   killed process: completed cells are safe in the journal, so report a
-   resumable failure instead of an uncaught exception. *)
+   killed process: completed cells are safe in the store, if one is
+   installed, so report a resumable failure instead of an uncaught
+   exception. *)
 let run_killable f =
   try f ()
   with Vmbp_report.Faults.Worker_killed ->
     flush stdout;
     prerr_endline
-      "vmbp: worker killed; completed cells are in the journal -- re-run \
-       with --journal FILE --resume to continue";
+      "vmbp: worker killed; cells completed under --store DIR are kept \
+       there -- re-run with the same --store DIR to continue";
     exit 70
 
 let write_json = function
@@ -505,16 +498,13 @@ let finish_audit () =
 let experiment_cmd =
   let doc = "Regenerate one of the paper's tables or figures." in
   let id = Arg.(required & pos 0 (some string) None & info [] ~docv:"ID") in
-  let scale =
-    Arg.(value & opt (some int) None & info [ "scale" ] ~docv:"N")
-  in
-  let run id scale jobs trace_cap json journal resume store store_shards
-      cell_timeout cell_retries chaos self_check audit_sample repro_dir
-      trace_out metrics progress =
+  let run id scale jobs trace_cap json store store_shards cell_timeout
+      cell_retries chaos self_check audit_sample repro_dir trace_out metrics
+      progress =
     set_jobs jobs;
     set_trace_cap trace_cap;
-    setup_supervision journal resume cell_timeout cell_retries chaos
-      self_check audit_sample repro_dir;
+    setup_supervision cell_timeout cell_retries chaos self_check
+      audit_sample repro_dir;
     set_store store store_shards;
     setup_obs trace_out metrics progress;
     match Vmbp_report.Experiments.find id with
@@ -537,11 +527,10 @@ let experiment_cmd =
   in
   Cmd.v (Cmd.info "experiment" ~doc)
     Term.(
-      const run $ id $ scale $ jobs_arg $ trace_cap_arg $ json_arg
-      $ journal_arg $ resume_arg $ store_arg $ store_shards_arg
-      $ cell_timeout_arg $ cell_retries_arg $ chaos_arg $ self_check_arg
-      $ audit_sample_arg $ repro_dir_arg $ trace_out_arg $ metrics_arg
-      $ progress_arg)
+      const run $ id $ scale_opt_arg $ jobs_arg $ trace_cap_arg $ json_arg
+      $ store_arg $ store_shards_arg $ cell_timeout_arg $ cell_retries_arg
+      $ chaos_arg $ self_check_arg $ audit_sample_arg $ repro_dir_arg
+      $ trace_out_arg $ metrics_arg $ progress_arg)
 
 (* ---------------- audit-repro ---------------- *)
 
@@ -581,16 +570,13 @@ let audit_repro_cmd =
 
 let report_cmd =
   let doc = "Run every experiment and print the full reproduction report." in
-  let scale =
-    Arg.(value & opt (some int) None & info [ "scale" ] ~docv:"N")
-  in
-  let run scale jobs trace_cap json journal resume store store_shards
-      cell_timeout cell_retries chaos self_check audit_sample repro_dir
-      trace_out metrics progress =
+  let run scale jobs trace_cap json store store_shards cell_timeout
+      cell_retries chaos self_check audit_sample repro_dir trace_out metrics
+      progress =
     set_jobs jobs;
     set_trace_cap trace_cap;
-    setup_supervision journal resume cell_timeout cell_retries chaos
-      self_check audit_sample repro_dir;
+    setup_supervision cell_timeout cell_retries chaos self_check
+      audit_sample repro_dir;
     set_store store store_shards;
     setup_obs trace_out metrics progress;
     run_killable (fun () ->
@@ -613,10 +599,10 @@ let report_cmd =
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
-      const run $ scale $ jobs_arg $ trace_cap_arg $ json_arg $ journal_arg
-      $ resume_arg $ store_arg $ store_shards_arg $ cell_timeout_arg
-      $ cell_retries_arg $ chaos_arg $ self_check_arg $ audit_sample_arg
-      $ repro_dir_arg $ trace_out_arg $ metrics_arg $ progress_arg)
+      const run $ scale_opt_arg $ jobs_arg $ trace_cap_arg $ json_arg
+      $ store_arg $ store_shards_arg $ cell_timeout_arg $ cell_retries_arg
+      $ chaos_arg $ self_check_arg $ audit_sample_arg $ repro_dir_arg
+      $ trace_out_arg $ metrics_arg $ progress_arg)
 
 (* ---------------- serve / loadgen / client ---------------- *)
 
@@ -770,7 +756,7 @@ let loadgen_cmd =
       value & opt float 1.1
       & info [ "zipf" ] ~docv:"S" ~doc:"Skew exponent; 0 = uniform.")
   in
-  let scale = Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N") in
+  let scale = scale_arg in
   let json =
     Arg.(
       value
@@ -790,7 +776,7 @@ let loadgen_cmd =
         requests = max 0 requests;
         seed;
         zipf;
-        scale = max 1 scale;
+        scale;
         json_out = json;
       };
     (match trace_out with
@@ -847,9 +833,7 @@ let client_cmd =
   let cpu =
     Arg.(value & opt (some string) None & info [ "cpu" ] ~docv:"NAME")
   in
-  let scale =
-    Arg.(value & opt (some int) None & info [ "scale" ] ~docv:"N")
-  in
+  let scale = scale_opt_arg in
   let predictor =
     Arg.(
       value
@@ -993,7 +977,7 @@ let explain_cmd =
       & opt cpu_arg Vmbp_machine.Cpu_model.pentium4_northwood
       & info [ "cpu" ] ~docv:"CPU")
   in
-  let scale = Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N") in
+  let scale = scale_arg in
   let top =
     Arg.(
       value & opt int 10

@@ -172,66 +172,10 @@ let retranslate tr layout slot =
     translate_slot tr layout j
   done
 
-(* ------------------------------------------------------------------ *)
-(* Translation plans: immutable pristine snapshots.
-
-   Layouts for the same (workload, technique, scale) build
-   deterministically, so the translation of a freshly built layout is the
-   same arrays every time.  A [plan] captures that pristine translation
-   once; [translate ~plan] then instantiates a run's private mutable
-   translation by copying the arrays instead of re-walking the site
-   records.  The plan itself is never mutated -- quickening only touches
-   the per-run copy -- so one plan serves every engine run of a group
-   (see {!Vmbp_report.Runner}'s plan cache). *)
-
-type plan = { p_technique : Technique.t; p_tr : translation }
-
-let plan (layout : Code_layout.t) =
-  { p_technique = layout.Code_layout.technique; p_tr = translate layout }
-
-let plan_slots p = p.p_tr.t_n
-
-let instantiate p =
-  let tr = p.p_tr in
-  {
-    t_n = tr.t_n;
-    t_shadow = tr.t_shadow;
-    t_entry = Array.copy tr.t_entry;
-    t_fetch_addr = Array.copy tr.t_fetch_addr;
-    t_fetch_bytes = Array.copy tr.t_fetch_bytes;
-    t_work = Array.copy tr.t_work;
-    t_opcode = Array.copy tr.t_opcode;
-    t_transfer = Array.copy tr.t_transfer;
-    t_pre_addr = Array.copy tr.t_pre_addr;
-    t_pre_instrs = Array.copy tr.t_pre_instrs;
-    t_fall_addr = Array.copy tr.t_fall_addr;
-    t_fall_instrs = Array.copy tr.t_fall_instrs;
-    t_taken_addr = Array.copy tr.t_taken_addr;
-    t_taken_instrs = Array.copy tr.t_taken_instrs;
-    t_fall_extra = Array.copy tr.t_fall_extra;
-    t_call_addr = Array.copy tr.t_call_addr;
-    t_call_bytes = Array.copy tr.t_call_bytes;
-    t_inv_lo = Array.copy tr.t_inv_lo;
-    t_inv_hi = Array.copy tr.t_inv_hi;
-  }
-
 let translation_equal (a : translation) (b : translation) =
   (* Every field is an int, int array or bool array, so structural
      equality compares the complete decoded stream. *)
   a = b
-
-let translation ?plan (layout : Code_layout.t) =
-  match plan with
-  | None -> translate layout
-  | Some p ->
-      if
-        p.p_tr.t_n <> Program.length layout.Code_layout.program
-        || p.p_technique <> layout.Code_layout.technique
-      then
-        invalid_arg
-          "Engine.translation: plan does not match the layout (wrong program \
-           length or technique)";
-      instantiate p
 
 (* ------------------------------------------------------------------ *)
 (* The translated run loop.

@@ -83,8 +83,7 @@ type translation = private {
     parallel arrays read with one unguarded load each on the hot path.
     Mutable: quickening re-translates the enclosing straight-line block so
     the translation always mirrors the layout it was built from.  A
-    translation is therefore private to one run; to share decode work
-    across runs, share a {!plan}.  Readable so the path walk
+    translation is therefore private to one run.  Readable so the path walk
     ({!Path_walk}) can hand the arrays to the simulators' range kernels;
     only this module builds or mutates one. *)
 
@@ -99,25 +98,6 @@ val translate_shadow : Code_layout.t -> translation
 val retranslate : translation -> Code_layout.t -> int -> unit
 (** [retranslate tr layout slot], after {!Code_layout.quicken} of [slot],
     re-reads every slot the quickening may have repaired. *)
-
-type plan
-(** An immutable pristine translation snapshot plus the technique it was
-    built for.  Layouts build deterministically per (workload, technique,
-    scale), so one plan -- captured from a freshly built layout -- serves
-    every subsequent run of the group: {!translation} instantiates a
-    private mutable copy by array blits instead of re-decoding the sites.
-    {!Vmbp_report.Runner} caches plans per group. *)
-
-val plan : Code_layout.t -> plan
-(** Capture a plan from a freshly built (pristine, un-quickened) layout. *)
-
-val plan_slots : plan -> int
-(** Number of program slots the plan was built over (for cache sizing). *)
-
-val translation : ?plan:plan -> Code_layout.t -> translation
-(** The translation to run [layout] with: instantiated from [plan] when
-    given (raising [Invalid_argument] if the plan's program length or
-    technique does not match the layout), freshly built otherwise. *)
 
 val translation_equal : translation -> translation -> bool
 (** Structural equality of every decoded per-slot fact.  The test oracle

@@ -92,9 +92,9 @@ let name = function
 (* Unlike [name], which deliberately collapses to the paper's labels
    ("static repl" regardless of the count), the descriptor spells out every
    parameter, so two techniques compare equal exactly when their
-   descriptors do.  The resume journal keys cells by it: a report rerun
-   with different replica counts must never be served stale journal
-   entries under a collapsed label. *)
+   descriptors do.  The store keys cells by it: a report rerun with
+   different replica counts must never be served stale records under a
+   collapsed label. *)
 let descriptor t =
   let sp { replicas; superinstrs; parse; strategy; prefer_short } =
     Printf.sprintf "r%d.s%d.%s.%s%s" replicas superinstrs

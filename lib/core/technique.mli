@@ -96,7 +96,7 @@ val descriptor : t -> string
 (** A parameter-complete identifier: two techniques are structurally equal
     exactly when their descriptors are equal (unlike {!name}, which
     collapses e.g. every replica count to ["static repl"]).  Stable across
-    runs; used as part of the resume journal's cell keys. *)
+    runs; used as part of the store's cell keys. *)
 
 val of_name : string -> t option
 (** Inverse of [name] for the built-in configurations; also accepts

@@ -12,7 +12,7 @@ let classic ~entries ~associativity =
 let with_counters ~entries ~associativity =
   { entries; associativity; two_bit_counters = true }
 
-(* The format is embedded in resume-journal fingerprints; keep it stable. *)
+(* The format is embedded in store fingerprints; keep it stable. *)
 let descriptor { entries; associativity; two_bit_counters } =
   Printf.sprintf "btb(%d,%d,%b)" entries associativity two_bit_counters
 

@@ -28,7 +28,7 @@ val with_counters : entries:int -> associativity:int -> config
 val descriptor : config -> string
 (** Canonical fingerprint ["btb(entries,assoc,two_bit)"] of the
     configuration; distinct configurations produce distinct strings.
-    Stable across runs -- the resume journal embeds it. *)
+    Stable across runs -- the store embeds it. *)
 
 type t
 

@@ -1,6 +1,6 @@
 type t = { table : int array; mask : int }
 
-(* The format is embedded in resume-journal fingerprints; keep it stable. *)
+(* The format is embedded in store fingerprints; keep it stable. *)
 let descriptor ~entries = Printf.sprintf "caseblock(%d)" entries
 
 let create ~entries =

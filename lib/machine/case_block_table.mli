@@ -14,7 +14,7 @@ val create : entries:int -> t
 val descriptor : entries:int -> string
 (** Canonical fingerprint ["caseblock(entries)"] of the configuration;
     distinct entry counts produce distinct strings.  Stable across runs --
-    the resume journal embeds it. *)
+    the store embeds it. *)
 
 val access : t -> opcode:int -> target:int -> bool
 (** Predict the target for the dispatch on [opcode] and train the table;

@@ -2,7 +2,7 @@ type config = { size_bytes : int; line_bytes : int; associativity : int }
 
 let infinite = { size_bytes = 0; line_bytes = 32; associativity = 1 }
 
-(* The format is embedded in resume-journal fingerprints; keep it stable. *)
+(* The format is embedded in store fingerprints; keep it stable. *)
 let descriptor { size_bytes; line_bytes; associativity } =
   Printf.sprintf "icache(%d,%d,%d)" size_bytes line_bytes associativity
 

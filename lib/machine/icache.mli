@@ -21,8 +21,8 @@ val make_config :
 val descriptor : config -> string
 (** Canonical fingerprint ["icache(size,line,assoc)"] of the geometry.
     Distinct configurations produce distinct strings, so the string is a
-    safe key for memo tables and journal fingerprints; stable across runs
-    (the resume journal embeds it). *)
+    safe key for memo tables and store fingerprints; stable across runs
+    (the store embeds it). *)
 
 type t
 

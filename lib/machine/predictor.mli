@@ -19,8 +19,8 @@ val descriptor : kind -> string
     ["btb(512,4,false)"] or ["twolevel(1024,4)"].  Distinct configurations
     produce distinct strings (the constructors use disjoint prefixes and
     spell out every field), so the string is a safe key for memo tables and
-    journal fingerprints.  Stable across runs -- the resume journal embeds
-    it -- so changing a format is a schema change. *)
+    store fingerprints.  Stable across runs -- the store embeds it -- so
+    changing a format is a schema change. *)
 
 type t
 

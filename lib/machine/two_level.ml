@@ -2,7 +2,7 @@ type config = { entries : int; history : int }
 
 let default = { entries = 1024; history = 4 }
 
-(* The format is embedded in resume-journal fingerprints; keep it stable. *)
+(* The format is embedded in store fingerprints; keep it stable. *)
 let descriptor { entries; history } =
   Printf.sprintf "twolevel(%d,%d)" entries history
 

@@ -18,7 +18,7 @@ val default : config
 val descriptor : config -> string
 (** Canonical fingerprint ["twolevel(entries,history)"] of the
     configuration; distinct configurations produce distinct strings.
-    Stable across runs -- the resume journal embeds it. *)
+    Stable across runs -- the store embeds it. *)
 
 type t
 

@@ -1,7 +1,7 @@
 (** Phase-timing spans, dumped as Chrome trace-event JSON.
 
     A span measures one wall-clock phase (layout building, an engine run, a
-    trace replay, a journal append, a request admission, ...) on whichever
+    path walk, a store append, a request admission, ...) on whichever
     domain executed it.  Collection is off by default: a disabled {!with_}
     is one atomic load plus the call of [f], so instrumented code paths
     cost nothing measurable in production runs.  When enabled, completed

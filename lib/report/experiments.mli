@@ -16,7 +16,8 @@ type t = {
 val all : t list
 val find : string -> t option
 
-(* Structured computations exposed for tests and the bench harness. *)
+(* Structured computations behind the speedup, counter and static-mix
+   figures. *)
 
 val speedups :
   scale:int ->

@@ -8,7 +8,6 @@ type point =
   | Cell_raise
   | Record_fail
   | Slow_cell
-  | Journal_io
   | Worker_death
   | Conn_drop
   | Store_io
@@ -19,7 +18,6 @@ let point_name = function
   | Cell_raise -> "cell-raise"
   | Record_fail -> "record-fail"
   | Slow_cell -> "slow-cell"
-  | Journal_io -> "journal-io"
   | Worker_death -> "worker-death"
   | Conn_drop -> "conn-drop"
   | Store_io -> "store-io"
@@ -31,7 +29,6 @@ let all_points =
     Cell_raise;
     Record_fail;
     Slow_cell;
-    Journal_io;
     Worker_death;
     Conn_drop;
     Store_io;
@@ -43,12 +40,11 @@ let point_index = function
   | Cell_raise -> 0
   | Record_fail -> 1
   | Slow_cell -> 2
-  | Journal_io -> 3
-  | Worker_death -> 4
-  | Conn_drop -> 5
-  | Store_io -> 6
-  | Slow_client -> 7
-  | Pool_wedge -> 8
+  | Worker_death -> 3
+  | Conn_drop -> 4
+  | Store_io -> 5
+  | Slow_client -> 6
+  | Pool_wedge -> 7
 
 (* Points that stall rather than fail carry a per-fire duration,
    overridable with [POINT=...@DUR]. *)

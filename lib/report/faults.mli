@@ -2,7 +2,7 @@
 
     Robustness code that is never executed is robustness on inspection only,
     so every supervision path in {!Par_runner} -- retry, timeout, record
-    fallback, journal degradation, worker respawn -- has a named injection
+    fallback, store degradation, worker respawn -- has a named injection
     point here, driven by the [--chaos SPEC] command-line flag.  Injection
     is deterministic: count-based specs fire on exact opportunity ordinals
     and probabilistic specs draw from a seeded splitmix64 stream, so a chaos
@@ -22,9 +22,9 @@
     - [seed=N] -- seed for the probabilistic stream and retry jitter.
 
     Points: [cell-raise] (transient exception inside a cell attempt),
-    [record-fail] (failure in the group-level trace-record path),
+    [record-fail] (failure after a group walk; the group must degrade
+    to per-cell live runs),
     [slow-cell] (cell attempt stalls; exercises [--cell-timeout]),
-    [journal-io] (journal append fails; the run must degrade, not die),
     [worker-death] (a worker domain dies; sequentially this simulates a
     killed process, in a pool it exercises respawn).
 
@@ -41,7 +41,6 @@ type point =
   | Cell_raise
   | Record_fail
   | Slow_cell
-  | Journal_io
   | Worker_death
   | Conn_drop
   | Store_io
@@ -69,14 +68,7 @@ val reset : unit -> unit
     (injection-free) state.  Used by tests between cases. *)
 
 val armed : unit -> bool
-(** Whether any point is currently armed.  The journal refuses to persist
-    [Error] cells while chaos is armed, so injected failures are retried on
-    resume instead of being replayed from the journal. *)
-
-val fire : point -> bool
-(** Count one opportunity for [point] and decide whether it fires.  The
-    helpers below wrap this with each point's failure behaviour; [fire] is
-    exposed for points whose effect lives in the caller ([journal-io]). *)
+(** Whether any point is currently armed. *)
 
 val fired : point -> int
 (** How many times [point] has fired since the last [reset]/[configure]. *)

@@ -170,7 +170,7 @@ let retry_backoff_s = ref 0.02
    The first Ctrl-C sets this flag; workers finish the group in hand,
    skip everything still queued, and [run_cells] reports the skipped
    cells as interrupted so the harness can emit a partial report.  The
-   journal needs no extra flushing -- every append was already fsync'd. *)
+   store needs no extra flushing -- every append was already fsync'd. *)
 
 let shutdown = Atomic.make false
 let request_shutdown () = Atomic.set shutdown true
@@ -231,7 +231,7 @@ let cell_name c =
     c.cpu.Cpu_model.name
     (if c.scale = 1 then "" else Printf.sprintf "@%d" c.scale)
 
-(* A cell produced in one attempt, with no journal, timeout or audit. *)
+(* A cell produced in one attempt, with no store, timeout or audit. *)
 let timed_cell ?(attempts = 1) ?(serve_seconds = 0.) ~mode ~wall_seconds c
     outcome =
   {
@@ -328,14 +328,15 @@ let same_group a b =
 let clear_trace_cache () = Runner.clear_vm_paths ()
 
 (* ------------------------------------------------------------------ *)
-(* Cell identity for the resume journal.
+(* Cell identity.
 
    The key is human-readable and parameter-complete (a collapsed label
    like "static repl" must not alias two different replica counts); the
    fingerprint is a digest of everything else that could change a cell's
    numbers between runs -- scale, the full CPU profile, the predictor
-   override, the trace setting -- so a journal written under one
-   configuration is never wrongly served to another. *)
+   override, the trace setting -- so a record written under one
+   configuration is never wrongly served to another.  The fingerprint's
+   salt predates the store and is kept so existing stores stay valid. *)
 
 let predictor_override_descriptor = function
   | Some p -> Predictor.descriptor p
@@ -418,7 +419,7 @@ let result_find c =
     found
   end
 
-(* Only genuinely computed successes are stored: journal-served outcomes
+(* Only genuinely computed successes are stored: store-served outcomes
    were computed under a possibly different configuration of a previous
    process, and failures may be transient (timeouts, injected faults). *)
 let result_store c (t : timed) =
@@ -438,70 +439,17 @@ let clear_result_cache () =
   Mutex.unlock result_lock;
   Runner.clear_vm_paths ()
 
-let journal : Journal.t option ref = ref None
-
-let set_journal ~file ~resume =
-  (match !journal with Some j -> Journal.close j | None -> ());
-  journal := Some (Journal.open_ ~resume file)
-
-let clear_journal () =
-  (match !journal with Some j -> Journal.close j | None -> ());
-  journal := None
-
-let journal_stats () = Option.map Journal.stats !journal
-
-(* Persist a freshly computed cell.  Successes are always worth keeping.
-   Failures are kept only when they look deterministic: a timeout is
-   wall-clock luck and a chaos-armed run's failures are injected, so both
-   must be recomputed on resume rather than replayed from disk. *)
-let journal_append c (t : timed) =
-  match !journal with
-  | None -> ()
-  | Some j ->
-      let worthy =
-        (not t.from_journal)
-        && t.attempts > 0
-        &&
-        match t.outcome with
-        | Ok _ -> true
-        | Error _ -> (not t.timed_out) && not (Faults.armed ())
-      in
-      if worthy then
-        Vmbp_obs.Span.with_ ~name:"journal-append"
-          ~args:[ ("cell", cell_name c) ]
-        @@ fun () ->
-        let outcome =
-          match t.outcome with
-          | Ok r ->
-              Ok
-                {
-                  Journal.metrics =
-                    Metrics.copy r.Runner.result.Engine.metrics;
-                  steps = r.Runner.result.Engine.steps;
-                  output = r.Runner.output;
-                }
-          | Error msg -> Error msg
-        in
-        Journal.append j
-          {
-            Journal.key = cell_key c;
-            fingerprint = config_fingerprint c;
-            outcome;
-            attempts = t.attempts;
-            timed_out = t.timed_out;
-          }
-
-(* Rebuild the exact [timed] a live run would have produced from a journal
-   entry.  Only integer event counters ever touch the disk; cycles and
+(* Rebuild the exact [timed] a live run would have produced from a store
+   record.  Only integer event counters ever touch the disk; cycles and
    seconds are recomputed through the same {!Cpu_model} arithmetic as a
    live run, so a resumed report is byte-identical by construction.  A
-   journaled success is by definition untrapped ({!Runner.run} turns traps
-   into [Error] cells before they reach the journal). *)
-let timed_of_entry c (e : Journal.entry) =
+   stored success is by definition untrapped ({!Runner.run} turns traps
+   into [Error] cells before they reach the store). *)
+let timed_of_entry c (e : Vmbp_store.Cellrec.entry) =
   let outcome =
-    match e.Journal.outcome with
+    match e.Vmbp_store.Cellrec.outcome with
     | Ok s ->
-        let m = Metrics.copy s.Journal.metrics in
+        let m = Metrics.copy s.Vmbp_store.Cellrec.metrics in
         Ok
           {
             Runner.workload = c.workload;
@@ -512,10 +460,10 @@ let timed_of_entry c (e : Journal.entry) =
                 Engine.metrics = m;
                 cycles = Cpu_model.cycles c.cpu m;
                 seconds = Cpu_model.seconds c.cpu m;
-                steps = s.Journal.steps;
+                steps = s.Vmbp_store.Cellrec.steps;
                 trapped = None;
               };
-            output = s.Journal.output;
+            output = s.Vmbp_store.Cellrec.output;
           }
     | Error msg -> Error msg
   in
@@ -525,28 +473,24 @@ let timed_of_entry c (e : Journal.entry) =
     wall_seconds = 0.;
     serve_seconds = 0.;
     mode = Replay;
-    attempts = e.Journal.attempts;
-    timed_out = e.Journal.timed_out;
+    attempts = e.Vmbp_store.Cellrec.attempts;
+    timed_out = e.Vmbp_store.Cellrec.timed_out;
     from_journal = true;
     audited = false;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Content-addressed result store.
-
-   Where the journal is a per-run crash log (resume only trusts entries
-   from a previous process), the store is a durable cross-run result
-   service: cells are addressed by the tagless parameter-complete key --
-   the same identity the full-result cache uses -- so a store warmed by a
-   grid run serves any later query for the same configuration, whatever
-   experiment tag asked for it.  Both layers share the record codec
-   ({!Vmbp_store.Cellrec}) and the configuration fingerprint, so a
-   store-served cell is byte-identical to a freshly computed one by the
-   same argument as a journal-resumed cell. *)
+(* Content-addressed result store: the crash-safe resume path and the
+   report service's durable result table in one.  Cells are addressed by
+   the tagless parameter-complete key -- the same identity the
+   full-result cache uses -- so a store warmed by a grid run serves any
+   later query for the same configuration, whatever experiment tag asked
+   for it, and a killed run re-run over the same store recomputes only
+   what it had not yet appended. *)
 
 (* The store sits below the fault harness in the library graph, so the
    [store-io] chaos point reaches it through this hook. *)
-let () = Vmbp_store.Store.io_fault_hook := fun () -> Faults.fire Faults.Store_io
+let () = Vmbp_store.Store.io_fault_hook := Faults.store_io
 
 let store : Vmbp_store.Store.t option ref = ref None
 
@@ -566,9 +510,10 @@ let store_compact () = Option.iter Vmbp_store.Store.compact !store
 let store_key = result_key
 
 (* Serve one cell from the store, if present.  Served cells carry
-   [from_journal = true]: the flag means "reconstructed from disk, no
-   simulator ran", and every downstream policy (no re-append, no result
-   cache, no audit) wants exactly that treatment. *)
+   [from_journal = true] (the name predates the store): the flag means
+   "reconstructed from disk, no simulator ran", and every downstream
+   policy (no re-append, no result cache, no audit) wants exactly that
+   treatment. *)
 let store_lookup c =
   match !store with
   | None -> None
@@ -818,10 +763,11 @@ let audit_crosscheck c (t : timed) =
    path, and walks the others.  Without a path that fits, under
    [--self-check] and with [--trace-cap-mb 0] every cell runs live.  Any
    problem in the walk degrades the group to per-cell live runs.  Every
-   completed cell is journaled the moment its slot is filled, so a crash
-   loses at most the group in flight.  Already-filled slots (served from
-   the journal, or filled before a degradation rerun) are skipped, which
-   makes the group idempotent under fallback. *)
+   completed success is appended to the store (if one is installed) the
+   moment its slot is filled, so a crash loses at most the group in
+   flight.  Already-filled slots (served from the store, or filled before
+   a degradation rerun) are skipped, which makes the group idempotent
+   under fallback. *)
 let run_group results arr idxs =
   let finish ~live i t =
     let t = if live then t else audit_crosscheck arr.(i) t in
@@ -830,7 +776,6 @@ let run_group results arr idxs =
     Vmbp_obs.Registry.add m_cell_retries (max 0 (t.attempts - 1));
     if t.timed_out then Vmbp_obs.Registry.add m_cell_timeouts 1;
     Vmbp_obs.Registry.observe h_cell_wall t.wall_seconds;
-    journal_append arr.(i) t;
     store_append arr.(i) t;
     progress_cell_done ();
     progress_tick ()
@@ -863,8 +808,7 @@ let run_group results arr idxs =
                walk, before any cell is filled -- must degrade to per-cell
                runs via the group guard below, never escape into the
                pool. *)
-            if Faults.fire Faults.Record_fail then
-              raise (Faults.Injected "chaos: injected record failure");
+            Faults.record_fail ();
             let single = match cells with [ _ ] -> true | _ -> false in
             if not single then note_bank sims;
             let wall = Vmbp_sim.Env.now () -. t0 in
@@ -939,7 +883,7 @@ let group_cells arr =
   List.rev_map (fun (_, l) -> List.rev !l) !groups
 
 (* A cell skipped because shutdown was requested before it ran.
-   [attempts = 0] keeps it out of the journal: nothing was computed. *)
+   [attempts = 0] keeps it out of the store: nothing was computed. *)
 let interrupted_cell c =
   timed_cell c ~attempts:0 ~mode:Direct ~wall_seconds:0.
     (Error "interrupted before this cell ran (partial report)")
@@ -1025,44 +969,20 @@ let run_cells ?jobs cells =
   in
   let arr = Array.of_list cells in
   let results = Array.make (Array.length arr) None in
-  (* Resume pre-pass: serve journaled cells before planning any work, so a
-     fully journaled group neither records nor replays anything. *)
+  (* Resume pre-pass: serve stored cells before planning any work, so a
+     fully stored group neither records nor walks anything. *)
   progress_begin (Array.length arr);
-  (match !journal with
-  | None -> ()
-  | Some j ->
-      Vmbp_obs.Span.with_ ~name:"journal-serve" (fun () ->
-          Array.iteri
-            (fun i c ->
-              let t0 = Vmbp_sim.Env.now () in
-              match
-                Journal.lookup j ~key:(cell_key c)
-                  ~fingerprint:(config_fingerprint c)
-              with
-              | Some e ->
-                  let t = timed_of_entry c e in
-                  (* A journal-served cell re-ran no simulator; the lookup
-                     and reconstruction time is all it cost. *)
-                  let serve = Vmbp_sim.Env.now () -. t0 in
-                  results.(i) <- Some { t with serve_seconds = serve };
-                  progress_cell_done ()
-              | None -> ())
-            arr));
-  (* Store pre-pass: same shape as the journal's, consulted second so an
-     installed journal keeps its resume semantics (and its stats) for
-     cells both layers hold. *)
   (match !store with
   | None -> ()
   | Some _ ->
       Vmbp_obs.Span.with_ ~name:"store-serve" (fun () ->
           Array.iteri
             (fun i c ->
-              if results.(i) = None then
-                match store_lookup c with
-                | Some t ->
-                    results.(i) <- Some t;
-                    progress_cell_done ()
-                | None -> ())
+              match store_lookup c with
+              | Some t ->
+                  results.(i) <- Some t;
+                  progress_cell_done ()
+              | None -> ())
             arr));
   let groups =
     List.filter_map
@@ -1078,7 +998,7 @@ let run_cells ?jobs cells =
     (* Sequential path, bit-for-bit the reference for the pool.  A worker
        death here has no pool above it to respawn into, so it escapes
        [run_cells] entirely -- deliberately: it is the fault harness's
-       stand-in for a killed process (the journal keeps everything
+       stand-in for a killed process (the store keeps every success
        completed so far; the harness maps it to a resumable exit). *)
     List.iter
       (fun g ->
@@ -1201,7 +1121,7 @@ let json_summary ?jobs results =
   in
   (* [engine_runs] counts engine runs: every [Direct] cell (a live run or
      a one-cell walk) plus one per group walk ([Record]).  [Replay] cells
-     (the rest of a group walk, or result-cache hits) and journal-served
+     (the rest of a group walk, or result-cache hits) and store-served
      cells ran nothing of their own; cells skipped by a shutdown
      ([attempts = 0]) ran nothing at all. *)
   let live m =
@@ -1212,7 +1132,7 @@ let json_summary ?jobs results =
   in
   let countp p = List.length (List.filter p results) in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"vmbp-cells/7\"";
+  Buffer.add_string b "{\"schema\":\"vmbp-cells/8\"";
   Buffer.add_string b (Printf.sprintf ",\"jobs\":%d" jobs);
   Buffer.add_string b
     (Printf.sprintf ",\"cells\":%d" (List.length results));
@@ -1242,12 +1162,10 @@ let json_summary ?jobs results =
   Buffer.add_string b
     (Printf.sprintf ",\"banked_configs\":%d" (banked_configs ()));
   (* vmbp-cells/6: decode-once translation counters since process start --
-     [translations] counts full layout translations built by the engine
-     (plan-cache misses and uncacheable profiled runs), [plan_reuses]
-     counts translations instantiated from a cached plan by array blits,
-     [result_hits] counts cells served verbatim from the full-result
-     cache, and [translate_wall_seconds] is the wall clock spent building
-     or instantiating translations. *)
+     [translations] counts layout translations built by the engine (one
+     per run or group walk), [result_hits] counts cells served verbatim
+     from the full-result cache, and [translate_wall_seconds] is the wall
+     clock spent building translations. *)
   let registry_counter name =
     match Vmbp_obs.Registry.find_counter name with
     | Some n -> Int64.to_int n
@@ -1256,9 +1174,6 @@ let json_summary ?jobs results =
   Buffer.add_string b
     (Printf.sprintf ",\"translations\":%d"
        (registry_counter "engine.translations"));
-  Buffer.add_string b
-    (Printf.sprintf ",\"plan_reuses\":%d"
-       (registry_counter "engine.plan_reuses"));
   Buffer.add_string b
     (Printf.sprintf ",\"result_hits\":%d"
        (registry_counter "result_cache.hits"));
@@ -1299,14 +1214,6 @@ let json_summary ?jobs results =
     (Printf.sprintf ",\"audited\":%d" (countp (fun t -> t.audited)));
   Buffer.add_string b
     (Printf.sprintf ",\"divergences\":%d" (Audit.divergence_count ()));
-  (match journal_stats () with
-  | None -> ()
-  | Some s ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ",\"journal\":{\"loaded\":%d,\"served\":%d,\"appended\":%d,\"write_errors\":%d,\"truncated\":%d}"
-           s.Journal.loaded s.Journal.served s.Journal.appended
-           s.Journal.write_errors s.Journal.truncated));
   (match store_stats () with
   | None -> ()
   | Some s ->
@@ -1329,7 +1236,7 @@ let json_summary ?jobs results =
   Buffer.add_string b
     (Printf.sprintf ",\"replay_wall_seconds\":%s" (json_float (wall Replay)));
   (* vmbp-cells/4: time spent serving cells without any simulation at all
-     (journal lookups and memo-table replays). *)
+     (store lookups and result-cache hits). *)
   Buffer.add_string b
     (Printf.sprintf ",\"serve_wall_seconds\":%s"
        (json_float

@@ -14,9 +14,9 @@
     count, only wall-clock time does.
 
     Every cell run through this module is also appended to a session log
-    ({!drain_log}) carrying per-cell wall-clock timings, which the bench and
-    CLI harnesses dump as a machine-readable JSON summary ([--json FILE]) so
-    the performance trajectory can be tracked across changes.
+    ({!drain_log}) carrying per-cell wall-clock timings, which the CLI
+    dumps as a machine-readable JSON summary ([--json FILE]) so the
+    performance trajectory can be tracked across changes.
 
     {b Record once, walk many.}  Cells that share (workload, technique,
     scale) run the exact same VM execution -- only the modelled hardware
@@ -62,10 +62,9 @@ type timed = {
       (** wall-clock spent producing this cell; a [Record] cell carries its
           group's one walk, so summing over cells accounts all work *)
   serve_seconds : float;
-      (** the part of this cell's cost that was pure serving -- journal
-          or store lookup and reconstruction, or a result-cache hit --
-          with no simulation at all; [0] for cells that ran a
-          simulator *)
+      (** the part of this cell's cost that was pure serving -- store
+          lookup and reconstruction, or a result-cache hit -- with no
+          simulation at all; [0] for cells that ran a simulator *)
   mode : mode;
   attempts : int;
       (** cell attempts consumed, [> 1] after transient-failure retries;
@@ -73,7 +72,8 @@ type timed = {
           repeated worker deaths *)
   timed_out : bool;  (** the final attempt hit the [--cell-timeout] deadline *)
   from_journal : bool;
-      (** served from the resume journal; no simulator ran for this cell *)
+      (** reconstructed from the store ({!set_store}); no simulator ran
+          for this cell.  The name predates the store. *)
   audited : bool;
       (** the cell was cross-checked against an oracle: reference-model
           lockstep under [--self-check], or a sampled fresh live run for
@@ -140,38 +140,19 @@ val retry_backoff_s : float ref
     exponentially per attempt and is jittered from the seeded chaos
     stream.  Exposed mainly so tests can keep retries fast. *)
 
-(** {2 Crash-safe journal and resume}
+(** {2 Content-addressed result store and resume}
 
-    With a journal installed ({!set_journal}), every completed cell is
-    appended -- fsync'd -- to a JSONL file as it finishes, keyed by a
-    stable cell key plus a configuration fingerprint (scale, CPU profile,
-    predictor override, trace setting; see {!Journal}).  Opening the
-    journal with [resume:true] additionally serves matching cells straight
-    from the file ([from_journal = true], no simulation), which makes an
-    interrupted-then-resumed report byte-identical to an uninterrupted
-    one. *)
-
-val set_journal : file:string -> resume:bool -> unit
-(** Install (or replace) the process-wide journal. *)
-
-val clear_journal : unit -> unit
-(** Close and remove the journal; subsequent runs neither read nor write
-    one. *)
-
-val journal_stats : unit -> Journal.stats option
-
-(** {2 Content-addressed result store}
-
-    Where the journal is a per-run crash log, the store
-    ({!Vmbp_store.Store}) is a durable cross-run result service: sharded,
-    CRC-framed, addressed by the tagless parameter-complete cell identity
-    (the full-result cache's key) plus the same configuration
+    The store ({!Vmbp_store.Store}) is the one crash-safe resume path and
+    the report service's durable result table: sharded, CRC-framed,
+    fsync'd per append, addressed by the tagless parameter-complete cell
+    identity (the full-result cache's key) plus a configuration
     fingerprint.  With a store installed, {!run_cells} serves matching
     cells from it before planning any work ([from_journal = true] -- no
     simulator ran) and appends every freshly computed success as it
-    finishes, so a grid run warms the store the report service answers
-    queries from.  The [store-io] chaos point is wired into the store's
-    append path. *)
+    finishes, so an interrupted run re-run over the same store is
+    byte-identical to an uninterrupted one, and a grid run warms the
+    store the report service answers queries from.  The [store-io] chaos
+    point is wired into the store's append path. *)
 
 val set_store : ?shards:int -> string -> unit
 (** Install (or replace) the process-wide store, opening [dir]. *)
@@ -193,18 +174,19 @@ val store_key : cell -> string
     asks for the same configuration shares one record. *)
 
 val cell_key : cell -> string
-(** The journal key: tag, workload, parameter-complete technique
-    descriptor, CPU name, scale and predictor override. *)
+(** The tagged cell key: tag, workload, parameter-complete technique
+    descriptor, CPU name, scale and predictor override.  Names cells in
+    divergence records and keys the audit sampler. *)
 
 val config_fingerprint : cell -> string
 (** Digest of everything else that could change the cell's numbers between
-    runs; a journal entry is served only when key and fingerprint both
+    runs; a store record is served only when key and fingerprint both
     match. *)
 
 (** {2 Graceful shutdown and worker supervision} *)
 
 val request_shutdown : unit -> unit
-(** Stop dequeuing work: in-flight groups finish (and are journaled),
+(** Stop dequeuing work: in-flight groups finish (and reach the store),
     queued cells are reported as interrupted [Error] cells with
     [attempts = 0].  Called from the harnesses' first-Ctrl-C handler. *)
 
@@ -286,7 +268,7 @@ val drain_log : unit -> timed list
     order (each batch in its input order); clears the log. *)
 
 val json_summary : ?jobs:int -> timed list -> string
-(** A machine-readable summary: schema [vmbp-cells/7], one record per cell
+(** A machine-readable summary: schema [vmbp-cells/8], one record per cell
     with simulated cycles, mispredict rate, I-cache misses, production
     mode, [attempts]/[timed_out]/[from_journal] (plus [audited] when the
     cell was cross-checked), wall-clock seconds and [serve_seconds] (or
@@ -297,8 +279,8 @@ val json_summary : ?jobs:int -> timed list -> string
     report-service counters
     ([store_hits]/[store_misses]/[coalesced]/[shed]/[degraded_seconds]),
     the differential-checking block
-    ([self_check]/[audit_sample]/[audited]/[divergences]), journal and
-    store statistics when installed, the direct/record/replay wall-clock
+    ([self_check]/[audit_sample]/[audited]/[divergences]), store
+    statistics when installed, the direct/record/replay wall-clock
     split and the aggregate [serve_wall_seconds]. *)
 
 val write_json_summary : ?jobs:int -> file:string -> timed list -> unit

@@ -13,70 +13,17 @@ exception Run_failed of string
 
 let engine_fuel = 2_000_000_000
 
-(* ------------------------------------------------------------------ *)
-(* Decode-once plan cache.  A layout builds deterministically from
-   (vm, workload, technique, scale) -- the CPU and predictor configuration
-   never shape code addresses -- so the engine's translation of it does
-   too.  The first run of a group captures an immutable {!Engine.plan};
-   every later run of the same key instantiates a private copy by array
-   blits instead of re-decoding the sites.  Entries are evicted FIFO: the
-   parallel runner works group-by-group, so only the groups currently in
-   flight need their plans resident. *)
+(* Every run or group walk decodes its layout afresh with
+   {!Engine.translate}: copying a cached decode cost about as much, and a
+   run's translation is private anyway because quickening mutates it. *)
 
 let m_translations = Vmbp_obs.Registry.counter "engine.translations"
-let m_plan_reuses = Vmbp_obs.Registry.counter "engine.plan_reuses"
 let g_translate_wall = Vmbp_obs.Registry.gauge "engine.translate_wall_seconds"
 
-let plan_cache : (string, Engine.plan) Hashtbl.t = Hashtbl.create 32
-let plan_order : string Queue.t = Queue.create ()
-let plan_lock = Mutex.create ()
-let plan_cache_cap = 32
-
-let plan_cache_key ~technique ~scale (workload : Vmbp_workloads.t) =
-  Printf.sprintf "%s/%s/%s/%d"
-    (Vmbp_workloads.vm_name workload.Vmbp_workloads.vm)
-    workload.Vmbp_workloads.name
-    (Technique.descriptor technique)
-    scale
-
-(* [cacheable] is false when the caller supplied an explicit training
-   profile: the layout then depends on data outside the cache key. *)
-let translation_for ~cacheable ~technique ~scale workload layout =
+let translate layout =
   let t0 = Vmbp_sim.Env.now () in
-  let tr =
-    if not cacheable then begin
-      Vmbp_obs.Registry.add m_translations 1;
-      Engine.translation layout
-    end
-    else begin
-      let key = plan_cache_key ~technique ~scale workload in
-      Mutex.lock plan_lock;
-      let plan =
-        match Hashtbl.find_opt plan_cache key with
-        | Some p ->
-            Mutex.unlock plan_lock;
-            Vmbp_obs.Registry.add m_plan_reuses 1;
-            p
-        | None -> (
-            (* Capture outside the lock?  No: capturing under the lock lets
-               concurrent cells of one group share a single decode, and a
-               capture is a few milliseconds at most. *)
-            match Engine.plan layout with
-            | p ->
-                Vmbp_obs.Registry.add m_translations 1;
-                Hashtbl.replace plan_cache key p;
-                Queue.push key plan_order;
-                if Queue.length plan_order > plan_cache_cap then
-                  Hashtbl.remove plan_cache (Queue.pop plan_order);
-                Mutex.unlock plan_lock;
-                p
-            | exception e ->
-                Mutex.unlock plan_lock;
-                raise e)
-      in
-      Engine.translation ~plan layout
-    end
-  in
+  Vmbp_obs.Registry.add m_translations 1;
+  let tr = Engine.translate layout in
   Vmbp_obs.Registry.gauge_add g_translate_wall (Vmbp_sim.Env.now () -. t0);
   tr
 
@@ -178,16 +125,12 @@ let prepare ?profile ~scale ~config ~technique (workload : Vmbp_workloads.t) =
     ~args:[ ("workload", workload.Vmbp_workloads.name) ]
     (fun () ->
       let loaded = workload.Vmbp_workloads.load ~scale in
-      let cacheable = profile = None in
       let profile = effective_profile ?profile ~scale ~technique workload in
       let layout =
         Config.build_layout ?profile config
           ~program:loaded.Vmbp_workloads.program
       in
-      let translation =
-        translation_for ~cacheable ~technique ~scale workload layout
-      in
-      (loaded, layout, translation))
+      (loaded, layout, translate layout))
 
 let run_of ~workload ~technique ~cpu result output =
   match result.Engine.trapped with

@@ -160,8 +160,10 @@ let request_of_payload payload =
           | Error _ as e -> e
           | exception Vmbp_store.Sjson.Bad ->
               Error "query needs vm, workload, technique and cpu fields")
-      | Some "grid" ->
-          Ok (Grid { scale = Vmbp_store.Sjson.int_opt fields "scale" })
+      | Some "grid" -> (
+          match Vmbp_store.Sjson.int_opt fields "scale" with
+          | Some n when n < 1 -> Error "scale must be >= 1"
+          | scale -> Ok (Grid { scale }))
       | Some "stats" -> Ok Stats
       | Some "health" -> Ok Health
       | Some "metrics" -> (

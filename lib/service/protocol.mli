@@ -12,8 +12,9 @@
       {!Vmbp_machine.Cpu_model} name), optional ["scale"] (default 1) and
       ["predictor"] ([perfect]/[never] override).
     - [grid]: the full reproduction grid (every experiment), returned as
-      a complete [vmbp-cells/7] document in the reply's ["cells"] field.
-      Optional ["scale"] overrides every experiment's default.
+      a complete [vmbp-cells/8] document in the reply's ["cells"] field.
+      Optional ["scale"] (at least 1) overrides every experiment's
+      default.
     - [stats], [health], [shutdown]: no further fields.
     - [metrics]: the live telemetry registry; optional ["format"] of
       [json] (default, a [vmbp-metrics/1] document) or [prometheus]

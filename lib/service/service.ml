@@ -37,7 +37,7 @@ let default_config ~socket ~store_dir =
     flight_dir = ".";
   }
 
-(* Registry instruments; the vmbp-cells/7 summary reads [coalesced],
+(* Registry instruments; the vmbp-cells/8 summary reads [coalesced],
    [shed] and [degraded_seconds] from here. *)
 let m_requests = Vmbp_obs.Registry.counter "service.requests"
 let m_coalesced = Vmbp_obs.Registry.counter "service.coalesced"
@@ -151,7 +151,7 @@ let enqueue sh job =
   Mutex.unlock sh.lock;
   match sh.pool with Some p -> p.Env.kick () | None -> ()
 
-(* The whole reproduction grid as one vmbp-cells/7 document.  The session
+(* The whole reproduction grid as one vmbp-cells/8 document.  The session
    log is drained before and after so the document holds exactly the
    grid's cells, not whatever query batches ran since the last grid. *)
 let grid_doc (cfg : config) scale =
@@ -320,6 +320,11 @@ type state = {
   mutable shutting : bool;
   mutable deg_since : float option;
   started : float;
+  rbuf : Bytes.t;
+      (* [read_conn]'s scratch buffer, shared by every connection of this
+         single-threaded loop: a fresh 64 KB buffer per read is a
+         major-heap allocation, and at one per request it paced the
+         major GC of a warm, store-hit-only daemon. *)
 }
 
 let signal_shutdown = Atomic.make false
@@ -671,7 +676,7 @@ let rec peel_frames st conn =
         conn.closing <- true
 
 let read_conn st conn =
-  let buf = Bytes.create 65536 in
+  let buf = st.rbuf in
   let rec go () =
     (* A closing connection is write-drain only: anything the client
        still sends after an oversize rejection is unframeable noise. *)
@@ -859,6 +864,7 @@ let serve (cfg : config) =
       shutting = false;
       deg_since = None;
       started = env.Env.now ();
+      rbuf = Bytes.create 65536;
     }
   in
   (* Fresh-process semantics for the flight recorder, with every

@@ -1,7 +1,7 @@
 (* The environment seam for deterministic simulation testing.
 
    Every effect the report service performs -- clock reads, sleeps,
-   socket ops, store/journal file I/O, compute-pool hand-off -- goes
+   socket ops, store file I/O, compute-pool hand-off -- goes
    through one record of closures.  [real] binds them to the operating
    system exactly as the pre-seam code did; {!Sim_env} binds them to a
    single-threaded simulated world with a virtual clock, a faulty
@@ -150,9 +150,9 @@ let real =
     defer_done = (fun f -> f ());
   }
 
-(* The process-wide environment.  {!Store}, {!Journal} and the service
-   capture it when they open/start, so a simulation installs its env,
-   runs, and restores [real]. *)
+(* The process-wide environment.  {!Store} and the service capture it
+   when they open/start, so a simulation installs its env, runs, and
+   restores [real]. *)
 let current = ref real
 
 let now () = !current.now ()

@@ -1,7 +1,7 @@
 (** The environment seam for deterministic simulation testing.
 
     Every effect the report service performs -- clock reads, sleeps,
-    socket ops, store/journal file I/O, compute-pool hand-off -- goes
+    socket ops, store file I/O, compute-pool hand-off -- goes
     through one {!t} record of closures.  {!real} binds them to the
     operating system exactly as the pre-seam code did, so production
     behavior is byte-for-byte unchanged; {!Sim_env} binds them to a
@@ -74,8 +74,8 @@ type t = {
 val real : t
 
 val current : t ref
-(** The process-wide environment, [real] by default.  {!Vmbp_store},
-    the journal and the service capture it at open/start time; a
+(** The process-wide environment, [real] by default.  {!Vmbp_store}
+    and the service capture it at open/start time; a
     simulation installs its env around a schedule and restores [real]
     after. *)
 

@@ -1,11 +1,10 @@
 (** The persisted cell record: one completed experiment cell, serialized
     as one flat JSON line.
 
-    Promoted from {!Journal} so the append-only journal and the sharded
-    content-addressed store persist the exact same payload.  Only integer
-    event counters are stored for a success -- cycles and seconds are
-    recomputed from them through {!Vmbp_machine.Cpu_model} -- so a cell
-    served from disk is byte-identical to a freshly computed one by
+    What the sharded content-addressed store ({!Store}) persists.  Only
+    integer event counters are stored for a success -- cycles and seconds
+    are recomputed from them through {!Vmbp_machine.Cpu_model} -- so a
+    cell served from disk is byte-identical to a freshly computed one by
     construction. *)
 
 type success = {

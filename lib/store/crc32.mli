@@ -1,7 +1,6 @@
 (** CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320).
 
-    Every record in the content-addressed store and the cell journal
-    carries this checksum, so corruption anywhere in a shard -- not just a
+    Every record in the content-addressed store carries this checksum, so corruption anywhere in a shard -- not just a
     line cut short by a crash -- is detected on load.  CRC-32 detects all
     burst errors up to 32 bits, which covers the single-sector and
     byte-flip corruption modes the fuzz tests inject. *)

@@ -1,4 +1,4 @@
-type decoded = Framed of string | Legacy of string | Corrupt
+type decoded = Framed of string | Corrupt
 
 let magic = "vf1 "
 
@@ -12,8 +12,7 @@ let encode payload =
    space, and the payload must run exactly to the end of the line. *)
 let decode line =
   let n = String.length line in
-  if n < 4 || String.sub line 0 4 <> magic then Legacy line
-  else if n < 14 || line.[12] <> ' ' then Corrupt
+  if n < 14 || String.sub line 0 4 <> magic || line.[12] <> ' ' then Corrupt
   else
     match int_of_string_opt ("0x" ^ String.sub line 4 8) with
     | None -> Corrupt

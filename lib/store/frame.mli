@@ -7,14 +7,11 @@
     record independently checkable, so a loader can skip-and-count a
     corrupt record {e anywhere} in the file -- flipped bytes, a spliced
     write, a tail torn by [kill -9] -- and keep every healthy record
-    around it.  A length mismatch, a CRC mismatch, or a malformed header
-    all classify as {!Corrupt}; a line without the magic is {!Legacy}
-    (journals written before framing existed), which the journal still
-    parses and the store rejects. *)
+    around it.  A length mismatch, a CRC mismatch, a malformed header
+    and a line without the magic all classify as {!Corrupt}. *)
 
 type decoded =
   | Framed of string  (** header verified; the payload is intact *)
-  | Legacy of string  (** no frame header; pre-framing journal line *)
   | Corrupt
 
 val encode : string -> string

@@ -1,8 +1,7 @@
 (** The repo's line-oriented JSON dialect: one flat object per line, every
     field a scalar (string / int / float / bool / null).
 
-    Promoted from the journal so the store, the journal and the service
-    protocol share one codec.  The writer side stays hand-rolled
+    The store's record codec and the service protocol share it.  The writer side stays hand-rolled
     [Buffer]s at each call site (the objects differ); this module owns
     the two halves they all need: string escaping and the strict parser.
     The parser accepts exactly what the writers emit -- anything else

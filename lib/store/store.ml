@@ -41,7 +41,7 @@ let io_fault_hook : (unit -> bool) ref = ref (fun () -> false)
 let mutation_skip_fsync = ref false
 let mutation_skip_dir_fsync = ref false
 
-(* Registry mirrors, so [--metrics] and the vmbp-cells/7 summary can
+(* Registry mirrors, so [--metrics] and the vmbp-cells/8 summary can
    report store traffic without a store handle. *)
 let m_hits = Vmbp_obs.Registry.counter "store.hits"
 let m_misses = Vmbp_obs.Registry.counter "store.misses"
@@ -84,7 +84,7 @@ let load_shard t path =
                       e.Cellrec.fingerprint;
                     t.loaded <- t.loaded + 1
                 | None -> t.corrupt <- t.corrupt + 1)
-            | Frame.Legacy _ | Frame.Corrupt -> t.corrupt <- t.corrupt + 1)
+            | Frame.Corrupt -> t.corrupt <- t.corrupt + 1)
         (Vmbp_sim.Env.lines_of_contents contents)
 
 let open_ ?(shards = 8) dir =
@@ -324,7 +324,7 @@ let scrub dir =
                           records :=
                             (e.Cellrec.key, e.Cellrec.fingerprint) :: !records
                       | None -> incr corrupt)
-                  | Frame.Legacy _ | Frame.Corrupt -> incr corrupt)
+                  | Frame.Corrupt -> incr corrupt)
               (Vmbp_sim.Env.lines_of_contents contents));
         (f, List.rev !records, !corrupt))
       shard_files

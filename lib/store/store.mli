@@ -1,7 +1,7 @@
 (** Sharded, checksummed, content-addressed result store.
 
-    The crash-safe journal's promotion to a service-grade persistence
-    layer: completed cells are addressed by their parameter-complete key
+    The crash-safe resume path of a report run and the persistence layer
+    of the report service: completed cells are addressed by their parameter-complete key
     plus configuration fingerprint, spread over [shards] append-only
     files by key CRC, and every record is framed with a CRC-32 and a
     length header ({!Frame}), so corruption {e anywhere} in a shard --
@@ -13,10 +13,9 @@
     write-temp/fsync/rename, so they too can die at any instant without
     losing the old shard.
 
-    Unlike the journal -- whose resume semantics deliberately never serve
-    a cell appended by the current run -- the store is a live table: an
-    appended entry is immediately {!lookup}-able, which is what a
-    long-running service needs.  All operations are thread-safe. *)
+    The store is a live table: an appended entry is immediately
+    {!lookup}-able, which is what a long-running service needs.  All
+    operations are thread-safe. *)
 
 type stats = {
   entries : int;  (** distinct (key, fingerprint) records held *)

@@ -13,10 +13,9 @@
    events: its deterministic counters, and what it counts on a set of
    predictors and I-caches, must equal the legacy run's, and one walk
    over many configurations must equal one walk per configuration.  A
-   last group checks the translation machinery itself: plan
-   instantiation reproduces a fresh decode, and quickening's incremental
-   re-translation leaves the translation equal to a from-scratch decode
-   of the mutated layout. *)
+   last group checks the translation machinery itself: quickening's
+   incremental re-translation leaves the translation equal to a
+   from-scratch decode of the mutated layout. *)
 
 open Vmbp_machine
 open Vmbp_core
@@ -712,42 +711,7 @@ let test_walk_many_configs () =
     [ 41; 42; 43 ]
 
 (* ------------------------------------------------------------------ *)
-(* 6. Translation machinery: plans and quickening invalidation *)
-
-let test_plan_instantiation () =
-  List.iter
-    (fun technique ->
-      let what = "plan/" ^ Technique.descriptor technique in
-      let program = T.random_program ~seed:21 ~size:30 in
-      let config = Config.make ~cpu:Cpu_model.ideal technique in
-      let layout =
-        Config.build_layout ?profile:(profile_for technique program) config
-          ~program
-      in
-      let plan = Engine.plan layout in
-      check_int (what ^ ": plan_slots")
-        (Program.length layout.Code_layout.program)
-        (Engine.plan_slots plan);
-      check_bool (what ^ ": instantiated = fresh") true
-        (Engine.translation_equal
-           (Engine.translation ~plan layout)
-           (Engine.translate layout)))
-    (grid_techniques ())
-
-let test_plan_mismatch_rejected () =
-  let program = T.random_program ~seed:22 ~size:30 in
-  let config = Config.make ~cpu:Cpu_model.ideal Technique.plain in
-  let layout = Config.build_layout config ~program in
-  let plan = Engine.plan layout in
-  let other =
-    Config.build_layout
-      (Config.make ~cpu:Cpu_model.ideal Technique.dynamic_both)
-      ~program:(Program.copy program)
-  in
-  check_bool "technique mismatch raises" true
-    (match Engine.translation ~plan other with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+(* 6. Translation machinery: quickening invalidation *)
 
 (* After a run that quickened, the incrementally re-translated stream
    must equal a from-scratch decode of the mutated layout. *)
@@ -829,10 +793,6 @@ let () =
         ] );
       ( "translation",
         [
-          Alcotest.test_case "plan instantiation" `Quick
-            test_plan_instantiation;
-          Alcotest.test_case "plan mismatch rejected" `Quick
-            test_plan_mismatch_rejected;
           Alcotest.test_case "quickening re-translation" `Quick
             test_quicken_retranslation;
         ] );

@@ -326,11 +326,11 @@ let test_par_runner_json_summary () =
     done;
     !found
   in
-  check_bool "schema marker" true (contains "\"schema\":\"vmbp-cells/7\"");
+  check_bool "schema marker" true (contains "\"schema\":\"vmbp-cells/8\"");
   check_bool "bank replay counter" true (contains "\"bank_replays\":");
   check_bool "banked config counter" true (contains "\"banked_configs\":");
   check_bool "translation counter" true (contains "\"translations\":");
-  check_bool "plan reuse counter" true (contains "\"plan_reuses\":");
+  check_bool "no plan reuse counter" false (contains "\"plan_reuses\":");
   check_bool "result cache counter" true (contains "\"result_hits\":");
   check_bool "translate wall" true (contains "\"translate_wall_seconds\":");
   check_bool "serve time per cell" true (contains "\"serve_seconds\":");
@@ -932,21 +932,21 @@ let test_bank_descriptor_injective () =
     (List.length (Predictor.create_bank [ bad; Predictor.Perfect ]))
 
 (* ------------------------------------------------------------------ *)
-(* Supervision: chaos injection, watchdog/retry, journal and resume.
+(* Supervision: chaos injection, watchdog/retry, the store and resume.
 
-   Every [Faults] injection point is exercised here: cell-raise (retry and
-   exhaustion), record-fail (group degrades to direct), slow-cell (the
-   watchdog timeout), journal-io (append degrades, run continues) and
-   worker-death (sequential kill-and-resume, pool respawn). *)
+   Every report-side [Faults] injection point is exercised here:
+   cell-raise (retry and exhaustion), record-fail (group degrades to
+   direct), slow-cell (the watchdog timeout), store-io (append degrades,
+   run continues) and worker-death (sequential kill-and-resume, pool
+   respawn). *)
 
 module PR = Vmbp_report.Par_runner
 module Faults = Vmbp_report.Faults
-module Journal = Vmbp_report.Journal
 
 let reset_supervision () =
   Faults.reset ();
   PR.reset_shutdown ();
-  PR.clear_journal ();
+  PR.clear_store ();
   PR.cell_timeout := 0.;
   PR.cell_retries := 1;
   PR.retry_backoff_s := 0.001;
@@ -975,7 +975,7 @@ let test_chaos_spec_parsing () =
   in
   configure_chaos "cell-raise=2";
   configure_chaos "worker-death=2+1,seed=42";
-  configure_chaos "journal-io=0.25,seed=7";
+  configure_chaos "store-io=0.25,seed=7";
   configure_chaos "slow-cell=1@0.2";
   check_bool "armed after configure" true (Faults.armed ());
   bad "bogus-point=1";
@@ -985,6 +985,8 @@ let test_chaos_spec_parsing () =
   bad "worker-death=-1+2";
   bad "slow-cell=1@nope";
   bad "seed=abc";
+  (* Append failures are the store's io point; there is no journal-io. *)
+  bad "journal-io=1";
   check_bool "a bad spec disarms everything" false (Faults.armed ());
   configure_chaos "";
   check_bool "empty spec is a no-op" false (Faults.armed ())
@@ -1103,142 +1105,6 @@ let test_bad_predictor_is_failed_cell () =
       check_bool "override sibling ok" true (Result.is_ok c.PR.outcome)
   | _ -> Alcotest.fail "three cells in, three results out"
 
-let with_temp_journal f =
-  let file = Filename.temp_file "vmbp-journal" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () ->
-      PR.clear_journal ();
-      try Sys.remove file with Sys_error _ -> ())
-    (fun () -> f file)
-
-let test_journal_roundtrip_resume () =
-  with_temp_journal (fun file ->
-      PR.set_journal ~file ~resume:false;
-      let first = PR.run_cells ~jobs:1 (toy_cells ()) in
-      let appended =
-        match PR.journal_stats () with
-        | Some s -> s.Journal.appended
-        | None -> Alcotest.fail "journal must be installed"
-      in
-      check_int "every completed cell journaled" 12 appended;
-      (* Reopen with resume: every cell is served from the file, nothing is
-         simulated, and the numbers are identical. *)
-      PR.clear_journal ();
-      PR.clear_trace_cache ();
-      PR.set_journal ~file ~resume:true;
-      let resumed = PR.run_cells ~jobs:1 (toy_cells ()) in
-      List.iter
-        (fun (t : PR.timed) ->
-          check_bool "served from journal" true t.PR.from_journal)
-        resumed;
-      Alcotest.(check (list (pair string string)))
-        "resumed run is identical" (signature first) (signature resumed);
-      (* Full-fidelity check on one cell, not just the signature. *)
-      (match (first, resumed) with
-      | a :: _, b :: _ ->
-          (match (a.PR.outcome, b.PR.outcome) with
-          | Ok ra, Ok rb ->
-              check_result_equal "journal round-trip"
-                ra.Vmbp_report.Runner.result rb.Vmbp_report.Runner.result;
-              Alcotest.(check string)
-                "output round-trip" ra.Vmbp_report.Runner.output
-                rb.Vmbp_report.Runner.output
-          | _ -> Alcotest.fail "toy cells must succeed")
-      | _ -> Alcotest.fail "no results");
-      match PR.journal_stats () with
-      | Some s ->
-          check_int "all 12 loaded" 12 s.Journal.loaded;
-          check_int "all 12 served" 12 s.Journal.served;
-          check_int "nothing re-appended" 0 s.Journal.appended;
-          check_int "no truncation" 0 s.Journal.truncated
-      | None -> Alcotest.fail "journal must be installed")
-
-let test_journal_truncated_line () =
-  (* A crash can cut the final journal line short; resume must skip it,
-     count it, and recompute just that cell. *)
-  with_temp_journal (fun file ->
-      PR.set_journal ~file ~resume:false;
-      let first = PR.run_cells ~jobs:1 (toy_cells ()) in
-      PR.clear_journal ();
-      let oc = open_out_gen [ Open_append ] 0o644 file in
-      output_string oc "{\"key\":\"half-writ";
-      close_out oc;
-      PR.clear_trace_cache ();
-      PR.set_journal ~file ~resume:true;
-      let resumed = PR.run_cells ~jobs:1 (toy_cells ()) in
-      Alcotest.(check (list (pair string string)))
-        "resume tolerates the torn line" (signature first) (signature resumed);
-      match PR.journal_stats () with
-      | Some s ->
-          check_int "torn line counted" 1 s.Journal.truncated;
-          check_int "intact lines all load" 12 s.Journal.loaded
-      | None -> Alcotest.fail "journal must be installed")
-
-let test_journal_io_fault () =
-  (* An injected append failure degrades journaling for that cell; the run
-     itself completes and the loss is visible in the stats. *)
-  with_temp_journal (fun file ->
-      configure_chaos "journal-io=1";
-      PR.set_journal ~file ~resume:false;
-      let results = PR.run_cells ~jobs:1 (toy_cells ()) in
-      List.iter
-        (fun (t : PR.timed) ->
-          check_bool "cells unaffected by journal loss" true
-            (Result.is_ok t.PR.outcome))
-        results;
-      check_int "journal-io fired" 1 (Faults.fired Faults.Journal_io);
-      match PR.journal_stats () with
-      | Some s ->
-          check_int "one append lost" 1 s.Journal.write_errors;
-          check_int "the rest landed" 11 s.Journal.appended
-      | None -> Alcotest.fail "journal must be installed")
-
-let test_journal_corrupt_scan_fuzz () =
-  (* Satellite of the store PR: flip random bytes anywhere in a journal --
-     not just the torn tail -- and resume.  Load must never raise, every
-     damaged record must be skipped and counted, and no served cell may
-     differ from the reference run (a corrupted record is recomputed, not
-     trusted). *)
-  let reference = signature (PR.run_cells ~jobs:1 (toy_cells ())) in
-  let rng = Random.State.make [| 0xBADF00D |] in
-  for _round = 1 to 6 do
-    reset_supervision ();
-    with_temp_journal (fun file ->
-        PR.set_journal ~file ~resume:false;
-        ignore (PR.run_cells ~jobs:1 (toy_cells ()));
-        PR.clear_journal ();
-        let ic = open_in_bin file in
-        let len = in_channel_length ic in
-        let b = Bytes.create len in
-        really_input ic b 0 len;
-        close_in ic;
-        for _ = 1 to 1 + Random.State.int rng 6 do
-          let i = Random.State.int rng len in
-          (* Never forge a newline: that would *split* a record, which is
-             fine too, but keeping line structure makes the accounting
-             below exact. *)
-          let c = Random.State.int rng 255 in
-          if Char.chr c <> '\n' && Bytes.get b i <> '\n' then
-            Bytes.set b i (Char.chr c)
-        done;
-        let oc = open_out_bin file in
-        output_bytes oc b;
-        close_out oc;
-        PR.clear_trace_cache ();
-        PR.set_journal ~file ~resume:true;
-        let resumed = PR.run_cells ~jobs:1 (toy_cells ()) in
-        Alcotest.(check (list (pair string string)))
-          "corrupted journal never changes a number" reference
-          (signature resumed);
-        match PR.journal_stats () with
-        | Some s ->
-            check_int "damaged + healthy = all lines" 12
-              (s.Journal.loaded + s.Journal.truncated);
-            check_int "every healthy record serves" s.Journal.loaded
-              s.Journal.served
-        | None -> Alcotest.fail "journal must be installed")
-  done
-
 let with_temp_store f =
   let dir =
     Filename.concat
@@ -1258,9 +1124,8 @@ let with_temp_store f =
 
 let test_store_roundtrip_serve () =
   (* The content-addressed store as a resume layer: a second run over the
-     same cells is served entirely from the store, byte-identically, and
-     unlike the journal it also serves cells appended by the same
-     process. *)
+     same cells is served entirely from the store, byte-identically,
+     including cells appended by the same process. *)
   with_temp_store (fun dir ->
       PR.set_store ~shards:4 dir;
       let first = PR.run_cells ~jobs:1 (toy_cells ()) in
@@ -1286,12 +1151,26 @@ let test_store_roundtrip_serve () =
       let third = PR.run_cells ~jobs:1 (toy_cells ()) in
       Alcotest.(check (list (pair string string)))
         "reloaded store is identical" (signature first) (signature third);
+      (* Full-fidelity check on one reloaded cell, not just the
+         signature: cycles and seconds are recomputed from the stored
+         counters. *)
+      (match (first, third) with
+      | a :: _, b :: _ -> (
+          match (a.PR.outcome, b.PR.outcome) with
+          | Ok ra, Ok rb ->
+              check_result_equal "store round-trip"
+                ra.Vmbp_report.Runner.result rb.Vmbp_report.Runner.result;
+              Alcotest.(check string)
+                "output round-trip" ra.Vmbp_report.Runner.output
+                rb.Vmbp_report.Runner.output
+          | _ -> Alcotest.fail "toy cells must succeed")
+      | _ -> Alcotest.fail "no results");
       (match PR.store_stats () with
       | Some s ->
           check_int "all 12 reloaded" 12 s.Vmbp_store.Store.loaded;
           check_int "nothing recomputed" 0 s.Vmbp_store.Store.appended
       | None -> Alcotest.fail "store must be installed");
-      (* The vmbp-cells/7 summary surfaces the store counters. *)
+      (* The vmbp-cells/8 summary surfaces the store counters. *)
       ignore (PR.drain_log ());
       let json = PR.json_summary ~jobs:1 third in
       let contains needle =
@@ -1310,7 +1189,9 @@ let test_store_roundtrip_serve () =
       check_bool "summary has degraded_seconds" true
         (contains "\"degraded_seconds\":");
       check_bool "summary has store stats block" true
-        (contains "\"store\":{"))
+        (contains "\"store\":{");
+      check_bool "summary has no journal block" false
+        (contains "\"journal\":{"))
 
 let test_store_io_fault_degrades () =
   (* store-io chaos: the append is dropped and counted; the run itself is
@@ -1334,28 +1215,28 @@ let test_store_io_fault_degrades () =
 let test_sequential_kill_and_resume () =
   (* The headline crash-safety property: kill the (sequential) run after two
      groups via the worker-death point -- the stand-in for a killed process
-     -- then resume from the journal and get a byte-identical report. *)
-  with_temp_journal (fun file ->
+     -- then reopen the same store and get a byte-identical report. *)
+  with_temp_store (fun dir ->
       let reference = signature (PR.run_cells ~jobs:1 (toy_cells ())) in
-      PR.clear_trace_cache ();
+      PR.clear_result_cache ();
       configure_chaos "worker-death=2+1";
-      PR.set_journal ~file ~resume:false;
+      PR.set_store ~shards:2 dir;
       (match PR.run_cells ~jobs:1 (toy_cells ()) with
       | exception Faults.Worker_killed -> ()
       | _ -> Alcotest.fail "sequential worker death must escape run_cells");
       Faults.reset ();
-      PR.clear_journal ();
-      PR.clear_trace_cache ();
-      PR.set_journal ~file ~resume:true;
+      PR.clear_store ();
+      PR.clear_result_cache ();
+      PR.set_store ~shards:2 dir;
       let resumed = PR.run_cells ~jobs:1 (toy_cells ()) in
       Alcotest.(check (list (pair string string)))
         "resumed report is byte-identical" reference (signature resumed);
-      let from_journal =
+      let from_store =
         List.length (List.filter (fun t -> t.PR.from_journal) resumed)
       in
-      check_int "exactly the pre-kill cells come from the journal" 2
-        from_journal;
-      (* The JSON summary separates journal-served cells from live work. *)
+      check_int "exactly the pre-kill cells come from the store" 2
+        from_store;
+      (* The JSON summary separates store-served cells from live work. *)
       ignore (PR.drain_log ());
       let json = PR.json_summary ~jobs:1 resumed in
       let contains needle =
@@ -1366,7 +1247,7 @@ let test_sequential_kill_and_resume () =
         done;
         !found
       in
-      check_bool "summary counts journal-served cells" true
+      check_bool "summary counts store-served cells" true
         (contains "\"from_journal\":2"))
 
 let test_pool_respawn () =
@@ -1387,7 +1268,7 @@ let test_pool_respawn () =
 
 let test_shutdown_skips_pending () =
   (* A shutdown requested before the run starts (the degenerate first-Ctrl-C
-     case) reports every cell as interrupted, with nothing journaled. *)
+     case) reports every cell as interrupted, with nothing computed. *)
   PR.request_shutdown ();
   let results = PR.run_cells ~jobs:1 (toy_cells ()) in
   List.iter
@@ -1413,8 +1294,8 @@ let test_shutdown_skips_pending () =
 
 (* ------------------------------------------------------------------ *)
 (* Differential self-check: lockstep oracle runs, mutation testing,
-   sampled audits, and the key/fingerprint identities the resume journal
-   and the audit sampler rely on. *)
+   sampled audits, and the key/fingerprint identities the store and the
+   audit sampler rely on. *)
 
 module Audit = Vmbp_report.Audit
 
@@ -1675,8 +1556,8 @@ let test_sampling_deterministic () =
     true
     (hits > 200 && hits < 400)
 
-(* Satellite: distinct technique parameters must never collide on the
-   (descriptor, fingerprint) pair the journal uses for identity. *)
+(* Distinct technique parameters must never collide on the (descriptor,
+   fingerprint) pair the store uses for identity. *)
 let test_descriptor_fingerprint_injective () =
   let techniques =
     Technique.
@@ -1707,7 +1588,7 @@ let test_descriptor_fingerprint_injective () =
   let sorted = List.sort_uniq compare descriptors in
   check_int "descriptors pairwise distinct" (List.length techniques)
     (List.length sorted);
-  (* The full journal identity -- key plus fingerprint -- must separate
+  (* The full cell identity -- key plus fingerprint -- must separate
      every cell of a parameter sweep. *)
   let w = toy_workload "ident" in
   let idents =
@@ -1729,52 +1610,55 @@ let test_descriptor_fingerprint_injective () =
   check_int "cell identities pairwise distinct" (List.length idents)
     (List.length (List.sort_uniq compare idents))
 
-(* Satellite: a journal entry whose fingerprint matches but whose key
-   (descriptor) differs must not be served on resume. *)
-let test_journal_refuses_descriptor_mismatch () =
-  let w = toy_workload "journal-ident" in
+(* A store record whose fingerprint matches but whose key (descriptor)
+   differs must not be served on resume. *)
+let test_store_refuses_descriptor_mismatch () =
+  let w = toy_workload "store-ident" in
   let mk technique = PR.cell ~tag:"ident" ~cpu:Cpu_model.ideal ~technique w in
   let c1 = mk (Technique.static_repl ~n:100 ()) in
   let c2 = mk (Technique.static_repl ~n:200 ()) in
   check_bool "different technique params, different keys" true
-    (PR.cell_key c1 <> PR.cell_key c2);
+    (PR.store_key c1 <> PR.store_key c2);
   (* Defense in depth: the fingerprint re-encodes the technique, so even
      the fingerprints of a parameter sweep never collide. *)
   check_bool "different technique params, different fingerprints" true
     (PR.config_fingerprint c1 <> PR.config_fingerprint c2);
-  (* A (possibly tampered) journal entry sharing c2's fingerprint but
-     recorded under c1's key must not be served for c2, and vice versa:
-     lookup demands that both halves of the identity match. *)
+  (* A (possibly tampered) record sharing c2's fingerprint but stored
+     under c1's key must not be served for c2, and vice versa: lookup
+     demands that both halves of the identity match. *)
   let shared_fp = PR.config_fingerprint c2 in
-  let file = Filename.temp_file "vmbp-journal-ident" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
-    (fun () ->
-      let j = Journal.open_ file in
-      Journal.append j
+  with_temp_store (fun dir ->
+      let s = Vmbp_store.Store.open_ ~shards:2 dir in
+      Vmbp_store.Store.append s
         {
-          Journal.key = PR.cell_key c1;
+          Vmbp_store.Cellrec.key = PR.store_key c1;
           fingerprint = shared_fp;
           outcome = Error "seeded entry";
           attempts = 1;
           timed_out = false;
         };
-      Journal.close j;
-      let j = Journal.open_ ~resume:true file in
+      Vmbp_store.Store.close s;
+      let s = Vmbp_store.Store.open_ dir in
       Fun.protect
-        ~finally:(fun () -> Journal.close j)
+        ~finally:(fun () -> Vmbp_store.Store.close s)
         (fun () ->
           check_bool "own key and fingerprint served" true
-            (Journal.lookup j ~key:(PR.cell_key c1) ~fingerprint:shared_fp
+            (Vmbp_store.Store.lookup s ~key:(PR.store_key c1)
+               ~fingerprint:shared_fp
             <> None);
           check_bool "matching fingerprint, different descriptor refused"
             true
-            (Journal.lookup j ~key:(PR.cell_key c2) ~fingerprint:shared_fp
+            (Vmbp_store.Store.lookup s ~key:(PR.store_key c2)
+               ~fingerprint:shared_fp
             = None);
           check_bool "matching key, different fingerprint refused" true
-            (Journal.lookup j ~key:(PR.cell_key c1)
+            (Vmbp_store.Store.lookup s ~key:(PR.store_key c1)
                ~fingerprint:(PR.config_fingerprint c1)
-            = None)))
+            = None));
+      (* The runner's own resume path refuses both cells too. *)
+      PR.set_store dir;
+      check_bool "runner serves neither cell" true
+        (PR.store_lookup c1 = None && PR.store_lookup c2 = None))
 
 let () =
   Alcotest.run "report"
@@ -1864,18 +1748,10 @@ let () =
             (supervised test_slow_cell_timeout);
           Alcotest.test_case "bad predictor fails one cell" `Quick
             (supervised test_bad_predictor_is_failed_cell);
-          Alcotest.test_case "journal round-trip and resume" `Quick
-            (supervised test_journal_roundtrip_resume);
-          Alcotest.test_case "torn final journal line" `Quick
-            (supervised test_journal_truncated_line);
-          Alcotest.test_case "journal corrupt-scan fuzz" `Quick
-            (supervised test_journal_corrupt_scan_fuzz);
           Alcotest.test_case "store round-trip serves" `Quick
             (supervised test_store_roundtrip_serve);
           Alcotest.test_case "store write fault degrades" `Quick
             (supervised test_store_io_fault_degrades);
-          Alcotest.test_case "journal write fault degrades" `Quick
-            (supervised test_journal_io_fault);
           Alcotest.test_case "kill mid-run, resume byte-identical" `Quick
             (supervised test_sequential_kill_and_resume);
           Alcotest.test_case "pool respawns dead workers" `Quick
@@ -1897,7 +1773,7 @@ let () =
             test_sampling_deterministic;
           Alcotest.test_case "descriptor+fingerprint injective" `Quick
             test_descriptor_fingerprint_injective;
-          Alcotest.test_case "journal refuses descriptor mismatch" `Quick
-            (supervised test_journal_refuses_descriptor_mismatch);
+          Alcotest.test_case "store refuses descriptor mismatch" `Quick
+            (supervised test_store_refuses_descriptor_mismatch);
         ] );
     ]

@@ -2,8 +2,9 @@
    inside the test process, clients speak the real wire protocol over a
    real Unix-domain socket.  Covered: miss-compute-then-hit, duplicate
    coalescing (one compute, N identical replies), protocol edges
-   (oversized frame, truncated frame, unknown verb), degradation under a
-   wedged pool, and shutdown draining in-flight requests. *)
+   (oversized frame, truncated frame, unknown verb, grid scale below 1),
+   degradation under a wedged pool, and shutdown draining in-flight
+   requests. *)
 
 module P = Vmbp_service.Protocol
 module Service = Vmbp_service.Service
@@ -196,6 +197,15 @@ let test_protocol_edges () =
       let fd = connect socket in
       check_string "unknown verb" "bad-request"
         (status (rpc fd (P.obj [ ("verb", P.S "frobnicate") ])));
+      (* A grid below scale 1 is refused like a query's, never computed
+         and stored. *)
+      List.iter
+        (fun n ->
+          check_string
+            (Printf.sprintf "grid scale %d refused" n)
+            "bad-request"
+            (status (rpc fd (P.obj [ ("verb", P.S "grid"); ("scale", P.I n) ]))))
+        [ 0; -1 ];
       (* Oversized frame: rejected with a reply, then the connection is
          closed (the stream past a bad header is unframeable). *)
       let big = P.encode_frame (String.make 100_000 'x') in
