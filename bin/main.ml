@@ -76,20 +76,31 @@ let cpu_arg =
   Arg.conv
     (parse, fun ppf c -> Fmt.string ppf c.Vmbp_machine.Cpu_model.name)
 
-(* Scales and store shard counts are positive: zero or a negative value is
-   a one-line usage error naming the flag, never a silent clamp, an empty
+(* Scales, shard counts, job and client counts, retry budgets and
+   deadlines are checked where they are parsed: a value out of range is a
+   one-line usage error naming the flag, never a silent clamp, an empty
    run or an exception from deep inside. *)
-let positive_conv =
+let checked_conv ~of_string ~pp ~ok ~expected =
   let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
+    match of_string s with
+    | Some n when ok n -> Ok n
     | Some _ | None ->
         Error
-          (`Msg
-             (Printf.sprintf "invalid value '%s', expected a positive integer"
-                s))
+          (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
   in
-  Arg.conv ~docv:"N" (parse, Fmt.int)
+  Arg.conv (parse, pp)
+
+let positive_conv =
+  checked_conv ~of_string:int_of_string_opt ~pp:Fmt.int
+    ~ok:(fun n -> n >= 1) ~expected:"a positive integer"
+
+let non_negative_conv =
+  checked_conv ~of_string:int_of_string_opt ~pp:Fmt.int
+    ~ok:(fun n -> n >= 0) ~expected:"a non-negative integer"
+
+let non_negative_float_conv =
+  checked_conv ~of_string:float_of_string_opt ~pp:Fmt.float
+    ~ok:(fun x -> x >= 0.) ~expected:"a non-negative number"
 
 let scale_arg =
   Arg.(value & opt positive_conv 1 & info [ "scale" ] ~docv:"N")
@@ -167,8 +178,10 @@ let trace_cmd =
       & opt technique_arg Technique.plain
       & info [ "t"; "technique" ] ~docv:"TECHNIQUE")
   in
-  let skip = Arg.(value & opt int 0 & info [ "skip" ] ~docv:"N") in
-  let take = Arg.(value & opt int 24 & info [ "take" ] ~docv:"N") in
+  let skip =
+    Arg.(value & opt non_negative_conv 0 & info [ "skip" ] ~docv:"N")
+  in
+  let take = Arg.(value & opt positive_conv 24 & info [ "take" ] ~docv:"N") in
   let run vm workload technique skip take =
     match Vmbp_workloads.find ~vm workload with
     | None ->
@@ -199,7 +212,7 @@ let trace_cmd =
 let jobs_arg =
   Arg.(
     value
-    & opt int 1
+    & opt positive_conv 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Run experiment cells on $(docv) domains (default sequential).")
 
@@ -226,7 +239,7 @@ let trace_cap_arg =
 let cell_timeout_arg =
   Arg.(
     value
-    & opt float 0.
+    & opt non_negative_float_conv 0.
     & info [ "cell-timeout" ] ~docv:"SEC"
         ~doc:
           "Watchdog deadline per cell attempt, enforced cooperatively in \
@@ -236,7 +249,7 @@ let cell_timeout_arg =
 let cell_retries_arg =
   Arg.(
     value
-    & opt int 1
+    & opt non_negative_conv 1
     & info [ "cell-retries" ] ~docv:"N"
         ~doc:
           "Extra attempts for a cell that failed transiently (unexpected \
@@ -411,7 +424,7 @@ let finish_obs trace_out metrics =
         (c "store.appended") (c "cells.retries") (c "cells.timeouts");
       Printf.eprintf "wrote metrics to %s\n" file
 
-let set_jobs jobs = Vmbp_report.Par_runner.default_jobs := max 1 jobs
+let set_jobs jobs = Vmbp_report.Par_runner.default_jobs := jobs
 let set_trace_cap mb = Vmbp_report.Par_runner.trace_cap_mb := mb
 
 (* First Ctrl-C: drain in-flight cells (the store is already fsync'd per
@@ -433,7 +446,7 @@ let install_sigint () =
 let setup_supervision cell_timeout cell_retries chaos self_check
     audit_sample repro_dir =
   Vmbp_report.Par_runner.cell_timeout := cell_timeout;
-  Vmbp_report.Par_runner.cell_retries := max 0 cell_retries;
+  Vmbp_report.Par_runner.cell_retries := cell_retries;
   Vmbp_report.Par_runner.self_check := self_check;
   Vmbp_report.Par_runner.audit_sample := audit_sample;
   Vmbp_report.Audit.repro_dir := repro_dir;
@@ -629,7 +642,7 @@ let serve_cmd =
   in
   let admission =
     Arg.(
-      value & opt int 64
+      value & opt positive_conv 64
       & info [ "admission" ] ~docv:"N"
           ~doc:
             "Max distinct cell configurations in compute flight; further \
@@ -716,8 +729,8 @@ let serve_cmd =
         Vmbp_service.Service.socket;
         store_dir = store;
         shards = store_shards;
-        jobs = max 1 jobs;
-        admission = max 1 admission;
+        jobs;
+        admission;
         request_timeout;
         slow_reader_timeout = slow_reader;
         degraded_after;
@@ -742,11 +755,11 @@ let loadgen_cmd =
      a throughput/latency report."
   in
   let clients =
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N")
+    Arg.(value & opt positive_conv 4 & info [ "clients" ] ~docv:"N")
   in
   let requests =
     Arg.(
-      value & opt int 1000
+      value & opt non_negative_conv 1000
       & info [ "n"; "requests" ] ~docv:"N"
           ~doc:"Total queries across all clients.")
   in
@@ -772,8 +785,8 @@ let loadgen_cmd =
     Vmbp_service.Loadgen.run
       {
         Vmbp_service.Loadgen.socket;
-        clients = max 1 clients;
-        requests = max 0 requests;
+        clients;
+        requests;
         seed;
         zipf;
         scale;
@@ -1113,10 +1126,12 @@ let store_cmd =
        well-formed, corrupt and stale-fingerprint records.  Exits 4 if any \
        corruption is found (after the repair when $(b,--compact) is given)."
     in
+    (* [Arg.dir] rejects a path that is not an existing directory, so a
+       mistyped path is a usage error, not a clean scan of nothing. *)
     let dir =
       Arg.(
         required
-        & pos 0 (some string) None
+        & pos 0 (some dir) None
         & info [] ~docv:"DIR" ~doc:"Store directory to scan.")
     in
     let compact =

@@ -6,8 +6,9 @@ Usage: python3 dev/hotpath_lint.py [--build-dir _build/default]
 Disassembles the native objects of a dune build with `objdump -dr` and
 checks the functions that run once per dispatch, fetch, VM call or path
 range: the simulators' access, fetch, replay_block and run_ranges
-functions, the banked-replay walk in Trace, Engine.run_events, the path
-walk's per-range function (Path_walk.range), the VM path recorder's and
+functions, the banked-replay walk in Trace, Engine.run_events (the one
+interpreter loop, which every live run goes through), the path walk's
+per-range function (Path_walk.range), the VM path recorder's and
 replayer's per-step functions (Vm_path.record_step, Vm_path.replay_step)
 and the JVM runtime's push_frame and alloc_object.  None of them may reference
 `Stdlib.max`, `Stdlib.min`, `Stdlib.compare` or a polymorphic `caml_*`

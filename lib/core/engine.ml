@@ -38,13 +38,14 @@ let poll_mask = poll_interval - 1
 (* Decode-once translation.
 
    A translation is the enriched, pre-decoded form of one layout: every
-   per-slot fact the interpreter loop needs -- code addresses and sizes for
+   per-slot fact a run emits events from -- code addresses and sizes for
    the I-cache, dispatch branch addresses, retired-instruction counts, the
    (possibly quickened) opcode and its branch classification -- is pulled
    out of the option-typed {!Code_layout.site} records once and stored in
-   parallel int arrays co-allocated with each other, so the run loop reads
-   each fact with one [Array.unsafe_get] instead of a record load plus an
-   option match.  Dispatches that do not exist encode as address [-1].
+   parallel int arrays co-allocated with each other, so a path walk
+   ({!Path_walk}) hands whole columns to the simulators' range kernels
+   instead of a record load plus an option match per slot.  Dispatches
+   that do not exist encode as address [-1].
 
    Quickening rewrites sites while the program runs, so a translation is
    kept consistent by block-scoped invalidation: [t_inv_lo]/[t_inv_hi]
@@ -178,50 +179,38 @@ let translation_equal (a : translation) (b : translation) =
   a = b
 
 (* ------------------------------------------------------------------ *)
-(* The translated run loop.
-
-   Control alternates between a block-entry guard and a straight-line fast
-   run.  The guard performs, once per entered block, exactly the per-step
-   checks the plain interpreter performed on every instruction -- the
-   cooperative poll, the fuel test, the pc bounds test, and the
-   shadow-window classification -- and then computes how many instructions
-   may run before any of those checks could fire again: until the next
-   poll boundary (steps divisible by [poll_interval]), until the fuel
-   runs out, or until the program's last slot.  The fast run then executes
-   up to that many slots with nothing per step but unsafe array reads,
-   event emission and the semantics call; any VM-level transfer, trap,
-   halt or budget exhaustion falls back out to the guard.
+(* The interpreter loop: one iteration per executed VM instruction, every
+   per-slot fact read from the layout's option-typed site records (the
+   paper's Section 3 plain-interpreter shape).  Every live run goes
+   through it; every other run walks a recorded path ({!Path_walk}).
 
    Stop state is an immediate int ([0] running, [1] finished, [2]
-   trapped), never an option: the old loop's per-iteration polymorphic
-   [!stop = None] compare was a structural-equality call on the hottest
-   path in the system. *)
+   trapped) with the trap message in a ref beside it, so the loop test is
+   one int compare ([dev/hotpath_lint.py] keeps polymorphic compares out
+   of this function). *)
 
 let stop_running = 0
 let stop_finished = 1
 let stop_trapped = 2
 
-let run_events ?(fuel = max_int) ?(poll = fun () -> ()) ?exec_counts
-    ?translation ~metrics:(m : Metrics.t) ~layout ~exec ~sink () =
+let run_events ?(fuel = max_int) ?(poll = fun () -> ()) ?translation
+    ~metrics:(m : Metrics.t) ~layout ~exec ~sink () =
   let program = layout.Code_layout.program in
   let n = Program.length program in
-  let tr =
-    match translation with
-    | Some tr ->
-        if tr.t_n <> n then
-          invalid_arg "Engine.run_events: translation does not match layout";
-        tr
-    | None -> translate layout
-  in
+  (match translation with
+  | Some tr when tr.t_n <> n ->
+      invalid_arg "Engine.run_events: translation does not match layout"
+  | Some _ | None -> ());
+  let sites = layout.Code_layout.sites in
   let shadow = layout.Code_layout.shadow in
   let shadow_until = layout.Code_layout.shadow_until in
-  let costs = layout.Code_layout.costs in
-  let dispatch_bytes = costs.Costs.threaded_dispatch_bytes in
+  let dispatch_bytes =
+    layout.Code_layout.costs.Costs.threaded_dispatch_bytes
+  in
   let on_dispatch = sink.on_dispatch and on_fetch = sink.on_fetch in
-  let has_counts = exec_counts <> None in
-  let counts = match exec_counts with Some c -> c | None -> [||] in
   let pending = ref (-1) in
   let pending_vmt = ref false in
+  let transfer = Array.init n (slot_is_transfer program) in
   (* side-entry emulation for static superinstructions crossing basic
      blocks: while [shadow_lo <= pc <= shadow_hi], non-replicated code
      runs (Figure 6) *)
@@ -230,122 +219,15 @@ let run_events ?(fuel = max_int) ?(poll = fun () -> ()) ?exec_counts
   let steps = ref 0 in
   let stop = ref stop_running in
   let trap_msg = ref out_of_fuel in
-  (* One slot through the non-replicated fallback site, option-typed like
-     the sites themselves: shadow windows are rare (a taken branch into the
-     middle of a replicated static superinstruction) and short, so this
-     path stays off the fast run entirely. *)
-  let shadow_step i =
-    let site = shadow.(i) in
-    (* Capture the site before executing: quickening rewrites it. *)
-    let entry_addr = site.Code_layout.entry_addr in
-    let fetch_addr = site.Code_layout.fetch_addr in
-    let fetch_bytes = site.Code_layout.fetch_bytes in
-    let work_instrs = site.Code_layout.work_instrs in
-    let pre_dispatch = site.Code_layout.pre_dispatch in
-    let post_fall = site.Code_layout.post_fall in
-    let post_taken = site.Code_layout.post_taken in
-    let fall_extra = site.Code_layout.fall_extra_instrs in
-    let opcode = program.Program.code.(i).Program.opcode in
-    let is_transfer = tr.t_transfer.(i) in
-    if !pending >= 0 then begin
-      m.Metrics.dispatches <- m.Metrics.dispatches + 1;
-      m.Metrics.indirect_branches <- m.Metrics.indirect_branches + 1;
-      on_dispatch ~branch:!pending ~target:entry_addr ~opcode
-        ~vm_transfer:!pending_vmt
-    end;
-    (match pre_dispatch with
-    | Some d ->
-        on_fetch ~addr:entry_addr ~bytes:dispatch_bytes ~opcode;
-        m.Metrics.native_instrs <- m.Metrics.native_instrs + d.Code_layout.instrs;
-        m.Metrics.dispatches <- m.Metrics.dispatches + 1;
-        m.Metrics.indirect_branches <- m.Metrics.indirect_branches + 1;
-        on_dispatch ~branch:d.Code_layout.branch_addr ~target:fetch_addr
-          ~opcode ~vm_transfer:false
-    | None -> ());
-    if site.Code_layout.call_fetch_bytes > 0 then
-      on_fetch ~addr:site.Code_layout.call_fetch_addr
-        ~bytes:site.Code_layout.call_fetch_bytes ~opcode;
-    on_fetch ~addr:fetch_addr ~bytes:fetch_bytes ~opcode;
-    m.Metrics.native_instrs <- m.Metrics.native_instrs + work_instrs;
-    m.Metrics.vm_instrs <- m.Metrics.vm_instrs + 1;
-    incr steps;
-    if has_counts then counts.(i) <- counts.(i) + 1;
-    let control =
-      match exec program i with
-      | Control.Quicken q ->
-          Code_layout.quicken layout ~slot:i ~new_opcode:q.Control.new_opcode
-            ~new_operands:q.Control.new_operands;
-          (* The quick form may classify differently; this step already
-             captured the pre-quickening [is_transfer], as before. *)
-          retranslate tr layout i;
-          m.Metrics.quickenings <- m.Metrics.quickenings + 1;
-          q.Control.after
-      | control -> control
-    in
-    match control with
-    | Control.Next ->
-        (match post_fall with
-        | Some d ->
-            m.Metrics.native_instrs <-
-              m.Metrics.native_instrs + d.Code_layout.instrs;
-            pending := d.Code_layout.branch_addr;
-            pending_vmt := is_transfer
-        | None ->
-            m.Metrics.native_instrs <- m.Metrics.native_instrs + fall_extra;
-            pending := -1);
-        pc := i + 1
-    | Control.Jump target ->
-        (match post_taken with
-        | Some d ->
-            m.Metrics.native_instrs <-
-              m.Metrics.native_instrs + d.Code_layout.instrs;
-            pending := d.Code_layout.branch_addr;
-            pending_vmt := is_transfer
-        | None ->
-            (* A layout must provide a dispatch on every taken path. *)
-            assert false);
-        if target >= 0 && target < n && shadow_until.(target) >= 0 then begin
-          shadow_lo := target;
-          shadow_hi := shadow_until.(target)
-        end
-        else shadow_hi := -1;
-        pc := target
-    | Control.Halt -> stop := stop_finished
-    | Control.Trap msg ->
-        trap_msg := msg;
-        stop := stop_trapped
-    | Control.Quicken _ ->
-        (* [exec] resolved the outer quickening above; nested quickening is
-           not meaningful. *)
-        trap_msg := "nested quickening";
-        stop := stop_trapped
-  in
-  let t_opcode = tr.t_opcode
-  and t_entry = tr.t_entry
-  and t_fetch_addr = tr.t_fetch_addr
-  and t_fetch_bytes = tr.t_fetch_bytes
-  and t_work = tr.t_work
-  and t_transfer = tr.t_transfer
-  and t_pre_addr = tr.t_pre_addr
-  and t_pre_instrs = tr.t_pre_instrs
-  and t_fall_addr = tr.t_fall_addr
-  and t_fall_instrs = tr.t_fall_instrs
-  and t_taken_addr = tr.t_taken_addr
-  and t_taken_instrs = tr.t_taken_instrs
-  and t_fall_extra = tr.t_fall_extra
-  and t_call_addr = tr.t_call_addr
-  and t_call_bytes = tr.t_call_bytes in
   while !stop = stop_running do
-    (* Block-entry guard: the per-step checks of the plain loop, performed
-       once per entered block.  The poll hook is how watchdogs regain
-       control of a hung or slow cell: it may raise, which aborts the run
-       like any engine exception.  Polling at step 0 means a deadline that
-       already passed is noticed before any work happens.  Exhausting the
-       fuel is a reported stop, not an exception: the accumulated metrics
-       of the truncated run stay observable. *)
-    let s = !steps in
-    if s land poll_mask = 0 then poll ();
-    if s >= fuel then begin
+    (* The poll hook is how watchdogs regain control of a hung or slow
+       cell: it may raise, which aborts the run like any engine exception.
+       Polling at step 0 means a deadline that already passed is noticed
+       before any work happens.  Exhausting the fuel is a reported stop,
+       not an exception: the accumulated metrics of the truncated run stay
+       observable. *)
+    if !steps land poll_mask = 0 then poll ();
+    if !steps >= fuel then begin
       trap_msg := out_of_fuel;
       stop := stop_trapped
     end
@@ -361,259 +243,103 @@ let run_events ?(fuel = max_int) ?(poll = fun () -> ()) ?exec_counts
       else begin
         if !shadow_hi >= 0 && (i < !shadow_lo || i > !shadow_hi) then
           shadow_hi := -1;
-        if !shadow_hi >= 0 then shadow_step i
-        else begin
-          (* Steps until a skipped check could fire: the next poll
-             boundary or the fuel limit, whichever is nearer (both are
-             >= 1 here), capped at the last slot of the program. *)
-          let till_poll = poll_interval - (s land poll_mask) in
-          let till_fuel = fuel - s in
-          let budget = if till_fuel < till_poll then till_fuel else till_poll in
-          let last =
-            let lim = i + budget - 1 in
-            if lim >= n - 1 then n - 1 else lim
-          in
-          let j = ref i in
-          let running = ref true in
-          while !running do
-            let k = !j in
-            let opcode = Array.unsafe_get t_opcode k in
-            let entry_addr = Array.unsafe_get t_entry k in
-            (* Resolve the dispatch that brought control here. *)
-            let p = !pending in
-            if p >= 0 then begin
-              m.Metrics.dispatches <- m.Metrics.dispatches + 1;
-              m.Metrics.indirect_branches <- m.Metrics.indirect_branches + 1;
-              on_dispatch ~branch:p ~target:entry_addr ~opcode
-                ~vm_transfer:!pending_vmt
-            end;
-            let fetch_addr = Array.unsafe_get t_fetch_addr k in
-            (* Gap dispatch of a not-yet-quickened instruction inside a
-               dynamic superinstruction: jumps from the gap to the original
-               routine. *)
-            let pre = Array.unsafe_get t_pre_addr k in
-            if pre >= 0 then begin
-              on_fetch ~addr:entry_addr ~bytes:dispatch_bytes ~opcode;
-              m.Metrics.native_instrs <-
-                m.Metrics.native_instrs + Array.unsafe_get t_pre_instrs k;
-              m.Metrics.dispatches <- m.Metrics.dispatches + 1;
-              m.Metrics.indirect_branches <- m.Metrics.indirect_branches + 1;
-              on_dispatch ~branch:pre ~target:fetch_addr ~opcode
-                ~vm_transfer:false
-            end;
-            let cb = Array.unsafe_get t_call_bytes k in
-            if cb > 0 then
-              on_fetch ~addr:(Array.unsafe_get t_call_addr k) ~bytes:cb ~opcode;
-            on_fetch ~addr:fetch_addr
-              ~bytes:(Array.unsafe_get t_fetch_bytes k)
-              ~opcode;
+        let site = if !shadow_hi >= 0 then shadow.(i) else sites.(i) in
+        (* Capture the site before executing: quickening rewrites it, and
+           the step that quickens still accounts the pre-quickening site. *)
+        let entry_addr = site.Code_layout.entry_addr in
+        let fetch_addr = site.Code_layout.fetch_addr in
+        let post_fall = site.Code_layout.post_fall in
+        let post_taken = site.Code_layout.post_taken in
+        let fall_extra = site.Code_layout.fall_extra_instrs in
+        let opcode = program.Program.code.(i).Program.opcode in
+        let is_transfer = transfer.(i) in
+        (* Resolve the dispatch that brought control here. *)
+        if !pending >= 0 then begin
+          m.Metrics.dispatches <- m.Metrics.dispatches + 1;
+          m.Metrics.indirect_branches <- m.Metrics.indirect_branches + 1;
+          on_dispatch ~branch:!pending ~target:entry_addr ~opcode
+            ~vm_transfer:!pending_vmt
+        end;
+        (* Gap dispatch of a not-yet-quickened instruction inside a
+           dynamic superinstruction: jumps from the gap to the original
+           routine. *)
+        (match site.Code_layout.pre_dispatch with
+        | Some d ->
+            on_fetch ~addr:entry_addr ~bytes:dispatch_bytes ~opcode;
             m.Metrics.native_instrs <-
-              m.Metrics.native_instrs + Array.unsafe_get t_work k;
-            m.Metrics.vm_instrs <- m.Metrics.vm_instrs + 1;
-            steps := !steps + 1;
-            if has_counts then counts.(k) <- counts.(k) + 1;
-            (* Capture the slot's post-exec facts before executing:
-               quickening rewrites them, and the step that quickens must
-               still account the pre-quickening site, as before. *)
-            let is_transfer = Array.unsafe_get t_transfer k in
-            let fall_addr = Array.unsafe_get t_fall_addr k in
-            let fall_instrs = Array.unsafe_get t_fall_instrs k in
-            let taken_addr = Array.unsafe_get t_taken_addr k in
-            let taken_instrs = Array.unsafe_get t_taken_instrs k in
-            let fall_extra = Array.unsafe_get t_fall_extra k in
-            let control =
-              match exec program k with
-              | Control.Quicken q ->
-                  Code_layout.quicken layout ~slot:k
-                    ~new_opcode:q.Control.new_opcode
-                    ~new_operands:q.Control.new_operands;
-                  retranslate tr layout k;
-                  m.Metrics.quickenings <- m.Metrics.quickenings + 1;
-                  q.Control.after
-              | control -> control
-            in
-            match control with
-            | Control.Next ->
-                if fall_addr >= 0 then begin
-                  m.Metrics.native_instrs <-
-                    m.Metrics.native_instrs + fall_instrs;
-                  pending := fall_addr;
-                  pending_vmt := is_transfer
-                end
-                else begin
-                  m.Metrics.native_instrs <-
-                    m.Metrics.native_instrs + fall_extra;
-                  pending := -1
-                end;
-                if k < last then j := k + 1
-                else begin
-                  pc := k + 1;
-                  running := false
-                end
-            | Control.Jump target ->
-                if taken_addr >= 0 then begin
-                  m.Metrics.native_instrs <-
-                    m.Metrics.native_instrs + taken_instrs;
-                  pending := taken_addr;
-                  pending_vmt := is_transfer
-                end
-                else
-                  (* A layout must provide a dispatch on every taken path. *)
-                  assert false;
-                (* An out-of-range target is trapped by the bounds check in
-                   the guard; only guard the shadow lookup. *)
-                if
-                  target >= 0 && target < n
-                  && Array.unsafe_get shadow_until target >= 0
-                then begin
-                  shadow_lo := target;
-                  shadow_hi := Array.unsafe_get shadow_until target
-                end
-                else shadow_hi := -1;
-                pc := target;
-                running := false
-            | Control.Halt ->
-                stop := stop_finished;
-                running := false
-            | Control.Trap msg ->
-                trap_msg := msg;
-                stop := stop_trapped;
-                running := false
-            | Control.Quicken _ ->
-                trap_msg := "nested quickening";
-                stop := stop_trapped;
-                running := false
-          done
-        end
+              m.Metrics.native_instrs + d.Code_layout.instrs;
+            m.Metrics.dispatches <- m.Metrics.dispatches + 1;
+            m.Metrics.indirect_branches <- m.Metrics.indirect_branches + 1;
+            on_dispatch ~branch:d.Code_layout.branch_addr ~target:fetch_addr
+              ~opcode ~vm_transfer:false
+        | None -> ());
+        if site.Code_layout.call_fetch_bytes > 0 then
+          on_fetch ~addr:site.Code_layout.call_fetch_addr
+            ~bytes:site.Code_layout.call_fetch_bytes ~opcode;
+        on_fetch ~addr:fetch_addr ~bytes:site.Code_layout.fetch_bytes ~opcode;
+        m.Metrics.native_instrs <-
+          m.Metrics.native_instrs + site.Code_layout.work_instrs;
+        m.Metrics.vm_instrs <- m.Metrics.vm_instrs + 1;
+        incr steps;
+        let control =
+          match exec program i with
+          | Control.Quicken q ->
+              Code_layout.quicken layout ~slot:i
+                ~new_opcode:q.Control.new_opcode
+                ~new_operands:q.Control.new_operands;
+              (* The quick form may classify differently; this step
+                 already captured the pre-quickening [is_transfer]. *)
+              transfer.(i) <- slot_is_transfer program i;
+              m.Metrics.quickenings <- m.Metrics.quickenings + 1;
+              q.Control.after
+          | control -> control
+        in
+        match control with
+        | Control.Next ->
+            (match post_fall with
+            | Some d ->
+                m.Metrics.native_instrs <-
+                  m.Metrics.native_instrs + d.Code_layout.instrs;
+                pending := d.Code_layout.branch_addr;
+                pending_vmt := is_transfer
+            | None ->
+                m.Metrics.native_instrs <- m.Metrics.native_instrs + fall_extra;
+                pending := -1);
+            pc := i + 1
+        | Control.Jump target ->
+            (match post_taken with
+            | Some d ->
+                m.Metrics.native_instrs <-
+                  m.Metrics.native_instrs + d.Code_layout.instrs;
+                pending := d.Code_layout.branch_addr;
+                pending_vmt := is_transfer
+            | None ->
+                (* A layout must provide a dispatch on every taken path. *)
+                assert false);
+            (* An out-of-range target is trapped by the bounds check
+               above; only guard the shadow lookup. *)
+            if target >= 0 && target < n && shadow_until.(target) >= 0
+            then begin
+              shadow_lo := target;
+              shadow_hi := shadow_until.(target)
+            end
+            else shadow_hi := -1;
+            pc := target
+        | Control.Halt -> stop := stop_finished
+        | Control.Trap msg ->
+            trap_msg := msg;
+            stop := stop_trapped
+        | Control.Quicken _ ->
+            (* [exec] resolved the outer quickening above; nested
+               quickening is not meaningful. *)
+            trap_msg := "nested quickening";
+            stop := stop_trapped
       end
     end
   done;
   (!steps, if !stop = stop_trapped then Some !trap_msg else None)
 
-(* ------------------------------------------------------------------ *)
-(* The pre-translation interpreter loop, kept verbatim as the reference
-   the translated loop is differentially tested against (and as the
-   paper's Section 3 plain-interpreter shape): every per-slot fact is
-   re-derived from the option-typed site records on every executed
-   instruction. *)
-
-type stop_reason = Finished | Trapped of string
-
-let run_events_legacy ?(fuel = max_int) ?(poll = fun () -> ()) ?exec_counts
-    ~metrics:m ~layout ~exec ~sink () =
-  let program = layout.Code_layout.program in
-  let sites = layout.Code_layout.sites in
-  let shadow = layout.Code_layout.shadow in
-  let shadow_until = layout.Code_layout.shadow_until in
-  let costs = layout.Code_layout.costs in
-  let on_dispatch = sink.on_dispatch and on_fetch = sink.on_fetch in
-  let pending = ref (-1) in
-  let pending_from_transfer = ref false in
-  let transfer =
-    Array.init (Program.length program) (slot_is_transfer program)
-  in
-  let shadow_lo = ref 0 and shadow_hi = ref (-1) in
-  let pc = ref program.Program.entry in
-  let steps = ref 0 in
-  let stop = ref None in
-  while !stop = None do
-    if !steps land poll_mask = 0 then poll ();
-    if !steps >= fuel then stop := Some (Trapped out_of_fuel)
-    else begin
-    let i = !pc in
-    if i < 0 || i >= Program.length program then
-      stop := Some (Trapped pc_out_of_range)
-    else begin
-    if !shadow_hi >= 0 && (i < !shadow_lo || i > !shadow_hi) then
-      shadow_hi := -1;
-    let site = if !shadow_hi >= 0 then shadow.(i) else sites.(i) in
-    let entry_addr = site.Code_layout.entry_addr in
-    let fetch_addr = site.Code_layout.fetch_addr in
-    let fetch_bytes = site.Code_layout.fetch_bytes in
-    let work_instrs = site.Code_layout.work_instrs in
-    let pre_dispatch = site.Code_layout.pre_dispatch in
-    let post_fall = site.Code_layout.post_fall in
-    let post_taken = site.Code_layout.post_taken in
-    let fall_extra = site.Code_layout.fall_extra_instrs in
-    let opcode = program.Program.code.(i).Program.opcode in
-    let is_transfer = transfer.(i) in
-    if !pending >= 0 then begin
-      m.Metrics.dispatches <- m.Metrics.dispatches + 1;
-      m.Metrics.indirect_branches <- m.Metrics.indirect_branches + 1;
-      on_dispatch ~branch:!pending ~target:entry_addr ~opcode
-        ~vm_transfer:!pending_from_transfer
-    end;
-    (match pre_dispatch with
-    | Some d ->
-        on_fetch ~addr:entry_addr ~bytes:costs.Costs.threaded_dispatch_bytes
-          ~opcode;
-        m.Metrics.native_instrs <-
-          m.Metrics.native_instrs + d.Code_layout.instrs;
-        m.Metrics.dispatches <- m.Metrics.dispatches + 1;
-        m.Metrics.indirect_branches <- m.Metrics.indirect_branches + 1;
-        on_dispatch ~branch:d.Code_layout.branch_addr ~target:fetch_addr
-          ~opcode ~vm_transfer:false
-    | None -> ());
-    if site.Code_layout.call_fetch_bytes > 0 then
-      on_fetch ~addr:site.Code_layout.call_fetch_addr
-        ~bytes:site.Code_layout.call_fetch_bytes ~opcode;
-    on_fetch ~addr:fetch_addr ~bytes:fetch_bytes ~opcode;
-    m.Metrics.native_instrs <- m.Metrics.native_instrs + work_instrs;
-    m.Metrics.vm_instrs <- m.Metrics.vm_instrs + 1;
-    incr steps;
-    (match exec_counts with
-    | Some counts -> counts.(i) <- counts.(i) + 1
-    | None -> ());
-    let control =
-      match exec program i with
-      | Control.Quicken q ->
-          Code_layout.quicken layout ~slot:i ~new_opcode:q.Control.new_opcode
-            ~new_operands:q.Control.new_operands;
-          transfer.(i) <- slot_is_transfer program i;
-          m.Metrics.quickenings <- m.Metrics.quickenings + 1;
-          q.Control.after
-      | control -> control
-    in
-    match control with
-    | Control.Next ->
-        (match post_fall with
-        | Some d ->
-            m.Metrics.native_instrs <-
-              m.Metrics.native_instrs + d.Code_layout.instrs;
-            pending := d.Code_layout.branch_addr;
-            pending_from_transfer := is_transfer
-        | None ->
-            m.Metrics.native_instrs <- m.Metrics.native_instrs + fall_extra;
-            pending := -1);
-        pc := i + 1
-    | Control.Jump target ->
-        (match post_taken with
-        | Some d ->
-            m.Metrics.native_instrs <-
-              m.Metrics.native_instrs + d.Code_layout.instrs;
-            pending := d.Code_layout.branch_addr;
-            pending_from_transfer := is_transfer
-        | None -> assert false);
-        if target >= 0 && target < Program.length program
-           && shadow_until.(target) >= 0
-        then begin
-          shadow_lo := target;
-          shadow_hi := shadow_until.(target)
-        end
-        else shadow_hi := -1;
-        pc := target
-    | Control.Halt -> stop := Some Finished
-    | Control.Trap msg -> stop := Some (Trapped msg)
-    | Control.Quicken _ -> stop := Some (Trapped "nested quickening")
-    end
-    end
-  done;
-  ( !steps,
-    match !stop with
-    | Some (Trapped msg) -> Some msg
-    | Some Finished | None -> None )
-
-let run ?fuel ?poll ?exec_counts ?translation ~config ~layout ~exec () =
+let run ?fuel ?poll ?translation ~config ~layout ~exec () =
   let cpu = config.Config.cpu in
   let m = Metrics.create () in
   let predictor = Predictor.create (Config.predictor_kind config) in
@@ -637,8 +363,7 @@ let run ?fuel ?poll ?exec_counts ?translation ~config ~layout ~exec () =
     }
   in
   let steps, trapped =
-    run_events ?fuel ?poll ?exec_counts ?translation ~metrics:m ~layout ~exec
-      ~sink ()
+    run_events ?fuel ?poll ?translation ~metrics:m ~layout ~exec ~sink ()
   in
   m.Metrics.icache_fetches <- !hits + !misses;
   m.Metrics.icache_misses <- !misses;

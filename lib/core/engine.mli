@@ -8,14 +8,13 @@
     addresses, is entirely determined by the {!Code_layout}, so the same
     engine serves every technique.
 
-    The interpreter loop itself is decode-once, run-many: a {e translation}
-    pass walks the layout once and flattens every per-slot fact the loop
-    needs into parallel int arrays; the loop then alternates between a
-    block-entry guard (poll, fuel, pc bounds, shadow-window classification
-    -- once per entered straight-line block) and a straight-line fast run
-    over the pre-decoded stream.  The event stream, metrics, poll contract
-    and trap reporting are observably identical to the plain per-step loop,
-    which is kept as {!run_events_legacy} and differentially tested. *)
+    There is one simulating loop, {!run_events}: one iteration per
+    executed VM instruction, every per-slot fact read from the layout's
+    site records.  Every live run goes through it -- a workload's first
+    run, the self-check oracle, the audit's fresh run, [explain].  Every
+    other run walks the workload's recorded control path against the
+    layout's {e translation} ({!translate}), its per-slot facts decoded
+    once into parallel arrays, with no per-step loop ({!Path_walk}). *)
 
 type exec = Vmbp_vm.Program.t -> int -> Vmbp_vm.Control.t
 (** [exec program pc] runs the semantics of the instruction in slot [pc].
@@ -80,12 +79,13 @@ type translation = private {
 (** The decode-once form of one layout: every per-slot fact of its
     {!Code_layout.site}s (addresses, sizes, dispatch branches, instruction
     counts) plus the opcode and transfer classification, flattened into
-    parallel arrays read with one unguarded load each on the hot path.
-    Mutable: quickening re-translates the enclosing straight-line block so
-    the translation always mirrors the layout it was built from.  A
-    translation is therefore private to one run.  Readable so the path walk
-    ({!Path_walk}) can hand the arrays to the simulators' range kernels;
-    only this module builds or mutates one. *)
+    parallel arrays.  Its one reader is the path walk ({!Path_walk}),
+    which hands the arrays to the simulators' range kernels; the
+    interpreter loop ({!run_events}) reads the sites themselves.
+    Mutable: a replayed quickening re-translates the enclosing
+    straight-line block ({!retranslate}) so the translation always
+    mirrors the layout it was built from.  A translation is therefore
+    private to one walk.  Only this module builds or mutates one. *)
 
 val translate : Code_layout.t -> translation
 (** Build the translation of [layout] as it currently stands (one pass over
@@ -101,14 +101,13 @@ val retranslate : translation -> Code_layout.t -> int -> unit
 
 val translation_equal : translation -> translation -> bool
 (** Structural equality of every decoded per-slot fact.  The test oracle
-    for incremental re-translation: after a run that quickened, the
+    for incremental re-translation: after a walk that quickened, the
     mutated translation must equal a from-scratch {!translate} of the
     mutated layout. *)
 
 val run_events :
   ?fuel:int ->
   ?poll:(unit -> unit) ->
-  ?exec_counts:int array ->
   ?translation:translation ->
   metrics:Vmbp_machine.Metrics.t ->
   layout:Code_layout.t ->
@@ -123,51 +122,33 @@ val run_events :
     whoever consumes the events).  Returns [(steps, trapped)].  The event
     stream is a function of the layout and the program semantics only; it
     does not depend on the CPU model or predictor configuration, which is
-    what makes record-once/replay-many across a CPU grid sound.
+    what makes one path walk over many configurations sound.
 
-    [translation] supplies the pre-decoded stream (it must have been built
-    from this layout, in its current state); when absent the engine
-    translates on entry.  The translation is mutated in lockstep with the
-    layout by quickening and must not be reused for another run.
+    [translation] is accepted for callers that still pass one (the
+    benchmark's layer timings): the loop checks that its length matches
+    the layout and reads nothing else from it.
 
     [poll] is called every few thousand executed VM instructions (and once
     before the first); it is the cooperative watchdog hook: a hung-cell
     deadline raises out of it, aborting the run, so supervisors regain
     control without preemption.  The hook must not touch the run's state. *)
 
-val run_events_legacy :
-  ?fuel:int ->
-  ?poll:(unit -> unit) ->
-  ?exec_counts:int array ->
-  metrics:Vmbp_machine.Metrics.t ->
-  layout:Code_layout.t ->
-  exec:exec ->
-  sink:sink ->
-  unit ->
-  int * string option
-(** The pre-translation per-step interpreter loop, kept as the differential
-    reference for {!run_events}: same contract, same event stream, same
-    returns, but every per-slot fact re-derived from the site records on
-    every executed instruction.  Used by the equivalence test suites and the
-    [bench/engine_bench] perf smoke; not used by the report pipeline. *)
-
 val run :
   ?fuel:int ->
   ?poll:(unit -> unit) ->
-  ?exec_counts:int array ->
   ?translation:translation ->
   config:Config.t ->
   layout:Code_layout.t ->
   exec:exec ->
   unit ->
   result
-(** Execute the layout's program to completion.
+(** Execute the layout's program to completion through {!run_events},
+    with the configuration's predictor and I-cache as the sink.
 
     [fuel] bounds the number of executed VM instructions (default
     unlimited); exhausting it stops the run with [trapped = Some out_of_fuel]
-    so the metrics accumulated up to that point remain observable.  When
-    [exec_counts] is given, the engine increments one counter per executed
-    slot, which is how training runs collect dynamic profiles. *)
+    so the metrics accumulated up to that point remain observable.
+    [translation] is checked and otherwise ignored, as for {!run_events}. *)
 
 val run_functional :
   ?fuel:int ->

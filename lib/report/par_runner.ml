@@ -1162,10 +1162,10 @@ let json_summary ?jobs results =
   Buffer.add_string b
     (Printf.sprintf ",\"banked_configs\":%d" (banked_configs ()));
   (* vmbp-cells/6: decode-once translation counters since process start --
-     [translations] counts layout translations built by the engine (one
-     per run or group walk), [result_hits] counts cells served verbatim
-     from the full-result cache, and [translate_wall_seconds] is the wall
-     clock spent building translations. *)
+     [translations] counts layout translations built for path walks (one
+     per walk; live runs build none), [result_hits] counts cells served
+     verbatim from the full-result cache, and [translate_wall_seconds] is
+     the wall clock spent building translations. *)
   let registry_counter name =
     match Vmbp_obs.Registry.find_counter name with
     | Some n -> Int64.to_int n

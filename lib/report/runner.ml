@@ -13,9 +13,9 @@ exception Run_failed of string
 
 let engine_fuel = 2_000_000_000
 
-(* Every run or group walk decodes its layout afresh with
-   {!Engine.translate}: copying a cached decode cost about as much, and a
-   run's translation is private anyway because quickening mutates it. *)
+(* Every walk decodes its layout afresh with {!Engine.translate}: copying
+   a cached decode cost about as much, and a walk's translation is private
+   anyway because quickening mutates it.  A live run reads none. *)
 
 let m_translations = Vmbp_obs.Registry.counter "engine.translations"
 let g_translate_wall = Vmbp_obs.Registry.gauge "engine.translate_wall_seconds"
@@ -118,9 +118,11 @@ let live ?path_cap (loaded : Vmbp_workloads.loaded) =
             (Vm_path.finish recorder ~steps ~trapped ~output) )
   | Some _ | None -> (exec, output, fun ~steps:_ ~trapped:_ ~output:_ -> ())
 
-(* Load the workload and build the layout and translation a run of
-   [technique] uses. *)
-let prepare ?profile ~scale ~config ~technique (workload : Vmbp_workloads.t) =
+(* Load the workload and build the layout a run of [technique] uses.
+   When [path] finds a path to walk for the loaded workload, also build
+   the translation the walk reads. *)
+let prepare ?profile ~scale ~config ~technique ~path
+    (workload : Vmbp_workloads.t) =
   Vmbp_obs.Span.with_ ~name:"layout"
     ~args:[ ("workload", workload.Vmbp_workloads.name) ]
     (fun () ->
@@ -130,7 +132,9 @@ let prepare ?profile ~scale ~config ~technique (workload : Vmbp_workloads.t) =
         Config.build_layout ?profile config
           ~program:loaded.Vmbp_workloads.program
       in
-      (loaded, layout, translate layout))
+      ( loaded,
+        layout,
+        Option.map (fun p -> (p, translate layout)) (path loaded) ))
 
 let run_of ~workload ~technique ~cpu result output =
   match result.Engine.trapped with
@@ -200,12 +204,13 @@ let walk_configs ?poll ~workload ~technique ~layout ~translation ~path configs
 let run ?(scale = 1) ?poll ?predictor ?profile ?path_cap ~cpu ~technique
     (workload : Vmbp_workloads.t) =
   let config = Config.make ~cpu ?predictor technique in
-  let loaded, layout, translation =
+  let loaded, layout, walk =
     prepare ?profile ~scale ~config ~technique workload
+      ~path:(if path_cap = None then fun _ -> None else kept_path)
   in
   let outcome =
-    match if path_cap = None then None else kept_path loaded with
-    | Some path ->
+    match walk with
+    | Some (path, translation) ->
         List.hd
           (fst
              (walk_configs ?poll ~workload ~technique ~layout ~translation
@@ -214,8 +219,7 @@ let run ?(scale = 1) ?poll ?predictor ?profile ?path_cap ~cpu ~technique
         let exec, output, keep = live ?path_cap loaded in
         let result =
           engine_span workload (fun () ->
-              Engine.run ~fuel:engine_fuel ?poll ~translation ~config ~layout
-                ~exec ())
+              Engine.run ~fuel:engine_fuel ?poll ~config ~layout ~exec ())
         in
         let output = output () in
         keep ~steps:result.Engine.steps ~trapped:result.Engine.trapped ~output;
@@ -225,15 +229,19 @@ let run ?(scale = 1) ?poll ?predictor ?profile ?path_cap ~cpu ~technique
 
 let walk_group ?(scale = 1) ?poll ~technique ~configs
     (workload : Vmbp_workloads.t) =
-  Option.map
-    (fun path ->
-      (* Layouts depend on technique and costs only, never on the CPU. *)
-      let _, layout, translation =
-        prepare ~scale ~config:(Config.make technique) ~technique workload
-      in
-      walk_configs ?poll ~workload ~technique ~layout ~translation ~path
-        configs)
-    (kept_path (workload.Vmbp_workloads.load ~scale))
+  (* A workload without a kept path builds nothing here: it runs live. *)
+  if Option.is_none (kept_path (workload.Vmbp_workloads.load ~scale)) then None
+  else
+    (* Layouts depend on technique and costs only, never on the CPU. *)
+    let _, layout, walk =
+      prepare ~scale ~config:(Config.make technique) ~technique
+        ~path:kept_path workload
+    in
+    Option.map
+      (fun (path, translation) ->
+        walk_configs ?poll ~workload ~technique ~layout ~translation ~path
+          configs)
+      walk
 
 let run_result ?scale ?poll ?predictor ?profile ?path_cap ~cpu ~technique
     workload =

@@ -43,9 +43,10 @@ val record :
     (including fuel exhaustion) records normally: the trace reproduces its
     partial metrics.  [poll] is the engine's cooperative watchdog hook (see
     {!Vmbp_core.Engine.run_events}); an exception it raises aborts the
-    recording like any other run failure.  [translation] supplies the
-    pre-decoded instruction stream (see {!Vmbp_core.Engine.translation});
-    it must have been built from [layout] and is consumed by the run. *)
+    recording like any other run failure.  [translation] is kept for the
+    benchmark's layer timings only: it goes to
+    {!Vmbp_core.Engine.run_events}, which checks its length against
+    [layout] and reads nothing else from it. *)
 
 val replay_bank :
   ?poll:(unit -> unit) ->

@@ -1,21 +1,21 @@
-(* Differential tests for the decode-once translated interpreter loop.
+(* Differential tests for the three ways a run reaches the simulators.
 
-   [Engine.run_events] (block-entry guards over a pre-translated stream)
-   must be observably identical to [Engine.run_events_legacy] (the
-   per-step reference loop): same event stream into the sink, same
+   A live run of the interpreter loop ([Engine.run_events]) executes the
+   VM semantics and records the run's control path ([Vm_path]).  Driving
+   the same loop with that path instead of the semantics must reproduce
+   the live run exactly: same event stream into the sink, same
    deterministic metrics, same steps/trap reporting -- across every
-   technique of the paper grid, across trap paths (fuel exhaustion,
-   pc escape, semantic traps), and across real-VM workloads.  Each of
-   those cases also runs the translated loop a third time, driven by a
-   recorded VM control path ([Vm_path]) instead of the semantics, which
-   must reproduce the live run exactly.  The "walk" group runs the same
-   cases once more as a walk of the path ([Path_walk]), which emits no
-   events: its deterministic counters, and what it counts on a set of
-   predictors and I-caches, must equal the legacy run's, and one walk
-   over many configurations must equal one walk per configuration.  A
-   last group checks the translation machinery itself: quickening's
-   incremental re-translation leaves the translation equal to a
-   from-scratch decode of the mutated layout. *)
+   technique of the paper grid, across trap paths (fuel exhaustion, pc
+   escape, semantic traps), and across real-VM workloads.  The "walk"
+   group runs the same cases as a walk of the path ([Path_walk]) against
+   the layout's translation, which emits no events: its deterministic
+   counters, and what it counts on a set of predictors and I-caches, must
+   equal the live run's, and one walk over many configurations must equal
+   one walk per configuration.  The "full-run" group prices walks on real
+   CPU models against [Engine.run], and a last group checks the
+   translation machinery itself: a walk's incremental re-translation
+   after quickening leaves the translation equal to a from-scratch decode
+   of the mutated layout. *)
 
 open Vmbp_machine
 open Vmbp_core
@@ -56,7 +56,7 @@ type stream = {
   events : event list option;  (* [None] for a walk, which emits none *)
   sims : int list;  (* what [walk_kinds] and [walk_icaches] counted *)
   path : Vm_path.t option;
-      (* the control path a [Translated] run recorded, if it kept one *)
+      (* the control path a [Live] run recorded, if it kept one *)
 }
 
 (* The simulator configurations every stream is measured on: a live run
@@ -120,30 +120,25 @@ let walk ?fuel ~path ~layout () =
     ~icaches:(Array.of_list (List.map Icache.create walk_icaches))
     ()
 
-(* How a run executes the semantics: live through the translated loop
-   (recording the control path on the side), live through the legacy
-   loop, through the translated loop driven by a recorded path, or as a
-   walk of a recorded path ({!Path_walk}); the last two report the output
-   their recording run ended with. *)
-type drive = Translated | Legacy | Replayed of Vm_path.t | Walked of Vm_path.t
+(* How a run executes the semantics: live through the interpreter loop
+   (recording the control path on the side), through the same loop driven
+   by a recorded path, or as a walk of a recorded path ({!Path_walk}); the
+   last two report the output their recording run ended with. *)
+type drive = Live | Replayed of Vm_path.t | Walked of Vm_path.t
 
-(* Run [exec] over [layout] through the loop [drive] selects; [output]
-   reads the live session's output afterwards. *)
+(* Run [exec] over [layout] the way [drive] selects; [output] reads the
+   live session's output afterwards. *)
 let run_drive ~drive ?fuel ~layout ~exec ~output () =
   let m = Metrics.create () in
   let sink, events = capture () in
   let slots = Program.length layout.Code_layout.program in
   let recorder, recording = Vm_path.recorder ~slots exec in
-  let translated exec =
-    Engine.run_events ?fuel ~metrics:m ~layout ~exec ~sink ()
-  in
+  let loop exec = Engine.run_events ?fuel ~metrics:m ~layout ~exec ~sink () in
   let walked = ref None in
   let steps, trapped =
     match drive with
-    | Legacy ->
-        Engine.run_events_legacy ?fuel ~metrics:m ~layout ~exec ~sink ()
-    | Translated -> translated recording
-    | Replayed p -> translated (Vm_path.replayer p)
+    | Live -> loop recording
+    | Replayed p -> loop (Vm_path.replayer p)
     | Walked path ->
         let c = walk ?fuel ~path ~layout () in
         walked := Some c;
@@ -152,13 +147,12 @@ let run_drive ~drive ?fuel ~layout ~exec ~output () =
   let output =
     match drive with
     | Replayed p | Walked p -> Vm_path.output p
-    | Translated | Legacy -> output ()
+    | Live -> output ()
   in
   let path =
     match drive with
-    | Translated ->
-        Result.to_option (Vm_path.finish recorder ~steps ~trapped ~output)
-    | Legacy | Replayed _ | Walked _ -> None
+    | Live -> Result.to_option (Vm_path.finish recorder ~steps ~trapped ~output)
+    | Replayed _ | Walked _ -> None
   in
   match !walked with
   | Some c ->
@@ -242,16 +236,14 @@ let check_streams_equal ~what a b =
       check_bool (what ^ ": event streams identical") true (ea = eb)
   | _ -> ()
 
-(* Translated vs legacy, then a third run replaying [path] (default: the
-   path the translated run itself recorded, when it kept one) -- or, with
-   [walk], walking it. *)
+(* The live run, then a second run replaying [path] (default: the path
+   the live run itself recorded, when it kept one) -- or, with [walk],
+   walking it -- which must reproduce the live run. *)
 let agree ?(walk = false) ?path ?profile ?fuel ?counters ~what ~technique
     program =
   let run drive = stream ~drive ?profile ?fuel ?counters ~technique program in
-  let t = run Translated in
-  let l = run Legacy in
-  check_streams_equal ~what t l;
-  (match (path, t.path) with
+  let l = run Live in
+  (match (path, l.path) with
   | Some p, _ | None, Some p ->
       let r = run (if walk then Walked p else Replayed p) in
       (* A path stores its complete run's output only, so a replay cut
@@ -264,7 +256,7 @@ let agree ?(walk = false) ?path ?profile ?fuel ?counters ~what ~technique
         ~what:(what ^ if walk then " walked" else " replayed")
         r l
   | None, None -> ());
-  t
+  l
 
 (* Static selection needs a profile; give it one of the program itself. *)
 let profile_for technique program =
@@ -295,7 +287,7 @@ let grid_techniques () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* 1. Translated vs legacy over the paper grid *)
+(* 1. Live vs replayed (or walked) over the paper grid *)
 
 let test_grid_toy_programs ~walk () =
   let programs =
@@ -318,7 +310,7 @@ let test_grid_toy_programs ~walk () =
           in
           let s = agree ~walk ~path ~what ~technique program in
           check_bool (what ^ ": ran") true (s.steps > 0);
-          check_bool (what ^ ": translated run kept its path") true
+          check_bool (what ^ ": live run kept its path") true
             (s.path <> None))
         (grid_techniques ()))
     programs
@@ -345,7 +337,7 @@ let test_trap_return_underflow ~walk () =
     (grid_techniques ())
 
 (* Hostile code: a goto rewritten out of range after the layout was
-   built must surface as the engine's pc-bounds trap in both loops. *)
+   built must surface as the engine's pc-bounds trap, live and re-run. *)
 let test_trap_pc_escape ~walk () =
   let fresh_code () =
     [|
@@ -381,13 +373,12 @@ let test_trap_pc_escape ~walk () =
             Printf.sprintf "pc-escape(%d)/%s" target
               (Technique.descriptor technique)
           in
-          let t = run_escaped ~drive:Translated ~technique target in
-          let l = run_escaped ~drive:Legacy ~technique target in
-          check_streams_equal ~what t l;
-          check_bool (what ^ ": trapped") true (t.trapped <> None);
+          let l = run_escaped ~drive:Live ~technique target in
+          Alcotest.(check (option string))
+            (what ^ ": trapped") (Some Engine.pc_out_of_range) l.trapped;
           (* The escaping jump is out of range, so the path stores it in
              its side table; replay must escape at the same step. *)
-          match t.path with
+          match l.path with
           | None -> Alcotest.failf "%s: a pc escape keeps its path" what
           | Some p ->
               check_streams_equal
@@ -399,9 +390,9 @@ let test_trap_pc_escape ~walk () =
         (grid_techniques ()))
     [ -1; 3; 9999 ]
 
-(* Fuel exhaustion at every small budget: the translated loop's
-   block-sized fuel credits must stop on exactly the same step as the
-   per-step loop, including budgets that end mid-block. *)
+(* Fuel exhaustion at every small budget: a replay or a walk of a
+   complete run's path must stop on exactly the step the live run stops
+   on, including budgets that end mid-range. *)
 let test_trap_fuel ~walk () =
   let program = T.table1_loop () in
   let path = functional_path ~counters:1_000_000 program in
@@ -456,12 +447,12 @@ let test_path_out_of_fuel_keeps_nothing () =
       let what = Technique.descriptor technique in
       List.iter
         (fun fuel ->
-          let s = stream ~drive:Translated ~fuel ~technique program in
+          let s = stream ~drive:Live ~fuel ~technique program in
           check_bool
             (Printf.sprintf "%s fuel=%d: no path" what fuel)
             true (s.path = None))
         [ 1; full / 2; full - 1 ];
-      let s = stream ~drive:Translated ~fuel:full ~technique program in
+      let s = stream ~drive:Live ~fuel:full ~technique program in
       Alcotest.(check (option string)) (what ^ ": completes") None s.trapped;
       check_bool (what ^ ": exact budget keeps the path") true (s.path <> None))
     [ Technique.plain; Technique.dynamic_both ]
@@ -518,57 +509,34 @@ let test_path_private_operands () =
 (* ------------------------------------------------------------------ *)
 (* 3. Full-run field equality across cpu x predictor *)
 
-let run_full ~legacy ~cpu ~predictor ~technique program =
+(* One complete result of [program]: [Engine.run] live, or the
+   [Path_walk.result] of a one-configuration walk of the program's
+   functional path. *)
+let run_full ~walk ~cpu ~predictor ~technique program =
   let program = Program.copy program in
-  let config =
-    Config.make ~cpu:(Cpu_model.with_predictor cpu predictor) technique
-  in
+  let cpu = Cpu_model.with_predictor cpu predictor in
+  let config = Config.make ~cpu technique in
   let layout =
     Config.build_layout ?profile:(profile_for technique program) config
       ~program
   in
-  let state = T.create_state ~counters:(Array.make 16 5) () in
-  if legacy then begin
-    (* [Engine.run] drives the translated loop; reproduce its simulator
-       wiring around the legacy loop to compare complete results. *)
-    let m = Metrics.create () in
-    let predictor = Predictor.create (Config.predictor_kind config) in
-    let icache = Icache.create cpu.Cpu_model.icache in
-    let hits = ref 0 and misses = ref 0 in
-    let sink =
-      {
-        Engine.on_dispatch =
-          (fun ~branch ~target ~opcode ~vm_transfer ->
-            if not (Predictor.access predictor ~branch ~target ~opcode)
-            then begin
-              m.Metrics.mispredicts <- m.Metrics.mispredicts + 1;
-              if vm_transfer then
-                m.Metrics.vm_branch_mispredicts <-
-                  m.Metrics.vm_branch_mispredicts + 1
-            end);
-        on_fetch =
-          (fun ~addr ~bytes ~opcode:_ ->
-            Icache.fetch icache ~addr ~bytes ~hits ~misses);
-      }
+  if walk then begin
+    let path = functional_path program in
+    let c =
+      Path_walk.walk ~fuel:1_000_000 ~path ~layout
+        ~predictors:[| Predictor.create (Config.predictor_kind config) |]
+        ~icaches:[| Icache.create cpu.Cpu_model.icache |]
+        ()
     in
-    let steps, trapped =
-      Engine.run_events_legacy ~fuel:1_000_000 ~metrics:m ~layout
-        ~exec:(T.exec state) ~sink ()
-    in
-    m.Metrics.icache_fetches <- !hits + !misses;
-    m.Metrics.icache_misses <- !misses;
-    m.Metrics.code_bytes <- layout.Code_layout.runtime_code_bytes;
-    (steps, trapped, m, Cpu_model.cycles cpu m, T.checksum state)
+    ( Path_walk.result c ~cpu ~predictor:0 ~icache:0,
+      int_of_string (Vm_path.output path) )
   end
   else begin
+    let state = T.create_state ~counters:(Array.make 16 5) () in
     let r =
       Engine.run ~fuel:1_000_000 ~config ~layout ~exec:(T.exec state) ()
     in
-    ( r.Engine.steps,
-      r.Engine.trapped,
-      r.Engine.metrics,
-      r.Engine.cycles,
-      T.checksum state )
+    (r, T.checksum state)
   end
 
 let test_cpu_predictor_matrix () =
@@ -593,22 +561,27 @@ let test_cpu_predictor_matrix () =
                   (Predictor.kind_name predictor)
                   (Technique.descriptor technique)
               in
-              let s1, t1, m1, c1, k1 =
-                run_full ~legacy:false ~cpu ~predictor ~technique program
-              and s2, t2, m2, c2, k2 =
-                run_full ~legacy:true ~cpu ~predictor ~technique program
+              let r1, k1 =
+                run_full ~walk:false ~cpu ~predictor ~technique program
+              and r2, k2 =
+                run_full ~walk:true ~cpu ~predictor ~technique program
               in
-              check_int (what ^ ": steps") s1 s2;
-              Alcotest.(check (option string)) (what ^ ": trap") t1 t2;
+              check_int (what ^ ": steps") r1.Engine.steps r2.Engine.steps;
+              Alcotest.(check (option string))
+                (what ^ ": trap") r1.Engine.trapped r2.Engine.trapped;
               check_int (what ^ ": checksum") k1 k2;
-              check_bool (what ^ ": metrics equal") true (m1 = m2);
-              check_bool (what ^ ": cycles equal") true (c1 = c2))
+              check_bool (what ^ ": metrics equal") true
+                (r1.Engine.metrics = r2.Engine.metrics);
+              check_bool (what ^ ": cycles equal") true
+                (r1.Engine.cycles = r2.Engine.cycles);
+              check_bool (what ^ ": seconds equal") true
+                (r1.Engine.seconds = r2.Engine.seconds))
             [ Technique.plain; Technique.static_both (); Technique.dynamic_both ])
         predictors)
     [ Cpu_model.celeron_800; Cpu_model.pentium4_northwood ]
 
 (* ------------------------------------------------------------------ *)
-(* 4. Real-VM workloads through both loops *)
+(* 4. Real-VM workloads, live and re-run *)
 
 let test_real_vm_workloads ~walk () =
   let pick vm name =
@@ -643,10 +616,8 @@ let test_real_vm_workloads ~walk () =
               ~exec:session.Vmbp_workloads.exec
               ~output:session.Vmbp_workloads.output ()
           in
-          let t = run Translated and l = run Legacy in
-          check_streams_equal ~what t l;
-          check_bool (what ^ ": metrics equal") true (t.metrics = l.metrics);
-          match t.path with
+          let l = run Live in
+          match l.path with
           | None -> Alcotest.failf "%s: a complete run keeps its path" what
           | Some p ->
               let what = what ^ if walk then " walked" else " replayed" in
@@ -713,26 +684,25 @@ let test_walk_many_configs () =
 (* ------------------------------------------------------------------ *)
 (* 6. Translation machinery: quickening invalidation *)
 
-(* After a run that quickened, the incrementally re-translated stream
+(* After a walk that quickened, the incrementally re-translated stream
    must equal a from-scratch decode of the mutated layout. *)
 let test_quicken_retranslation () =
+  let program = T.random_program ~seed:23 ~size:50 in
+  let path = functional_path program in
   List.iter
     (fun technique ->
       let what = "quicken/" ^ Technique.descriptor technique in
-      let program = T.random_program ~seed:23 ~size:50 in
       let config = Config.make ~cpu:Cpu_model.ideal technique in
       let layout = Config.build_layout config ~program in
       let translation = Engine.translate layout in
-      let m = Metrics.create () in
-      let state = T.create_state ~counters:(Array.make 16 5) () in
-      let sink, _ = capture () in
-      let _steps, trapped =
-        Engine.run_events ~fuel:1_000_000 ~translation ~metrics:m ~layout
-          ~exec:(T.exec state) ~sink ()
+      let c =
+        Path_walk.walk ~fuel:1_000_000 ~translation ~path ~layout
+          ~predictors:[||] ~icaches:[||] ()
       in
-      Alcotest.(check (option string)) (what ^ ": no trap") None trapped;
+      Alcotest.(check (option string)) (what ^ ": no trap") None
+        c.Path_walk.trapped;
       check_bool (what ^ ": program quickened") true
-        (m.Metrics.quickenings > 0);
+        (c.Path_walk.base.Metrics.quickenings > 0);
       check_bool (what ^ ": re-translation = fresh decode") true
         (Engine.translation_equal translation (Engine.translate layout)))
     [
@@ -744,7 +714,7 @@ let test_quicken_retranslation () =
     ]
 
 let () =
-  Alcotest.run "translated engine"
+  Alcotest.run "engine"
     [
       ( "grid",
         [
