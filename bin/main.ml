@@ -102,6 +102,10 @@ let non_negative_float_conv =
   checked_conv ~of_string:float_of_string_opt ~pp:Fmt.float
     ~ok:(fun x -> x >= 0.) ~expected:"a non-negative number"
 
+let positive_float_conv =
+  checked_conv ~of_string:float_of_string_opt ~pp:Fmt.float
+    ~ok:(fun x -> x > 0.) ~expected:"a positive number"
+
 let scale_arg =
   Arg.(value & opt positive_conv 1 & info [ "scale" ] ~docv:"N")
 
@@ -650,13 +654,13 @@ let serve_cmd =
   in
   let request_timeout =
     Arg.(
-      value & opt float 30.
+      value & opt positive_float_conv 30.
       & info [ "request-timeout" ] ~docv:"SEC"
           ~doc:"Per-request deadline; an unanswered waiter gets 'timeout'.")
   in
   let slow_reader =
     Arg.(
-      value & opt float 5.
+      value & opt positive_float_conv 5.
       & info [ "slow-reader-timeout" ] ~docv:"SEC"
           ~doc:
             "Drop a connection whose outbound bytes make no progress for \
@@ -664,7 +668,7 @@ let serve_cmd =
   in
   let degraded_after =
     Arg.(
-      value & opt float 2.
+      value & opt positive_float_conv 2.
       & info [ "degraded-after" ] ~docv:"SEC"
           ~doc:
             "Go store-only (serve hits, refuse misses with 'degraded') \
@@ -673,7 +677,7 @@ let serve_cmd =
   let max_frame =
     Arg.(
       value
-      & opt int (64 * 1024)
+      & opt positive_conv (64 * 1024)
       & info [ "max-frame" ] ~docv:"BYTES"
           ~doc:"Reject request frames larger than $(docv).")
   in
@@ -950,21 +954,19 @@ let top_cmd =
   in
   let interval =
     Arg.(
-      value & opt float 2.
+      value & opt positive_float_conv 2.
       & info [ "interval" ] ~docv:"SEC" ~doc:"Seconds between polls.")
   in
   let count =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_conv) None
       & info [ "count" ] ~docv:"N"
           ~doc:"Draw $(docv) screens, then exit 0 (default: run forever).")
   in
   let run socket interval count =
     exit
-      (Vmbp_service.Top.run ~socket
-         ~interval:(Float.max 0.1 interval)
-         ?iterations:count ())
+      (Vmbp_service.Top.run ~socket ~interval ?iterations:count ())
   in
   Cmd.v (Cmd.info "top" ~doc) Term.(const run $ socket_arg $ interval $ count)
 
@@ -993,7 +995,7 @@ let explain_cmd =
   let scale = scale_arg in
   let top =
     Arg.(
-      value & opt int 10
+      value & opt positive_conv 10
       & info [ "top" ] ~docv:"N" ~doc:"rows per attribution table")
   in
   let no_verify =
@@ -1043,7 +1045,7 @@ let simulate_cmd =
   in
   let seeds =
     Arg.(
-      value & opt int 1000
+      value & opt positive_conv 1000
       & info [ "seeds" ] ~docv:"N"
           ~doc:
             "Seeds to sweep (with $(b,--mutate): the budget within which \
@@ -1064,7 +1066,7 @@ let simulate_cmd =
   let mutate =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (enum Vmbp_service.Simulate.mutations)) None
       & info [ "mutate" ] ~docv:"BUG"
           ~doc:
             (Printf.sprintf
@@ -1096,17 +1098,7 @@ let simulate_cmd =
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:"Write the last seed's metrics registry to $(docv).")
   in
-  let run seeds seed first mutate trace_file span_out metrics_out =
-    let mutation =
-      match mutate with
-      | None -> None
-      | Some s -> (
-          match Vmbp_service.Simulate.mutation_of_string s with
-          | Ok m -> Some m
-          | Error e ->
-              Printf.eprintf "vmbp: %s\n" e;
-              exit 2)
-    in
+  let run seeds seed first mutation trace_file span_out metrics_out =
     let first_seed, seeds =
       match seed with Some s -> (s, 1) | None -> (first, seeds)
     in

@@ -5,8 +5,8 @@ Usage: python3 dev/hotpath_lint.py [--build-dir _build/default]
 
 Disassembles the native objects of a dune build with `objdump -dr` and
 checks the functions that run once per dispatch, fetch, VM call or path
-range: the simulators' access, fetch, replay_block and run_ranges
-functions, the banked-replay walk in Trace, Engine.run_events (the one
+range: the simulators' access, fetch and run_ranges functions, the
+banked-replay walk in Trace, Engine.run_events (the one
 interpreter loop, which every live run goes through), the path walk's
 per-range function (Path_walk.range), the VM path recorder's and
 replayer's per-step functions (Vm_path.record_step, Vm_path.replay_step)
@@ -34,19 +34,18 @@ import sys
 HOT = [
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Btb.o",
      "Vmbp_machine__Btb",
-     ["access", "access_unbounded", "access_finite", "replay_block",
-      "run_ranges"]),
+     ["access", "access_unbounded", "access_finite", "run_ranges"]),
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Two_level.o",
-     "Vmbp_machine__Two_level", ["access", "replay_block", "run_ranges"]),
+     "Vmbp_machine__Two_level", ["access", "run_ranges"]),
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Case_block_table.o",
      "Vmbp_machine__Case_block_table",
-     ["access", "replay_block", "run_ranges"]),
+     ["access", "run_ranges"]),
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Icache.o",
      "Vmbp_machine__Icache",
-     ["fetch", "fetch_lines", "touch_line", "replay_block", "run_ranges"]),
+     ["fetch", "fetch_lines", "touch_line", "run_ranges"]),
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Predictor.o",
      "Vmbp_machine__Predictor",
-     ["access", "replay_block", "run_ranges", "never_ranges"]),
+     ["access", "run_ranges", "never_ranges"]),
     ("lib/report/.vmbp_report.objs/native/vmbp_report__Trace.o",
      "Vmbp_report__Trace",
      ["walk_blocks", "scan", "bank_predictors", "bank_icaches", "run_block"]),

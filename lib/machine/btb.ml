@@ -20,13 +20,13 @@ let descriptor { entries; associativity; two_bit_counters } =
    [tag] is the full branch address (-1 = invalid); [counter] implements
    the two-bit hysteresis (3..2 = strong, replace only below 2); [stamp]
    is a per-set LRU timestamp.  Flat int arrays instead of an array of
-   way records: the access path runs once per dispatch token -- the
-   hottest simulator code in both direct runs and replay -- and scanning
+   way records: the access path runs once per dispatch -- the hottest
+   simulator code in both live runs and path walks -- and scanning
    boxed records costs one pointer chase per way examined. *)
 
 (* The unbounded ("ideal") table: open-addressing over flat int arrays,
    keyed by branch address with linear probing.  This table takes one
-   lookup per dispatch token per bank configuration in replay -- a generic
+   lookup per dispatch per configuration of a path walk -- a generic
    [Hashtbl] there costs a hash closure, a boxed bucket walk and an option
    allocation per access, which measured ~3x the whole rest of the replay
    loop -- so it gets the same flat-array treatment as the finite sets.
@@ -172,13 +172,13 @@ let predict t ~branch =
     | -1 -> None
     | j -> Some t.f_targets.(j)
 
-(* Training discipline (inlined at both access sites to keep the per-token
+(* Training discipline (inlined at both access sites to keep the per-event
    path allocation-free): with two-bit counters a correct prediction
    saturates the counter at 3; an incorrect one decrements it and only
    replaces the target once the counter drops below 2. *)
 
-(* [access_*] run once per dispatch token per bank configuration -- the
-   hottest code in replay -- so they avoid the option-allocating lookups
+(* [access_*] run once per dispatch per walked configuration -- the
+   hottest code in a path walk -- so they avoid the option-allocating lookups
    and only build observer payloads when an observer is installed. *)
 
 let[@inline] access_unbounded t ~branch ~target =
@@ -274,23 +274,10 @@ let[@inline] access t ~branch ~target =
   if t.assoc = 0 then access_unbounded t ~branch ~target
   else access_finite t ~branch ~target
 
-(* The banked-replay kernel, here so [access] inlines into the loop (the
-   libraries build with [-opaque]; nothing inlines across modules). *)
-let replay_block t ~branch ~target ~vm_transfer ~codes ~len ~mis ~vm_mis =
-  let m = ref 0 and v = ref 0 in
-  for i = 0 to len - 1 do
-    let c = codes.(i) in
-    if not (access t ~branch:branch.(c) ~target:target.(c)) then begin
-      incr m;
-      v := !v + vm_transfer.(c)
-    end
-  done;
-  mis := !mis + !m;
-  vm_mis := !vm_mis + !v
-
 (* The path-walk kernel: every dispatch of a block of slot ranges (see
    {!Slot_ranges}), in order -- the entering dispatch of each slot, then
-   its pre-dispatch.  Here for the same reason as [replay_block]. *)
+   its pre-dispatch.  Here so [access] inlines into the loop (the
+   libraries build with [-opaque]; nothing inlines across modules). *)
 let run_ranges t (b : Slot_ranges.t) ~mis ~vm_mis =
   let m = ref 0 and v = ref 0 in
   for r = 0 to b.Slot_ranges.len - 1 do

@@ -15,22 +15,10 @@ let[@inline] access t ~opcode ~target =
   Array.unsafe_set t.table i target;
   correct
 
-(* The banked-replay kernel, here so [access] inlines into the loop (the
-   libraries build with [-opaque]; nothing inlines across modules). *)
-let replay_block t ~opcode ~target ~vm_transfer ~codes ~len ~mis ~vm_mis =
-  let m = ref 0 and v = ref 0 in
-  for i = 0 to len - 1 do
-    let c = codes.(i) in
-    if not (access t ~opcode:opcode.(c) ~target:target.(c)) then begin
-      incr m;
-      v := !v + vm_transfer.(c)
-    end
-  done;
-  mis := !mis + !m;
-  vm_mis := !vm_mis + !v
-
 (* The path-walk kernel, with {!Btb.run_ranges}' event order; every
-   dispatch is keyed on the opcode it dispatches to. *)
+   dispatch is keyed on the opcode it dispatches to.  Here so [access]
+   inlines into the loop (the libraries build with [-opaque]; nothing
+   inlines across modules). *)
 let run_ranges t (b : Slot_ranges.t) ~mis ~vm_mis =
   let m = ref 0 and v = ref 0 in
   for r = 0 to b.Slot_ranges.len - 1 do

@@ -20,19 +20,6 @@ val access : t -> opcode:int -> target:int -> bool
 (** Predict the target for the dispatch on [opcode] and train the table;
     returns [true] on a correct prediction. *)
 
-val replay_block :
-  t ->
-  opcode:int array ->
-  target:int array ->
-  vm_transfer:int array ->
-  codes:int array ->
-  len:int ->
-  mis:int ref ->
-  vm_mis:int ref ->
-  unit
-(** Block kernel of a banked replay, with {!Btb.replay_block}'s contract,
-    except that event [c] dispatches on [opcode.(c)]. *)
-
 val run_ranges : t -> Slot_ranges.t -> mis:int ref -> vm_mis:int ref -> unit
 (** Range kernel of a path walk, with {!Btb.run_ranges}' contract, except
     that each dispatch is keyed on the opcode of the slot it enters. *)

@@ -147,7 +147,7 @@ let[@inline] last_line_of t ~addr ~bytes =
   (addr + (if bytes > 1 then bytes else 1) - 1) lsr t.line_shift
 
 (* Touch lines [first .. last] and return how many of them missed; the
-   rest hit.  Shared by [fetch] and the block kernel, so both run the
+   rest hit.  Shared by [fetch] and the range kernel, so both run the
    same bookkeeping. *)
 let[@inline] fetch_lines t first last =
   if t.infinite then 0
@@ -186,26 +186,10 @@ let fetch t ~addr ~bytes ~hits ~misses =
   hits := !hits + (last - first + 1 - missed);
   misses := !misses + missed
 
-(* The banked-replay kernel: [fetch] once per event of a decoded block,
-   in this module so that [fetch_lines] inlines into the loop (the
-   libraries build with [-opaque]; nothing inlines across modules). *)
-let replay_block t ~addr ~bytes ~codes ~len ~hits ~misses =
-  let h = ref 0 and m = ref 0 in
-  for i = 0 to len - 1 do
-    let c = codes.(i) in
-    let addr = addr.(c) in
-    let first = addr lsr t.line_shift in
-    let last = last_line_of t ~addr ~bytes:bytes.(c) in
-    let missed = fetch_lines t first last in
-    h := !h + (last - first + 1 - missed);
-    m := !m + missed
-  done;
-  hits := !hits + !h;
-  misses := !misses + !m
-
 (* The path-walk kernel: every fetch of a block of slot ranges (see
    {!Slot_ranges}) -- per slot the pre-dispatch fetch, the call stub, then
-   the body -- in this module for the same reason as [replay_block].
+   the body -- in this module so that [fetch_lines] inlines into the loop
+   (the libraries build with [-opaque]; nothing inlines across modules).
    Counts touched lines and misses; hits are the difference. *)
 let run_ranges t (b : Slot_ranges.t) ~hits ~misses =
   let lines = ref 0 and m = ref 0 in

@@ -46,20 +46,6 @@ val fetch : t -> addr:int -> bytes:int -> hits:int ref -> misses:int ref -> unit
     including fast-path hits on the internally memoized last line -- advances
     the LRU clock and refreshes that line's recency stamp. *)
 
-val replay_block :
-  t ->
-  addr:int array ->
-  bytes:int array ->
-  codes:int array ->
-  len:int ->
-  hits:int ref ->
-  misses:int ref ->
-  unit
-(** Block kernel of a banked replay: {!fetch} once for each of the events
-    [codes.(0)] .. [codes.(len - 1)], in order, where event [c] fetches
-    [bytes.(c)] bytes at [addr.(c)].  Same counts, same state, same clock
-    and same observer calls as the per-event loop. *)
-
 val run_ranges :
   t -> Slot_ranges.t -> hits:int ref -> misses:int ref -> unit
 (** Range kernel of a path walk: {!fetch} once for every fetch of the

@@ -67,26 +67,6 @@ let access t ~branch ~target ~opcode =
   | S_perfect -> true
   | S_never -> false
 
-let replay_block t ~branch ~target ~opcode ~vm_transfer ~codes ~len ~mis
-    ~vm_mis =
-  match t.state with
-  | S_btb b ->
-      Btb.replay_block b ~branch ~target ~vm_transfer ~codes ~len ~mis ~vm_mis
-  | S_two_level p ->
-      Two_level.replay_block p ~branch ~target ~vm_transfer ~codes ~len ~mis
-        ~vm_mis
-  | S_case_block c ->
-      Case_block_table.replay_block c ~opcode ~target ~vm_transfer ~codes ~len
-        ~mis ~vm_mis
-  | S_perfect -> ()
-  | S_never ->
-      let v = ref 0 in
-      for i = 0 to len - 1 do
-        v := !v + vm_transfer.(codes.(i))
-      done;
-      mis := !mis + len;
-      vm_mis := !vm_mis + !v
-
 (* [Never] mispredicts every dispatch of the block; [Perfect] none. *)
 let never_ranges (b : Slot_ranges.t) ~mis ~vm_mis =
   let m = ref 0 and v = ref 0 in

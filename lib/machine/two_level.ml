@@ -55,22 +55,9 @@ let[@inline] access t ~branch ~target =
   | Some f -> f ~branch ~index:i ~empty:(prev = -1) ~correct);
   correct
 
-(* The banked-replay kernel, here so [access] inlines into the loop (the
-   libraries build with [-opaque]; nothing inlines across modules). *)
-let replay_block t ~branch ~target ~vm_transfer ~codes ~len ~mis ~vm_mis =
-  let m = ref 0 and v = ref 0 in
-  for i = 0 to len - 1 do
-    let c = codes.(i) in
-    if not (access t ~branch:branch.(c) ~target:target.(c)) then begin
-      incr m;
-      v := !v + vm_transfer.(c)
-    end
-  done;
-  mis := !mis + !m;
-  vm_mis := !vm_mis + !v
-
-(* The path-walk kernel, with {!Btb.run_ranges}' event order; here for
-   the same reason as [replay_block]. *)
+(* The path-walk kernel, with {!Btb.run_ranges}' event order; here so
+   [access] inlines into the loop (the libraries build with [-opaque];
+   nothing inlines across modules). *)
 let run_ranges t (b : Slot_ranges.t) ~mis ~vm_mis =
   let m = ref 0 and v = ref 0 in
   for r = 0 to b.Slot_ranges.len - 1 do

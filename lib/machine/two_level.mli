@@ -30,22 +30,11 @@ val create : config -> t
 val access : t -> branch:int -> target:int -> bool
 (** Predict-and-update; returns [true] on a correct prediction. *)
 
-val replay_block :
-  t ->
-  branch:int array ->
-  target:int array ->
-  vm_transfer:int array ->
-  codes:int array ->
-  len:int ->
-  mis:int ref ->
-  vm_mis:int ref ->
-  unit
-(** Block kernel of a banked replay, with {!Btb.replay_block}'s contract:
-    {!access} once per event [codes.(0)] .. [codes.(len - 1)], adding the
-    mispredictions to [mis] and their VM-transfer subset to [vm_mis]. *)
-
 val run_ranges : t -> Slot_ranges.t -> mis:int ref -> vm_mis:int ref -> unit
-(** Range kernel of a path walk, with {!Btb.run_ranges}' contract. *)
+(** Range kernel of a path walk, with {!Btb.run_ranges}' contract:
+    {!access} once per dispatch of the block's ranges, in {!Slot_ranges}'
+    order, adding the mispredictions to [mis] and their VM-transfer subset
+    to [vm_mis]. *)
 
 val set_observer :
   t -> (branch:int -> index:int -> empty:bool -> correct:bool -> unit) option

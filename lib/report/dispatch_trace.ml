@@ -32,6 +32,13 @@ let label lab ~addr ~base =
       Hashtbl.replace lab.by_addr addr s;
       s
 
+exception Enough
+
+(* A sink over the one interpreter loop ({!Engine.run_events}).  Per step
+   the loop emits the dispatch that entered the slot, then the slot's
+   pre-dispatch (right after that one's fetch), then its other fetches,
+   and only then executes the slot -- so a wrapped [exec] learns which slot
+   the next dispatches belong to. *)
 let trace ~technique ?profile ~program ~exec ~skip ~take () =
   let config = Config.make ~cpu:Cpu_model.ideal technique in
   let layout = Config.build_layout ?profile config ~program in
@@ -41,71 +48,75 @@ let trace ~technique ?profile ~program ~exec ~skip ~take () =
   let branch_labels = make_labeller () in
   let rows = ref [] in
   let count = ref 0 in
-  let pending = ref (-1) in
-  let pending_instr = ref "" in
-  let pending_branch = ref "" in
   let is_switch = technique = Technique.Switch in
+  let name_of slot = (Program.instr_at program slot).Instr.name in
   (* Names of the slots executed since the last dispatch: a superinstruction
      shows up as the joined names of its components, as in the paper's
      Table IV ("B_A"). *)
   let group = ref [] in
-  let pc = ref program.Program.entry in
-  let running = ref true in
-  while !running do
-    let i = !pc in
-    let site = layout.Code_layout.sites.(i) in
-    let name = (Program.instr_at program i).Instr.name in
-    let entry = site.Code_layout.entry_addr in
-    if !pending >= 0 then begin
-      let target_label = label entry_labels ~addr:entry ~base:name in
-      let prediction =
-        match Btb.predict btb ~branch:!pending with
-        | Some addr -> label entry_labels ~addr ~base:"?"
-        | None -> "-"
-      in
-      let correct = Btb.access btb ~branch:!pending ~target:entry in
-      if !count >= skip && !count < skip + take then
-        rows :=
-          {
-            step = !count - skip + 1;
-            vm_instr = !pending_instr;
-            btb_entry = "br-" ^ !pending_branch;
-            prediction;
-            actual = target_label;
-            correct;
-          }
-          :: !rows;
-      incr count;
-      if !count >= skip + take then running := false
-    end;
-    if !running then begin
-      group := name :: !group;
-      let issue (d : Code_layout.dispatch) =
-        pending := d.Code_layout.branch_addr;
-        let group_name = String.concat "_" (List.rev !group) in
-        pending_instr := String.uppercase_ascii group_name;
-        pending_branch :=
-          label branch_labels ~addr:d.Code_layout.branch_addr
-            ~base:(if is_switch then "switch" else group_name);
-        group := []
-      in
-      (match exec program i with
-      | Control.Next ->
-          (match site.Code_layout.post_fall with
-          | Some d -> issue d
-          | None -> pending := -1);
-          pc := i + 1
-      | Control.Jump target ->
-          (match site.Code_layout.post_taken with
-          | Some d -> issue d
-          | None ->
-              pending := -1;
-              group := []);
-          pc := target
-      | Control.Halt | Control.Trap _ -> running := false
-      | Control.Quicken _ -> running := false)
-    end
-  done;
+  (* The slot the next step executes, and whether a dispatch now would be
+     the one entering it (no fetch of that step yet). *)
+  let slot = ref program.Program.entry in
+  let entering = ref true in
+  let on_dispatch ~branch ~target ~opcode:_ ~vm_transfer:_ =
+    let name = name_of !slot in
+    (* A gap's pre-dispatch with nothing executed since the last dispatch
+       is issued by the gap of the slot's own instruction. *)
+    let issuer =
+      if !entering || !group <> [] then String.concat "_" (List.rev !group)
+      else name
+    in
+    group := [];
+    entering := false;
+    let actual = label entry_labels ~addr:target ~base:name in
+    let prediction =
+      match Btb.predict btb ~branch with
+      | Some addr -> label entry_labels ~addr ~base:"?"
+      | None -> "-"
+    in
+    let btb_entry =
+      label branch_labels ~addr:branch
+        ~base:(if is_switch then "switch" else issuer)
+    in
+    let correct = Btb.access btb ~branch ~target in
+    if !count >= skip then
+      rows :=
+        {
+          step = !count - skip + 1;
+          vm_instr = String.uppercase_ascii issuer;
+          btb_entry = "br-" ^ btb_entry;
+          prediction;
+          actual;
+          correct;
+        }
+        :: !rows;
+    incr count;
+    if !count >= skip + take then raise Enough
+  in
+  let exec program i =
+    group := name_of i :: !group;
+    let control = exec program i in
+    (match control with
+    | Control.Next | Control.Quicken { after = Control.Next; _ } ->
+        slot := i + 1
+    | Control.Jump target | Control.Quicken { after = Control.Jump target; _ }
+      ->
+        slot := target
+    | Control.Halt | Control.Trap _ | Control.Quicken _ -> ());
+    entering := true;
+    control
+  in
+  let sink =
+    {
+      Engine.on_dispatch;
+      on_fetch = (fun ~addr:_ ~bytes:_ ~opcode:_ -> entering := false);
+    }
+  in
+  (try
+     ignore
+       (Engine.run_events ~metrics:(Metrics.create ()) ~layout ~exec ~sink ()
+         : int * string option)
+   with Enough -> ());
   List.rev !rows
 
 let render rows =

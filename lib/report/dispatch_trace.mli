@@ -21,8 +21,13 @@ val trace :
   unit ->
   row list
 (** Execute the program under the technique with an idealised BTB,
-    recording dispatches [skip..skip+take).  Labels derive from instruction
-    names; distinct executable copies of the same instruction get numeric
-    suffixes, making replication visible in the trace. *)
+    recording dispatches [skip..skip+take), then stop.  The program runs
+    through the one interpreter loop ({!Vmbp_core.Engine.run_events}), so
+    the trace follows quickening, shadow windows and the gap
+    pre-dispatches of not-yet-quickened instructions inside dynamic
+    superinstructions; a gap dispatch entered straight from another
+    dispatch is issued by its own instruction.  Labels derive from
+    instruction names; distinct executable copies of the same instruction
+    get numeric suffixes, making replication visible in the trace. *)
 
 val render : row list -> string

@@ -629,8 +629,8 @@ let supervised body =
    attributable because a cell never migrates between domains. *)
 let minor_words () = (Gc.quick_stat ()).Gc.minor_words
 
-(* One live cell.  With [record], a workload that has no path slot yet
-   records its path (see {!Runner.run}'s [path_cap]). *)
+(* One live cell.  With [record], it records the workload's path under
+   the claim {!Runner.await_path} took (see {!Runner.run}'s [path_cap]). *)
 let run_cell ?(record = false) c =
   let t0 = Vmbp_sim.Env.now () in
   let w0 = minor_words () in
@@ -760,7 +760,9 @@ let audit_crosscheck c (t : timed) =
    the result cache; the rest run as one walk of the workload's kept VM
    path over all their configurations ({!Runner.walk_group}).  A workload
    with no path yet runs its first pending cell live, which records the
-   path, and walks the others.  Without a path that fits, under
+   path, and walks the others; a group that finds another group's
+   recording in flight waits for it ({!Runner.await_path}), so each
+   workload records once at any job count.  Without a path that fits, under
    [--self-check] and with [--trace-cap-mb 0] every cell runs live.  Any
    problem in the walk degrades the group to per-cell live runs.  Every
    completed success is appended to the store (if one is installed) the
@@ -826,11 +828,11 @@ let run_group results arr idxs =
   let walked () =
     match pending () with
     | [] -> ()
-    | i :: _ as cells ->
-        if not (walk cells) then begin
-          finish ~live:true i (run_cell ~record:true arr.(i));
-          if not (walk (pending ())) then direct ()
-        end
+    | i :: _ ->
+        let c = arr.(i) in
+        Runner.await_path ~scale:c.scale c.workload ~record:(fun () ->
+            finish ~live:true i (run_cell ~record:true c));
+        if not (walk (pending ())) then direct ()
   in
   (* Serve exact revisits from the full-result cache before any engine
      work engages.  Served cells are [Replay]-mode (no VM execution

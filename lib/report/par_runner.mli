@@ -29,7 +29,9 @@
     configuration of the group driven config-major through the
     simulators' range kernels in the same pass.  A group whose workload
     has no path yet runs its first pending cell live, which records the
-    path, and walks the rest.  An exact revisit of a cell (same
+    path, and walks the rest; a group that finds that recording in flight
+    on another domain waits for it ({!Runner.await_path}), so each
+    workload runs one live cell at any [jobs].  An exact revisit of a cell (same
     configuration, e.g. a counter figure re-running a speedup figure's
     cell) is served from the full-result cache without any simulation.
     Kept paths are bounded by {!trace_cap_mb}; a workload whose path does

@@ -55,10 +55,15 @@ let effective_profile ?profile ~scale ~technique (workload : Vmbp_workloads.t)
    lifetime, and a freshly constructed one can never alias a stale path.
    Paths are never evicted; the ones kept stay within the byte budget the
    caller passes, and a workload whose path did not fit is marked [Unfit]
-   and keeps running live without recording again.  Two domains may
-   record the same workload at once; the first path stored wins. *)
+   and keeps running live without recording again.
 
-type path_slot = Kept of Vm_path.t | Unfit
+   One live run at a time records a workload: its slot reads [Recording]
+   (with the recording domain) from the locked step that found no slot
+   until the recording ends.  A recording that keeps no path (the run
+   trapped out of fuel, timed out or died) clears the slot, and every
+   change of a slot wakes the groups waiting in [await_path]. *)
+
+type path_slot = Kept of Vm_path.t | Unfit | Recording of Domain.id
 
 let m_path_records = Vmbp_obs.Registry.counter "vm_path.records"
 
@@ -69,72 +74,112 @@ let g_path_bytes = Vmbp_obs.Registry.gauge "vm_path.bytes"
 let paths : (Vmbp_workloads.loaded * path_slot) list ref = ref []
 let paths_bytes = ref 0
 let paths_lock = Mutex.create ()
+let paths_changed = Condition.create ()
 
 let with_paths f =
   Mutex.lock paths_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock paths_lock) f
 
-let path_find loaded = with_paths (fun () -> List.assq_opt loaded !paths)
+(* Callers hold [paths_lock]. *)
+let set_slot loaded slot =
+  paths :=
+    (match slot with Some s -> [ (loaded, s) ] | None -> [])
+    @ List.filter (fun (l, _) -> l != loaded) !paths;
+  Condition.broadcast paths_changed
 
 let kept_path loaded =
-  match path_find loaded with Some (Kept p) -> Some p | Some Unfit | None -> None
+  match with_paths (fun () -> List.assq_opt loaded !paths) with
+  | Some (Kept p) -> Some p
+  | Some (Unfit | Recording _) | None -> None
+
+(* Whether this domain records [loaded]: it claims a workload that has no
+   slot, or already holds the claim.  Callers hold [paths_lock]. *)
+let claim loaded =
+  match List.assq_opt loaded !paths with
+  | None ->
+      set_slot loaded (Some (Recording (Domain.self ())));
+      true
+  | Some (Recording d) -> d = Domain.self ()
+  | Some (Kept _ | Unfit) -> false
+
+(* End this domain's recording of [loaded] if it kept nothing. *)
+let release loaded =
+  with_paths (fun () ->
+      match List.assq_opt loaded !paths with
+      | Some (Recording d) when d = Domain.self () -> set_slot loaded None
+      | Some (Kept _ | Unfit | Recording _) | None -> ())
 
 let path_store ~cap loaded outcome =
   with_paths (fun () ->
-      if not (List.mem_assq loaded !paths) then
-        match outcome with
-        | Ok p when !paths_bytes + Vm_path.bytes p <= cap ->
-            paths := (loaded, Kept p) :: !paths;
-            paths_bytes := !paths_bytes + Vm_path.bytes p;
-            Vmbp_obs.Registry.add m_path_records 1;
-            Vmbp_obs.Registry.gauge_set g_path_bytes (float_of_int !paths_bytes)
-        | Ok _ | Error `Overflow -> paths := (loaded, Unfit) :: !paths
-        | Error `Incomplete -> ())
+      match outcome with
+      | Ok p when !paths_bytes + Vm_path.bytes p <= cap ->
+          set_slot loaded (Some (Kept p));
+          paths_bytes := !paths_bytes + Vm_path.bytes p;
+          Vmbp_obs.Registry.add m_path_records 1;
+          Vmbp_obs.Registry.gauge_set g_path_bytes (float_of_int !paths_bytes)
+      | Ok _ | Error `Overflow -> set_slot loaded (Some Unfit)
+      | Error `Incomplete -> set_slot loaded None)
+
+let await_path ?(scale = 1) ~record (workload : Vmbp_workloads.t) =
+  let loaded = workload.Vmbp_workloads.load ~scale in
+  let claimed =
+    with_paths (fun () ->
+        let rec settle () =
+          match List.assq_opt loaded !paths with
+          | Some (Recording d) when d <> Domain.self () ->
+              Condition.wait paths_changed paths_lock;
+              settle ()
+          | _ -> claim loaded
+        in
+        settle ())
+  in
+  if claimed then Fun.protect ~finally:(fun () -> release loaded) record
 
 let clear_vm_paths () =
   with_paths (fun () ->
       paths := [];
       paths_bytes := 0;
+      Condition.broadcast paths_changed;
       Vmbp_obs.Registry.gauge_set g_path_bytes 0.)
 
-(* The live semantics of one run on a fresh session: its [exec], its
-   program output, and what to do once the run returned.  With
-   [path_cap], a workload that has no path slot yet records one. *)
-let live ?path_cap (loaded : Vmbp_workloads.loaded) =
+(* Run [f exec] on a fresh session of [loaded]; returns its result and the
+   session's output.  With [path_cap], a run that may record [loaded]
+   (see [claim]) records its path while it runs and keeps it once [f]
+   returned; the claim ends however the run does. *)
+let live ?path_cap (loaded : Vmbp_workloads.loaded) f =
   let s = loaded.Vmbp_workloads.fresh_session () in
   let exec = s.Vmbp_workloads.exec and output = s.Vmbp_workloads.output in
   match path_cap with
-  | Some cap when path_find loaded = None ->
-      let recorder, exec =
-        Vm_path.recorder
-          ~cap_bytes:(cap - with_paths (fun () -> !paths_bytes))
-          ~slots:(Vmbp_vm.Program.length loaded.Vmbp_workloads.program)
-          exec
-      in
-      ( exec,
-        output,
-        fun ~steps ~trapped ~output ->
+  | Some cap when with_paths (fun () -> claim loaded) ->
+      Fun.protect
+        ~finally:(fun () -> release loaded)
+        (fun () ->
+          let recorder, exec =
+            Vm_path.recorder
+              ~cap_bytes:(cap - with_paths (fun () -> !paths_bytes))
+              ~slots:(Vmbp_vm.Program.length loaded.Vmbp_workloads.program)
+              exec
+          in
+          let result = f exec in
+          let output = output () in
           path_store ~cap loaded
-            (Vm_path.finish recorder ~steps ~trapped ~output) )
-  | Some _ | None -> (exec, output, fun ~steps:_ ~trapped:_ ~output:_ -> ())
+            (Vm_path.finish recorder ~steps:result.Engine.steps
+               ~trapped:result.Engine.trapped ~output);
+          (result, output))
+  | Some _ | None ->
+      let result = f exec in
+      (result, output ())
 
-(* Load the workload and build the layout a run of [technique] uses.
-   When [path] finds a path to walk for the loaded workload, also build
-   the translation the walk reads. *)
-let prepare ?profile ~scale ~config ~technique ~path
-    (workload : Vmbp_workloads.t) =
+(* Load the workload and build the layout a run of [technique] uses. *)
+let prepare ?profile ~scale ~config ~technique (workload : Vmbp_workloads.t) =
   Vmbp_obs.Span.with_ ~name:"layout"
     ~args:[ ("workload", workload.Vmbp_workloads.name) ]
     (fun () ->
       let loaded = workload.Vmbp_workloads.load ~scale in
       let profile = effective_profile ?profile ~scale ~technique workload in
-      let layout =
-        Config.build_layout ?profile config
-          ~program:loaded.Vmbp_workloads.program
-      in
       ( loaded,
-        layout,
-        Option.map (fun p -> (p, translate layout)) (path loaded) ))
+        Config.build_layout ?profile config
+          ~program:loaded.Vmbp_workloads.program ))
 
 let run_of ~workload ~technique ~cpu result output =
   match result.Engine.trapped with
@@ -204,44 +249,29 @@ let walk_configs ?poll ~workload ~technique ~layout ~translation ~path configs
 let run ?(scale = 1) ?poll ?predictor ?profile ?path_cap ~cpu ~technique
     (workload : Vmbp_workloads.t) =
   let config = Config.make ~cpu ?predictor technique in
-  let loaded, layout, walk =
-    prepare ?profile ~scale ~config ~technique workload
-      ~path:(if path_cap = None then fun _ -> None else kept_path)
+  let loaded, layout = prepare ?profile ~scale ~config ~technique workload in
+  let result, output =
+    live ?path_cap loaded (fun exec ->
+        engine_span workload (fun () ->
+            Engine.run ~fuel:engine_fuel ?poll ~config ~layout ~exec ()))
   in
-  let outcome =
-    match walk with
-    | Some (path, translation) ->
-        List.hd
-          (fst
-             (walk_configs ?poll ~workload ~technique ~layout ~translation
-                ~path [ (cpu, predictor) ]))
-    | None ->
-        let exec, output, keep = live ?path_cap loaded in
-        let result =
-          engine_span workload (fun () ->
-              Engine.run ~fuel:engine_fuel ?poll ~config ~layout ~exec ())
-        in
-        let output = output () in
-        keep ~steps:result.Engine.steps ~trapped:result.Engine.trapped ~output;
-        run_of ~workload ~technique ~cpu result output
-  in
-  match outcome with Ok r -> r | Error msg -> raise (Run_failed msg)
+  match run_of ~workload ~technique ~cpu result output with
+  | Ok r -> r
+  | Error msg -> raise (Run_failed msg)
 
 let walk_group ?(scale = 1) ?poll ~technique ~configs
     (workload : Vmbp_workloads.t) =
   (* A workload without a kept path builds nothing here: it runs live. *)
-  if Option.is_none (kept_path (workload.Vmbp_workloads.load ~scale)) then None
-  else
-    (* Layouts depend on technique and costs only, never on the CPU. *)
-    let _, layout, walk =
-      prepare ~scale ~config:(Config.make technique) ~technique
-        ~path:kept_path workload
-    in
-    Option.map
-      (fun (path, translation) ->
-        walk_configs ?poll ~workload ~technique ~layout ~translation ~path
-          configs)
-      walk
+  match kept_path (workload.Vmbp_workloads.load ~scale) with
+  | None -> None
+  | Some path ->
+      (* Layouts depend on technique and costs only, never on the CPU. *)
+      let _, layout =
+        prepare ~scale ~config:(Config.make technique) ~technique workload
+      in
+      Some
+        (walk_configs ?poll ~workload ~technique ~layout
+           ~translation:(translate layout) ~path configs)
 
 let run_result ?scale ?poll ?predictor ?profile ?path_cap ~cpu ~technique
     workload =

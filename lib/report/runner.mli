@@ -45,14 +45,13 @@ val run :
     {!Vmbp_core.Engine.run_events}); a deadline exception raised from it
     escapes this function unchanged.
 
-    [path_cap] turns on VM path walks (see {!Vmbp_core.Path_walk}).
-    Without it the run executes the VM semantics live on a fresh session.
-    With it, a run of a loaded workload whose control path is kept walks
-    that path against the layout's translation -- no VM semantics, no
-    per-step loop -- and reports the recorded program output; the result
-    is field-for-field the live one.  Otherwise the run records the path
-    while it executes live and keeps it if the run returned normally
-    without running out of fuel and the kept paths' total stays within
+    Every run executes the VM semantics live on a fresh session; walks
+    are {!walk_group}'s.  [path_cap] asks the run to record the
+    workload's VM path ({!Vmbp_core.Vm_path}) for later walks: it records
+    when the workload has no path slot yet (claiming it, see
+    {!await_path}) or when this domain holds the workload's recording
+    claim, and keeps the path if the run returned normally without
+    running out of fuel and the kept paths' total stays within
     [path_cap] bytes.  A workload whose path does not fit keeps running
     live. *)
 
@@ -115,6 +114,19 @@ val walk_group :
     configuration whose simulator constructor raises fails only its own
     cells, with that exception's message.  [poll] follows
     {!Vmbp_core.Path_walk.walk}'s contract. *)
+
+val await_path :
+  ?scale:int -> record:(unit -> unit) -> Vmbp_workloads.t -> unit
+(** Settle the workload's path slot before a group walks it.  While
+    another domain's live run records the path, wait until that recording
+    ends.  When the workload has no slot, claim its recording for this
+    domain in the same locked step as the lookup, and call [record ()],
+    which should make one {!run} with [path_cap] (it records under the
+    claim).  The claim ends when [record] returns or raises; a recording
+    that kept no path clears the slot and wakes the waiters, and the
+    first of them claims the next recording.  Returns at once when the
+    path is kept or marked unfit.  Only runs on other domains ever make
+    this wait. *)
 
 val clear_vm_paths : unit -> unit
 (** Drop every kept VM path (and every [Unfit] mark), so the next run of

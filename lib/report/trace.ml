@@ -174,21 +174,6 @@ type t = {
   code_bytes : int;
   bytes : int;  (* bytes charged against the recording budget *)
   mutable live : bool;  (* false once [release]d; chunks dropped *)
-  memo_lock : Mutex.t;
-      (* Replay results are deterministic per simulator configuration, so
-         sweeps that repeat a configuration (penalty sweeps vary only the
-         cost model; BTB sweeps keep the I-cache fixed) pay for each
-         distinct configuration once.  Keys are the canonical descriptor
-         strings ({!Predictor.descriptor} / {!Icache.descriptor}), which
-         are injective over configurations, so lookup is one hash probe
-         instead of an O(configs) structural scan.  Inserts are
-         add-if-absent under [memo_lock]: two domains that both simulated
-         the same configuration keep one binding (the results are equal
-         anyway -- simulation is deterministic). *)
-  pred_memo : (string, int * int) Hashtbl.t;
-      (* descriptor -> (mispredicts, vm_branch_mispredicts) *)
-  icache_memo : (string, int * int) Hashtbl.t;
-      (* descriptor -> (fetches, misses) *)
 }
 
 let record ?fuel ?poll ?translation ?(cap_bytes = max_int) ~layout ~exec ~output
@@ -253,9 +238,6 @@ let record ?fuel ?poll ?translation ?(cap_bytes = max_int) ~layout ~exec ~output
         code_bytes = layout.Code_layout.runtime_code_bytes;
         bytes = budget.allocated;
         live = true;
-        memo_lock = Mutex.create ();
-        pred_memo = Hashtbl.create 8;
-        icache_memo = Hashtbl.create 8;
       }
   with Overflow -> None
 
@@ -265,59 +247,15 @@ let release t =
   release_buf t.dispatch;
   release_buf t.fetch
 
-let memo_find t tbl key =
-  Mutex.lock t.memo_lock;
-  let r = Hashtbl.find_opt tbl key in
-  Mutex.unlock t.memo_lock;
-  r
-
-(* Mutation tooth: when set, [memo_add] reverts to the pre-fix unlocked
-   check-then-insert, with a yield in the window to make the race land
-   reliably.  Exists so the simulation harness can prove its memo check
-   catches the regression; never set outside tests. *)
-let mutation_racy_memo = ref false
-
-(* Add-if-absent: the re-check under the lock is what closes the
-   check-then-insert race -- two domains can both miss [memo_find] and
-   both simulate, but only the first insert lands, so the table never
-   accumulates duplicate bindings for a configuration. *)
-let memo_add t tbl key v =
-  if !mutation_racy_memo then begin
-    if not (Hashtbl.mem tbl key) then begin
-      (* Hold the check-then-insert window open long enough to overlap
-         the other domains' arrival jitter after bank simulation. *)
-      for _ = 1 to 200_000 do
-        Domain.cpu_relax ()
-      done;
-      Hashtbl.add tbl key v
-    end
-  end
-  else begin
-    Mutex.lock t.memo_lock;
-    if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v;
-    Mutex.unlock t.memo_lock
-  end
-
-let memo_sizes t =
-  Mutex.lock t.memo_lock;
-  let r = (Hashtbl.length t.pred_memo, Hashtbl.length t.icache_memo) in
-  Mutex.unlock t.memo_lock;
-  r
-
 (* ------------------------------------------------------------------ *)
-(* Banked replay, config-major over decoded blocks.
+(* Banked replay over decoded blocks.
 
    A bank walks each stream once.  Every block of [block_tokens] tokens is
-   decoded once into an int array of dictionary codes, then handed to each
-   configuration's block kernel in turn ([Predictor.replay_block],
-   [Icache.replay_block]), which runs its whole block before the next
-   configuration starts.  The kernels live in the simulator modules, not
-   here: the libraries build with [-opaque], so nothing inlines across
-   modules, and a per-token call from here into a simulator would cost a
-   closure call plus the simulator's own dispatch for every token of
-   every configuration.  Inside its own module a kernel's loop inlines
-   the same access function the per-event API calls, so there is one copy
-   of each simulator's logic, and this layer pays one call per block. *)
+   decoded once into an int array of dictionary codes, then each
+   configuration runs the whole block through its per-event simulator
+   ([Predictor.access], [Icache.fetch]) before the next configuration
+   starts.  Nothing is kept between banks: every call simulates every
+   configuration it is given. *)
 
 (* Replays poll far less often than the engine: one token is a handful of
    array reads, so ~65k tokens still bounds the watchdog's blind spot to
@@ -371,15 +309,13 @@ let walk_blocks ~poll b f =
   scan b.cur b.pos;
   if !n > 0 then f codes !n
 
-(* Drive the fresh predictor configurations over the dispatch stream.  The
-   dictionary's packed [b] word is split into target, opcode and
-   VM-transfer columns once per bank, so the kernels index plain int
-   arrays by code. *)
-let bank_predictors poll t fresh =
-  let sims = Array.map snd fresh in
+(* Drive the predictors [sims] over the dispatch stream; returns each
+   one's (mispredicts, VM-transfer mispredicts).  The dictionary's packed
+   [b] word is split into target, opcode and VM-transfer columns once per
+   bank, so the block loop indexes plain int arrays by code. *)
+let bank_predictors poll t sims =
   let n = Array.length sims in
-  let mis = Array.init n (fun _ -> ref 0) in
-  let vm_mis = Array.init n (fun _ -> ref 0) in
+  let mis = Array.make n 0 and vm_mis = Array.make n 0 in
   let d = t.dispatch_dict in
   let column f = Array.init d.next (fun c -> f (Array.unsafe_get d.rev_b c)) in
   let branch = d.rev_a in
@@ -390,49 +326,61 @@ let bank_predictors poll t fresh =
   let vm_transfer = column (fun w -> w land 1) in
   let run_block codes len =
     for j = 0 to n - 1 do
-      Predictor.replay_block sims.(j) ~branch ~target ~opcode ~vm_transfer
-        ~codes ~len ~mis:mis.(j) ~vm_mis:vm_mis.(j)
+      let p = sims.(j) and m = ref 0 and v = ref 0 in
+      for i = 0 to len - 1 do
+        let c = Array.unsafe_get codes i in
+        if
+          not
+            (Predictor.access p ~branch:branch.(c) ~target:target.(c)
+               ~opcode:opcode.(c))
+        then begin
+          incr m;
+          v := !v + vm_transfer.(c)
+        end
+      done;
+      mis.(j) <- mis.(j) + !m;
+      vm_mis.(j) <- vm_mis.(j) + !v
     done
   in
   walk_blocks ~poll t.dispatch run_block;
-  Array.iteri
-    (fun j (d, _) -> memo_add t t.pred_memo d (!(mis.(j)), !(vm_mis.(j))))
-    fresh
+  Array.init n (fun j -> (mis.(j), vm_mis.(j)))
 
 (* Same shape over the fetch stream, whose dictionary is already the
-   (addr, bytes) columns. *)
-let bank_icaches poll t fresh =
-  let sims = Array.map snd fresh in
+   (addr, bytes) columns; returns each cache's (fetches, misses). *)
+let bank_icaches poll t sims =
   let n = Array.length sims in
   let hits = Array.init n (fun _ -> ref 0) in
   let misses = Array.init n (fun _ -> ref 0) in
   let addr = t.fetch_dict.rev_a and bytes = t.fetch_dict.rev_b in
   let run_block codes len =
     for j = 0 to n - 1 do
-      Icache.replay_block sims.(j) ~addr ~bytes ~codes ~len ~hits:hits.(j)
-        ~misses:misses.(j)
+      let ic = sims.(j) and hits = hits.(j) and misses = misses.(j) in
+      for i = 0 to len - 1 do
+        let c = Array.unsafe_get codes i in
+        Icache.fetch ic ~addr:addr.(c) ~bytes:bytes.(c) ~hits ~misses
+      done
     done
   in
   walk_blocks ~poll t.fetch run_block;
-  Array.iteri
-    (fun j (d, _) ->
-      memo_add t t.icache_memo d (!(hits.(j)) + !(misses.(j)), !(misses.(j))))
-    fresh
+  Array.init n (fun j -> (!(hits.(j)) + !(misses.(j)), !(misses.(j))))
 
-let replay_bank ?(poll = fun () -> ()) t ~predictors ~icaches =
-  if not t.live then invalid_arg "Trace.replay_bank: trace was released";
-  (* Poll before consulting the memos: a fully memo-served bank does no
-     token iteration, and without this entry poll a long run of such
-     groups would be invisible to the watchdog deadline. *)
+(* One bank: each distinct valid configuration's descriptor and counts,
+   predictors first. *)
+let bank ?(poll = fun () -> ()) t ~predictors ~icaches =
+  if not t.live then invalid_arg "Trace: trace was released";
   poll ();
-  let fresh_of bank memo =
-    Array.of_list (List.filter (fun (d, _) -> memo_find t memo d = None) bank)
+  let run walk = function
+    | [] -> []
+    | bank ->
+        let counts = walk poll t (Array.of_list (List.map snd bank)) in
+        List.mapi (fun j (d, _) -> (d, counts.(j))) bank
   in
-  let fp = fresh_of (Predictor.create_bank predictors) t.pred_memo in
-  if Array.length fp > 0 then bank_predictors poll t fp;
-  let fi = fresh_of (Icache.create_bank icaches) t.icache_memo in
-  if Array.length fi > 0 then bank_icaches poll t fi;
-  Array.length fp + Array.length fi
+  let preds = run bank_predictors (Predictor.create_bank predictors) in
+  (preds, run bank_icaches (Icache.create_bank icaches))
+
+let replay_bank ?poll t ~predictors ~icaches =
+  let p, i = bank ?poll t ~predictors ~icaches in
+  List.length p + List.length i
 
 let build_result t ~cpu (mispredicts, vm_mispredicts) (fetches, misses) =
   let m = Metrics.copy t.base in
@@ -449,48 +397,34 @@ let build_result t ~cpu (mispredicts, vm_mispredicts) (fetches, misses) =
     trapped = t.trapped;
   }
 
-let replay ?poll t ~cpu ~predictor =
-  if not t.live then invalid_arg "Trace.replay: trace was released";
-  ignore
-    (replay_bank ?poll t ~predictors:[ predictor ]
-       ~icaches:[ cpu.Cpu_model.icache ]);
-  let pred_counts =
-    match memo_find t t.pred_memo (Predictor.descriptor predictor) with
-    | Some r -> r
-    | None ->
-        (* Only an invalid configuration can still miss after a bank pass
-           (the bank skips configurations whose constructor raises);
-           re-raise that constructor's error for this cell. *)
-        ignore (Predictor.create predictor : Predictor.t);
-        assert false
+let replay ?poll t ~configs =
+  let preds, icaches =
+    bank ?poll t ~predictors:(List.map snd configs)
+      ~icaches:(List.map (fun (cpu, _) -> cpu.Cpu_model.icache) configs)
   in
-  let icache_counts =
-    match
-      memo_find t t.icache_memo (Icache.descriptor cpu.Cpu_model.icache)
-    with
-    | Some r -> r
-    | None ->
-        ignore (Icache.create cpu.Cpu_model.icache : Icache.t);
-        assert false
-  in
-  build_result t ~cpu pred_counts icache_counts
-
-(* Unlike [replay], valid on a released trace: the memo tables, base
-   metrics and output outlive the chunks, so a released trace can still
-   answer for
-   every simulator configuration it ever replayed -- including every
-   configuration a banked replay simulated while the trace was live. *)
-let replay_memo t ~cpu ~predictor =
-  match
-    ( memo_find t t.pred_memo (Predictor.descriptor predictor),
-      memo_find t t.icache_memo (Icache.descriptor cpu.Cpu_model.icache) )
-  with
-  | Some p, Some i -> Some (build_result t ~cpu p i)
-  | _ -> None
+  List.map
+    (fun ((cpu : Cpu_model.t), predictor) ->
+      (* A bank skips configurations whose constructor raises; re-raise
+         that constructor's error here. *)
+      let p =
+        match List.assoc_opt (Predictor.descriptor predictor) preds with
+        | Some r -> r
+        | None ->
+            ignore (Predictor.create predictor : Predictor.t);
+            assert false
+      in
+      let i =
+        match List.assoc_opt (Icache.descriptor cpu.Cpu_model.icache) icaches with
+        | Some r -> r
+        | None ->
+            ignore (Icache.create cpu.Cpu_model.icache : Icache.t);
+            assert false
+      in
+      build_result t ~cpu p i)
+    configs
 
 let bytes t = t.bytes
 let steps t = t.steps
-let trapped t = t.trapped
 let output t = t.output
 let dispatch_events t = t.n_dispatch
 let fetch_events t = t.n_fetch

@@ -8,30 +8,20 @@ module Sjson = Vmbp_store.Sjson
 (* ------------------------------------------------------------------ *)
 (* Mutation teeth *)
 
-type mutation = Ack_before_fsync | Memo_race | No_dir_fsync
+type mutation = Ack_before_fsync | No_dir_fsync
 
 let mutation_name = function
   | Ack_before_fsync -> "ack-before-fsync"
-  | Memo_race -> "memo-race"
   | No_dir_fsync -> "no-dir-fsync"
 
-let mutation_names =
-  List.map mutation_name [ Ack_before_fsync; Memo_race; No_dir_fsync ]
+let mutations =
+  List.map (fun m -> (mutation_name m, m)) [ Ack_before_fsync; No_dir_fsync ]
 
-let mutation_of_string s =
-  match s with
-  | "ack-before-fsync" -> Ok Ack_before_fsync
-  | "memo-race" -> Ok Memo_race
-  | "no-dir-fsync" -> Ok No_dir_fsync
-  | _ ->
-      Error
-        (Printf.sprintf "unknown mutation %S (one of: %s)" s
-           (String.concat ", " mutation_names))
+let mutation_names = List.map fst mutations
 
 let set_mutation m =
   Store.mutation_skip_fsync := m = Some Ack_before_fsync;
-  Store.mutation_skip_dir_fsync := m = Some No_dir_fsync;
-  Vmbp_report.Trace.mutation_racy_memo := m = Some Memo_race
+  Store.mutation_skip_dir_fsync := m = Some No_dir_fsync
 
 (* ------------------------------------------------------------------ *)
 (* The query universe: cheap cells only (gray at scale 1 is the same
@@ -161,76 +151,6 @@ let reset_references () =
   Hashtbl.reset ref_entries
 
 (* ------------------------------------------------------------------ *)
-(* The memo-consistency hammer: the PR 6 race, re-armed every few
-   seeds.  Real domains replaying one toy trace concurrently; the memo
-   tables must stay duplicate-free (add-if-absent under the lock). *)
-
-let memo_hammer fail =
-  let program = Vmbp_toyvm.Toy_vm.table1_loop () in
-  let config = Vmbp_core.Config.make Vmbp_core.Technique.plain in
-  let layout = Vmbp_core.Config.build_layout config ~program in
-  let state = Vmbp_toyvm.Toy_vm.create_state ~counters:(Array.make 16 200) () in
-  let tr =
-    match
-      Vmbp_report.Trace.record ~layout
-        ~exec:(Vmbp_toyvm.Toy_vm.exec state)
-        ~output:(fun () -> "")
-        ()
-    with
-    | Some tr -> tr
-    | None -> invalid_arg "simulate: toy trace exceeded its cap"
-  in
-  let kinds =
-    [
-      Vmbp_machine.Predictor.Perfect;
-      Vmbp_machine.Predictor.Never;
-      Vmbp_machine.Predictor.Btb Vmbp_machine.Btb.ideal;
-      Vmbp_machine.Predictor.Two_level Vmbp_machine.Two_level.default;
-    ]
-  in
-  let cpus =
-    match Vmbp_machine.Cpu_model.all with a :: b :: _ -> [ a; b ] | l -> l
-  in
-  let started = Atomic.make 0 in
-  let worker () =
-    Atomic.incr started;
-    while Atomic.get started < 4 do
-      Domain.cpu_relax ()
-    done;
-    for _ = 1 to 3 do
-      List.iter
-        (fun (cpu : Vmbp_machine.Cpu_model.t) ->
-          List.iter
-            (fun predictor ->
-              ignore
-                (Vmbp_report.Trace.replay tr ~cpu ~predictor
-                  : Vmbp_core.Engine.result))
-            kinds)
-        cpus
-    done
-  in
-  let domains = Array.init 3 (fun _ -> Domain.spawn worker) in
-  worker ();
-  Array.iter Domain.join domains;
-  let distinct l = List.length (List.sort_uniq compare l) in
-  let dp = distinct (List.map Vmbp_machine.Predictor.descriptor kinds) in
-  let di =
-    distinct
-      (List.map
-         (fun (c : Vmbp_machine.Cpu_model.t) ->
-           Vmbp_machine.Icache.descriptor c.Vmbp_machine.Cpu_model.icache)
-         cpus)
-  in
-  let preds, icaches = Vmbp_report.Trace.memo_sizes tr in
-  if preds <> dp || icaches <> di then
-    fail
-      (Printf.sprintf
-         "memo tables accumulated duplicate bindings under concurrent replay \
-          (%d/%d predictor, %d/%d icache): check-then-insert race"
-         preds dp icaches di);
-  Vmbp_report.Trace.release tr
-
-(* ------------------------------------------------------------------ *)
 (* One seeded schedule *)
 
 type outcome = {
@@ -264,7 +184,7 @@ type client = {
 let sock_path = "/sim/report.sock"
 let store_dir = "/sim/store"
 
-let run_seed ?mutation ~check_memo seed =
+let run_seed ?mutation seed =
   set_mutation mutation;
   let w = Sim.create ~seed () in
   let failures = ref [] in
@@ -632,8 +552,6 @@ let run_seed ?mutation ~check_memo seed =
   let prev_env = !Env.current in
   let finally () =
     Env.current := prev_env;
-    (* Span collection must stop before the memo hammer spawns real
-       domains, or their spans would make the captured trace racy. *)
     Vmbp_obs.Span.disable ();
     Vmbp_obs.Span.set_clock Unix.gettimeofday;
     Vmbp_obs.Flight.set_clock Unix.gettimeofday;
@@ -722,11 +640,6 @@ let run_seed ?mutation ~check_memo seed =
         check_store "final";
         check_spans ()
       end);
-  (if check_memo && !failures = [] then
-     try memo_hammer (fun m -> fail "%s" m)
-     with e ->
-       fail "memo hammer raised %s (table corrupted by concurrent insert?)"
-         (Printexc.to_string e));
   {
     o_seed = seed;
     o_failures = List.rev !failures;
@@ -803,8 +716,7 @@ let run ?(first_seed = 1) ?mutation ?trace_file ?span_out ?metrics_out ~seeds
           let i = ref 0 in
           while !failed = None && !i < seeds do
             let seed = first_seed + !i in
-            let check_memo = seed mod 5 = 0 in
-            let o = run_seed ~check_memo seed in
+            let o = run_seed seed in
             last := Some o;
             crashes := !crashes + o.o_crashes;
             acks := !acks + o.o_acks;
@@ -835,7 +747,7 @@ let run ?(first_seed = 1) ?mutation ?trace_file ?span_out ?metrics_out ~seeds
           let i = ref 0 in
           while !caught = None && !i < seeds do
             let seed = first_seed + !i in
-            let o = run_seed ~mutation:m ~check_memo:(m = Memo_race) seed in
+            let o = run_seed ~mutation:m seed in
             last := Some o;
             if o.o_failures <> [] then caught := Some o;
             incr i

@@ -27,16 +27,19 @@
       it answers.  Spans run on the virtual clock with per-seed id
       reset, so a seed's span trace is byte-identical across replays.
 
-    The harness proves its own teeth by re-introducing three past bugs
-    behind mutation flags --- acking before fsync, the unlocked memo
-    insert race, compaction without the final directory fsync --- and
-    demanding each is caught within a bounded seed budget. *)
+    The harness proves its own teeth by re-introducing two past bugs
+    behind mutation flags --- acking before fsync, compaction without
+    the final directory fsync --- and demanding each is caught within a
+    bounded seed budget. *)
 
-type mutation = Ack_before_fsync | Memo_race | No_dir_fsync
+type mutation = Ack_before_fsync | No_dir_fsync
 
 val mutation_name : mutation -> string
+
+val mutations : (string * mutation) list
+(** Every mutation under its command-line name. *)
+
 val mutation_names : string list
-val mutation_of_string : string -> (mutation, string) result
 
 type outcome = {
   o_seed : int;
@@ -52,11 +55,9 @@ type outcome = {
           function of the seed *)
 }
 
-val run_seed : ?mutation:mutation -> check_memo:bool -> int -> outcome
+val run_seed : ?mutation:mutation -> int -> outcome
 (** Run one seeded schedule (with one past bug re-introduced when
-    [mutation] is given) and report what happened.  [check_memo] also
-    runs the concurrent memo-replay hammer after the schedule.
-    Restores {!Vmbp_sim.Env.current}, the chaos registry and the
+    [mutation] is given) and report what happened.  Restores {!Vmbp_sim.Env.current}, the chaos registry and the
     mutation flags on exit. *)
 
 val run :

@@ -485,118 +485,177 @@ let icache_geometries =
     ("infinite", Icache.infinite);
   ]
 
-(* The block kernels are one more input to the same equivalence: a
-   stream is dictionary-coded the way a recorded trace is (distinct
-   events become column entries, the stream becomes codes), cut into
-   blocks at random boundaries -- empty and one-event blocks included --
-   and each block handed to [replay_block] in a buffer longer than the
-   block, whose tail holds a code the kernel must not read.  The totals
-   must equal a fold of the reference model over the uncut stream. *)
+(* The range kernels ([run_ranges]) are one more input to the same
+   equivalence.  A case is random per-slot event columns (sometimes with a
+   distinct shadow set), random slot ranges over them -- no entering
+   dispatch, shadow ranges and one-slot ranges included -- and cuts of the
+   range list into blocks of 0, 1 or many ranges.  Every block is filled
+   into one reused {!Slot_ranges.t}, so entries past [len] hold stale
+   ranges the kernel must not read.  The totals must equal a fold of the
+   reference model over the event order {!Slot_ranges} documents. *)
 
-let dictionary_code events =
-  let tbl = Hashtbl.create 64 and distinct = ref [] and next = ref 0 in
-  let codes =
-    List.map
-      (fun e ->
-        match Hashtbl.find_opt tbl e with
-        | Some c -> c
-        | None ->
-            let c = !next in
-            Hashtbl.add tbl e c;
-            distinct := e :: !distinct;
-            incr next;
-            c)
-      events
+type range = {
+  lo : int;
+  hi : int;
+  enter : int;
+  enter_transfer : bool;
+  in_shadow : bool;
+}
+
+type kernel_case = {
+  main : Slot_ranges.columns;
+  shadow : Slot_ranges.columns;
+  ranges : range list;
+  blocks : int list;
+}
+
+(* Branch addresses collide across a handful of BTB sets, entries are a
+   few targets, and fetches straddle a few dozen I-cache lines. *)
+let columns_gen n st =
+  let int k = Random.State.int st k in
+  let col f = Array.init n (fun _ -> f ()) in
+  let branch () = 4 * int 64 in
+  {
+    Slot_ranges.entry = col (fun () -> 16 * int 8);
+    fetch_addr = col (fun () -> int 1024);
+    fetch_bytes = col (fun () -> int 49);
+    opcode = col (fun () -> int 64);
+    transfer = col (fun () -> Random.State.bool st);
+    pre_addr = col (fun () -> if int 4 = 0 then branch () else -1);
+    fall_addr = col (fun () -> if int 4 = 0 then -1 else branch ());
+    call_addr = col (fun () -> int 1024);
+    call_bytes = col (fun () -> if int 3 = 0 then 1 + int 16 else 0);
+    dispatch_bytes = 1 + int 8;
+  }
+
+let kernel_case_gen st =
+  let int k = Random.State.int st k in
+  let n = 1 + int 12 in
+  let main = columns_gen n st in
+  let shadow = if Random.State.bool st then columns_gen n st else main in
+  let range _ =
+    let lo = int n in
+    {
+      lo;
+      hi = lo + int (n - lo);
+      enter = (if int 4 = 0 then -1 else 4 * int 64);
+      enter_transfer = Random.State.bool st;
+      in_shadow = Random.State.bool st;
+    }
   in
-  (Array.of_list (List.rev !distinct), Array.of_list codes)
+  let block _ = match int 3 with 0 -> 0 | 1 -> 1 | _ -> 2 + int 63 in
+  {
+    main;
+    shadow;
+    ranges = List.init (int 80) range;
+    blocks = List.init (int 30) block;
+  }
 
-let block_sizes_gen =
-  QCheck.Gen.(
-    list_size (int_range 0 30) (oneof [ return 0; return 1; int_range 2 64 ]))
+let print_kernel_case c =
+  Printf.sprintf "%d slots, %sshadow, ranges [%s], blocks [%s]"
+    (Array.length c.main.Slot_ranges.entry)
+    (if c.shadow == c.main then "no " else "")
+    (String.concat "; "
+       (List.map
+          (fun r ->
+            Printf.sprintf "%d-%d enter %d%s%s" r.lo r.hi r.enter
+              (if r.enter_transfer then " T" else "")
+              (if r.in_shadow then " S" else ""))
+          c.ranges))
+    (String.concat "; " (List.map string_of_int c.blocks))
 
-(* Hand [codes] to [kernel buf len] block by block, cutting at [sizes]
+let kernel_case = QCheck.make ~print:print_kernel_case kernel_case_gen
+
+(* Every event of [c]'s ranges, in {!Slot_ranges}' order. *)
+let fold_events c ~dispatch ~fetch =
+  List.iter
+    (fun r ->
+      let col = if r.in_shadow then c.shadow else c.main in
+      for k = r.lo to r.hi do
+        let branch, transfer =
+          if k = r.lo then (r.enter, r.enter_transfer)
+          else (col.Slot_ranges.fall_addr.(k - 1), col.Slot_ranges.transfer.(k - 1))
+        in
+        let opcode = col.Slot_ranges.opcode.(k) in
+        if branch >= 0 then
+          dispatch ~branch ~target:col.Slot_ranges.entry.(k) ~opcode ~transfer;
+        let pre = col.Slot_ranges.pre_addr.(k) in
+        if pre >= 0 then begin
+          dispatch ~branch:pre ~target:col.Slot_ranges.fetch_addr.(k) ~opcode
+            ~transfer:false;
+          fetch ~addr:col.Slot_ranges.entry.(k)
+            ~bytes:col.Slot_ranges.dispatch_bytes
+        end;
+        if col.Slot_ranges.call_bytes.(k) > 0 then
+          fetch ~addr:col.Slot_ranges.call_addr.(k)
+            ~bytes:col.Slot_ranges.call_bytes.(k);
+        fetch ~addr:col.Slot_ranges.fetch_addr.(k)
+          ~bytes:col.Slot_ranges.fetch_bytes.(k)
+      done)
+    c.ranges
+
+(* Hand [c]'s ranges to [kernel] block by block, cutting at [c.blocks]
    (reused cyclically).  A cut list with no positive size would never
    advance, so then the rest goes as one block. *)
-let iter_blocks sizes codes kernel =
-  let n = Array.length codes in
-  let buf = Array.make (n + 1) 0 in
-  let block pos len =
-    Array.blit codes pos buf 0 len;
-    buf.(len) <- max_int;
-    kernel buf len
+let iter_blocks c kernel =
+  let b = Slot_ranges.create ~main:c.main ~shadow:c.shadow in
+  let block rs =
+    List.iteri
+      (fun i r ->
+        b.Slot_ranges.lo.(i) <- r.lo;
+        b.Slot_ranges.hi.(i) <- r.hi;
+        b.Slot_ranges.enter.(i) <- r.enter;
+        b.Slot_ranges.enter_transfer.(i) <- r.enter_transfer;
+        b.Slot_ranges.in_shadow.(i) <- r.in_shadow)
+      rs;
+    b.Slot_ranges.len <- List.length rs;
+    kernel b
   in
-  let rec go pos pending =
-    if pos < n then
-      match pending with
-      | [] when not (List.exists (fun k -> k > 0) sizes) -> block pos (n - pos)
-      | [] -> go pos sizes
-      | k :: rest ->
-          let len = min k (n - pos) in
-          block pos len;
-          go (pos + len) rest
+  let rec go pending = function
+    | [] -> ()
+    | rs -> (
+        match pending with
+        | [] when not (List.exists (fun k -> k > 0) c.blocks) -> block rs
+        | [] -> go c.blocks rs
+        | k :: rest ->
+            block (List.filteri (fun i _ -> i < k) rs);
+            go rest (List.filteri (fun i _ -> i >= k) rs))
   in
-  go 0 sizes
-
-let kernel_stream_gen =
-  QCheck.Gen.(
-    pair
-      (list_size (int_range 1 400)
-         (quad (map (fun n -> n * 4) (int_bound 63)) (int_bound 7) (int_bound 63)
-            (int_bound 1)))
-      block_sizes_gen)
+  go c.blocks c.ranges
 
 let prop_predictor_kernel_matches_reference (name, kind) =
   QCheck.Test.make ~count:150
     ~name:(Printf.sprintf "%s block kernel agrees with reference" name)
-    (QCheck.make
-       ~print:QCheck.Print.(pair (list (quad int int int int)) (list int))
-       kernel_stream_gen)
-    (fun (events, sizes) ->
+    kernel_case
+    (fun c ->
       let oracle = Reference.create_predictor kind in
-      let rmis, rvm =
-        List.fold_left
-          (fun (m, v) (branch, target, opcode, vm) ->
-            if Reference.access oracle ~branch ~target ~opcode then (m, v)
-            else (m + 1, v + vm))
-          (0, 0) events
-      in
-      let columns, codes = dictionary_code events in
-      let col f = Array.map f columns in
-      let branch = col (fun (b, _, _, _) -> b)
-      and target = col (fun (_, t, _, _) -> t)
-      and opcode = col (fun (_, _, o, _) -> o)
-      and vm_transfer = col (fun (_, _, _, v) -> v) in
+      let rmis = ref 0 and rvm = ref 0 in
+      fold_events c
+        ~dispatch:(fun ~branch ~target ~opcode ~transfer ->
+          if not (Reference.access oracle ~branch ~target ~opcode) then begin
+            incr rmis;
+            if transfer then incr rvm
+          end)
+        ~fetch:(fun ~addr:_ ~bytes:_ -> ());
       let fast = Predictor.create kind in
       let mis = ref 0 and vm_mis = ref 0 in
-      iter_blocks sizes codes (fun codes len ->
-          Predictor.replay_block fast ~branch ~target ~opcode ~vm_transfer ~codes
-            ~len ~mis ~vm_mis);
-      !mis = rmis && !vm_mis = rvm)
-
-let kernel_fetch_gen =
-  QCheck.Gen.(
-    pair
-      (list_size (int_range 1 400) (pair (int_bound 1023) (int_range 0 48)))
-      block_sizes_gen)
+      iter_blocks c (fun b -> Predictor.run_ranges fast b ~mis ~vm_mis);
+      !mis = !rmis && !vm_mis = !rvm)
 
 let prop_icache_kernel_matches_reference (name, cfg) =
   QCheck.Test.make ~count:150
     ~name:(Printf.sprintf "icache %s block kernel agrees with reference" name)
-    (QCheck.make
-       ~print:QCheck.Print.(pair (list (pair int int)) (list int))
-       kernel_fetch_gen)
-    (fun (fetches, sizes) ->
+    kernel_case
+    (fun c ->
       let oracle = Reference.create_icache cfg in
       let rh = ref 0 and rm = ref 0 in
-      List.iter
-        (fun (addr, bytes) -> Reference.fetch oracle ~addr ~bytes ~hits:rh ~misses:rm)
-        fetches;
-      let columns, codes = dictionary_code fetches in
-      let addr = Array.map fst columns and bytes = Array.map snd columns in
+      fold_events c
+        ~dispatch:(fun ~branch:_ ~target:_ ~opcode:_ ~transfer:_ -> ())
+        ~fetch:(fun ~addr ~bytes ->
+          Reference.fetch oracle ~addr ~bytes ~hits:rh ~misses:rm);
       let fast = Icache.create cfg in
       let hits = ref 0 and misses = ref 0 in
-      iter_blocks sizes codes (fun codes len ->
-          Icache.replay_block fast ~addr ~bytes ~codes ~len ~hits ~misses);
+      iter_blocks c (fun b -> Icache.run_ranges fast b ~hits ~misses);
       (* The memo path advances the clock like the full scan. *)
       let clock = if cfg.Icache.size_bytes = 0 then 0 else !hits + !misses in
       !hits = !rh && !misses = !rm && Icache.clock fast = clock)

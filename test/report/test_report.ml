@@ -67,6 +67,36 @@ let test_trace_replication_no_miss () =
   check_int "superinstruction: 0 misses" 0
     (misses (trace (Technique.static_super ~n:4 ()) ~profile ()))
 
+(* A JVM workload quickens from its first instructions on, and its
+   dynamic superinstructions dispatch out of not-yet-quickened gaps: the
+   trace runs through both instead of stopping at the first quickening. *)
+let test_trace_jvm_past_quickening () =
+  let w = Option.get (Vmbp_workloads.find ~vm:Vmbp_workloads.Jvm "compress") in
+  let loaded = w.Vmbp_workloads.load ~scale:1 in
+  let rows technique ~skip ~take =
+    let session = loaded.Vmbp_workloads.fresh_session () in
+    Vmbp_report.Dispatch_trace.trace ~technique
+      ~program:loaded.Vmbp_workloads.program
+      ~exec:session.Vmbp_workloads.exec ~skip ~take ()
+  in
+  List.iter
+    (fun technique ->
+      let name = Technique.name technique in
+      let all = rows technique ~skip:0 ~take:50 in
+      Alcotest.(check (list int))
+        (name ^ ": 50 rows, numbered") (List.init 50 succ)
+        (List.map (fun r -> r.Vmbp_report.Dispatch_trace.step) all);
+      let field r =
+        ( r.Vmbp_report.Dispatch_trace.vm_instr,
+          r.Vmbp_report.Dispatch_trace.actual,
+          r.Vmbp_report.Dispatch_trace.correct )
+      in
+      Alcotest.(check (list (triple string string bool)))
+        (name ^ ": --skip 40 continues the same trace")
+        (List.map field (List.filteri (fun i _ -> i >= 40) all))
+        (List.map field (rows technique ~skip:40 ~take:10)))
+    [ Technique.plain; Technique.dynamic_super ]
+
 (* ------------------------------------------------------------------ *)
 (* Comparator models *)
 
@@ -603,44 +633,9 @@ let test_record_overflow_and_fallback () =
   Vmbp_report.Par_runner.clear_trace_cache ();
   ignore (Vmbp_report.Par_runner.drain_log ())
 
-(* Records one toy token trace, for the {!Trace} cases below. *)
-let toy_trace ?fuel name =
-  let w = toy_workload name in
-  let loaded = w.Vmbp_workloads.load ~scale:1 in
-  let layout =
-    Config.build_layout (Config.make Technique.plain)
-      ~program:loaded.Vmbp_workloads.program
-  in
-  let s = loaded.Vmbp_workloads.fresh_session () in
-  Option.get
-    (Vmbp_report.Trace.record ?fuel ~layout ~exec:s.Vmbp_workloads.exec
-       ~output:s.Vmbp_workloads.output ())
-
-let test_memo_survives_release () =
-  (* A released trace keeps answering configurations it already served
-     from its memo tables, and no others. *)
-  let tr = toy_trace "trace-memo" in
-  let cpu = Cpu_model.ideal and p4 = Cpu_model.pentium4_northwood in
-  let served =
-    Vmbp_report.Trace.replay tr ~cpu ~predictor:cpu.Cpu_model.predictor
-  in
-  check_bool "unseen configuration misses the memo" true
-    (Vmbp_report.Trace.replay_memo tr ~cpu:p4 ~predictor:p4.Cpu_model.predictor
-    = None);
-  Vmbp_report.Trace.release tr;
-  (match
-     Vmbp_report.Trace.replay_memo tr ~cpu ~predictor:cpu.Cpu_model.predictor
-   with
-  | Some r -> check_result_equal "memo after release" served r
-  | None -> Alcotest.fail "served configuration must hit the memo");
-  check_bool "released trace cannot serve new configurations" true
-    (Vmbp_report.Trace.replay_memo tr ~cpu:p4 ~predictor:p4.Cpu_model.predictor
-    = None)
-
 (* One banked traversal must reproduce every per-configuration replay
    field for field across the full CPU grid and predictor overrides,
-   including trapping runs, and the bank's memo tables keep serving every
-   banked configuration after release. *)
+   including trapping runs, and a released trace refuses to replay. *)
 let test_banked_replay_matches_per_cell () =
   let overrides =
     [
@@ -662,8 +657,7 @@ let test_banked_replay_matches_per_cell () =
           overrides)
       Cpu_model.all
   in
-  let predictors = List.map snd grid in
-  let icaches = List.map (fun ((c : Cpu_model.t), _) -> c.Cpu_model.icache) grid in
+  let distinct f = List.length (List.sort_uniq compare (List.map f grid)) in
   List.iter
     (fun (name, trap) ->
       let record () =
@@ -679,30 +673,33 @@ let test_banked_replay_matches_per_cell () =
              ~output:s.Vmbp_workloads.output ())
       in
       let banked = record () and control = record () in
-      let fresh = Vmbp_report.Trace.replay_bank banked ~predictors ~icaches in
-      check_bool (name ^ ": bank simulated fresh configs") true (fresh > 0);
       check_int
-        (name ^ ": re-banking the same grid simulates nothing")
-        0
-        (Vmbp_report.Trace.replay_bank banked ~predictors ~icaches);
-      let compare_served tag =
-        List.iter
-          (fun ((cpu : Cpu_model.t), predictor) ->
-            let label =
-              Printf.sprintf "%s/%s/%s/%s" name tag cpu.Cpu_model.name
-                (Predictor.kind_name predictor)
-            in
-            match Vmbp_report.Trace.replay_memo banked ~cpu ~predictor with
-            | Some a ->
-                check_result_equal label
-                  (Vmbp_report.Trace.replay control ~cpu ~predictor)
-                  a
-            | None -> Alcotest.fail (label ^ ": bank must have memoized"))
-          grid
-      in
-      compare_served "banked";
+        (name ^ ": the bank simulates each distinct configuration")
+        (distinct (fun (_, p) -> Predictor.descriptor p)
+        + distinct (fun ((c : Cpu_model.t), _) ->
+              Icache.descriptor c.Cpu_model.icache))
+        (Vmbp_report.Trace.replay_bank banked
+           ~predictors:(List.map snd grid)
+           ~icaches:
+             (List.map (fun ((c : Cpu_model.t), _) -> c.Cpu_model.icache) grid));
+      List.iter2
+        (fun ((cpu : Cpu_model.t), predictor) a ->
+          let label =
+            Printf.sprintf "%s/%s/%s" name cpu.Cpu_model.name
+              (Predictor.kind_name predictor)
+          in
+          match
+            Vmbp_report.Trace.replay control ~configs:[ (cpu, predictor) ]
+          with
+          | [ b ] -> check_result_equal label b a
+          | _ -> Alcotest.fail (label ^ ": one result per configuration"))
+        grid
+        (Vmbp_report.Trace.replay banked ~configs:grid);
       Vmbp_report.Trace.release banked;
-      compare_served "released";
+      check_bool (name ^ ": a released trace refuses to replay") true
+        (match Vmbp_report.Trace.replay banked ~configs:grid with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
       Vmbp_report.Trace.release control)
     [ ("bank-grid", false); ("bank-trap", true) ];
   (* Fuel exhaustion mid-run: the banked counters replay the partial
@@ -714,91 +711,82 @@ let test_banked_replay_matches_per_cell () =
   let layout =
     Config.build_layout config ~program:loaded.Vmbp_workloads.program
   in
-  let record () =
-    let s = loaded.Vmbp_workloads.fresh_session () in
+  let s = loaded.Vmbp_workloads.fresh_session () in
+  let tr =
     Option.get
       (Vmbp_report.Trace.record ~fuel:50 ~layout ~exec:s.Vmbp_workloads.exec
          ~output:s.Vmbp_workloads.output ())
   in
-  let banked = record () and control = record () in
   let kind = Config.predictor_kind config in
-  check_int "bank-fuel: two fresh configs" 2
-    (Vmbp_report.Trace.replay_bank banked ~predictors:[ kind ]
-       ~icaches:[ cpu.Cpu_model.icache ]);
-  check_result_equal "bank-fuel"
-    (Vmbp_report.Trace.replay control ~cpu ~predictor:kind)
-    (Vmbp_report.Trace.replay banked ~cpu ~predictor:kind)
-
-(* Satellite: the memo tables stay duplicate-free when several domains
-   replay the same configurations concurrently -- the old assoc-list memo
-   had a check-then-insert race where two domains could both miss the
-   lookup and both prepend a binding. *)
-let test_memo_insert_race_free () =
-  let w = toy_workload "bank-race" in
-  let loaded = w.Vmbp_workloads.load ~scale:1 in
-  let config = Config.make Technique.plain in
-  let layout =
-    Config.build_layout config ~program:loaded.Vmbp_workloads.program
+  let session = loaded.Vmbp_workloads.fresh_session () in
+  let live =
+    Engine.run ~fuel:50 ~config ~layout ~exec:session.Vmbp_workloads.exec ()
   in
-  let s = loaded.Vmbp_workloads.fresh_session () in
-  let tr =
-    Option.get
-      (Vmbp_report.Trace.record ~layout ~exec:s.Vmbp_workloads.exec
-         ~output:s.Vmbp_workloads.output ())
-  in
-  let kinds =
-    [
-      Predictor.Perfect;
-      Predictor.Never;
-      Predictor.Btb Btb.ideal;
-      Predictor.Btb (Btb.classic ~entries:512 ~associativity:4);
-      Predictor.Two_level Two_level.default;
-      Predictor.Case_block 256;
-    ]
-  in
-  let cpus = Cpu_model.all in
-  let started = Atomic.make 0 in
-  let worker () =
-    (* Line every domain up on the first, raciest round. *)
-    Atomic.incr started;
-    while Atomic.get started < 4 do
-      Domain.cpu_relax ()
-    done;
-    for _ = 1 to 5 do
-      List.iter
-        (fun (cpu : Cpu_model.t) ->
-          List.iter
-            (fun predictor ->
-              ignore
-                (Vmbp_report.Trace.replay tr ~cpu ~predictor
-                  : Engine.result))
-            kinds)
-        cpus
-    done
-  in
-  let domains = Array.init 3 (fun _ -> Domain.spawn worker) in
-  worker ();
-  Array.iter Domain.join domains;
-  let distinct descriptors =
-    List.length (List.sort_uniq compare descriptors)
-  in
-  let preds, icaches = Vmbp_report.Trace.memo_sizes tr in
-  check_int "predictor memo duplicate-free"
-    (distinct (List.map Predictor.descriptor kinds))
-    preds;
-  check_int "icache memo duplicate-free"
-    (distinct
-       (List.map
-          (fun (c : Cpu_model.t) -> Icache.descriptor c.Cpu_model.icache)
-          cpus))
-    icaches;
+  check_bool "bank-fuel: the run ran out of fuel" true
+    (live.Engine.trapped = Some Engine.out_of_fuel);
+  Alcotest.(check string)
+    "bank-fuel: the trace keeps the program output"
+    (session.Vmbp_workloads.output ())
+    (Vmbp_report.Trace.output tr);
+  (match Vmbp_report.Trace.replay tr ~configs:[ (cpu, kind) ] with
+  | [ r ] -> check_result_equal "bank-fuel" live r
+  | _ -> Alcotest.fail "bank-fuel: one result");
   Vmbp_report.Trace.release tr
 
-(* Polls: a walk polls once before any work -- so a deadline that already
-   passed is noticed at once -- and after every block; and a fully
-   memo-served token-trace replay still polls, so a long run of them
-   cannot blind-spot the --cell-timeout watchdog. *)
-let test_memoized_replay_still_polls () =
+(* Two groups of one loaded-once workload on two domains record its path
+   once: the group that finds the recording in flight waits for it and
+   then walks, so exactly one cell runs live.  Each live run stalls on its
+   first step, so the second group always starts while the first one is
+   still recording. *)
+let test_record_once_across_jobs () =
+  Vmbp_report.Par_runner.clear_trace_cache ();
+  let w = toy_workload "walk-two-groups" in
+  let loaded =
+    let loaded = w.Vmbp_workloads.load ~scale:1 in
+    {
+      loaded with
+      Vmbp_workloads.fresh_session =
+        (fun () ->
+          let s = loaded.Vmbp_workloads.fresh_session () in
+          let first = ref true in
+          let exec p pc =
+            if !first then begin
+              first := false;
+              Unix.sleepf 0.2
+            end;
+            s.Vmbp_workloads.exec p pc
+          in
+          { s with Vmbp_workloads.exec });
+    }
+  in
+  let w = { w with Vmbp_workloads.load = (fun ~scale:_ -> loaded) } in
+  let cells =
+    List.concat_map
+      (fun technique ->
+        List.map
+          (fun cpu ->
+            Vmbp_report.Par_runner.cell ~tag:"test" ~cpu ~technique w)
+          [ Cpu_model.ideal; Cpu_model.pentium4_northwood; Cpu_model.celeron_800 ])
+      [ Technique.plain; Technique.switch ]
+  in
+  let timed = Vmbp_report.Par_runner.run_cells ~jobs:2 cells in
+  List.iter
+    (fun (t : Vmbp_report.Par_runner.timed) ->
+      check_bool "every cell succeeds" true
+        (Result.is_ok t.Vmbp_report.Par_runner.outcome))
+    timed;
+  check_int "exactly one live cell" 1
+    (List.length
+       (List.filter
+          (fun (t : Vmbp_report.Par_runner.timed) ->
+            t.Vmbp_report.Par_runner.mode = Vmbp_report.Par_runner.Direct)
+          timed));
+  Vmbp_report.Par_runner.clear_trace_cache ();
+  ignore (Vmbp_report.Par_runner.drain_log ())
+
+(* Polls: a group walk polls once before any work -- so a deadline that
+   already passed is noticed at once -- and after every block. *)
+let test_group_walk_polls () =
   let w = loaded_once_toy "walk-poll" in
   let configs = [ (Cpu_model.ideal, None); (Cpu_model.celeron_800, None) ] in
   ignore (walk_group ~technique:Technique.plain ~configs w);
@@ -816,18 +804,7 @@ let test_memoized_replay_still_polls () =
          ~configs w
      with
     | _ -> false
-    | exception Exit -> true);
-  let tr = toy_trace "bank-poll" in
-  let cpu = Cpu_model.ideal in
-  ignore
-    (Vmbp_report.Trace.replay tr ~cpu ~predictor:cpu.Cpu_model.predictor
-      : Engine.result);
-  polls := 0;
-  ignore
-    (Vmbp_report.Trace.replay ~poll tr ~cpu ~predictor:cpu.Cpu_model.predictor
-      : Engine.result);
-  check_bool "memo-served replay polls at least once" true (!polls >= 1);
-  Vmbp_report.Trace.release tr
+    | exception Exit -> true)
 
 (* The bank's poll contract, counted exactly: one entry poll, then one
    per 65536 tokens of each stream it walks, whatever its block size. *)
@@ -865,11 +842,9 @@ let test_bank_poll_count () =
     (bank ~predictors:[] ~icaches:[ icache 1024; icache 2048 ]);
   check_int "both walks" (1 + (nd / 65536) + (nf / 65536))
     (bank ~predictors:[ Predictor.Case_block 64 ] ~icaches:[ icache 4096 ]);
-  check_int "memo-served: entry poll only" 1
-    (bank ~predictors:[ Predictor.Case_block 64 ] ~icaches:[ icache 4096 ]);
   Vmbp_report.Trace.release tr
 
-(* Satellite: the canonical descriptors that key the banked memo tables
+(* Satellite: the canonical descriptors that dedup a bank's simulators
    must never collide across distinct configurations -- checked over a
    dense grid of every predictor family and I-cache geometry. *)
 let test_bank_descriptor_injective () =
@@ -1672,6 +1647,8 @@ let () =
             test_trace_threaded_half_miss;
           Alcotest.test_case "replication no-miss" `Quick
             test_trace_replication_no_miss;
+          Alcotest.test_case "jvm past quickening" `Quick
+            test_trace_jvm_past_quickening;
         ] );
       ( "models",
         [
@@ -1723,18 +1700,15 @@ let () =
             test_replay_trap_and_fuel;
           Alcotest.test_case "overflow and fallback" `Quick
             test_record_overflow_and_fallback;
-          Alcotest.test_case "memo survives release" `Quick
-            test_memo_survives_release;
           Alcotest.test_case "banked replay equals per-cell replay" `Quick
             test_banked_replay_matches_per_cell;
-          Alcotest.test_case "memo inserts race-free under 4 domains" `Quick
-            test_memo_insert_race_free;
-          Alcotest.test_case "memo-served replay still polls" `Quick
-            test_memoized_replay_still_polls;
-          Alcotest.test_case "bank polls once per 65536 tokens" `Quick
-            test_bank_poll_count;
+          Alcotest.test_case "group walk polls" `Quick test_group_walk_polls;
+          Alcotest.test_case "two groups record a path once" `Quick
+            test_record_once_across_jobs;
           Alcotest.test_case "bank descriptors injective" `Quick
             test_bank_descriptor_injective;
+          Alcotest.test_case "bank polls once per 65536 tokens" `Quick
+            test_bank_poll_count;
         ] );
       ( "supervision",
         [

@@ -186,12 +186,12 @@ let test_socket_roundtrip_and_crash_eof () =
 (* Whole-system schedules *)
 
 let test_schedule_passes_and_replays () =
-  let a = Simulate.run_seed ~check_memo:false 3 in
+  let a = Simulate.run_seed 3 in
   Alcotest.(check (list string)) "no invariant failed" [] a.Simulate.o_failures;
   check_bool "acks checked" true (a.Simulate.o_acks > 0);
   check_int "grid schedule compared a grid" 1 a.Simulate.o_grids;
   (* Replaying the seed reproduces the schedule bit for bit. *)
-  let b = Simulate.run_seed ~check_memo:false 3 in
+  let b = Simulate.run_seed 3 in
   check_string "trace replays identically" a.Simulate.o_trace
     b.Simulate.o_trace;
   check_int "same acks" a.Simulate.o_acks b.Simulate.o_acks;
@@ -208,7 +208,7 @@ let test_crashing_schedule_holds_invariants () =
   let rec hunt seed =
     if seed > 30 then Alcotest.fail "no seed crashed within budget"
     else
-      let o = Simulate.run_seed ~check_memo:false seed in
+      let o = Simulate.run_seed seed in
       Alcotest.(check (list string))
         (Printf.sprintf "seed %d holds every invariant" seed)
         [] o.Simulate.o_failures;
@@ -220,28 +220,26 @@ let test_crashing_schedule_holds_invariants () =
 
 (* Mutation teeth: each re-introduced bug must be caught within a
    bounded seed budget, and the catching seed must replay. *)
-let catch_within mutation ~check_memo budget =
+let catch_within mutation budget =
   let rec hunt seed =
     if seed > budget then
       Alcotest.failf "mutation %s not caught within %d seeds"
         (Simulate.mutation_name mutation)
         budget
     else
-      let o = Simulate.run_seed ~mutation ~check_memo seed in
+      let o = Simulate.run_seed ~mutation seed in
       if o.Simulate.o_failures <> [] then seed else hunt (seed + 1)
   in
   let seed = hunt 1 in
-  let again = Simulate.run_seed ~mutation ~check_memo seed in
+  let again = Simulate.run_seed ~mutation seed in
   check_bool "catching seed replays the catch" true
     (again.Simulate.o_failures <> [])
 
 let test_teeth_ack_before_fsync () =
-  catch_within Simulate.Ack_before_fsync ~check_memo:false 80
+  catch_within Simulate.Ack_before_fsync 80
 
 let test_teeth_no_dir_fsync () =
-  catch_within Simulate.No_dir_fsync ~check_memo:false 150
-
-let test_teeth_memo_race () = catch_within Simulate.Memo_race ~check_memo:true 5
+  catch_within Simulate.No_dir_fsync 150
 
 let () =
   Alcotest.run "sim"
@@ -281,6 +279,5 @@ let () =
             test_teeth_ack_before_fsync;
           Alcotest.test_case "no-dir-fsync caught" `Slow
             test_teeth_no_dir_fsync;
-          Alcotest.test_case "memo race caught" `Slow test_teeth_memo_race;
         ] );
     ]
