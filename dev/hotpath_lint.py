@@ -6,6 +6,7 @@ Usage: python3 dev/hotpath_lint.py [--build-dir _build/default]
 Disassembles the native objects of a dune build with `objdump -dr` and
 checks the functions that run once per dispatch, fetch, VM call or path
 range: the simulators' access, fetch and run_ranges functions, the
+I-cache line-column fill (run on every quickening of a path walk), the
 banked-replay walk in Trace, Engine.run_events (the one
 interpreter loop, which every live run goes through), the path walk's
 per-range function (Path_walk.range), the VM path recorder's and
@@ -42,7 +43,8 @@ HOT = [
      ["access", "run_ranges"]),
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Icache.o",
      "Vmbp_machine__Icache",
-     ["fetch", "fetch_lines", "touch_line", "run_ranges"]),
+     ["fetch", "fetch_lines", "touch_line", "touch_set", "run_ranges",
+      "fill_lines"]),
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Predictor.o",
      "Vmbp_machine__Predictor",
      ["access", "run_ranges", "never_ranges"]),

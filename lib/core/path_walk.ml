@@ -6,15 +6,17 @@ open Vmbp_machine
    starts, so the block and the columns it touches stay cache-resident. *)
 let block_steps = 65536
 
-(* One column set: a translation, the kernels' view of its arrays, and
+(* One column set: a translation, the kernels' view of its arrays,
    prefix sums over slots [0 .. k-1] of what a slot that falls through
    retires -- pre-dispatch, work and fall-through instructions, and its
-   pre-dispatch and fall-through dispatches. *)
+   pre-dispatch and fall-through dispatches -- and the I-cache line
+   columns of its arrays, one per distinct line size of the walk. *)
 type cols = {
   tr : Engine.translation;
   kernel : Slot_ranges.columns;
   native : int array;
   dispatches : int array;
+  lines : Icache.lines array;
 }
 
 (* Recompute the prefix sums from slot [from] on. *)
@@ -32,7 +34,7 @@ let fill_prefix c from =
       + if fall >= 0 then 1 else 0
   done
 
-let make_cols (layout : Code_layout.t) (tr : Engine.translation) =
+let make_cols (layout : Code_layout.t) (tr : Engine.translation) line_sizes =
   let kernel =
     {
       Slot_ranges.entry = tr.Engine.t_entry;
@@ -48,7 +50,16 @@ let make_cols (layout : Code_layout.t) (tr : Engine.translation) =
     }
   in
   let zeros () = Array.make (tr.Engine.t_n + 1) 0 in
-  let c = { tr; kernel; native = zeros (); dispatches = zeros () } in
+  let c =
+    {
+      tr;
+      kernel;
+      native = zeros ();
+      dispatches = zeros ();
+      lines =
+        Array.map (fun line_bytes -> Icache.lines ~line_bytes kernel) line_sizes;
+    }
+  in
   fill_prefix c 0;
   c
 
@@ -225,6 +236,23 @@ type counts = {
   icache_misses : int array;
 }
 
+(* The distinct line sizes of [icaches] in first-occurrence order, and
+   the index of each cache's among them. *)
+let line_sizes icaches =
+  let sizes = ref [||] in
+  let index =
+    Array.map
+      (fun ic ->
+        let lb = (Icache.config ic).Icache.line_bytes in
+        match Array.find_index (fun s -> s = lb) !sizes with
+        | Some i -> i
+        | None ->
+            sizes := Array.append !sizes [| lb |];
+            Array.length !sizes - 1)
+      icaches
+  in
+  (!sizes, index)
+
 let walk ?(fuel = max_int) ?(poll = fun () -> ()) ?translation ~path ~layout
     ~predictors ~icaches () =
   let n = Program.length layout.Code_layout.program in
@@ -238,10 +266,11 @@ let walk ?(fuel = max_int) ?(poll = fun () -> ()) ?translation ~path ~layout
         tr
     | None -> Engine.translate layout
   in
-  let main = make_cols layout tr in
+  let sizes, size_of = line_sizes icaches in
+  let main = make_cols layout tr sizes in
   let shadow =
     if layout.Code_layout.shadow == layout.Code_layout.sites then main
-    else make_cols layout (Engine.translate_shadow layout)
+    else make_cols layout (Engine.translate_shadow layout) sizes
   in
   let entries = Vm_path.entries path in
   let st =
@@ -280,7 +309,9 @@ let walk ?(fuel = max_int) ?(poll = fun () -> ()) ?translation ~path ~layout
       Predictor.run_ranges predictors.(j) b ~mis:mis.(j) ~vm_mis:vm_mis.(j)
     done;
     for j = 0 to ni - 1 do
-      Icache.run_ranges icaches.(j) b ~hits:hits.(j) ~misses:misses.(j)
+      let s = size_of.(j) in
+      Icache.run_ranges icaches.(j) b ~main:main.lines.(s)
+        ~shadow:shadow.lines.(s) ~hits:hits.(j) ~misses:misses.(j)
     done;
     b.Slot_ranges.len <- 0;
     st.in_block <- 0;
@@ -306,7 +337,9 @@ let walk ?(fuel = max_int) ?(poll = fun () -> ()) ?translation ~path ~layout
             List.iter
               (fun c ->
                 Engine.retranslate c.tr layout hi;
-                fill_prefix c c.tr.Engine.t_inv_lo.(hi))
+                let from = c.tr.Engine.t_inv_lo.(hi) in
+                fill_prefix c from;
+                Array.iter (fun l -> Icache.fill_lines l from) c.lines)
               (if shadow == main then [ main ] else [ main; shadow ]);
             st.quickenings <- st.quickenings + 1;
             outcome q.Control.after

@@ -12,7 +12,10 @@
     kernels of every configuration in turn ([Predictor.run_ranges],
     [Icache.run_ranges]), config-major, so one walk drives any number of
     distinct simulators.  VM, native-instruction and dispatch counts come
-    from per-slot prefix sums, once per range.
+    from per-slot prefix sums, once per range.  The I-caches read line
+    columns ({!Vmbp_machine.Icache.lines}), built once per walk for each
+    distinct line size among them and shared by every I-cache of that
+    size (and by the main and shadow column sets when they are one).
 
     The walk reproduces a live {!Engine.run_events} run of the same
     layout exactly:
@@ -20,7 +23,7 @@
       its outgoing dispatch use the pre-quickening columns; the block is
       run first, then the layout is quickened with a fresh copy of the
       operands, the slot's straight-line run is re-translated and the
-      prefix sums are rebuilt from there;
+      prefix sums and line columns are rebuilt from there;
     - shadow windows walk a second column set, translated from the
       layout's shadow sites, and split ranges at the window's end;
     - ranges are clipped at the fuel limit, so a walk stops

@@ -18,6 +18,11 @@ let make_config ~size_bytes ~line_bytes ~associativity =
   end;
   { size_bytes; line_bytes; associativity }
 
+(* log2 of a power of two. *)
+let log2 n =
+  let rec go k n = if n <= 1 then k else go (k + 1) (n lsr 1) in
+  go 0 n
+
 type t = {
   cfg : config;
   infinite : bool;  (* [cfg.size_bytes = 0], flat -- skips the config
@@ -40,6 +45,11 @@ type t = {
      I-cache pressure the paper measures (Section 7.4). *)
   mutable last_line : int;
   mutable last_slot : int;
+  (* Per set, the index into [tags] of the line touched last in that set
+     (-1 = none).  That line already holds its set's newest stamp, so the
+     range kernel can count a repeat of it as a hit without re-stamping
+     it: stamps are only compared within a set. *)
+  mru : int array;
   (* Introspection hook, called once per line miss; [None] costs one
      match on the miss path only and never alters any decision. *)
   mutable observer : (line:int -> set:int -> evicted:int -> unit) option;
@@ -68,16 +78,12 @@ let create cfg =
     if cfg.size_bytes = 0 then 0
     else cfg.size_bytes / cfg.line_bytes / cfg.associativity
   in
-  let line_shift =
-    let rec log2 k n = if n <= 1 then k else log2 (k + 1) (n lsr 1) in
-    log2 0 cfg.line_bytes
-  in
   {
     cfg;
     infinite = cfg.size_bytes = 0;
     assoc = cfg.associativity;
     nsets;
-    line_shift;
+    line_shift = log2 cfg.line_bytes;
     set_mask =
       (if nsets > 0 && nsets land (nsets - 1) = 0 then nsets - 1 else -1);
     tags = Array.make (max 1 (nsets * cfg.associativity)) (-1);
@@ -85,6 +91,7 @@ let create cfg =
     tick = 0;
     last_line = -1;
     last_slot = -1;
+    mru = Array.make (max 1 nsets) (-1);
     observer = None;
   }
 
@@ -105,9 +112,11 @@ let create_bank configs =
 let config t = t.cfg
 let set_observer t obs = t.observer <- obs
 
-let[@inline] touch_line t line =
+let[@inline] set_of t line =
+  if t.set_mask >= 0 then line land t.set_mask else line mod t.nsets
+
+let[@inline] touch_set t line set =
   let assoc = t.assoc in
-  let set = if t.set_mask >= 0 then line land t.set_mask else line mod t.nsets in
   let base = set * assoc in
   let tags = t.tags in
   t.tick <- t.tick + 1;
@@ -120,6 +129,7 @@ let[@inline] touch_line t line =
   if !hit >= 0 then begin
     Array.unsafe_set t.stamps !hit t.tick;
     t.last_slot <- !hit;
+    Array.unsafe_set t.mru set !hit;
     true
   end
   else begin
@@ -134,21 +144,24 @@ let[@inline] touch_line t line =
     Array.unsafe_set tags j line;
     Array.unsafe_set stamps j t.tick;
     t.last_slot <- j;
+    Array.unsafe_set t.mru set j;
     (match t.observer with
     | None -> ()
     | Some f -> f ~line ~set ~evicted);
     false
   end
 
-(* The last line a fetch of [bytes] at [addr] touches; a zero-byte fetch
-   still touches its first line.  An int comparison, not [Stdlib.max]:
-   that one is polymorphic, costs a call, and this runs on every fetch. *)
-let[@inline] last_line_of t ~addr ~bytes =
-  (addr + (if bytes > 1 then bytes else 1) - 1) lsr t.line_shift
+let[@inline] touch_line t line = touch_set t line (set_of t line)
+
+(* The last line a fetch of [bytes] at [addr] touches under line size
+   [1 lsl shift]; a zero-byte fetch still touches its first line.  An int
+   comparison, not [Stdlib.max]: that one is polymorphic, costs a call,
+   and this runs on every fetch. *)
+let[@inline] last_line shift ~addr ~bytes =
+  (addr + (if bytes > 1 then bytes else 1) - 1) lsr shift
 
 (* Touch lines [first .. last] and return how many of them missed; the
-   rest hit.  Shared by [fetch] and the range kernel, so both run the
-   same bookkeeping. *)
+   rest hit. *)
 let[@inline] fetch_lines t first last =
   if t.infinite then 0
   else if last = first && first = t.last_line then begin
@@ -181,52 +194,129 @@ let[@inline] fetch_lines t first last =
 
 let fetch t ~addr ~bytes ~hits ~misses =
   let first = addr lsr t.line_shift in
-  let last = last_line_of t ~addr ~bytes in
+  let last = last_line t.line_shift ~addr ~bytes in
   let missed = fetch_lines t first last in
   hits := !hits + (last - first + 1 - missed);
   misses := !misses + missed
 
-(* The path-walk kernel: every fetch of a block of slot ranges (see
-   {!Slot_ranges}) -- per slot the pre-dispatch fetch, the call stub, then
-   the body -- in this module so that [fetch_lines] inlines into the loop
-   (the libraries build with [-opaque]; nothing inlines across modules).
-   Counts touched lines and misses; hits are the difference. *)
-let run_ranges t (b : Slot_ranges.t) ~hits ~misses =
-  let lines = ref 0 and m = ref 0 in
-  let shift = t.line_shift in
-  for r = 0 to b.Slot_ranges.len - 1 do
-    let c =
-      if Array.unsafe_get b.Slot_ranges.in_shadow r then b.Slot_ranges.shadow
-      else b.Slot_ranges.main
-    in
-    let entry = c.Slot_ranges.entry and pre = c.Slot_ranges.pre_addr in
-    let fetch = c.Slot_ranges.fetch_addr and bytes = c.Slot_ranges.fetch_bytes in
-    let call = c.Slot_ranges.call_addr and call_bytes = c.Slot_ranges.call_bytes in
-    let dispatch_bytes = c.Slot_ranges.dispatch_bytes in
-    for k = Array.unsafe_get b.Slot_ranges.lo r to Array.unsafe_get b.Slot_ranges.hi r do
-      if Array.unsafe_get pre k >= 0 then begin
-        let addr = Array.unsafe_get entry k in
-        let first = addr lsr shift in
-        let last = last_line_of t ~addr ~bytes:dispatch_bytes in
-        lines := !lines + (last - first + 1);
-        m := !m + fetch_lines t first last
-      end;
-      let cb = Array.unsafe_get call_bytes k in
-      if cb > 0 then begin
-        let addr = Array.unsafe_get call k in
-        let first = addr lsr shift in
-        let last = last_line_of t ~addr ~bytes:cb in
-        lines := !lines + (last - first + 1);
-        m := !m + fetch_lines t first last
-      end;
-      let addr = Array.unsafe_get fetch k in
-      let first = addr lsr shift in
-      let last = last_line_of t ~addr ~bytes:(Array.unsafe_get bytes k) in
-      lines := !lines + (last - first + 1);
-      m := !m + fetch_lines t first last
-    done
+(* Line columns: slot [k]'s lines are [seq.(start.(k)) ..
+   seq.(start.(k + 1) - 1)], its fetches in {!Slot_ranges}' order with a
+   line that repeats the one the slot just touched dropped; [touches] is
+   the prefix sum of the lines touched, repeats counted. *)
+type lines = {
+  shift : int;
+  cols : Slot_ranges.columns;
+  mutable seq : int array;
+  start : int array;
+  touches : int array;
+}
+
+(* Append the lines of a [bytes]-byte fetch at [addr] to slot [k]'s run,
+   which ends at [start.(k + 1)]. *)
+let[@inline] append_fetch l k ~addr ~bytes =
+  let first = addr lsr l.shift and last = last_line l.shift ~addr ~bytes in
+  let pos = l.start.(k + 1) in
+  let first' =
+    if pos > l.start.(k) && l.seq.(pos - 1) = first then first + 1 else first
+  in
+  let stop = pos + last - first' + 1 in
+  if stop > Array.length l.seq then begin
+    let cap = 2 * Array.length l.seq in
+    let seq = Array.make (if cap > stop then cap else stop) 0 in
+    Array.blit l.seq 0 seq 0 pos;
+    l.seq <- seq
+  end;
+  for line = first' to last do
+    l.seq.(pos + line - first') <- line
   done;
-  hits := !hits + (!lines - !m);
+  l.start.(k + 1) <- stop;
+  l.touches.(k + 1) <- l.touches.(k + 1) + (last - first + 1)
+
+let fill_lines l from =
+  let c = l.cols in
+  for k = from to Array.length l.start - 2 do
+    l.start.(k + 1) <- l.start.(k);
+    l.touches.(k + 1) <- l.touches.(k);
+    if c.Slot_ranges.pre_addr.(k) >= 0 then
+      append_fetch l k ~addr:c.Slot_ranges.entry.(k)
+        ~bytes:c.Slot_ranges.dispatch_bytes;
+    if c.Slot_ranges.call_bytes.(k) > 0 then
+      append_fetch l k ~addr:c.Slot_ranges.call_addr.(k)
+        ~bytes:c.Slot_ranges.call_bytes.(k);
+    append_fetch l k ~addr:c.Slot_ranges.fetch_addr.(k)
+      ~bytes:c.Slot_ranges.fetch_bytes.(k)
+  done
+
+let lines ~line_bytes (cols : Slot_ranges.columns) =
+  if line_bytes <= 0 || line_bytes land (line_bytes - 1) <> 0 then
+    invalid_arg "Icache.lines: line_bytes must be a power of two";
+  let n = Array.length cols.Slot_ranges.entry in
+  let l =
+    {
+      shift = log2 line_bytes;
+      cols;
+      seq = Array.make (2 * n + 1) 0;
+      start = Array.make (n + 1) 0;
+      touches = Array.make (n + 1) 0;
+    }
+  in
+  fill_lines l 0;
+  l
+
+let lines_equal a b =
+  let used l = Array.sub l.seq 0 l.start.(Array.length l.start - 1) in
+  a.shift = b.shift && a.start = b.start && a.touches = b.touches
+  && used a = used b
+
+(* The path-walk kernel: every fetch of a block of slot ranges (see
+   {!Slot_ranges}), read as the ranges' line columns.  A line equal to
+   the memo line (the last one touched), or to the line touched last in
+   its set, is a hit that [fetch] would re-stamp; it already holds its
+   set's newest stamp, and stamps are only compared within a set, so the
+   kernel skips the stamp and adds the skipped ticks to the clock once at
+   the end.  Counts touched lines and misses; hits are the difference.
+   It lives in this module so that [touch_set] inlines into the loop (the
+   libraries build with [-opaque]; nothing inlines across modules). *)
+let run_ranges t (b : Slot_ranges.t) ~main ~shadow ~hits ~misses =
+  if main.shift <> t.line_shift || shadow.shift <> t.line_shift then
+    invalid_arg "Icache.run_ranges: line columns of another line size";
+  if main.cols != b.Slot_ranges.main || shadow.cols != b.Slot_ranges.shadow
+  then invalid_arg "Icache.run_ranges: line columns of another block";
+  let touched = ref 0 and real = ref 0 and m = ref 0 in
+  let memo = ref t.last_line and slot = ref t.last_slot in
+  for r = 0 to b.Slot_ranges.len - 1 do
+    let l =
+      if Array.unsafe_get b.Slot_ranges.in_shadow r then shadow else main
+    in
+    let lo = Array.unsafe_get b.Slot_ranges.lo r in
+    let hi = Array.unsafe_get b.Slot_ranges.hi r in
+    let touches = l.touches and start = l.start in
+    touched :=
+      !touched + Array.unsafe_get touches (hi + 1) - Array.unsafe_get touches lo;
+    if not t.infinite then begin
+      let seq = l.seq in
+      for i = Array.unsafe_get start lo to Array.unsafe_get start (hi + 1) - 1 do
+        let line = Array.unsafe_get seq i in
+        if line <> !memo then begin
+          memo := line;
+          let set = set_of t line in
+          let w = Array.unsafe_get t.mru set in
+          if w >= 0 && Array.unsafe_get t.tags w = line then slot := w
+          else begin
+            incr real;
+            if not (touch_set t line set) then incr m;
+            slot := t.last_slot
+          end
+        end
+      done
+    end
+  done;
+  if not t.infinite then begin
+    t.last_line <- !memo;
+    t.last_slot <- !slot;
+    t.tick <- t.tick + (!touched - !real)
+  end;
+  hits := !hits + (!touched - !m);
   misses := !misses + !m
 
 let clock t = t.tick
@@ -245,4 +335,5 @@ let reset t =
   Array.fill t.stamps 0 (Array.length t.stamps) 0;
   t.tick <- 0;
   t.last_line <- -1;
-  t.last_slot <- -1
+  t.last_slot <- -1;
+  Array.fill t.mru 0 (Array.length t.mru) (-1)

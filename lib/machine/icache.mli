@@ -44,13 +44,52 @@ val fetch : t -> addr:int -> bytes:int -> hits:int ref -> misses:int ref -> unit
 (** Touch every line overlapping [addr, addr+bytes); adds the line hit and
     miss counts into the given accumulators.  Every counted line access --
     including fast-path hits on the internally memoized last line -- advances
-    the LRU clock and refreshes that line's recency stamp. *)
+    the LRU clock and refreshes that line's recency stamp.  The per-event
+    entry: live runs, the self-check audit and [explain] fetch through it. *)
+
+type lines
+(** Decode-time line columns: one {!Slot_ranges.columns} read at one line
+    size.  Per slot, the lines its fetches touch, in {!Slot_ranges}' order
+    (pre-dispatch, call stub, body), with a line that repeats the one the
+    slot just touched dropped, stored flat with per-slot start offsets;
+    beside them a prefix sum of the lines each slot touches, repeats
+    counted.  They read the columns' own arrays, so after a quickening
+    re-translates slots, {!fill_lines} from the first changed slot brings
+    them up to date. *)
+
+val lines : line_bytes:int -> Slot_ranges.columns -> lines
+(** The line columns of [columns] at [line_bytes] (a power of two, else
+    [Invalid_argument]): {!fill_lines} from slot 0 over fresh arrays. *)
+
+val fill_lines : lines -> int -> unit
+(** [fill_lines l from] re-decodes slots [from .. n-1] from the columns
+    [l] was built over, in place; the flat line array grows only when the
+    new lines do not fit.  Slots before [from] are kept as they are. *)
+
+val lines_equal : lines -> lines -> bool
+(** Same line size, same per-slot lines and the same prefix sums.  The
+    test oracle for {!fill_lines}: line columns repaired after a change
+    to slots [k ..] must equal a fresh {!lines} of the changed columns. *)
 
 val run_ranges :
-  t -> Slot_ranges.t -> hits:int ref -> misses:int ref -> unit
-(** Range kernel of a path walk: {!fetch} once for every fetch of the
-    block's ranges, in {!Slot_ranges}' order.  Same counts, same state,
-    same clock and same observer calls as the per-event loop. *)
+  t ->
+  Slot_ranges.t ->
+  main:lines ->
+  shadow:lines ->
+  hits:int ref ->
+  misses:int ref ->
+  unit
+(** Range kernel of a path walk: every fetch of the block's ranges, read
+    from [main]'s or, for a shadow range, [shadow]'s line columns, which
+    must have been built over the block's [main] and [shadow] columns at
+    this cache's line size ([Invalid_argument] otherwise).  It counts a
+    range's lines from the prefix sum and touches only the lines that
+    differ from the last one touched and from the last one touched in
+    their set; such a repeat already holds its set's newest stamp and
+    writes none, and the clock advances by the repeats once at the end of
+    the call.  The result is the per-event loop's: the same counts,
+    clock, residency, LRU order within every set and observer calls as
+    {!fetch} once for every fetch, in {!Slot_ranges}' order. *)
 
 val clock : t -> int
 (** Number of line accesses applied to the LRU recency clock so far.  For a

@@ -20,7 +20,12 @@
     [transfer.(k)] holds; pre-dispatches never do.  Branch addresses
     below 0 mean "no dispatch".  The arrays are the engine translation's
     own (see {!Vmbp_core.Engine.translation}), not copies, so a quickening
-    that re-translates slots is seen by the next block. *)
+    that re-translates slots is seen by the next block.
+
+    The I-cache kernel reads the fetch stream through {!Icache.lines}
+    instead: the lines of each slot's fetches, decoded once per walk for
+    each distinct line size and refilled ({!Icache.fill_lines}) from the
+    first re-translated slot on every quickening. *)
 
 type columns = {
   entry : int array;

@@ -76,6 +76,8 @@ let walk_icaches =
   [
     Icache.make_config ~size_bytes:512 ~line_bytes:32 ~associativity:2;
     Icache.make_config ~size_bytes:4096 ~line_bytes:64 ~associativity:4;
+    (* 6 sets, [mod]-indexed, sharing its line columns with the first *)
+    Icache.make_config ~size_bytes:384 ~line_bytes:32 ~associativity:2;
     Icache.infinite;
   ]
 

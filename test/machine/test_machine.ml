@@ -482,6 +482,9 @@ let icache_geometries =
     ("256B/16B/2way", { Icache.size_bytes = 256; line_bytes = 16; associativity = 2 });
     ("128B/16B/1way", { Icache.size_bytes = 128; line_bytes = 16; associativity = 1 });
     ("512B/32B/4way", { Icache.size_bytes = 512; line_bytes = 32; associativity = 4 });
+    (* 3 sets: the [mod] set index of a set count that is not a power of
+       two, as in the Pentium 4's 192-set cache. *)
+    ("192B/16B/4way", { Icache.size_bytes = 192; line_bytes = 16; associativity = 4 });
     ("infinite", Icache.infinite);
   ]
 
@@ -566,6 +569,16 @@ let print_kernel_case c =
 
 let kernel_case = QCheck.make ~print:print_kernel_case kernel_case_gen
 
+(* Slot [k]'s fetches on [col], in {!Slot_ranges}' order. *)
+let fold_slot_fetches (col : Slot_ranges.columns) k ~fetch =
+  if col.Slot_ranges.pre_addr.(k) >= 0 then
+    fetch ~addr:col.Slot_ranges.entry.(k) ~bytes:col.Slot_ranges.dispatch_bytes;
+  if col.Slot_ranges.call_bytes.(k) > 0 then
+    fetch ~addr:col.Slot_ranges.call_addr.(k)
+      ~bytes:col.Slot_ranges.call_bytes.(k);
+  fetch ~addr:col.Slot_ranges.fetch_addr.(k)
+    ~bytes:col.Slot_ranges.fetch_bytes.(k)
+
 (* Every event of [c]'s ranges, in {!Slot_ranges}' order. *)
 let fold_events c ~dispatch ~fetch =
   List.iter
@@ -580,17 +593,10 @@ let fold_events c ~dispatch ~fetch =
         if branch >= 0 then
           dispatch ~branch ~target:col.Slot_ranges.entry.(k) ~opcode ~transfer;
         let pre = col.Slot_ranges.pre_addr.(k) in
-        if pre >= 0 then begin
+        if pre >= 0 then
           dispatch ~branch:pre ~target:col.Slot_ranges.fetch_addr.(k) ~opcode
             ~transfer:false;
-          fetch ~addr:col.Slot_ranges.entry.(k)
-            ~bytes:col.Slot_ranges.dispatch_bytes
-        end;
-        if col.Slot_ranges.call_bytes.(k) > 0 then
-          fetch ~addr:col.Slot_ranges.call_addr.(k)
-            ~bytes:col.Slot_ranges.call_bytes.(k);
-        fetch ~addr:col.Slot_ranges.fetch_addr.(k)
-          ~bytes:col.Slot_ranges.fetch_bytes.(k)
+        fold_slot_fetches col k ~fetch
       done)
     c.ranges
 
@@ -654,11 +660,114 @@ let prop_icache_kernel_matches_reference (name, cfg) =
         ~fetch:(fun ~addr ~bytes ->
           Reference.fetch oracle ~addr ~bytes ~hits:rh ~misses:rm);
       let fast = Icache.create cfg in
+      let line_bytes = cfg.Icache.line_bytes in
+      let main = Icache.lines ~line_bytes c.main in
+      let shadow =
+        if c.shadow == c.main then main else Icache.lines ~line_bytes c.shadow
+      in
       let hits = ref 0 and misses = ref 0 in
-      iter_blocks c (fun b -> Icache.run_ranges fast b ~hits ~misses);
-      (* The memo path advances the clock like the full scan. *)
+      iter_blocks c (fun b ->
+          Icache.run_ranges fast b ~main ~shadow ~hits ~misses);
+      (* The memo repeats the kernel skips still advance the clock. *)
       let clock = if cfg.Icache.size_bytes = 0 then 0 else !hits + !misses in
       !hits = !rh && !misses = !rm && Icache.clock fast = clock)
+
+(* Per-event fetches between the kernel's blocks, on the same cache: the
+   kernel's skipped re-stamps, its per-set and one-line memos and the
+   clock must leave the cache in the state the per-event loop leaves. *)
+let prop_icache_kernel_interleaves_fetch (name, cfg) =
+  QCheck.Test.make ~count:150
+    ~name:(Printf.sprintf "icache %s kernel between fetches agrees with reference" name)
+    kernel_case
+    (fun c ->
+      let oracle = Reference.create_icache cfg in
+      let fast = Icache.create cfg in
+      let line_bytes = cfg.Icache.line_bytes in
+      let main = Icache.lines ~line_bytes c.main in
+      let shadow =
+        if c.shadow == c.main then main else Icache.lines ~line_bytes c.shadow
+      in
+      let hits = ref 0 and misses = ref 0 and rh = ref 0 and rm = ref 0 in
+      let both ~addr ~bytes =
+        Icache.fetch fast ~addr ~bytes ~hits ~misses;
+        Reference.fetch oracle ~addr ~bytes ~hits:rh ~misses:rm
+      in
+      let n = ref 0 in
+      iter_blocks c (fun b ->
+          for _ = 0 to !n mod 3 do
+            incr n;
+            both ~addr:(37 * !n mod 1024) ~bytes:(1 + (!n mod 48))
+          done;
+          Icache.run_ranges fast b ~main ~shadow ~hits ~misses;
+          for r = 0 to b.Slot_ranges.len - 1 do
+            let col = if b.Slot_ranges.in_shadow.(r) then c.shadow else c.main in
+            for k = b.Slot_ranges.lo.(r) to b.Slot_ranges.hi.(r) do
+              fold_slot_fetches col k ~fetch:(fun ~addr ~bytes ->
+                  Reference.fetch oracle ~addr ~bytes ~hits:rh ~misses:rm)
+            done
+          done;
+          (* A memo hit on the block's last line, which [fetch] re-stamps
+             through its memo slot. *)
+          let len = b.Slot_ranges.len in
+          if len > 0 then begin
+            let col =
+              if b.Slot_ranges.in_shadow.(len - 1) then c.shadow else c.main
+            in
+            let k = b.Slot_ranges.hi.(len - 1) in
+            both ~addr:col.Slot_ranges.fetch_addr.(k)
+              ~bytes:col.Slot_ranges.fetch_bytes.(k)
+          end);
+      let clock = if cfg.Icache.size_bytes = 0 then 0 else !hits + !misses in
+      !hits = !rh && !misses = !rm && Icache.clock fast = clock)
+
+(* Line columns repaired from slot [k] after slots [k ..] changed -- as a
+   quickening re-translates a run of slots and every later slot's lines
+   move -- must equal a fresh build over the changed columns.  The new
+   fetch sizes both add lines and drop them, past the flat array's
+   capacity too. *)
+let prop_icache_lines_refill =
+  QCheck.Test.make ~count:300
+    ~name:"icache line columns refilled from a slot equal a fresh build"
+    (QCheck.make ~print:QCheck.Print.int QCheck.Gen.int)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let int k = Random.State.int st k in
+      let n = 1 + int 12 in
+      let c = columns_gen n st in
+      let line_bytes = 1 lsl (2 + int 5) in
+      let l = Icache.lines ~line_bytes c in
+      let k = int (n + 1) in
+      let size () = if Random.State.bool st then 0 else 1 + int (8 * line_bytes) in
+      for j = k to n - 1 do
+        c.Slot_ranges.entry.(j) <- int 1024;
+        c.Slot_ranges.fetch_addr.(j) <- int 1024;
+        c.Slot_ranges.fetch_bytes.(j) <- size ();
+        c.Slot_ranges.pre_addr.(j) <- (if Random.State.bool st then 4 else -1);
+        c.Slot_ranges.call_addr.(j) <- int 1024;
+        c.Slot_ranges.call_bytes.(j) <- size ()
+      done;
+      Icache.fill_lines l k;
+      Icache.lines_equal l (Icache.lines ~line_bytes c))
+
+let test_icache_kernel_rejects_foreign_lines () =
+  let st = Random.State.make [| 7 |] in
+  let c = columns_gen 4 st and other = columns_gen 4 st in
+  let b = Slot_ranges.create ~main:c ~shadow:c in
+  let cache =
+    Icache.create { Icache.size_bytes = 256; line_bytes = 32; associativity = 2 }
+  in
+  let rejects what main =
+    match
+      Icache.run_ranges cache b ~main ~shadow:main ~hits:(ref 0)
+        ~misses:(ref 0)
+    with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "run_ranges accepted line columns %s" what
+  in
+  rejects "of another line size" (Icache.lines ~line_bytes:16 c);
+  rejects "of another block" (Icache.lines ~line_bytes:32 other);
+  let l = Icache.lines ~line_bytes:32 c in
+  Icache.run_ranges cache b ~main:l ~shadow:l ~hits:(ref 0) ~misses:(ref 0)
 
 (* -------------------------------------------------------------------- *)
 (* Observer hooks (the attribution substrate of the explain tooling) *)
@@ -838,6 +947,8 @@ let () =
             test_icache_infinite_never_misses;
           Alcotest.test_case "fetch memo keeps LRU fresh" `Quick
             test_icache_memo_lru_refresh;
+          Alcotest.test_case "kernel rejects foreign line columns" `Quick
+            test_icache_kernel_rejects_foreign_lines;
         ] );
       ( "geometry",
         [
@@ -868,7 +979,9 @@ let () =
           (List.map prop_predictor_matches_reference predictor_kinds
           @ List.map prop_icache_matches_reference icache_geometries
           @ List.map prop_predictor_kernel_matches_reference predictor_kinds
-          @ List.map prop_icache_kernel_matches_reference icache_geometries) );
+          @ List.map prop_icache_kernel_matches_reference icache_geometries
+          @ List.map prop_icache_kernel_interleaves_fetch icache_geometries
+          @ [ prop_icache_lines_refill ]) );
       ( "cost-model",
         [
           Alcotest.test_case "cycle formula" `Quick test_cycles_model;
