@@ -998,15 +998,7 @@ let explain_cmd =
       value & opt positive_conv 10
       & info [ "top" ] ~docv:"N" ~doc:"rows per attribution table")
   in
-  let no_verify =
-    Arg.(
-      value & flag
-      & info [ "no-verify" ]
-          ~doc:
-            "skip the second, reference-model-checked run that validates \
-             the attribution totals")
-  in
-  let run vm workload technique cpu scale top no_verify =
+  let run vm workload technique cpu scale top =
     match Vmbp_workloads.find ~vm workload with
     | None ->
         Printf.eprintf "unknown workload %s/%s\n"
@@ -1017,24 +1009,13 @@ let explain_cmd =
         | Error msg ->
             Printf.eprintf "explain failed: %s\n" msg;
             exit 1
-        | Ok t -> (
+        | Ok t ->
             print_string (Vmbp_report.Explain.render ~top t);
-            if no_verify then ()
-            else
-              match
-                Vmbp_report.Explain.verify ~scale ~cpu ~technique w t
-              with
-              | Ok () ->
-                  Printf.eprintf
-                    "[explain] attribution verified against a \
-                     self-checked run\n"
-              | Error msg ->
-                  Printf.eprintf "[explain] verification failed: %s\n" msg;
-                  exit 1))
+            Printf.eprintf
+              "[explain] attribution verified against a self-checked run\n")
   in
   Cmd.v (Cmd.info "explain" ~doc)
-    Term.(
-      const run $ vm $ workload $ technique $ cpu $ scale $ top $ no_verify)
+    Term.(const run $ vm $ workload $ technique $ cpu $ scale $ top)
 
 let simulate_cmd =
   let doc =

@@ -83,10 +83,6 @@ let ub_reset u =
   Array.fill u.ub_keys 0 (Array.length u.ub_keys) (-1);
   u.ub_count <- 0
 
-type outcome = Hit | Wrong_target | Miss of { evicted : int }
-
-type observer = branch:int -> set:int -> outcome -> unit
-
 type t = {
   cfg : config;
   two_bit : bool;  (* [cfg.two_bit_counters], flat -- skips the config
@@ -103,10 +99,6 @@ type t = {
          division; -1 = fall back to [mod] *)
   unbounded : ub;  (* branch -> target, counter *)
   mutable tick : int;
-  (* Introspection hook for attribution tooling; [None] (the default)
-     costs one match per access and must never change any decision the
-     simulator makes. *)
-  mutable observer : observer option;
 }
 
 let create cfg =
@@ -137,11 +129,9 @@ let create cfg =
     set_mask;
     unbounded = ub_create ();
     tick = 0;
-    observer = None;
   }
 
 let config t = t.cfg
-let set_observer t obs = t.observer <- obs
 
 let[@inline] set_index t branch =
   (* Branch addresses are byte addresses; drop low bits so neighbouring
@@ -178,8 +168,8 @@ let predict t ~branch =
    replaces the target once the counter drops below 2. *)
 
 (* [access_*] run once per dispatch per walked configuration -- the
-   hottest code in a path walk -- so they avoid the option-allocating lookups
-   and only build observer payloads when an observer is installed. *)
+   hottest code in a path walk -- so they avoid the option-allocating
+   lookups. *)
 
 let[@inline] access_unbounded t ~branch ~target =
   if branch < 0 then invalid_arg "Btb.access: negative branch address";
@@ -200,9 +190,6 @@ let[@inline] access_unbounded t ~branch ~target =
        Array.unsafe_set u.ub_targets i target;
        Array.unsafe_set u.ub_counters i 2
      end);
-    (match t.observer with
-    | None -> ()
-    | Some f -> f ~branch ~set:(-1) (if correct then Hit else Wrong_target));
     correct
   end
   else begin
@@ -211,17 +198,13 @@ let[@inline] access_unbounded t ~branch ~target =
     u.ub_counters.(i) <- 2;
     u.ub_count <- u.ub_count + 1;
     if 2 * u.ub_count > Array.length u.ub_keys then ub_grow t.unbounded;
-    (match t.observer with
-    | None -> ()
-    | Some f -> f ~branch ~set:(-1) (Miss { evicted = -1 }));
     false
   end
 
 let[@inline] access_finite t ~branch ~target =
   t.tick <- t.tick + 1;
   let assoc = t.assoc in
-  let si = set_index t branch in
-  let base = si * assoc in
+  let base = set_index t branch * assoc in
   let tags = t.f_tags in
   let hit = ref (-1) in
   let i = ref 0 in
@@ -245,9 +228,6 @@ let[@inline] access_finite t ~branch ~target =
        Array.unsafe_set counters j 2
      end);
     Array.unsafe_set t.f_stamps j t.tick;
-    (match t.observer with
-    | None -> ()
-    | Some f -> f ~branch ~set:si (if correct then Hit else Wrong_target));
     correct
   end
   else begin
@@ -259,14 +239,10 @@ let[@inline] access_finite t ~branch ~target =
       then victim := base + i
     done;
     let j = !victim in
-    let evicted = Array.unsafe_get tags j in
     Array.unsafe_set tags j branch;
     Array.unsafe_set t.f_targets j target;
     Array.unsafe_set t.f_counters j 2;
     Array.unsafe_set stamps j t.tick;
-    (match t.observer with
-    | None -> ()
-    | Some f -> f ~branch ~set:si (Miss { evicted }));
     false
   end
 

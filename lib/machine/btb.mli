@@ -53,28 +53,8 @@ val run_ranges : t -> Slot_ranges.t -> mis:int ref -> vm_mis:int ref -> unit
 (** Range kernel of a path walk: {!access} once for every dispatch of the
     block's ranges, in the order {!Slot_ranges} defines.  Adds the
     mispredictions to [mis] and the subset out of a VM-level control
-    transfer to [vm_mis].  Same outcomes, same state and same observer
-    calls as the per-event loop. *)
+    transfer to [vm_mis].  Same outcomes and same state as the per-event
+    loop. *)
 
 val reset : t -> unit
 (** Forget all stored targets. *)
-
-(** {2 Introspection}
-
-    One outcome per {!access}, reported to an optional observer.  The
-    observer sees exactly what the simulator decided -- it can never
-    change a decision -- and costs one match per access when absent, so
-    production runs pay nothing measurable (same contract as the engine's
-    [?poll] hook). *)
-
-type outcome =
-  | Hit  (** entry present, predicted target correct *)
-  | Wrong_target  (** entry present for this branch, stale target *)
-  | Miss of { evicted : int }
-      (** no entry; one was allocated, displacing the branch [evicted]
-          ([-1] when the way was empty).  Unbounded tables never evict. *)
-
-type observer = branch:int -> set:int -> outcome -> unit
-(** [set] is {!set_index} of the branch, or [-1] for unbounded tables. *)
-
-val set_observer : t -> observer option -> unit

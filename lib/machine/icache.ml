@@ -50,9 +50,6 @@ type t = {
      range kernel can count a repeat of it as a hit without re-stamping
      it: stamps are only compared within a set. *)
   mru : int array;
-  (* Introspection hook, called once per line miss; [None] costs one
-     match on the miss path only and never alters any decision. *)
-  mutable observer : (line:int -> set:int -> evicted:int -> unit) option;
 }
 
 let create cfg =
@@ -92,7 +89,6 @@ let create cfg =
     last_line = -1;
     last_slot = -1;
     mru = Array.make (max 1 nsets) (-1);
-    observer = None;
   }
 
 let create_bank configs =
@@ -110,7 +106,6 @@ let create_bank configs =
     configs
 
 let config t = t.cfg
-let set_observer t obs = t.observer <- obs
 
 let[@inline] set_of t line =
   if t.set_mask >= 0 then line land t.set_mask else line mod t.nsets
@@ -140,14 +135,10 @@ let[@inline] touch_set t line set =
       then victim := base + i
     done;
     let j = !victim in
-    let evicted = Array.unsafe_get tags j in
     Array.unsafe_set tags j line;
     Array.unsafe_set stamps j t.tick;
     t.last_slot <- j;
     Array.unsafe_set t.mru set j;
-    (match t.observer with
-    | None -> ()
-    | Some f -> f ~line ~set ~evicted);
     false
   end
 
@@ -200,15 +191,13 @@ let fetch t ~addr ~bytes ~hits ~misses =
   misses := !misses + missed
 
 (* Line columns: slot [k]'s lines are [seq.(start.(k)) ..
-   seq.(start.(k + 1) - 1)], its fetches in {!Slot_ranges}' order with a
-   line that repeats the one the slot just touched dropped; [touches] is
-   the prefix sum of the lines touched, repeats counted. *)
+   seq.(start.(k + 1) - 1)], its fetches in {!Slot_ranges}' order, so
+   [start] is also the prefix sum of the lines the slots touch. *)
 type lines = {
   shift : int;
   cols : Slot_ranges.columns;
   mutable seq : int array;
   start : int array;
-  touches : int array;
 }
 
 (* Append the lines of a [bytes]-byte fetch at [addr] to slot [k]'s run,
@@ -216,27 +205,22 @@ type lines = {
 let[@inline] append_fetch l k ~addr ~bytes =
   let first = addr lsr l.shift and last = last_line l.shift ~addr ~bytes in
   let pos = l.start.(k + 1) in
-  let first' =
-    if pos > l.start.(k) && l.seq.(pos - 1) = first then first + 1 else first
-  in
-  let stop = pos + last - first' + 1 in
+  let stop = pos + last - first + 1 in
   if stop > Array.length l.seq then begin
     let cap = 2 * Array.length l.seq in
     let seq = Array.make (if cap > stop then cap else stop) 0 in
     Array.blit l.seq 0 seq 0 pos;
     l.seq <- seq
   end;
-  for line = first' to last do
-    l.seq.(pos + line - first') <- line
+  for line = first to last do
+    l.seq.(pos + line - first) <- line
   done;
-  l.start.(k + 1) <- stop;
-  l.touches.(k + 1) <- l.touches.(k + 1) + (last - first + 1)
+  l.start.(k + 1) <- stop
 
 let fill_lines l from =
   let c = l.cols in
   for k = from to Array.length l.start - 2 do
     l.start.(k + 1) <- l.start.(k);
-    l.touches.(k + 1) <- l.touches.(k);
     if c.Slot_ranges.pre_addr.(k) >= 0 then
       append_fetch l k ~addr:c.Slot_ranges.entry.(k)
         ~bytes:c.Slot_ranges.dispatch_bytes;
@@ -257,7 +241,6 @@ let lines ~line_bytes (cols : Slot_ranges.columns) =
       cols;
       seq = Array.make (2 * n + 1) 0;
       start = Array.make (n + 1) 0;
-      touches = Array.make (n + 1) 0;
     }
   in
   fill_lines l 0;
@@ -265,8 +248,7 @@ let lines ~line_bytes (cols : Slot_ranges.columns) =
 
 let lines_equal a b =
   let used l = Array.sub l.seq 0 l.start.(Array.length l.start - 1) in
-  a.shift = b.shift && a.start = b.start && a.touches = b.touches
-  && used a = used b
+  a.shift = b.shift && a.start = b.start && used a = used b
 
 (* The path-walk kernel: every fetch of a block of slot ranges (see
    {!Slot_ranges}), read as the ranges' line columns.  A line equal to
@@ -290,12 +272,12 @@ let run_ranges t (b : Slot_ranges.t) ~main ~shadow ~hits ~misses =
     in
     let lo = Array.unsafe_get b.Slot_ranges.lo r in
     let hi = Array.unsafe_get b.Slot_ranges.hi r in
-    let touches = l.touches and start = l.start in
-    touched :=
-      !touched + Array.unsafe_get touches (hi + 1) - Array.unsafe_get touches lo;
+    let first = Array.unsafe_get l.start lo in
+    let stop = Array.unsafe_get l.start (hi + 1) in
+    touched := !touched + stop - first;
     if not t.infinite then begin
       let seq = l.seq in
-      for i = Array.unsafe_get start lo to Array.unsafe_get start (hi + 1) - 1 do
+      for i = first to stop - 1 do
         let line = Array.unsafe_get seq i in
         if line <> !memo then begin
           memo := line;

@@ -45,15 +45,15 @@ val fetch : t -> addr:int -> bytes:int -> hits:int ref -> misses:int ref -> unit
     miss counts into the given accumulators.  Every counted line access --
     including fast-path hits on the internally memoized last line -- advances
     the LRU clock and refreshes that line's recency stamp.  The per-event
-    entry: live runs, the self-check audit and [explain] fetch through it. *)
+    entry: live runs and the self-check audit (which [explain] is) fetch
+    through it. *)
 
 type lines
 (** Decode-time line columns: one {!Slot_ranges.columns} read at one line
-    size.  Per slot, the lines its fetches touch, in {!Slot_ranges}' order
-    (pre-dispatch, call stub, body), with a line that repeats the one the
-    slot just touched dropped, stored flat with per-slot start offsets;
-    beside them a prefix sum of the lines each slot touches, repeats
-    counted.  They read the columns' own arrays, so after a quickening
+    size.  Per slot, every line its fetches touch, in {!Slot_ranges}'
+    order (pre-dispatch, call stub, body), stored flat with per-slot start
+    offsets, which are therefore also the prefix sum of the lines the
+    slots touch.  They read the columns' own arrays, so after a quickening
     re-translates slots, {!fill_lines} from the first changed slot brings
     them up to date. *)
 
@@ -67,7 +67,7 @@ val fill_lines : lines -> int -> unit
     new lines do not fit.  Slots before [from] are kept as they are. *)
 
 val lines_equal : lines -> lines -> bool
-(** Same line size, same per-slot lines and the same prefix sums.  The
+(** Same line size and the same per-slot lines.  The
     test oracle for {!fill_lines}: line columns repaired after a change
     to slots [k ..] must equal a fresh {!lines} of the changed columns. *)
 
@@ -83,13 +83,13 @@ val run_ranges :
     from [main]'s or, for a shadow range, [shadow]'s line columns, which
     must have been built over the block's [main] and [shadow] columns at
     this cache's line size ([Invalid_argument] otherwise).  It counts a
-    range's lines from the prefix sum and touches only the lines that
+    range's lines from the start offsets and touches only the lines that
     differ from the last one touched and from the last one touched in
     their set; such a repeat already holds its set's newest stamp and
     writes none, and the clock advances by the repeats once at the end of
     the call.  The result is the per-event loop's: the same counts,
-    clock, residency, LRU order within every set and observer calls as
-    {!fetch} once for every fetch, in {!Slot_ranges}' order. *)
+    clock, residency and LRU order within every set as {!fetch} once for
+    every fetch, in {!Slot_ranges}' order. *)
 
 val clock : t -> int
 (** Number of line accesses applied to the LRU recency clock so far.  For a
@@ -101,12 +101,5 @@ val clock : t -> int
 val resident : t -> line:int -> bool
 (** Whether the given line index currently occupies a way (always [true] for
     the infinite cache).  Exposed for tests and cache-content tooling. *)
-
-val set_observer : t -> (line:int -> set:int -> evicted:int -> unit) option -> unit
-(** Introspection hook, called once per line miss with the missing line,
-    its set, and the line tag the allocation displaced ([-1] when the way
-    was empty).  The infinite cache never misses, so it never calls the
-    observer.  Absent (the default), the hook costs one match on the miss
-    path and can never change a decision. *)
 
 val reset : t -> unit

@@ -56,8 +56,6 @@ let create_bank kinds =
     kinds
 
 let kind t = t.kind
-let btb t = match t.state with S_btb b -> Some b | _ -> None
-let two_level t = match t.state with S_two_level p -> Some p | _ -> None
 
 let access t ~branch ~target ~opcode =
   match t.state with

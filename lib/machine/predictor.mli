@@ -36,13 +36,6 @@ val create_bank : kind list -> (string * t) list
     error with cell context when the invalid configuration is actually
     used. *)
 
-val btb : t -> Btb.t option
-(** The underlying BTB when the predictor is a [Btb], for attaching
-    observers ({!Btb.set_observer}) and inspecting geometry. *)
-
-val two_level : t -> Two_level.t option
-(** The underlying two-level predictor when the kind is [Two_level]. *)
-
 val access : t -> branch:int -> target:int -> opcode:int -> bool
 (** One predict-and-update step for an executed indirect branch at address
     [branch] that actually went to [target]; [opcode] is the VM opcode being

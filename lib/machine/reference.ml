@@ -9,9 +9,21 @@
    (BTB with optional two-bit hysteresis, per-set LRU; hashed two-level
    predictor; per-opcode case-block table; set-associative I-cache), so
    that when the fast simulator and the reference disagree, the fast
-   simulator is the suspect. *)
+   simulator is the suspect.
+
+   Every access and fetch also reports what happened -- the set, the
+   outcome, the entry a miss displaced -- as a value, so the explain
+   command can attribute each event without any hook in the fast
+   simulators. *)
 
 module Imap = Map.Make (Int)
+
+type outcome = Hit | Wrong_target | Miss
+type access = { outcome : outcome; set : int; evicted : int }
+
+(* An access that found an entry for its branch. *)
+let found ~correct ~set =
+  { outcome = (if correct then Hit else Wrong_target); set; evicted = -1 }
 
 (* ------------------------------------------------------------------ *)
 (* Branch target buffer *)
@@ -62,15 +74,14 @@ let btb_access_unbounded t ~branch ~target =
   match Imap.find_opt branch t.b_table with
   | None ->
       t.b_table <- Imap.add branch (target, 2) t.b_table;
-      false
+      { outcome = Miss; set = -1; evicted = -1 }
   | Some (stored, counter) ->
-      let correct = stored = target in
       let stored', counter' =
         trained ~two_bit:t.b_cfg.Btb.two_bit_counters ~stored ~actual:target
           ~counter
       in
       t.b_table <- Imap.add branch (stored', counter') t.b_table;
-      correct
+      found ~correct:(stored = target) ~set:(-1)
 
 (* The earliest way (front of the list) with the smallest stamp: a later
    way must be strictly older to displace an earlier candidate. *)
@@ -99,7 +110,6 @@ let btb_access_finite t ~branch ~target =
   in
   match position 0 ways with
   | Some (pos, w) ->
-      let correct = w.target = target in
       let stored', counter' =
         trained ~two_bit:t.b_cfg.Btb.two_bit_counters ~stored:w.target
           ~actual:target ~counter:w.counter
@@ -107,13 +117,13 @@ let btb_access_finite t ~branch ~target =
       t.b_sets.(set_idx) <-
         replace_at pos ways
           { tag = branch; target = stored'; counter = counter'; stamp = t.b_tick };
-      correct
+      found ~correct:(w.target = target) ~set:set_idx
   | None ->
       let pos = oldest_position ways in
       t.b_sets.(set_idx) <-
         replace_at pos ways
           { tag = branch; target; counter = 2; stamp = t.b_tick };
-      false
+      { outcome = Miss; set = set_idx; evicted = (List.nth ways pos).tag }
 
 let btb_access t ~branch ~target =
   if t.b_cfg.Btb.entries = 0 then btb_access_unbounded t ~branch ~target
@@ -142,16 +152,16 @@ let two_level_access t ~branch ~target =
      restated here with plain arithmetic. *)
   let h = (branch * 2654435761) lxor t.t_ghr in
   let index = (h lsr 4) land (t.t_cfg.Two_level.entries - 1) in
-  let stored = match Imap.find_opt index t.t_table with
-    | Some v -> v
-    | None -> -1
-  in
-  let correct = stored = target in
+  let stored = Imap.find_opt index t.t_table in
   t.t_table <- Imap.add index target t.t_table;
   let bits = 4 * t.t_cfg.Two_level.history in
   let mask = (1 lsl bits) - 1 in
   t.t_ghr <- ((t.t_ghr * 16) lxor (target / 16) lxor target) land mask;
-  correct
+  (* The table has no tags: an empty slot is a miss, a full one a hit or a
+     stale target, whichever branch wrote it. *)
+  match stored with
+  | None -> { outcome = Miss; set = index; evicted = -1 }
+  | Some v -> found ~correct:(v = target) ~set:index
 
 (* ------------------------------------------------------------------ *)
 (* Case-block table *)
@@ -168,13 +178,11 @@ let create_case_block ~entries =
 
 let case_block_access t ~opcode ~target =
   let index = opcode mod t.c_entries in
-  let stored = match Imap.find_opt index t.c_table with
-    | Some v -> v
-    | None -> -1
-  in
-  let correct = stored = target in
+  let stored = Imap.find_opt index t.c_table in
   t.c_table <- Imap.add index target t.c_table;
-  correct
+  match stored with
+  | None -> { outcome = Miss; set = index; evicted = -1 }
+  | Some v -> found ~correct:(v = target) ~set:index
 
 (* ------------------------------------------------------------------ *)
 (* The common predictor interface *)
@@ -199,8 +207,8 @@ let access p ~branch ~target ~opcode =
   | P_btb t -> btb_access t ~branch ~target
   | P_two_level t -> two_level_access t ~branch ~target
   | P_case_block t -> case_block_access t ~opcode ~target
-  | P_perfect -> true
-  | P_never -> false
+  | P_perfect -> { outcome = Hit; set = -1; evicted = -1 }
+  | P_never -> { outcome = Miss; set = -1; evicted = -1 }
 
 (* ------------------------------------------------------------------ *)
 (* I-cache *)
@@ -233,7 +241,10 @@ let create_icache (cfg : Icache.config) =
   in
   { i_cfg = cfg; i_nsets = nsets; i_sets = sets; i_tick = 0 }
 
-(* Touch one line: LRU within the set, oldest-first-position victim. *)
+type miss = { line : int; set : int; evicted : int }
+
+(* Touch one line: LRU within the set, oldest-first-position victim.
+   [None] on a hit, the miss otherwise. *)
 let touch t line =
   t.i_tick <- t.i_tick + 1;
   let set_idx = line mod t.i_nsets in
@@ -262,17 +273,25 @@ let touch t line =
         ways
   in
   match position 0 ways with
-  | Some pos -> store pos; true
-  | None -> store (oldest ways); false
+  | Some pos -> store pos; None
+  | None ->
+      let pos = oldest ways in
+      store pos;
+      Some { line; set = set_idx; evicted = (List.nth ways pos).line_tag }
 
-let fetch t ~addr ~bytes ~hits ~misses =
+let fetch t ~addr ~bytes =
   let span = if bytes >= 1 then bytes else 1 in
   let first = addr / t.i_cfg.Icache.line_bytes in
   let last = (addr + span - 1) / t.i_cfg.Icache.line_bytes in
   if t.i_cfg.Icache.size_bytes = 0 then
     (* Infinite cache: every line of the span hits. *)
-    hits := !hits + (last - first + 1)
-  else
+    (last - first + 1, [])
+  else begin
+    let missed = ref [] in
     for line = first to last do
-      if touch t line then incr hits else incr misses
-    done
+      match touch t line with
+      | None -> ()
+      | Some m -> missed := m :: !missed
+    done;
+    (last - first + 1 - List.length !missed, List.rev !missed)
+  end

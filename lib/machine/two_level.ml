@@ -12,10 +12,6 @@ type t = {
   index_mask : int;  (* entries - 1 *)
   history_mask : int;  (* the low [4 * history] bits *)
   mutable ghr : int;  (* hashed path history register *)
-  (* Introspection hook, called once per access; [None] costs one match
-     and never alters any decision. *)
-  mutable observer :
-    (branch:int -> index:int -> empty:bool -> correct:bool -> unit) option;
 }
 
 let create cfg =
@@ -32,10 +28,7 @@ let create cfg =
     index_mask = cfg.entries - 1;
     history_mask = (1 lsl (4 * cfg.history)) - 1;
     ghr = 0;
-    observer = None;
   }
-
-let set_observer t obs = t.observer <- obs
 
 (* Fold the branch address and path history into a table index.  The
    multiplicative hash spreads byte addresses that share low bits. *)
@@ -46,13 +39,9 @@ let[@inline] index t branch =
 let[@inline] access t ~branch ~target =
   let i = index t branch in
   (* [i] is masked to the table size. *)
-  let prev = Array.unsafe_get t.table i in
-  let correct = prev = target in
+  let correct = Array.unsafe_get t.table i = target in
   Array.unsafe_set t.table i target;
   t.ghr <- ((t.ghr lsl 4) lxor (target lsr 4) lxor target) land t.history_mask;
-  (match t.observer with
-  | None -> ()
-  | Some f -> f ~branch ~index:i ~empty:(prev = -1) ~correct);
   correct
 
 (* The path-walk kernel, with {!Btb.run_ranges}' event order; here so

@@ -36,13 +36,4 @@ val run_ranges : t -> Slot_ranges.t -> mis:int ref -> vm_mis:int ref -> unit
     order, adding the mispredictions to [mis] and their VM-transfer subset
     to [vm_mis]. *)
 
-val set_observer :
-  t -> (branch:int -> index:int -> empty:bool -> correct:bool -> unit) option
-  -> unit
-(** Introspection hook, called once per {!access} with the table [index]
-    the branch hashed to, whether that slot was still [empty], and the
-    prediction outcome.  Absent (the default), the hook costs one match
-    per access and can never change a decision -- same contract as the
-    engine's [?poll] hook. *)
-
 val reset : t -> unit

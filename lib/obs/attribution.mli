@@ -4,11 +4,11 @@
     I-cache line misses) by the VM opcode that suffered the event, the
     predictor/cache set it happened in, and -- for conflict events -- the
     VM opcode whose entry displaced the victim.  The tables are plain
-    aggregation: the caller (an observer hook installed on the simulators,
-    see {!Vmbp_core} explain tooling) decides the category of every event
-    and feeds it in; [total] is therefore directly comparable with the
-    simulator's own miss counters, which is the validation the explain
-    subcommand enforces. *)
+    aggregation: the caller (the explain command's reference side, which
+    reads every event's outcome off the reference models of a
+    self-checked run) decides the category of every event and feeds it
+    in; [total] is therefore directly comparable with the run's own miss
+    counters, which is the validation the explain subcommand enforces. *)
 
 type category =
   | Cold  (** first occurrence: nothing to predict from yet *)

@@ -38,29 +38,13 @@ let entries () =
   |> List.filter_map Atomic.get
   |> List.sort (fun a b -> compare a.seq b.seq)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ?(reason = "") () =
   let es = entries () in
   let total = recorded () in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"schema\":\"vmbp-flight/1\"";
   if reason <> "" then
-    Buffer.add_string b (Printf.sprintf ",\"reason\":\"%s\"" (json_escape reason));
+    Buffer.add_string b (Printf.sprintf ",\"reason\":\"%s\"" (Json.escape reason));
   Buffer.add_string b
     (Printf.sprintf ",\"capacity\":%d,\"recorded\":%d,\"dropped\":%d" capacity
        total
@@ -72,7 +56,7 @@ let to_json ?(reason = "") () =
       Buffer.add_string b
         (Printf.sprintf
            "\n  {\"seq\":%d,\"ts\":%.6f,\"dom\":%d,\"kind\":\"%s\",\"detail\":\"%s\"}"
-           e.seq e.ts e.dom (json_escape e.kind) (json_escape e.detail)))
+           e.seq e.ts e.dom (Json.escape e.kind) (Json.escape e.detail)))
     es;
   Buffer.add_string b "\n]}\n";
   Buffer.contents b

@@ -171,24 +171,6 @@ let sorted_entries () =
 
 let names () = List.map fst (sorted_entries ())
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_nan f then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
-
 let to_json () =
   let entries = sorted_entries () in
   let pick f = List.filter_map f entries in
@@ -201,7 +183,7 @@ let to_json () =
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\n  \"%s\":" (json_escape k));
+        Buffer.add_string b (Printf.sprintf "\n  \"%s\":" (Json.escape k));
         render v)
       items;
     Buffer.add_string b (if items = [] then "}" else "\n }")
@@ -214,8 +196,8 @@ let to_json () =
       obj "gauges"
         (fun g ->
           Buffer.add_string b
-            (Printf.sprintf "{\"value\":%s,\"max\":%s}" (json_float g.g)
-               (json_float g.g_max)))
+            (Printf.sprintf "{\"value\":%s,\"max\":%s}" (Json.float g.g)
+               (Json.float g.g_max)))
         gauges;
       obj "histograms"
         (fun h ->
@@ -223,7 +205,7 @@ let to_json () =
           Array.iteri
             (fun i bound ->
               if i > 0 then Buffer.add_char b ',';
-              Buffer.add_string b (json_float bound))
+              Buffer.add_string b (Json.float bound))
             h.bounds;
           Buffer.add_string b "],\"counts\":[";
           Array.iteri
@@ -232,7 +214,7 @@ let to_json () =
               Buffer.add_string b (string_of_int n))
             h.counts;
           Buffer.add_string b
-            (Printf.sprintf "],\"sum\":%s,\"count\":%d}" (json_float h.sum)
+            (Printf.sprintf "],\"sum\":%s,\"count\":%d}" (Json.float h.sum)
                h.n))
         histos);
   Buffer.add_string b "}\n";

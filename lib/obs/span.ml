@@ -102,22 +102,6 @@ let count () =
   Mutex.unlock lock;
   n
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json () =
   let evs = events () in
   let b = Buffer.create 4096 in
@@ -134,18 +118,18 @@ let to_json () =
       Buffer.add_string b
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"vmbp\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d"
-           (json_escape e.name) (e.ts *. 1e6) (e.dur *. 1e6) e.tid);
+           (Json.escape e.name) (e.ts *. 1e6) (e.dur *. 1e6) e.tid);
       Buffer.add_string b ",\"args\":{";
       Buffer.add_string b (Printf.sprintf "\"span\":\"%d\"" e.id);
       if e.parent >= 0 then
         Buffer.add_string b (Printf.sprintf ",\"parent\":\"%d\"" e.parent);
       if e.trace <> "" then
         Buffer.add_string b
-          (Printf.sprintf ",\"trace\":\"%s\"" (json_escape e.trace));
+          (Printf.sprintf ",\"trace\":\"%s\"" (Json.escape e.trace));
       List.iter
         (fun (k, v) ->
           Buffer.add_string b
-            (Printf.sprintf ",\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+            (Printf.sprintf ",\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
         e.args;
       Buffer.add_string b "}}")
     evs;

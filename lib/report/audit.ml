@@ -6,7 +6,7 @@ open Vmbp_machine
 
 type event =
   | Dispatch of { branch : int; target : int; opcode : int; vm_transfer : bool }
-  | Fetch of { addr : int; bytes : int }
+  | Fetch of { addr : int; bytes : int; opcode : int }
 
 type counters = {
   predictions : int;
@@ -44,43 +44,43 @@ let pp_counters c =
    reference model event by event without knowing either's insides.  The
    fast constructor wraps the production {!Predictor}/{!Icache}; the
    reference constructor wraps {!Reference}.  Tests inject deliberately
-   broken sims through the same face (mutation testing). *)
+   broken sims through the same face (mutation testing), and the explain
+   command an attributing reference side. *)
 
 type sim = {
   sim_predict : branch:int -> target:int -> opcode:int -> bool;
-  sim_fetch : addr:int -> bytes:int -> int * int;
+  sim_fetch : addr:int -> bytes:int -> opcode:int -> int * int;
       (* (hits, misses) contributed by this fetch *)
   sim_counters : unit -> counters;
 }
 
 let counting ~predict ~fetch =
-  let c = ref zero_counters in
+  let predictions = ref 0 and pred_hits = ref 0 in
+  let fetches = ref 0 and fetch_hits = ref 0 in
   {
     sim_predict =
       (fun ~branch ~target ~opcode ->
         let correct = predict ~branch ~target ~opcode in
-        let v = !c in
-        c :=
-          {
-            v with
-            predictions = v.predictions + 1;
-            pred_hits = (v.pred_hits + if correct then 1 else 0);
-            mispredicts = (v.mispredicts + if correct then 0 else 1);
-          };
+        incr predictions;
+        if correct then incr pred_hits;
         correct);
     sim_fetch =
-      (fun ~addr ~bytes ->
-        let dh, dm = fetch ~addr ~bytes in
-        let v = !c in
-        c :=
-          {
-            v with
-            icache_fetches = v.icache_fetches + dh + dm;
-            icache_hits = v.icache_hits + dh;
-            icache_misses = v.icache_misses + dm;
-          };
-        (dh, dm));
-    sim_counters = (fun () -> !c);
+      (fun ~addr ~bytes ~opcode ->
+        let ((dh, dm) as answer) = fetch ~addr ~bytes ~opcode in
+        fetches := !fetches + dh + dm;
+        fetch_hits := !fetch_hits + dh;
+        answer);
+    sim_counters =
+      (fun () ->
+        {
+          predictions = !predictions;
+          pred_hits = !pred_hits;
+          mispredicts = !predictions - !pred_hits;
+          vm_branch_mispredicts = 0;
+          icache_fetches = !fetches;
+          icache_hits = !fetch_hits;
+          icache_misses = !fetches - !fetch_hits;
+        });
   }
 
 let fast_sim ~predictor ~icache =
@@ -90,7 +90,7 @@ let fast_sim ~predictor ~icache =
   counting
     ~predict:(fun ~branch ~target ~opcode ->
       Predictor.access p ~branch ~target ~opcode)
-    ~fetch:(fun ~addr ~bytes ->
+    ~fetch:(fun ~addr ~bytes ~opcode:_ ->
       let h0 = !hits and m0 = !misses in
       Icache.fetch ic ~addr ~bytes ~hits ~misses;
       (!hits - h0, !misses - m0))
@@ -98,14 +98,13 @@ let fast_sim ~predictor ~icache =
 let reference_sim ~predictor ~icache =
   let p = Reference.create_predictor predictor in
   let ic = Reference.create_icache icache in
-  let hits = ref 0 and misses = ref 0 in
   counting
     ~predict:(fun ~branch ~target ~opcode ->
-      Reference.access p ~branch ~target ~opcode)
-    ~fetch:(fun ~addr ~bytes ->
-      let h0 = !hits and m0 = !misses in
-      Reference.fetch ic ~addr ~bytes ~hits ~misses;
-      (!hits - h0, !misses - m0))
+      (Reference.access p ~branch ~target ~opcode).Reference.outcome
+      = Reference.Hit)
+    ~fetch:(fun ~addr ~bytes ~opcode:_ ->
+      let hits, missed = Reference.fetch ic ~addr ~bytes in
+      (hits, List.length missed))
 
 (* ------------------------------------------------------------------ *)
 (* Divergence records *)
@@ -131,91 +130,115 @@ let describe d =
     | None -> "")
 
 (* ------------------------------------------------------------------ *)
+(* The per-event comparison, shared by the live lockstep run and the
+   replay of a recorded stream so the two cannot drift apart. *)
+
+(* Both sides, and each side's mispredicts out of a VM-level transfer,
+   which [counting] cannot see. *)
+type lockstep = {
+  fast : sim;
+  refr : sim;
+  mutable fast_vm : int;
+  mutable ref_vm : int;
+}
+
+let lockstep ?fast ?reference ~predictor ~icache () =
+  {
+    fast =
+      (match fast with Some s -> s | None -> fast_sim ~predictor ~icache);
+    refr =
+      (match reference with
+      | Some s -> s
+      | None -> reference_sim ~predictor ~icache);
+    fast_vm = 0;
+    ref_vm = 0;
+  }
+
+(* Both sides' counters, VM-transfer mispredicts patched in. *)
+let counters l =
+  ( { (l.fast.sim_counters ()) with vm_branch_mispredicts = l.fast_vm },
+    { (l.refr.sim_counters ()) with vm_branch_mispredicts = l.ref_vm } )
+
+(* One event through both sides: how their answers differ, if they do. *)
+let step l = function
+  | Dispatch { branch; target; opcode; vm_transfer } ->
+      let pf = l.fast.sim_predict ~branch ~target ~opcode in
+      let pr = l.refr.sim_predict ~branch ~target ~opcode in
+      if vm_transfer then begin
+        if not pf then l.fast_vm <- l.fast_vm + 1;
+        if not pr then l.ref_vm <- l.ref_vm + 1
+      end;
+      if pf = pr then None
+      else
+        Some
+          (Printf.sprintf
+             "dispatch of branch %#x -> %#x (opcode %d): fast predicted %s, \
+              reference predicted %s"
+             branch target opcode
+             (if pf then "hit" else "miss")
+             (if pr then "hit" else "miss"))
+  | Fetch { addr; bytes; opcode } ->
+      let fh, fm = l.fast.sim_fetch ~addr ~bytes ~opcode in
+      let rh, rm = l.refr.sim_fetch ~addr ~bytes ~opcode in
+      if fh = rh && fm = rm then None
+      else
+        Some
+          (Printf.sprintf
+             "fetch of %d bytes at %#x: fast %d hits / %d misses, reference \
+              %d hits / %d misses"
+             bytes addr fh fm rh rm)
+
+(* ------------------------------------------------------------------ *)
 (* Lockstep dual run *)
 
 exception Diverged_at of divergence
-
-let dispatch_event ~branch ~target ~opcode ~vm_transfer =
-  Dispatch { branch; target; opcode; vm_transfer }
 
 (* Run the engine once, feeding every dispatch and fetch to both
    simulators and stopping at the first event where their answers
    differ.  On agreement the returned result is exactly what
    [Engine.run] would have produced: the fast side here IS the
    production predictor and I-cache (unless a test injects [?fast]). *)
-let dual_run ?fuel ?poll ?fast ~cell ~config ~layout ~exec () =
+let dual_run ?fuel ?poll ?fast ?reference ~cell ~config ~layout ~exec () =
   let cpu = config.Config.cpu in
   let predictor = Config.predictor_kind config in
   let icache = cpu.Cpu_model.icache in
-  let fast =
-    match fast with Some s -> s | None -> fast_sim ~predictor ~icache
-  in
-  let refr = reference_sim ~predictor ~icache in
-  let m = Metrics.create () in
+  let l = lockstep ?fast ?reference ~predictor ~icache () in
   let index = ref 0 in
-  let fast_vm = ref 0 and ref_vm = ref 0 in
-  let diverged ~event ~detail =
-    (* [counting] cannot see [vm_transfer]; patch the attribution in
-       from the accumulators maintained below. *)
-    let patch vm c = { c with vm_branch_mispredicts = vm } in
-    raise
-      (Diverged_at
-         {
-           d_cell = cell;
-           d_predictor = predictor;
-           d_icache = icache;
-           d_index = !index;
-           d_event = Some event;
-           d_fast = patch !fast_vm (fast.sim_counters ());
-           d_reference = patch !ref_vm (refr.sim_counters ());
-           d_detail = detail;
-           d_artifact = None;
-         })
+  let check event =
+    match step l event with
+    | None -> incr index
+    | Some detail ->
+        let d_fast, d_reference = counters l in
+        raise
+          (Diverged_at
+             {
+               d_cell = cell;
+               d_predictor = predictor;
+               d_icache = icache;
+               d_index = !index;
+               d_event = Some event;
+               d_fast;
+               d_reference;
+               d_detail = detail;
+               d_artifact = None;
+             })
   in
   let sink =
     {
       Engine.on_dispatch =
         (fun ~branch ~target ~opcode ~vm_transfer ->
-          let pf = fast.sim_predict ~branch ~target ~opcode in
-          let pr = refr.sim_predict ~branch ~target ~opcode in
-          if (not pf) && vm_transfer then incr fast_vm;
-          if (not pr) && vm_transfer then incr ref_vm;
-          (* Mirror Engine.run's metric updates for the fast side. *)
-          if not pf then begin
-            m.Metrics.mispredicts <- m.Metrics.mispredicts + 1;
-            if vm_transfer then
-              m.Metrics.vm_branch_mispredicts <-
-                m.Metrics.vm_branch_mispredicts + 1
-          end;
-          if pf <> pr then
-            diverged
-              ~event:(dispatch_event ~branch ~target ~opcode ~vm_transfer)
-              ~detail:
-                (Printf.sprintf
-                   "dispatch of branch %#x -> %#x (opcode %d): fast predicted \
-                    %s, reference predicted %s"
-                   branch target opcode
-                   (if pf then "hit" else "miss")
-                   (if pr then "hit" else "miss"));
-          incr index)
-      ;
+          check (Dispatch { branch; target; opcode; vm_transfer }));
       on_fetch =
-        (fun ~addr ~bytes ~opcode:_ ->
-          let fh, fm = fast.sim_fetch ~addr ~bytes in
-          let rh, rm = refr.sim_fetch ~addr ~bytes in
-          if fh <> rh || fm <> rm then
-            diverged ~event:(Fetch { addr; bytes })
-              ~detail:
-                (Printf.sprintf
-                   "fetch of %d bytes at %#x: fast %d hits / %d misses, \
-                    reference %d hits / %d misses"
-                   bytes addr fh fm rh rm);
-          incr index);
+        (fun ~addr ~bytes ~opcode -> check (Fetch { addr; bytes; opcode }));
     }
   in
+  let m = Metrics.create () in
   match Engine.run_events ?fuel ?poll ~metrics:m ~layout ~exec ~sink () with
   | steps, trapped ->
-      let c = fast.sim_counters () in
+      (* The fast side's counters are [Engine.run]'s. *)
+      let c, _ = counters l in
+      m.Metrics.mispredicts <- c.mispredicts;
+      m.Metrics.vm_branch_mispredicts <- c.vm_branch_mispredicts;
       m.Metrics.icache_fetches <- c.icache_fetches;
       m.Metrics.icache_misses <- c.icache_misses;
       m.Metrics.code_bytes <- layout.Code_layout.runtime_code_bytes;
@@ -252,66 +275,28 @@ let record_events ?fuel ?(limit = max_int) ~layout ~exec () =
     {
       Engine.on_dispatch =
         (fun ~branch ~target ~opcode ~vm_transfer ->
-          note (dispatch_event ~branch ~target ~opcode ~vm_transfer));
-      on_fetch = (fun ~addr ~bytes ~opcode:_ -> note (Fetch { addr; bytes }));
+          note (Dispatch { branch; target; opcode; vm_transfer }));
+      on_fetch =
+        (fun ~addr ~bytes ~opcode -> note (Fetch { addr; bytes; opcode }));
     }
   in
   (try ignore (Engine.run_events ?fuel ~metrics:m ~layout ~exec ~sink ())
    with Recorded_enough -> ());
-  let arr = Array.of_list (List.rev !events) in
-  arr
+  Array.of_list (List.rev !events)
 
 (* Replay an event stream through two fresh simulators and return the
    first index where they disagree, with both sides' counters. *)
 let check_events ?fast ?reference ~predictor ~icache events =
-  let fast =
-    match fast with Some s -> s | None -> fast_sim ~predictor ~icache
-  in
-  let refr =
-    match reference with
-    | Some s -> s
-    | None -> reference_sim ~predictor ~icache
-  in
-  let fast_c = ref zero_counters and ref_c = ref zero_counters in
-  (* VM-branch attribution lives outside [counting] (which cannot see
-     [vm_transfer]), accumulated here and patched into the snapshots. *)
-  let fast_vm = ref 0 and ref_vm = ref 0 in
-  let update () =
-    fast_c := { (fast.sim_counters ()) with vm_branch_mispredicts = !fast_vm };
-    ref_c := { (refr.sim_counters ()) with vm_branch_mispredicts = !ref_vm }
-  in
+  let l = lockstep ?fast ?reference ~predictor ~icache () in
   let n = Array.length events in
   let rec scan i =
     if i >= n then None
     else
-      let disagree, detail =
-        match events.(i) with
-        | Dispatch { branch; target; opcode; vm_transfer } ->
-            let pf = fast.sim_predict ~branch ~target ~opcode in
-            let pr = refr.sim_predict ~branch ~target ~opcode in
-            if vm_transfer then begin
-              if not pf then incr fast_vm;
-              if not pr then incr ref_vm
-            end;
-            update ();
-            ( pf <> pr,
-              Printf.sprintf
-                "dispatch of branch %#x -> %#x (opcode %d): fast predicted %s, \
-                 reference predicted %s"
-                branch target opcode
-                (if pf then "hit" else "miss")
-                (if pr then "hit" else "miss") )
-        | Fetch { addr; bytes } ->
-            let fh, fm = fast.sim_fetch ~addr ~bytes in
-            let rh, rm = refr.sim_fetch ~addr ~bytes in
-            update ();
-            ( fh <> rh || fm <> rm,
-              Printf.sprintf
-                "fetch of %d bytes at %#x: fast %d hits / %d misses, reference \
-                 %d hits / %d misses"
-                bytes addr fh fm rh rm )
-      in
-      if disagree then Some (i, detail, !fast_c, !ref_c) else scan (i + 1)
+      match step l events.(i) with
+      | None -> scan (i + 1)
+      | Some detail ->
+          let f, r = counters l in
+          Some (i, detail, f, r)
   in
   scan 0
 
@@ -420,7 +405,8 @@ let write_repro ~path d events =
           | Dispatch { branch; target; opcode; vm_transfer } ->
               Printf.fprintf oc "D %d %d %d %d\n" branch target opcode
                 (if vm_transfer then 1 else 0)
-          | Fetch { addr; bytes } -> Printf.fprintf oc "F %d %d\n" addr bytes)
+          | Fetch { addr; bytes; _ } ->
+              Printf.fprintf oc "F %d %d\n" addr bytes)
         events)
 
 let load_repro path =
@@ -491,7 +477,7 @@ let load_repro path =
                   | _ -> failwith "bad dispatch event")
               | [ "F"; a; b ] -> (
                   match (int_of_string_opt a, int_of_string_opt b) with
-                  | Some addr, Some bytes -> Fetch { addr; bytes }
+                  | Some addr, Some bytes -> Fetch { addr; bytes; opcode = -1 }
                   | _ -> failwith "bad fetch event")
               | _ -> failwith "bad event line")
         in

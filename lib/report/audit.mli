@@ -7,7 +7,10 @@
       every dispatch and fetch event to both the production
       predictor/I-cache and the reference model, and stops at the first
       event where their answers differ.  [--self-check] routes every
-      cell through it.
+      cell through it, and so does [explain], whose reference side
+      attributes every event as it answers.  The live run and the replay
+      of a recorded stream ([check_events]) compare each event with the
+      same step.
     - {b Divergence minimization}: on a mismatch, the engine run is
       repeated with event recording, and [shrink] binary-searches the
       stream for the smallest prefix that still diverges.  The result is
@@ -29,7 +32,9 @@ open Vmbp_machine
 
 type event =
   | Dispatch of { branch : int; target : int; opcode : int; vm_transfer : bool }
-  | Fetch of { addr : int; bytes : int }
+  | Fetch of { addr : int; bytes : int; opcode : int }
+(** A fetch's [opcode] is the VM opcode executing, for attribution.  Repro
+    artifacts do not store it: a fetch loaded from one reads [-1]. *)
 
 (** Running totals of one simulator side.  Conservation invariants:
     [predictions = pred_hits + mispredicts] and
@@ -54,9 +59,18 @@ val pp_counters : counters -> string
     (hits, misses) contribution of that fetch. *)
 type sim = {
   sim_predict : branch:int -> target:int -> opcode:int -> bool;
-  sim_fetch : addr:int -> bytes:int -> int * int;
+  sim_fetch : addr:int -> bytes:int -> opcode:int -> int * int;
   sim_counters : unit -> counters;
 }
+
+val counting :
+  predict:(branch:int -> target:int -> opcode:int -> bool) ->
+  fetch:(addr:int -> bytes:int -> opcode:int -> int * int) ->
+  sim
+(** A simulator from its answers -- whether a dispatch was predicted, a
+    fetch's (hits, misses) -- with [sim_counters] totalling them.  Its
+    [vm_branch_mispredicts] stays 0: the checker, which sees
+    [vm_transfer], patches it in. *)
 
 val fast_sim : predictor:Predictor.kind -> icache:Icache.config -> sim
 (** The production simulators ({!Predictor}, {!Icache}). *)
@@ -86,6 +100,7 @@ val dual_run :
   ?fuel:int ->
   ?poll:(unit -> unit) ->
   ?fast:sim ->
+  ?reference:sim ->
   cell:string ->
   config:Config.t ->
   layout:Code_layout.t ->
@@ -94,7 +109,9 @@ val dual_run :
   (Engine.result, divergence) result
 (** Execute one cell, checking every event.  On agreement the result is
     exactly what {!Engine.run} would produce.  [?fast] substitutes the
-    fast side (mutation tests inject deliberately broken simulators). *)
+    fast side (mutation tests inject deliberately broken simulators);
+    [?reference] the reference side (explain's attributing one, which
+    must answer as {!reference_sim} does). *)
 
 (** {1 Recording, shrinking, artifacts} *)
 

@@ -12,228 +12,118 @@ type t = {
   iset : Vmbp_vm.Instr_set.t;
 }
 
-(* Re-run one cell with attribution observers attached to the production
-   simulators.  The engine, fuel, training-profile policy and metric
-   bookkeeping are exactly {!Runner.run}'s; the only additions are the
-   observer hooks, which by contract cannot change any decision, so the
-   attributed run must reproduce the unobserved counters bit for bit
-   (checked below, and cross-checked against {!Runner.run_checked} by
-   {!verify}). *)
-let run ?(scale = 1) ?predictor ?profile ~cpu ~technique
-    (workload : Vmbp_workloads.t) =
-  match
-    let loaded = workload.Vmbp_workloads.load ~scale in
-    let profile = Runner.effective_profile ?profile ~scale ~technique workload in
-    let config = Config.make ~cpu ?predictor technique in
-    let layout =
-      Config.build_layout ?profile config ~program:loaded.Vmbp_workloads.program
+(* The self-check's reference side, attributing every event as it
+   answers: a mispredict under the dispatch's opcode, an I-cache miss
+   under the fetch's opcode.  A miss on an entry that another opcode's
+   access displaced is a conflict with that opcode; a miss on an entry
+   never displaced is cold.  The attribution rides the one lockstep run,
+   so the production simulators carry no hook for it. *)
+let attributing ~pred_att ~icache_att kind icache =
+  let p = Reference.create_predictor kind in
+  let ic = Reference.create_icache icache in
+  (* The opcode whose access last displaced each branch address (resp.
+     cache line), consulted when the victim later misses again. *)
+  let branch_evictor = Hashtbl.create 256 in
+  let line_evictor = Hashtbl.create 256 in
+  let displaced evictor key =
+    match Hashtbl.find_opt evictor key with
+    | Some op -> Attribution.Conflict op
+    | None -> Attribution.Cold
+  in
+  (* The two-level table has no tags: every access overwrites its slot, so
+     the displacement record is the last writer (branch, opcode) of each
+     slot. *)
+  let writer = Hashtbl.create 256 in
+  let tagless = match kind with Predictor.Two_level _ -> true | _ -> false in
+  let predict ~branch ~target ~opcode =
+    let { Reference.outcome; set; evicted } =
+      Reference.access p ~branch ~target ~opcode
     in
-    let session = loaded.Vmbp_workloads.fresh_session () in
-    let m = Metrics.create () in
-    let pred = Predictor.create (Config.predictor_kind config) in
-    let icache = Icache.create cpu.Cpu_model.icache in
-    let hits = ref 0 and misses = ref 0 in
-    let pred_att = Attribution.create () in
-    let icache_att = Attribution.create () in
-    (* The opcode being dispatched to / fetched for, stashed by the sink so
-       the observers (which only see simulator-level state) can attribute
-       events to VM opcodes. *)
-    let cur_op = ref (-1) in
-    let cur_fetch_op = ref (-1) in
-    (* Last displacer of each branch address (resp. cache line): recorded at
-       eviction time, consulted when the victim later misses again.  A miss
-       on a never-displaced branch is a cold miss; one on a displaced branch
-       is a conflict, attributed to the displacing opcode. *)
-    let branch_evictor : (int, int) Hashtbl.t = Hashtbl.create 256 in
-    let line_evictor : (int, int) Hashtbl.t = Hashtbl.create 256 in
-    let observed_pred = ref false in
-    (match Predictor.btb pred with
-    | Some b ->
-        observed_pred := true;
-        Btb.set_observer b
-          (Some
-             (fun ~branch ~set outcome ->
-               match outcome with
-               | Btb.Hit -> ()
-               | Btb.Wrong_target ->
-                   Attribution.note pred_att ~opcode:!cur_op ~branch ~set
-                     Attribution.Wrong_target
-               | Btb.Miss { evicted } ->
-                   let category =
-                     match Hashtbl.find_opt branch_evictor branch with
-                     | Some op -> Attribution.Conflict op
-                     | None -> Attribution.Cold
-                   in
-                   Attribution.note pred_att ~opcode:!cur_op ~branch ~set
-                     category;
-                   if evicted >= 0 then
-                     Hashtbl.replace branch_evictor evicted !cur_op))
+    let category =
+      match outcome with
+      | Reference.Hit -> None
+      | Reference.Miss when tagless -> Some Attribution.Cold
+      | Reference.Wrong_target when tagless -> (
+          match Hashtbl.find_opt writer set with
+          | Some (b, _) when b = branch -> Some Attribution.Wrong_target
+          | Some (_, op) -> Some (Attribution.Conflict op)
+          | None -> Some Attribution.Cold)
+      | Reference.Wrong_target -> Some Attribution.Wrong_target
+      | Reference.Miss -> Some (displaced branch_evictor branch)
+    in
+    (match category with
+    | Some c -> Attribution.note pred_att ~opcode ~branch ~set c
     | None -> ());
-    (match Predictor.two_level pred with
-    | Some p ->
-        observed_pred := true;
-        (* The two-level table has no tags: every access overwrites slot
-           [index], so the displacement record is simply the last writer of
-           each slot. *)
-        let writer : (int, int * int) Hashtbl.t = Hashtbl.create 256 in
-        Two_level.set_observer p
-          (Some
-             (fun ~branch ~index ~empty ~correct ->
-               if not correct then begin
-                 let category =
-                   if empty then Attribution.Cold
-                   else
-                     match Hashtbl.find_opt writer index with
-                     | Some (b, _) when b = branch -> Attribution.Wrong_target
-                     | Some (_, op) -> Attribution.Conflict op
-                     | None -> Attribution.Cold
-                 in
-                 Attribution.note pred_att ~opcode:!cur_op ~branch ~set:index
-                   category
-               end;
-               Hashtbl.replace writer index (branch, !cur_op)))
-    | None -> ());
-    Icache.set_observer icache
-      (Some
-         (fun ~line ~set ~evicted ->
-           let category =
-             match Hashtbl.find_opt line_evictor line with
-             | Some op -> Attribution.Conflict op
-             | None -> Attribution.Cold
-           in
-           Attribution.note icache_att ~opcode:!cur_fetch_op ~branch:line ~set
-             category;
-           if evicted >= 0 then Hashtbl.replace line_evictor evicted !cur_fetch_op));
-    let sink =
-      {
-        Engine.on_dispatch =
-          (fun ~branch ~target ~opcode ~vm_transfer ->
-            cur_op := opcode;
-            if not (Predictor.access pred ~branch ~target ~opcode) then begin
-              m.Metrics.mispredicts <- m.Metrics.mispredicts + 1;
-              if vm_transfer then
-                m.Metrics.vm_branch_mispredicts <-
-                  m.Metrics.vm_branch_mispredicts + 1;
-              (* Predictors without an observer hook (case block table,
-                 perfect, never) have no cold/conflict structure to expose;
-                 every miss is a stale-target miss on the opcode's entry. *)
-              if not !observed_pred then
-                Attribution.note pred_att ~opcode ~branch ~set:(-1)
-                  Attribution.Wrong_target
-            end);
-        on_fetch =
-          (fun ~addr ~bytes ~opcode ->
-            cur_fetch_op := opcode;
-            Icache.fetch icache ~addr ~bytes ~hits ~misses);
-      }
-    in
-    let steps, trapped =
-      Engine.run_events ~fuel:Runner.engine_fuel ~metrics:m ~layout
-        ~exec:session.Vmbp_workloads.exec ~sink ()
-    in
-    m.Metrics.icache_fetches <- !hits + !misses;
-    m.Metrics.icache_misses <- !misses;
-    m.Metrics.code_bytes <- layout.Code_layout.runtime_code_bytes;
-    let result =
-      {
-        Engine.metrics = m;
-        cycles = Cpu_model.cycles cpu m;
-        seconds = Cpu_model.seconds cpu m;
-        steps;
-        trapped;
-      }
-    in
-    let pred_sets =
-      match Config.predictor_kind config with
-      | Predictor.Btb { entries; associativity; _ } when entries > 0 ->
-          entries / associativity
-      | Predictor.Two_level { entries; _ } -> entries
-      | _ -> 0
-    in
-    let icache_sets =
-      let c = cpu.Cpu_model.icache in
-      if c.Icache.size_bytes = 0 then 0
-      else c.Icache.size_bytes / c.Icache.line_bytes / c.Icache.associativity
-    in
-    ( result,
-      session,
-      Config.predictor_kind config,
-      pred_att,
-      icache_att,
-      pred_sets,
-      icache_sets,
-      loaded.Vmbp_workloads.program.Vmbp_vm.Program.iset )
-  with
-  | result, session, pred_kind, pred_att, icache_att, pred_sets, icache_sets,
-    iset -> (
-      match result.Engine.trapped with
-      | Some msg ->
-          Error
-            (Printf.sprintf "%s/%s under %s trapped: %s"
-               (Vmbp_workloads.vm_name workload.Vmbp_workloads.vm)
-               workload.Vmbp_workloads.name (Technique.name technique) msg)
-      | None ->
-          let m = result.Engine.metrics in
-          (* The attribution totals are definitionally the simulator's own
-             counters; a mismatch means an observer missed or double-counted
-             an event and the whole explanation is untrustworthy. *)
-          if Attribution.total pred_att <> m.Metrics.mispredicts then
-            Error
-              (Printf.sprintf
-                 "attribution mismatch: %d attributed mispredicts vs %d counted"
-                 (Attribution.total pred_att) m.Metrics.mispredicts)
-          else if Attribution.total icache_att <> m.Metrics.icache_misses then
-            Error
-              (Printf.sprintf
-                 "attribution mismatch: %d attributed I-cache misses vs %d \
-                  counted"
-                 (Attribution.total icache_att) m.Metrics.icache_misses)
-          else
-            Ok
-              {
-                run =
-                  {
-                    Runner.workload;
-                    technique;
-                    cpu;
-                    result;
-                    output = session.Vmbp_workloads.output ();
-                  };
-                pred_kind;
-                pred_att;
-                icache_att;
-                pred_sets;
-                icache_sets;
-                iset;
-              })
-  | exception Runner.Run_failed msg -> Error msg
-  | exception exn -> Error (Printexc.to_string exn)
+    if tagless then Hashtbl.replace writer set (branch, opcode)
+    else if evicted >= 0 then Hashtbl.replace branch_evictor evicted opcode;
+    outcome = Reference.Hit
+  in
+  let fetch ~addr ~bytes ~opcode =
+    let hits, missed = Reference.fetch ic ~addr ~bytes in
+    List.iter
+      (fun { Reference.line; set; evicted } ->
+        Attribution.note icache_att ~opcode ~branch:line ~set
+          (displaced line_evictor line);
+        if evicted >= 0 then Hashtbl.replace line_evictor evicted opcode)
+      missed;
+    (hits, List.length missed)
+  in
+  Audit.counting ~predict ~fetch
 
-let verify ?scale ?predictor ?profile ~cpu ~technique workload t =
+let run ?(scale = 1) ~cpu ~technique (workload : Vmbp_workloads.t) =
+  let pred_kind = Config.predictor_kind (Config.make ~cpu technique) in
+  let pred_att = Attribution.create () in
+  let icache_att = Attribution.create () in
+  let reference =
+    attributing ~pred_att ~icache_att pred_kind cpu.Cpu_model.icache
+  in
   match
-    Runner.run_checked ?scale ?predictor ?profile ~cell:"explain" ~cpu
-      ~technique workload
+    Runner.run_checked ~scale ~reference ~cell:"explain" ~cpu ~technique
+      workload
   with
-  | Error msg -> Error ("self-check failed: " ^ msg)
-  | Ok checked ->
-      let c = checked.Runner.result.Engine.metrics in
-      let a = t.run.Runner.result.Engine.metrics in
-      if
-        Attribution.total t.pred_att = c.Metrics.mispredicts
-        && Attribution.total t.icache_att = c.Metrics.icache_misses
-        && a.Metrics.mispredicts = c.Metrics.mispredicts
-        && a.Metrics.icache_misses = c.Metrics.icache_misses
-        && a.Metrics.vm_instrs = c.Metrics.vm_instrs
-      then Ok ()
-      else
+  | Error msg -> Error msg
+  | Ok run ->
+      let m = run.Runner.result.Engine.metrics in
+      (* The attribution totals are definitionally the run's own counters;
+         a mismatch means an event was missed or double-counted and the
+         whole explanation is untrustworthy. *)
+      if Attribution.total pred_att <> m.Metrics.mispredicts then
         Error
           (Printf.sprintf
-             "attribution disagrees with the self-checked run: attributed \
-              %d/%d mispredicts, %d/%d I-cache misses"
-             (Attribution.total t.pred_att)
-             c.Metrics.mispredicts
-             (Attribution.total t.icache_att)
-             c.Metrics.icache_misses)
+             "attribution mismatch: %d attributed mispredicts vs %d counted"
+             (Attribution.total pred_att) m.Metrics.mispredicts)
+      else if Attribution.total icache_att <> m.Metrics.icache_misses then
+        Error
+          (Printf.sprintf
+             "attribution mismatch: %d attributed I-cache misses vs %d \
+              counted"
+             (Attribution.total icache_att) m.Metrics.icache_misses)
+      else
+        let pred_sets =
+          match pred_kind with
+          | Predictor.Btb { entries; associativity; _ } when entries > 0 ->
+              entries / associativity
+          | Predictor.Two_level { entries; _ } -> entries
+          | _ -> 0
+        in
+        let icache_sets =
+          let c = cpu.Cpu_model.icache in
+          if c.Icache.size_bytes = 0 then 0
+          else
+            c.Icache.size_bytes / c.Icache.line_bytes / c.Icache.associativity
+        in
+        Ok
+          {
+            run;
+            pred_kind;
+            pred_att;
+            icache_att;
+            pred_sets;
+            icache_sets;
+            iset =
+              (workload.Vmbp_workloads.load ~scale).Vmbp_workloads.program
+                .Vmbp_vm.Program.iset;
+          }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)

@@ -1,19 +1,19 @@
 (** Mispredict and I-cache-miss attribution: the [explain] subcommand.
 
-    Re-runs one cell with observer hooks attached to the production
-    simulators ({!Vmbp_machine.Btb.set_observer} and friends) and
-    aggregates every mispredict and cache miss into
-    {!Vmbp_obs.Attribution} tables: which VM opcode suffered it, in which
-    predictor/cache set, and -- for conflict events -- which opcode's
-    entry displaced the victim.  This is the tooling counterpart of the
-    paper's Section 7.3 analysis, which attributes the residual
-    mispredictions of replicated interpreters to VM branches by reading
-    performance counters.
+    Runs one cell once, under the differential self-check
+    ({!Runner.run_checked}): the production simulators and the reference
+    models ({!Vmbp_machine.Reference}) answer every event in lockstep,
+    and the reference side also reports what each event did -- its set,
+    its outcome, the entry a miss displaced.  From those reports every
+    mispredict and cache miss goes into {!Vmbp_obs.Attribution} tables:
+    which VM opcode suffered it, in which predictor/cache set, and -- for
+    conflict events -- which opcode's access displaced the victim.  This
+    is the tooling counterpart of the paper's Section 7.3 analysis, which
+    attributes the residual mispredictions of replicated interpreters to
+    VM branches by reading performance counters.
 
-    The attribution is validated two ways: {!run} fails unless the
-    attributed totals equal the run's own mispredict and miss counters,
-    and {!verify} re-runs the cell under the differential self-check
-    ({!Runner.run_checked}) and compares counters across the two runs. *)
+    {!run} fails on any divergence between the two sides, and unless the
+    attributed totals equal the run's own mispredict and miss counters. *)
 
 type t = {
   run : Runner.run;  (** the attributed run, counters included *)
@@ -27,28 +27,15 @@ type t = {
 
 val run :
   ?scale:int ->
-  ?predictor:Vmbp_machine.Predictor.kind ->
-  ?profile:Vmbp_vm.Profile.t ->
   cpu:Vmbp_machine.Cpu_model.t ->
   technique:Vmbp_core.Technique.t ->
   Vmbp_workloads.t ->
   (t, string) result
 (** Same cell semantics as {!Runner.run} (same fuel, same training-profile
-    policy); [Error] on a trapped run or an attribution total that does
-    not equal the simulator's own counter. *)
-
-val verify :
-  ?scale:int ->
-  ?predictor:Vmbp_machine.Predictor.kind ->
-  ?profile:Vmbp_vm.Profile.t ->
-  cpu:Vmbp_machine.Cpu_model.t ->
-  technique:Vmbp_core.Technique.t ->
-  Vmbp_workloads.t ->
-  t ->
-  (unit, string) result
-(** Run the same cell through {!Runner.run_checked} (production simulators
-    cross-checked against the reference models on every event) and require
-    the attributed totals to equal the verified counters exactly. *)
+    policy, same counters); [Error] on a trapped run, a divergence between
+    the production simulators and the reference models (which also
+    writes a repro artifact, as [--self-check] does), or an attribution
+    total that does not equal the run's own counter. *)
 
 val render : ?top:int -> t -> string
 (** Human-readable report: header with the run's counters, top-[top]

@@ -162,7 +162,9 @@ let trace_cap_mb = ref 256
 (* Watchdog/retry policy, set from the command line. *)
 let cell_timeout = ref 0.
 let cell_retries = ref 1
-let retry_backoff_s = ref 0.02
+
+(* Base delay between retry attempts, doubled per attempt and jittered. *)
+let retry_backoff_s = 0.02
 
 (* ------------------------------------------------------------------ *)
 (* Graceful shutdown.
@@ -617,7 +619,7 @@ let supervised body =
     | `Transient msg ->
         if n > retries then (Error msg, n, false)
         else begin
-          let base = !retry_backoff_s *. float_of_int (1 lsl (n - 1)) in
+          let base = retry_backoff_s *. float_of_int (1 lsl (n - 1)) in
           Vmbp_sim.Env.sleep (base *. (0.5 +. Faults.jitter ()));
           attempt (n + 1)
         end
@@ -1055,61 +1057,41 @@ let matrix ?(scale = 1) ?jobs ?(tag = "matrix") ~cpu ~techniques workloads =
 (* ------------------------------------------------------------------ *)
 (* JSON summary *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_nan f then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+module Json = Vmbp_obs.Json
 
 let json_of_timed t =
   let b = Buffer.create 256 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"tag\":\"%s\"" (json_escape t.cell.tag);
+  add "{\"tag\":\"%s\"" (Json.escape t.cell.tag);
   add ",\"vm\":\"%s\""
-    (json_escape (Vmbp_workloads.vm_name t.cell.workload.Vmbp_workloads.vm));
+    (Json.escape (Vmbp_workloads.vm_name t.cell.workload.Vmbp_workloads.vm));
   add ",\"workload\":\"%s\""
-    (json_escape t.cell.workload.Vmbp_workloads.name);
-  add ",\"technique\":\"%s\"" (json_escape (Technique.name t.cell.technique));
-  add ",\"cpu\":\"%s\"" (json_escape t.cell.cpu.Cpu_model.name);
+    (Json.escape t.cell.workload.Vmbp_workloads.name);
+  add ",\"technique\":\"%s\"" (Json.escape (Technique.name t.cell.technique));
+  add ",\"cpu\":\"%s\"" (Json.escape t.cell.cpu.Cpu_model.name);
   add ",\"scale\":%d" t.cell.scale;
   (match t.cell.predictor with
-  | Some p -> add ",\"predictor\":\"%s\"" (json_escape (Predictor.kind_name p))
+  | Some p -> add ",\"predictor\":\"%s\"" (Json.escape (Predictor.kind_name p))
   | None -> ());
   (match t.outcome with
   | Ok r ->
       let m = r.Runner.result.Engine.metrics in
       add ",\"ok\":true";
-      add ",\"cycles\":%s" (json_float r.Runner.result.Engine.cycles);
+      add ",\"cycles\":%s" (Json.float r.Runner.result.Engine.cycles);
       add ",\"mispredict_rate\":%s"
-        (json_float (Metrics.misprediction_rate m));
+        (Json.float (Metrics.misprediction_rate m));
       add ",\"mispredicts\":%d" m.Metrics.mispredicts;
       add ",\"icache_misses\":%d" m.Metrics.icache_misses;
       add ",\"vm_instrs\":%d" m.Metrics.vm_instrs;
       add ",\"code_bytes\":%d" m.Metrics.code_bytes
-  | Error msg -> add ",\"ok\":false,\"error\":\"%s\"" (json_escape msg));
+  | Error msg -> add ",\"ok\":false,\"error\":\"%s\"" (Json.escape msg));
   add ",\"mode\":\"%s\"" (mode_name t.mode);
   add ",\"attempts\":%d" t.attempts;
   add ",\"timed_out\":%b" t.timed_out;
   add ",\"from_journal\":%b" t.from_journal;
   if t.audited then add ",\"audited\":true";
-  add ",\"wall_seconds\":%s" (json_float t.wall_seconds);
-  add ",\"serve_seconds\":%s" (json_float t.serve_seconds);
+  add ",\"wall_seconds\":%s" (Json.float t.wall_seconds);
+  add ",\"serve_seconds\":%s" (Json.float t.serve_seconds);
   add "}";
   Buffer.contents b
 
@@ -1181,7 +1163,7 @@ let json_summary ?jobs results =
        (registry_counter "result_cache.hits"));
   Buffer.add_string b
     (Printf.sprintf ",\"translate_wall_seconds\":%s"
-       (json_float
+       (Json.float
           (Vmbp_obs.Registry.gauge_value
              (Vmbp_obs.Registry.gauge "engine.translate_wall_seconds"))));
   (* vmbp-cells/7: report-service counters since process start --
@@ -1201,7 +1183,7 @@ let json_summary ?jobs results =
     (Printf.sprintf ",\"shed\":%d" (registry_counter "service.shed"));
   Buffer.add_string b
     (Printf.sprintf ",\"degraded_seconds\":%s"
-       (json_float
+       (Json.float
           (Vmbp_obs.Registry.gauge_value
              (Vmbp_obs.Registry.gauge "service.degraded_seconds"))));
   (* Differential-checking counters (vmbp-cells/3): [audited] counts
@@ -1211,7 +1193,7 @@ let json_summary ?jobs results =
   Buffer.add_string b
     (Printf.sprintf ",\"self_check\":%b" !self_check);
   Buffer.add_string b
-    (Printf.sprintf ",\"audit_sample\":%s" (json_float !audit_sample));
+    (Printf.sprintf ",\"audit_sample\":%s" (Json.float !audit_sample));
   Buffer.add_string b
     (Printf.sprintf ",\"audited\":%d" (countp (fun t -> t.audited)));
   Buffer.add_string b
@@ -1230,18 +1212,18 @@ let json_summary ?jobs results =
   Buffer.add_string b
     (Printf.sprintf ",\"trace_cap_mb\":%d" !trace_cap_mb);
   Buffer.add_string b
-    (Printf.sprintf ",\"cell_wall_seconds\":%s" (json_float total));
+    (Printf.sprintf ",\"cell_wall_seconds\":%s" (Json.float total));
   Buffer.add_string b
-    (Printf.sprintf ",\"direct_wall_seconds\":%s" (json_float (wall Direct)));
+    (Printf.sprintf ",\"direct_wall_seconds\":%s" (Json.float (wall Direct)));
   Buffer.add_string b
-    (Printf.sprintf ",\"record_wall_seconds\":%s" (json_float (wall Record)));
+    (Printf.sprintf ",\"record_wall_seconds\":%s" (Json.float (wall Record)));
   Buffer.add_string b
-    (Printf.sprintf ",\"replay_wall_seconds\":%s" (json_float (wall Replay)));
+    (Printf.sprintf ",\"replay_wall_seconds\":%s" (Json.float (wall Replay)));
   (* vmbp-cells/4: time spent serving cells without any simulation at all
      (store lookups and result-cache hits). *)
   Buffer.add_string b
     (Printf.sprintf ",\"serve_wall_seconds\":%s"
-       (json_float
+       (Json.float
           (List.fold_left (fun a t -> a +. t.serve_seconds) 0. results)));
   Buffer.add_string b ",\"results\":[";
   List.iteri

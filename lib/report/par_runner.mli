@@ -135,12 +135,9 @@ val cell_timeout : float ref
 val cell_retries : int ref
 (** Extra attempts granted to a cell whose attempt failed transiently (an
     unexpected exception -- not a deterministic [Runner.Run_failed] trap,
-    not a timeout).  Defaults to 1; set from [--cell-retries N]. *)
-
-val retry_backoff_s : float ref
-(** Base delay between retry attempts; the actual delay grows
-    exponentially per attempt and is jittered from the seeded chaos
-    stream.  Exposed mainly so tests can keep retries fast. *)
+    not a timeout).  Defaults to 1; set from [--cell-retries N].  The
+    [n]th retry first waits 20 ms times [2^(n-1)], jittered from the
+    seeded chaos stream. *)
 
 (** {2 Content-addressed result store and resume}
 

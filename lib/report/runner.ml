@@ -287,8 +287,8 @@ let run_result ?scale ?poll ?predictor ?profile ?path_cap ~cpu ~technique
    drives the production simulators and the naive reference models over
    the same event stream and stops at the first disagreement. *)
 
-let run_checked ?(scale = 1) ?poll ?predictor ?profile ?fast_maker ~cell ~cpu
-    ~technique (workload : Vmbp_workloads.t) =
+let run_checked ?(scale = 1) ?poll ?predictor ?profile ?fast_maker ?reference
+    ~cell ~cpu ~technique (workload : Vmbp_workloads.t) =
   let build () =
     let loaded = workload.Vmbp_workloads.load ~scale in
     let profile = effective_profile ?profile ~scale ~technique workload in
@@ -305,8 +305,8 @@ let run_checked ?(scale = 1) ?poll ?predictor ?profile ?fast_maker ~cell ~cpu
     let fast = Option.map (fun f -> f ()) fast_maker in
     let checked =
       Vmbp_obs.Span.with_ ~name:"audit" ~args:[ ("cell", cell) ] (fun () ->
-          Audit.dual_run ~fuel:engine_fuel ?poll ?fast ~cell ~config ~layout
-            ~exec:session.Vmbp_workloads.exec ())
+          Audit.dual_run ~fuel:engine_fuel ?poll ?fast ?reference ~cell
+            ~config ~layout ~exec:session.Vmbp_workloads.exec ())
     in
     (checked, session)
   with

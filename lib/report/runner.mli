@@ -15,8 +15,8 @@ exception Run_failed of string
 
 val engine_fuel : int
 (** The executed-VM-instruction bound every run in this module uses.
-    Exposed so tooling that re-runs a cell outside the runner (the
-    [explain] attribution command) is cut off at exactly the same point. *)
+    Exposed so code that runs a cell outside the runner (the benchmark's
+    layer timings) is cut off at exactly the same point. *)
 
 val effective_profile :
   ?profile:Vmbp_vm.Profile.t ->
@@ -74,6 +74,7 @@ val run_checked :
   ?predictor:Vmbp_machine.Predictor.kind ->
   ?profile:Vmbp_vm.Profile.t ->
   ?fast_maker:(unit -> Audit.sim) ->
+  ?reference:Audit.sim ->
   cell:string ->
   cpu:Vmbp_machine.Cpu_model.t ->
   technique:Vmbp_core.Technique.t ->
@@ -86,7 +87,8 @@ val run_checked :
     a minimized repro artifact (via {!Audit.record_divergence}) and
     registers in the global audit statistics.  [cell] names the cell in
     divergence records; [fast_maker] substitutes the fast simulator
-    (mutation tests). *)
+    (mutation tests) and [reference] the reference side of the one
+    lockstep run ({!Audit.dual_run}; explain's attribution). *)
 
 val speedup : baseline:run -> run -> float
 (** Ratio of modelled cycles: how much faster than [baseline]. *)

@@ -227,12 +227,7 @@ let statuses () =
    the human report prints, as one JSON document for CI gates. *)
 let json_summary cfg ~elapsed ~universe_size =
   let b = Buffer.create 512 in
-  let jf f =
-    if Float.is_nan f then "null"
-    else if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.17g" f
-  in
+  let jf = Vmbp_obs.Json.float in
   let hist name h =
     let _, _, sum, n = Vmbp_obs.Registry.histogram_snapshot h in
     let q p = Vmbp_obs.Registry.histogram_quantile h p in

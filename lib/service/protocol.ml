@@ -63,11 +63,6 @@ let read_frame ?(max = 64 * 1024 * 1024) fd =
 
 type jv = S of string | I of int | F of float | B of bool
 
-let json_float f =
-  if Float.is_nan f then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
-
 let obj fields =
   let b = Buffer.create 128 in
   Buffer.add_char b '{';
@@ -79,7 +74,7 @@ let obj fields =
         (match v with
         | S s -> Printf.sprintf "\"%s\"" (Vmbp_store.Sjson.escape s)
         | I n -> string_of_int n
-        | F f -> json_float f
+        | F f -> Vmbp_obs.Json.float f
         | B v -> string_of_bool v))
     fields;
   Buffer.add_char b '}';

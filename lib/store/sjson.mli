@@ -1,9 +1,10 @@
 (** The repo's line-oriented JSON dialect: one flat object per line, every
     field a scalar (string / int / float / bool / null).
 
-    The store's record codec and the service protocol share it.  The writer side stays hand-rolled
-    [Buffer]s at each call site (the objects differ); this module owns
-    the two halves they all need: string escaping and the strict parser.
+    The store's record codec and the service protocol share it.  The
+    writer side stays hand-rolled [Buffer]s at each call site (the
+    objects differ); they all escape strings with {!escape} and read
+    lines back with the strict parser.
     The parser accepts exactly what the writers emit -- anything else
     raises {!Bad}, which callers turn into a counted skip or a protocol
     error, never a crash. *)
@@ -13,8 +14,7 @@ exception Bad
 type v = S of string | I of int | F of float | B of bool | Null
 
 val escape : string -> string
-(** JSON string-body escaping: quote, backslash, and ASCII control
-    characters (the latter as [\uXXXX]). *)
+(** {!Vmbp_obs.Json.escape}, the one JSON string escaper. *)
 
 val parse_line : string -> (string * v) list
 (** Parse one flat JSON object.  Integer-looking numbers come back as

@@ -445,6 +445,17 @@ let dispatch_stream_gen =
     list_size (int_range 1 400)
       (triple (map (fun n -> n * 4) (int_bound 63)) (int_bound 7) (int_bound 63)))
 
+(* The reference models' reports, reduced to the answers the fast
+   simulators give. *)
+let ref_predicts oracle ~branch ~target ~opcode =
+  (Reference.access oracle ~branch ~target ~opcode).Reference.outcome
+  = Reference.Hit
+
+let ref_fetch oracle ~addr ~bytes ~hits ~misses =
+  let h, missed = Reference.fetch oracle ~addr ~bytes in
+  hits := !hits + h;
+  misses := !misses + List.length missed
+
 let prop_predictor_matches_reference (name, kind) =
   QCheck.Test.make ~count:150
     ~name:(Printf.sprintf "%s agrees with reference" name)
@@ -455,7 +466,7 @@ let prop_predictor_matches_reference (name, kind) =
       List.for_all
         (fun (branch, target, opcode) ->
           Predictor.access fast ~branch ~target ~opcode
-          = Reference.access oracle ~branch ~target ~opcode)
+          = ref_predicts oracle ~branch ~target ~opcode)
         events)
 
 let fetch_stream_gen =
@@ -473,7 +484,7 @@ let prop_icache_matches_reference (name, cfg) =
         (fun (addr, bytes) ->
           let fh = ref 0 and fm = ref 0 and rh = ref 0 and rm = ref 0 in
           Icache.fetch fast ~addr ~bytes ~hits:fh ~misses:fm;
-          Reference.fetch oracle ~addr ~bytes ~hits:rh ~misses:rm;
+          ref_fetch oracle ~addr ~bytes ~hits:rh ~misses:rm;
           !fh = !rh && !fm = !rm)
         fetches)
 
@@ -638,7 +649,7 @@ let prop_predictor_kernel_matches_reference (name, kind) =
       let rmis = ref 0 and rvm = ref 0 in
       fold_events c
         ~dispatch:(fun ~branch ~target ~opcode ~transfer ->
-          if not (Reference.access oracle ~branch ~target ~opcode) then begin
+          if not (ref_predicts oracle ~branch ~target ~opcode) then begin
             incr rmis;
             if transfer then incr rvm
           end)
@@ -658,7 +669,7 @@ let prop_icache_kernel_matches_reference (name, cfg) =
       fold_events c
         ~dispatch:(fun ~branch:_ ~target:_ ~opcode:_ ~transfer:_ -> ())
         ~fetch:(fun ~addr ~bytes ->
-          Reference.fetch oracle ~addr ~bytes ~hits:rh ~misses:rm);
+          ref_fetch oracle ~addr ~bytes ~hits:rh ~misses:rm);
       let fast = Icache.create cfg in
       let line_bytes = cfg.Icache.line_bytes in
       let main = Icache.lines ~line_bytes c.main in
@@ -690,7 +701,7 @@ let prop_icache_kernel_interleaves_fetch (name, cfg) =
       let hits = ref 0 and misses = ref 0 and rh = ref 0 and rm = ref 0 in
       let both ~addr ~bytes =
         Icache.fetch fast ~addr ~bytes ~hits ~misses;
-        Reference.fetch oracle ~addr ~bytes ~hits:rh ~misses:rm
+        ref_fetch oracle ~addr ~bytes ~hits:rh ~misses:rm
       in
       let n = ref 0 in
       iter_blocks c (fun b ->
@@ -703,7 +714,7 @@ let prop_icache_kernel_interleaves_fetch (name, cfg) =
             let col = if b.Slot_ranges.in_shadow.(r) then c.shadow else c.main in
             for k = b.Slot_ranges.lo.(r) to b.Slot_ranges.hi.(r) do
               fold_slot_fetches col k ~fetch:(fun ~addr ~bytes ->
-                  Reference.fetch oracle ~addr ~bytes ~hits:rh ~misses:rm)
+                  ref_fetch oracle ~addr ~bytes ~hits:rh ~misses:rm)
             done
           done;
           (* A memo hit on the block's last line, which [fetch] re-stamps
@@ -770,69 +781,71 @@ let test_icache_kernel_rejects_foreign_lines () =
   Icache.run_ranges cache b ~main:l ~shadow:l ~hits:(ref 0) ~misses:(ref 0)
 
 (* -------------------------------------------------------------------- *)
-(* Observer hooks (the attribution substrate of the explain tooling) *)
+(* What the reference models report per event (the attribution substrate
+   of the explain tooling), and the fast BTB's miss path *)
 
-let test_btb_observer_eviction_chain () =
+let test_btb_eviction_chain () =
   (* Direct-mapped 2-entry BTB: branches 0 and 8 alias to the same set and
-     evict each other, and the observer must report exactly who displaced
+     evict each other, and the reference must report exactly who displaced
      whom. *)
-  let btb = Btb.create (Btb.classic ~entries:2 ~associativity:1) in
-  let log = ref [] in
-  Btb.set_observer btb
-    (Some (fun ~branch ~set outcome -> log := (branch, set, outcome) :: !log));
-  ignore (Btb.access btb ~branch:0 ~target:1);
-  ignore (Btb.access btb ~branch:8 ~target:1);
-  ignore (Btb.access btb ~branch:0 ~target:1);
-  match List.rev !log with
-  | [ (0, s0, Btb.Miss { evicted = e0 }); (8, s1, Btb.Miss { evicted = e1 });
-      (0, s2, Btb.Miss { evicted = e2 }) ] ->
-      check_int "same set" s0 s1;
-      check_int "same set again" s0 s2;
-      check_int "cold slot" (-1) e0;
-      check_int "8 evicts 0" 0 e1;
-      check_int "0 evicts 8" 8 e2
-  | l -> Alcotest.failf "unexpected observer log (%d events)" (List.length l)
+  let btb =
+    Reference.create_predictor
+      (Predictor.Btb (Btb.classic ~entries:2 ~associativity:1))
+  in
+  let access branch = Reference.access btb ~branch ~target:1 ~opcode:0 in
+  let a0 = access 0 in
+  let a1 = access 8 in
+  let a2 = access 0 in
+  List.iter
+    (fun (a : Reference.access) ->
+      check_bool "every access misses" true
+        (a.Reference.outcome = Reference.Miss))
+    [ a0; a1; a2 ];
+  check_int "same set" a0.Reference.set a1.Reference.set;
+  check_int "same set again" a0.Reference.set a2.Reference.set;
+  check_int "cold slot" (-1) a0.Reference.evicted;
+  check_int "8 evicts 0" 0 a1.Reference.evicted;
+  check_int "0 evicts 8" 8 a2.Reference.evicted
 
-let test_btb_observer_outcomes () =
-  let btb = Btb.create (Btb.classic ~entries:64 ~associativity:4) in
-  let log = ref [] in
-  Btb.set_observer btb
-    (Some (fun ~branch:_ ~set:_ outcome -> log := outcome :: !log));
-  ignore (Btb.access btb ~branch:8 ~target:1);
-  ignore (Btb.access btb ~branch:8 ~target:1);
-  ignore (Btb.access btb ~branch:8 ~target:2);
-  (match List.rev !log with
-  | [ Btb.Miss { evicted = -1 }; Btb.Hit; Btb.Wrong_target ] -> ()
+let test_btb_outcome_taxonomy () =
+  let btb =
+    Reference.create_predictor
+      (Predictor.Btb (Btb.classic ~entries:64 ~associativity:4))
+  in
+  let fast = Btb.create (Btb.classic ~entries:64 ~associativity:4) in
+  let report target =
+    let a = Reference.access btb ~branch:8 ~target ~opcode:0 in
+    check_bool "fast BTB answers the same"
+      (a.Reference.outcome = Reference.Hit)
+      (Btb.access fast ~branch:8 ~target);
+    (a.Reference.outcome, a.Reference.set, a.Reference.evicted)
+  in
+  let r0 = report 1 in
+  let r1 = report 1 in
+  let r2 = report 2 in
+  (match [ r0; r1; r2 ] with
+  | [ (Reference.Miss, s0, -1); (Reference.Hit, s1, -1);
+      (Reference.Wrong_target, s2, -1) ] ->
+      check_int "the branch's set" (Btb.set_index fast 8) s0;
+      check_int "same set on a hit" s0 s1;
+      check_int "same set on a stale target" s0 s2
   | _ -> Alcotest.fail "expected cold miss, hit, wrong-target");
   (* The unbounded table has no set structure: set must be -1. *)
-  let ideal = Btb.create Btb.ideal in
-  let sets = ref [] in
-  Btb.set_observer ideal
-    (Some (fun ~branch:_ ~set outcome -> sets := (set, outcome) :: !sets));
-  ignore (Btb.access ideal ~branch:3 ~target:1);
-  ignore (Btb.access ideal ~branch:3 ~target:1);
-  match List.rev !sets with
-  | [ (-1, Btb.Miss { evicted = -1 }); (-1, Btb.Hit) ] -> ()
+  let ideal = Reference.create_predictor (Predictor.Btb Btb.ideal) in
+  let report () =
+    let a = Reference.access ideal ~branch:3 ~target:1 ~opcode:0 in
+    (a.Reference.outcome, a.Reference.set, a.Reference.evicted)
+  in
+  let r0 = report () in
+  let r1 = report () in
+  match [ r0; r1 ] with
+  | [ (Reference.Miss, -1, -1); (Reference.Hit, -1, -1) ] -> ()
   | _ -> Alcotest.fail "unbounded BTB must report set = -1"
-
-let test_btb_observer_is_passive () =
-  (* Same access stream, observed and unobserved: identical outcomes. *)
-  let stream =
-    List.init 300 (fun i -> ((i * 7) mod 16 * 64, (i * 13) mod 5))
-  in
-  let run observed =
-    let btb = Btb.create (Btb.classic ~entries:8 ~associativity:2) in
-    if observed then
-      Btb.set_observer btb (Some (fun ~branch:_ ~set:_ _ -> ()));
-    List.map (fun (branch, target) -> Btb.access btb ~branch ~target) stream
-  in
-  Alcotest.(check (list bool)) "observer never changes decisions"
-    (run false) (run true)
 
 let test_btb_miss_path_allocates_nothing () =
   (* Eight branches share the one set of a 4-way table and are visited
-     round-robin, so under LRU every access misses.  With no observer
-     installed, the miss path must not build an outcome payload. *)
+     round-robin, so under LRU every access misses.  The fast BTB's miss
+     path must not allocate. *)
   let btb = Btb.create (Btb.classic ~entries:4 ~associativity:4) in
   let n = 1_000_000 in
   let misses = ref 0 in
@@ -845,66 +858,78 @@ let test_btb_miss_path_allocates_nothing () =
   check_int "every access missed" n !misses;
   Alcotest.(check (float 0.)) "minor words over 1M misses" 0. words
 
-let test_two_level_observer () =
-  let p = Two_level.create { Two_level.entries = 64; history = 2 } in
-  let log = ref [] in
-  Two_level.set_observer p
-    (Some
-       (fun ~branch ~index ~empty ~correct ->
-         log := (branch, index, empty, correct) :: !log));
-  ignore (Two_level.access p ~branch:5 ~target:100);
-  (* Same branch, same (empty) history: same slot, now full and trained. *)
-  ignore (Two_level.access p ~branch:5 ~target:100);
-  match List.rev !log with
-  | [ (5, i0, true, false); (5, _, _, second_correct) ] ->
-      Alcotest.(check bool) "index in range" true (i0 >= 0 && i0 < 64);
-      (* The history register changed after the first access, so the slot
-         may differ, but a repeat of the same target from slot i0's state
-         must eventually predict; here we only pin the reported outcome to
-         the function's return value. *)
-      ignore second_correct
-  | l -> Alcotest.failf "unexpected two-level log (%d events)" (List.length l)
-
-let test_two_level_observer_matches_result () =
-  let p = Two_level.create Two_level.default in
-  let reported = ref [] in
-  Two_level.set_observer p
-    (Some
-       (fun ~branch:_ ~index:_ ~empty:_ ~correct ->
-         reported := correct :: !reported));
-  let returned =
-    List.init 200 (fun i ->
-        Two_level.access p ~branch:(i mod 3 * 32) ~target:(i mod 4))
+let test_two_level_slot_reporting () =
+  (* With one target of history, every access with target 100 leaves the
+     same history behind, so from the second access on branch 5 keeps
+     hashing to one slot. *)
+  let p =
+    Reference.create_predictor
+      (Predictor.Two_level { Two_level.entries = 64; history = 1 })
   in
-  Alcotest.(check (list bool)) "observer reports the access result"
-    returned (List.rev !reported)
+  let access target = Reference.access p ~branch:5 ~target ~opcode:0 in
+  let a0 = access 100 in
+  let _ = access 100 in
+  let a2 = access 100 in
+  let a3 = access 200 in
+  List.iter
+    (fun (a : Reference.access) ->
+      check_bool "slot in range" true
+        (a.Reference.set >= 0 && a.Reference.set < 64);
+      check_int "a tagless table displaces no tag" (-1) a.Reference.evicted)
+    [ a0; a2; a3 ];
+  check_bool "the first access finds its slot empty" true
+    (a0.Reference.outcome = Reference.Miss);
+  check_bool "a trained slot hits" true (a2.Reference.outcome = Reference.Hit);
+  check_int "same history, same slot" a2.Reference.set a3.Reference.set;
+  check_bool "a full slot with another target is stale" true
+    (a3.Reference.outcome = Reference.Wrong_target)
 
-let test_icache_observer () =
+let test_two_level_reports_access_result () =
+  let fast = Two_level.create Two_level.default in
+  let p =
+    Reference.create_predictor (Predictor.Two_level Two_level.default)
+  in
+  let written = Hashtbl.create 64 in
+  for i = 0 to 199 do
+    let branch = i mod 3 * 32 and target = i mod 4 in
+    let a = Reference.access p ~branch ~target ~opcode:0 in
+    check_bool "hit exactly when the fast predictor predicts"
+      (Two_level.access fast ~branch ~target)
+      (a.Reference.outcome = Reference.Hit);
+    check_bool "miss exactly when the slot was empty"
+      (not (Hashtbl.mem written a.Reference.set))
+      (a.Reference.outcome = Reference.Miss);
+    Hashtbl.replace written a.Reference.set ()
+  done
+
+let test_icache_eviction_reporting () =
   (* 128B/16B direct-mapped: 8 sets; lines 0 and 8 alias to set 0. *)
-  let c =
-    Icache.create { Icache.size_bytes = 128; line_bytes = 16; associativity = 1 }
+  let cfg = { Icache.size_bytes = 128; line_bytes = 16; associativity = 1 } in
+  let c = Reference.create_icache cfg in
+  let fast = Icache.create cfg in
+  let fetch addr =
+    let hits, missed = Reference.fetch c ~addr ~bytes:16 in
+    let h = ref 0 and m = ref 0 in
+    Icache.fetch fast ~addr ~bytes:16 ~hits:h ~misses:m;
+    check_int "hits as the fast cache counts" !h hits;
+    check_int "misses as the fast cache counts" !m (List.length missed);
+    List.map
+      (fun { Reference.line; set; evicted } -> (line, set, evicted))
+      missed
   in
-  let log = ref [] in
-  Icache.set_observer c
-    (Some (fun ~line ~set ~evicted -> log := (line, set, evicted) :: !log));
-  let h = ref 0 and m = ref 0 in
-  Icache.fetch c ~addr:0 ~bytes:16 ~hits:h ~misses:m;
-  Icache.fetch c ~addr:(8 * 16) ~bytes:16 ~hits:h ~misses:m;
-  Icache.fetch c ~addr:0 ~bytes:16 ~hits:h ~misses:m;
-  (match List.rev !log with
+  let log = List.concat_map fetch [ 0; 8 * 16; 0 ] in
+  (match log with
   | [ (0, 0, -1); (8, 0, 0); (0, 0, 8) ] -> ()
   | l -> Alcotest.failf "unexpected icache log (%d events)" (List.length l));
-  check_int "observer saw every miss" !m (List.length !log);
-  (* A hit fires nothing. *)
-  let before = List.length !log in
-  Icache.fetch c ~addr:0 ~bytes:16 ~hits:h ~misses:m;
-  check_int "hit is silent" before (List.length !log);
-  (* The infinite cache never misses, so the observer never fires. *)
-  let inf = Icache.create Icache.infinite in
-  let fired = ref 0 in
-  Icache.set_observer inf (Some (fun ~line:_ ~set:_ ~evicted:_ -> incr fired));
-  Icache.fetch inf ~addr:4096 ~bytes:64 ~hits:h ~misses:m;
-  check_int "infinite cache is silent" 0 !fired
+  (* A hit reports nothing. *)
+  check_int "hit is silent" 0 (List.length (fetch 0));
+  (* The infinite cache never misses. *)
+  let inf = Reference.create_icache Icache.infinite in
+  match Reference.fetch inf ~addr:4096 ~bytes:64 with
+  | 2, [] -> ()
+  | h, l ->
+      Alcotest.failf "infinite cache reported %d hits, %d misses" h
+        (List.length l)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -960,19 +985,17 @@ let () =
       ( "observers",
         [
           Alcotest.test_case "btb eviction chain" `Quick
-            test_btb_observer_eviction_chain;
+            test_btb_eviction_chain;
           Alcotest.test_case "btb outcome taxonomy" `Quick
-            test_btb_observer_outcomes;
-          Alcotest.test_case "btb observer is passive" `Quick
-            test_btb_observer_is_passive;
+            test_btb_outcome_taxonomy;
           Alcotest.test_case "btb miss path allocates nothing" `Quick
             test_btb_miss_path_allocates_nothing;
           Alcotest.test_case "two-level slot reporting" `Quick
-            test_two_level_observer;
+            test_two_level_slot_reporting;
           Alcotest.test_case "two-level reports access result" `Quick
-            test_two_level_observer_matches_result;
+            test_two_level_reports_access_result;
           Alcotest.test_case "icache eviction reporting" `Quick
-            test_icache_observer;
+            test_icache_eviction_reporting;
         ] );
       ( "reference-equivalence",
         List.map qt

@@ -358,6 +358,17 @@ let test_flight_concurrent () =
   Flight.reset ()
 
 (* ------------------------------------------------------------------ *)
+(* JSON *)
+
+(* The one JSON string escaper: short escapes for quote, backslash,
+   newline, return and tab, \u00XX for the other control characters,
+   everything else as is. *)
+let test_json_escape () =
+  Alcotest.(check string)
+    "escapes" {|a\"b\\c\nd\re\tf\u0001g|}
+    (Vmbp_obs.Json.escape "a\"b\\c\nd\re\tf\x01g")
+
+(* ------------------------------------------------------------------ *)
 (* Attribution *)
 
 let test_attribution_buckets () =
@@ -441,6 +452,8 @@ let () =
             test_flight_wraparound;
           Alcotest.test_case "concurrent notes" `Quick test_flight_concurrent;
         ] );
+      ( "json",
+        [ Alcotest.test_case "string escaper" `Quick test_json_escape ] );
       ( "attribution",
         [
           Alcotest.test_case "bucket bookkeeping" `Quick
