@@ -236,9 +236,9 @@ let trace_cap_arg =
     & info [ "trace-cap-mb" ] ~docv:"MB"
         ~doc:
           "Memory budget for the VM control paths kept for path walks \
-           (each workload's path is recorded by its first live run and \
-           walked by every later cell).  0 or negative disables path walks \
-           and the result cache, so every cell runs live.")
+           (each workload's path is recorded once, by a simulator-free \
+           run, and walked by every cell).  0 or negative disables path \
+           walks and the result cache, so every cell runs live.")
 
 let cell_timeout_arg =
   Arg.(

@@ -8,7 +8,9 @@ checks the functions that run once per dispatch, fetch, VM call or path
 range: the simulators' access, fetch and run_ranges functions, the
 I-cache line-column fill (run on every quickening of a path walk), the
 banked-replay walk in Trace, Engine.run_events (the one
-interpreter loop, which every live run goes through), the path walk's
+interpreter loop, which every live run goes through),
+Engine.run_functional (which records every kept VM path and runs every
+training run), the path walk's
 per-range function (Path_walk.range), the VM path recorder's and
 replayer's per-step functions (Vm_path.record_step, Vm_path.replay_step)
 and the JVM runtime's push_frame and alloc_object.  None of them may reference
@@ -52,7 +54,7 @@ HOT = [
      "Vmbp_report__Trace",
      ["walk_blocks", "scan", "bank_predictors", "bank_icaches", "run_block"]),
     ("lib/core/.vmbp_core.objs/native/vmbp_core__Engine.o",
-     "Vmbp_core__Engine", ["run_events"]),
+     "Vmbp_core__Engine", ["run_events", "run_functional"]),
     ("lib/core/.vmbp_core.objs/native/vmbp_core__Path_walk.o",
      "Vmbp_core__Path_walk", ["range", "walk"]),
     ("lib/core/.vmbp_core.objs/native/vmbp_core__Vm_path.o",

@@ -345,8 +345,8 @@ let run ?fuel ?poll ?translation ~config ~layout ~exec () =
   let predictor = Predictor.create (Config.predictor_kind config) in
   let icache = Icache.create cpu.Cpu_model.icache in
   let hits = ref 0 and misses = ref 0 in
-  (* Live runs only (the first run of a workload, oracles, audits): every
-     later run walks the workload's path ({!Path_walk}). *)
+  (* Live runs only (oracles, audits, fallbacks): every other run walks
+     the workload's path ({!Path_walk}). *)
   let on_dispatch ~branch ~target ~opcode ~vm_transfer =
     if not (Predictor.access predictor ~branch ~target ~opcode) then begin
       m.Metrics.mispredicts <- m.Metrics.mispredicts + 1;
@@ -376,7 +376,8 @@ let run ?fuel ?poll ?translation ~config ~layout ~exec () =
     trapped;
   }
 
-let run_functional ?(fuel = max_int) ?exec_counts ~program ~exec () =
+let run_functional ?(fuel = max_int) ?(poll = fun () -> ()) ?exec_counts
+    ~program ~exec () =
   let n = Program.length program in
   let has_counts = exec_counts <> None in
   let counts = match exec_counts with Some c -> c | None -> [||] in
@@ -385,6 +386,7 @@ let run_functional ?(fuel = max_int) ?exec_counts ~program ~exec () =
   let stop = ref stop_running in
   let trap_msg = ref out_of_fuel in
   while !stop = stop_running do
+    if !steps land poll_mask = 0 then poll ();
     if !steps >= fuel then begin
       trap_msg := out_of_fuel;
       stop := stop_trapped

@@ -10,11 +10,12 @@
 
     There is one simulating loop, {!run_events}: one iteration per
     executed VM instruction, every per-slot fact read from the layout's
-    site records.  Every live run goes through it -- a workload's first
-    run, the self-check oracle, the audit's fresh run, [explain].  Every
-    other run walks the workload's recorded control path against the
-    layout's {e translation} ({!translate}), its per-slot facts decoded
-    once into parallel arrays, with no per-step loop ({!Path_walk}). *)
+    site records.  Every live run goes through it -- the self-check
+    oracle, the audit's fresh run, [explain] and the runner's fallbacks.
+    Every other run walks the workload's control path, recorded once by
+    a layout-free {!run_functional}, against the layout's {e translation}
+    ({!translate}), its per-slot facts decoded once into parallel arrays,
+    with no per-step loop ({!Path_walk}). *)
 
 type exec = Vmbp_vm.Program.t -> int -> Vmbp_vm.Control.t
 (** [exec program pc] runs the semantics of the instruction in slot [pc].
@@ -152,6 +153,7 @@ val run :
 
 val run_functional :
   ?fuel:int ->
+  ?poll:(unit -> unit) ->
   ?exec_counts:int array ->
   program:Vmbp_vm.Program.t ->
   exec:exec ->
@@ -160,6 +162,9 @@ val run_functional :
 (** Run the program without any hardware simulation (and without a layout):
     returns the executed VM instruction count and the trap message, if any
     (fuel exhaustion reports [Some out_of_fuel]).
-    Used by tests to establish reference behaviour, and by training runs
-    that only need quickening to reach a fixed point.  The program is
-    mutated in place by quickening. *)
+    Used by tests to establish reference behaviour, by training runs that
+    only need quickening to reach a fixed point, and to record a
+    workload's control path ({!Vm_path}) for every walk.  The program is
+    mutated in place by quickening.  [poll] follows {!run_events}'
+    contract: called every few thousand steps and once before the first,
+    and may raise to abort the run. *)

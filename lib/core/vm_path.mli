@@ -6,7 +6,8 @@
     step, is the same under every technique, CPU and predictor (the
     paper's Figures 10-13 show identical VM instruction counts for plain,
     static and dynamic replication).  This module records that {e control
-    path} from one live run; every later run of the workload walks it
+    path} from one run of the semantics -- the runner uses a layout-free
+    {!Engine.run_functional} -- and every walk of the workload follows it
     ({!Path_walk}) and skips the VM semantics.  {!replayer} replays it as
     an {!Engine.exec} instead, the step-by-step oracle the walk is tested
     against.

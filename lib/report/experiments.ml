@@ -54,11 +54,20 @@ let speedups ~scale ~vm ~cpu =
   let techniques = variants_for vm in
   let tag = Printf.sprintf "speedups/%s/%s" (Vmbp_workloads.vm_name vm)
       cpu.Cpu_model.name in
-  let grid =
-    Par_runner.matrix ~scale ~tag ~cpu ~techniques (workloads_for vm)
+  let workloads = workloads_for vm in
+  let cells =
+    List.concat_map
+      (fun w ->
+        List.map
+          (fun technique -> Par_runner.cell ~tag ~scale ~cpu ~technique w)
+          techniques)
+      workloads
   in
-  List.map
-    (fun ((w : Vmbp_workloads.t), runs) ->
+  List.map2
+    (fun (w : Vmbp_workloads.t) row ->
+      let runs =
+        List.map2 (fun t r -> (t, r.Par_runner.outcome)) techniques row
+      in
       let baseline =
         match List.find_opt (fun (t, _) -> t = Technique.Plain) runs with
         | Some (_, Ok r) -> Some r
@@ -74,7 +83,8 @@ let speedups ~scale ~vm ~cpu =
               | Some baseline, Ok r -> Some (Runner.speedup ~baseline r)
               | _ -> None ))
           runs ))
-    grid
+    workloads
+    (chunks (List.length techniques) (Par_runner.run_cells cells))
 
 let metric_labels =
   [ "cycles"; "instrs"; "indirect branches"; "indirect mispredicted";

@@ -73,7 +73,6 @@ let prog_total = ref 0
 let prog_done = ref 0
 let prog_start = ref 0.
 let prog_last = ref 0.
-let prog_busy : (int, string) Hashtbl.t = Hashtbl.create 8
 
 (* Called with [prog_lock] held. *)
 let progress_draw now =
@@ -87,7 +86,8 @@ let progress_draw now =
         (elapsed *. float_of_int (t - d) /. float_of_int d)
   in
   Printf.eprintf "\r[vmbp] %d/%d cells  %d busy  %.0fs elapsed%s   %!" d t
-    (Hashtbl.length prog_busy) elapsed eta
+    (int_of_float (Vmbp_obs.Registry.gauge_value g_busy_workers))
+    elapsed eta
 
 let progress_tick () =
   if !progress && !prog_active then begin
@@ -107,7 +107,6 @@ let progress_begin total =
     prog_done := 0;
     prog_start := Vmbp_sim.Env.now ();
     prog_last := 0.;
-    Hashtbl.reset prog_busy;
     Mutex.unlock prog_lock
   end
 
@@ -118,26 +117,11 @@ let progress_cell_done () =
     Mutex.unlock prog_lock
   end
 
-let progress_busy name =
-  if !progress && !prog_active then begin
-    Mutex.lock prog_lock;
-    Hashtbl.replace prog_busy (Domain.self () :> int) name;
-    Mutex.unlock prog_lock
-  end
-
-let progress_idle () =
-  if !progress && !prog_active then begin
-    Mutex.lock prog_lock;
-    Hashtbl.remove prog_busy (Domain.self () :> int);
-    Mutex.unlock prog_lock
-  end
-
 let progress_end () =
   if !progress then begin
     Mutex.lock prog_lock;
     if !prog_active then begin
       prog_active := false;
-      Hashtbl.reset prog_busy;
       (* Erase the heartbeat so whatever stderr prints next starts on a
          clean line. *)
       Printf.eprintf "\r%s\r%!" (String.make 70 ' ')
@@ -194,33 +178,11 @@ let worker_respawns () =
   Mutex.unlock respawn_lock;
   n
 
-(* Group-walk accounting since process start, [worker_respawns]-style:
-   one [bank_replays] tick per walk that served a group of two or more
-   cells, [banked_configs] summing the distinct simulators those walks
-   drove. *)
-let bank_lock = Mutex.create ()
-let bank_replays_n = ref 0
-let banked_configs_n = ref 0
-
-let note_bank configs =
-  Mutex.lock bank_lock;
-  incr bank_replays_n;
-  banked_configs_n := !banked_configs_n + configs;
-  Mutex.unlock bank_lock;
-  Vmbp_obs.Registry.add m_bank_replays 1;
-  Vmbp_obs.Registry.add m_banked_configs configs
-
 let bank_replays () =
-  Mutex.lock bank_lock;
-  let n = !bank_replays_n in
-  Mutex.unlock bank_lock;
-  n
+  Int64.to_int (Vmbp_obs.Registry.counter_value m_bank_replays)
 
 let banked_configs () =
-  Mutex.lock bank_lock;
-  let n = !banked_configs_n in
-  Mutex.unlock bank_lock;
-  n
+  Int64.to_int (Vmbp_obs.Registry.counter_value m_banked_configs)
 
 let cell ?(tag = "") ?(scale = 1) ?predictor ~cpu ~technique workload =
   { tag; workload; technique; cpu; scale; predictor }
@@ -401,11 +363,6 @@ let result_key c =
     (predictor_override_descriptor c.predictor)
 
 let result_enabled () = (not !self_check) && !trace_cap_mb > 0
-
-(* VM path walks ({!Runner.run}'s [path_cap]) follow the same gate, so
-   [--self-check] and [--trace-cap-mb 0] stay all-live references; the
-   trace cap bounds the kept path bytes. *)
-let path_cap () = if result_enabled () then Some (cap_bytes ()) else None
 
 let result_find c =
   if not (result_enabled ()) then None
@@ -631,9 +588,8 @@ let supervised body =
    attributable because a cell never migrates between domains. *)
 let minor_words () = (Gc.quick_stat ()).Gc.minor_words
 
-(* One live cell.  With [record], it records the workload's path under
-   the claim {!Runner.await_path} took (see {!Runner.run}'s [path_cap]). *)
-let run_cell ?(record = false) c =
+(* One live cell. *)
+let run_cell c =
   let t0 = Vmbp_sim.Env.now () in
   let w0 = minor_words () in
   let outcome, attempts, timed_out =
@@ -646,7 +602,6 @@ let run_cell ?(record = false) c =
           supervised (fun ?poll () ->
               Ok
                 (Runner.run ~scale:c.scale ?poll ?predictor:c.predictor
-                   ?path_cap:(if record then path_cap () else None)
                    ~cpu:c.cpu ~technique:c.technique c.workload)))
   in
   Vmbp_obs.Registry.observe h_cell_minor_words (minor_words () -. w0);
@@ -759,19 +714,16 @@ let audit_crosscheck c (t : timed) =
   end
 
 (* One (workload, technique, scale) group.  Exact revisits are served from
-   the result cache; the rest run as one walk of the workload's kept VM
-   path over all their configurations ({!Runner.walk_group}).  A workload
-   with no path yet runs its first pending cell live, which records the
-   path, and walks the others; a group that finds another group's
-   recording in flight waits for it ({!Runner.await_path}), so each
-   workload records once at any job count.  Without a path that fits, under
-   [--self-check] and with [--trace-cap-mb 0] every cell runs live.  Any
-   problem in the walk degrades the group to per-cell live runs.  Every
-   completed success is appended to the store (if one is installed) the
-   moment its slot is filled, so a crash loses at most the group in
-   flight.  Already-filled slots (served from the store, or filled before
-   a degradation rerun) are skipped, which makes the group idempotent
-   under fallback. *)
+   the result cache; the rest run as one walk of the workload's VM path
+   over all their configurations ({!Runner.walk_group}, which records the
+   path first if no group of the workload has).  For an unfit workload,
+   under [--self-check] and with [--trace-cap-mb 0] every cell runs live.
+   Any problem in the walk, its recording included, degrades the group to
+   per-cell live runs.  Every completed success is appended to the store
+   (if one is installed) the moment its slot is filled, so a crash loses
+   at most the group in flight.  Already-filled slots (served from the
+   store, or filled before a degradation rerun) are skipped, which makes
+   the group idempotent under fallback. *)
 let run_group results arr idxs =
   let finish ~live i t =
     let t = if live then t else audit_crosscheck arr.(i) t in
@@ -788,10 +740,11 @@ let run_group results arr idxs =
   let direct () =
     List.iter (fun i -> finish ~live:true i (run_cell arr.(i))) (pending ())
   in
-  (* One walk for [cells]; [false] when the workload has no kept path.
-     The walk runs under one group-level deadline; a deadline or any other
-     failure escapes to the group guard below.  Its wall time is billed to
-     the first cell, so summing wall_seconds still accounts all work. *)
+  (* One walk for [cells]; [false] when the workload is unfit.  The walk
+     and any recording it makes run under one group-level deadline; a
+     deadline or any other failure escapes to the group guard below.  Its
+     wall time is billed to the first cell, so summing wall_seconds still
+     accounts all work. *)
   let walk = function
     | [] -> true
     | i :: _ as cells -> (
@@ -801,7 +754,8 @@ let run_group results arr idxs =
           Vmbp_obs.Span.with_ ~name:"bank" ~args:[ ("cell", cell_name c0) ]
             (fun () ->
               Runner.walk_group ~scale:c0.scale
-                ?poll:(deadline_poll t0) ~technique:c0.technique
+                ?poll:(deadline_poll t0) ~cap_bytes:(cap_bytes ())
+                ~technique:c0.technique
                 ~configs:
                   (List.map (fun i -> (arr.(i).cpu, arr.(i).predictor)) cells)
                 c0.workload)
@@ -814,7 +768,10 @@ let run_group results arr idxs =
                pool. *)
             Faults.record_fail ();
             let single = match cells with [ _ ] -> true | _ -> false in
-            if not single then note_bank sims;
+            if not single then begin
+              Vmbp_obs.Registry.add m_bank_replays 1;
+              Vmbp_obs.Registry.add m_banked_configs sims
+            end;
             let wall = Vmbp_sim.Env.now () -. t0 in
             List.iteri
               (fun k (i, outcome) ->
@@ -826,15 +783,6 @@ let run_group results arr idxs =
                         else Replay)))
               (List.combine cells outcomes);
             true)
-  in
-  let walked () =
-    match pending () with
-    | [] -> ()
-    | i :: _ ->
-        let c = arr.(i) in
-        Runner.await_path ~scale:c.scale c.workload ~record:(fun () ->
-            finish ~live:true i (run_cell ~record:true c));
-        if not (walk (pending ())) then direct ()
   in
   (* Serve exact revisits from the full-result cache before any engine
      work engages.  Served cells are [Replay]-mode (no VM execution
@@ -857,18 +805,16 @@ let run_group results arr idxs =
      per-cell live runs instead of escaping into the pool.  Worker death
      is the deliberate exception -- it must escape to exercise the
      supervision layer above. *)
-  progress_busy (cell_name arr.(List.hd idxs));
   Vmbp_obs.Registry.gauge_add g_busy_workers 1.;
   Fun.protect
-    ~finally:(fun () ->
-      Vmbp_obs.Registry.gauge_add g_busy_workers (-1.);
-      progress_idle ())
+    ~finally:(fun () -> Vmbp_obs.Registry.gauge_add g_busy_workers (-1.))
     (fun () ->
       match
         serve_cached ();
         (* Self-check compares simulators event by event, which only a
            fresh live execution per cell provides. *)
-        if !self_check || !trace_cap_mb <= 0 then direct () else walked ()
+        if !self_check || !trace_cap_mb <= 0 || not (walk (pending ())) then
+          direct ()
       with
       | () -> ()
       | exception Faults.Worker_killed -> raise Faults.Worker_killed
@@ -1028,32 +974,6 @@ let run_cells ?jobs cells =
   record out;
   out
 
-let matrix ?(scale = 1) ?jobs ?(tag = "matrix") ~cpu ~techniques workloads =
-  let cells =
-    List.concat_map
-      (fun w ->
-        List.map (fun t -> cell ~tag ~scale ~cpu ~technique:t w) techniques)
-      workloads
-  in
-  let results = run_cells ?jobs cells in
-  let nt = List.length techniques in
-  let rec regroup ws rs =
-    match ws with
-    | [] -> []
-    | w :: ws' ->
-        let rec split k acc rs =
-          if k = 0 then (List.rev acc, rs)
-          else
-            match rs with
-            | r :: rs' -> split (k - 1) (r :: acc) rs'
-            | [] -> assert false
-        in
-        let row, rest = split nt [] rs in
-        (w, List.map (fun r -> (r.cell.technique, r.outcome)) row)
-        :: regroup ws' rest
-  in
-  regroup workloads results
-
 (* ------------------------------------------------------------------ *)
 (* JSON summary *)
 
@@ -1138,7 +1058,7 @@ let json_summary ?jobs results =
     (Printf.sprintf ",\"injected_faults\":%d" (Faults.total_injected ()));
   Buffer.add_string b
     (Printf.sprintf ",\"worker_respawns\":%d" (worker_respawns ()));
-  (* vmbp-cells/5: group-walk counters since process start --
+  (* vmbp-cells/5: group-walk counters since the last registry reset --
      [bank_replays] counts walks that served two or more cells,
      [banked_configs] the distinct simulators those walks drove. *)
   Buffer.add_string b

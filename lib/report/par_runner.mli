@@ -21,23 +21,22 @@
     {b Record once, walk many.}  Cells that share (workload, technique,
     scale) run the exact same VM execution -- only the modelled hardware
     differs -- and every technique of a workload runs the same VM control
-    path.  The first live run of each workload records that path
-    ({!Vmbp_core.Vm_path}); from then on the planner runs each group's
-    pending cells as one walk of the path against the group's
-    translation ({!Runner.walk_group}, {!Vmbp_core.Path_walk}): no VM
-    semantics, no per-step loop, and every distinct (predictor, I-cache)
-    configuration of the group driven config-major through the
-    simulators' range kernels in the same pass.  A group whose workload
-    has no path yet runs its first pending cell live, which records the
-    path, and walks the rest; a group that finds that recording in flight
-    on another domain waits for it ({!Runner.await_path}), so each
-    workload runs one live cell at any [jobs].  An exact revisit of a cell (same
-    configuration, e.g. a counter figure re-running a speedup figure's
-    cell) is served from the full-result cache without any simulation.
-    Kept paths are bounded by {!trace_cap_mb}; a workload whose path does
-    not fit runs every cell live.  Simulated numbers are identical to
-    live runs by construction; any problem in a walk degrades its group
-    to per-cell live runs. *)
+    path.  The first group of each workload records that path
+    ({!Vmbp_core.Vm_path}) with one simulator-free functional run, and
+    the planner runs each group's pending cells, that first group's
+    included, as one walk of the path against the group's translation
+    ({!Runner.walk_group}, {!Vmbp_core.Path_walk}): no VM semantics, no
+    per-step loop, and every distinct (predictor, I-cache) configuration
+    of the group driven config-major through the simulators' range
+    kernels in the same pass.  A group that finds the recording in
+    flight on another domain waits for it, so each workload records once
+    at any [jobs].  An exact revisit of a cell (same configuration, e.g.
+    a counter figure re-running a speedup figure's cell) is served from
+    the full-result cache without any simulation.  Kept paths are
+    bounded by {!trace_cap_mb}; a workload whose path does not fit runs
+    every cell live.  Simulated numbers are identical to live runs by
+    construction; any problem in a walk degrades its group to per-cell
+    live runs, which are otherwise only the oracles' and fallbacks'. *)
 
 type cell = {
   tag : string;  (** experiment-level label carried into the JSON log *)
@@ -200,22 +199,24 @@ val worker_respawns : unit -> int
 
 val bank_replays : unit -> int
 (** Group walks ({!Runner.walk_group}) that served two or more cells
-    since process start.  A group's only pending cell is walked too, but
-    not counted. *)
+    since the last {!Vmbp_obs.Registry.reset} (the registry counter
+    [trace.bank_replays]).  A group's only pending cell is walked too,
+    but not counted. *)
 
 val banked_configs : unit -> int
 (** Distinct simulators (predictors plus I-caches) driven by those group
-    walks since process start. *)
+    walks since the last {!Vmbp_obs.Registry.reset} (the registry
+    counter [trace.banked_configs]). *)
 
 val trace_cap_mb : int ref
 (** Budget, in megabytes, for the VM paths kept for walks (see
-    {!Runner.run}'s [path_cap]); a path that would exceed it is not kept
-    and its workload runs live.  [<= 0] disables path walks and the
+    {!Runner.walk_group}'s [cap_bytes]); a path that would exceed it is
+    not kept and its workload runs live.  [<= 0] disables path walks and the
     full-result cache entirely: every cell runs live.  Set from the
     [--trace-cap-mb N] command-line flag; defaults to 256. *)
 
 val clear_trace_cache : unit -> unit
-(** Drop every kept VM path, so the next run of each workload records
+(** Drop every kept VM path, so the next walk of each workload records
     afresh (used by tests and harnesses that want cold caches). *)
 
 val clear_result_cache : unit -> unit
@@ -245,22 +246,6 @@ val run_cells : ?jobs:int -> cell list -> timed list
     groups are the unit of parallelism, [?jobs] at a time (default
     {!default_jobs}), and within a group one walk of the workload's VM
     path serves every pending cell. *)
-
-val matrix :
-  ?scale:int ->
-  ?jobs:int ->
-  ?tag:string ->
-  cpu:Vmbp_machine.Cpu_model.t ->
-  techniques:Vmbp_core.Technique.t list ->
-  Vmbp_workloads.t list ->
-  (Vmbp_workloads.t
-  * (Vmbp_core.Technique.t * (Runner.run, string) result) list)
-  list
-(** The benchmark-times-variant grid used by the speedup figures, run
-    through the pool.  Failures are isolated per cell: one trapped
-    workload/technique pair yields an [Error] cell and every sibling still
-    runs.  Cell order inside the grid (workload-major, then technique) and
-    the returned structure are deterministic. *)
 
 val drain_log : unit -> timed list
 (** All cells recorded since the previous drain, in chronological batch

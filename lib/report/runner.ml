@@ -48,22 +48,28 @@ let effective_profile ?profile ~scale ~technique (workload : Vmbp_workloads.t)
 (* ------------------------------------------------------------------ *)
 (* VM path cache.  A workload's control path -- the outcome its semantics
    returns at each step -- is the same under every technique, CPU and
-   predictor, so the first complete live run of a loaded workload records
-   it ({!Vm_path}) and every later run walks it ({!Path_walk}) instead of
-   executing the VM semantics.  Keys are the loaded workload's physical
-   identity: the registry memoises its loaded workloads for the process
-   lifetime, and a freshly constructed one can never alias a stale path.
-   Paths are never evicted; the ones kept stay within the byte budget the
-   caller passes, and a workload whose path did not fit is marked [Unfit]
-   and keeps running live without recording again.
+   predictor, so the first group walk of a loaded workload records it from
+   one layout-free functional run ({!Engine.run_functional}) and every walk
+   follows it ({!Path_walk}) instead of executing the VM semantics.  Keys
+   are the loaded workload's physical identity: the registry memoises its
+   loaded workloads for the process lifetime, and a freshly constructed one
+   can never alias a stale path.  Paths are never evicted; the ones kept
+   stay within the byte budget the caller passes.  A workload whose path
+   did not fit, or whose recording ran out of fuel (a functional run is
+   deterministic, so it would again), is marked [Unfit] and runs live.
 
-   One live run at a time records a workload: its slot reads [Recording]
-   (with the recording domain) from the locked step that found no slot
-   until the recording ends.  A recording that keeps no path (the run
-   trapped out of fuel, timed out or died) clears the slot, and every
-   change of a slot wakes the groups waiting in [await_path]. *)
+   Each workload records under its own lock, so a group on another domain
+   that needs the path waits for that recording instead of making its
+   own.  A recording cut short by a deadline or an exception keeps
+   nothing, and the next group of the workload records again. *)
 
-type path_slot = Kept of Vm_path.t | Unfit | Recording of Domain.id
+type path_slot = Kept of Vm_path.t | Unfit
+
+type path_entry = {
+  key : Vmbp_workloads.loaded;
+  lock : Mutex.t;  (* held while the workload records *)
+  mutable slot : path_slot option;  (* under [lock] *)
+}
 
 let m_path_records = Vmbp_obs.Registry.counter "vm_path.records"
 
@@ -71,104 +77,74 @@ let m_path_records = Vmbp_obs.Registry.counter "vm_path.records"
 let m_path_walks = Vmbp_obs.Registry.counter "vm_path.walks"
 let g_path_bytes = Vmbp_obs.Registry.gauge "vm_path.bytes"
 
-let paths : (Vmbp_workloads.loaded * path_slot) list ref = ref []
+(* [paths_lock] guards the entry list and the byte total. *)
+let paths : path_entry list ref = ref []
 let paths_bytes = ref 0
 let paths_lock = Mutex.create ()
-let paths_changed = Condition.create ()
 
-let with_paths f =
-  Mutex.lock paths_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock paths_lock) f
+let with_lock m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* Callers hold [paths_lock]. *)
-let set_slot loaded slot =
-  paths :=
-    (match slot with Some s -> [ (loaded, s) ] | None -> [])
-    @ List.filter (fun (l, _) -> l != loaded) !paths;
-  Condition.broadcast paths_changed
-
-let kept_path loaded =
-  match with_paths (fun () -> List.assq_opt loaded !paths) with
-  | Some (Kept p) -> Some p
-  | Some (Unfit | Recording _) | None -> None
-
-(* Whether this domain records [loaded]: it claims a workload that has no
-   slot, or already holds the claim.  Callers hold [paths_lock]. *)
-let claim loaded =
-  match List.assq_opt loaded !paths with
-  | None ->
-      set_slot loaded (Some (Recording (Domain.self ())));
-      true
-  | Some (Recording d) -> d = Domain.self ()
-  | Some (Kept _ | Unfit) -> false
-
-(* End this domain's recording of [loaded] if it kept nothing. *)
-let release loaded =
-  with_paths (fun () ->
-      match List.assq_opt loaded !paths with
-      | Some (Recording d) when d = Domain.self () -> set_slot loaded None
-      | Some (Kept _ | Unfit | Recording _) | None -> ())
-
-let path_store ~cap loaded outcome =
-  with_paths (fun () ->
-      match outcome with
-      | Ok p when !paths_bytes + Vm_path.bytes p <= cap ->
-          set_slot loaded (Some (Kept p));
-          paths_bytes := !paths_bytes + Vm_path.bytes p;
-          Vmbp_obs.Registry.add m_path_records 1;
-          Vmbp_obs.Registry.gauge_set g_path_bytes (float_of_int !paths_bytes)
-      | Ok _ | Error `Overflow -> set_slot loaded (Some Unfit)
-      | Error `Incomplete -> set_slot loaded None)
-
-let await_path ?(scale = 1) ~record (workload : Vmbp_workloads.t) =
-  let loaded = workload.Vmbp_workloads.load ~scale in
-  let claimed =
-    with_paths (fun () ->
-        let rec settle () =
-          match List.assq_opt loaded !paths with
-          | Some (Recording d) when d <> Domain.self () ->
-              Condition.wait paths_changed paths_lock;
-              settle ()
-          | _ -> claim loaded
-        in
-        settle ())
-  in
-  if claimed then Fun.protect ~finally:(fun () -> release loaded) record
+let path_entry loaded =
+  with_lock paths_lock (fun () ->
+      match List.find_opt (fun e -> e.key == loaded) !paths with
+      | Some e -> e
+      | None ->
+          let e = { key = loaded; lock = Mutex.create (); slot = None } in
+          paths := e :: !paths;
+          e)
 
 let clear_vm_paths () =
-  with_paths (fun () ->
+  with_lock paths_lock (fun () ->
       paths := [];
       paths_bytes := 0;
-      Condition.broadcast paths_changed;
       Vmbp_obs.Registry.gauge_set g_path_bytes 0.)
 
-(* Run [f exec] on a fresh session of [loaded]; returns its result and the
-   session's output.  With [path_cap], a run that may record [loaded]
-   (see [claim]) records its path while it runs and keeps it once [f]
-   returned; the claim ends however the run does. *)
-let live ?path_cap (loaded : Vmbp_workloads.loaded) f =
-  let s = loaded.Vmbp_workloads.fresh_session () in
-  let exec = s.Vmbp_workloads.exec and output = s.Vmbp_workloads.output in
-  match path_cap with
-  | Some cap when with_paths (fun () -> claim loaded) ->
-      Fun.protect
-        ~finally:(fun () -> release loaded)
-        (fun () ->
-          let recorder, exec =
-            Vm_path.recorder
-              ~cap_bytes:(cap - with_paths (fun () -> !paths_bytes))
-              ~slots:(Vmbp_vm.Program.length loaded.Vmbp_workloads.program)
-              exec
-          in
-          let result = f exec in
-          let output = output () in
-          path_store ~cap loaded
-            (Vm_path.finish recorder ~steps:result.Engine.steps
-               ~trapped:result.Engine.trapped ~output);
-          (result, output))
-  | Some _ | None ->
-      let result = f exec in
-      (result, output ())
+(* One functional run of [loaded] on a copy of its program (quickening
+   rewrites the program it runs) and a fresh session, recording the path
+   within what is left of [cap_bytes]. *)
+let record_path ?poll ~cap_bytes (workload : Vmbp_workloads.t) loaded =
+  Vmbp_obs.Span.with_ ~name:"record"
+    ~args:[ ("workload", workload.Vmbp_workloads.name) ]
+    (fun () ->
+      let program = Vmbp_vm.Program.copy loaded.Vmbp_workloads.program in
+      let s = loaded.Vmbp_workloads.fresh_session () in
+      let recorder, exec =
+        Vm_path.recorder
+          ~cap_bytes:(cap_bytes - with_lock paths_lock (fun () -> !paths_bytes))
+          ~slots:(Vmbp_vm.Program.length program) s.Vmbp_workloads.exec
+      in
+      let steps, trapped =
+        Engine.run_functional ~fuel:engine_fuel ?poll ~program ~exec ()
+      in
+      Vm_path.finish recorder ~steps ~trapped
+        ~output:(s.Vmbp_workloads.output ()))
+
+(* Keep a finished recording if it fits the budget, else mark [Unfit]. *)
+let keep_path ~cap_bytes = function
+  | Ok p ->
+      with_lock paths_lock (fun () ->
+          if !paths_bytes + Vm_path.bytes p > cap_bytes then Unfit
+          else begin
+            paths_bytes := !paths_bytes + Vm_path.bytes p;
+            Vmbp_obs.Registry.add m_path_records 1;
+            Vmbp_obs.Registry.gauge_set g_path_bytes
+              (float_of_int !paths_bytes);
+            Kept p
+          end)
+  | Error (`Overflow | `Incomplete) -> Unfit
+
+(* The workload's kept path, recording it first if it has none. *)
+let vm_path ?poll ~cap_bytes (workload : Vmbp_workloads.t) loaded =
+  let e = path_entry loaded in
+  with_lock e.lock (fun () ->
+      if Option.is_none e.slot then
+        e.slot <-
+          Some
+            (keep_path ~cap_bytes
+               (record_path ?poll ~cap_bytes workload loaded));
+      match e.slot with Some (Kept p) -> Some p | Some Unfit | None -> None)
 
 (* Load the workload and build the layout a run of [technique] uses. *)
 let prepare ?profile ~scale ~config ~technique (workload : Vmbp_workloads.t) =
@@ -246,23 +222,26 @@ let walk_configs ?poll ~workload ~technique ~layout ~translation ~path configs
       configs kinds,
     Array.length predictors + Array.length icaches )
 
-let run ?(scale = 1) ?poll ?predictor ?profile ?path_cap ~cpu ~technique
+let run ?(scale = 1) ?poll ?predictor ?profile ~cpu ~technique
     (workload : Vmbp_workloads.t) =
   let config = Config.make ~cpu ?predictor technique in
   let loaded, layout = prepare ?profile ~scale ~config ~technique workload in
-  let result, output =
-    live ?path_cap loaded (fun exec ->
-        engine_span workload (fun () ->
-            Engine.run ~fuel:engine_fuel ?poll ~config ~layout ~exec ()))
+  let s = loaded.Vmbp_workloads.fresh_session () in
+  let result =
+    engine_span workload (fun () ->
+        Engine.run ~fuel:engine_fuel ?poll ~config ~layout
+          ~exec:s.Vmbp_workloads.exec ())
   in
+  let output = s.Vmbp_workloads.output () in
   match run_of ~workload ~technique ~cpu result output with
   | Ok r -> r
   | Error msg -> raise (Run_failed msg)
 
-let walk_group ?(scale = 1) ?poll ~technique ~configs
+let walk_group ?(scale = 1) ?poll ~cap_bytes ~technique ~configs
     (workload : Vmbp_workloads.t) =
-  (* A workload without a kept path builds nothing here: it runs live. *)
-  match kept_path (workload.Vmbp_workloads.load ~scale) with
+  (* An unfit workload builds nothing here: it runs live. *)
+  let loaded = workload.Vmbp_workloads.load ~scale in
+  match vm_path ?poll ~cap_bytes workload loaded with
   | None -> None
   | Some path ->
       (* Layouts depend on technique and costs only, never on the CPU. *)
@@ -273,11 +252,8 @@ let walk_group ?(scale = 1) ?poll ~technique ~configs
         (walk_configs ?poll ~workload ~technique ~layout
            ~translation:(translate layout) ~path configs)
 
-let run_result ?scale ?poll ?predictor ?profile ?path_cap ~cpu ~technique
-    workload =
-  match
-    run ?scale ?poll ?predictor ?profile ?path_cap ~cpu ~technique workload
-  with
+let run_result ?scale ?poll ?predictor ?profile ~cpu ~technique workload =
+  match run ?scale ?poll ?predictor ?profile ~cpu ~technique workload with
   | r -> Ok r
   | exception Run_failed msg -> Error msg
   | exception exn -> Error (Printexc.to_string exn)

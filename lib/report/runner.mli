@@ -33,34 +33,24 @@ val run :
   ?poll:(unit -> unit) ->
   ?predictor:Vmbp_machine.Predictor.kind ->
   ?profile:Vmbp_vm.Profile.t ->
-  ?path_cap:int ->
   cpu:Vmbp_machine.Cpu_model.t ->
   technique:Vmbp_core.Technique.t ->
   Vmbp_workloads.t ->
   run
-(** Default scale 1.  When the technique needs static selection and no
-    [profile] is given, the paper's training policy for the workload's VM
-    is used (see {!Vmbp_workloads.training_profile}).  [poll] is the
-    engine's cooperative watchdog hook (see
+(** One live run: the VM semantics execute on a fresh session through
+    {!Vmbp_core.Engine.run}, the reference every walk ({!walk_group}) is
+    checked against.  Default scale 1.  When the technique needs static
+    selection and no [profile] is given, the paper's training policy for
+    the workload's VM is used (see {!Vmbp_workloads.training_profile}).
+    [poll] is the engine's cooperative watchdog hook (see
     {!Vmbp_core.Engine.run_events}); a deadline exception raised from it
-    escapes this function unchanged.
-
-    Every run executes the VM semantics live on a fresh session; walks
-    are {!walk_group}'s.  [path_cap] asks the run to record the
-    workload's VM path ({!Vmbp_core.Vm_path}) for later walks: it records
-    when the workload has no path slot yet (claiming it, see
-    {!await_path}) or when this domain holds the workload's recording
-    claim, and keeps the path if the run returned normally without
-    running out of fuel and the kept paths' total stays within
-    [path_cap] bytes.  A workload whose path does not fit keeps running
-    live. *)
+    escapes this function unchanged. *)
 
 val run_result :
   ?scale:int ->
   ?poll:(unit -> unit) ->
   ?predictor:Vmbp_machine.Predictor.kind ->
   ?profile:Vmbp_vm.Profile.t ->
-  ?path_cap:int ->
   cpu:Vmbp_machine.Cpu_model.t ->
   technique:Vmbp_core.Technique.t ->
   Vmbp_workloads.t ->
@@ -98,38 +88,35 @@ val speedup : baseline:run -> run -> float
 val walk_group :
   ?scale:int ->
   ?poll:(unit -> unit) ->
+  cap_bytes:int ->
   technique:Vmbp_core.Technique.t ->
   configs:
     (Vmbp_machine.Cpu_model.t * Vmbp_machine.Predictor.kind option) list ->
   Vmbp_workloads.t ->
   ((run, string) result list * int) option
 (** Every (cpu, predictor override) configuration of one (workload,
-    technique, scale) group from a single walk of the workload's kept
-    path: one layout, one translation, one pass that drives every
-    distinct predictor and I-cache (deduplicated by
+    technique, scale) group from a single walk of the workload's VM path
+    ({!Vmbp_core.Vm_path}): one layout, one translation, one pass that
+    drives every distinct predictor and I-cache (deduplicated by
     {!Vmbp_machine.Predictor.descriptor} and
-    {!Vmbp_machine.Icache.descriptor}) config-major.  [None] when the
-    workload has no kept path (see {!run}'s [path_cap]).  Otherwise one
-    result per configuration, in order, each field-for-field what {!run}
-    would return (a trapped run is [Error] with {!run_result}'s message),
-    and the number of distinct simulators the walk drove.  A
-    configuration whose simulator constructor raises fails only its own
-    cells, with that exception's message.  [poll] follows
-    {!Vmbp_core.Path_walk.walk}'s contract. *)
+    {!Vmbp_machine.Icache.descriptor}) config-major.  One result per
+    configuration, in order, each field-for-field what {!run} would
+    return (a trapped run is [Error] with {!run_result}'s message), and
+    the number of distinct simulators the walk drove.  A configuration
+    whose simulator constructor raises fails only its own cells, with
+    that exception's message.
 
-val await_path :
-  ?scale:int -> record:(unit -> unit) -> Vmbp_workloads.t -> unit
-(** Settle the workload's path slot before a group walks it.  While
-    another domain's live run records the path, wait until that recording
-    ends.  When the workload has no slot, claim its recording for this
-    domain in the same locked step as the lookup, and call [record ()],
-    which should make one {!run} with [path_cap] (it records under the
-    claim).  The claim ends when [record] returns or raises; a recording
-    that kept no path clears the slot and wakes the waiters, and the
-    first of them claims the next recording.  Returns at once when the
-    path is kept or marked unfit.  Only runs on other domains ever make
-    this wait. *)
+    The first walk of a loaded workload records its path with one
+    {!Vmbp_core.Engine.run_functional} run over a copy of the program,
+    in a [record] span, holding only that workload's lock: a walk of the
+    same workload on another domain waits for the recording and then
+    uses it.  The path is kept if the kept paths' total stays within
+    [cap_bytes].  [None] when the workload is unfit: its path did not
+    fit, or its recording ran out of fuel; it runs live from then on.
+    [poll] follows {!Vmbp_core.Path_walk.walk}'s contract and covers the
+    recording too; a recording that it (or anything else) aborts keeps
+    nothing, so the next walk of the workload records again. *)
 
 val clear_vm_paths : unit -> unit
-(** Drop every kept VM path (and every [Unfit] mark), so the next run of
+(** Drop every kept VM path (and every [Unfit] mark), so the next walk of
     each workload records afresh. *)

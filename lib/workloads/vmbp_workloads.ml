@@ -25,9 +25,10 @@ type t = {
    sweeps do not recompile programs hundreds of times.  The parallel runner
    hits these tables from several domains at once, so every lookup-or-build
    holds a mutex; the computation runs under the lock so concurrent callers
-   of the same key share one build.  [training_profile] below has its own
-   lock because building a profile loads workloads (lock order: profile
-   before load, never the reverse). *)
+   of the same key share one build.  [training_run] and [training_profile]
+   below have their own locks because building a profile loads workloads
+   and trains on them (lock order: profile before load and before
+   training, never the reverse). *)
 let locked m f =
   Mutex.lock m;
   match f () with
@@ -106,32 +107,52 @@ let all = forth @ jvm
 
 let find ~vm name = List.find_opt (fun w -> w.vm = vm && w.name = name) all
 
-let run_reference ?(fuel = 500_000_000) loaded =
-  let program = Program.copy loaded.program in
-  let session = loaded.fresh_session () in
-  let steps, trap =
-    Vmbp_core.Engine.run_functional ~fuel ~program ~exec:session.exec ()
-  in
-  (steps, trap, session.output ())
+(* One functional training run per loaded workload, on a copy of its
+   program, keyed by the loaded workload's physical identity: the program
+   after the run (every reachable quickable instruction in its quick
+   form), the per-slot execution counts, the steps, the trap and the
+   output.  Its budget is its own, not the report runner's. *)
+type training = {
+  quickened : Program.t;
+  counts : int array;
+  steps : int;
+  trap : string option;
+  printed : string;
+}
 
-let quickened_program ?(fuel = 500_000_000) loaded =
-  let program = Program.copy loaded.program in
-  let session = loaded.fresh_session () in
-  let _steps, _trap =
-    Vmbp_core.Engine.run_functional ~fuel ~program ~exec:session.exec ()
-  in
-  program
+let training_fuel = 500_000_000
+let training_memo : (loaded * training) list ref = ref []
+let training_lock = Mutex.create ()
 
-(* Dynamic per-slot execution counts from a functional training run. *)
-let dynamic_counts ?(fuel = 500_000_000) loaded =
-  let program = Program.copy loaded.program in
-  let session = loaded.fresh_session () in
-  let counts = Array.make (Program.length program) 0 in
-  let _ =
-    Vmbp_core.Engine.run_functional ~fuel ~exec_counts:counts ~program
-      ~exec:session.exec ()
-  in
-  (program, counts)
+let training_run loaded =
+  locked training_lock (fun () ->
+      match List.assq_opt loaded !training_memo with
+      | Some t -> t
+      | None ->
+          let program = Program.copy loaded.program in
+          let session = loaded.fresh_session () in
+          let counts = Array.make (Program.length program) 0 in
+          let steps, trap =
+            Vmbp_core.Engine.run_functional ~fuel:training_fuel
+              ~exec_counts:counts ~program ~exec:session.exec ()
+          in
+          let t =
+            {
+              quickened = program;
+              counts;
+              steps;
+              trap;
+              printed = session.output ();
+            }
+          in
+          training_memo := (loaded, t) :: !training_memo;
+          t)
+
+let run_reference loaded =
+  let t = training_run loaded in
+  (t.steps, t.trap, t.printed)
+
+let quickened_program loaded = (training_run loaded).quickened
 
 let profile_memo : (string, Profile.t) Hashtbl.t = Hashtbl.create 16
 let profile_lock = Mutex.create ()
@@ -155,8 +176,8 @@ let training_profile ?(max_seq_len = 4) ~vm ~target ~scale () =
                 | None -> assert false
               in
               let loaded = trainer.load ~scale:(max 1 (scale / 2)) in
-              let program, counts = dynamic_counts loaded in
-              Profile.add_program ~weights:counts profile program
+              let t = training_run loaded in
+              Profile.add_program ~weights:t.counts profile t.quickened
           | Jvm ->
               (* Leave-one-out static profiling over quickened programs. *)
               List.iter

@@ -35,13 +35,21 @@ val jvm : t list
 
 val find : vm:vm -> string -> t option
 
-val run_reference :
-  ?fuel:int -> loaded -> int * string option * string
-(** Functional run on a copy: (steps, trap, output). *)
+(** {2 Training runs}
 
-val quickened_program : ?fuel:int -> loaded -> Vmbp_vm.Program.t
-(** A copy of the program after running it to completion functionally, so
-    all reachable quickable instructions are in their quick form. *)
+    Each loaded workload gets one functional run
+    ({!Vmbp_core.Engine.run_functional}, 500M steps of fuel) on a copy of
+    its program, memoised by the loaded workload's physical identity and
+    shared by the two functions below and by {!training_profile}.  The
+    program they return is that shared copy: callers only read it. *)
+
+val run_reference : loaded -> int * string option * string
+(** The training run's (steps, trap, output). *)
+
+val quickened_program : loaded -> Vmbp_vm.Program.t
+(** The training run's program after it ran to completion, so all
+    reachable quickable instructions are in their quick form.  Shared:
+    callers only read it. *)
 
 val training_profile :
   ?max_seq_len:int -> vm:vm -> target:string -> scale:int -> unit ->

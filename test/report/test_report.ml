@@ -475,15 +475,15 @@ let check_result_equal name (a : Engine.result) (b : Engine.result) =
   Alcotest.(check (option string)) (name ^ " trapped") a.Engine.trapped
     b.Engine.trapped
 
-(* One group walk over [configs], after a live run kept the workload's
-   path (or walked it, when an earlier test already kept one). *)
+(* One group walk over [configs], which records the workload's path
+   first when no earlier walk kept it. *)
 let walk_group ?(scale = 1) ~technique ~configs w =
-  ignore
-    (Vmbp_report.Runner.run_result ~scale ~path_cap:max_int
-       ~cpu:Cpu_model.ideal ~technique w);
-  match Vmbp_report.Runner.walk_group ~scale ~technique ~configs w with
+  match
+    Vmbp_report.Runner.walk_group ~scale ~cap_bytes:max_int ~technique
+      ~configs w
+  with
   | Some (results, _) -> results
-  | None -> Alcotest.fail "a complete live run must keep the workload's path"
+  | None -> Alcotest.fail "a complete recording must keep the workload's path"
 
 (* Each walked configuration against a live run of it alone. *)
 let check_walk_matches_live ~label ~technique ~configs w =
@@ -597,23 +597,20 @@ let test_replay_trap_and_fuel () =
     cpus
 
 let test_record_overflow_and_fallback () =
-  (* A path over its budget is not kept: the workload runs live from then
-     on and has nothing to walk... *)
+  (* A path over its budget is not kept: the workload is unfit, has
+     nothing to walk and runs live from then on, whatever the cap... *)
   let w = loaded_once_toy "walk-cap" in
-  (match
-     Vmbp_report.Runner.run_result ~path_cap:64 ~cpu:Cpu_model.ideal
-       ~technique:Technique.plain w
-   with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.fail msg);
-  check_bool "an unfit path is never walked" true
-    (Vmbp_report.Runner.walk_group ~technique:Technique.plain
-       ~configs:[ (Cpu_model.ideal, None) ]
-       w
-    = None);
+  let unfit cap_bytes =
+    Vmbp_report.Runner.walk_group ~cap_bytes ~technique:Technique.plain
+      ~configs:[ (Cpu_model.ideal, None) ]
+      w
+    = None
+  in
+  check_bool "a path over the cap is not walked" true (unfit 64);
+  check_bool "an unfit workload never records again" true (unfit max_int);
   (* ...and the planner runs every cell live with --trace-cap-mb 0, yet
-     agrees with the walked run: one live cell keeps the path, one walk
-     serves the rest. *)
+     agrees with the walked run: one group walk records the path and
+     serves every cell. *)
   Vmbp_report.Par_runner.clear_trace_cache ();
   let cells () =
     let w = loaded_once_toy "walk-fallback" in
@@ -634,8 +631,8 @@ let test_record_overflow_and_fallback () =
         (t.Vmbp_report.Par_runner.mode = Vmbp_report.Par_runner.Direct))
     direct;
   Alcotest.(check (list string))
-    "one live run, then one group walk"
-    [ "direct"; "record"; "replay" ]
+    "one group walk"
+    [ "record"; "replay"; "replay" ]
     (List.map
        (fun (t : Vmbp_report.Par_runner.timed) ->
          Vmbp_report.Par_runner.mode_name t.Vmbp_report.Par_runner.mode)
@@ -745,33 +742,41 @@ let test_banked_replay_matches_per_cell () =
   | _ -> Alcotest.fail "bank-fuel: one result");
   Vmbp_report.Trace.release tr
 
+let counter name =
+  Int64.to_int (Option.value ~default:0L (Vmbp_obs.Registry.find_counter name))
+
+(* A loaded-once toy workload whose first [stalled] sessions sleep 0.2 s
+   on their first step, so a recording can be caught in flight. *)
+let stalling_toy ?(counters = 200) ~stalled name =
+  let w = toy_workload name in
+  let program = Vmbp_toyvm.Toy_vm.table1_loop () in
+  let sessions = ref 0 in
+  let fresh_session () =
+    let state =
+      Vmbp_toyvm.Toy_vm.create_state ~counters:(Array.make 16 counters) ()
+    in
+    incr sessions;
+    let first = ref (!sessions <= stalled) in
+    let exec p pc =
+      if !first then begin
+        first := false;
+        Unix.sleepf 0.2
+      end;
+      Vmbp_toyvm.Toy_vm.exec state p pc
+    in
+    { Vmbp_workloads.exec; output = (fun () -> "") }
+  in
+  let loaded = { Vmbp_workloads.program; fresh_session } in
+  { w with Vmbp_workloads.load = (fun ~scale:_ -> loaded) }
+
 (* Two groups of one loaded-once workload on two domains record its path
    once: the group that finds the recording in flight waits for it and
-   then walks, so exactly one cell runs live.  Each live run stalls on its
-   first step, so the second group always starts while the first one is
-   still recording. *)
+   then walks, so one path is recorded and no cell runs live.  Every
+   session stalls on its first step, so the second group always starts
+   while the first one is still recording. *)
 let test_record_once_across_jobs () =
   Vmbp_report.Par_runner.clear_trace_cache ();
-  let w = toy_workload "walk-two-groups" in
-  let loaded =
-    let loaded = w.Vmbp_workloads.load ~scale:1 in
-    {
-      loaded with
-      Vmbp_workloads.fresh_session =
-        (fun () ->
-          let s = loaded.Vmbp_workloads.fresh_session () in
-          let first = ref true in
-          let exec p pc =
-            if !first then begin
-              first := false;
-              Unix.sleepf 0.2
-            end;
-            s.Vmbp_workloads.exec p pc
-          in
-          { s with Vmbp_workloads.exec });
-    }
-  in
-  let w = { w with Vmbp_workloads.load = (fun ~scale:_ -> loaded) } in
+  let w = stalling_toy ~stalled:max_int "walk-two-groups" in
   let cells =
     List.concat_map
       (fun technique ->
@@ -781,13 +786,15 @@ let test_record_once_across_jobs () =
           [ Cpu_model.ideal; Cpu_model.pentium4_northwood; Cpu_model.celeron_800 ])
       [ Technique.plain; Technique.switch ]
   in
+  let records = counter "vm_path.records" in
   let timed = Vmbp_report.Par_runner.run_cells ~jobs:2 cells in
   List.iter
     (fun (t : Vmbp_report.Par_runner.timed) ->
       check_bool "every cell succeeds" true
         (Result.is_ok t.Vmbp_report.Par_runner.outcome))
     timed;
-  check_int "exactly one live cell" 1
+  check_int "exactly one path recorded" 1 (counter "vm_path.records" - records);
+  check_int "no live cell" 0
     (List.length
        (List.filter
           (fun (t : Vmbp_report.Par_runner.timed) ->
@@ -804,7 +811,10 @@ let test_group_walk_polls () =
   ignore (walk_group ~technique:Technique.plain ~configs w);
   let polls = ref 0 in
   let poll () = incr polls in
-  (match Vmbp_report.Runner.walk_group ~poll ~technique:Technique.plain ~configs w with
+  (match
+     Vmbp_report.Runner.walk_group ~poll ~cap_bytes:max_int
+       ~technique:Technique.plain ~configs w
+   with
   | Some _ -> ()
   | None -> Alcotest.fail "the path is kept");
   check_bool "a group walk polls before and after its blocks" true
@@ -812,8 +822,8 @@ let test_group_walk_polls () =
   let stalled () = raise Exit in
   check_bool "a passed deadline stops the walk before any work" true
     (match
-       Vmbp_report.Runner.walk_group ~poll:stalled ~technique:Technique.plain
-         ~configs w
+       Vmbp_report.Runner.walk_group ~poll:stalled ~cap_bytes:max_int
+         ~technique:Technique.plain ~configs w
      with
     | _ -> false
     | exception Exit -> true)
@@ -936,6 +946,7 @@ let reset_supervision () =
   PR.clear_store ();
   PR.cell_timeout := 0.;
   PR.cell_retries := 1;
+  PR.trace_cap_mb := 256;
   PR.clear_trace_cache ();
   PR.clear_result_cache ();
   ignore (PR.drain_log ())
@@ -980,7 +991,9 @@ let one_cell ?predictor ?(cpu = Cpu_model.ideal) name =
 
 let test_cell_raise_retry () =
   (* One injected transient failure: the retry makes the cell succeed on
-     attempt 2, and the outcome matches an injection-free run. *)
+     attempt 2, and the outcome matches an injection-free run.  Retries
+     belong to live attempts, so every cell runs live. *)
+  PR.trace_cap_mb := 0;
   configure_chaos "cell-raise=1";
   (match PR.run_cells ~jobs:1 [ one_cell "chaos-retry" ] with
   | [ t ] ->
@@ -1027,40 +1040,67 @@ let test_record_fail_degrades () =
   Alcotest.(check (list (pair string string)))
     "degraded group agrees with the walked run" reference (signature chaos)
 
+let test_recording_deadline_degrades () =
+  (* A group whose recording is still running at its deadline degrades to
+     live attempts and keeps no path; the next group of the workload
+     records again.  Only the first session -- the first recording's --
+     stalls, and the program runs long enough to poll after the stall. *)
+  let w = stalling_toy ~counters:5_000 ~stalled:1 "chaos-record-deadline" in
+  let group technique =
+    List.map
+      (fun cpu -> PR.cell ~tag:"test" ~cpu ~technique w)
+      [ Cpu_model.ideal; Cpu_model.pentium4_northwood ]
+  in
+  let modes = List.map (fun (t : PR.timed) -> PR.mode_name t.PR.mode) in
+  PR.cell_timeout := 0.1;
+  let records = counter "vm_path.records" in
+  let cut = PR.run_cells ~jobs:1 (group Technique.plain) in
+  Alcotest.(check (list string))
+    "the cut group runs live" [ "direct"; "direct" ] (modes cut);
+  List.iter
+    (fun (t : PR.timed) ->
+      check_bool "live attempts succeed" true (Result.is_ok t.PR.outcome);
+      check_bool "live attempts meet their deadline" false t.PR.timed_out)
+    cut;
+  check_int "the cut recording keeps no path" 0
+    (counter "vm_path.records" - records);
+  let next = PR.run_cells ~jobs:1 (group Technique.switch) in
+  Alcotest.(check (list string))
+    "the next group records and walks" [ "record"; "replay" ] (modes next);
+  check_int "the next group keeps the path" 1
+    (counter "vm_path.records" - records)
+
 let test_slow_cell_timeout () =
-  (* The slow-cell stall trips the cooperative deadline on both the direct
-     path and the replay path; the sibling cell is unaffected. *)
-  let saved = !PR.trace_cap_mb in
-  Fun.protect
-    ~finally:(fun () -> PR.trace_cap_mb := saved)
-    (fun () ->
-      PR.cell_timeout := 0.05;
-      List.iter
-        (fun (cap, path) ->
-          PR.trace_cap_mb := cap;
-          PR.clear_trace_cache ();
-          Faults.reset ();
-          configure_chaos "slow-cell=1@0.3";
-          match
-            PR.run_cells ~jobs:1
-              [
-                one_cell ("chaos-slow-" ^ path);
-                one_cell ("chaos-fast-" ^ path);
-              ]
-          with
-          | [ slow; fast ] ->
-              (match slow.PR.outcome with
-              | Error msg ->
-                  check_bool (path ^ ": timeout message") true
-                    (String.length msg > 0)
-              | Ok _ -> Alcotest.fail (path ^ ": stalled cell must time out"));
-              check_bool (path ^ ": timed_out flag") true slow.PR.timed_out;
-              check_int (path ^ ": timeouts are not retried") 1
-                slow.PR.attempts;
-              check_bool (path ^ ": sibling finishes") true
-                (Result.is_ok fast.PR.outcome)
-          | _ -> Alcotest.fail "two cells in, two results out")
-        [ (0, "direct"); (saved, "replay") ])
+  (* The slow-cell stall trips the cooperative deadline of a live attempt
+     both with every cell live and when a failed group walk degrades to
+     live attempts; the sibling cell is unaffected.  [supervised] restores
+     the trace cap. *)
+  PR.cell_timeout := 0.05;
+  List.iter
+    (fun (cap, path, spec) ->
+      PR.trace_cap_mb := cap;
+      PR.clear_trace_cache ();
+      Faults.reset ();
+      configure_chaos spec;
+      match
+        PR.run_cells ~jobs:1
+          [ one_cell ("chaos-slow-" ^ path); one_cell ("chaos-fast-" ^ path) ]
+      with
+      | [ slow; fast ] ->
+          (match slow.PR.outcome with
+          | Error msg ->
+              check_bool (path ^ ": timeout message") true
+                (String.length msg > 0)
+          | Ok _ -> Alcotest.fail (path ^ ": stalled cell must time out"));
+          check_bool (path ^ ": timed_out flag") true slow.PR.timed_out;
+          check_int (path ^ ": timeouts are not retried") 1 slow.PR.attempts;
+          check_bool (path ^ ": sibling finishes") true
+            (Result.is_ok fast.PR.outcome)
+      | _ -> Alcotest.fail "two cells in, two results out")
+    [
+      (0, "direct", "slow-cell=1@0.3");
+      (256, "replay", "record-fail=1,slow-cell=1@0.3");
+    ]
 
 let test_bad_predictor_is_failed_cell () =
   (* An invalid BTB override surfaces as that cell's [Error], not a pool
@@ -1382,11 +1422,10 @@ let test_self_check_catches_mutation () =
   | ds -> check_int "exactly one divergence recorded" 1 (List.length ds)
 
 let test_audit_sample_crosschecks_replays () =
-  (* Per workload: a three-CPU group (its first cell runs live and keeps
-     the path, then one walk serves the other two as Record and Replay)
-     and a one-cell group (a Direct walk).  With --audit-sample 1.0 every
-     cell not produced by a live run is re-run live and compared; the
-     live cell is exempt. *)
+  (* Per workload: a three-CPU group (one walk, which records the path,
+     serves it as Record, Replay and Replay) and a one-cell group (a
+     Direct walk).  With --audit-sample 1.0 every cell not produced by a
+     live run -- here every cell -- is re-run live and compared. *)
   PR.audit_sample := 1.0;
   let cells =
     List.concat_map
@@ -1404,18 +1443,15 @@ let test_audit_sample_crosschecks_replays () =
   Alcotest.(check (list string))
     "modes"
     (List.concat
-       (List.init 2 (fun _ -> [ "direct"; "record"; "replay"; "direct" ])))
+       (List.init 2 (fun _ -> [ "record"; "replay"; "replay"; "direct" ])))
     (List.map (fun (t : PR.timed) -> PR.mode_name t.PR.mode) results);
   List.iteri
     (fun k (t : PR.timed) ->
-      let live = k mod 4 = 0 in
       check_bool "cell survives its audit" true (Result.is_ok t.PR.outcome);
-      check_bool
-        (Printf.sprintf "cell %d audited unless live" k)
-        (not live) t.PR.audited)
+      check_bool (Printf.sprintf "cell %d audited" k) true t.PR.audited)
     results;
   check_int "no divergences" 0 (Audit.divergence_count ());
-  check_int "every non-live cell audited" 6 (Audit.audited_count ());
+  check_int "every cell audited" 8 (Audit.audited_count ());
   (* Rate 0 audits nothing. *)
   Audit.reset_stats ();
   PR.clear_trace_cache ();
@@ -1427,12 +1463,12 @@ let test_audit_sample_crosschecks_replays () =
   check_int "nothing audited at rate 0" 0 (Audit.audited_count ());
   ignore (PR.drain_log ())
 
-(* VM path walks: the first live run of a loaded workload records its
-   control path and every later engine run of it, under any technique,
-   walks the path -- with numbers identical to all-live runs.  The
-   oracles stay live: no path is recorded or walked under --self-check
-   or --trace-cap-mb 0, and the audit cross-check's fresh run executes
-   the semantics even when a path is kept. *)
+(* VM path walks: the first group walk of a loaded workload records its
+   control path with one functional run, and every group of it, under
+   any technique, walks the path -- with numbers identical to all-live
+   runs.  The oracles stay live: no path is recorded or walked under
+   --self-check or --trace-cap-mb 0, and the audit cross-check's fresh
+   run executes the semantics even when a path is kept. *)
 let test_vm_path_replay () =
   (* Loaded once, like a registry workload: the path cache keys on the
      loaded workload's physical identity. *)
@@ -1460,10 +1496,6 @@ let test_vm_path_replay () =
       description = "synthetic toy workload, loaded once";
       load = (fun ~scale:_ -> Lazy.force loaded);
     }
-  in
-  let counter name =
-    Int64.to_int
-      (Option.value ~default:0L (Vmbp_obs.Registry.find_counter name))
   in
   let run cells =
     Vmbp_obs.Registry.reset ();
@@ -1498,7 +1530,7 @@ let test_vm_path_replay () =
       counts "--trace-cap-mb 0 records and walks nothing" (0, 0) n;
       PR.trace_cap_mb := 256;
       let walked, n = run techniques in
-      counts "two techniques: one path recorded, walked once" (1, 1) n;
+      counts "two techniques: one path recorded, walked twice" (1, 2) n;
       same "walked numbers and output equal live" live walked;
       check_bool "path bytes gauged" true
         (Vmbp_obs.Registry.gauge_value (Vmbp_obs.Registry.gauge "vm_path.bytes")
@@ -1508,9 +1540,9 @@ let test_vm_path_replay () =
       PR.self_check := false;
       counts "--self-check records and walks nothing" (0, 0) n;
       same "self-checked numbers equal live" live checked;
-      (* One group of two CPUs: a live run that keeps the path, then a
-         walk of the other cell, audited by a fresh run that must not use
-         the path. *)
+      (* One group of two CPUs: one walk, which records the path, serves
+         both cells, each audited by a fresh run that must not use the
+         path. *)
       PR.audit_sample := 1.0;
       Audit.reset_stats ();
       let _, n =
@@ -1521,7 +1553,7 @@ let test_vm_path_replay () =
           ]
       in
       counts "one walk; the audit's fresh run walks nothing" (1, 1) n;
-      check_int "the walked cell was audited" 1 (Audit.audited_count ());
+      check_int "both walked cells were audited" 2 (Audit.audited_count ());
       check_int "no divergences" 0 (Audit.divergence_count ()))
 
 let test_sampling_deterministic () =
@@ -1725,6 +1757,8 @@ let () =
             (supervised test_cell_raise_retry);
           Alcotest.test_case "record failure degrades to direct" `Quick
             (supervised test_record_fail_degrades);
+          Alcotest.test_case "recording past its deadline degrades" `Quick
+            (supervised test_recording_deadline_degrades);
           Alcotest.test_case "slow cell hits the watchdog" `Quick
             (supervised test_slow_cell_timeout);
           Alcotest.test_case "bad predictor fails one cell" `Quick

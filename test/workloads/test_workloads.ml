@@ -98,6 +98,42 @@ let test_training_profile_nonempty () =
   check_bool "jvm profile has sequences" true
     (Vmbp_vm.Profile.top_sequences pj ~n:5 () <> [])
 
+(* Every JVM target's leave-one-out profile, which reads the memoised
+   training runs, equals one built from fresh functional runs of the
+   other six programs. *)
+let test_training_profile_fresh_runs () =
+  let quickened (w : Vmbp_workloads.t) =
+    let loaded = w.Vmbp_workloads.load ~scale:1 in
+    let program = Vmbp_vm.Program.copy loaded.Vmbp_workloads.program in
+    let s = loaded.Vmbp_workloads.fresh_session () in
+    ignore
+      (Engine.run_functional ~fuel:500_000_000 ~program
+         ~exec:s.Vmbp_workloads.exec ());
+    (w.Vmbp_workloads.name, program)
+  in
+  let programs = List.map quickened Vmbp_workloads.jvm in
+  let contents p =
+    ( List.map
+        (fun o -> (o, Vmbp_vm.Profile.opcode_count p o))
+        (Vmbp_vm.Profile.top_opcodes p ~n:max_int),
+      List.map
+        (fun q -> (Array.to_list q, Vmbp_vm.Profile.sequence_count p q))
+        (Vmbp_vm.Profile.top_sequences p ~n:max_int ()) )
+  in
+  List.iter
+    (fun (target, _) ->
+      let fresh = Vmbp_vm.Profile.empty ~max_seq_len:4 in
+      List.iter
+        (fun (name, p) ->
+          if name <> target then Vmbp_vm.Profile.add_program fresh p)
+        programs;
+      Alcotest.(check (pair (list (pair int int)) (list (pair (list int) int))))
+        (target ^ " profile") (contents fresh)
+        (contents
+           (Vmbp_workloads.training_profile ~vm:Vmbp_workloads.Jvm ~target
+              ~scale:1 ())))
+    programs
+
 (* Golden outputs at scale 1: determinism regression net.  These values pin
    the current workload definitions; they change whenever a workload's code
    or the shared PRNG changes (then regenerate with dev/golden.ml). *)
@@ -156,5 +192,7 @@ let () =
             test_quickening_only_jvm;
           Alcotest.test_case "training profiles" `Slow
             test_training_profile_nonempty;
+          Alcotest.test_case "jvm profiles from fresh runs" `Slow
+            test_training_profile_fresh_runs;
         ] );
     ]
