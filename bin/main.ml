@@ -13,8 +13,6 @@
 open Cmdliner
 open Vmbp_core
 
-let print_table s = print_string s
-
 (* ---------------- list ---------------- *)
 
 let list_cmd =
@@ -366,11 +364,6 @@ let store_shards_arg =
           "Shard count when creating a new store (default 8; an existing \
            store keeps its own layout).")
 
-let set_store store shards =
-  match store with
-  | None -> ()
-  | Some dir -> Vmbp_report.Par_runner.set_store ?shards dir
-
 let progress_arg =
   Arg.(
     value
@@ -427,9 +420,6 @@ let finish_obs trace_out metrics =
         (c "trace.bank_replays") (c "trace.banked_configs") (c "store.hits")
         (c "store.appended") (c "cells.retries") (c "cells.timeouts");
       Printf.eprintf "wrote metrics to %s\n" file
-
-let set_jobs jobs = Vmbp_report.Par_runner.default_jobs := jobs
-let set_trace_cap mb = Vmbp_report.Par_runner.trace_cap_mb := mb
 
 (* First Ctrl-C: drain in-flight cells (the store is already fsync'd per
    append), emit the report marked partial.  Second Ctrl-C: force. *)
@@ -512,42 +502,48 @@ let finish_audit () =
         (List.length ds);
       exit 3
 
+(* The options [experiment] and [report] share, as one term: it sets the
+   runner up, runs [body] at the requested scale, then writes what was
+   asked for and fails on a divergence. *)
+let run_options =
+  let run_with scale jobs trace_cap json store store_shards cell_timeout
+      cell_retries chaos self_check audit_sample repro_dir trace_out metrics
+      progress (body : int option -> unit) =
+    Vmbp_report.Par_runner.default_jobs := jobs;
+    Vmbp_report.Par_runner.trace_cap_mb := trace_cap;
+    setup_supervision cell_timeout cell_retries chaos self_check
+      audit_sample repro_dir;
+    Option.iter (Vmbp_report.Par_runner.set_store ?shards:store_shards) store;
+    setup_obs trace_out metrics progress;
+    run_killable (fun () -> body scale);
+    partial_marker ();
+    write_json json;
+    finish_obs trace_out metrics;
+    Vmbp_report.Par_runner.clear_store ();
+    finish_audit ()
+  in
+  Term.(
+    const run_with $ scale_opt_arg $ jobs_arg $ trace_cap_arg $ json_arg
+    $ store_arg $ store_shards_arg $ cell_timeout_arg $ cell_retries_arg
+    $ chaos_arg $ self_check_arg $ audit_sample_arg $ repro_dir_arg
+    $ trace_out_arg $ metrics_arg $ progress_arg)
+
 let experiment_cmd =
   let doc = "Regenerate one of the paper's tables or figures." in
   let id = Arg.(required & pos 0 (some string) None & info [] ~docv:"ID") in
-  let run id scale jobs trace_cap json store store_shards cell_timeout
-      cell_retries chaos self_check audit_sample repro_dir trace_out metrics
-      progress =
-    set_jobs jobs;
-    set_trace_cap trace_cap;
-    setup_supervision cell_timeout cell_retries chaos self_check
-      audit_sample repro_dir;
-    set_store store store_shards;
-    setup_obs trace_out metrics progress;
-    match Vmbp_report.Experiments.find id with
-    | None ->
-        Printf.eprintf "unknown experiment %s (try 'vmbp list')\n" id;
-        exit 1
-    | Some e ->
-        let scale =
-          Option.value scale ~default:e.Vmbp_report.Experiments.default_scale
-        in
-        Printf.printf "== %s ==\n%s\n\n" e.Vmbp_report.Experiments.title
-          e.Vmbp_report.Experiments.paper_claim;
-        run_killable (fun () ->
-            print_table (e.Vmbp_report.Experiments.run ~scale));
-        partial_marker ();
-        write_json json;
-        finish_obs trace_out metrics;
-        Vmbp_report.Par_runner.clear_store ();
-        finish_audit ()
+  let run id run_with =
+    run_with (fun scale ->
+        match Vmbp_report.Experiments.find id with
+        | None ->
+            Printf.eprintf "unknown experiment %s (try 'vmbp list')\n" id;
+            exit 1
+        | Some e ->
+            let open Vmbp_report.Experiments in
+            Printf.printf "== %s ==\n%s\n\n" e.title e.paper_claim;
+            print_string
+              (e.run ~scale:(Option.value scale ~default:e.default_scale)))
   in
-  Cmd.v (Cmd.info "experiment" ~doc)
-    Term.(
-      const run $ id $ scale_opt_arg $ jobs_arg $ trace_cap_arg $ json_arg
-      $ store_arg $ store_shards_arg $ cell_timeout_arg $ cell_retries_arg
-      $ chaos_arg $ self_check_arg $ audit_sample_arg $ repro_dir_arg
-      $ trace_out_arg $ metrics_arg $ progress_arg)
+  Cmd.v (Cmd.info "experiment" ~doc) Term.(const run $ id $ run_options)
 
 (* ---------------- audit-repro ---------------- *)
 
@@ -585,41 +581,22 @@ let audit_repro_cmd =
 
 (* ---------------- report ---------------- *)
 
+(* The whole registry runs as one batch, so the tables print when it
+   ends. *)
 let report_cmd =
   let doc = "Run every experiment and print the full reproduction report." in
-  let run scale jobs trace_cap json store store_shards cell_timeout
-      cell_retries chaos self_check audit_sample repro_dir trace_out metrics
-      progress =
-    set_jobs jobs;
-    set_trace_cap trace_cap;
-    setup_supervision cell_timeout cell_retries chaos self_check
-      audit_sample repro_dir;
-    set_store store store_shards;
-    setup_obs trace_out metrics progress;
-    run_killable (fun () ->
+  let run run_with =
+    run_with (fun scale ->
         List.iter
-          (fun (e : Vmbp_report.Experiments.t) ->
-            let s =
-              Option.value scale
-                ~default:e.Vmbp_report.Experiments.default_scale
-            in
-            Printf.printf "== %s ==\n" e.Vmbp_report.Experiments.title;
-            Printf.printf "Paper: %s\n\n" e.Vmbp_report.Experiments.paper_claim;
-            print_table (e.Vmbp_report.Experiments.run ~scale:s);
-            print_newline ())
-          Vmbp_report.Experiments.all);
-    partial_marker ();
-    write_json json;
-    finish_obs trace_out metrics;
-    Vmbp_report.Par_runner.clear_store ();
-    finish_audit ()
+          (fun ((e : Vmbp_report.Experiments.t), table) ->
+            Printf.printf "== %s ==\nPaper: %s\n\n%s\n"
+              e.Vmbp_report.Experiments.title
+              e.Vmbp_report.Experiments.paper_claim table)
+          (fst
+             (Vmbp_report.Experiments.run_batch ?scale
+                Vmbp_report.Experiments.all)))
   in
-  Cmd.v (Cmd.info "report" ~doc)
-    Term.(
-      const run $ scale_opt_arg $ jobs_arg $ trace_cap_arg $ json_arg
-      $ store_arg $ store_shards_arg $ cell_timeout_arg $ cell_retries_arg
-      $ chaos_arg $ self_check_arg $ audit_sample_arg $ repro_dir_arg
-      $ trace_out_arg $ metrics_arg $ progress_arg)
+  Cmd.v (Cmd.info "report" ~doc) Term.(const run $ run_options)
 
 (* ---------------- serve / loadgen / client ---------------- *)
 

@@ -1,41 +1,33 @@
 (** Registry of reproduction experiments, one per table and figure of the
     paper's evaluation (plus ablations called out in DESIGN.md).
 
-    Every experiment renders a plain-text report with the same rows/series
-    the paper presents; structured accessors used by the test suite live in
-    the individual compute functions. *)
+    Every experiment declares its cells before anything runs and renders
+    a plain-text report with the same rows/series the paper presents. *)
 
 type t = {
   id : string;  (** e.g. "fig7" *)
   title : string;
   paper_claim : string;  (** the shape that should hold, from the paper *)
   default_scale : int;
+  plan : scale:int -> Par_runner.cell list * (Par_runner.timed list -> string);
+      (** the experiment's cells at a scale, and its render over their
+          results in the same order *)
   run : scale:int -> string;
+      (** [plan]'s cells run as one {!Par_runner.run_cells} batch, rendered *)
 }
 
 val all : t list
 val find : string -> t option
 
-(* Structured computations behind the speedup, counter and static-mix
-   figures. *)
-
-val speedups :
-  scale:int ->
-  vm:Vmbp_workloads.vm ->
-  cpu:Vmbp_machine.Cpu_model.t ->
-  (string * (string * float option) list) list
-(** Per workload, the speedup of every paper variant over [plain]
-    (Figures 7, 8 and 9).  A failed cell (or a failed baseline) yields
-    [None] and the sibling cells still report. *)
-
-val counter_profile :
-  scale:int ->
-  vm:Vmbp_workloads.vm ->
-  workload:string ->
-  cpu:Vmbp_machine.Cpu_model.t ->
-  (string * float list) list * string list
-(** Per variant, the seven metrics of Figures 10-13 normalised to [plain]
-    (code bytes raw, in KB); and the metric labels. *)
+val run_batch :
+  ?scale:int -> t list -> (t * string) list * Par_runner.timed list
+(** Plan every experiment of the list, each at [scale] or else at its
+    default scale, run all their cells as one {!Par_runner.run_cells}
+    batch, so each (workload, technique, scale) group is walked once
+    however many experiments share it, and render each.  Returns every
+    experiment with its rendered table, in list order, and the batch's
+    results in cell order.  The tables are byte-identical to each
+    experiment's own [run]. *)
 
 val static_mix :
   scale:int ->

@@ -30,9 +30,11 @@
     of the group driven config-major through the simulators' range
     kernels in the same pass.  A group that finds the recording in
     flight on another domain waits for it, so each workload records once
-    at any [jobs].  An exact revisit of a cell (same configuration, e.g.
-    a counter figure re-running a speedup figure's cell) is served from
-    the full-result cache without any simulation.  Kept paths are
+    at any [jobs].  A cell an earlier batch already ran (same
+    configuration, e.g. a counter figure run after the speedup figure
+    that shares its cell) is served from the full-result cache without
+    any simulation; within one batch each group is visited once, so
+    there is nothing to revisit.  Kept paths are
     bounded by {!trace_cap_mb}; a workload whose path does not fit runs
     every cell live.  Simulated numbers are identical to live runs by
     construction; any problem in a walk degrades its group to per-cell

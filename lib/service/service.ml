@@ -151,17 +151,13 @@ let enqueue sh job =
   Mutex.unlock sh.lock;
   match sh.pool with Some p -> p.Env.kick () | None -> ()
 
-(* The whole reproduction grid as one vmbp-cells/8 document.  The session
-   log is drained before and after so the document holds exactly the
-   grid's cells, not whatever query batches ran since the last grid. *)
+(* The whole reproduction grid, run as one batch, as one vmbp-cells/8
+   document of exactly the grid's cells.  The session log is drained too,
+   so the query batches logged since the last grid do not pile up. *)
 let grid_doc (cfg : config) scale =
+  let _, cells = Experiments.run_batch ?scale Experiments.all in
   ignore (Par_runner.drain_log ());
-  List.iter
-    (fun (e : Experiments.t) ->
-      let s = Option.value scale ~default:e.Experiments.default_scale in
-      ignore (e.Experiments.run ~scale:s))
-    Experiments.all;
-  Par_runner.json_summary ~jobs:cfg.jobs (Par_runner.drain_log ())
+  Par_runner.json_summary ~jobs:cfg.jobs cells
 
 (* One compute-pool step: drain every queued job, merge the cell jobs
    into one batch (one [run_cells] call, so cells sharing a workload

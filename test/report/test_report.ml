@@ -1556,6 +1556,40 @@ let test_vm_path_replay () =
       check_int "both walked cells were audited" 2 (Audit.audited_count ());
       check_int "no divergences" 0 (Audit.divergence_count ()))
 
+(* The one-batch entry renders every table exactly as each experiment's
+   own [run] does, but walks each (workload, technique, scale) group once:
+   the three sweeps share bench-gc's plain group, which their separate
+   runs walk three times. *)
+let test_run_batch_matches_runs () =
+  let es =
+    List.map
+      (fun id -> Option.get (Vmbp_report.Experiments.find id))
+      [ "btb-sweep"; "predictors"; "penalty-sweep" ]
+  in
+  let walks f =
+    Vmbp_obs.Registry.reset ();
+    PR.clear_result_cache ();
+    let x = f () in
+    ignore (PR.drain_log ());
+    (x, counter "vm_path.walks")
+  in
+  let (tables, cells), batch_walks =
+    walks (fun () -> Vmbp_report.Experiments.run_batch ~scale:1 es)
+  in
+  let runs, run_walks =
+    walks (fun () ->
+        List.map (fun e -> e.Vmbp_report.Experiments.run ~scale:1) es)
+  in
+  check_int "one batch of every cell" 49 (List.length cells);
+  check_bool "tables in list order" true
+    (List.for_all2 ( == ) (List.map fst tables) es);
+  List.iter2
+    (fun (e, table) run ->
+      Alcotest.(check string) e.Vmbp_report.Experiments.id run table)
+    tables runs;
+  check_int "the batch walks each group once" 6 batch_walks;
+  check_int "the separate runs walk shared groups again" 8 run_walks
+
 let test_sampling_deterministic () =
   let keys = List.init 1000 (Printf.sprintf "cell-%d") in
   let decide rate = List.map (fun key -> Audit.sampled ~key ~rate) keys in
@@ -1700,6 +1734,8 @@ let () =
             test_registry_complete;
           Alcotest.test_case "cheap experiments render" `Quick
             test_cheap_experiments_render;
+          Alcotest.test_case "one batch renders like separate runs" `Quick
+            test_run_batch_matches_runs;
         ] );
       ( "shapes",
         [

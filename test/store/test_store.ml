@@ -123,28 +123,31 @@ let test_cellrec_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Store *)
 
-let fresh_dir =
+(* Run [f] in a fresh store directory of its own (a stale one of the
+   same name is removed first), and remove it when [f] returns or
+   raises, so a run leaves nothing behind in the temp directory. *)
+let with_dir =
   let n = ref 0 in
-  fun () ->
+  let rec rm path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
+        Unix.rmdir path
+      end
+      else Sys.remove path
+  in
+  fun f ->
     incr n;
     let dir =
       Filename.concat
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "vmbp-store-test-%d-%d" (Unix.getpid ()) !n)
     in
-    let rec rm path =
-      if Sys.file_exists path then
-        if Sys.is_directory path then begin
-          Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-          Unix.rmdir path
-        end
-        else Sys.remove path
-    in
     rm dir;
-    dir
+    Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
 
 let test_store_basic () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let t = Store.open_ ~shards:4 dir in
   check_bool "empty miss" true (Store.lookup t ~key:"a" ~fingerprint:"f" = None);
   let e = sample_success "a" in
@@ -171,7 +174,7 @@ let test_store_basic () =
   Store.close t2
 
 let test_store_last_write_wins () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let t = Store.open_ dir in
   let e = sample_success "k" in
   Store.append t { e with Cellrec.attempts = 1 };
@@ -203,7 +206,7 @@ let shard_files dir =
 let test_store_corruption_fuzz () =
   let rng = Random.State.make [| 0xC0FFEE |] in
   for _round = 1 to 8 do
-    let dir = fresh_dir () in
+    with_dir @@ fun dir ->
     let n = 40 in
     populate dir n;
     List.iter
@@ -248,7 +251,7 @@ let test_store_corruption_fuzz () =
   done
 
 let test_store_torn_tail () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   populate dir 20;
   (* Tear the tail of every shard mid-record, as kill -9 would. *)
   List.iter
@@ -266,7 +269,7 @@ let test_store_torn_tail () =
   Store.close t
 
 let test_store_stale_tmp_removed () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   populate dir 3;
   let tmp = Filename.concat dir "shard-00.vcas.tmp" in
   let oc = open_out tmp in
@@ -278,7 +281,7 @@ let test_store_stale_tmp_removed () =
   Store.close t
 
 let test_store_io_fault () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let t = Store.open_ dir in
   let fire = ref true in
   Store.io_fault_hook := (fun () -> !fire);
@@ -299,7 +302,7 @@ let test_store_io_fault () =
    per-shard reports must count exactly the damage we inflicted, and
    compaction must repair everything scrub counts. *)
 let test_store_scrub () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let t = Store.open_ ~shards:4 dir in
   for i = 0 to 11 do
     Store.append t (sample_success (Printf.sprintf "cell-%03d" i))
