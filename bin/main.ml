@@ -74,10 +74,10 @@ let cpu_arg =
   Arg.conv
     (parse, fun ppf c -> Fmt.string ppf c.Vmbp_machine.Cpu_model.name)
 
-(* Scales, shard counts, job and client counts, retry budgets and
-   deadlines are checked where they are parsed: a value out of range is a
-   one-line usage error naming the flag, never a silent clamp, an empty
-   run or an exception from deep inside. *)
+(* Scales, job and client counts, retry budgets and deadlines are
+   checked where they are parsed: a value out of range is a one-line
+   usage error naming the flag, never a silent clamp, an empty run or an
+   exception from deep inside. *)
 let checked_conv ~of_string ~pp ~ok ~expected =
   let parse s =
     match of_string s with
@@ -349,20 +349,11 @@ let store_arg =
     & info [ "store" ] ~docv:"DIR"
         ~doc:
           "Serve completed cells from (and append fresh successes to) the \
-           sharded, checksummed content-addressed store in $(docv) -- the \
+           checksummed content-addressed store in $(docv) -- the \
            same store $(b,vmbp serve) answers from, so a report run warms \
            the service and vice versa.  Every append is fsync'd, so an \
            interrupted run re-run with the same $(docv) resumes where it \
            stopped.  Corrupt records are skipped and counted on load.")
-
-let store_shards_arg =
-  Arg.(
-    value
-    & opt (some positive_conv) None
-    & info [ "store-shards" ] ~docv:"N"
-        ~doc:
-          "Shard count when creating a new store (default 8; an existing \
-           store keeps its own layout).")
 
 let progress_arg =
   Arg.(
@@ -467,8 +458,8 @@ let partial_marker () =
   end
 
 (* A worker death with no pool above it (sequential runs) stands in for a
-   killed process: completed cells are safe in the store, if one is
-   installed, so report a resumable failure instead of an uncaught
+   killed process: completed cells are safe in the --store store, if
+   there is one, so report a resumable failure instead of an uncaught
    exception. *)
 let run_killable f =
   try f ()
@@ -479,11 +470,11 @@ let run_killable f =
        there -- re-run with the same --store DIR to continue";
     exit 70
 
-let write_json = function
+let write_json ?store = function
   | None -> ()
   | Some file ->
       let cells = Vmbp_report.Par_runner.drain_log () in
-      Vmbp_report.Par_runner.write_json_summary ~file cells;
+      Vmbp_report.Par_runner.write_json_summary ?store ~file cells;
       Printf.eprintf "wrote %d cell timings to %s\n" (List.length cells) file
 
 (* Divergences are simulator bugs: summarize each one on stderr (with its
@@ -502,29 +493,46 @@ let finish_audit () =
         (List.length ds);
       exit 3
 
+(* A path the system refuses -- an unusable --store or --socket -- is a
+   one-line error naming the path and the system error, never an
+   uncaught exception. *)
+let exit_on_system_error f =
+  try f () with
+  | Unix.Unix_error (e, fn, path) ->
+      Printf.eprintf "vmbp: %s %s: %s\n" fn path (Unix.error_message e);
+      exit 2
+  | Sys_error msg ->
+      Printf.eprintf "vmbp: %s\n" msg;
+      exit 2
+
 (* The options [experiment] and [report] share, as one term: it sets the
-   runner up, runs [body] at the requested scale, then writes what was
-   asked for and fails on a divergence. *)
+   runner up, opens the --store directory, runs [body] over it at the
+   requested scale, then writes what was asked for, closes the store and
+   fails on a divergence. *)
 let run_options =
-  let run_with scale jobs trace_cap json store store_shards cell_timeout
-      cell_retries chaos self_check audit_sample repro_dir trace_out metrics
-      progress (body : int option -> unit) =
+  let run_with scale jobs trace_cap json store cell_timeout cell_retries
+      chaos self_check audit_sample repro_dir trace_out metrics progress
+      (body : Vmbp_store.Store.t option -> int option -> unit) =
     Vmbp_report.Par_runner.default_jobs := jobs;
     Vmbp_report.Par_runner.trace_cap_mb := trace_cap;
     setup_supervision cell_timeout cell_retries chaos self_check
       audit_sample repro_dir;
-    Option.iter (Vmbp_report.Par_runner.set_store ?shards:store_shards) store;
+    let store =
+      Option.map
+        (fun dir -> exit_on_system_error (fun () -> Vmbp_store.Store.open_ dir))
+        store
+    in
     setup_obs trace_out metrics progress;
-    run_killable (fun () -> body scale);
+    run_killable (fun () -> body store scale);
     partial_marker ();
-    write_json json;
+    write_json ?store json;
     finish_obs trace_out metrics;
-    Vmbp_report.Par_runner.clear_store ();
+    Option.iter Vmbp_store.Store.close store;
     finish_audit ()
   in
   Term.(
     const run_with $ scale_opt_arg $ jobs_arg $ trace_cap_arg $ json_arg
-    $ store_arg $ store_shards_arg $ cell_timeout_arg $ cell_retries_arg
+    $ store_arg $ cell_timeout_arg $ cell_retries_arg
     $ chaos_arg $ self_check_arg $ audit_sample_arg $ repro_dir_arg
     $ trace_out_arg $ metrics_arg $ progress_arg)
 
@@ -532,7 +540,7 @@ let experiment_cmd =
   let doc = "Regenerate one of the paper's tables or figures." in
   let id = Arg.(required & pos 0 (some string) None & info [] ~docv:"ID") in
   let run id run_with =
-    run_with (fun scale ->
+    run_with (fun store scale ->
         match Vmbp_report.Experiments.find id with
         | None ->
             Printf.eprintf "unknown experiment %s (try 'vmbp list')\n" id;
@@ -540,8 +548,9 @@ let experiment_cmd =
         | Some e ->
             let open Vmbp_report.Experiments in
             Printf.printf "== %s ==\n%s\n\n" e.title e.paper_claim;
-            print_string
-              (e.run ~scale:(Option.value scale ~default:e.default_scale)))
+            List.iter
+              (fun (_, table) -> print_string table)
+              (fst (run_batch ?scale ?store [ e ])))
   in
   Cmd.v (Cmd.info "experiment" ~doc) Term.(const run $ id $ run_options)
 
@@ -586,14 +595,14 @@ let audit_repro_cmd =
 let report_cmd =
   let doc = "Run every experiment and print the full reproduction report." in
   let run run_with =
-    run_with (fun scale ->
+    run_with (fun store scale ->
         List.iter
           (fun ((e : Vmbp_report.Experiments.t), table) ->
             Printf.printf "== %s ==\nPaper: %s\n\n%s\n"
               e.Vmbp_report.Experiments.title
               e.Vmbp_report.Experiments.paper_claim table)
           (fst
-             (Vmbp_report.Experiments.run_batch ?scale
+             (Vmbp_report.Experiments.run_batch ?scale ?store
                 Vmbp_report.Experiments.all)))
   in
   Cmd.v (Cmd.info "report" ~doc) Term.(const run $ run_options)
@@ -693,7 +702,7 @@ let serve_cmd =
              drain.  The same registry is queryable live via the \
              'metrics' verb and $(b,vmbp top).")
   in
-  let run socket store store_shards jobs admission request_timeout
+  let run socket store jobs admission request_timeout
       slow_reader degraded_after max_frame chaos verbose flight_dir
       trace_out metrics =
     (match chaos with
@@ -705,11 +714,11 @@ let serve_cmd =
             Printf.eprintf "vmbp: bad --chaos spec: %s\n" msg;
             exit 2));
     Vmbp_obs.Registry.reset ();
+    exit_on_system_error @@ fun () ->
     Vmbp_service.Service.serve
       {
         Vmbp_service.Service.socket;
         store_dir = store;
-        shards = store_shards;
         jobs;
         admission;
         request_timeout;
@@ -725,7 +734,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ socket_arg $ store $ store_shards_arg $ jobs_arg
+      const run $ socket_arg $ store $ jobs_arg
       $ admission $ request_timeout $ slow_reader $ degraded_after
       $ max_frame $ chaos_arg $ verbose $ flight_dir $ serve_trace_out
       $ serve_metrics)
@@ -1072,7 +1081,7 @@ let simulate_cmd =
 let store_cmd =
   let scrub_cmd =
     let doc =
-      "Offline integrity scan of a store directory: per-shard counts of \
+      "Offline integrity scan of a store directory: per-file counts of \
        well-formed, corrupt and stale-fingerprint records.  Exits 4 if any \
        corruption is found (after the repair when $(b,--compact) is given)."
     in
@@ -1095,9 +1104,9 @@ let store_cmd =
     let print_reports reports =
       let tr, tc, ts =
         List.fold_left
-          (fun (r, c, s) (sr : Vmbp_store.Store.shard_report) ->
+          (fun (r, c, s) (sr : Vmbp_store.Store.scrub_report) ->
             Printf.printf "%-14s records %-6d corrupt %-4d stale %d\n"
-              sr.sr_shard sr.sr_records sr.sr_corrupt sr.sr_stale;
+              sr.sr_file sr.sr_records sr.sr_corrupt sr.sr_stale;
             (r + sr.sr_records, c + sr.sr_corrupt, s + sr.sr_stale))
           (0, 0, 0) reports
       in

@@ -57,8 +57,3 @@ let quicken t ~slot ~new_opcode ~new_operands =
   s.Program.opcode <- new_opcode;
   s.Program.operands <- new_operands;
   t.on_quicken t ~slot
-
-let total_dispatch_sites t =
-  Array.fold_left
-    (fun acc site -> if site.post_fall <> None then acc + 1 else acc)
-    0 t.sites

@@ -72,7 +72,3 @@ val quicken :
   t -> slot:int -> new_opcode:int -> new_operands:int array -> unit
 (** Install the quick instruction into the program slot and let the
     technique repair the affected sites. *)
-
-val total_dispatch_sites : t -> int
-(** Number of slots whose fall-through path still dispatches; a measure of
-    how many dispatches the technique eliminated statically. *)

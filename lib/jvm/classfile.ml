@@ -21,13 +21,3 @@ type class_decl = {
   c_super : string option;
   c_fields : string list;
 }
-
-let pp_cp ppf = function
-  | CP_int v -> Format.fprintf ppf "int %d" v
-  | CP_field { cls; field } -> Format.fprintf ppf "field %s.%s" cls field
-  | CP_static name -> Format.fprintf ppf "static %s" name
-  | CP_method name -> Format.fprintf ppf "method %s" name
-  | CP_virtual name -> Format.fprintf ppf "virtual %s" name
-  | CP_class name -> Format.fprintf ppf "class %s" name
-  | CP_switch { lo; targets } ->
-      Format.fprintf ppf "switch lo=%d cases=%d" lo (Array.length targets - 1)

@@ -31,5 +31,3 @@ type class_decl = {
   c_super : string option;
   c_fields : string list;  (** newly declared fields, in offset order *)
 }
-
-val pp_cp : Format.formatter -> cp_entry -> unit

@@ -451,19 +451,6 @@ let timed_of_entry c (e : Vmbp_store.Cellrec.entry) =
    [store-io] chaos point reaches it through this hook. *)
 let () = Vmbp_store.Store.io_fault_hook := Faults.store_io
 
-let store : Vmbp_store.Store.t option ref = ref None
-
-let set_store ?shards dir =
-  (match !store with Some s -> Vmbp_store.Store.close s | None -> ());
-  store := Some (Vmbp_store.Store.open_ ?shards dir)
-
-let clear_store () =
-  (match !store with Some s -> Vmbp_store.Store.close s | None -> ());
-  store := None
-
-let store_stats () = Option.map Vmbp_store.Store.stats !store
-let store_compact () = Option.iter Vmbp_store.Store.compact !store
-
 (* The store key is the full-result cache's identity: tagless, with the
    complete CPU profile spelled out. *)
 let store_key = result_key
@@ -473,26 +460,23 @@ let store_key = result_key
    "reconstructed from disk, no simulator ran", and every downstream
    policy (no re-append, no result cache, no audit) wants exactly that
    treatment. *)
-let store_lookup c =
-  match !store with
+let store_lookup s c =
+  let t0 = Vmbp_sim.Env.now () in
+  match
+    Vmbp_store.Store.lookup s ~key:(store_key c)
+      ~fingerprint:(config_fingerprint c)
+  with
+  | Some e ->
+      let t = timed_of_entry c e in
+      Some { t with serve_seconds = Vmbp_sim.Env.now () -. t0 }
   | None -> None
-  | Some s -> (
-      let t0 = Vmbp_sim.Env.now () in
-      match
-        Vmbp_store.Store.lookup s ~key:(store_key c)
-          ~fingerprint:(config_fingerprint c)
-      with
-      | Some e ->
-          let t = timed_of_entry c e in
-          Some { t with serve_seconds = Vmbp_sim.Env.now () -. t0 }
-      | None -> None)
 
 (* Persist a freshly computed success.  Only [Ok] outcomes are stored --
    failures may be transient and a service must never serve one from
    cache -- and an entry already present (the usual case when the same
    cell appears twice in one batch) is not appended again. *)
-let store_append c (t : timed) =
-  match !store with
+let store_append store c (t : timed) =
+  match store with
   | None -> ()
   | Some s -> (
       match t.outcome with
@@ -719,12 +703,12 @@ let audit_crosscheck c (t : timed) =
    path first if no group of the workload has).  For an unfit workload,
    under [--self-check] and with [--trace-cap-mb 0] every cell runs live.
    Any problem in the walk, its recording included, degrades the group to
-   per-cell live runs.  Every completed success is appended to the store
-   (if one is installed) the moment its slot is filled, so a crash loses
+   per-cell live runs.  Every completed success is appended to [store]
+   (if there is one) the moment its slot is filled, so a crash loses
    at most the group in flight.  Already-filled slots (served from the
    store, or filled before a degradation rerun) are skipped, which makes
    the group idempotent under fallback. *)
-let run_group results arr idxs =
+let run_group ?store results arr idxs =
   let finish ~live i t =
     let t = if live then t else audit_crosscheck arr.(i) t in
     results.(i) <- Some t;
@@ -732,7 +716,7 @@ let run_group results arr idxs =
     Vmbp_obs.Registry.add m_cell_retries (max 0 (t.attempts - 1));
     if t.timed_out then Vmbp_obs.Registry.add m_cell_timeouts 1;
     Vmbp_obs.Registry.observe h_cell_wall t.wall_seconds;
-    store_append arr.(i) t;
+    store_append store arr.(i) t;
     progress_cell_done ();
     progress_tick ()
   in
@@ -854,7 +838,7 @@ let max_respawn_rounds = 64
    are joined, the supervisor respawns a fresh pool over the orphans plus
    whatever the dead workers left in the queue, so queued cells survive
    any number of worker deaths (up to the livelock backstop). *)
-let run_pool ~jobs results arr groups =
+let run_pool ?store ~jobs results arr groups =
   let rec round n groups =
     let q = queue_create () in
     List.iter (fun g -> queue_push q g) groups;
@@ -872,7 +856,7 @@ let run_pool ~jobs results arr groups =
                  index. *)
               match
                 Faults.worker_death ();
-                run_group results arr g
+                run_group ?store results arr g
               with
               | () -> loop ()
               | exception Faults.Worker_killed ->
@@ -898,7 +882,7 @@ let run_pool ~jobs results arr groups =
           (fun g ->
             match
               Faults.worker_death ();
-              run_group results arr g
+              run_group ?store results arr g
             with
             | () -> ()
             | exception Faults.Worker_killed ->
@@ -913,7 +897,7 @@ let run_pool ~jobs results arr groups =
   in
   round 0 groups
 
-let run_cells ?jobs cells =
+let run_cells ?jobs ?store cells =
   let jobs =
     max 1 (match jobs with Some j -> j | None -> !default_jobs)
   in
@@ -922,13 +906,13 @@ let run_cells ?jobs cells =
   (* Resume pre-pass: serve stored cells before planning any work, so a
      fully stored group neither records nor walks anything. *)
   progress_begin (Array.length arr);
-  (match !store with
+  (match store with
   | None -> ()
-  | Some _ ->
+  | Some s ->
       Vmbp_obs.Span.with_ ~name:"store-serve" (fun () ->
           Array.iteri
             (fun i c ->
-              match store_lookup c with
+              match store_lookup s c with
               | Some t ->
                   results.(i) <- Some t;
                   progress_cell_done ()
@@ -954,10 +938,10 @@ let run_cells ?jobs cells =
       (fun g ->
         if not (shutting_down ()) then begin
           Faults.worker_death ();
-          run_group results arr g
+          run_group ?store results arr g
         end)
       groups
-  else run_pool ~jobs results arr groups;
+  else run_pool ?store ~jobs results arr groups;
   progress_end ();
   let out =
     Array.to_list
@@ -1015,7 +999,7 @@ let json_of_timed t =
   add "}";
   Buffer.contents b
 
-let json_summary ?jobs results =
+let json_summary ?jobs ?store results =
   let jobs = match jobs with Some j -> max 1 j | None -> !default_jobs in
   let total = List.fold_left (fun a t -> a +. t.wall_seconds) 0. results in
   let wall m =
@@ -1118,17 +1102,16 @@ let json_summary ?jobs results =
     (Printf.sprintf ",\"audited\":%d" (countp (fun t -> t.audited)));
   Buffer.add_string b
     (Printf.sprintf ",\"divergences\":%d" (Audit.divergence_count ()));
-  (match store_stats () with
+  (match Option.map Vmbp_store.Store.stats store with
   | None -> ()
   | Some s ->
       Buffer.add_string b
         (Printf.sprintf
-           ",\"store\":{\"entries\":%d,\"shards\":%d,\"loaded\":%d,\"served\":%d,\"missed\":%d,\"appended\":%d,\"write_errors\":%d,\"corrupt\":%d,\"compactions\":%d}"
-           s.Vmbp_store.Store.entries s.Vmbp_store.Store.shards
-           s.Vmbp_store.Store.loaded s.Vmbp_store.Store.served
-           s.Vmbp_store.Store.missed s.Vmbp_store.Store.appended
-           s.Vmbp_store.Store.write_errors s.Vmbp_store.Store.corrupt
-           s.Vmbp_store.Store.compactions));
+           ",\"store\":{\"entries\":%d,\"loaded\":%d,\"served\":%d,\"missed\":%d,\"appended\":%d,\"write_errors\":%d,\"corrupt\":%d,\"compactions\":%d}"
+           s.Vmbp_store.Store.entries s.Vmbp_store.Store.loaded
+           s.Vmbp_store.Store.served s.Vmbp_store.Store.missed
+           s.Vmbp_store.Store.appended s.Vmbp_store.Store.write_errors
+           s.Vmbp_store.Store.corrupt s.Vmbp_store.Store.compactions));
   Buffer.add_string b
     (Printf.sprintf ",\"trace_cap_mb\":%d" !trace_cap_mb);
   Buffer.add_string b
@@ -1155,8 +1138,8 @@ let json_summary ?jobs results =
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
 
-let write_json_summary ?jobs ~file results =
+let write_json_summary ?jobs ?store ~file results =
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (json_summary ?jobs results))
+    (fun () -> output_string oc (json_summary ?jobs ?store results))

@@ -75,8 +75,8 @@ type timed = {
           repeated worker deaths *)
   timed_out : bool;  (** the final attempt hit the [--cell-timeout] deadline *)
   from_journal : bool;
-      (** reconstructed from the store ({!set_store}); no simulator ran
-          for this cell.  The name predates the store. *)
+      (** reconstructed from the store passed to {!run_cells}; no
+          simulator ran for this cell.  The name predates the store. *)
   audited : bool;
       (** the cell was cross-checked against an oracle: reference-model
           lockstep under [--self-check], or a sampled fresh live run for
@@ -143,31 +143,20 @@ val cell_retries : int ref
 (** {2 Content-addressed result store and resume}
 
     The store ({!Vmbp_store.Store}) is the one crash-safe resume path and
-    the report service's durable result table: sharded, CRC-framed,
+    the report service's durable result table: one CRC-framed file,
     fsync'd per append, addressed by the tagless parameter-complete cell
     identity (the full-result cache's key) plus a configuration
-    fingerprint.  With a store installed, {!run_cells} serves matching
-    cells from it before planning any work ([from_journal = true] -- no
-    simulator ran) and appends every freshly computed success as it
-    finishes, so an interrupted run re-run over the same store is
-    byte-identical to an uninterrupted one, and a grid run warms the
-    store the report service answers queries from.  The [store-io] chaos
-    point is wired into the store's append path. *)
+    fingerprint.  Given a store, {!run_cells} serves matching cells from
+    it before planning any work ([from_journal = true] -- no simulator
+    ran) and appends every freshly computed success as it finishes, so
+    an interrupted run re-run over the same store is byte-identical to an
+    uninterrupted one, and a grid run warms the store the report service
+    answers queries from.  The caller opens and closes the store.  The
+    [store-io] chaos point is wired into the store's append path. *)
 
-val set_store : ?shards:int -> string -> unit
-(** Install (or replace) the process-wide store, opening [dir]. *)
-
-val clear_store : unit -> unit
-(** Close and remove the store. *)
-
-val store_stats : unit -> Vmbp_store.Store.stats option
-
-val store_compact : unit -> unit
-(** Run a compaction pass on the installed store, if any. *)
-
-val store_lookup : cell -> timed option
-(** Serve one cell straight from the installed store: [None] on a miss or
-    with no store installed.  Used by the report service's hit path. *)
+val store_lookup : Vmbp_store.Store.t -> cell -> timed option
+(** Serve one cell straight from the store: [None] on a miss.  Used by
+    the report service's hit path. *)
 
 val store_key : cell -> string
 (** The store key: tagless and parameter-complete, so every consumer that
@@ -242,18 +231,21 @@ val cell :
 val cell_name : cell -> string
 (** ["vm/workload/technique/cpu[@scale]"], for logs and error reports. *)
 
-val run_cells : ?jobs:int -> cell list -> timed list
+val run_cells :
+  ?jobs:int -> ?store:Vmbp_store.Store.t -> cell list -> timed list
 (** Run every cell and return the outcomes in the input order regardless of
     completion order.  Cells are grouped by (workload, technique, scale);
     groups are the unit of parallelism, [?jobs] at a time (default
     {!default_jobs}), and within a group one walk of the workload's VM
-    path serves every pending cell. *)
+    path serves every pending cell.  With [?store], cells found there are
+    served from it and every fresh success is appended to it. *)
 
 val drain_log : unit -> timed list
 (** All cells recorded since the previous drain, in chronological batch
     order (each batch in its input order); clears the log. *)
 
-val json_summary : ?jobs:int -> timed list -> string
+val json_summary :
+  ?jobs:int -> ?store:Vmbp_store.Store.t -> timed list -> string
 (** A machine-readable summary: schema [vmbp-cells/8], one record per cell
     with simulated cycles, mispredict rate, I-cache misses, production
     mode, [attempts]/[timed_out]/[from_journal] (plus [audited] when the
@@ -265,9 +257,10 @@ val json_summary : ?jobs:int -> timed list -> string
     report-service counters
     ([store_hits]/[store_misses]/[coalesced]/[shed]/[degraded_seconds]),
     the differential-checking block
-    ([self_check]/[audit_sample]/[audited]/[divergences]), store
-    statistics when installed, the direct/record/replay wall-clock
+    ([self_check]/[audit_sample]/[audited]/[divergences]), [?store]'s
+    statistics when given, the direct/record/replay wall-clock
     split and the aggregate [serve_wall_seconds]. *)
 
-val write_json_summary : ?jobs:int -> file:string -> timed list -> unit
+val write_json_summary :
+  ?jobs:int -> ?store:Vmbp_store.Store.t -> file:string -> timed list -> unit
 (** Write {!json_summary} to [file]. *)

@@ -27,7 +27,6 @@ let render ~headers ~rows =
   ^ "\n"
 
 let f2 v = Printf.sprintf "%.2f" v
-let f0 v = Printf.sprintf "%.0f" v
 
 let human_int v =
   let fv = float_of_int v in

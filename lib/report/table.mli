@@ -6,6 +6,5 @@ val render : headers:string list -> rows:string list list -> string
 val f2 : float -> string
 (** Two-decimal rendering. *)
 
-val f0 : float -> string
 val human_int : int -> string
 (** 12345678 -> "12.3M"-style rendering for counter values. *)

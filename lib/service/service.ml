@@ -5,7 +5,6 @@ module Env = Vmbp_sim.Env
 type config = {
   socket : string;
   store_dir : string;
-  shards : int option;
   jobs : int;
   admission : int;
   request_timeout : float;
@@ -23,7 +22,6 @@ let default_config ~socket ~store_dir =
   {
     socket;
     store_dir;
-    shards = None;
     jobs = 1;
     admission = 64;
     request_timeout = 30.;
@@ -154,10 +152,10 @@ let enqueue sh job =
 (* The whole reproduction grid, run as one batch, as one vmbp-cells/8
    document of exactly the grid's cells.  The session log is drained too,
    so the query batches logged since the last grid do not pile up. *)
-let grid_doc (cfg : config) scale =
-  let _, cells = Experiments.run_batch ?scale Experiments.all in
+let grid_doc (cfg : config) store scale =
+  let _, cells = Experiments.run_batch ?scale ~store Experiments.all in
   ignore (Par_runner.drain_log ());
-  Par_runner.json_summary ~jobs:cfg.jobs cells
+  Par_runner.json_summary ~jobs:cfg.jobs ~store cells
 
 (* One compute-pool step: drain every queued job, merge the cell jobs
    into one batch (one [run_cells] call, so cells sharing a workload
@@ -168,7 +166,7 @@ let grid_doc (cfg : config) scale =
    immediately (the pre-seam ordering, byte for byte), the simulated env
    schedules it a virtual latency later.  [block] is how the real domain
    parks on the condition variable; the simulation polls. *)
-let compute_step (cfg : config) (env : Env.t) sh ~block =
+let compute_step (cfg : config) (env : Env.t) store sh ~block =
   Mutex.lock sh.lock;
   if block then
     while Queue.is_empty sh.jobs do
@@ -228,7 +226,7 @@ let compute_step (cfg : config) (env : Env.t) sh ~block =
               ]
             (fun () ->
               match
-                Par_runner.run_cells ~jobs:cfg.jobs
+                Par_runner.run_cells ~jobs:cfg.jobs ~store
                   (List.map (fun (_, _, c) -> c) cells)
               with
               | timeds ->
@@ -254,7 +252,7 @@ let compute_step (cfg : config) (env : Env.t) sh ~block =
           Vmbp_obs.Span.with_ ~name:"compute-grid" ~trace:g_rid
             ~args:[ ("grid", string_of_int g_id) ]
             (fun () ->
-              match grid_doc cfg g_scale with
+              match grid_doc cfg store g_scale with
               | doc -> (P.obj [ ("status", P.S "ok"); ("cells", P.S doc) ], "ok")
               | exception exn ->
                   (reply_status ~error:(Printexc.to_string exn) "error", "error"))
@@ -305,6 +303,7 @@ type waiter = { w_conn : conn; w_rctx : rctx; w_deadline : float }
 type state = {
   cfg : config;
   env : Env.t;
+  store : Vmbp_store.Store.t;
   sh : shared;
   mutable conns : conn list;
   (* (store key \x00 fingerprint) -> waiters, newest first *)
@@ -412,7 +411,7 @@ let degraded_now st now =
   | _ -> false
 
 let service_stats st now =
-  let s = Option.get (Par_runner.store_stats ()) in
+  let s = Vmbp_store.Store.stats st.store in
   let c name =
     match Vmbp_obs.Registry.find_counter name with
     | Some v -> Int64.to_int v
@@ -426,7 +425,6 @@ let service_stats st now =
     [
       ("status", P.S "ok");
       ("entries", P.I s.Vmbp_store.Store.entries);
-      ("shards", P.I s.Vmbp_store.Store.shards);
       ("loaded", P.I s.Vmbp_store.Store.loaded);
       ("store_hits", P.I s.Vmbp_store.Store.served);
       ("store_misses", P.I s.Vmbp_store.Store.missed);
@@ -567,7 +565,7 @@ let handle_request st conn rx req =
         enqueue st.sh (J_grid { g_id = id; g_rid = rx.r_rid; g_scale = scale })
       end
   | P.Query c -> (
-      match Par_runner.store_lookup c with
+      match Par_runner.store_lookup st.store c with
       | Some t ->
           Vmbp_obs.Registry.add m_store_hits 1;
           admit st rx "store-hit" now;
@@ -822,17 +820,23 @@ let serve (cfg : config) =
   let env = !Env.current in
   Par_runner.progress := false;
   Par_runner.default_jobs := max 1 cfg.jobs;
-  Par_runner.set_store ?shards:cfg.shards cfg.store_dir;
-  (match Par_runner.store_stats () with
-  | Some s when s.Vmbp_store.Store.corrupt > 0 ->
-      if not cfg.quiet then
-        Printf.eprintf
-          "[serve] store load skipped %d corrupt record(s); compacting\n%!"
-          s.Vmbp_store.Store.corrupt;
-      Par_runner.store_compact ()
-  | _ -> ());
-  (try env.Env.unlink cfg.socket with Unix.Unix_error _ -> ());
-  let listen_fd = env.Env.listen cfg.socket ~backlog:64 in
+  let store = Vmbp_store.Store.open_ cfg.store_dir in
+  let listen_fd =
+    try
+      let corrupt = (Vmbp_store.Store.stats store).Vmbp_store.Store.corrupt in
+      if corrupt > 0 then begin
+        if not cfg.quiet then
+          Printf.eprintf
+            "[serve] store load skipped %d corrupt record(s); compacting\n%!"
+            corrupt;
+        Vmbp_store.Store.compact store
+      end;
+      (try env.Env.unlink cfg.socket with Unix.Unix_error _ -> ());
+      env.Env.listen cfg.socket ~backlog:64
+    with e ->
+      Vmbp_store.Store.close store;
+      raise e
+  in
   let wake_r, wake_w = env.Env.pipe () in
   let sh =
     {
@@ -850,6 +854,7 @@ let serve (cfg : config) =
     {
       cfg;
       env;
+      store;
       sh;
       conns = [];
       inflight = Hashtbl.create 64;
@@ -912,7 +917,7 @@ let serve (cfg : config) =
     @ List.filter_map install [ Sys.sigint; Sys.sigterm ]
     @ List.filter_map install_dump [ Sys.sigquit ]
   in
-  let pool = env.Env.spawn_compute (compute_step cfg env sh) in
+  let pool = env.Env.spawn_compute (compute_step cfg env store sh) in
   sh.pool <- Some pool;
   if not cfg.quiet then
     Printf.eprintf "[serve] listening on %s (store %s, %d job(s))\n%!"
@@ -1003,7 +1008,7 @@ let serve (cfg : config) =
         (fun (signum, h) ->
           try Sys.set_signal signum h with _ -> ())
         prev_signals;
-      Par_runner.clear_store ();
+      Vmbp_store.Store.close store;
       (match cfg.trace_out with
       | Some file ->
           Vmbp_obs.Span.disable ();

@@ -4,7 +4,7 @@
     One event thread owns a Unix-domain listening socket and every
     connection; one compute domain runs misses through
     {!Vmbp_report.Par_runner} (store pre-pass, grouped path walks,
-    watchdog, retries) with the process-wide store installed, so every
+    watchdog, retries) over the store the service opened, so every
     freshly computed success is fsync'd to the store before its reply
     goes out -- a [kill -9] at any instant loses at most the cells in
     flight, and a restart on the same store serves everything previously
@@ -42,8 +42,7 @@
 
 type config = {
   socket : string;  (** Unix-domain socket path *)
-  store_dir : string;
-  shards : int option;  (** store shard count; [None] = store default *)
+  store_dir : string;  (** opened at start, closed at drain *)
   jobs : int;  (** compute pool width for batched misses *)
   admission : int;  (** max distinct cell configurations in compute flight *)
   request_timeout : float;  (** seconds until a waiter gets [timeout] *)
@@ -79,5 +78,6 @@ val serve : config -> unit
     time; under the default real environment behavior is unchanged.
     Deadlines (request timeout, slow-reader, degraded-after, stall
     windows) use the monotonic clock and are immune to wall-clock
-    steps.  Raises [Unix.Unix_error] if the socket cannot be bound or
-    the store cannot be opened. *)
+    steps.  Raises [Unix.Unix_error] if the socket cannot be bound (the
+    error names the socket path), and [Unix.Unix_error] or [Sys_error]
+    if the store cannot be opened. *)

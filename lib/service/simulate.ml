@@ -26,7 +26,7 @@ let set_mutation m =
 (* ------------------------------------------------------------------ *)
 (* The query universe: cheap cells only (gray at scale 1 is the same
    fast configuration the service tests use), over two dynamic
-   techniques and three CPU models so shard placement and coalescing
+   techniques and three CPU models so coalescing and compute batches
    still get variety. *)
 
 let cell_universe =
@@ -265,7 +265,7 @@ let run_seed ?mutation seed =
 
   (* -------- per-schedule invariant checks ------------------------- *)
   let check_store tag =
-    match Store.open_ ~shards:4 store_dir with
+    match Store.open_ store_dir with
     | exception e ->
         fail "%s: store load raised %s (invariant 4)" tag
           (Printexc.to_string e)
@@ -555,8 +555,7 @@ let run_seed ?mutation seed =
     Vmbp_obs.Span.disable ();
     Vmbp_obs.Span.set_clock Unix.gettimeofday;
     Vmbp_obs.Flight.set_clock Unix.gettimeofday;
-    Vmbp_report.Faults.reset ();
-    PR.clear_store ()
+    Vmbp_report.Faults.reset ()
   in
   Fun.protect ~finally (fun () ->
       Env.current := Sim.env w;
@@ -593,7 +592,6 @@ let run_seed ?mutation seed =
         {
           Service.socket = sock_path;
           store_dir;
-          shards = Some 4;
           jobs = 1;
           admission = 8;
           request_timeout = 12.0;

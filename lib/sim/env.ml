@@ -79,8 +79,13 @@ let real =
   in
   let listen path ~backlog =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd backlog;
+    (* [bind] names no path in its error; a refused socket path must. *)
+    (try
+       Unix.bind fd (Unix.ADDR_UNIX path);
+       Unix.listen fd backlog
+     with Unix.Unix_error (e, fn, _) ->
+       Unix.close fd;
+       raise (Unix.Unix_error (e, fn, path)));
     Unix.set_nonblock fd;
     Real fd
   in

@@ -360,16 +360,6 @@ let client_close t c =
     at t arrival (fun () -> c.server_eof <- true)
   end
 
-let sever t c =
-  (* A mid-connection network fault: both directions die now. *)
-  if c.client_alive || c.server_alive then begin
-    tracef t "SEVER conn %d" c.conn_id;
-    c.server_alive <- false;
-    at t (t.vnow +. net_delay t) (fun () -> deliver_client t c None);
-    let arrival = Float.max (t.vnow +. net_delay t) c.arr_to_server in
-    at t arrival (fun () -> c.server_eof <- true)
-  end
-
 (* ------------------------------------------------------------------ *)
 (* The Env implementation *)
 

@@ -86,10 +86,6 @@ val on_conn_event : t -> conn -> (string option -> unit) -> unit
 val client_send : t -> conn -> string -> unit
 val client_close : t -> conn -> unit
 
-val sever : t -> conn -> unit
-(** Kill the connection from the network's side: the server sees EOF,
-    the client sees EOF, buffered bytes in flight still arrive first. *)
-
 (** {2 Introspection and knobs} *)
 
 val selects : t -> int

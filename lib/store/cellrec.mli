@@ -1,7 +1,7 @@
 (** The persisted cell record: one completed experiment cell, serialized
     as one flat JSON line.
 
-    What the sharded content-addressed store ({!Store}) persists.  Only
+    What the content-addressed store ({!Store}) persists.  Only
     integer event counters are stored for a success -- cycles and seconds
     are recomputed from them through {!Vmbp_machine.Cpu_model} -- so a
     cell served from disk is byte-identical to a freshly computed one by

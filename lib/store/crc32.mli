@@ -1,7 +1,8 @@
 (** CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320).
 
-    Every record in the content-addressed store carries this checksum, so corruption anywhere in a shard -- not just a
-    line cut short by a crash -- is detected on load.  CRC-32 detects all
+    Every record in the content-addressed store carries this checksum,
+    so corruption anywhere in its file -- not just a line cut short by a
+    crash -- is detected on load.  CRC-32 detects all
     burst errors up to 32 bits, which covers the single-sector and
     byte-flip corruption modes the fuzz tests inject. *)
 

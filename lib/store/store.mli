@@ -1,17 +1,19 @@
-(** Sharded, checksummed, content-addressed result store.
+(** Checksummed, content-addressed result store in one append-only
+    file.
 
     The crash-safe resume path of a report run and the persistence layer
-    of the report service: completed cells are addressed by their parameter-complete key
-    plus configuration fingerprint, spread over [shards] append-only
-    files by key CRC, and every record is framed with a CRC-32 and a
-    length header ({!Frame}), so corruption {e anywhere} in a shard --
-    not just a torn final line -- is detected, skipped and counted on
-    load, and repaired by {!compact}.  Appends are written whole and
-    fsync'd; a [kill -9] at any instant leaves at worst one torn tail
-    record, which the framing skips, so the store is loadable after any
-    crash.  Shard rewrites (compaction) go through
-    write-temp/fsync/rename, so they too can die at any instant without
-    losing the old shard.
+    of the report service: completed cells are addressed by their
+    parameter-complete key plus configuration fingerprint, every record
+    is appended to [cells.vcas] in the store directory, and every record
+    is framed with a CRC-32 and a length header ({!Frame}), so corruption
+    {e anywhere} in the file -- not just a torn final line -- is
+    detected, skipped and counted on load, and repaired by {!compact}.
+    Appends are written whole and fsync'd; a [kill -9] at any instant
+    leaves at worst one torn tail record, which the framing skips, so the
+    store is loadable after any crash.  Records load in append order, so
+    the latest record of a key always wins.  Compaction rewrites the file
+    through write-temp/fsync/rename, so it too can die at any instant
+    without losing the old file.
 
     The store is a live table: an appended entry is immediately
     {!lookup}-able, which is what a long-running service needs.  All
@@ -19,7 +21,6 @@
 
 type stats = {
   entries : int;  (** distinct (key, fingerprint) records held *)
-  shards : int;
   loaded : int;  (** well-formed records read at [open_] *)
   served : int;  (** successful lookups *)
   missed : int;  (** lookups that found nothing *)
@@ -46,19 +47,20 @@ val mutation_skip_fsync : bool ref
 
 val mutation_skip_dir_fsync : bool ref
 (** Mutation tooth: when [true], {!compact} skips the final directory
-    fsync after its renames.  See {!mutation_skip_fsync}. *)
+    fsync after its rename.  See {!mutation_skip_fsync}. *)
 
-val open_ : ?shards:int -> string -> t
-(** Open (creating if needed) the store directory.  Every existing shard
-    file is scanned -- even when the directory holds more shards than
-    [?shards] (default 8) requests, so a store is readable under any
-    shard setting -- and stale temp files from a crashed compaction are
-    removed.  Newly created shard files are made durable with a
-    directory fsync before the call returns.  All I/O goes through the
-    environment captured from {!Vmbp_sim.Env.current} at this moment,
-    which is how the simulation harness substitutes its faulty
-    filesystem.  Raises [Unix.Unix_error] if the directory cannot be
-    created or a shard cannot be opened for appending. *)
+val open_ : string -> t
+(** Open (creating if needed) the store directory and its [cells.vcas],
+    and load every record.  Stale temp files from a crashed compaction
+    are removed, and a newly created file is made durable with a
+    directory fsync before the call returns.  A directory written in the
+    older layout holds [shard-NN.vcas] files: they load in name order,
+    before [cells.vcas], one {!compact} then folds them into
+    [cells.vcas], and they are removed once its rename is durable.  All I/O goes through the environment
+    captured from {!Vmbp_sim.Env.current} at this moment, which is how
+    the simulation harness substitutes its faulty filesystem.  Raises
+    [Unix.Unix_error] or [Sys_error] if the directory cannot be created
+    or read, or its file cannot be opened for appending. *)
 
 val lookup : t -> key:string -> fingerprint:string -> Cellrec.entry option
 (** Served from the in-memory table: entries loaded at [open_] plus
@@ -69,45 +71,42 @@ val mem : t -> key:string -> fingerprint:string -> bool
     deciding whether an append would be a duplicate. *)
 
 val append : t -> Cellrec.entry -> unit
-(** Frame, write and fsync one record to its key's shard, and make it
+(** Frame, write and fsync one record to [cells.vcas], and make it
     immediately lookup-able.  A write failure (or an injected [store-io]
     fault) is counted and otherwise ignored: the entry still serves from
     memory, and is simply recomputed by whatever process loads the store
     next. *)
 
 val compact : t -> unit
-(** Rewrite every shard from the in-memory table: corrupt bytes and
-    superseded duplicates are dropped, records land on their current
-    shard mapping, and each shard is replaced by write-temp / fsync /
-    rename (then the directory is fsync'd), so a crash mid-compaction
-    loses nothing. *)
+(** Rewrite [cells.vcas] from the in-memory table: corrupt bytes and
+    superseded records are dropped, and the file is replaced by
+    write-temp / fsync / rename, then the directory is fsync'd, so a
+    crash mid-compaction loses nothing. *)
 
 val iter : t -> (Cellrec.entry -> unit) -> unit
 (** Apply a function to every live entry under the store lock.  The
     callback must not call back into the store. *)
 
 val stats : t -> stats
-val dir : t -> string
 
 val close : t -> unit
-(** Close every shard descriptor; further appends count as write
+(** Close the append descriptor; further appends count as write
     errors. *)
 
 (** {2 Offline scrub} *)
 
-type shard_report = {
-  sr_shard : string;  (** shard file name *)
+type scrub_report = {
+  sr_file : string;  (** file name *)
   sr_records : int;  (** well-formed records *)
   sr_corrupt : int;  (** undecodable or unframed lines *)
   sr_stale : int;
-      (** records whose key reappears later (shard order, then line
-          order) under a {e different} fingerprint: computed under a
-          configuration that has since changed, so unreachable by any
-          current lookup *)
+      (** records whose key reappears later (in load order) under a
+          {e different} fingerprint: computed under a configuration that
+          has since changed, so unreachable by any current lookup *)
 }
 
-val scrub : string -> shard_report list
-(** Read-only scan of a store directory, one report per shard file in
-    name order, without opening the store for writing.  Safe on a
+val scrub : string -> scrub_report list
+(** Read-only scan of a store directory, one report per file it reads,
+    in load order, without opening the store for writing.  Safe on a
     directory another process has open.  [compact] (on an opened store)
     repairs everything scrub counts. *)

@@ -28,11 +28,6 @@ let is_basic_block_end t =
   | Return | Stop ->
       true
 
-let can_fall_through t =
-  match t.branch with
-  | Straight | Cond_branch _ | Call _ | Indirect_call -> true
-  | Uncond_branch _ | Indirect_branch | Return | Stop -> false
-
 let pp ppf t =
   Format.fprintf ppf "%s(#%d, %d instrs, %dB%s%s)" t.name t.opcode
     t.work_instrs t.work_bytes

@@ -40,8 +40,4 @@ val is_basic_block_end : t -> bool
     into the next slot as straight-line code: branches, calls, returns and
     stops all end a basic block. *)
 
-val can_fall_through : t -> bool
-(** True when control may continue at the next slot ([Straight],
-    [Cond_branch] and [Call]/[Indirect_call], whose callees return). *)
-
 val pp : Format.formatter -> t -> unit

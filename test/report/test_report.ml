@@ -943,7 +943,6 @@ module Faults = Vmbp_report.Faults
 let reset_supervision () =
   Faults.reset ();
   PR.reset_shutdown ();
-  PR.clear_store ();
   PR.cell_timeout := 0.;
   PR.cell_retries := 1;
   PR.trace_cap_mb := 256;
@@ -1136,7 +1135,6 @@ let with_temp_store f =
   in
   Fun.protect
     ~finally:(fun () ->
-      PR.clear_store ();
       if Sys.file_exists dir then begin
         Array.iter
           (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
@@ -1150,16 +1148,14 @@ let test_store_roundtrip_serve () =
      same cells is served entirely from the store, byte-identically,
      including cells appended by the same process. *)
   with_temp_store (fun dir ->
-      PR.set_store ~shards:4 dir;
-      let first = PR.run_cells ~jobs:1 (toy_cells ()) in
-      (match PR.store_stats () with
-      | Some s ->
-          check_int "every success stored" 12 s.Vmbp_store.Store.appended
-      | None -> Alcotest.fail "store must be installed");
+      let store = Vmbp_store.Store.open_ dir in
+      let first = PR.run_cells ~jobs:1 ~store (toy_cells ()) in
+      check_int "every success stored" 12
+        (Vmbp_store.Store.stats store).Vmbp_store.Store.appended;
       (* Same process, same store: the live table serves instantly. *)
       PR.clear_trace_cache ();
       PR.clear_result_cache ();
-      let second = PR.run_cells ~jobs:1 (toy_cells ()) in
+      let second = PR.run_cells ~jobs:1 ~store (toy_cells ()) in
       List.iter
         (fun (t : PR.timed) ->
           check_bool "served from store" true t.PR.from_journal)
@@ -1167,11 +1163,11 @@ let test_store_roundtrip_serve () =
       Alcotest.(check (list (pair string string)))
         "store round-trip is identical" (signature first) (signature second);
       (* Fresh process simulation: close and reopen the same directory. *)
-      PR.clear_store ();
-      PR.set_store ~shards:4 dir;
+      Vmbp_store.Store.close store;
+      let store = Vmbp_store.Store.open_ dir in
       PR.clear_trace_cache ();
       PR.clear_result_cache ();
-      let third = PR.run_cells ~jobs:1 (toy_cells ()) in
+      let third = PR.run_cells ~jobs:1 ~store (toy_cells ()) in
       Alcotest.(check (list (pair string string)))
         "reloaded store is identical" (signature first) (signature third);
       (* Full-fidelity check on one reloaded cell, not just the
@@ -1188,14 +1184,13 @@ let test_store_roundtrip_serve () =
                 rb.Vmbp_report.Runner.output
           | _ -> Alcotest.fail "toy cells must succeed")
       | _ -> Alcotest.fail "no results");
-      (match PR.store_stats () with
-      | Some s ->
-          check_int "all 12 reloaded" 12 s.Vmbp_store.Store.loaded;
-          check_int "nothing recomputed" 0 s.Vmbp_store.Store.appended
-      | None -> Alcotest.fail "store must be installed");
+      let s = Vmbp_store.Store.stats store in
+      check_int "all 12 reloaded" 12 s.Vmbp_store.Store.loaded;
+      check_int "nothing recomputed" 0 s.Vmbp_store.Store.appended;
       (* The vmbp-cells/8 summary surfaces the store counters. *)
       ignore (PR.drain_log ());
-      let json = PR.json_summary ~jobs:1 third in
+      let json = PR.json_summary ~jobs:1 ~store third in
+      Vmbp_store.Store.close store;
       let contains needle =
         let nl = String.length needle and hl = String.length json in
         let found = ref false in
@@ -1212,7 +1207,7 @@ let test_store_roundtrip_serve () =
       check_bool "summary has degraded_seconds" true
         (contains "\"degraded_seconds\":");
       check_bool "summary has store stats block" true
-        (contains "\"store\":{");
+        (contains "\"store\":{\"entries\":12,\"loaded\":12,");
       check_bool "summary has no journal block" false
         (contains "\"journal\":{"))
 
@@ -1220,20 +1215,19 @@ let test_store_io_fault_degrades () =
   (* store-io chaos: the append is dropped and counted; the run itself is
      unaffected and the cell recomputes on the next cold open. *)
   with_temp_store (fun dir ->
-      PR.set_store ~shards:2 dir;
+      let store = Vmbp_store.Store.open_ dir in
       configure_chaos "store-io=1";
-      let results = PR.run_cells ~jobs:1 (toy_cells ()) in
+      let results = PR.run_cells ~jobs:1 ~store (toy_cells ()) in
       List.iter
         (fun (t : PR.timed) ->
           check_bool "cells unaffected by store loss" true
             (Result.is_ok t.PR.outcome))
         results;
       check_int "store-io fired" 1 (Faults.fired Faults.Store_io);
-      match PR.store_stats () with
-      | Some s ->
-          check_int "one append dropped" 1 s.Vmbp_store.Store.write_errors;
-          check_int "the rest landed" 11 s.Vmbp_store.Store.appended
-      | None -> Alcotest.fail "store must be installed")
+      let s = Vmbp_store.Store.stats store in
+      Vmbp_store.Store.close store;
+      check_int "one append dropped" 1 s.Vmbp_store.Store.write_errors;
+      check_int "the rest landed" 11 s.Vmbp_store.Store.appended)
 
 let test_sequential_kill_and_resume () =
   (* The headline crash-safety property: kill the (sequential) run after two
@@ -1243,15 +1237,16 @@ let test_sequential_kill_and_resume () =
       let reference = signature (PR.run_cells ~jobs:1 (toy_cells ())) in
       PR.clear_result_cache ();
       configure_chaos "worker-death=2+1";
-      PR.set_store ~shards:2 dir;
-      (match PR.run_cells ~jobs:1 (toy_cells ()) with
+      let store = Vmbp_store.Store.open_ dir in
+      (match PR.run_cells ~jobs:1 ~store (toy_cells ()) with
       | exception Faults.Worker_killed -> ()
       | _ -> Alcotest.fail "sequential worker death must escape run_cells");
       Faults.reset ();
-      PR.clear_store ();
+      Vmbp_store.Store.close store;
       PR.clear_result_cache ();
-      PR.set_store ~shards:2 dir;
-      let resumed = PR.run_cells ~jobs:1 (toy_cells ()) in
+      let store = Vmbp_store.Store.open_ dir in
+      let resumed = PR.run_cells ~jobs:1 ~store (toy_cells ()) in
+      Vmbp_store.Store.close store;
       Alcotest.(check (list (pair string string)))
         "resumed report is byte-identical" reference (signature resumed);
       let from_store =
@@ -1676,7 +1671,7 @@ let test_store_refuses_descriptor_mismatch () =
      demands that both halves of the identity match. *)
   let shared_fp = PR.config_fingerprint c2 in
   with_temp_store (fun dir ->
-      let s = Vmbp_store.Store.open_ ~shards:2 dir in
+      let s = Vmbp_store.Store.open_ dir in
       Vmbp_store.Store.append s
         {
           Vmbp_store.Cellrec.key = PR.store_key c1;
@@ -1702,11 +1697,10 @@ let test_store_refuses_descriptor_mismatch () =
           check_bool "matching key, different fingerprint refused" true
             (Vmbp_store.Store.lookup s ~key:(PR.store_key c1)
                ~fingerprint:(PR.config_fingerprint c1)
-            = None));
-      (* The runner's own resume path refuses both cells too. *)
-      PR.set_store dir;
-      check_bool "runner serves neither cell" true
-        (PR.store_lookup c1 = None && PR.store_lookup c2 = None))
+            = None);
+          (* The runner's own resume path refuses both cells too. *)
+          check_bool "runner serves neither cell" true
+            (PR.store_lookup s c1 = None && PR.store_lookup s c2 = None)))
 
 let () =
   Alcotest.run "report"

@@ -1,7 +1,8 @@
 (* Tests of the content-addressed result store and its codecs: CRC-32
    against the reference vector, frame classification, cell-record
    round-trips, crash/corruption survival (byte-flip fuzzing, torn
-   tails, stale compaction temps) and compaction repair. *)
+   tails, stale compaction temps), compaction repair and the load of a
+   store written in the older shard layout. *)
 
 open Vmbp_store
 
@@ -148,7 +149,7 @@ let with_dir =
 
 let test_store_basic () =
   with_dir @@ fun dir ->
-  let t = Store.open_ ~shards:4 dir in
+  let t = Store.open_ dir in
   check_bool "empty miss" true (Store.lookup t ~key:"a" ~fingerprint:"f" = None);
   let e = sample_success "a" in
   Store.append t { e with Cellrec.fingerprint = "f" };
@@ -163,8 +164,8 @@ let test_store_basic () =
   check_int "one append" 1 s.Store.appended;
   check_int "hits counted" 1 s.Store.served;
   Store.close t;
-  (* Reopen under a different shard request: still readable. *)
-  let t2 = Store.open_ ~shards:2 dir in
+  (* Reopen: the record comes back from disk. *)
+  let t2 = Store.open_ dir in
   check_int "reloaded" 1 (Store.stats t2).Store.loaded;
   (match Store.lookup t2 ~key:"a" ~fingerprint:"f" with
   | Some e' ->
@@ -188,44 +189,37 @@ let test_store_last_write_wins () =
   Store.close t2
 
 let populate dir n =
-  let t = Store.open_ ~shards:4 dir in
+  let t = Store.open_ dir in
   for i = 0 to n - 1 do
     Store.append t (sample_success (Printf.sprintf "cell-%03d" i))
   done;
   Store.close t
 
-let shard_files dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".vcas")
-  |> List.map (Filename.concat dir)
-  |> List.sort compare
+let store_file dir = Filename.concat dir "cells.vcas"
 
-(* Satellite: corruption fuzz.  Flip bytes all over the shards; reopening
-   must never raise, must count the damage, and must never serve a
-   record that differs from what was written. *)
+(* Corruption fuzz.  Flip bytes all over the store file; reopening must
+   never raise, must count the damage, and must never serve a record
+   that differs from what was written. *)
 let test_store_corruption_fuzz () =
   let rng = Random.State.make [| 0xC0FFEE |] in
   for _round = 1 to 8 do
     with_dir @@ fun dir ->
     let n = 40 in
     populate dir n;
-    List.iter
-      (fun file ->
-        let ic = open_in_bin file in
-        let len = in_channel_length ic in
-        let b = Bytes.create len in
-        really_input ic b 0 len;
-        close_in ic;
-        if len > 0 then
-          for _ = 1 to 1 + Random.State.int rng 8 do
-            let i = Random.State.int rng len in
-            Bytes.set b i (Char.chr (Random.State.int rng 256))
-          done;
-        let oc = open_out_bin file in
-        output_bytes oc b;
-        close_out oc)
-      (shard_files dir);
-    let t = Store.open_ ~shards:4 dir in
+    let file = store_file dir in
+    let ic = open_in_bin file in
+    let len = in_channel_length ic in
+    let b = Bytes.create len in
+    really_input ic b 0 len;
+    close_in ic;
+    for _ = 1 to 1 + Random.State.int rng 8 do
+      let i = Random.State.int rng len in
+      Bytes.set b i (Char.chr (Random.State.int rng 256))
+    done;
+    let oc = open_out_bin file in
+    output_bytes oc b;
+    close_out oc;
+    let t = Store.open_ dir in
     let s = Store.stats t in
     check_bool "nothing invented" true (s.Store.loaded <= n);
     let survivors = ref 0 in
@@ -243,7 +237,7 @@ let test_store_corruption_fuzz () =
        remains and every survivor is still intact. *)
     Store.compact t;
     Store.close t;
-    let t2 = Store.open_ ~shards:4 dir in
+    let t2 = Store.open_ dir in
     let s2 = Store.stats t2 in
     check_int "compaction scrubbed the damage" 0 s2.Store.corrupt;
     check_int "no survivor lost" !survivors s2.Store.loaded;
@@ -253,16 +247,12 @@ let test_store_corruption_fuzz () =
 let test_store_torn_tail () =
   with_dir @@ fun dir ->
   populate dir 20;
-  (* Tear the tail of every shard mid-record, as kill -9 would. *)
-  List.iter
-    (fun file ->
-      let len = (Unix.stat file).Unix.st_size in
-      if len > 10 then
-        let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
-        Unix.ftruncate fd (len - 7);
-        Unix.close fd)
-    (shard_files dir);
-  let t = Store.open_ ~shards:4 dir in
+  (* Tear the tail of the file mid-record, as kill -9 would. *)
+  let file = store_file dir in
+  let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
+  Unix.ftruncate fd ((Unix.stat file).Unix.st_size - 7);
+  Unix.close fd;
+  let t = Store.open_ dir in
   let s = Store.stats t in
   check_bool "torn tails detected" true (s.Store.corrupt > 0);
   check_bool "healthy prefix kept" true (s.Store.loaded > 0);
@@ -271,11 +261,11 @@ let test_store_torn_tail () =
 let test_store_stale_tmp_removed () =
   with_dir @@ fun dir ->
   populate dir 3;
-  let tmp = Filename.concat dir "shard-00.vcas.tmp" in
+  let tmp = store_file dir ^ ".tmp" in
   let oc = open_out tmp in
   output_string oc "half-written compaction";
   close_out oc;
-  let t = Store.open_ ~shards:4 dir in
+  let t = Store.open_ dir in
   check_bool "stale temp removed" false (Sys.file_exists tmp);
   check_int "store unaffected" 3 (Store.stats t).Store.loaded;
   Store.close t
@@ -298,12 +288,12 @@ let test_store_io_fault () =
     (Store.lookup t2 ~key:"dropped" ~fingerprint:"fp-1" = None);
   Store.close t2
 
-(* Satellite: offline scrub over a deliberately corrupted store.  The
-   per-shard reports must count exactly the damage we inflicted, and
+(* Offline scrub over a deliberately corrupted store.  The report of
+   the one store file must count exactly the damage we inflicted, and
    compaction must repair everything scrub counts. *)
 let test_store_scrub () =
   with_dir @@ fun dir ->
-  let t = Store.open_ ~shards:4 dir in
+  let t = Store.open_ dir in
   for i = 0 to 11 do
     Store.append t (sample_success (Printf.sprintf "cell-%03d" i))
   done;
@@ -311,27 +301,23 @@ let test_store_scrub () =
   Store.append t { (sample_success "cell-000") with Cellrec.fingerprint = "fp-2" };
   Store.close t;
   let clean = Store.scrub dir in
-  check_int "four shards scanned" 4 (List.length clean);
+  check_bool "one store file scanned" true
+    (List.map (fun r -> r.Store.sr_file) clean = [ "cells.vcas" ]);
   let total f reports = List.fold_left (fun a r -> a + f r) 0 reports in
   check_int "13 records" 13 (total (fun r -> r.Store.sr_records) clean);
   check_int "no corruption yet" 0 (total (fun r -> r.Store.sr_corrupt) clean);
   check_int "one stale fingerprint" 1 (total (fun r -> r.Store.sr_stale) clean);
-  (* Smash one byte in the middle of the first shard. *)
-  (match shard_files dir with
-  | file :: _ ->
-      let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
-      let mid = (Unix.stat file).Unix.st_size / 2 in
-      ignore (Unix.lseek fd mid Unix.SEEK_SET);
-      ignore (Unix.write_substring fd "\xff" 0 1);
-      Unix.close fd
-  | [] -> Alcotest.fail "no shard files");
+  (* Smash one byte in the middle of the file. *)
+  let file = store_file dir in
+  let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
+  ignore (Unix.lseek fd ((Unix.stat file).Unix.st_size / 2) Unix.SEEK_SET);
+  ignore (Unix.write_substring fd "\xff" 0 1);
+  Unix.close fd;
   let dirty = Store.scrub dir in
   check_bool "corruption counted" true
     (total (fun r -> r.Store.sr_corrupt) dirty > 0);
-  check_bool "damage stays in its shard" true
-    (List.length (List.filter (fun r -> r.Store.sr_corrupt > 0) dirty) = 1);
   (* Repair in place, as [store scrub --compact] does. *)
-  let t = Store.open_ ~shards:4 dir in
+  let t = Store.open_ dir in
   Store.compact t;
   Store.close t;
   let repaired = Store.scrub dir in
@@ -341,6 +327,76 @@ let test_store_scrub () =
     (total (fun r -> r.Store.sr_stale) repaired);
   check_bool "survivors intact" true
     (total (fun r -> r.Store.sr_records) repaired >= 11)
+
+(* A key re-appended under a new fingerprint after a reopen: the newer
+   record is the current one, for scrub and for compaction alike.  ["b"]
+   is a key the older sharded layout moved to an earlier file when a
+   store reopened with more shards, which made compaction keep its older
+   record. *)
+let test_store_current_survives_compaction () =
+  with_dir @@ fun dir ->
+  let a = sample_success "b" in
+  let b = { a with Cellrec.fingerprint = "fp-2" } in
+  let t = Store.open_ dir in
+  Store.append t a;
+  Store.close t;
+  let t = Store.open_ dir in
+  Store.append t b;
+  Store.close t;
+  let stale =
+    List.fold_left (fun n r -> n + r.Store.sr_stale) 0 (Store.scrub dir)
+  in
+  check_int "one record is stale" 1 stale;
+  let t = Store.open_ dir in
+  Store.compact t;
+  Store.close t;
+  let t = Store.open_ dir in
+  check_bool "(b, B) is served" true
+    (Store.lookup t ~key:"b" ~fingerprint:"fp-2" <> None);
+  check_bool "(b, A) is gone" true
+    (Store.lookup t ~key:"b" ~fingerprint:"fp-1" = None);
+  Store.close t
+
+(* A directory written when records were spread over [shard-NN.vcas]
+   files: every record loads, the later file's record of a key wins, and
+   the first open folds the shards into the one store file. *)
+let test_store_shard_layout () =
+  with_dir @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let write name entries =
+    let oc = open_out_bin (Filename.concat dir name) in
+    List.iter
+      (fun e -> output_string oc (Frame.encode (Cellrec.to_line e)))
+      entries;
+    close_out oc
+  in
+  let entry key fp = { (sample_success key) with Cellrec.fingerprint = fp } in
+  write "shard-00.vcas" [ entry "a" "fp-1"; entry "moved" "old" ];
+  write "shard-01.vcas" [ entry "b" "fp-1" ];
+  write "shard-02.vcas" [ entry "c" "fp-1"; entry "moved" "new" ];
+  write "shard-03.vcas" [ entry "d" "fp-1" ];
+  let served t =
+    List.filter
+      (fun (key, fp) -> Store.lookup t ~key ~fingerprint:fp <> None)
+      [ ("a", "fp-1"); ("b", "fp-1"); ("c", "fp-1"); ("d", "fp-1");
+        ("moved", "new"); ("moved", "old") ]
+  in
+  let current =
+    [ ("a", "fp-1"); ("b", "fp-1"); ("c", "fp-1"); ("d", "fp-1");
+      ("moved", "new") ]
+  in
+  let t = Store.open_ dir in
+  check_int "every record loaded" 6 (Store.stats t).Store.loaded;
+  Alcotest.(check (list (pair string string)))
+    "the later file's fingerprint wins" current (served t);
+  Store.close t;
+  Alcotest.(check (list string))
+    "only the one store file is left" [ "cells.vcas" ]
+    (Array.to_list (Sys.readdir dir));
+  let t = Store.open_ dir in
+  Alcotest.(check (list (pair string string)))
+    "a reopen serves the same entries" current (served t);
+  Store.close t
 
 let () =
   Alcotest.run "store"
@@ -366,5 +422,9 @@ let () =
             test_store_stale_tmp_removed;
           Alcotest.test_case "io fault" `Quick test_store_io_fault;
           Alcotest.test_case "offline scrub" `Quick test_store_scrub;
+          Alcotest.test_case "current fingerprint survives compaction"
+            `Quick test_store_current_survives_compaction;
+          Alcotest.test_case "store written in the shard layout" `Quick
+            test_store_shard_layout;
         ] );
     ]
