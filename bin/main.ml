@@ -306,7 +306,7 @@ let sample_conv =
 let audit_sample_arg =
   Arg.(
     value
-    & opt sample_conv !Vmbp_report.Par_runner.audit_sample
+    & opt sample_conv (Vmbp_report.Par_runner.default_ctx ()).audit_sample
     & info [ "audit-sample" ] ~docv:"P"
         ~doc:
           "Cross-check this fraction of the cells not produced by a live \
@@ -374,12 +374,7 @@ let progress_arg =
 (* Observability setup: reset the metrics registry per invocation so
    counters describe this run only, and arm span collection only when the
    caller asked for a trace file (disabled spans cost one atomic load). *)
-let setup_obs trace_out metrics progress =
-  ignore metrics;
-  (Vmbp_report.Par_runner.progress :=
-     match progress with
-     | Some b -> b
-     | None -> Unix.isatty Unix.stderr);
+let setup_obs trace_out =
   Vmbp_obs.Registry.reset ();
   if trace_out <> None then Vmbp_obs.Span.enable ()
 
@@ -428,25 +423,16 @@ let install_sigint () =
               again to force quit)"
          end))
 
-let setup_supervision cell_timeout cell_retries chaos self_check
-    audit_sample repro_dir =
-  Vmbp_report.Par_runner.cell_timeout := cell_timeout;
-  Vmbp_report.Par_runner.cell_retries := cell_retries;
-  Vmbp_report.Par_runner.self_check := self_check;
-  Vmbp_report.Par_runner.audit_sample := audit_sample;
-  Vmbp_report.Audit.repro_dir := repro_dir;
-  Vmbp_report.Audit.reset_stats ();
-  (* The spec was validated (and armed) by the argument converter; re-arm
-     defensively so the converter stays side-effect-agnostic. *)
-  (match chaos with
+(* The spec was validated (and armed) by the argument converter; re-arm
+   defensively so the converter stays side-effect-agnostic. *)
+let arm_chaos = function
   | None -> ()
   | Some spec -> (
       match Vmbp_report.Faults.configure spec with
       | Ok () -> ()
       | Error msg ->
           Printf.eprintf "vmbp: bad --chaos spec: %s\n" msg;
-          exit 2));
-  install_sigint ()
+          exit 2)
 
 let partial_marker () =
   if Vmbp_report.Par_runner.shutting_down () then begin
@@ -470,17 +456,17 @@ let run_killable f =
        there -- re-run with the same --store DIR to continue";
     exit 70
 
-let write_json ?store = function
+let write_json ~ctx ?store = function
   | None -> ()
   | Some file ->
       let cells = Vmbp_report.Par_runner.drain_log () in
-      Vmbp_report.Par_runner.write_json_summary ?store ~file cells;
+      Vmbp_report.Par_runner.write_json_summary ~ctx ?store ~file cells;
       Printf.eprintf "wrote %d cell timings to %s\n" (List.length cells) file
 
 (* Divergences are simulator bugs: summarize each one on stderr (with its
    repro artifact path, if one was written) and fail the run. *)
-let finish_audit () =
-  match Vmbp_report.Audit.divergences () with
+let finish_audit audit =
+  match Vmbp_report.Audit.divergences audit with
   | [] -> ()
   | ds ->
       flush stdout;
@@ -505,30 +491,58 @@ let exit_on_system_error f =
       Printf.eprintf "vmbp: %s\n" msg;
       exit 2
 
-(* The options [experiment] and [report] share, as one term: it sets the
-   runner up, opens the --store directory, runs [body] over it at the
-   requested scale, then writes what was asked for, closes the store and
-   fails on a divergence. *)
+(* An output file the run could not write at its end fails before any
+   cell runs: open it now, creating it if need be, and remove it again if
+   this created it. *)
+let check_writable = function
+  | None -> ()
+  | Some file ->
+      let existed = Sys.file_exists file in
+      Unix.close (Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644);
+      if not existed then Sys.remove file
+
+(* The options [experiment] and [report] share, as one term: it checks
+   the output paths, builds the run's context from the flags, opens the
+   --store directory, runs [body] under both at the requested scale, then
+   writes what was asked for, closes the store and fails on a
+   divergence. *)
 let run_options =
   let run_with scale jobs trace_cap json store cell_timeout cell_retries
       chaos self_check audit_sample repro_dir trace_out metrics progress
-      (body : Vmbp_store.Store.t option -> int option -> unit) =
-    Vmbp_report.Par_runner.default_jobs := jobs;
+      (body :
+        Vmbp_report.Par_runner.ctx -> Vmbp_store.Store.t option ->
+        int option -> unit) =
+    exit_on_system_error (fun () ->
+        List.iter check_writable [ json; metrics; trace_out ]);
     Vmbp_report.Par_runner.trace_cap_mb := trace_cap;
-    setup_supervision cell_timeout cell_retries chaos self_check
-      audit_sample repro_dir;
+    arm_chaos chaos;
+    install_sigint ();
+    let ctx =
+      {
+        Vmbp_report.Par_runner.jobs;
+        progress =
+          (match progress with
+          | Some b -> b
+          | None -> Unix.isatty Unix.stderr);
+        self_check;
+        audit_sample;
+        cell_timeout;
+        cell_retries;
+        audit = Vmbp_report.Audit.create_log ~repro_dir;
+      }
+    in
     let store =
       Option.map
         (fun dir -> exit_on_system_error (fun () -> Vmbp_store.Store.open_ dir))
         store
     in
-    setup_obs trace_out metrics progress;
-    run_killable (fun () -> body store scale);
+    setup_obs trace_out;
+    run_killable (fun () -> body ctx store scale);
     partial_marker ();
-    write_json ?store json;
+    write_json ~ctx ?store json;
     finish_obs trace_out metrics;
     Option.iter Vmbp_store.Store.close store;
-    finish_audit ()
+    finish_audit ctx.audit
   in
   Term.(
     const run_with $ scale_opt_arg $ jobs_arg $ trace_cap_arg $ json_arg
@@ -540,7 +554,7 @@ let experiment_cmd =
   let doc = "Regenerate one of the paper's tables or figures." in
   let id = Arg.(required & pos 0 (some string) None & info [] ~docv:"ID") in
   let run id run_with =
-    run_with (fun store scale ->
+    run_with (fun ctx store scale ->
         match Vmbp_report.Experiments.find id with
         | None ->
             Printf.eprintf "unknown experiment %s (try 'vmbp list')\n" id;
@@ -550,7 +564,7 @@ let experiment_cmd =
             Printf.printf "== %s ==\n%s\n\n" e.title e.paper_claim;
             List.iter
               (fun (_, table) -> print_string table)
-              (fst (run_batch ?scale ?store [ e ])))
+              (fst (run_batch ~ctx ?scale ?store [ e ])))
   in
   Cmd.v (Cmd.info "experiment" ~doc) Term.(const run $ id $ run_options)
 
@@ -595,14 +609,14 @@ let audit_repro_cmd =
 let report_cmd =
   let doc = "Run every experiment and print the full reproduction report." in
   let run run_with =
-    run_with (fun store scale ->
+    run_with (fun ctx store scale ->
         List.iter
           (fun ((e : Vmbp_report.Experiments.t), table) ->
             Printf.printf "== %s ==\nPaper: %s\n\n%s\n"
               e.Vmbp_report.Experiments.title
               e.Vmbp_report.Experiments.paper_claim table)
           (fst
-             (Vmbp_report.Experiments.run_batch ?scale ?store
+             (Vmbp_report.Experiments.run_batch ~ctx ?scale ?store
                 Vmbp_report.Experiments.all)))
   in
   Cmd.v (Cmd.info "report" ~doc) Term.(const run $ run_options)
@@ -615,6 +629,12 @@ let socket_arg =
     & opt (some string) None
     & info [ "socket" ] ~docv:"PATH"
         ~doc:"Unix-domain socket of the report service.")
+
+(* A service that cannot be reached is one line naming the socket. *)
+let connect_failed socket e =
+  Printf.eprintf "vmbp: cannot connect to %s: %s\n" socket
+    (Unix.error_message e);
+  exit 1
 
 let serve_cmd =
   let doc =
@@ -705,14 +725,7 @@ let serve_cmd =
   let run socket store jobs admission request_timeout
       slow_reader degraded_after max_frame chaos verbose flight_dir
       trace_out metrics =
-    (match chaos with
-    | None -> ()
-    | Some spec -> (
-        match Vmbp_report.Faults.configure spec with
-        | Ok () -> ()
-        | Error msg ->
-            Printf.eprintf "vmbp: bad --chaos spec: %s\n" msg;
-            exit 2));
+    arm_chaos chaos;
     Vmbp_obs.Registry.reset ();
     exit_on_system_error @@ fun () ->
     Vmbp_service.Service.serve
@@ -772,16 +785,18 @@ let loadgen_cmd =
   let run socket clients requests seed zipf scale json trace_out metrics =
     Vmbp_obs.Registry.reset ();
     if trace_out <> None then Vmbp_obs.Span.enable ();
-    Vmbp_service.Loadgen.run
-      {
-        Vmbp_service.Loadgen.socket;
-        clients;
-        requests;
-        seed;
-        zipf;
-        scale;
-        json_out = json;
-      };
+    (try
+       Vmbp_service.Loadgen.run
+         {
+           Vmbp_service.Loadgen.socket;
+           clients;
+           requests;
+           seed;
+           zipf;
+           scale;
+           json_out = json;
+         }
+     with Unix.Unix_error (e, "connect", _) -> connect_failed socket e);
     (match trace_out with
     | None -> ()
     | Some file ->
@@ -894,10 +909,7 @@ let client_cmd =
     in
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     (try Unix.connect fd (Unix.ADDR_UNIX socket)
-     with Unix.Unix_error (e, _, _) ->
-       Printf.eprintf "vmbp: cannot connect to %s: %s\n" socket
-         (Unix.error_message e);
-       exit 1);
+     with Unix.Unix_error (e, _, _) -> connect_failed socket e);
     Vmbp_service.Protocol.write_frame fd payload;
     (match Vmbp_service.Protocol.read_frame fd with
     | None ->
@@ -984,14 +996,15 @@ let explain_cmd =
       value & opt positive_conv 10
       & info [ "top" ] ~docv:"N" ~doc:"rows per attribution table")
   in
-  let run vm workload technique cpu scale top =
+  let run vm workload technique cpu scale top repro_dir =
     match Vmbp_workloads.find ~vm workload with
     | None ->
         Printf.eprintf "unknown workload %s/%s\n"
           (Vmbp_workloads.vm_name vm) workload;
         exit 1
     | Some w -> (
-        match Vmbp_report.Explain.run ~scale ~cpu ~technique w with
+        let audit = Vmbp_report.Audit.create_log ~repro_dir in
+        match Vmbp_report.Explain.run ~scale ~audit ~cpu ~technique w with
         | Error msg ->
             Printf.eprintf "explain failed: %s\n" msg;
             exit 1
@@ -1001,7 +1014,9 @@ let explain_cmd =
               "[explain] attribution verified against a self-checked run\n")
   in
   Cmd.v (Cmd.info "explain" ~doc)
-    Term.(const run $ vm $ workload $ technique $ cpu $ scale $ top)
+    Term.(
+      const run $ vm $ workload $ technique $ cpu $ scale $ top
+      $ repro_dir_arg)
 
 let simulate_cmd =
   let doc =

@@ -505,28 +505,24 @@ let replay_repro ?fast ?reference r =
     r.r_events
 
 (* ------------------------------------------------------------------ *)
-(* Global audit statistics (shared by all workers of a run) *)
+(* Divergence log: one per run, shared by all the run's workers *)
 
-let stats_mutex = Mutex.create ()
-let audited = ref 0
-let recorded = ref ([] : divergence list)
-let repro_dir = ref "."
-let artifact_seq = ref 0
+type log = {
+  repro_dir : string;
+  lock : Mutex.t;
+  mutable recorded : divergence list;  (* newest first, under [lock] *)
+  mutable artifact_seq : int;  (* under [lock] *)
+}
 
-let with_stats f =
-  Mutex.lock stats_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock stats_mutex) f
+let create_log ~repro_dir =
+  { repro_dir; lock = Mutex.create (); recorded = []; artifact_seq = 0 }
 
-let reset_stats () =
-  with_stats (fun () ->
-      audited := 0;
-      recorded := [];
-      artifact_seq := 0)
+let locked log f =
+  Mutex.lock log.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock log.lock) f
 
-let note_audited () = with_stats (fun () -> incr audited)
-let audited_count () = with_stats (fun () -> !audited)
-let divergence_count () = with_stats (fun () -> List.length !recorded)
-let divergences () = with_stats (fun () -> List.rev !recorded)
+let divergence_count log = locked log (fun () -> List.length log.recorded)
+let divergences log = locked log (fun () -> List.rev log.recorded)
 
 let sanitize s =
   String.map
@@ -536,12 +532,13 @@ let sanitize s =
       | _ -> '_')
     s
 
-(* Minimize the recorded stream, write the artifact next to the report,
-   and remember the divergence for the JSON summary and the exit code.
+(* Minimize the recorded stream, write the artifact into the log's
+   directory, and remember the divergence for the JSON summary and the
+   exit code.
    [events] is the stream that reproduces [d] ([None] when no replayable
    stream exists, e.g. a replay-vs-direct mismatch at the result level);
    [fast_maker] lets mutation tests shrink against their broken sim. *)
-let record_divergence ?fast_maker ?events d =
+let record_divergence ?fast_maker ?events log d =
   let artifact =
     match events with
     | None -> None
@@ -552,9 +549,13 @@ let record_divergence ?fast_maker ?events d =
         with
         | None -> None
         | Some minimal ->
-            let seq = with_stats (fun () -> incr artifact_seq; !artifact_seq) in
+            let seq =
+              locked log (fun () ->
+                  log.artifact_seq <- log.artifact_seq + 1;
+                  log.artifact_seq)
+            in
             let path =
-              Filename.concat !repro_dir
+              Filename.concat log.repro_dir
                 (Printf.sprintf "vmbp-divergence-%d-%s.repro" seq
                    (sanitize d.d_cell))
             in
@@ -564,7 +565,7 @@ let record_divergence ?fast_maker ?events d =
              with Sys_error _ -> None))
   in
   let d = { d with d_artifact = artifact } in
-  with_stats (fun () -> recorded := d :: !recorded);
+  locked log (fun () -> log.recorded <- d :: log.recorded);
   d
 
 (* ------------------------------------------------------------------ *)

@@ -21,9 +21,9 @@
       fraction of trace-replay/memo-served cells directly and compares
       results.
 
-    Divergences accumulate in process-global, mutex-protected statistics
-    so a parallel run's workers all report into one place; drivers read
-    them for the [vmbp-cells/8] JSON counters and the exit code. *)
+    Divergences accumulate in a {!log} that the caller creates for one
+    run and shares with all of the run's workers; the CLI reads it for
+    the [vmbp-cells/8] JSON counters and the exit code. *)
 
 open Vmbp_core
 open Vmbp_machine
@@ -161,23 +161,24 @@ val replay_repro :
 (** Replay a loaded artifact; [None] means fast and reference now agree
     on the recorded stream (the recorded bug no longer reproduces). *)
 
-(** {1 Global audit statistics} *)
+(** {1 Divergence log} *)
 
-val repro_dir : string ref
-(** Directory receiving divergence artifacts (default ["."]). *)
+type log
+(** One run's divergences and the directory its repro artifacts go to.
+    Safe to share between domains. *)
 
-val reset_stats : unit -> unit
-val note_audited : unit -> unit
-(** Count one passed cross-check (self-checked cell or sampled audit). *)
+val create_log : repro_dir:string -> log
+(** An empty log whose artifacts are written into [repro_dir]. *)
 
 val record_divergence :
-  ?fast_maker:(unit -> sim) -> ?events:event array -> divergence -> divergence
+  ?fast_maker:(unit -> sim) -> ?events:event array -> log -> divergence ->
+  divergence
 (** Minimize [events], write the repro artifact, and add the divergence
-    (returned with [d_artifact] filled in) to the global statistics. *)
+    (returned with [d_artifact] filled in) to the log. *)
 
-val audited_count : unit -> int
-val divergence_count : unit -> int
-val divergences : unit -> divergence list
+val divergence_count : log -> int
+val divergences : log -> divergence list
+(** In the order they were recorded. *)
 
 (** {1 Sampling} *)
 

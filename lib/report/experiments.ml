@@ -25,8 +25,9 @@ let buf_add = Buffer.add_string
    no cells (Tables I-IV, VI, VII) runs no batch, so it draws no progress
    line and opens no store pass. *)
 
-let run_plan ?store (cells, render) =
-  render (match cells with [] -> [] | _ -> Par_runner.run_cells ?store cells)
+let run_plan ?ctx ?store (cells, render) =
+  render
+    (match cells with [] -> [] | _ -> Par_runner.run_cells ?ctx ?store cells)
 
 (* The first [n] elements of [l], and the rest. *)
 let split_at n l =
@@ -871,14 +872,14 @@ let find id = List.find_opt (fun e -> e.id = id) all
 
 (* All the experiments' cells as one plan: each (workload, technique,
    scale) group is walked once, however many experiments share it. *)
-let run_batch ?scale ?store es =
+let run_batch ?ctx ?scale ?store es =
   let plans =
     List.map
       (fun e ->
         (e, e.plan ~scale:(Option.value scale ~default:e.default_scale)))
       es
   in
-  run_plan ?store
+  run_plan ?ctx ?store
     ( List.concat_map (fun (_, (cells, _)) -> cells) plans,
       fun results ->
         let rec render results = function

@@ -20,14 +20,16 @@ val all : t list
 val find : string -> t option
 
 val run_batch :
+  ?ctx:Par_runner.ctx ->
   ?scale:int ->
   ?store:Vmbp_store.Store.t ->
   t list ->
   (t * string) list * Par_runner.timed list
 (** Plan every experiment of the list, each at [scale] or else at its
     default scale, run all their cells as one {!Par_runner.run_cells}
-    batch over [?store], so each (workload, technique, scale) group is
-    walked once however many experiments share it, and render each.
+    batch under [?ctx] over [?store], so each (workload, technique,
+    scale) group is walked once however many experiments share it, and
+    render each.
     Returns every experiment with its rendered table, in list order, and
     the batch's results in cell order.  The tables are byte-identical to
     each experiment's own [run]. *)

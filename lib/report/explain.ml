@@ -70,7 +70,7 @@ let attributing ~pred_att ~icache_att kind icache =
   in
   Audit.counting ~predict ~fetch
 
-let run ?(scale = 1) ~cpu ~technique (workload : Vmbp_workloads.t) =
+let run ?(scale = 1) ~audit ~cpu ~technique (workload : Vmbp_workloads.t) =
   let pred_kind = Config.predictor_kind (Config.make ~cpu technique) in
   let pred_att = Attribution.create () in
   let icache_att = Attribution.create () in
@@ -78,8 +78,8 @@ let run ?(scale = 1) ~cpu ~technique (workload : Vmbp_workloads.t) =
     attributing ~pred_att ~icache_att pred_kind cpu.Cpu_model.icache
   in
   match
-    Runner.run_checked ~scale ~reference ~cell:"explain" ~cpu ~technique
-      workload
+    Runner.run_checked ~scale ~reference ~audit ~cell:"explain" ~cpu
+      ~technique workload
   with
   | Error msg -> Error msg
   | Ok run ->

@@ -27,15 +27,17 @@ type t = {
 
 val run :
   ?scale:int ->
+  audit:Audit.log ->
   cpu:Vmbp_machine.Cpu_model.t ->
   technique:Vmbp_core.Technique.t ->
   Vmbp_workloads.t ->
   (t, string) result
 (** Same cell semantics as {!Runner.run} (same fuel, same training-profile
     policy, same counters); [Error] on a trapped run, a divergence between
-    the production simulators and the reference models (which also
-    writes a repro artifact, as [--self-check] does), or an attribution
-    total that does not equal the run's own counter. *)
+    the production simulators and the reference models (recorded in
+    [audit], whose directory receives its repro artifact, as under
+    [--self-check]), or an attribution total that does not equal the
+    run's own counter. *)
 
 val render : ?top:int -> t -> string
 (** Human-readable report: header with the run's counters, top-[top]

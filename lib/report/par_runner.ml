@@ -32,6 +32,27 @@ type timed = {
   audited : bool;
 }
 
+type ctx = {
+  jobs : int;
+  progress : bool;
+  self_check : bool;
+  audit_sample : float;
+  cell_timeout : float;
+  cell_retries : int;
+  audit : Audit.log;
+}
+
+let default_ctx () =
+  {
+    jobs = 1;
+    progress = false;
+    self_check = false;
+    audit_sample = 0.02;
+    cell_timeout = 0.;
+    cell_retries = 1;
+    audit = Audit.create_log ~repro_dir:".";
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Observability instruments (see {!Vmbp_obs.Registry}).  Handles are
    module-level so [Registry.reset] between report runs zeroes them in
@@ -47,6 +68,9 @@ let m_bank_replays = Vmbp_obs.Registry.counter "trace.bank_replays"
 let m_banked_configs = Vmbp_obs.Registry.counter "trace.banked_configs"
 let m_cell_retries = Vmbp_obs.Registry.counter "cells.retries"
 let m_cell_timeouts = Vmbp_obs.Registry.counter "cells.timeouts"
+
+(* Worker domains respawned after an injected (or real) worker death. *)
+let m_respawns = Vmbp_obs.Registry.counter "pool.respawns"
 let g_queue_depth = Vmbp_obs.Registry.gauge "pool.queue_depth"
 let g_busy_workers = Vmbp_obs.Registry.gauge "pool.busy_workers"
 
@@ -61,24 +85,33 @@ let h_cell_minor_words =
     "cell.minor_words"
 
 (* ------------------------------------------------------------------ *)
-(* Progress heartbeat: one stderr line, redrawn in place at most twice a
-   second, from whichever domain happens to tick first.  Never written
-   unless [progress] is on, and never to stdout, so report tables stay
-   byte-identical with the heartbeat enabled. *)
+(* Progress heartbeat: one stderr line for one [run_cells] call, redrawn
+   in place at most twice a second from whichever domain happens to tick
+   first.  It exists only when [ctx.progress] is set, and it never writes
+   to stdout, so report tables stay byte-identical with it on. *)
 
-let progress = ref false
-let prog_lock = Mutex.create ()
-let prog_active = ref false
-let prog_total = ref 0
-let prog_done = ref 0
-let prog_start = ref 0.
-let prog_last = ref 0.
+type heartbeat = {
+  hb_lock : Mutex.t;
+  hb_total : int;
+  hb_start : float;
+  mutable hb_done : int;  (* under [hb_lock] *)
+  mutable hb_last : float;  (* last redraw; written under [hb_lock] *)
+}
 
-(* Called with [prog_lock] held. *)
-let progress_draw now =
-  prog_last := now;
-  let elapsed = now -. !prog_start in
-  let d = !prog_done and t = !prog_total in
+let heartbeat total =
+  {
+    hb_lock = Mutex.create ();
+    hb_total = total;
+    hb_start = Vmbp_sim.Env.now ();
+    hb_done = 0;
+    hb_last = 0.;
+  }
+
+(* Called with [hb_lock] held. *)
+let draw hb now =
+  hb.hb_last <- now;
+  let elapsed = now -. hb.hb_start in
+  let d = hb.hb_done and t = hb.hb_total in
   let eta =
     if d = 0 || d >= t then ""
     else
@@ -89,63 +122,27 @@ let progress_draw now =
     (int_of_float (Vmbp_obs.Registry.gauge_value g_busy_workers))
     elapsed eta
 
-let progress_tick () =
-  if !progress && !prog_active then begin
-    let now = Vmbp_sim.Env.now () in
-    if now -. !prog_last >= 0.5 then begin
-      Mutex.lock prog_lock;
-      if !prog_active && now -. !prog_last >= 0.5 then progress_draw now;
-      Mutex.unlock prog_lock
-    end
+let tick hb =
+  let now = Vmbp_sim.Env.now () in
+  if now -. hb.hb_last >= 0.5 then begin
+    Mutex.lock hb.hb_lock;
+    if now -. hb.hb_last >= 0.5 then draw hb now;
+    Mutex.unlock hb.hb_lock
   end
 
-let progress_begin total =
-  if !progress then begin
-    Mutex.lock prog_lock;
-    prog_active := true;
-    prog_total := total;
-    prog_done := 0;
-    prog_start := Vmbp_sim.Env.now ();
-    prog_last := 0.;
-    Mutex.unlock prog_lock
-  end
+let cell_done hb =
+  Mutex.lock hb.hb_lock;
+  hb.hb_done <- hb.hb_done + 1;
+  Mutex.unlock hb.hb_lock
 
-let progress_cell_done () =
-  if !progress && !prog_active then begin
-    Mutex.lock prog_lock;
-    prog_done := !prog_done + 1;
-    Mutex.unlock prog_lock
-  end
-
-let progress_end () =
-  if !progress then begin
-    Mutex.lock prog_lock;
-    if !prog_active then begin
-      prog_active := false;
-      (* Erase the heartbeat so whatever stderr prints next starts on a
-         clean line. *)
-      Printf.eprintf "\r%s\r%!" (String.make 70 ' ')
-    end;
-    Mutex.unlock prog_lock
-  end
-
-let default_jobs = ref 1
-
-(* Differential checking, set from the command line: [self_check] routes
-   every cell through the reference-model lockstep run ([--self-check]);
-   [audit_sample] is the deterministic fraction of cells not produced by
-   a live run -- walked or served from the result cache -- cross-checked
-   against a fresh live execution ([--audit-sample]). *)
-let self_check = ref false
-let audit_sample = ref 0.02
+(* Erase the heartbeat so whatever stderr prints next starts on a clean
+   line. *)
+let erase () = Printf.eprintf "\r%s\r%!" (String.make 70 ' ')
 
 (* Total budget for kept VM paths, in MB; [<= 0] disables path walks and
-   the result cache (every cell runs live). *)
+   the result cache (every cell runs live).  Process-global rather than a
+   [ctx] field: the benchmark's reference generator assigns it. *)
 let trace_cap_mb = ref 256
-
-(* Watchdog/retry policy, set from the command line. *)
-let cell_timeout = ref 0.
-let cell_retries = ref 1
 
 (* Base delay between retry attempts, doubled per attempt and jittered. *)
 let retry_backoff_s = 0.02
@@ -156,27 +153,16 @@ let retry_backoff_s = 0.02
    The first Ctrl-C sets this flag; workers finish the group in hand,
    skip everything still queued, and [run_cells] reports the skipped
    cells as interrupted so the harness can emit a partial report.  The
-   store needs no extra flushing -- every append was already fsync'd. *)
+   store needs no extra flushing -- every append was already fsync'd.
+   Process-global because signal handlers set it. *)
 
 let shutdown = Atomic.make false
 let request_shutdown () = Atomic.set shutdown true
 let shutting_down () = Atomic.get shutdown
 let reset_shutdown () = Atomic.set shutdown false
 
-(* Worker domains respawned after an injected (or real) worker death. *)
-let respawn_lock = Mutex.create ()
-let respawns = ref 0
-
-let note_respawns n =
-  Mutex.lock respawn_lock;
-  respawns := !respawns + n;
-  Mutex.unlock respawn_lock
-
 let worker_respawns () =
-  Mutex.lock respawn_lock;
-  let n = !respawns in
-  Mutex.unlock respawn_lock;
-  n
+  Int64.to_int (Vmbp_obs.Registry.counter_value m_respawns)
 
 let bank_replays () =
   Int64.to_int (Vmbp_obs.Registry.counter_value m_bank_replays)
@@ -211,62 +197,10 @@ let timed_cell ?(attempts = 1) ?(serve_seconds = 0.) ~mode ~wall_seconds c
   }
 
 (* ------------------------------------------------------------------ *)
-(* Shared work queue: one producer, [jobs] consumers.  All cells are
-   enqueued before the workers start, but the queue is written for the
-   general case: consumers block on the condition until an item arrives or
-   the queue is closed. *)
-
-type 'a work_queue = {
-  items : 'a Queue.t;
-  lock : Mutex.t;
-  nonempty : Condition.t;
-  mutable closed : bool;
-}
-
-let queue_create () =
-  {
-    items = Queue.create ();
-    lock = Mutex.create ();
-    nonempty = Condition.create ();
-    closed = false;
-  }
-
-let queue_push q x =
-  Mutex.lock q.lock;
-  Queue.push x q.items;
-  Condition.signal q.nonempty;
-  Mutex.unlock q.lock;
-  Vmbp_obs.Registry.gauge_add g_queue_depth 1.
-
-let queue_close q =
-  Mutex.lock q.lock;
-  q.closed <- true;
-  Condition.broadcast q.nonempty;
-  Mutex.unlock q.lock
-
-let queue_take q =
-  Mutex.lock q.lock;
-  let rec wait () =
-    match Queue.take_opt q.items with
-    | Some x ->
-        Mutex.unlock q.lock;
-        Vmbp_obs.Registry.gauge_add g_queue_depth (-1.);
-        Some x
-    | None ->
-        if q.closed then begin
-          Mutex.unlock q.lock;
-          None
-        end
-        else begin
-          Condition.wait q.nonempty q.lock;
-          wait ()
-        end
-  in
-  wait ()
-
-(* ------------------------------------------------------------------ *)
 (* The session log: every cell run through this module is recorded so the
-   harnesses can dump one machine-readable summary at exit. *)
+   harnesses can dump one machine-readable summary at exit.  Process-global
+   rather than per run: the benchmark drains it after calls that take no
+   [ctx]. *)
 
 let log : timed list ref = ref []
 let log_lock = Mutex.create ()
@@ -347,7 +281,9 @@ let config_fingerprint c =
    Workload identity is physical, like the kept paths': a freshly
    constructed workload can never alias a cached result.  Bypassed under
    [--self-check] (every cell must run a fresh lockstep execution) and
-   when caching is disabled outright ([--trace-cap-mb 0]). *)
+   when caching is disabled outright ([--trace-cap-mb 0]).  Process-global
+   rather than per run: the benchmark's per-experiment loop relies on it
+   across calls. *)
 
 let result_cache : (string, Vmbp_workloads.t * Runner.run) Hashtbl.t =
   Hashtbl.create 1024
@@ -362,10 +298,10 @@ let result_key c =
     (cpu_descriptor c.cpu) c.scale
     (predictor_override_descriptor c.predictor)
 
-let result_enabled () = (not !self_check) && !trace_cap_mb > 0
+let result_enabled ctx = (not ctx.self_check) && !trace_cap_mb > 0
 
-let result_find c =
-  if not (result_enabled ()) then None
+let result_find ctx c =
+  if not (result_enabled ctx) then None
   else begin
     Mutex.lock result_lock;
     let found =
@@ -381,8 +317,8 @@ let result_find c =
 (* Only genuinely computed successes are stored: store-served outcomes
    were computed under a possibly different configuration of a previous
    process, and failures may be transient (timeouts, injected faults). *)
-let result_store c (t : timed) =
-  if result_enabled () && not t.from_journal then
+let result_store ctx c (t : timed) =
+  if result_enabled ctx && not t.from_journal then
     match t.outcome with
     | Ok run ->
         Mutex.lock result_lock;
@@ -509,19 +445,18 @@ let store_append store c (t : timed) =
 exception Cell_deadline
 
 (* A poll hook for the engine's step loop and the path walk's blocks
-   that raises once a deadline [--cell-timeout] seconds after [t0]
-   passes (and ticks the progress heartbeat). *)
-let deadline_poll t0 =
-  let t = !cell_timeout in
+   that raises once a deadline [ctx.cell_timeout] seconds after [t0]
+   passes (and ticks the heartbeat, if there is one). *)
+let deadline_poll ctx hb t0 =
+  let t = ctx.cell_timeout in
   if t > 0. then begin
     let deadline = t0 +. t in
     Some
       (fun () ->
-        progress_tick ();
+        Option.iter tick hb;
         if Vmbp_sim.Env.now () > deadline then raise Cell_deadline)
   end
-  else if !progress then Some progress_tick
-  else None
+  else Option.map (fun hb () -> tick hb) hb
 
 (* Run one cell attempt under the watchdog/retry policy.  The body gets a
    poll hook that raises once the attempt's deadline passes, so every
@@ -530,12 +465,12 @@ let deadline_poll t0 =
    return) are never retried; a timeout is not retried either (the next
    attempt would hit the same deadline); everything else -- including the
    [cell-raise] chaos point -- counts as transient and is retried up to
-   [cell_retries] times with jittered exponential backoff.  Returns
+   [ctx.cell_retries] times with jittered exponential backoff.  Returns
    [(outcome, attempts, timed_out)]. *)
-let supervised body =
-  let retries = max 0 !cell_retries in
+let supervised ctx hb body =
+  let retries = max 0 ctx.cell_retries in
   let rec attempt n =
-    let poll = deadline_poll (Vmbp_sim.Env.now ()) in
+    let poll = deadline_poll ctx hb (Vmbp_sim.Env.now ()) in
     let verdict =
       match
         (* The slow-cell chaos point stalls after the deadline is armed:
@@ -554,7 +489,7 @@ let supervised body =
     match verdict with
     | `Done o -> (o, n, false)
     | `Timeout ->
-        ( Error (Printf.sprintf "timed out after %gs" !cell_timeout),
+        ( Error (Printf.sprintf "timed out after %gs" ctx.cell_timeout),
           n,
           true )
     | `Transient msg ->
@@ -573,17 +508,18 @@ let supervised body =
 let minor_words () = (Gc.quick_stat ()).Gc.minor_words
 
 (* One live cell. *)
-let run_cell c =
+let run_cell ctx hb c =
   let t0 = Vmbp_sim.Env.now () in
   let w0 = minor_words () in
   let outcome, attempts, timed_out =
     Vmbp_obs.Span.with_ ~name:"cell" ~args:[ ("cell", cell_name c) ] (fun () ->
-        if !self_check then
-          supervised (fun ?poll () ->
+        if ctx.self_check then
+          supervised ctx hb (fun ?poll () ->
               Runner.run_checked ~scale:c.scale ?poll ?predictor:c.predictor
-                ~cell:(cell_key c) ~cpu:c.cpu ~technique:c.technique c.workload)
+                ~audit:ctx.audit ~cell:(cell_key c) ~cpu:c.cpu
+                ~technique:c.technique c.workload)
         else
-          supervised (fun ?poll () ->
+          supervised ctx hb (fun ?poll () ->
               Ok
                 (Runner.run ~scale:c.scale ?poll ?predictor:c.predictor
                    ~cpu:c.cpu ~technique:c.technique c.workload)))
@@ -594,7 +530,7 @@ let run_cell c =
        ~wall_seconds:(Vmbp_sim.Env.now () -. t0))
     with
     timed_out;
-    audited = !self_check;
+    audited = ctx.self_check;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -640,10 +576,10 @@ let outcome_summary = function
         m.Metrics.icache_misses
   | Error msg -> Printf.sprintf "error (%s)" msg
 
-let audit_crosscheck c (t : timed) =
+let audit_crosscheck ctx c (t : timed) =
   if
-    t.from_journal || !self_check
-    || not (Audit.sampled ~key:(cell_key c) ~rate:!audit_sample)
+    t.from_journal || ctx.self_check
+    || not (Audit.sampled ~key:(cell_key c) ~rate:ctx.audit_sample)
   then t
   else begin
     let t0 = Vmbp_sim.Env.now () in
@@ -661,10 +597,7 @@ let audit_crosscheck c (t : timed) =
       | _ -> false
     in
     let wall_seconds = t.wall_seconds +. (Vmbp_sim.Env.now () -. t0) in
-    if agree then begin
-      Audit.note_audited ();
-      { t with audited = true; wall_seconds }
-    end
+    if agree then { t with audited = true; wall_seconds }
     else begin
       let config = Config.make ~cpu:c.cpu ?predictor:c.predictor c.technique in
       let detail =
@@ -675,7 +608,7 @@ let audit_crosscheck c (t : timed) =
           (outcome_summary direct)
       in
       let d =
-        Audit.record_divergence
+        Audit.record_divergence ctx.audit
           {
             Audit.d_cell = cell_key c;
             d_predictor = Config.predictor_kind config;
@@ -697,32 +630,48 @@ let audit_crosscheck c (t : timed) =
     end
   end
 
+(* One [run_cells] call: its settings, its heartbeat (if [ctx.progress]),
+   its store, its cells and their result slots. *)
+type batch = {
+  ctx : ctx;
+  hb : heartbeat option;
+  store : Vmbp_store.Store.t option;
+  cells : cell array;
+  results : timed option array;
+}
+
 (* One (workload, technique, scale) group.  Exact revisits are served from
    the result cache; the rest run as one walk of the workload's VM path
    over all their configurations ({!Runner.walk_group}, which records the
    path first if no group of the workload has).  For an unfit workload,
    under [--self-check] and with [--trace-cap-mb 0] every cell runs live.
    Any problem in the walk, its recording included, degrades the group to
-   per-cell live runs.  Every completed success is appended to [store]
+   per-cell live runs.  Every completed success is appended to the store
    (if there is one) the moment its slot is filled, so a crash loses
    at most the group in flight.  Already-filled slots (served from the
    store, or filled before a degradation rerun) are skipped, which makes
    the group idempotent under fallback. *)
-let run_group ?store results arr idxs =
+let run_group b idxs =
+  let arr = b.cells and results = b.results in
   let finish ~live i t =
-    let t = if live then t else audit_crosscheck arr.(i) t in
+    let t = if live then t else audit_crosscheck b.ctx arr.(i) t in
     results.(i) <- Some t;
-    result_store arr.(i) t;
+    result_store b.ctx arr.(i) t;
     Vmbp_obs.Registry.add m_cell_retries (max 0 (t.attempts - 1));
     if t.timed_out then Vmbp_obs.Registry.add m_cell_timeouts 1;
     Vmbp_obs.Registry.observe h_cell_wall t.wall_seconds;
-    store_append store arr.(i) t;
-    progress_cell_done ();
-    progress_tick ()
+    store_append b.store arr.(i) t;
+    Option.iter
+      (fun hb ->
+        cell_done hb;
+        tick hb)
+      b.hb
   in
   let pending () = List.filter (fun i -> results.(i) = None) idxs in
   let direct () =
-    List.iter (fun i -> finish ~live:true i (run_cell arr.(i))) (pending ())
+    List.iter
+      (fun i -> finish ~live:true i (run_cell b.ctx b.hb arr.(i)))
+      (pending ())
   in
   (* One walk for [cells]; [false] when the workload is unfit.  The walk
      and any recording it makes run under one group-level deadline; a
@@ -738,7 +687,7 @@ let run_group ?store results arr idxs =
           Vmbp_obs.Span.with_ ~name:"bank" ~args:[ ("cell", cell_name c0) ]
             (fun () ->
               Runner.walk_group ~scale:c0.scale
-                ?poll:(deadline_poll t0) ~cap_bytes:(cap_bytes ())
+                ?poll:(deadline_poll b.ctx b.hb t0) ~cap_bytes:(cap_bytes ())
                 ~technique:c0.technique
                 ~configs:
                   (List.map (fun i -> (arr.(i).cpu, arr.(i).predictor)) cells)
@@ -775,7 +724,7 @@ let run_group ?store results arr idxs =
     List.iter
       (fun i ->
         let t0 = Vmbp_sim.Env.now () in
-        match result_find arr.(i) with
+        match result_find b.ctx arr.(i) with
         | None -> ()
         | Some run ->
             let wall = Vmbp_sim.Env.now () -. t0 in
@@ -797,23 +746,26 @@ let run_group ?store results arr idxs =
         serve_cached ();
         (* Self-check compares simulators event by event, which only a
            fresh live execution per cell provides. *)
-        if !self_check || !trace_cap_mb <= 0 || not (walk (pending ())) then
+        if b.ctx.self_check || !trace_cap_mb <= 0 || not (walk (pending ()))
+        then
           direct ()
       with
       | () -> ()
       | exception Faults.Worker_killed -> raise Faults.Worker_killed
       | exception _ -> direct ())
 
-(* Group cell indices by (workload, technique, scale), preserving first-
-   occurrence order and ascending indices within each group. *)
-let group_cells arr =
-  let groups : (cell * int list ref) list ref = ref [] in
-  Array.iteri
+(* The planner: cell indices grouped by (workload, technique, scale) --
+   physical workload identity, structural technique equality -- with
+   groups in first-occurrence order and ascending indices within each
+   group. *)
+let plan cells =
+  let groups = ref [] in
+  List.iteri
     (fun i c ->
       match List.find_opt (fun (c0, _) -> same_group c0 c) !groups with
       | Some (_, l) -> l := i :: !l
       | None -> groups := (c, ref [ i ]) :: !groups)
-    arr;
+    cells;
   List.rev_map (fun (_, l) -> List.rev !l) !groups
 
 (* A cell skipped because shutdown was requested before it ran.
@@ -832,64 +784,60 @@ let abandoned_cell c =
    produces; purely a livelock backstop for probabilistic chaos specs. *)
 let max_respawn_rounds = 64
 
-(* Pool supervision.  A worker that hits [Worker_killed] stops consuming
-   the queue -- from the pool's point of view the domain is dead -- but
-   first parks its group on the orphan list.  After the round's domains
-   are joined, the supervisor respawns a fresh pool over the orphans plus
-   whatever the dead workers left in the queue, so queued cells survive
+(* One group on the calling domain, behind the worker-death chaos point. *)
+let run_group_killable b g =
+  Faults.worker_death ();
+  run_group b g
+
+(* Pool supervision.  Every group is known before any worker starts, so a
+   round's workers take groups by index from one atomic cursor.  A worker
+   that hits [Worker_killed] stops taking groups -- from the pool's point
+   of view the domain is dead -- and marks its group orphaned.  After the
+   round's domains are joined, the supervisor respawns a fresh pool over
+   the orphans plus the groups no worker took, so pending groups survive
    any number of worker deaths (up to the livelock backstop). *)
-let run_pool ?store ~jobs results arr groups =
+let run_pool b ~jobs groups =
   let rec round n groups =
-    let q = queue_create () in
-    List.iter (fun g -> queue_push q g) groups;
-    queue_close q;
-    let orphan_lock = Mutex.create () in
-    let orphans = ref [] in
-    let worker () =
-      let rec loop () =
-        if shutting_down () then ()
-        else
-          match queue_take q with
-          | None -> ()
-          | Some g -> (
-              (* Distinct groups: no two domains ever write the same
-                 index. *)
-              match
-                Faults.worker_death ();
-                run_group ?store results arr g
-              with
-              | () -> loop ()
-              | exception Faults.Worker_killed ->
-                  Mutex.lock orphan_lock;
-                  orphans := g :: !orphans;
-                  Mutex.unlock orphan_lock)
-      in
-      loop ()
+    let groups = Array.of_list groups in
+    let len = Array.length groups in
+    let cursor = Atomic.make 0 in
+    (* Written only by the worker that took index [k]; read after the
+       joins. *)
+    let orphaned = Array.make len false in
+    Vmbp_obs.Registry.gauge_add g_queue_depth (float_of_int len);
+    let rec worker () =
+      if not (shutting_down ()) then begin
+        let k = Atomic.fetch_and_add cursor 1 in
+        if k < len then begin
+          Vmbp_obs.Registry.gauge_add g_queue_depth (-1.);
+          match run_group_killable b groups.(k) with
+          | () -> worker ()
+          | exception Faults.Worker_killed -> orphaned.(k) <- true
+        end
+      end
     in
-    let spawned = min (jobs - 1) (List.length groups - 1) in
-    let domains = Array.init spawned (fun _ -> Domain.spawn worker) in
+    let domains =
+      Array.init (min (jobs - 1) (len - 1)) (fun _ -> Domain.spawn worker)
+    in
     worker ();
     Array.iter Domain.join domains;
-    (* Anything still in the queue was stranded by dying workers. *)
-    let rec drain acc =
-      match queue_take q with Some g -> drain (g :: acc) | None -> List.rev acc
-    in
-    let pending = List.rev !orphans @ drain [] in
+    let taken = min len (Atomic.get cursor) in
+    Vmbp_obs.Registry.gauge_add g_queue_depth (-.float_of_int (len - taken));
+    let orphans = List.filter (Array.get orphaned) (List.init taken Fun.id) in
+    let stranded = List.init (len - taken) (fun k -> taken + k) in
+    let pending = List.map (Array.get groups) (orphans @ stranded) in
     if pending <> [] && not (shutting_down ()) then begin
-      note_respawns (List.length !orphans);
+      Vmbp_obs.Registry.add m_respawns (List.length orphans);
       if n >= max_respawn_rounds then
         List.iter
           (fun g ->
-            match
-              Faults.worker_death ();
-              run_group ?store results arr g
-            with
+            match run_group_killable b g with
             | () -> ()
             | exception Faults.Worker_killed ->
                 List.iter
                   (fun i ->
-                    if results.(i) = None then
-                      results.(i) <- Some (abandoned_cell arr.(i)))
+                    if b.results.(i) = None then
+                      b.results.(i) <- Some (abandoned_cell b.cells.(i)))
                   g)
           pending
       else round (n + 1) pending
@@ -897,15 +845,20 @@ let run_pool ?store ~jobs results arr groups =
   in
   round 0 groups
 
-let run_cells ?jobs ?store cells =
-  let jobs =
-    max 1 (match jobs with Some j -> j | None -> !default_jobs)
-  in
+let run_cells ?(ctx = default_ctx ()) ?store cells =
+  let jobs = max 1 ctx.jobs in
   let arr = Array.of_list cells in
-  let results = Array.make (Array.length arr) None in
+  let b =
+    {
+      ctx;
+      hb = (if ctx.progress then Some (heartbeat (Array.length arr)) else None);
+      store;
+      cells = arr;
+      results = Array.make (Array.length arr) None;
+    }
+  in
   (* Resume pre-pass: serve stored cells before planning any work, so a
      fully stored group neither records nor walks anything. *)
-  progress_begin (Array.length arr);
   (match store with
   | None -> ()
   | Some s ->
@@ -914,35 +867,29 @@ let run_cells ?jobs ?store cells =
             (fun i c ->
               match store_lookup s c with
               | Some t ->
-                  results.(i) <- Some t;
-                  progress_cell_done ()
+                  b.results.(i) <- Some t;
+                  Option.iter cell_done b.hb
               | None -> ())
             arr));
   let groups =
     List.filter_map
       (fun g ->
-        match List.filter (fun i -> results.(i) = None) g with
+        match List.filter (fun i -> b.results.(i) = None) g with
         | [] -> None
         | g -> Some g)
-      (group_cells arr)
+      (plan cells)
   in
-  let ngroups = List.length groups in
-  if ngroups = 0 then ()
-  else if jobs = 1 || ngroups <= 1 then
+  if jobs = 1 || List.compare_length_with groups 1 <= 0 then
     (* Sequential path, bit-for-bit the reference for the pool.  A worker
        death here has no pool above it to respawn into, so it escapes
        [run_cells] entirely -- deliberately: it is the fault harness's
        stand-in for a killed process (the store keeps every success
        completed so far; the harness maps it to a resumable exit). *)
     List.iter
-      (fun g ->
-        if not (shutting_down ()) then begin
-          Faults.worker_death ();
-          run_group ?store results arr g
-        end)
+      (fun g -> if not (shutting_down ()) then run_group_killable b g)
       groups
-  else run_pool ?store ~jobs results arr groups;
-  progress_end ();
+  else run_pool b ~jobs groups;
+  if Option.is_some b.hb then erase ();
   let out =
     Array.to_list
       (Array.mapi
@@ -953,7 +900,7 @@ let run_cells ?jobs ?store cells =
                (* Only a graceful shutdown leaves holes: the cell was
                   skipped, and the harness marks the report partial. *)
                interrupted_cell arr.(i))
-         results)
+         b.results)
   in
   record out;
   out
@@ -999,8 +946,7 @@ let json_of_timed t =
   add "}";
   Buffer.contents b
 
-let json_summary ?jobs ?store results =
-  let jobs = match jobs with Some j -> max 1 j | None -> !default_jobs in
+let json_summary ?(ctx = default_ctx ()) ?store results =
   let total = List.fold_left (fun a t -> a +. t.wall_seconds) 0. results in
   let wall m =
     List.fold_left
@@ -1021,7 +967,7 @@ let json_summary ?jobs ?store results =
   let countp p = List.length (List.filter p results) in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"schema\":\"vmbp-cells/8\"";
-  Buffer.add_string b (Printf.sprintf ",\"jobs\":%d" jobs);
+  Buffer.add_string b (Printf.sprintf ",\"jobs\":%d" (max 1 ctx.jobs));
   Buffer.add_string b
     (Printf.sprintf ",\"cells\":%d" (List.length results));
   Buffer.add_string b
@@ -1092,16 +1038,16 @@ let json_summary ?jobs ?store results =
              (Vmbp_obs.Registry.gauge "service.degraded_seconds"))));
   (* Differential-checking counters (vmbp-cells/3): [audited] counts
      cells cross-checked against an oracle in this result set;
-     [divergences] counts oracle disagreements recorded since the audit
-     statistics were last reset (any divergence also fails its cell). *)
+     [divergences] counts oracle disagreements recorded in [ctx]'s audit
+     log (any divergence also fails its cell). *)
   Buffer.add_string b
-    (Printf.sprintf ",\"self_check\":%b" !self_check);
+    (Printf.sprintf ",\"self_check\":%b" ctx.self_check);
   Buffer.add_string b
-    (Printf.sprintf ",\"audit_sample\":%s" (Json.float !audit_sample));
+    (Printf.sprintf ",\"audit_sample\":%s" (Json.float ctx.audit_sample));
   Buffer.add_string b
     (Printf.sprintf ",\"audited\":%d" (countp (fun t -> t.audited)));
   Buffer.add_string b
-    (Printf.sprintf ",\"divergences\":%d" (Audit.divergence_count ()));
+    (Printf.sprintf ",\"divergences\":%d" (Audit.divergence_count ctx.audit));
   (match Option.map Vmbp_store.Store.stats store with
   | None -> ()
   | Some s ->
@@ -1138,8 +1084,8 @@ let json_summary ?jobs ?store results =
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
 
-let write_json_summary ?jobs ?store ~file results =
+let write_json_summary ?ctx ?store ~file results =
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (json_summary ?jobs ?store results))
+    (fun () -> output_string oc (json_summary ?ctx ?store results))

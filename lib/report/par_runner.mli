@@ -3,10 +3,11 @@
     The report matrix is a grid of (workload, technique, cpu) cells, each of
     which owns its private predictor, I-cache and interpreter session state,
     so cells are embarrassingly parallel.  This module runs a cell list on a
-    fixed-size pool of domains fed from a shared work queue, returns results
-    in deterministic input order, and wraps every cell in a [result] so one
-    trapped workload degrades to a reported failure instead of killing the
-    whole report.
+    fixed-size pool of domains that take groups of cells from one atomic
+    cursor, returns results in deterministic input order, and wraps every
+    cell in a [result] so one trapped workload degrades to a reported
+    failure instead of killing the whole report.  A run's settings and its
+    audit log come in as one {!ctx} value.
 
     With [jobs = 1] (the default) no domain is spawned and cells run
     sequentially in submission order, which is bit-for-bit the reference
@@ -83,23 +84,12 @@ type timed = {
           walked and result-cache cells ([--audit-sample]) *)
 }
 
-val default_jobs : int ref
-(** Pool size used when [?jobs] is omitted; set once from the [--jobs N]
-    command-line flag.  Defaults to 1 (sequential). *)
+(** {2 Run settings}
 
-val progress : bool ref
-(** Emit a one-line heartbeat to stderr while {!run_cells} works: cells
-    done / total, busy workers, elapsed time and a naive ETA, redrawn in
-    place at most twice a second from the engine poll hook.  Never touches
-    stdout, so report tables are byte-identical either way.  Default
-    [false]; the CLI turns it on when stderr is a TTY ([--progress] /
-    [--no-progress] override). *)
-
-(** {2 Differential self-check and sampled auditing}
-
-    With [self_check] set ([--self-check]), every cell runs live (walks
-    and the result cache are bypassed) through {!Runner.run_checked}: the
-    production predictor/I-cache and the naive reference models
+    {b Differential self-check and sampled auditing.}  With [self_check]
+    set ([--self-check]), every cell runs live (walks and the result
+    cache are bypassed) through {!Runner.run_checked}: the production
+    predictor/I-cache and the naive reference models
     ({!Vmbp_machine.Reference}) observe the same event stream, and the
     first disagreement fails the cell with a structured divergence
     record plus a minimized repro artifact (see {!Audit}).
@@ -112,33 +102,44 @@ val progress : bool ref
     exempt.  Sampling is keyed on the cell key, so the audited subset is
     stable across runs, machines and job counts.
 
-    Drivers should {!Audit.reset_stats} before a run and inspect
-    {!Audit.divergence_count} after it (non-zero should map to a
+    Every divergence goes into the run's [audit] log; callers inspect
+    {!Audit.divergence_count} after the run (non-zero should map to a
     non-zero exit code). *)
 
-val self_check : bool ref
-(** Route every cell through the reference-model lockstep run.
-    Default [false]; set from [--self-check]. *)
+type ctx = {
+  jobs : int;
+      (** Pool size: groups run [jobs] at a time.  1 is sequential. *)
+  progress : bool;
+      (** Emit a one-line heartbeat to stderr while {!run_cells} works:
+          cells done / total, busy workers, elapsed time and a naive
+          ETA, redrawn in place at most twice a second from the engine
+          poll hook.  Never touches stdout, so report tables are
+          byte-identical either way. *)
+  self_check : bool;
+      (** Route every cell through the reference-model lockstep run. *)
+  audit_sample : float;
+      (** Fraction (in [0, 1]) of walked and result-cache cells to
+          cross-check against a fresh live run. *)
+  cell_timeout : float;
+      (** Per-cell-attempt watchdog deadline in seconds, enforced
+          cooperatively through the engine and path-walk poll hooks (a
+          group walk runs under one group-level deadline and degrades to
+          per-cell live runs when it passes); [<= 0] disables it.  A
+          timed-out cell reports [Error] with [timed_out = true] and is
+          not retried. *)
+  cell_retries : int;
+      (** Extra attempts granted to a cell whose attempt failed
+          transiently (an unexpected exception -- not a deterministic
+          [Runner.Run_failed] trap, not a timeout).  The [n]th retry
+          first waits 20 ms times [2^(n-1)], jittered from the seeded
+          chaos stream. *)
+  audit : Audit.log;  (** where the run's divergences go *)
+}
 
-val audit_sample : float ref
-(** Fraction (in [0, 1]) of walked and result-cache cells to cross-check
-    against a fresh live run.  Default [0.02]; set from
-    [--audit-sample P]. *)
-
-val cell_timeout : float ref
-(** Per-cell-attempt watchdog deadline in seconds, enforced cooperatively
-    through the engine and path-walk poll hooks (a group walk runs under
-    one group-level deadline and degrades to per-cell live runs when it
-    passes); [<= 0] (the default) disables it.
-    A timed-out cell reports [Error] with [timed_out = true] and is not
-    retried.  Set from [--cell-timeout SEC]. *)
-
-val cell_retries : int ref
-(** Extra attempts granted to a cell whose attempt failed transiently (an
-    unexpected exception -- not a deterministic [Runner.Run_failed] trap,
-    not a timeout).  Defaults to 1; set from [--cell-retries N].  The
-    [n]th retry first waits 20 ms times [2^(n-1)], jittered from the
-    seeded chaos stream. *)
+val default_ctx : unit -> ctx
+(** Jobs 1, no progress, no self-check, audit sample 0.02, no cell
+    timeout, one retry, and a fresh audit log writing to ["."].  The CLI
+    builds its ctx from its flags instead. *)
 
 (** {2 Content-addressed result store and resume}
 
@@ -175,7 +176,7 @@ val config_fingerprint : cell -> string
 (** {2 Graceful shutdown and worker supervision} *)
 
 val request_shutdown : unit -> unit
-(** Stop dequeuing work: in-flight groups finish (and reach the store),
+(** Stop taking groups: in-flight groups finish (and reach the store),
     queued cells are reported as interrupted [Error] cells with
     [attempts = 0].  Called from the harnesses' first-Ctrl-C handler. *)
 
@@ -184,7 +185,8 @@ val reset_shutdown : unit -> unit
 
 val worker_respawns : unit -> int
 (** Worker domains respawned after a death ({!Faults.Worker_killed})
-    since process start.  In the sequential ([jobs = 1]) path there is no
+    since the last {!Vmbp_obs.Registry.reset} (the registry counter
+    [pool.respawns]).  In the sequential ([jobs = 1]) path there is no
     pool to respawn into and the death escapes [run_cells] instead -- the
     fault harness's stand-in for a killed process. *)
 
@@ -204,7 +206,9 @@ val trace_cap_mb : int ref
     {!Runner.walk_group}'s [cap_bytes]); a path that would exceed it is
     not kept and its workload runs live.  [<= 0] disables path walks and the
     full-result cache entirely: every cell runs live.  Set from the
-    [--trace-cap-mb N] command-line flag; defaults to 256. *)
+    [--trace-cap-mb N] command-line flag; defaults to 256.  Process-global
+    rather than a {!ctx} field because the benchmark's reference
+    generator assigns it. *)
 
 val clear_trace_cache : unit -> unit
 (** Drop every kept VM path, so the next walk of each workload records
@@ -231,21 +235,27 @@ val cell :
 val cell_name : cell -> string
 (** ["vm/workload/technique/cpu[@scale]"], for logs and error reports. *)
 
+val plan : cell list -> int list list
+(** The groups {!run_cells} runs: cell indices grouped by (workload,
+    technique, scale) -- physical workload identity, structural
+    technique equality -- with groups in first-occurrence order and
+    ascending indices within each group.  Pure: it runs nothing. *)
+
 val run_cells :
-  ?jobs:int -> ?store:Vmbp_store.Store.t -> cell list -> timed list
-(** Run every cell and return the outcomes in the input order regardless of
-    completion order.  Cells are grouped by (workload, technique, scale);
-    groups are the unit of parallelism, [?jobs] at a time (default
-    {!default_jobs}), and within a group one walk of the workload's VM
-    path serves every pending cell.  With [?store], cells found there are
-    served from it and every fresh success is appended to it. *)
+  ?ctx:ctx -> ?store:Vmbp_store.Store.t -> cell list -> timed list
+(** Run every cell under [ctx] (default {!default_ctx}) and return the
+    outcomes in the input order regardless of completion order.  Cells
+    are grouped by {!plan}; groups are the unit of parallelism,
+    [ctx.jobs] at a time, and within a group one walk of the workload's
+    VM path serves every pending cell.  With [?store], cells found there
+    are served from it and every fresh success is appended to it. *)
 
 val drain_log : unit -> timed list
 (** All cells recorded since the previous drain, in chronological batch
     order (each batch in its input order); clears the log. *)
 
 val json_summary :
-  ?jobs:int -> ?store:Vmbp_store.Store.t -> timed list -> string
+  ?ctx:ctx -> ?store:Vmbp_store.Store.t -> timed list -> string
 (** A machine-readable summary: schema [vmbp-cells/8], one record per cell
     with simulated cycles, mispredict rate, I-cache misses, production
     mode, [attempts]/[timed_out]/[from_journal] (plus [audited] when the
@@ -257,10 +267,11 @@ val json_summary :
     report-service counters
     ([store_hits]/[store_misses]/[coalesced]/[shed]/[degraded_seconds]),
     the differential-checking block
-    ([self_check]/[audit_sample]/[audited]/[divergences]), [?store]'s
+    ([self_check]/[audit_sample]/[audited]/[divergences], read from
+    [ctx], default {!default_ctx}), [?store]'s
     statistics when given, the direct/record/replay wall-clock
     split and the aggregate [serve_wall_seconds]. *)
 
 val write_json_summary :
-  ?jobs:int -> ?store:Vmbp_store.Store.t -> file:string -> timed list -> unit
+  ?ctx:ctx -> ?store:Vmbp_store.Store.t -> file:string -> timed list -> unit
 (** Write {!json_summary} to [file]. *)

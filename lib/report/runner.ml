@@ -77,7 +77,9 @@ let m_path_records = Vmbp_obs.Registry.counter "vm_path.records"
 let m_path_walks = Vmbp_obs.Registry.counter "vm_path.walks"
 let g_path_bytes = Vmbp_obs.Registry.gauge "vm_path.bytes"
 
-(* [paths_lock] guards the entry list and the byte total. *)
+(* [paths_lock] guards the entry list and the byte total.  Process-global
+   rather than per run: the benchmark's per-experiment loop walks the
+   paths one experiment after another recorded. *)
 let paths : path_entry list ref = ref []
 let paths_bytes = ref 0
 let paths_lock = Mutex.create ()
@@ -264,7 +266,7 @@ let run_result ?scale ?poll ?predictor ?profile ~cpu ~technique workload =
    the same event stream and stops at the first disagreement. *)
 
 let run_checked ?(scale = 1) ?poll ?predictor ?profile ?fast_maker ?reference
-    ~cell ~cpu ~technique (workload : Vmbp_workloads.t) =
+    ~audit ~cell ~cpu ~technique (workload : Vmbp_workloads.t) =
   let build () =
     let loaded = workload.Vmbp_workloads.load ~scale in
     let profile = effective_profile ?profile ~scale ~technique workload in
@@ -287,9 +289,6 @@ let run_checked ?(scale = 1) ?poll ?predictor ?profile ?fast_maker ?reference
     (checked, session)
   with
   | Ok result, session -> (
-      (* Every event agreed, so the cell counts as audited even when the
-         workload itself trapped. *)
-      Audit.note_audited ();
       match result.Engine.trapped with
       | Some msg -> Error (trap_message workload technique msg)
       | None ->
@@ -316,7 +315,7 @@ let run_checked ?(scale = 1) ?poll ?predictor ?profile ?fast_maker ?reference
         end
         else None
       in
-      let d = Audit.record_divergence ?fast_maker ?events d in
+      let d = Audit.record_divergence ?fast_maker ?events audit d in
       Error
         (Printf.sprintf "self-check divergence at event %d: %s"
            d.Audit.d_index d.Audit.d_detail)

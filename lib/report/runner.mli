@@ -65,6 +65,7 @@ val run_checked :
   ?profile:Vmbp_vm.Profile.t ->
   ?fast_maker:(unit -> Audit.sim) ->
   ?reference:Audit.sim ->
+  audit:Audit.log ->
   cell:string ->
   cpu:Vmbp_machine.Cpu_model.t ->
   technique:Vmbp_core.Technique.t ->
@@ -73,9 +74,9 @@ val run_checked :
 (** [run_result] under differential self-check: the cell executes once
     through {!Audit.dual_run}, comparing the production simulators with
     the reference models on every dispatch and fetch.  Agreement yields
-    the exact [run_result] answer.  A divergence fails the cell, records
-    a minimized repro artifact (via {!Audit.record_divergence}) and
-    registers in the global audit statistics.  [cell] names the cell in
+    the exact [run_result] answer.  A divergence fails the cell and is
+    recorded in [audit], with a minimized repro artifact written to the
+    log's directory ({!Audit.record_divergence}).  [cell] names the cell in
     divergence records; [fast_maker] substitutes the fast simulator
     (mutation tests) and [reference] the reference side of the one
     lockstep run ({!Audit.dual_run}; explain's attribution). *)

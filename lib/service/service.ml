@@ -152,10 +152,10 @@ let enqueue sh job =
 (* The whole reproduction grid, run as one batch, as one vmbp-cells/8
    document of exactly the grid's cells.  The session log is drained too,
    so the query batches logged since the last grid do not pile up. *)
-let grid_doc (cfg : config) store scale =
-  let _, cells = Experiments.run_batch ?scale ~store Experiments.all in
+let grid_doc ctx store scale =
+  let _, cells = Experiments.run_batch ~ctx ?scale ~store Experiments.all in
   ignore (Par_runner.drain_log ());
-  Par_runner.json_summary ~jobs:cfg.jobs ~store cells
+  Par_runner.json_summary ~ctx ~store cells
 
 (* One compute-pool step: drain every queued job, merge the cell jobs
    into one batch (one [run_cells] call, so cells sharing a workload
@@ -166,7 +166,7 @@ let grid_doc (cfg : config) store scale =
    immediately (the pre-seam ordering, byte for byte), the simulated env
    schedules it a virtual latency later.  [block] is how the real domain
    parks on the condition variable; the simulation polls. *)
-let compute_step (cfg : config) (env : Env.t) store sh ~block =
+let compute_step ctx (env : Env.t) store sh ~block =
   Mutex.lock sh.lock;
   if block then
     while Queue.is_empty sh.jobs do
@@ -226,7 +226,7 @@ let compute_step (cfg : config) (env : Env.t) store sh ~block =
               ]
             (fun () ->
               match
-                Par_runner.run_cells ~jobs:cfg.jobs ~store
+                Par_runner.run_cells ~ctx ~store
                   (List.map (fun (_, _, c) -> c) cells)
               with
               | timeds ->
@@ -252,7 +252,7 @@ let compute_step (cfg : config) (env : Env.t) store sh ~block =
           Vmbp_obs.Span.with_ ~name:"compute-grid" ~trace:g_rid
             ~args:[ ("grid", string_of_int g_id) ]
             (fun () ->
-              match grid_doc cfg store g_scale with
+              match grid_doc ctx store g_scale with
               | doc -> (P.obj [ ("status", P.S "ok"); ("cells", P.S doc) ], "ok")
               | exception exn ->
                   (reply_status ~error:(Printexc.to_string exn) "error", "error"))
@@ -818,8 +818,13 @@ let drained st =
 
 let serve (cfg : config) =
   let env = !Env.current in
-  Par_runner.progress := false;
-  Par_runner.default_jobs := max 1 cfg.jobs;
+  let ctx = { (Par_runner.default_ctx ()) with jobs = max 1 cfg.jobs } in
+  (* The store opens before the socket is bound, so a store that cannot be
+     opened never unlinks another daemon's socket; a socket that cannot be
+     bound then removes what opening the store created. *)
+  let new_dirs = Env.missing_dirs env cfg.store_dir in
+  let store_file = Vmbp_store.Store.file cfg.store_dir in
+  let new_file = not (env.Env.file_exists store_file) in
   let store = Vmbp_store.Store.open_ cfg.store_dir in
   let listen_fd =
     try
@@ -834,7 +839,16 @@ let serve (cfg : config) =
       (try env.Env.unlink cfg.socket with Unix.Unix_error _ -> ());
       env.Env.listen cfg.socket ~backlog:64
     with e ->
+      (* A new file holds records only if older shard files were folded
+         into it; those stay. *)
+      let empty = (Vmbp_store.Store.stats store).Vmbp_store.Store.entries = 0 in
       Vmbp_store.Store.close store;
+      if empty && new_file then begin
+        (try env.Env.unlink store_file with Unix.Unix_error _ -> ());
+        List.iter
+          (fun d -> try env.Env.rmdir d with Unix.Unix_error _ -> ())
+          (List.rev new_dirs)
+      end;
       raise e
   in
   let wake_r, wake_w = env.Env.pipe () in
@@ -917,7 +931,7 @@ let serve (cfg : config) =
     @ List.filter_map install [ Sys.sigint; Sys.sigterm ]
     @ List.filter_map install_dump [ Sys.sigquit ]
   in
-  let pool = env.Env.spawn_compute (compute_step cfg env store sh) in
+  let pool = env.Env.spawn_compute (compute_step ctx env store sh) in
   sh.pool <- Some pool;
   if not cfg.quiet then
     Printf.eprintf "[serve] listening on %s (store %s, %d job(s))\n%!"

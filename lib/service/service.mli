@@ -22,8 +22,9 @@
       sharing a workload share one recorded execution.
     - {b Per-request deadlines}: a waiter not answered within
       [request_timeout] gets a [timeout] reply (the compute keeps going
-      and still lands in the store); each compute attempt is additionally
-      bounded by the [--cell-timeout] watchdog inside the runner.
+      and still lands in the store).  Computes run under the runner's
+      default context ({!Vmbp_report.Par_runner.default_ctx}) with
+      [jobs] from the config: no per-cell watchdog.
     - {b Slow readers}: a connection whose outbound bytes make no
       progress for [slow_reader_timeout] is dropped.
     - {b Degradation}: when a {e cell} batch has been busy longer than

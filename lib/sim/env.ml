@@ -36,6 +36,7 @@ type t = {
   rename : string -> string -> unit;
   unlink : string -> unit;
   mkdir : string -> int -> unit;
+  rmdir : string -> unit;  (* an empty directory *)
   readdir : string -> string array;
   file_exists : string -> bool;
   read_file : string -> string option;  (* whole contents; None if absent *)
@@ -136,6 +137,7 @@ let real =
     rename = Unix.rename;
     unlink = Unix.unlink;
     mkdir = Unix.mkdir;
+    rmdir = Unix.rmdir;
     readdir = Sys.readdir;
     file_exists = Sys.file_exists;
     read_file;
@@ -164,14 +166,18 @@ let now () = !current.now ()
 let wall () = !current.wall ()
 let sleep d = !current.sleep d
 
-let mkdir_p (env : t) dir =
-  let rec go d =
-    if d <> "/" && d <> "." && not (env.file_exists d) then begin
-      go (Filename.dirname d);
-      try env.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
+let missing_dirs (env : t) dir =
+  let rec go d acc =
+    if d = "/" || d = "." || env.file_exists d then acc
+    else go (Filename.dirname d) (d :: acc)
   in
-  go dir
+  go dir []
+
+let mkdir_p (env : t) dir =
+  List.iter
+    (fun d ->
+      try env.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
+    (missing_dirs env dir)
 
 (* [input_line] semantics over a whole file: split on '\n'; a trailing
    newline does not produce a final empty line. *)

@@ -47,6 +47,7 @@ type t = {
   rename : string -> string -> unit;
   unlink : string -> unit;
   mkdir : string -> int -> unit;
+  rmdir : string -> unit;  (** Remove an empty directory. *)
   readdir : string -> string array;
   file_exists : string -> bool;
   read_file : string -> string option;
@@ -84,6 +85,10 @@ val now : unit -> float
 
 val wall : unit -> float
 val sleep : float -> unit
+
+val missing_dirs : t -> string -> string list
+(** The directories, [dir] included, that {!mkdir_p} would create for
+    [dir]: every missing one, outermost first. *)
 
 val mkdir_p : t -> string -> unit
 

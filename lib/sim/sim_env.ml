@@ -515,6 +515,18 @@ let sim_unlink t path =
         end
     | None -> err Unix.ENOENT "unlink"
 
+(* Directories are not rolled back by a power cut, so neither is their
+   removal. *)
+let sim_rmdir t dir =
+  let inside p = Filename.dirname p = dir in
+  if not (Hashtbl.mem t.dirs dir) then err Unix.ENOENT "rmdir"
+  else if
+    Hashtbl.fold (fun p _ busy -> busy || inside p) t.entries false
+    || Hashtbl.fold (fun d () busy -> busy || inside d) t.dirs false
+    || Hashtbl.fold (fun p _ busy -> busy || inside p) t.listeners false
+  then err Unix.ENOTEMPTY "rmdir"
+  else Hashtbl.remove t.dirs dir
+
 let sim_readdir t dir =
   let names =
     Hashtbl.fold
@@ -753,6 +765,7 @@ let create ?(select_cap = 500_000) ~seed () =
       rename = (fun a b -> sim_rename t a b);
       unlink = (fun p -> sim_unlink t p);
       mkdir = (fun d _ -> Hashtbl.replace t.dirs d ());
+      rmdir = (fun d -> sim_rmdir t d);
       readdir = (fun d -> sim_readdir t d);
       file_exists = (fun p -> file_exists t p);
       read_file =

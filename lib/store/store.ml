@@ -47,6 +47,7 @@ let m_write_errors = Vmbp_obs.Registry.counter "store.write_errors"
 let m_corrupt = Vmbp_obs.Registry.counter "store.corrupt_records"
 
 let file_name = "cells.vcas"
+let file dir = Filename.concat dir file_name
 
 (* A [shard-NN.vcas] file of the older layout, which spread records over
    several files by key. *)
@@ -146,7 +147,7 @@ let compact t =
     (fun () ->
       if not t.closed then begin
         let env = t.env in
-        let path = Filename.concat t.s_dir file_name in
+        let path = file t.s_dir in
         let tmp = path ^ ".tmp" in
         (* Drop records superseded by a newer fingerprint for the same
            key: what is left holds one record per key. *)
@@ -205,7 +206,7 @@ let open_ dir =
       env;
       s_dir = dir;
       fd =
-        env.openfile (Filename.concat dir file_name)
+        env.openfile (file dir)
           [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ]
           0o644;
       lock = Mutex.create ();

@@ -49,6 +49,9 @@ val mutation_skip_dir_fsync : bool ref
 (** Mutation tooth: when [true], {!compact} skips the final directory
     fsync after its rename.  See {!mutation_skip_fsync}. *)
 
+val file : string -> string
+(** The store file of a store directory: [DIR/cells.vcas]. *)
+
 val open_ : string -> t
 (** Open (creating if needed) the store directory and its [cells.vcas],
     and load every record.  Stale temp files from a crashed compaction

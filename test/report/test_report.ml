@@ -244,6 +244,11 @@ let test_subroutine_threading_shape () =
 (* ------------------------------------------------------------------ *)
 (* Parallel runner *)
 
+module PR = Vmbp_report.Par_runner
+
+(* A run context with [n] jobs and every other setting at its default. *)
+let with_jobs n = { (PR.default_ctx ()) with PR.jobs = n }
+
 (* A synthetic workload over the toy VM: cheap enough to run a grid of them
    many times, and optionally trapping to exercise fault isolation. *)
 let toy_workload ?(trap = false) name =
@@ -295,11 +300,13 @@ let signature results =
 let test_par_runner_deterministic () =
   (* The same cell list must produce identical results, in input order, for
      every job count: the sequential path is the reference. *)
-  let reference = signature (Vmbp_report.Par_runner.run_cells ~jobs:1 (toy_cells ())) in
+  let reference = signature (Vmbp_report.Par_runner.run_cells (toy_cells ())) in
   check_int "one result per cell" 12 (List.length reference);
   List.iter
     (fun jobs ->
-      let got = signature (Vmbp_report.Par_runner.run_cells ~jobs (toy_cells ())) in
+      let got =
+        signature (PR.run_cells ~ctx:(with_jobs jobs) (toy_cells ()))
+      in
       Alcotest.(check (list (pair string string)))
         (Printf.sprintf "jobs=%d matches sequential" jobs)
         reference got)
@@ -316,7 +323,9 @@ let test_par_runner_fault_isolation () =
   in
   List.iter
     (fun jobs ->
-      let results = Vmbp_report.Par_runner.run_cells ~jobs cells in
+      let results =
+        Vmbp_report.Par_runner.run_cells ~ctx:(with_jobs jobs) cells
+      in
       match
         List.map (fun (t : Vmbp_report.Par_runner.timed) -> t.Vmbp_report.Par_runner.outcome) results
       with
@@ -344,10 +353,10 @@ let test_par_runner_json_summary () =
         ~technique:Technique.plain (toy_workload ~trap:true "toy-trap");
     ]
   in
-  ignore (Vmbp_report.Par_runner.run_cells ~jobs:1 cells);
+  ignore (Vmbp_report.Par_runner.run_cells cells);
   let logged = Vmbp_report.Par_runner.drain_log () in
   check_int "both cells logged" 2 (List.length logged);
-  let json = Vmbp_report.Par_runner.json_summary ~jobs:1 logged in
+  let json = Vmbp_report.Par_runner.json_summary logged in
   let contains needle =
     let nl = String.length needle and hl = String.length json in
     let found = ref false in
@@ -376,6 +385,44 @@ let test_par_runner_json_summary () =
   check_bool "injected-fault counter" true (contains "\"injected_faults\":");
   check_bool "respawn counter" true (contains "\"worker_respawns\":")
 
+(* The planner groups by physical workload, technique and scale, in
+   first-occurrence order; it is pure, so the whole scale-1 registry plans
+   into the groups the report walks without running a cell. *)
+let test_plan_registry () =
+  let a = toy_workload "plan-a" and a' = toy_workload "plan-a" in
+  let cell ?(scale = 1) ?(cpu = Cpu_model.ideal) w technique =
+    PR.cell ~scale ~cpu ~technique w
+  in
+  Alcotest.(check (list (list int)))
+    "toy plan"
+    [ [ 0; 3 ]; [ 1 ]; [ 2 ]; [ 4 ] ]
+    (PR.plan
+       [
+         cell a Technique.plain;
+         cell a' Technique.plain;
+         cell a Technique.switch;
+         cell ~cpu:Cpu_model.pentium4_northwood a Technique.plain;
+         cell ~scale:2 a Technique.plain;
+       ]);
+  ignore (PR.drain_log ());
+  let cells =
+    List.concat_map
+      (fun (e : Vmbp_report.Experiments.t) ->
+        fst (e.Vmbp_report.Experiments.plan ~scale:1))
+      Vmbp_report.Experiments.all
+  in
+  let groups = PR.plan cells in
+  check_int "cells" 665 (List.length cells);
+  check_int "groups, one walk each" 283 (List.length groups);
+  check_int "distinct configurations" 432
+    (List.length (List.sort_uniq compare (List.map PR.store_key cells)));
+  check_bool "each cell in one group" true
+    (List.sort compare (List.concat groups) = List.init 665 Fun.id);
+  check_bool "ascending within groups, first occurrence across" true
+    (List.for_all (fun g -> List.sort compare g = g) groups
+    && List.sort compare (List.map List.hd groups) = List.map List.hd groups);
+  check_int "nothing ran" 0 (List.length (PR.drain_log ()))
+
 (* ------------------------------------------------------------------ *)
 (* Explain: one self-checked run with every mispredict and I-cache miss
    attributed, counting what a run on the production simulators alone
@@ -385,7 +432,8 @@ let test_explain_matches_checked_counters () =
   List.iter
     (fun (vm, wname, cpu, technique) ->
       let w = Option.get (Vmbp_workloads.find ~vm wname) in
-      match Vmbp_report.Explain.run ~cpu ~technique w with
+      let audit = Vmbp_report.Audit.create_log ~repro_dir:"." in
+      match Vmbp_report.Explain.run ~audit ~cpu ~technique w with
       | Error msg -> Alcotest.failf "%s: explain failed: %s" wname msg
       | Ok t ->
           let r = t.Vmbp_report.Explain.run.Vmbp_report.Runner.result in
@@ -430,7 +478,7 @@ let test_observability_invisible () =
   let run_once () =
     Vmbp_report.Par_runner.clear_trace_cache ();
     let r =
-      signature (Vmbp_report.Par_runner.run_cells ~jobs:1 (toy_cells ()))
+      signature (Vmbp_report.Par_runner.run_cells (toy_cells ()))
     in
     ignore (Vmbp_report.Par_runner.drain_log ());
     r
@@ -622,9 +670,9 @@ let test_record_overflow_and_fallback () =
   in
   let saved = !Vmbp_report.Par_runner.trace_cap_mb in
   Vmbp_report.Par_runner.trace_cap_mb := 0;
-  let direct = Vmbp_report.Par_runner.run_cells ~jobs:1 (cells ()) in
+  let direct = Vmbp_report.Par_runner.run_cells (cells ()) in
   Vmbp_report.Par_runner.trace_cap_mb := saved;
-  let walked = Vmbp_report.Par_runner.run_cells ~jobs:1 (cells ()) in
+  let walked = Vmbp_report.Par_runner.run_cells (cells ()) in
   List.iter
     (fun (t : Vmbp_report.Par_runner.timed) ->
       check_bool "cap 0 forces live runs" true
@@ -787,7 +835,7 @@ let test_record_once_across_jobs () =
       [ Technique.plain; Technique.switch ]
   in
   let records = counter "vm_path.records" in
-  let timed = Vmbp_report.Par_runner.run_cells ~jobs:2 cells in
+  let timed = Vmbp_report.Par_runner.run_cells ~ctx:(with_jobs 2) cells in
   List.iter
     (fun (t : Vmbp_report.Par_runner.timed) ->
       check_bool "every cell succeeds" true
@@ -937,20 +985,18 @@ let test_bank_descriptor_injective () =
    run continues) and worker-death (sequential kill-and-resume, pool
    respawn). *)
 
-module PR = Vmbp_report.Par_runner
 module Faults = Vmbp_report.Faults
 
 let reset_supervision () =
   Faults.reset ();
   PR.reset_shutdown ();
-  PR.cell_timeout := 0.;
-  PR.cell_retries := 1;
   PR.trace_cap_mb := 256;
   PR.clear_trace_cache ();
   PR.clear_result_cache ();
   ignore (PR.drain_log ())
 
-(* Chaos state is process-global; leave none of it behind for later tests. *)
+(* Chaos state, the trace cap and the caches are process-global; leave none
+   of them behind for later tests. *)
 let supervised f () =
   reset_supervision ();
   Fun.protect f ~finally:reset_supervision
@@ -994,7 +1040,7 @@ let test_cell_raise_retry () =
      belong to live attempts, so every cell runs live. *)
   PR.trace_cap_mb := 0;
   configure_chaos "cell-raise=1";
-  (match PR.run_cells ~jobs:1 [ one_cell "chaos-retry" ] with
+  (match PR.run_cells [ one_cell "chaos-retry" ] with
   | [ t ] ->
       check_bool "retried cell succeeds" true (Result.is_ok t.PR.outcome);
       check_int "two attempts" 2 t.PR.attempts;
@@ -1006,9 +1052,10 @@ let test_cell_raise_retry () =
   Faults.reset ();
   PR.clear_trace_cache ();
   configure_chaos "cell-raise=5";
-  PR.cell_retries := 2;
   match
-    PR.run_cells ~jobs:1 [ one_cell "chaos-exhaust"; one_cell "chaos-ok" ]
+    PR.run_cells
+      ~ctx:{ (PR.default_ctx ()) with PR.cell_retries = 2 }
+      [ one_cell "chaos-exhaust"; one_cell "chaos-ok" ]
   with
   | [ t1; t2 ] ->
       (match t1.PR.outcome with
@@ -1027,10 +1074,10 @@ let test_record_fail_degrades () =
       (fun cpu -> PR.cell ~tag:"test" ~cpu ~technique:Technique.plain w)
       [ Cpu_model.ideal; Cpu_model.pentium4_northwood ]
   in
-  let reference = signature (PR.run_cells ~jobs:1 (cells ())) in
+  let reference = signature (PR.run_cells (cells ())) in
   PR.clear_trace_cache ();
   configure_chaos "record-fail=1";
-  let chaos = PR.run_cells ~jobs:1 (cells ()) in
+  let chaos = PR.run_cells (cells ()) in
   check_int "record-fail fired" 1 (Faults.fired Faults.Record_fail);
   List.iter
     (fun (t : PR.timed) ->
@@ -1051,9 +1098,9 @@ let test_recording_deadline_degrades () =
       [ Cpu_model.ideal; Cpu_model.pentium4_northwood ]
   in
   let modes = List.map (fun (t : PR.timed) -> PR.mode_name t.PR.mode) in
-  PR.cell_timeout := 0.1;
+  let ctx = { (PR.default_ctx ()) with PR.cell_timeout = 0.1 } in
   let records = counter "vm_path.records" in
-  let cut = PR.run_cells ~jobs:1 (group Technique.plain) in
+  let cut = PR.run_cells ~ctx (group Technique.plain) in
   Alcotest.(check (list string))
     "the cut group runs live" [ "direct"; "direct" ] (modes cut);
   List.iter
@@ -1063,7 +1110,7 @@ let test_recording_deadline_degrades () =
     cut;
   check_int "the cut recording keeps no path" 0
     (counter "vm_path.records" - records);
-  let next = PR.run_cells ~jobs:1 (group Technique.switch) in
+  let next = PR.run_cells ~ctx (group Technique.switch) in
   Alcotest.(check (list string))
     "the next group records and walks" [ "record"; "replay" ] (modes next);
   check_int "the next group keeps the path" 1
@@ -1074,7 +1121,7 @@ let test_slow_cell_timeout () =
      both with every cell live and when a failed group walk degrades to
      live attempts; the sibling cell is unaffected.  [supervised] restores
      the trace cap. *)
-  PR.cell_timeout := 0.05;
+  let ctx = { (PR.default_ctx ()) with PR.cell_timeout = 0.05 } in
   List.iter
     (fun (cap, path, spec) ->
       PR.trace_cap_mb := cap;
@@ -1082,7 +1129,7 @@ let test_slow_cell_timeout () =
       Faults.reset ();
       configure_chaos spec;
       match
-        PR.run_cells ~jobs:1
+        PR.run_cells ~ctx
           [ one_cell ("chaos-slow-" ^ path); one_cell ("chaos-fast-" ^ path) ]
       with
       | [ slow; fast ] ->
@@ -1104,13 +1151,13 @@ let test_slow_cell_timeout () =
 let test_bad_predictor_is_failed_cell () =
   (* An invalid BTB override surfaces as that cell's [Error], not a pool
      abort; valid siblings still complete. *)
-  PR.cell_retries := 0;
   let bad =
     Predictor.Btb
       { Btb.entries = 64; associativity = 0; two_bit_counters = false }
   in
   match
-    PR.run_cells ~jobs:1
+    PR.run_cells
+      ~ctx:{ (PR.default_ctx ()) with PR.cell_retries = 0 }
       [
         one_cell "pred-good-a";
         one_cell ~predictor:bad "pred-bad";
@@ -1127,7 +1174,7 @@ let test_bad_predictor_is_failed_cell () =
       check_bool "override sibling ok" true (Result.is_ok c.PR.outcome)
   | _ -> Alcotest.fail "three cells in, three results out"
 
-let with_temp_store f =
+let with_temp_dir f =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -1147,15 +1194,15 @@ let test_store_roundtrip_serve () =
   (* The content-addressed store as a resume layer: a second run over the
      same cells is served entirely from the store, byte-identically,
      including cells appended by the same process. *)
-  with_temp_store (fun dir ->
+  with_temp_dir (fun dir ->
       let store = Vmbp_store.Store.open_ dir in
-      let first = PR.run_cells ~jobs:1 ~store (toy_cells ()) in
+      let first = PR.run_cells ~store (toy_cells ()) in
       check_int "every success stored" 12
         (Vmbp_store.Store.stats store).Vmbp_store.Store.appended;
       (* Same process, same store: the live table serves instantly. *)
       PR.clear_trace_cache ();
       PR.clear_result_cache ();
-      let second = PR.run_cells ~jobs:1 ~store (toy_cells ()) in
+      let second = PR.run_cells ~store (toy_cells ()) in
       List.iter
         (fun (t : PR.timed) ->
           check_bool "served from store" true t.PR.from_journal)
@@ -1167,7 +1214,7 @@ let test_store_roundtrip_serve () =
       let store = Vmbp_store.Store.open_ dir in
       PR.clear_trace_cache ();
       PR.clear_result_cache ();
-      let third = PR.run_cells ~jobs:1 ~store (toy_cells ()) in
+      let third = PR.run_cells ~store (toy_cells ()) in
       Alcotest.(check (list (pair string string)))
         "reloaded store is identical" (signature first) (signature third);
       (* Full-fidelity check on one reloaded cell, not just the
@@ -1189,7 +1236,7 @@ let test_store_roundtrip_serve () =
       check_int "nothing recomputed" 0 s.Vmbp_store.Store.appended;
       (* The vmbp-cells/8 summary surfaces the store counters. *)
       ignore (PR.drain_log ());
-      let json = PR.json_summary ~jobs:1 ~store third in
+      let json = PR.json_summary ~store third in
       Vmbp_store.Store.close store;
       let contains needle =
         let nl = String.length needle and hl = String.length json in
@@ -1214,10 +1261,10 @@ let test_store_roundtrip_serve () =
 let test_store_io_fault_degrades () =
   (* store-io chaos: the append is dropped and counted; the run itself is
      unaffected and the cell recomputes on the next cold open. *)
-  with_temp_store (fun dir ->
+  with_temp_dir (fun dir ->
       let store = Vmbp_store.Store.open_ dir in
       configure_chaos "store-io=1";
-      let results = PR.run_cells ~jobs:1 ~store (toy_cells ()) in
+      let results = PR.run_cells ~store (toy_cells ()) in
       List.iter
         (fun (t : PR.timed) ->
           check_bool "cells unaffected by store loss" true
@@ -1233,19 +1280,19 @@ let test_sequential_kill_and_resume () =
   (* The headline crash-safety property: kill the (sequential) run after two
      groups via the worker-death point -- the stand-in for a killed process
      -- then reopen the same store and get a byte-identical report. *)
-  with_temp_store (fun dir ->
-      let reference = signature (PR.run_cells ~jobs:1 (toy_cells ())) in
+  with_temp_dir (fun dir ->
+      let reference = signature (PR.run_cells (toy_cells ())) in
       PR.clear_result_cache ();
       configure_chaos "worker-death=2+1";
       let store = Vmbp_store.Store.open_ dir in
-      (match PR.run_cells ~jobs:1 ~store (toy_cells ()) with
+      (match PR.run_cells ~store (toy_cells ()) with
       | exception Faults.Worker_killed -> ()
       | _ -> Alcotest.fail "sequential worker death must escape run_cells");
       Faults.reset ();
       Vmbp_store.Store.close store;
       PR.clear_result_cache ();
       let store = Vmbp_store.Store.open_ dir in
-      let resumed = PR.run_cells ~jobs:1 ~store (toy_cells ()) in
+      let resumed = PR.run_cells ~store (toy_cells ()) in
       Vmbp_store.Store.close store;
       Alcotest.(check (list (pair string string)))
         "resumed report is byte-identical" reference (signature resumed);
@@ -1256,7 +1303,7 @@ let test_sequential_kill_and_resume () =
         from_store;
       (* The JSON summary separates store-served cells from live work. *)
       ignore (PR.drain_log ());
-      let json = PR.json_summary ~jobs:1 resumed in
+      let json = PR.json_summary resumed in
       let contains needle =
         let nl = String.length needle and hl = String.length json in
         let found = ref false in
@@ -1273,7 +1320,7 @@ let test_pool_respawn () =
      workers are spawned, and every cell still completes. *)
   let before = PR.worker_respawns () in
   configure_chaos "worker-death=2";
-  let results = PR.run_cells ~jobs:2 (toy_cells ()) in
+  let results = PR.run_cells ~ctx:(with_jobs 2) (toy_cells ()) in
   check_int "all cells complete despite two dead workers" 12
     (List.length results);
   List.iter
@@ -1288,7 +1335,7 @@ let test_shutdown_skips_pending () =
   (* A shutdown requested before the run starts (the degenerate first-Ctrl-C
      case) reports every cell as interrupted, with nothing computed. *)
   PR.request_shutdown ();
-  let results = PR.run_cells ~jobs:1 (toy_cells ()) in
+  let results = PR.run_cells (toy_cells ()) in
   List.iter
     (fun (t : PR.timed) ->
       (match t.PR.outcome with
@@ -1298,7 +1345,7 @@ let test_shutdown_skips_pending () =
     results;
   PR.reset_shutdown ();
   ignore (PR.drain_log ());
-  let json = PR.json_summary ~jobs:1 results in
+  let json = PR.json_summary results in
   let contains needle =
     let nl = String.length needle and hl = String.length json in
     let found = ref false in
@@ -1317,39 +1364,36 @@ let test_shutdown_skips_pending () =
 
 module Audit = Vmbp_report.Audit
 
+(* Each case gets a fresh temporary directory for its repro artifacts,
+   removed with whatever it holds afterwards. *)
 let audited_test f () =
-  reset_supervision ();
-  Audit.reset_stats ();
-  let saved_dir = !Audit.repro_dir in
-  Audit.repro_dir := Filename.get_temp_dir_name ();
-  Fun.protect f
-    ~finally:(fun () ->
-      reset_supervision ();
-      PR.self_check := false;
-      PR.audit_sample := 0.02;
-      List.iter
-        (fun (d : Audit.divergence) ->
-          match d.Audit.d_artifact with
-          | Some path -> ( try Sys.remove path with Sys_error _ -> ())
-          | None -> ())
-        (Audit.divergences ());
-      Audit.reset_stats ();
-      Audit.repro_dir := saved_dir)
+  with_temp_dir (fun repro_dir ->
+      Unix.mkdir repro_dir 0o755;
+      supervised (fun () -> f repro_dir) ())
 
-let test_self_check_grid () =
+(* A run context whose divergences go to a fresh log in [repro_dir]. *)
+let audit_ctx ?(self_check = false) ?(audit_sample = 0.02) repro_dir =
+  {
+    (PR.default_ctx ()) with
+    PR.self_check;
+    audit_sample;
+    audit = Audit.create_log ~repro_dir;
+  }
+
+let audited_count results =
+  List.length (List.filter (fun (t : PR.timed) -> t.PR.audited) results)
+
+let test_self_check_grid repro_dir =
   (* Every toy cell runs in lockstep with the reference models: zero
      divergences, every cell audited, and the numbers identical to an
      unchecked run. *)
-  let plain = signature (PR.run_cells ~jobs:1 (toy_cells ())) in
-  PR.self_check := true;
-  let results = PR.run_cells ~jobs:1 (toy_cells ()) in
+  let plain = signature (PR.run_cells (toy_cells ())) in
+  let ctx = audit_ctx ~self_check:true repro_dir in
+  let results = PR.run_cells ~ctx (toy_cells ()) in
   Alcotest.(check (list (pair string string)))
     "self-check preserves every number" plain (signature results);
-  List.iter
-    (fun (t : PR.timed) -> check_bool "cell audited" true t.PR.audited)
-    results;
-  check_int "no divergences" 0 (Audit.divergence_count ());
-  check_int "all cells audited" 12 (Audit.audited_count ());
+  check_int "all cells audited" 12 (audited_count results);
+  check_int "no divergences" 0 (Audit.divergence_count ctx.PR.audit);
   ignore (PR.drain_log ())
 
 (* A deliberately broken fast simulator: every 100th prediction is
@@ -1367,7 +1411,8 @@ let buggy_maker ~predictor ~icache () =
         if !n mod 100 = 0 then not p else p);
   }
 
-let test_self_check_catches_mutation () =
+let test_self_check_catches_mutation repro_dir =
+  let audit = Audit.create_log ~repro_dir in
   let cpu = Cpu_model.pentium4_northwood in
   let technique = Technique.plain in
   let w = toy_workload "mutation" in
@@ -1376,8 +1421,8 @@ let test_self_check_catches_mutation () =
   let icache = cpu.Cpu_model.icache in
   let fast_maker () = buggy_maker ~predictor ~icache () in
   (match
-     Vmbp_report.Runner.run_checked ~fast_maker ~cell:"mutation-test" ~cpu
-       ~technique w
+     Vmbp_report.Runner.run_checked ~fast_maker ~audit ~cell:"mutation-test"
+       ~cpu ~technique w
    with
   | Ok _ -> Alcotest.fail "the seeded simulator bug must be caught"
   | Error msg ->
@@ -1385,12 +1430,15 @@ let test_self_check_catches_mutation () =
       check_bool "error names the divergence" true
         (String.length msg >= String.length prefix
         && String.sub msg 0 (String.length prefix) = prefix));
-  match Audit.divergences () with
+  match Audit.divergences audit with
   | [ d ] -> (
       check_bool "divergent event captured" true (d.Audit.d_event <> None);
       match d.Audit.d_artifact with
       | None -> Alcotest.fail "a repro artifact must be written"
       | Some path -> (
+          Alcotest.(check string)
+            "the artifact lands in the log's directory" repro_dir
+            (Filename.dirname path);
           match Audit.load_repro path with
           | Error msg -> Alcotest.fail ("artifact must load back: " ^ msg)
           | Ok r -> (
@@ -1416,12 +1464,12 @@ let test_self_check_catches_mutation () =
                        idx detail))))
   | ds -> check_int "exactly one divergence recorded" 1 (List.length ds)
 
-let test_audit_sample_crosschecks_replays () =
+let test_audit_sample_crosschecks_replays repro_dir =
   (* Per workload: a three-CPU group (one walk, which records the path,
      serves it as Record, Replay and Replay) and a one-cell group (a
      Direct walk).  With --audit-sample 1.0 every cell not produced by a
      live run -- here every cell -- is re-run live and compared. *)
-  PR.audit_sample := 1.0;
+  let ctx = audit_ctx ~audit_sample:1.0 repro_dir in
   let cells =
     List.concat_map
       (fun w ->
@@ -1434,7 +1482,7 @@ let test_audit_sample_crosschecks_replays () =
           ])
       [ loaded_once_toy "audit-a"; loaded_once_toy "audit-b" ]
   in
-  let results = PR.run_cells ~jobs:1 cells in
+  let results = PR.run_cells ~ctx cells in
   Alcotest.(check (list string))
     "modes"
     (List.concat
@@ -1445,17 +1493,14 @@ let test_audit_sample_crosschecks_replays () =
       check_bool "cell survives its audit" true (Result.is_ok t.PR.outcome);
       check_bool (Printf.sprintf "cell %d audited" k) true t.PR.audited)
     results;
-  check_int "no divergences" 0 (Audit.divergence_count ());
-  check_int "every cell audited" 8 (Audit.audited_count ());
+  check_int "no divergences" 0 (Audit.divergence_count ctx.PR.audit);
+  check_int "every cell audited" 8 (audited_count results);
   (* Rate 0 audits nothing. *)
-  Audit.reset_stats ();
   PR.clear_trace_cache ();
-  PR.audit_sample := 0.0;
-  let results = PR.run_cells ~jobs:1 cells in
-  List.iter
-    (fun (t : PR.timed) -> check_bool "not audited" false t.PR.audited)
-    results;
-  check_int "nothing audited at rate 0" 0 (Audit.audited_count ());
+  let results =
+    PR.run_cells ~ctx:(audit_ctx ~audit_sample:0.0 repro_dir) cells
+  in
+  check_int "nothing audited at rate 0" 0 (audited_count results);
   ignore (PR.drain_log ())
 
 (* VM path walks: the first group walk of a loaded workload records its
@@ -1464,7 +1509,7 @@ let test_audit_sample_crosschecks_replays () =
    runs.  The oracles stay live: no path is recorded or walked under
    --self-check or --trace-cap-mb 0, and the audit cross-check's fresh
    run executes the semantics even when a path is kept. *)
-let test_vm_path_replay () =
+let test_vm_path_replay repro_dir =
   (* Loaded once, like a registry workload: the path cache keys on the
      loaded workload's physical identity. *)
   let loaded =
@@ -1492,11 +1537,11 @@ let test_vm_path_replay () =
       load = (fun ~scale:_ -> Lazy.force loaded);
     }
   in
-  let run cells =
+  let run ?(ctx = PR.default_ctx ()) cells =
     Vmbp_obs.Registry.reset ();
     PR.clear_trace_cache ();
     PR.clear_result_cache ();
-    let results = PR.run_cells ~jobs:1 cells in
+    let results = PR.run_cells ~ctx cells in
     ignore (PR.drain_log ());
     let outputs =
       List.map
@@ -1507,7 +1552,8 @@ let test_vm_path_replay () =
         results
     in
     ( (signature results, outputs),
-      (counter "vm_path.records", counter "vm_path.walks") )
+      (counter "vm_path.records", counter "vm_path.walks"),
+      audited_count results )
   in
   let cell ?(cpu = Cpu_model.pentium4_northwood) technique =
     PR.cell ~tag:"vm-path" ~cpu ~technique w
@@ -1521,35 +1567,34 @@ let test_vm_path_replay () =
     ~finally:(fun () -> PR.trace_cap_mb := 256)
     (fun () ->
       PR.trace_cap_mb := 0;
-      let live, n = run techniques in
+      let live, n, _ = run techniques in
       counts "--trace-cap-mb 0 records and walks nothing" (0, 0) n;
       PR.trace_cap_mb := 256;
-      let walked, n = run techniques in
+      let walked, n, _ = run techniques in
       counts "two techniques: one path recorded, walked twice" (1, 2) n;
       same "walked numbers and output equal live" live walked;
       check_bool "path bytes gauged" true
         (Vmbp_obs.Registry.gauge_value (Vmbp_obs.Registry.gauge "vm_path.bytes")
         > 0.);
-      PR.self_check := true;
-      let checked, n = run techniques in
-      PR.self_check := false;
+      let checked, n, _ =
+        run ~ctx:(audit_ctx ~self_check:true repro_dir) techniques
+      in
       counts "--self-check records and walks nothing" (0, 0) n;
       same "self-checked numbers equal live" live checked;
       (* One group of two CPUs: one walk, which records the path, serves
          both cells, each audited by a fresh run that must not use the
          path. *)
-      PR.audit_sample := 1.0;
-      Audit.reset_stats ();
-      let _, n =
-        run
+      let ctx = audit_ctx ~audit_sample:1.0 repro_dir in
+      let _, n, audited =
+        run ~ctx
           [
             cell Technique.plain;
             cell ~cpu:Cpu_model.celeron_800 Technique.plain;
           ]
       in
       counts "one walk; the audit's fresh run walks nothing" (1, 1) n;
-      check_int "both walked cells were audited" 2 (Audit.audited_count ());
-      check_int "no divergences" 0 (Audit.divergence_count ()))
+      check_int "both walked cells were audited" 2 audited;
+      check_int "no divergences" 0 (Audit.divergence_count ctx.PR.audit))
 
 (* The one-batch entry renders every table exactly as each experiment's
    own [run] does, but walks each (workload, technique, scale) group once:
@@ -1670,7 +1715,7 @@ let test_store_refuses_descriptor_mismatch () =
      under c1's key must not be served for c2, and vice versa: lookup
      demands that both halves of the identity match. *)
   let shared_fp = PR.config_fingerprint c2 in
-  with_temp_store (fun dir ->
+  with_temp_dir (fun dir ->
       let s = Vmbp_store.Store.open_ dir in
       Vmbp_store.Store.append s
         {
@@ -1751,6 +1796,8 @@ let () =
           Alcotest.test_case "trapping cell fails alone" `Quick
             test_par_runner_fault_isolation;
           Alcotest.test_case "json summary" `Quick test_par_runner_json_summary;
+          Alcotest.test_case "plans the registry without running it" `Quick
+            test_plan_registry;
         ] );
       ( "explain",
         [

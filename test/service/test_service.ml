@@ -339,6 +339,50 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
+let test_unbindable_socket_leaves_no_store () =
+  (* A socket path under a regular file cannot be bound: serve fails
+     after opening its store and removes what that open created -- the
+     store file and every directory it made -- but never a store that
+     holds records. *)
+  let base = Filename.concat "/tmp" ("vmbp-svc-bind-" ^ uniq ()) in
+  let notadir = base ^ "-file" in
+  close_out (open_out notadir);
+  let serve store_dir =
+    let cfg =
+      {
+        (Service.default_config ~socket:(Filename.concat notadir "s.sock")
+           ~store_dir)
+        with
+        Service.quiet = true;
+      }
+    in
+    match Service.serve cfg with
+    | () -> Alcotest.fail "a socket under a regular file must not bind"
+    | exception Unix.Unix_error (Unix.ENOTDIR, _, path) ->
+        check_bool "the error names the socket" true
+          (contains path "s.sock")
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove notadir;
+      rm_rf base)
+    (fun () ->
+      serve (Filename.concat base "new/store");
+      check_bool "no store directory left behind" false (Sys.file_exists base);
+      let store = Vmbp_store.Store.open_ base in
+      Vmbp_store.Store.append store
+        {
+          Vmbp_store.Cellrec.key = "k";
+          fingerprint = "f";
+          outcome = Error "seeded";
+          attempts = 1;
+          timed_out = false;
+        };
+      Vmbp_store.Store.close store;
+      serve base;
+      check_bool "a store with records stays" true
+        (Sys.file_exists (Vmbp_store.Store.file base)))
+
 let test_metrics_verb () =
   with_server (fun socket ->
       let fd = connect socket in
@@ -683,6 +727,8 @@ let () =
             test_shutdown_drains_inflight;
           Alcotest.test_case "SIGTERM drains like SIGINT" `Quick
             test_sigterm_drains_like_sigint;
+          Alcotest.test_case "unbindable socket leaves no store" `Quick
+            test_unbindable_socket_leaves_no_store;
         ] );
       ( "observability",
         [

@@ -107,6 +107,35 @@ let test_power_cut_rolls_back_unsynced_create () =
   Sim.restart w;
   check_bool "unsynced create rolled back" true (e.Env.read_file "/d/late" = None)
 
+(* [mkdir_p] creates exactly [missing_dirs], and [rmdir] removes only an
+   empty directory, as the real one does. *)
+let test_missing_dirs_and_rmdir () =
+  let w = Sim.create ~seed:8 () in
+  let e = Sim.env w in
+  Env.mkdir_p e "/d";
+  Alcotest.(check (list string))
+    "outermost first, existing ones skipped" [ "/d/a"; "/d/a/b" ]
+    (Env.missing_dirs e "/d/a/b");
+  Env.mkdir_p e "/d/a/b";
+  check_bool "all created" true (Env.missing_dirs e "/d/a/b" = []);
+  let fd = e.Env.openfile "/d/a/b/f" [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+  e.Env.close fd;
+  let refused d =
+    match e.Env.rmdir d with
+    | () -> false
+    | exception Unix.Unix_error (Unix.ENOTEMPTY, _, _) -> true
+  in
+  check_bool "a directory holding a file stays" true (refused "/d/a/b");
+  check_bool "a directory holding a directory stays" true (refused "/d/a");
+  e.Env.unlink "/d/a/b/f";
+  e.Env.rmdir "/d/a/b";
+  e.Env.rmdir "/d/a";
+  check_bool "empty directories removed" false (e.Env.file_exists "/d/a");
+  check_bool "a missing directory is ENOENT" true
+    (match e.Env.rmdir "/d/a" with
+    | () -> false
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> true)
+
 let test_op_crash_tears_a_write () =
   let w = Sim.create ~seed:7 () in
   let e = Sim.env w in
@@ -260,6 +289,8 @@ let () =
             test_power_cut_rolls_back_unsynced_create;
           Alcotest.test_case "op-crash tears a write" `Quick
             test_op_crash_tears_a_write;
+          Alcotest.test_case "missing dirs and rmdir" `Quick
+            test_missing_dirs_and_rmdir;
         ] );
       ( "sockets",
         [
