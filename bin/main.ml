@@ -491,29 +491,45 @@ let exit_on_system_error f =
       Printf.eprintf "vmbp: %s\n" msg;
       exit 2
 
-(* An output file the run could not write at its end fails before any
-   cell runs: open it now, creating it if need be, and remove it again if
-   this created it. *)
-let check_writable = function
-  | None -> ()
-  | Some file ->
+(* An output a command could not write fails before any store, socket,
+   request, cell or seed: each file is opened now, created if need be,
+   and each directory made with its missing parents; whatever this
+   created is removed again. *)
+let check_outputs ?(dirs = []) files =
+  let env = Vmbp_sim.Env.real in
+  exit_on_system_error @@ fun () ->
+  List.iter
+    (fun file ->
       let existed = Sys.file_exists file in
       Unix.close (Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644);
-      if not existed then Sys.remove file
+      if not existed then Sys.remove file)
+    (List.filter_map Fun.id files);
+  List.iter
+    (fun dir ->
+      let created = Vmbp_sim.Env.missing_dirs env dir in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter
+            (fun d -> try Unix.rmdir d with Unix.Unix_error _ -> ())
+            (List.rev created))
+        (fun () ->
+          Vmbp_sim.Env.mkdir_p env dir;
+          if not (Sys.is_directory dir) then
+            raise (Sys_error (dir ^ ": Not a directory"))))
+    dirs
 
 (* The options [experiment] and [report] share, as one term: it checks
-   the output paths, builds the run's context from the flags, opens the
-   --store directory, runs [body] under both at the requested scale, then
-   writes what was asked for, closes the store and fails on a
-   divergence. *)
+   the output paths and the repro directory, builds the run's context
+   from the flags, opens the --store directory, runs [body] under both at
+   the requested scale, then writes what was asked for, closes the store
+   and fails on a divergence. *)
 let run_options =
   let run_with scale jobs trace_cap json store cell_timeout cell_retries
       chaos self_check audit_sample repro_dir trace_out metrics progress
       (body :
         Vmbp_report.Par_runner.ctx -> Vmbp_store.Store.t option ->
         int option -> unit) =
-    exit_on_system_error (fun () ->
-        List.iter check_writable [ json; metrics; trace_out ]);
+    check_outputs ~dirs:[ repro_dir ] [ json; metrics; trace_out ];
     Vmbp_report.Par_runner.trace_cap_mb := trace_cap;
     arm_chaos chaos;
     install_sigint ();
@@ -725,6 +741,7 @@ let serve_cmd =
   let run socket store jobs admission request_timeout
       slow_reader degraded_after max_frame chaos verbose flight_dir
       trace_out metrics =
+    check_outputs ~dirs:[ flight_dir ] [ trace_out; metrics ];
     arm_chaos chaos;
     Vmbp_obs.Registry.reset ();
     exit_on_system_error @@ fun () ->
@@ -783,6 +800,7 @@ let loadgen_cmd =
              statuses, throughput, latency quantiles) to $(docv).")
   in
   let run socket clients requests seed zipf scale json trace_out metrics =
+    check_outputs [ json; trace_out; metrics ];
     Vmbp_obs.Registry.reset ();
     if trace_out <> None then Vmbp_obs.Span.enable ();
     (try
@@ -876,6 +894,7 @@ let client_cmd =
           ~doc:"For the metrics verb: json (default) or prometheus.")
   in
   let run socket verb vm workload technique cpu scale predictor out format =
+    check_outputs [ out ];
     let payload =
       match verb with
       | "query" -> (
@@ -997,6 +1016,7 @@ let explain_cmd =
       & info [ "top" ] ~docv:"N" ~doc:"rows per attribution table")
   in
   let run vm workload technique cpu scale top repro_dir =
+    check_outputs ~dirs:[ repro_dir ] [];
     match Vmbp_workloads.find ~vm workload with
     | None ->
         Printf.eprintf "unknown workload %s/%s\n"
@@ -1081,6 +1101,7 @@ let simulate_cmd =
           ~doc:"Write the last seed's metrics registry to $(docv).")
   in
   let run seeds seed first mutation trace_file span_out metrics_out =
+    check_outputs [ trace_file; span_out; metrics_out ];
     let first_seed, seeds =
       match seed with Some s -> (s, 1) | None -> (first, seeds)
     in

@@ -204,11 +204,11 @@ let grow_heap st =
     st.obj_fields <- fields
   end
 
-(* Allocation and index guards below exist for loaded (possibly hostile)
-   images: quickened opcodes carry raw class/method/cell indices in their
-   operands, so a mutated image can present any integer here.  Out-of-range
-   values must become clean traps, never [Invalid_argument] escaping the
-   interpreter. *)
+(* Allocation and index guards below exist for mutated images (the fuzz
+   suite runs them): quickened opcodes carry raw class/method/cell indices
+   in their operands, so a mutated image can present any integer here.
+   Out-of-range values must become clean traps, never [Invalid_argument]
+   escaping the interpreter. *)
 
 let max_array_len = 1 lsl 24
 

@@ -42,10 +42,6 @@ val link :
 (** Build an image.  All method entries become program entry points.
     @raise Invalid_argument on unknown classes or a missing [main]. *)
 
-val max_frame_locals : int
-(** Upper bound on a method frame's local count; [push_frame] traps above
-    it, and loaders reject method declarations exceeding it. *)
-
 type state
 
 val create : image -> state

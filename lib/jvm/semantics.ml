@@ -30,10 +30,11 @@ let cond2 opcode f =
       let a = R.pop st in
       if f a b then Control.Jump ops.(0) else next)
 
-(* Operand values in loaded images are untrusted (mutated classfile bytes
-   can put any integer in a cp index, method id or vtable slot), so every
-   table lookup below bounds-checks and traps instead of letting an
-   [Invalid_argument] escape the interpreter. *)
+(* Operand values are untrusted: [Program.make] checks opcodes, operand
+   counts and branch targets but not what an operand indexes, and the fuzz
+   suite's mutated images put any integer in a cp index, method id or
+   vtable slot.  So every table lookup below bounds-checks and traps
+   instead of letting an [Invalid_argument] escape the interpreter. *)
 let cp_entry st idx =
   let cp = (R.image st).R.cp in
   if idx < 0 || idx >= Array.length cp then

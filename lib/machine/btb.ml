@@ -79,10 +79,6 @@ let ub_grow u =
       end)
     keys
 
-let ub_reset u =
-  Array.fill u.ub_keys 0 (Array.length u.ub_keys) (-1);
-  u.ub_count <- 0
-
 type t = {
   cfg : config;
   two_bit : bool;  (* [cfg.two_bit_counters], flat -- skips the config
@@ -289,11 +285,3 @@ let run_ranges t (b : Slot_ranges.t) ~mis ~vm_mis =
   done;
   mis := !mis + !m;
   vm_mis := !vm_mis + !v
-
-let reset t =
-  ub_reset t.unbounded;
-  t.tick <- 0;
-  Array.fill t.f_tags 0 (Array.length t.f_tags) (-1);
-  Array.fill t.f_targets 0 (Array.length t.f_targets) 0;
-  Array.fill t.f_counters 0 (Array.length t.f_counters) 0;
-  Array.fill t.f_stamps 0 (Array.length t.f_stamps) 0

@@ -55,6 +55,3 @@ val run_ranges : t -> Slot_ranges.t -> mis:int ref -> vm_mis:int ref -> unit
     mispredictions to [mis] and the subset out of a VM-level control
     transfer to [vm_mis].  Same outcomes and same state as the per-event
     loop. *)
-
-val reset : t -> unit
-(** Forget all stored targets. *)

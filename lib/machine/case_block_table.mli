@@ -23,5 +23,3 @@ val access : t -> opcode:int -> target:int -> bool
 val run_ranges : t -> Slot_ranges.t -> mis:int ref -> vm_mis:int ref -> unit
 (** Range kernel of a path walk, with {!Btb.run_ranges}' contract, except
     that each dispatch is keyed on the opcode of the slot it enters. *)
-
-val reset : t -> unit

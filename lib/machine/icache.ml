@@ -311,11 +311,3 @@ let resident t ~line =
     let rec find i = i < assoc && (t.tags.(base + i) = line || find (i + 1)) in
     find 0
   end
-
-let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0;
-  t.tick <- 0;
-  t.last_line <- -1;
-  t.last_slot <- -1;
-  Array.fill t.mru 0 (Array.length t.mru) (-1)

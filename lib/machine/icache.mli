@@ -101,5 +101,3 @@ val clock : t -> int
 val resident : t -> line:int -> bool
 (** Whether the given line index currently occupies a way (always [true] for
     the infinite cache).  Exposed for tests and cache-content tooling. *)
-
-val reset : t -> unit

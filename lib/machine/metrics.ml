@@ -25,18 +25,6 @@ let create () =
     quickenings = 0;
   }
 
-let reset m =
-  m.vm_instrs <- 0;
-  m.native_instrs <- 0;
-  m.dispatches <- 0;
-  m.indirect_branches <- 0;
-  m.mispredicts <- 0;
-  m.vm_branch_mispredicts <- 0;
-  m.icache_fetches <- 0;
-  m.icache_misses <- 0;
-  m.code_bytes <- 0;
-  m.quickenings <- 0
-
 let copy m =
   {
     vm_instrs = m.vm_instrs;
@@ -50,18 +38,6 @@ let copy m =
     code_bytes = m.code_bytes;
     quickenings = m.quickenings;
   }
-
-let add acc m =
-  acc.vm_instrs <- acc.vm_instrs + m.vm_instrs;
-  acc.native_instrs <- acc.native_instrs + m.native_instrs;
-  acc.dispatches <- acc.dispatches + m.dispatches;
-  acc.indirect_branches <- acc.indirect_branches + m.indirect_branches;
-  acc.mispredicts <- acc.mispredicts + m.mispredicts;
-  acc.vm_branch_mispredicts <- acc.vm_branch_mispredicts + m.vm_branch_mispredicts;
-  acc.icache_fetches <- acc.icache_fetches + m.icache_fetches;
-  acc.icache_misses <- acc.icache_misses + m.icache_misses;
-  acc.code_bytes <- acc.code_bytes + m.code_bytes;
-  acc.quickenings <- acc.quickenings + m.quickenings
 
 let misprediction_rate m =
   if m.indirect_branches = 0 then 0.

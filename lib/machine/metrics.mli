@@ -26,14 +26,8 @@ type t = {
 val create : unit -> t
 (** A fresh, all-zero counter set. *)
 
-val reset : t -> unit
-(** Zero every counter in place. *)
-
 val copy : t -> t
 (** An independent snapshot. *)
-
-val add : t -> t -> unit
-(** [add acc m] accumulates [m] into [acc] field-wise. *)
 
 val misprediction_rate : t -> float
 (** Mispredicted fraction of executed indirect branches (0 when none ran). *)

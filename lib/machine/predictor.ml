@@ -100,10 +100,3 @@ let run_ranges t b ~mis ~vm_mis =
   | S_case_block p -> Case_block_table.run_ranges p b ~mis ~vm_mis
   | S_perfect -> ()
   | S_never -> never_ranges b ~mis ~vm_mis
-
-let reset t =
-  match t.state with
-  | S_btb b -> Btb.reset b
-  | S_two_level p -> Two_level.reset p
-  | S_case_block c -> Case_block_table.reset c
-  | S_perfect | S_never -> ()

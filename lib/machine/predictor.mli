@@ -49,5 +49,3 @@ val run_ranges : t -> Slot_ranges.t -> mis:int ref -> vm_mis:int ref -> unit
     picks the family's own kernel ({!Btb.run_ranges},
     {!Two_level.run_ranges}, {!Case_block_table.run_ranges}); [Perfect]
     and [Never] only count. *)
-
-val reset : t -> unit

@@ -82,7 +82,3 @@ let run_ranges t (b : Slot_ranges.t) ~mis ~vm_mis =
   done;
   mis := !mis + !m;
   vm_mis := !vm_mis + !v
-
-let reset t =
-  Array.fill t.table 0 (Array.length t.table) (-1);
-  t.ghr <- 0

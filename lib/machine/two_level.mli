@@ -35,5 +35,3 @@ val run_ranges : t -> Slot_ranges.t -> mis:int ref -> vm_mis:int ref -> unit
     {!access} once per dispatch of the block's ranges, in {!Slot_ranges}'
     order, adding the mispredictions to [mis] and their VM-transfer subset
     to [vm_mis]. *)
-
-val reset : t -> unit

@@ -533,8 +533,8 @@ let sanitize s =
     s
 
 (* Minimize the recorded stream, write the artifact into the log's
-   directory, and remember the divergence for the JSON summary and the
-   exit code.
+   directory (made if missing), and remember the divergence for the JSON
+   summary and the exit code.
    [events] is the stream that reproduces [d] ([None] when no replayable
    stream exists, e.g. a replay-vs-direct mismatch at the result level);
    [fast_maker] lets mutation tests shrink against their broken sim. *)
@@ -560,9 +560,10 @@ let record_divergence ?fast_maker ?events log d =
                    (sanitize d.d_cell))
             in
             (try
+               Vmbp_sim.Env.mkdir_p Vmbp_sim.Env.real log.repro_dir;
                write_repro ~path d minimal;
                Some path
-             with Sys_error _ -> None))
+             with Sys_error _ | Unix.Unix_error _ -> None))
   in
   let d = { d with d_artifact = artifact } in
   locked log (fun () -> log.recorded <- d :: log.recorded);

@@ -168,7 +168,8 @@ type log
     Safe to share between domains. *)
 
 val create_log : repro_dir:string -> log
-(** An empty log whose artifacts are written into [repro_dir]. *)
+(** An empty log whose artifacts are written into [repro_dir], which the
+    first artifact creates, parents included, if it is missing. *)
 
 val record_divergence :
   ?fast_maker:(unit -> sim) -> ?events:event array -> log -> divergence ->

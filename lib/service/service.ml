@@ -839,11 +839,8 @@ let serve (cfg : config) =
       (try env.Env.unlink cfg.socket with Unix.Unix_error _ -> ());
       env.Env.listen cfg.socket ~backlog:64
     with e ->
-      (* A new file holds records only if older shard files were folded
-         into it; those stay. *)
-      let empty = (Vmbp_store.Store.stats store).Vmbp_store.Store.entries = 0 in
       Vmbp_store.Store.close store;
-      if empty && new_file then begin
+      if new_file then begin
         (try env.Env.unlink store_file with Unix.Unix_error _ -> ());
         List.iter
           (fun d -> try env.Env.rmdir d with Unix.Unix_error _ -> ())
@@ -1023,15 +1020,21 @@ let serve (cfg : config) =
           try Sys.set_signal signum h with _ -> ())
         prev_signals;
       Vmbp_store.Store.close store;
+      (* [vmbp serve] checks both paths before it starts; one that has
+         become unwritable since costs its file and one stderr line, not
+         the drain. *)
+      let write_out write file =
+        try write ~file
+        with Sys_error msg ->
+          Printf.eprintf "[serve] could not write %s\n%!" msg
+      in
       (match cfg.trace_out with
       | Some file ->
           Vmbp_obs.Span.disable ();
-          (try Vmbp_obs.Span.write ~file with Sys_error _ -> ());
+          write_out Vmbp_obs.Span.write file;
           Vmbp_obs.Span.set_clock Unix.gettimeofday
       | None -> ());
-      (match cfg.metrics_out with
-      | Some file -> ( try Vmbp_obs.Registry.write ~file with Sys_error _ -> ())
-      | None -> ());
+      Option.iter (write_out Vmbp_obs.Registry.write) cfg.metrics_out;
       Vmbp_obs.Flight.set_clock Unix.gettimeofday;
       if (cfg.trace_out <> None || cfg.metrics_out <> None) && not cfg.quiet
       then begin

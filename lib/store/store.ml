@@ -49,23 +49,6 @@ let m_corrupt = Vmbp_obs.Registry.counter "store.corrupt_records"
 let file_name = "cells.vcas"
 let file dir = Filename.concat dir file_name
 
-(* A [shard-NN.vcas] file of the older layout, which spread records over
-   several files by key. *)
-let is_shard_file f =
-  String.length f = 13
-  && String.starts_with ~prefix:"shard-" f
-  && Filename.check_suffix f ".vcas"
-
-(* The files holding records, in load order: shard files by name, then
-   [cells.vcas], so a later record always wins over an earlier one. *)
-let record_files (env : Vmbp_sim.Env.t) dir =
-  let names =
-    try Array.to_list (env.readdir dir)
-    with Unix.Unix_error _ | Sys_error _ -> []
-  in
-  List.sort compare (List.filter is_shard_file names)
-  @ List.filter (String.equal file_name) names
-
 (* Every line of a store file is framed on its own, so a corrupt record
    -- flipped bytes, a spliced write, a torn tail -- is skipped and
    counted without giving up on the rest of the file. *)
@@ -226,30 +209,13 @@ let open_ dir =
      the first crash after an acked write could lose the whole file
      rather than a record. *)
   env.fsync_dir dir;
-  let files = record_files env dir in
-  List.iter
-    (fun f ->
-      read_records env (Filename.concat dir f)
-        ~record:(fun e ->
-          Hashtbl.replace t.tbl (e.Cellrec.key, e.Cellrec.fingerprint) e;
-          Hashtbl.replace t.latest e.Cellrec.key e.Cellrec.fingerprint;
-          t.loaded <- t.loaded + 1)
-        ~corrupt:(fun () -> t.corrupt <- t.corrupt + 1))
-    files;
+  read_records env (file dir)
+    ~record:(fun e ->
+      Hashtbl.replace t.tbl (e.Cellrec.key, e.Cellrec.fingerprint) e;
+      Hashtbl.replace t.latest e.Cellrec.key e.Cellrec.fingerprint;
+      t.loaded <- t.loaded + 1)
+    ~corrupt:(fun () -> t.corrupt <- t.corrupt + 1);
   if t.corrupt > 0 then Vmbp_obs.Registry.add m_corrupt t.corrupt;
-  (* Fold the older layout's files into [cells.vcas].  They go only once
-     the compaction's rename is durable: a crash before that finds them
-     still there, loads them first and [cells.vcas] after, and the
-     latest record wins. *)
-  let shards = List.filter is_shard_file files in
-  (try
-     if shards <> [] then begin
-       compact t;
-       List.iter (fun f -> env.unlink (Filename.concat dir f)) shards
-     end
-   with e ->
-     close t;
-     raise e);
   t
 
 let stats t =
@@ -272,7 +238,7 @@ let stats t =
 (* ------------------------------------------------------------------ *)
 (* Offline scrub: a read-only scan, no store handle, no table.
 
-   A record is "stale" when a later record (in load order) carries the
+   A record is "stale" when a later record (in append order) carries the
    same key with a *different* fingerprint: its result was computed
    under a configuration that has since changed, so no current lookup
    can ever serve it.  Exact-duplicate supersessions (same key and
@@ -288,39 +254,31 @@ type scrub_report = {
 
 let scrub dir =
   let env = !Vmbp_sim.Env.current in
-  (* Pass 1: per-file record lists, counting corruption as we go. *)
-  let scanned =
-    List.map
-      (fun f ->
-        let records = ref [] and corrupt = ref 0 in
-        read_records env (Filename.concat dir f)
-          ~record:(fun e ->
-            records := (e.Cellrec.key, e.Cellrec.fingerprint) :: !records)
-          ~corrupt:(fun () -> incr corrupt);
-        (f, List.rev !records, !corrupt))
-      (record_files env dir)
-  in
-  (* Pass 2: the last fingerprint seen for each key across the whole
-     store is the current one. *)
-  let current = Hashtbl.create 256 in
-  List.iter
-    (fun (_, records, _) ->
-      List.iter (fun (key, fp) -> Hashtbl.replace current key fp) records)
-    scanned;
-  List.map
-    (fun (f, records, corrupt) ->
-      let stale =
-        List.fold_left
-          (fun acc (key, fp) ->
-            match Hashtbl.find_opt current key with
-            | Some cur when cur <> fp -> acc + 1
-            | _ -> acc)
-          0 records
-      in
+  let path = file dir in
+  if not (env.file_exists path) then []
+  else begin
+    let records = ref [] and corrupt = ref 0 in
+    read_records env path
+      ~record:(fun e ->
+        records := (e.Cellrec.key, e.Cellrec.fingerprint) :: !records)
+      ~corrupt:(fun () -> incr corrupt);
+    (* The last fingerprint appended for each key is the current one. *)
+    let current = Hashtbl.create 256 in
+    List.iter
+      (fun (key, fp) -> Hashtbl.replace current key fp)
+      (List.rev !records);
+    let stale =
+      List.fold_left
+        (fun acc (key, fp) ->
+          if Hashtbl.find current key <> fp then acc + 1 else acc)
+        0 !records
+    in
+    [
       {
-        sr_file = f;
-        sr_records = List.length records;
-        sr_corrupt = corrupt;
+        sr_file = file_name;
+        sr_records = List.length !records;
+        sr_corrupt = !corrupt;
         sr_stale = stale;
-      })
-    scanned
+      };
+    ]
+  end

@@ -56,12 +56,11 @@ val open_ : string -> t
 (** Open (creating if needed) the store directory and its [cells.vcas],
     and load every record.  Stale temp files from a crashed compaction
     are removed, and a newly created file is made durable with a
-    directory fsync before the call returns.  A directory written in the
-    older layout holds [shard-NN.vcas] files: they load in name order,
-    before [cells.vcas], one {!compact} then folds them into
-    [cells.vcas], and they are removed once its rename is durable.  All I/O goes through the environment
-    captured from {!Vmbp_sim.Env.current} at this moment, which is how
-    the simulation harness substitutes its faulty filesystem.  Raises
+    directory fsync before the call returns.  Only [cells.vcas] is read:
+    any other file in the directory is neither loaded nor removed.  All
+    I/O goes through the environment captured from
+    {!Vmbp_sim.Env.current} at this moment, which is how the simulation
+    harness substitutes its faulty filesystem.  Raises
     [Unix.Unix_error] or [Sys_error] if the directory cannot be created
     or read, or its file cannot be opened for appending. *)
 
@@ -103,13 +102,13 @@ type scrub_report = {
   sr_records : int;  (** well-formed records *)
   sr_corrupt : int;  (** undecodable or unframed lines *)
   sr_stale : int;
-      (** records whose key reappears later (in load order) under a
+      (** records whose key reappears later (in append order) under a
           {e different} fingerprint: computed under a configuration that
           has since changed, so unreachable by any current lookup *)
 }
 
 val scrub : string -> scrub_report list
-(** Read-only scan of a store directory, one report per file it reads,
-    in load order, without opening the store for writing.  Safe on a
+(** Read-only scan of a store directory's [cells.vcas] (no report when
+    the directory has none), without opening the store for writing.  Safe on a
     directory another process has open.  [compact] (on an opened store)
     repairs everything scrub counts. *)

@@ -10,9 +10,9 @@
    - random Forth programs through the real compiler and interpreter,
      plus mutated/malformed sources, which must either compile or fail
      with [Compiler.Error] -- never any other exception;
-   - mutated binary JVM images through [Image_bytes.decode], which must
-     either raise [Malformed] or produce an image that runs (and at
-     worst traps cleanly) under a fuel cap.
+   - mutated JVM images (code slots, constant pool, entry slot), which
+     [Program.make] must either reject or pass to a run that at worst
+     traps cleanly under a fuel cap.
 
    Counts scale with the VMBP_FUZZ_* environment variables so CI smoke
    runs stay within budget while the full 10k/1k acceptance run is one
@@ -507,87 +507,114 @@ let prop_forth_mutated seed =
       fail "compiler raised %s on mutated source" (Printexc.to_string exn)
 
 (* ------------------------------------------------------------------ *)
-(* 3. Mutated binary JVM images *)
+(* 3. Mutated JVM images *)
 
-let base_image =
+(* [db] and [jack], the latter for its [tableswitch] jump table. *)
+let base_images =
   lazy
-    (match Vmbp_jvm.Jvm_workloads.find "db" with
-    | Some w -> w.Vmbp_jvm.Jvm_workloads.build ~scale:1
-    | None -> Alcotest.fail "jvm workload 'db' missing")
+    (Array.map
+       (fun name ->
+         match Vmbp_jvm.Jvm_workloads.find name with
+         | Some w -> w.Vmbp_jvm.Jvm_workloads.build ~scale:1
+         | None -> Alcotest.fail ("jvm workload '" ^ name ^ "' missing"))
+       [| "db"; "jack" |])
 
-let base_bytes = lazy (Vmbp_jvm.Image_bytes.encode (Lazy.force base_image))
+(* What became of the mutants, printed when the suite exits. *)
+let images_rejected = ref 0
+let images_ran = ref 0
+let images_trapped = ref 0
 
-let test_image_roundtrip () =
-  let bytes = Lazy.force base_bytes in
-  let decoded = Vmbp_jvm.Image_bytes.decode bytes in
-  Alcotest.(check int)
-    "round-trip preserves the byte encoding"
-    (String.length bytes)
-    (String.length (Vmbp_jvm.Image_bytes.encode decoded));
-  Alcotest.(check bool)
-    "round-trip is the identity on bytes" true
-    (String.equal bytes (Vmbp_jvm.Image_bytes.encode decoded))
+(* A value a mutation writes: near the old one, small, a slot index just
+   inside or outside the code, or an extreme. *)
+let wild rng ~old ~code_len =
+  match rand rng 4 with
+  | 0 -> old + rand rng 7 - 3
+  | 1 -> rand rng 64 - 8
+  | 2 -> rand rng (code_len + 8) - 4
+  | _ -> if rand rng 2 = 0 then max_int else min_int
 
-let mutate_bytes rng s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  match rand rng 5 with
-  | 0 when n > 0 ->
-      (* flip one byte *)
-      let i = rand rng n in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + rand rng 255)));
-      Bytes.to_string b
-  | 1 when n > 1 ->
-      (* truncate *)
-      Bytes.sub_string b 0 (rand rng n)
-  | 2 when n > 0 ->
-      (* zero a run *)
-      let i = rand rng n in
-      let len = min (1 + rand rng 16) (n - i) in
-      Bytes.fill b i len '\000';
-      Bytes.to_string b
-  | 3 ->
-      (* insert random bytes *)
-      let i = rand rng (n + 1) in
-      let len = 1 + rand rng 8 in
-      let ins = String.init len (fun _ -> Char.chr (rand rng 256)) in
-      String.concat "" [ Bytes.sub_string b 0 i; ins; Bytes.sub_string b i (n - i) ]
-  | _ when n > 2 ->
-      (* splice: duplicate an interior slice over another position *)
-      let src = rand rng (n - 1) in
-      let len = min (1 + rand rng 32) (n - src) in
-      let dst = rand rng (n - len) in
-      Bytes.blit b src b dst len;
-      Bytes.to_string b
-  | _ -> Bytes.to_string b
+(* One random change to a copy of an image's code slots, constant pool
+   and entry slot. *)
+let mutate_image rng (code : Vmbp_vm.Program.slot array) cp entry =
+  let open Vmbp_vm.Program in
+  let code_len = Array.length code in
+  let slot = code.(rand rng code_len) in
+  let nops = Array.length slot.operands in
+  match rand rng 6 with
+  | 0 ->
+      slot.opcode <-
+        rand rng (Vmbp_vm.Instr_set.size Vmbp_jvm.Opcode.iset + 1)
+  | 1 when nops > 0 ->
+      let k = rand rng nops in
+      slot.operands.(k) <- wild rng ~old:slot.operands.(k) ~code_len
+  | 2 ->
+      let n = if nops > 0 && rand rng 2 = 0 then nops - 1 else nops + 1 in
+      slot.operands <-
+        Array.init n (fun k -> if k < nops then slot.operands.(k) else 0)
+  | 3 -> entry := wild rng ~old:!entry ~code_len
+  | 4 ->
+      let i = rand rng (Array.length cp) and j = rand rng (Array.length cp) in
+      let e = cp.(i) in
+      cp.(i) <- cp.(j);
+      cp.(j) <- e
+  | _ -> (
+      let i = rand rng (Array.length cp) in
+      match cp.(i) with
+      | Vmbp_jvm.Classfile.CP_int v ->
+          cp.(i) <- Vmbp_jvm.Classfile.CP_int (wild rng ~old:v ~code_len)
+      | Vmbp_jvm.Classfile.CP_switch { lo; targets } ->
+          let targets = Array.copy targets in
+          let lo =
+            if rand rng 2 = 0 then wild rng ~old:lo ~code_len
+            else begin
+              let k = rand rng (Array.length targets) in
+              targets.(k) <- wild rng ~old:targets.(k) ~code_len;
+              lo
+            end
+          in
+          cp.(i) <- Vmbp_jvm.Classfile.CP_switch { lo; targets }
+      | _ -> ())
 
 let prop_image_mutated seed =
   let rng = rng_of_seed seed in
-  let bytes =
-    let rec go s = function 0 -> s | k -> go (mutate_bytes rng s) (k - 1) in
-    go (Lazy.force base_bytes) (1 + rand rng 4)
-  in
-  match Vmbp_jvm.Image_bytes.decode bytes with
-  | exception Vmbp_jvm.Image_bytes.Malformed _ -> true
-  | exception exn ->
-      fail "decode raised %s (only Malformed may escape)"
-        (Printexc.to_string exn)
-  | image -> (
-      (* The image passed structural validation; running it may trap
-         (the runtime's guards are part of the safety boundary) but must
-         never raise. *)
+  let images = Lazy.force base_images in
+  let base = images.(rand rng (Array.length images)) in
+  let p = Vmbp_vm.Program.copy base.Vmbp_jvm.Runtime.program in
+  let cp = Array.copy base.Vmbp_jvm.Runtime.cp in
+  let entry = ref p.Vmbp_vm.Program.entry in
+  for _ = 1 to 1 + rand rng 4 do
+    mutate_image rng p.Vmbp_vm.Program.code cp entry
+  done;
+  (* The check [Runtime.link] ends with: opcodes, operand counts, branch
+     targets and entry slots.  Its [Invalid_argument] rejects the
+     mutant. *)
+  match
+    Vmbp_vm.Program.make ~name:p.Vmbp_vm.Program.name
+      ~iset:Vmbp_jvm.Opcode.iset ~code:p.Vmbp_vm.Program.code ~entry:!entry
+      ~entries:p.Vmbp_vm.Program.entries ()
+  with
+  | exception Invalid_argument _ ->
+      incr images_rejected;
+      true
+  | program -> (
+      (* Everything else -- pool indices and kinds, class, method, field,
+         static and local indices, switch targets -- is the runtime's to
+         trap on: running the mutant may trap but must never raise. *)
+      incr images_ran;
+      let image = { base with Vmbp_jvm.Runtime.cp; program } in
       let what = Printf.sprintf "image seed=%d" seed in
       let state = Vmbp_jvm.Runtime.create image in
       let config = Config.make ~cpu:Cpu_model.pentium4_northwood Technique.plain in
-      let layout =
-        Config.build_layout config ~program:image.Vmbp_jvm.Runtime.program
-      in
+      let layout = Config.build_layout config ~program in
       match
         Engine.run ~fuel:200_000 ~config ~layout
           ~exec:(Vmbp_jvm.Semantics.exec state) ()
       with
       | r ->
           check_metric_conservation ~what r;
+          (match r.Engine.trapped with
+          | Some msg when msg <> Engine.out_of_fuel -> incr images_trapped
+          | _ -> ());
           true
       | exception exn ->
           fail "%s: engine raised %s (must trap cleanly)" what
@@ -596,6 +623,12 @@ let prop_image_mutated seed =
 (* ------------------------------------------------------------------ *)
 
 let () =
+  at_exit (fun () ->
+      if !images_rejected + !images_ran > 0 then
+        Format.printf
+          "jvm-image: %d mutants rejected by Program.make, %d ran (%d \
+           trapped)@."
+          !images_rejected !images_ran !images_trapped);
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "fuzz"
     [
@@ -629,8 +662,6 @@ let () =
         ] );
       ( "jvm-image",
         [
-          Alcotest.test_case "encode/decode round-trip" `Quick
-            test_image_roundtrip;
           qt
             (QCheck.Test.make ~count:image_count ~name:"mutated images"
                seed_arb prop_image_mutated);

@@ -97,12 +97,6 @@ let test_btb_predict_readonly () =
     "predict does not update" (Some 42)
     (Btb.predict btb ~branch:5)
 
-let test_btb_reset () =
-  let btb = Btb.create (Btb.classic ~entries:16 ~associativity:2) in
-  ignore (Btb.access btb ~branch:4 ~target:9);
-  Btb.reset btb;
-  check_bool "reset forgets" false (Btb.access btb ~branch:4 ~target:9)
-
 let prop_btb_repeating_stream_predicts =
   QCheck.Test.make ~name:"btb: any repeated (branch,target) stream is predicted"
     ~count:50
@@ -356,16 +350,13 @@ let test_memory_layout () =
   check_bool "used covers both" true (Memory_layout.used_bytes a >= 30)
 
 let test_metrics_arith () =
-  let a = Metrics.create () and b = Metrics.create () in
-  a.Metrics.dispatches <- 5;
-  b.Metrics.dispatches <- 7;
-  b.Metrics.mispredicts <- 2;
-  Metrics.add a b;
-  check_int "add dispatches" 12 a.Metrics.dispatches;
-  check_int "add mispredicts" 2 a.Metrics.mispredicts;
+  let a = Metrics.create () in
+  a.Metrics.dispatches <- 12;
+  a.Metrics.mispredicts <- 2;
   let c = Metrics.copy a in
-  Metrics.reset a;
-  check_int "reset" 0 a.Metrics.dispatches;
+  check_int "copy dispatches" 12 c.Metrics.dispatches;
+  check_int "copy mispredicts" 2 c.Metrics.mispredicts;
+  a.Metrics.dispatches <- 0;
   check_int "copy unaffected" 12 c.Metrics.dispatches
 
 let test_misprediction_rate () =
@@ -951,7 +942,6 @@ let () =
             test_btb_rejects_bad_config;
           Alcotest.test_case "predict is read-only" `Quick
             test_btb_predict_readonly;
-          Alcotest.test_case "reset" `Quick test_btb_reset;
           Alcotest.test_case "set index distribution" `Quick
             test_btb_set_index_distribution;
           qt prop_btb_repeating_stream_predicts;

@@ -1174,21 +1174,23 @@ let test_bad_predictor_is_failed_cell () =
       check_bool "override sibling ok" true (Result.is_ok c.PR.outcome)
   | _ -> Alcotest.fail "three cells in, three results out"
 
+let rec remove_tree path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter
+        (fun f -> remove_tree (Filename.concat path f))
+        (Sys.readdir path);
+      try Unix.rmdir path with Unix.Unix_error _ -> ()
+    end
+    else try Sys.remove path with Sys_error _ -> ()
+
 let with_temp_dir f =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "vmbp-store-%d-%d" (Unix.getpid ()) (Random.bits ()))
   in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
-          (Sys.readdir dir);
-        try Unix.rmdir dir with Unix.Unix_error _ -> ()
-      end)
-    (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
 
 let test_store_roundtrip_serve () =
   (* The content-addressed store as a resume layer: a second run over the
@@ -1412,6 +1414,9 @@ let buggy_maker ~predictor ~icache () =
   }
 
 let test_self_check_catches_mutation repro_dir =
+  (* A repro directory that does not exist yet: the artifact creates it,
+     parents included. *)
+  let repro_dir = Filename.concat (Filename.concat repro_dir "new") "repros" in
   let audit = Audit.create_log ~repro_dir in
   let cpu = Cpu_model.pentium4_northwood in
   let technique = Technique.plain in

@@ -1,8 +1,7 @@
 (* Tests of the content-addressed result store and its codecs: CRC-32
    against the reference vector, frame classification, cell-record
    round-trips, crash/corruption survival (byte-flip fuzzing, torn
-   tails, stale compaction temps), compaction repair and the load of a
-   store written in the older shard layout. *)
+   tails, stale compaction temps) and compaction repair. *)
 
 open Vmbp_store
 
@@ -357,47 +356,6 @@ let test_store_current_survives_compaction () =
     (Store.lookup t ~key:"b" ~fingerprint:"fp-1" = None);
   Store.close t
 
-(* A directory written when records were spread over [shard-NN.vcas]
-   files: every record loads, the later file's record of a key wins, and
-   the first open folds the shards into the one store file. *)
-let test_store_shard_layout () =
-  with_dir @@ fun dir ->
-  Unix.mkdir dir 0o755;
-  let write name entries =
-    let oc = open_out_bin (Filename.concat dir name) in
-    List.iter
-      (fun e -> output_string oc (Frame.encode (Cellrec.to_line e)))
-      entries;
-    close_out oc
-  in
-  let entry key fp = { (sample_success key) with Cellrec.fingerprint = fp } in
-  write "shard-00.vcas" [ entry "a" "fp-1"; entry "moved" "old" ];
-  write "shard-01.vcas" [ entry "b" "fp-1" ];
-  write "shard-02.vcas" [ entry "c" "fp-1"; entry "moved" "new" ];
-  write "shard-03.vcas" [ entry "d" "fp-1" ];
-  let served t =
-    List.filter
-      (fun (key, fp) -> Store.lookup t ~key ~fingerprint:fp <> None)
-      [ ("a", "fp-1"); ("b", "fp-1"); ("c", "fp-1"); ("d", "fp-1");
-        ("moved", "new"); ("moved", "old") ]
-  in
-  let current =
-    [ ("a", "fp-1"); ("b", "fp-1"); ("c", "fp-1"); ("d", "fp-1");
-      ("moved", "new") ]
-  in
-  let t = Store.open_ dir in
-  check_int "every record loaded" 6 (Store.stats t).Store.loaded;
-  Alcotest.(check (list (pair string string)))
-    "the later file's fingerprint wins" current (served t);
-  Store.close t;
-  Alcotest.(check (list string))
-    "only the one store file is left" [ "cells.vcas" ]
-    (Array.to_list (Sys.readdir dir));
-  let t = Store.open_ dir in
-  Alcotest.(check (list (pair string string)))
-    "a reopen serves the same entries" current (served t);
-  Store.close t
-
 let () =
   Alcotest.run "store"
     [
@@ -424,7 +382,5 @@ let () =
           Alcotest.test_case "offline scrub" `Quick test_store_scrub;
           Alcotest.test_case "current fingerprint survives compaction"
             `Quick test_store_current_survives_compaction;
-          Alcotest.test_case "store written in the shard layout" `Quick
-            test_store_shard_layout;
         ] );
     ]
