@@ -46,7 +46,7 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
-(* ---------------- run ---------------- *)
+(* ---------------- shared arguments ---------------- *)
 
 let vm_arg =
   let parse s =
@@ -104,72 +104,74 @@ let positive_float_conv =
   checked_conv ~of_string:float_of_string_opt ~pp:Fmt.float
     ~ok:(fun x -> x > 0.) ~expected:"a positive number"
 
+(* OCaml 5 runs at most 128 domains in one process ([Max_domains] in
+   caml/domain.h), the main one included.  A job or client count that
+   needs more would make [Domain.spawn] raise after the work has
+   started. *)
+let max_domains = 128
+
+let domains_conv ~most =
+  checked_conv ~of_string:int_of_string_opt ~pp:Fmt.int
+    ~ok:(fun n -> n >= 1 && n <= most)
+    ~expected:(Printf.sprintf "an integer from 1 to %d" most)
+
 let scale_arg =
   Arg.(value & opt positive_conv 1 & info [ "scale" ] ~docv:"N")
 
 let scale_opt_arg =
   Arg.(value & opt (some positive_conv) None & info [ "scale" ] ~docv:"N")
 
-let run_cmd =
-  let doc = "Run one workload under one interpreter technique." in
-  let vm =
-    Arg.(required & pos 0 (some vm_arg) None & info [] ~docv:"VM")
-  in
-  let workload =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"WORKLOAD")
-  in
-  let technique =
-    Arg.(
-      value
-      & opt technique_arg Technique.plain
-      & info [ "t"; "technique" ] ~docv:"TECHNIQUE")
-  in
-  let cpu =
-    Arg.(
-      value
-      & opt cpu_arg Vmbp_machine.Cpu_model.pentium4_northwood
-      & info [ "cpu" ] ~docv:"CPU")
-  in
-  let scale = scale_arg in
-  let show_output =
-    Arg.(value & flag & info [ "output" ] ~doc:"print the program's output")
-  in
-  let run vm workload technique cpu scale show_output =
-    match Vmbp_workloads.find ~vm workload with
-    | None ->
-        Printf.eprintf "unknown workload %s/%s\n"
-          (Vmbp_workloads.vm_name vm) workload;
-        exit 1
-    | Some w ->
-        let r = Vmbp_report.Runner.run ~scale ~cpu ~technique w in
-        let result = r.Vmbp_report.Runner.result in
-        let m = result.Engine.metrics in
-        Printf.printf "%s/%s under '%s' on %s (scale %d)\n"
-          (Vmbp_workloads.vm_name vm) workload (Technique.name technique)
-          cpu.Vmbp_machine.Cpu_model.name scale;
-        Printf.printf "  cycles      %.0f (%.1f ms modelled)\n" result.Engine.cycles
-          (result.Engine.seconds *. 1e3);
-        Printf.printf "  VM instrs   %d\n" m.Vmbp_machine.Metrics.vm_instrs;
-        Printf.printf "  native      %d\n" m.Vmbp_machine.Metrics.native_instrs;
-        Printf.printf "  dispatches  %d\n" m.Vmbp_machine.Metrics.dispatches;
-        Printf.printf "  mispredicts %d (%.1f%% of indirect)\n"
-          m.Vmbp_machine.Metrics.mispredicts
-          (100. *. Vmbp_machine.Metrics.misprediction_rate m);
-        Printf.printf "  icache miss %d\n" m.Vmbp_machine.Metrics.icache_misses;
-        Printf.printf "  code bytes  %d\n" m.Vmbp_machine.Metrics.code_bytes;
-        Printf.printf "  quickenings %d\n" m.Vmbp_machine.Metrics.quickenings;
-        if show_output then
-          Printf.printf "  output: %s\n" r.Vmbp_report.Runner.output
-  in
-  Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ vm $ workload $ technique $ cpu $ scale $ show_output)
+(* A path the system refuses -- an unusable --store, --socket or output
+   path -- is a one-line error naming the path and the system error,
+   never an uncaught exception. *)
+let exit_on_system_error f =
+  try f () with
+  | Unix.Unix_error (e, fn, path) ->
+      Printf.eprintf "vmbp: %s %s: %s\n" fn path (Unix.error_message e);
+      exit 2
+  | Sys_error msg ->
+      Printf.eprintf "vmbp: %s\n" msg;
+      exit 2
 
-(* ---------------- trace ---------------- *)
-
-let trace_cmd =
-  let doc =
-    "Trace the first dispatches of a workload through an idealised BTB."
+(* Every output option is declared through [out_file] or [out_dir], whose
+   term checks the path while the command line is parsed, before any
+   store, socket, request, cell or seed: a file is opened, or created and
+   removed again; a directory is made with its missing parents, and what
+   that made is removed again. *)
+let out_file ?(docv = "FILE") ~doc name =
+  let path = Arg.(value & opt (some string) None & info [ name ] ~docv ~doc) in
+  let check file =
+    exit_on_system_error (fun () ->
+        let existed = Sys.file_exists file in
+        Unix.close (Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644);
+        if not existed then Sys.remove file);
+    file
   in
+  Term.(const (Option.map check) $ path)
+
+let out_dir ~doc name =
+  let path = Arg.(value & opt string "." & info [ name ] ~docv:"DIR" ~doc) in
+  let check dir =
+    let env = Vmbp_sim.Env.real in
+    (exit_on_system_error @@ fun () ->
+     let created = Vmbp_sim.Env.missing_dirs env dir in
+     Fun.protect
+       ~finally:(fun () ->
+         List.iter
+           (fun d -> try Unix.rmdir d with Unix.Unix_error _ -> ())
+           (List.rev created))
+       (fun () ->
+         Vmbp_sim.Env.mkdir_p env dir;
+         if not (Sys.is_directory dir) then
+           raise (Sys_error (dir ^ ": Not a directory"))));
+    dir
+  in
+  Term.(const check $ path)
+
+(* ---------------- run / trace: one cell ---------------- *)
+
+(* The cell [run], [trace] and [explain] select. *)
+let cell_arg =
   let vm = Arg.(required & pos 0 (some vm_arg) None & info [] ~docv:"VM") in
   let workload =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"WORKLOAD")
@@ -180,52 +182,93 @@ let trace_cmd =
       & opt technique_arg Technique.plain
       & info [ "t"; "technique" ] ~docv:"TECHNIQUE")
   in
+  Term.(
+    const (fun vm name technique -> (vm, name, technique))
+    $ vm $ workload $ technique)
+
+let cell_cpu_arg =
+  Arg.(
+    value
+    & opt cpu_arg Vmbp_machine.Cpu_model.pentium4_northwood
+    & info [ "cpu" ] ~docv:"CPU")
+
+(* Looked up in the command body, after every option has checked
+   itself. *)
+let find_workload vm name =
+  match Vmbp_workloads.find ~vm name with
+  | Some w -> w
+  | None ->
+      Printf.eprintf "unknown workload %s/%s\n" (Vmbp_workloads.vm_name vm)
+        name;
+      exit 1
+
+let run_cmd =
+  let doc = "Run one workload under one interpreter technique." in
+  let show_output =
+    Arg.(value & flag & info [ "output" ] ~doc:"print the program's output")
+  in
+  let run (vm, name, technique) cpu scale show_output =
+    let w = find_workload vm name in
+    let r = Vmbp_report.Runner.run ~scale ~cpu ~technique w in
+    let result = r.Vmbp_report.Runner.result in
+    let m = result.Engine.metrics in
+    Printf.printf "%s/%s under '%s' on %s (scale %d)\n"
+      (Vmbp_workloads.vm_name vm) name (Technique.name technique)
+      cpu.Vmbp_machine.Cpu_model.name scale;
+    Printf.printf "  cycles      %.0f (%.1f ms modelled)\n" result.Engine.cycles
+      (result.Engine.seconds *. 1e3);
+    Printf.printf "  VM instrs   %d\n" m.Vmbp_machine.Metrics.vm_instrs;
+    Printf.printf "  native      %d\n" m.Vmbp_machine.Metrics.native_instrs;
+    Printf.printf "  dispatches  %d\n" m.Vmbp_machine.Metrics.dispatches;
+    Printf.printf "  mispredicts %d (%.1f%% of indirect)\n"
+      m.Vmbp_machine.Metrics.mispredicts
+      (100. *. Vmbp_machine.Metrics.misprediction_rate m);
+    Printf.printf "  icache miss %d\n" m.Vmbp_machine.Metrics.icache_misses;
+    Printf.printf "  code bytes  %d\n" m.Vmbp_machine.Metrics.code_bytes;
+    Printf.printf "  quickenings %d\n" m.Vmbp_machine.Metrics.quickenings;
+    if show_output then
+      Printf.printf "  output: %s\n" r.Vmbp_report.Runner.output
+  in
+  Cmd.v (Cmd.info "run" ~doc)
+    Term.(const run $ cell_arg $ cell_cpu_arg $ scale_arg $ show_output)
+
+let trace_cmd =
+  let doc =
+    "Trace the first dispatches of a workload through an idealised BTB."
+  in
   let skip =
     Arg.(value & opt non_negative_conv 0 & info [ "skip" ] ~docv:"N")
   in
   let take = Arg.(value & opt positive_conv 24 & info [ "take" ] ~docv:"N") in
-  let run vm workload technique skip take =
-    match Vmbp_workloads.find ~vm workload with
-    | None ->
-        Printf.eprintf "unknown workload %s/%s\n"
-          (Vmbp_workloads.vm_name vm) workload;
-        exit 1
-    | Some w ->
-        let loaded = w.Vmbp_workloads.load ~scale:1 in
-        let session = loaded.Vmbp_workloads.fresh_session () in
-        let profile =
-          if Technique.uses_static_selection technique then
-            Some
-              (Vmbp_workloads.training_profile ~vm ~target:workload ~scale:1 ())
-          else None
-        in
-        let rows =
-          Vmbp_report.Dispatch_trace.trace ~technique ?profile
-            ~program:loaded.Vmbp_workloads.program
-            ~exec:session.Vmbp_workloads.exec ~skip ~take ()
-        in
-        print_string (Vmbp_report.Dispatch_trace.render rows)
+  let run (vm, name, technique) skip take =
+    let w = find_workload vm name in
+    let loaded = w.Vmbp_workloads.load ~scale:1 in
+    let session = loaded.Vmbp_workloads.fresh_session () in
+    let profile = Vmbp_report.Runner.effective_profile ~scale:1 ~technique w in
+    let rows =
+      Vmbp_report.Dispatch_trace.trace ~technique ?profile
+        ~program:loaded.Vmbp_workloads.program
+        ~exec:session.Vmbp_workloads.exec ~skip ~take ()
+    in
+    print_string (Vmbp_report.Dispatch_trace.render rows)
   in
-  Cmd.v (Cmd.info "trace" ~doc)
-    Term.(const run $ vm $ workload $ technique $ skip $ take)
+  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ cell_arg $ skip $ take)
 
 (* ---------------- experiment ---------------- *)
 
-let jobs_arg =
+(* [--jobs N] runs N - 1 worker domains beside the main one. *)
+let jobs_arg ~most =
   Arg.(
     value
-    & opt positive_conv 1
+    & opt (domains_conv ~most) 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Run experiment cells on $(docv) domains (default sequential).")
 
 let json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "Write a machine-readable per-cell summary (simulated counters \
-           plus wall-clock timings) to $(docv).")
+  out_file "json"
+    ~doc:
+      "Write a machine-readable per-cell summary (simulated counters plus \
+       wall-clock timings) to $(docv)."
 
 let trace_cap_arg =
   Arg.(
@@ -315,32 +358,21 @@ let audit_sample_arg =
            default 0.02.")
 
 let repro_dir_arg =
-  Arg.(
-    value
-    & opt string "."
-    & info [ "repro-dir" ] ~docv:"DIR"
-        ~doc:"Directory receiving divergence repro artifacts.")
+  out_dir "repro-dir" ~doc:"Directory receiving divergence repro artifacts."
 
 let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Collect phase-timing spans (layout, engine runs and walks, \
-           store appends, audits) and write them to $(docv) as Chrome \
-           trace-event JSON, loadable in Perfetto or chrome://tracing.")
+  out_file "trace-out"
+    ~doc:
+      "Collect phase-timing spans (layout, engine runs and walks, store \
+       appends, audits) and write them to $(docv) as Chrome trace-event \
+       JSON, loadable in Perfetto or chrome://tracing."
 
 let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Write the process metrics registry (path-walk, store and cell \
-           counters, pool gauges, per-cell histograms) to $(docv) as JSON \
-           (schema vmbp-metrics/1) and summarise the key counters on \
-           stderr.")
+  out_file "metrics"
+    ~doc:
+      "Write the process metrics registry (path-walk, store and cell \
+       counters, pool gauges, per-cell histograms) to $(docv) as JSON \
+       (schema vmbp-metrics/1) and summarise the key counters on stderr."
 
 let store_arg =
   Arg.(
@@ -370,42 +402,6 @@ let progress_arg =
             info [ "no-progress" ] ~doc:"Never show the progress heartbeat."
           );
         ])
-
-(* Observability setup: reset the metrics registry per invocation so
-   counters describe this run only, and arm span collection only when the
-   caller asked for a trace file (disabled spans cost one atomic load). *)
-let setup_obs trace_out =
-  Vmbp_obs.Registry.reset ();
-  if trace_out <> None then Vmbp_obs.Span.enable ()
-
-(* All observability output goes to stderr (or to the requested files):
-   report tables on stdout must stay byte-identical with and without
-   instrumentation. *)
-let finish_obs trace_out metrics =
-  (match trace_out with
-  | None -> ()
-  | Some file ->
-      Vmbp_obs.Span.write ~file;
-      Printf.eprintf "wrote %d spans to %s\n" (Vmbp_obs.Span.count ()) file);
-  match metrics with
-  | None -> ()
-  | Some file ->
-      Vmbp_obs.Registry.write ~file;
-      let c name =
-        match Vmbp_obs.Registry.find_counter name with
-        | Some v -> Int64.to_string v
-        | None -> "0"
-      in
-      Printf.eprintf
-        "[obs] vm path %s records / %s walks (%.0f bytes); group walks %s \
-         / %s configs; store %s hits / %s appended; cells %s retries / %s \
-         timeouts\n"
-        (c "vm_path.records") (c "vm_path.walks")
-        (Vmbp_obs.Registry.gauge_value
-           (Vmbp_obs.Registry.gauge "vm_path.bytes"))
-        (c "trace.bank_replays") (c "trace.banked_configs") (c "store.hits")
-        (c "store.appended") (c "cells.retries") (c "cells.timeouts");
-      Printf.eprintf "wrote metrics to %s\n" file
 
 (* First Ctrl-C: drain in-flight cells (the store is already fsync'd per
    append), emit the report marked partial.  Second Ctrl-C: force. *)
@@ -479,57 +475,16 @@ let finish_audit audit =
         (List.length ds);
       exit 3
 
-(* A path the system refuses -- an unusable --store or --socket -- is a
-   one-line error naming the path and the system error, never an
-   uncaught exception. *)
-let exit_on_system_error f =
-  try f () with
-  | Unix.Unix_error (e, fn, path) ->
-      Printf.eprintf "vmbp: %s %s: %s\n" fn path (Unix.error_message e);
-      exit 2
-  | Sys_error msg ->
-      Printf.eprintf "vmbp: %s\n" msg;
-      exit 2
-
-(* An output a command could not write fails before any store, socket,
-   request, cell or seed: each file is opened now, created if need be,
-   and each directory made with its missing parents; whatever this
-   created is removed again. *)
-let check_outputs ?(dirs = []) files =
-  let env = Vmbp_sim.Env.real in
-  exit_on_system_error @@ fun () ->
-  List.iter
-    (fun file ->
-      let existed = Sys.file_exists file in
-      Unix.close (Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644);
-      if not existed then Sys.remove file)
-    (List.filter_map Fun.id files);
-  List.iter
-    (fun dir ->
-      let created = Vmbp_sim.Env.missing_dirs env dir in
-      Fun.protect
-        ~finally:(fun () ->
-          List.iter
-            (fun d -> try Unix.rmdir d with Unix.Unix_error _ -> ())
-            (List.rev created))
-        (fun () ->
-          Vmbp_sim.Env.mkdir_p env dir;
-          if not (Sys.is_directory dir) then
-            raise (Sys_error (dir ^ ": Not a directory"))))
-    dirs
-
-(* The options [experiment] and [report] share, as one term: it checks
-   the output paths and the repro directory, builds the run's context
-   from the flags, opens the --store directory, runs [body] under both at
-   the requested scale, then writes what was asked for, closes the store
-   and fails on a divergence. *)
+(* The options [experiment] and [report] share, as one term: it builds
+   the run's context from the flags, opens the --store directory, runs
+   [body] under both at the requested scale, then writes what was asked
+   for, closes the store and fails on a divergence. *)
 let run_options =
   let run_with scale jobs trace_cap json store cell_timeout cell_retries
       chaos self_check audit_sample repro_dir trace_out metrics progress
       (body :
         Vmbp_report.Par_runner.ctx -> Vmbp_store.Store.t option ->
         int option -> unit) =
-    check_outputs ~dirs:[ repro_dir ] [ json; metrics; trace_out ];
     Vmbp_report.Par_runner.trace_cap_mb := trace_cap;
     arm_chaos chaos;
     install_sigint ();
@@ -552,16 +507,29 @@ let run_options =
         (fun dir -> exit_on_system_error (fun () -> Vmbp_store.Store.open_ dir))
         store
     in
-    setup_obs trace_out;
+    Vmbp_obs.Registry.reset ();
+    if trace_out <> None then Vmbp_obs.Span.enable ();
     run_killable (fun () -> body ctx store scale);
     partial_marker ();
     write_json ~ctx ?store json;
-    finish_obs trace_out metrics;
+    let c = Vmbp_obs.Registry.count in
+    Vmbp_obs.Export.finish ?spans:trace_out ?metrics (fun () ->
+        Printf.sprintf
+          "[obs] vm path %d records / %d walks (%.0f bytes); group walks %d \
+           / %d configs; store %d hits / %d appended; cells %d retries / %d \
+           timeouts"
+          (c "vm_path.records") (c "vm_path.walks")
+          (Vmbp_obs.Registry.gauge_value
+             (Vmbp_obs.Registry.gauge "vm_path.bytes"))
+          (c "trace.bank_replays") (c "trace.banked_configs") (c "store.hits")
+          (c "store.appended") (c "cells.retries") (c "cells.timeouts"));
     Option.iter Vmbp_store.Store.close store;
     finish_audit ctx.audit
   in
   Term.(
-    const run_with $ scale_opt_arg $ jobs_arg $ trace_cap_arg $ json_arg
+    const run_with $ scale_opt_arg
+    $ jobs_arg ~most:max_domains
+    $ trace_cap_arg $ json_arg
     $ store_arg $ cell_timeout_arg $ cell_retries_arg
     $ chaos_arg $ self_check_arg $ audit_sample_arg $ repro_dir_arg
     $ trace_out_arg $ metrics_arg $ progress_arg)
@@ -666,6 +634,8 @@ let serve_cmd =
             "Store directory (created if missing; corrupt records found on \
              load are repaired by a compaction pass).")
   in
+  (* Its compute domain takes one of the process's domains. *)
+  let jobs = jobs_arg ~most:(max_domains - 1) in
   let admission =
     Arg.(
       value & opt positive_conv 64
@@ -707,41 +677,31 @@ let serve_cmd =
     Arg.(value & flag & info [ "verbose" ] ~doc:"Log per-event detail.")
   in
   let flight_dir =
-    Arg.(
-      value & opt string "."
-      & info [ "flight-dir" ] ~docv:"DIR"
-          ~doc:
-            "Directory receiving vmbp-flight-*.json crash-flight-recorder \
-             dumps (degradation entry, unclean exit, SIGQUIT, the 'dump' \
-             verb).")
+    out_dir "flight-dir"
+      ~doc:
+        "Directory receiving vmbp-flight-*.json crash-flight-recorder dumps \
+         (degradation entry, unclean exit, SIGQUIT, the 'dump' verb)."
   in
   let serve_trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Collect end-to-end request-tracing spans (accept, parse, \
-             admission, compute batches, store appends, reply flushes, \
-             linked by request id) and write them to $(docv) as Chrome \
-             trace-event JSON at drain.")
+    out_file "trace-out"
+      ~doc:
+        "Collect end-to-end request-tracing spans (accept, parse, \
+         admission, compute batches, store appends, reply flushes, linked \
+         by request id) and write them to $(docv) as Chrome trace-event \
+         JSON at drain."
   in
   let serve_metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Write the live telemetry registry (per-verb and per-phase \
-             latency histograms, queue/inflight/connection gauges, shed/\
-             coalesce counters) to $(docv) as vmbp-metrics/1 JSON at \
-             drain.  The same registry is queryable live via the \
-             'metrics' verb and $(b,vmbp top).")
+    out_file "metrics"
+      ~doc:
+        "Write the live telemetry registry (per-verb and per-phase latency \
+         histograms, queue/inflight/connection gauges, shed/coalesce \
+         counters) to $(docv) as vmbp-metrics/1 JSON at drain.  The same \
+         registry is queryable live via the 'metrics' verb and $(b,vmbp \
+         top)."
   in
   let run socket store jobs admission request_timeout
       slow_reader degraded_after max_frame chaos verbose flight_dir
       trace_out metrics =
-    check_outputs ~dirs:[ flight_dir ] [ trace_out; metrics ];
     arm_chaos chaos;
     Vmbp_obs.Registry.reset ();
     exit_on_system_error @@ fun () ->
@@ -764,8 +724,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ socket_arg $ store $ jobs_arg
-      $ admission $ request_timeout $ slow_reader $ degraded_after
+      const run $ socket_arg $ store $ jobs $ admission $ request_timeout
+      $ slow_reader $ degraded_after
       $ max_frame $ chaos_arg $ verbose $ flight_dir $ serve_trace_out
       $ serve_metrics)
 
@@ -774,8 +734,12 @@ let loadgen_cmd =
     "Drive zipf-distributed queries at a running report service and print \
      a throughput/latency report."
   in
+  (* One domain per client, beside the main one. *)
   let clients =
-    Arg.(value & opt positive_conv 4 & info [ "clients" ] ~docv:"N")
+    Arg.(
+      value
+      & opt (domains_conv ~most:(max_domains - 1)) 4
+      & info [ "clients" ] ~docv:"N")
   in
   let requests =
     Arg.(
@@ -786,21 +750,17 @@ let loadgen_cmd =
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N") in
   let zipf =
     Arg.(
-      value & opt float 1.1
+      value
+      & opt non_negative_float_conv 1.1
       & info [ "zipf" ] ~docv:"S" ~doc:"Skew exponent; 0 = uniform.")
   in
-  let scale = scale_arg in
   let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write a machine-readable run summary (schema vmbp-loadgen/1: \
-             statuses, throughput, latency quantiles) to $(docv).")
+    out_file "json"
+      ~doc:
+        "Write a machine-readable run summary (schema vmbp-loadgen/1: \
+         statuses, throughput, latency quantiles) to $(docv)."
   in
   let run socket clients requests seed zipf scale json trace_out metrics =
-    check_outputs [ json; trace_out; metrics ];
     Vmbp_obs.Registry.reset ();
     if trace_out <> None then Vmbp_obs.Span.enable ();
     (try
@@ -815,37 +775,17 @@ let loadgen_cmd =
            json_out = json;
          }
      with Unix.Unix_error (e, "connect", _) -> connect_failed socket e);
-    (match trace_out with
-    | None -> ()
-    | Some file ->
-        Vmbp_obs.Span.write ~file;
-        Printf.eprintf "wrote %d spans to %s\n" (Vmbp_obs.Span.count ()) file);
-    (match metrics with
-    | None -> ()
-    | Some file ->
-        Vmbp_obs.Registry.write ~file;
-        Printf.eprintf "wrote metrics to %s\n" file);
-    if trace_out <> None || metrics <> None then begin
-      let c name =
-        match Vmbp_obs.Registry.find_counter name with
-        | Some v -> Int64.to_string v
-        | None -> "0"
-      in
-      Printf.eprintf
-        "[obs] statuses ok=%s overloaded=%s degraded=%s timeout=%s \
-         conn-drop=%s rid-mismatch=%s; spans=%d\n"
-        (c "loadgen.status.ok")
-        (c "loadgen.status.overloaded")
-        (c "loadgen.status.degraded")
-        (c "loadgen.status.timeout")
-        (c "loadgen.status.conn-drop")
-        (c "loadgen.status.rid-mismatch")
-        (Vmbp_obs.Span.count ())
-    end
+    let c name = Vmbp_obs.Registry.count ("loadgen.status." ^ name) in
+    Vmbp_obs.Export.finish ?spans:trace_out ?metrics (fun () ->
+        Printf.sprintf
+          "[obs] statuses ok=%d overloaded=%d degraded=%d timeout=%d \
+           conn-drop=%d rid-mismatch=%d; spans=%d"
+          (c "ok") (c "overloaded") (c "degraded") (c "timeout")
+          (c "conn-drop") (c "rid-mismatch") (Vmbp_obs.Span.count ()))
   in
   Cmd.v (Cmd.info "loadgen" ~doc)
     Term.(
-      const run $ socket_arg $ clients $ requests $ seed $ zipf $ scale
+      const run $ socket_arg $ clients $ requests $ seed $ zipf $ scale_arg
       $ json $ trace_out_arg $ metrics_arg)
 
 let client_cmd =
@@ -869,7 +809,6 @@ let client_cmd =
   let cpu =
     Arg.(value & opt (some string) None & info [ "cpu" ] ~docv:"NAME")
   in
-  let scale = scale_opt_arg in
   let predictor =
     Arg.(
       value
@@ -877,14 +816,11 @@ let client_cmd =
       & info [ "predictor" ] ~docv:"P" ~doc:"perfect or never")
   in
   let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Write the reply's embedded document (a grid reply's \
-             vmbp-cells document, a metrics reply's body) to $(docv) \
-             instead of printing the raw reply.")
+    out_file "out"
+      ~doc:
+        "Write the reply's embedded document (a grid reply's vmbp-cells \
+         document, a metrics reply's body) to $(docv) instead of printing \
+         the raw reply."
   in
   let format =
     Arg.(
@@ -894,7 +830,6 @@ let client_cmd =
           ~doc:"For the metrics verb: json (default) or prometheus.")
   in
   let run socket verb vm workload technique cpu scale predictor out format =
-    check_outputs [ out ];
     let payload =
       match verb with
       | "query" -> (
@@ -926,9 +861,10 @@ let client_cmd =
           Printf.eprintf "vmbp: unknown verb %S\n" v;
           exit 2
     in
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX socket)
-     with Unix.Unix_error (e, _, _) -> connect_failed socket e);
+    let fd =
+      try Vmbp_service.Protocol.connect socket
+      with Unix.Unix_error (e, _, _) -> connect_failed socket e
+    in
     Vmbp_service.Protocol.write_frame fd payload;
     (match Vmbp_service.Protocol.read_frame fd with
     | None ->
@@ -960,8 +896,8 @@ let client_cmd =
   in
   Cmd.v (Cmd.info "client" ~doc)
     Term.(
-      const run $ socket_arg $ verb $ vm $ workload $ technique $ cpu $ scale
-      $ predictor $ out $ format)
+      const run $ socket_arg $ verb $ vm $ workload $ technique $ cpu
+      $ scale_opt_arg $ predictor $ out $ format)
 
 let top_cmd =
   let doc =
@@ -993,50 +929,26 @@ let explain_cmd =
   let doc =
     "Attribute every mispredict and I-cache miss of one cell to VM opcodes."
   in
-  let vm = Arg.(required & pos 0 (some vm_arg) None & info [] ~docv:"VM") in
-  let workload =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"WORKLOAD")
-  in
-  let technique =
-    Arg.(
-      value
-      & opt technique_arg Technique.plain
-      & info [ "t"; "technique" ] ~docv:"TECHNIQUE")
-  in
-  let cpu =
-    Arg.(
-      value
-      & opt cpu_arg Vmbp_machine.Cpu_model.pentium4_northwood
-      & info [ "cpu" ] ~docv:"CPU")
-  in
-  let scale = scale_arg in
   let top =
     Arg.(
       value & opt positive_conv 10
       & info [ "top" ] ~docv:"N" ~doc:"rows per attribution table")
   in
-  let run vm workload technique cpu scale top repro_dir =
-    check_outputs ~dirs:[ repro_dir ] [];
-    match Vmbp_workloads.find ~vm workload with
-    | None ->
-        Printf.eprintf "unknown workload %s/%s\n"
-          (Vmbp_workloads.vm_name vm) workload;
+  let run (vm, name, technique) cpu scale top repro_dir =
+    let w = find_workload vm name in
+    let audit = Vmbp_report.Audit.create_log ~repro_dir in
+    match Vmbp_report.Explain.run ~scale ~audit ~cpu ~technique w with
+    | Error msg ->
+        Printf.eprintf "explain failed: %s\n" msg;
         exit 1
-    | Some w -> (
-        let audit = Vmbp_report.Audit.create_log ~repro_dir in
-        match Vmbp_report.Explain.run ~scale ~audit ~cpu ~technique w with
-        | Error msg ->
-            Printf.eprintf "explain failed: %s\n" msg;
-            exit 1
-        | Ok t ->
-            print_string (Vmbp_report.Explain.render ~top t);
-            Printf.eprintf
-              "[explain] attribution verified against a self-checked run\n")
+    | Ok t ->
+        print_string (Vmbp_report.Explain.render ~top t);
+        Printf.eprintf
+          "[explain] attribution verified against a self-checked run\n"
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
-      const run $ vm $ workload $ technique $ cpu $ scale $ top
-      $ repro_dir_arg)
+      const run $ cell_arg $ cell_cpu_arg $ scale_arg $ top $ repro_dir_arg)
 
 let simulate_cmd =
   let doc =
@@ -1077,31 +989,20 @@ let simulate_cmd =
                (String.concat ", " Vmbp_service.Simulate.mutation_names)))
   in
   let trace_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-file" ] ~docv:"PATH"
-          ~doc:"Where to write a failing schedule's trace.")
+    out_file "trace-file" ~docv:"PATH"
+      ~doc:"Where to write a failing schedule's trace."
   in
   let span_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the last seed's span trace (Chrome trace-event JSON on \
-             the virtual clock; byte-identical across replays of the same \
-             seed) to $(docv).")
+    out_file "trace-out"
+      ~doc:
+        "Write the last seed's span trace (Chrome trace-event JSON on the \
+         virtual clock; byte-identical across replays of the same seed) to \
+         $(docv)."
   in
   let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:"Write the last seed's metrics registry to $(docv).")
+    out_file "metrics" ~doc:"Write the last seed's metrics registry to $(docv)."
   in
   let run seeds seed first mutation trace_file span_out metrics_out =
-    check_outputs [ trace_file; span_out; metrics_out ];
     let first_seed, seeds =
       match seed with Some s -> (s, 1) | None -> (first, seeds)
     in

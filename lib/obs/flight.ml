@@ -15,11 +15,6 @@ let slots : entry option Atomic.t array =
 
 let seq = Atomic.make 0
 
-(* Same substitutable clock convention as {!Span}: the simulator installs
-   virtual time so flight dumps are deterministic per seed. *)
-let clock : (unit -> float) ref = ref Unix.gettimeofday
-let set_clock f = clock := f
-
 let reset () =
   Atomic.set seq 0;
   Array.iter (fun s -> Atomic.set s None) slots
@@ -27,7 +22,13 @@ let reset () =
 let note ~kind detail =
   let s = Atomic.fetch_and_add seq 1 in
   let e =
-    { seq = s; ts = !clock (); dom = (Domain.self () :> int); kind; detail }
+    {
+      seq = s;
+      ts = Vmbp_sim.Env.now ();
+      dom = (Domain.self () :> int);
+      kind;
+      detail;
+    }
   in
   Atomic.set slots.(s mod capacity) (Some e)
 

@@ -8,12 +8,12 @@
     [vmbp-flight-*.json] artifact on degradation entry, unclean exit,
     fatal signal, and on demand.
 
-    All timestamps flow through a substitutable clock ({!set_clock}),
-    matching {!Span}: simulated runs produce deterministic dumps. *)
+    Timestamps are {!Vmbp_sim.Env.now}, as in {!Span}: simulated runs,
+    on virtual time, produce deterministic dumps. *)
 
 type entry = {
   seq : int;  (** global sequence number, 0-based *)
-  ts : float;  (** clock timestamp, seconds *)
+  ts : float;  (** {!Vmbp_sim.Env.now} timestamp, seconds *)
   dom : int;  (** recording domain id *)
   kind : string;  (** transition class, e.g. ["accept"], ["batch-start"] *)
   detail : string;  (** free-form context *)
@@ -21,9 +21,6 @@ type entry = {
 
 val capacity : int
 (** Ring size (number of retained entries). *)
-
-val set_clock : (unit -> float) -> unit
-(** Substitute the timestamp source (default [Unix.gettimeofday]). *)
 
 val note : kind:string -> string -> unit
 (** Record one transition.  Lock-free; callable from any domain. *)

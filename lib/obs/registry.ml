@@ -13,12 +13,8 @@ type instrument = Counter of counter | Gauge of gauge | Histogram of histogram
 let lock = Mutex.create ()
 let table : (string, instrument) Hashtbl.t = Hashtbl.create 64
 
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
 let counter name =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt table name with
       | Some (Counter c) -> c
       | Some _ ->
@@ -31,18 +27,21 @@ let counter name =
           Hashtbl.replace table name (Counter c);
           c)
 
-let add c n = locked (fun () -> c.c <- Int64.add c.c (Int64.of_int n))
-let add_int64 c n = locked (fun () -> c.c <- Int64.add c.c n)
-let counter_value c = locked (fun () -> c.c)
+let add c n =
+  Mutex.protect lock (fun () -> c.c <- Int64.add c.c (Int64.of_int n))
+let add_int64 c n = Mutex.protect lock (fun () -> c.c <- Int64.add c.c n)
+let counter_value c = Mutex.protect lock (fun () -> c.c)
 
 let find_counter name =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt table name with
       | Some (Counter c) -> Some c.c
       | _ -> None)
 
+let count name = Int64.to_int (Option.value ~default:0L (find_counter name))
+
 let gauge name =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt table name with
       | Some (Gauge g) -> g
       | Some _ ->
@@ -56,17 +55,17 @@ let gauge name =
           g)
 
 let gauge_set g v =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       g.g <- v;
       if v > g.g_max then g.g_max <- v)
 
 let gauge_add g dv =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       g.g <- g.g +. dv;
       if g.g > g.g_max then g.g_max <- g.g)
 
-let gauge_value g = locked (fun () -> g.g)
-let gauge_max g = locked (fun () -> g.g_max)
+let gauge_value g = Mutex.protect lock (fun () -> g.g)
+let gauge_max g = Mutex.protect lock (fun () -> g.g_max)
 
 let histogram ~bounds name =
   if Array.length bounds = 0 then
@@ -76,7 +75,7 @@ let histogram ~bounds name =
       if i > 0 && not (b > bounds.(i - 1)) then
         invalid_arg "Registry.histogram: bounds must be strictly increasing")
     bounds;
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt table name with
       | Some (Histogram h) ->
           if h.bounds <> bounds then
@@ -112,14 +111,15 @@ let bucket_index bounds v =
   go 0
 
 let observe h v =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       let i = bucket_index h.bounds v in
       h.counts.(i) <- h.counts.(i) + 1;
       h.sum <- h.sum +. v;
       h.n <- h.n + 1)
 
 let histogram_snapshot h =
-  locked (fun () -> (Array.copy h.bounds, Array.copy h.counts, h.sum, h.n))
+  Mutex.protect lock (fun () ->
+      (Array.copy h.bounds, Array.copy h.counts, h.sum, h.n))
 
 (* Linear interpolation within the winning bucket, Prometheus-style: the
    first bucket spans [0, bound0].  Two documented edge conventions:
@@ -149,7 +149,7 @@ let histogram_quantile h q =
   end
 
 let reset () =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       Hashtbl.iter
         (fun _ i ->
           match i with
@@ -164,7 +164,7 @@ let reset () =
         table)
 
 let sorted_entries () =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       List.sort
         (fun (a, _) (b, _) -> compare a b)
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []))
@@ -189,7 +189,7 @@ let to_json () =
     Buffer.add_string b (if items = [] then "}" else "\n }")
   in
   Buffer.add_string b "{\"schema\":\"vmbp-metrics/1\"";
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       obj "counters"
         (fun c -> Buffer.add_string b (Int64.to_string c.c))
         counters;
@@ -303,7 +303,7 @@ let to_prometheus () =
       Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" family kind)
     end
   in
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       List.iter
         (fun (name, inst) ->
           let base, labels = prom_split name in

@@ -25,6 +25,10 @@ val add_int64 : counter -> int64 -> unit
 val counter_value : counter -> int64
 val find_counter : string -> int64 option
 
+val count : string -> int
+(** The named counter's value, 0 when no counter has that name: what a
+    summary line or a JSON field prints. *)
+
 val gauge : string -> gauge
 (** A float-valued level with a high-water mark. *)
 

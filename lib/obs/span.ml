@@ -17,13 +17,10 @@ let lock = Mutex.create ()
 let origin = ref 0.
 let collected : event list ref = ref []
 
-(* All timestamps flow through this clock so hosts can substitute a
-   virtual one (the simulator installs its deterministic clock here;
-   daemons install the Env clock).  Swap it before [enable] so the origin
-   and the spans come from the same clock. *)
-let clock : (unit -> float) ref = ref Unix.gettimeofday
-let set_clock f = clock := f
-let now () = !clock ()
+(* Every timestamp is the environment's monotonic clock: the kernel's in
+   a real process, virtual time under the simulator, which installs its
+   environment before [enable] so the origin and the spans share it. *)
+let now = Vmbp_sim.Env.now
 
 (* Span ids are allocated at span start from a counter that resets on
    [enable]: single-threaded (simulated) runs therefore produce the same
@@ -42,7 +39,7 @@ let current () =
 
 let enable () =
   Mutex.lock lock;
-  origin := !clock ();
+  origin := now ();
   collected := [];
   Mutex.unlock lock;
   Atomic.set next_id 0;
@@ -64,14 +61,12 @@ let record ~name ~args ~id ~parent ~trace t0 t1 =
       args;
     }
   in
-  Mutex.lock lock;
-  collected := e :: !collected;
-  Mutex.unlock lock
+  Mutex.protect lock (fun () -> collected := e :: !collected)
 
 let with_ ?(args = []) ?(trace = "") ~name f =
   if not (Atomic.get enabled) then f ()
   else begin
-    let t0 = !clock () in
+    let t0 = now () in
     let id = alloc_id () in
     let stack = Domain.DLS.get open_spans in
     let parent = match !stack with p :: _ -> p | [] -> -1 in
@@ -79,7 +74,7 @@ let with_ ?(args = []) ?(trace = "") ~name f =
     Fun.protect
       ~finally:(fun () ->
         (match !stack with _ :: tl -> stack := tl | [] -> ());
-        record ~name ~args ~id ~parent ~trace t0 (!clock ()))
+        record ~name ~args ~id ~parent ~trace t0 (now ()))
       f
   end
 
@@ -90,17 +85,8 @@ let interval ?(args = []) ?(trace = "") ?parent ~name t0 t1 =
     record ~name ~args ~id ~parent ~trace t0 t1
   end
 
-let events () =
-  Mutex.lock lock;
-  let l = !collected in
-  Mutex.unlock lock;
-  List.rev l
-
-let count () =
-  Mutex.lock lock;
-  let n = List.length !collected in
-  Mutex.unlock lock;
-  n
+let events () = List.rev (Mutex.protect lock (fun () -> !collected))
+let count () = Mutex.protect lock (fun () -> List.length !collected)
 
 let to_json () =
   let evs = events () in

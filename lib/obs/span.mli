@@ -15,7 +15,11 @@
     [parent] (the enclosing {!with_} span on the same domain, or -1), and
     an optional [trace] string naming the request id the span serves.
     Cross-domain fan-in (one compute batch serving many request ids) is
-    expressed through args rather than parentage. *)
+    expressed through args rather than parentage.
+
+    Every timestamp is {!Vmbp_sim.Env.now}: the monotonic clock in a real
+    process, virtual time under the simulator, which installs its
+    environment before {!enable}. *)
 
 type event = {
   name : string;
@@ -27,15 +31,6 @@ type event = {
   trace : string;  (** request/trace id, [""] when unlinked *)
   args : (string * string) list;
 }
-
-val set_clock : (unit -> float) -> unit
-(** Substitute the timestamp source (default [Unix.gettimeofday]).  The
-    simulator installs its virtual clock here; daemons install the [Env]
-    clock.  Install before {!enable} so the origin and all spans come
-    from the same clock. *)
-
-val now : unit -> float
-(** Read the current clock (whatever {!set_clock} installed). *)
 
 val enable : unit -> unit
 (** Start collecting: clears previously collected spans, re-anchors the
@@ -67,9 +62,9 @@ val interval :
   float ->
   unit
 (** [interval ~name t0 t1] records a completed span from [t0] to [t1]
-    (clock timestamps) without scoping: for phases whose start and finish
-    are observed in different event-loop iterations (request receive to
-    reply flush).  [parent] defaults to the innermost open {!with_} span
+    ({!Vmbp_sim.Env.now} timestamps) without scoping: for phases whose
+    start and finish are observed in different event-loop iterations
+    (request receive to reply flush).  [parent] defaults to the innermost open {!with_} span
     on the calling domain. *)
 
 val current : unit -> int

@@ -517,12 +517,10 @@ type log = {
 let create_log ~repro_dir =
   { repro_dir; lock = Mutex.create (); recorded = []; artifact_seq = 0 }
 
-let locked log f =
-  Mutex.lock log.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock log.lock) f
+let divergence_count log =
+  Mutex.protect log.lock (fun () -> List.length log.recorded)
 
-let divergence_count log = locked log (fun () -> List.length log.recorded)
-let divergences log = locked log (fun () -> List.rev log.recorded)
+let divergences log = Mutex.protect log.lock (fun () -> List.rev log.recorded)
 
 let sanitize s =
   String.map
@@ -550,7 +548,7 @@ let record_divergence ?fast_maker ?events log d =
         | None -> None
         | Some minimal ->
             let seq =
-              locked log (fun () ->
+              Mutex.protect log.lock (fun () ->
                   log.artifact_seq <- log.artifact_seq + 1;
                   log.artifact_seq)
             in
@@ -566,7 +564,7 @@ let record_divergence ?fast_maker ?events log d =
              with Sys_error _ | Unix.Unix_error _ -> None))
   in
   let d = { d with d_artifact = artifact } in
-  locked log (fun () -> log.recorded <- d :: log.recorded);
+  Mutex.protect log.lock (fun () -> log.recorded <- d :: log.recorded);
   d
 
 (* ------------------------------------------------------------------ *)

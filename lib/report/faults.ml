@@ -78,28 +78,11 @@ let slots =
 
 let lock = Mutex.create ()
 
-(* splitmix64; OCaml's native int is 63-bit, so the stream runs on Int64. *)
+(* The chaos stream, guarded by [lock]. *)
 let default_seed = 0x5DEECE66DL
-let prng = ref default_seed
+let prng = ref (Vmbp_sim.Splitmix.make default_seed)
 
-let next64_locked () =
-  let open Int64 in
-  prng := add !prng 0x9E3779B97F4A7C15L;
-  let z = !prng in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let unit_float_locked () =
-  (* 53 uniform bits into [0, 1). *)
-  Int64.to_float (Int64.shift_right_logical (next64_locked ()) 11)
-  /. 9007199254740992.
-
-let jitter () =
-  Mutex.lock lock;
-  let f = unit_float_locked () in
-  Mutex.unlock lock;
-  f
+let jitter () = Mutex.protect lock (fun () -> Vmbp_sim.Splitmix.float !prng)
 
 let reset_locked () =
   List.iter
@@ -109,18 +92,12 @@ let reset_locked () =
       s.fires <- 0;
       s.duration <- default_duration p)
     all_points;
-  prng := default_seed
+  prng := Vmbp_sim.Splitmix.make default_seed
 
-let reset () =
-  Mutex.lock lock;
-  reset_locked ();
-  Mutex.unlock lock
+let reset () = Mutex.protect lock reset_locked
 
 let armed () =
-  Mutex.lock lock;
-  let a = Array.exists (fun s -> s.arming <> None) slots in
-  Mutex.unlock lock;
-  a
+  Mutex.protect lock (fun () -> Array.exists (fun s -> s.arming <> None) slots)
 
 let fire p =
   let s = slots.(point_index p) in
@@ -138,7 +115,7 @@ let fire p =
           true
         end
         else false
-    | Some (Prob p) -> unit_float_locked () < p
+    | Some (Prob p) -> Vmbp_sim.Splitmix.float !prng < p
   in
   if hit then s.fires <- s.fires + 1;
   Mutex.unlock lock;
@@ -146,16 +123,11 @@ let fire p =
 
 let fired p =
   let s = slots.(point_index p) in
-  Mutex.lock lock;
-  let n = s.fires in
-  Mutex.unlock lock;
-  n
+  Mutex.protect lock (fun () -> s.fires)
 
 let total_injected () =
-  Mutex.lock lock;
-  let n = Array.fold_left (fun a s -> a + s.fires) 0 slots in
-  Mutex.unlock lock;
-  n
+  Mutex.protect lock (fun () ->
+      Array.fold_left (fun a s -> a + s.fires) 0 slots)
 
 let cell_raise () =
   if fire Cell_raise then raise (Injected "chaos: injected cell failure")
@@ -170,10 +142,7 @@ let worker_death () = if fire Worker_death then raise Worker_killed
 
 let duration p =
   let s = slots.(point_index p) in
-  Mutex.lock lock;
-  let d = s.duration in
-  Mutex.unlock lock;
-  d
+  Mutex.protect lock (fun () -> s.duration)
 
 let conn_drop () = fire Conn_drop
 let store_io () = fire Store_io
@@ -212,7 +181,7 @@ let parse_pair pair =
       if name = "seed" then
         match Int64.of_string_opt value with
         | Some s ->
-            prng := s;
+            prng := Vmbp_sim.Splitmix.make s;
             Ok ()
         | None -> Error (Printf.sprintf "bad seed %S" value)
       else

@@ -1000,17 +1000,12 @@ let json_summary ?(ctx = default_ctx ()) ?store results =
      per walk; live runs build none), [result_hits] counts cells served
      verbatim from the full-result cache, and [translate_wall_seconds] is
      the wall clock spent building translations. *)
-  let registry_counter name =
-    match Vmbp_obs.Registry.find_counter name with
-    | Some n -> Int64.to_int n
-    | None -> 0
-  in
   Buffer.add_string b
     (Printf.sprintf ",\"translations\":%d"
-       (registry_counter "engine.translations"));
+       (Vmbp_obs.Registry.count "engine.translations"));
   Buffer.add_string b
     (Printf.sprintf ",\"result_hits\":%d"
-       (registry_counter "result_cache.hits"));
+       (Vmbp_obs.Registry.count "result_cache.hits"));
   Buffer.add_string b
     (Printf.sprintf ",\"translate_wall_seconds\":%s"
        (Json.float
@@ -1024,13 +1019,16 @@ let json_summary ?(ctx = default_ctx ()) ?store results =
      degradation.  All read from the registry so the summary works in
      the service process and reads zero elsewhere. *)
   Buffer.add_string b
-    (Printf.sprintf ",\"store_hits\":%d" (registry_counter "store.hits"));
+    (Printf.sprintf ",\"store_hits\":%d"
+       (Vmbp_obs.Registry.count "store.hits"));
   Buffer.add_string b
-    (Printf.sprintf ",\"store_misses\":%d" (registry_counter "store.misses"));
+    (Printf.sprintf ",\"store_misses\":%d"
+       (Vmbp_obs.Registry.count "store.misses"));
   Buffer.add_string b
-    (Printf.sprintf ",\"coalesced\":%d" (registry_counter "service.coalesced"));
+    (Printf.sprintf ",\"coalesced\":%d"
+       (Vmbp_obs.Registry.count "service.coalesced"));
   Buffer.add_string b
-    (Printf.sprintf ",\"shed\":%d" (registry_counter "service.shed"));
+    (Printf.sprintf ",\"shed\":%d" (Vmbp_obs.Registry.count "service.shed"));
   Buffer.add_string b
     (Printf.sprintf ",\"degraded_seconds\":%s"
        (Json.float

@@ -84,12 +84,8 @@ let paths : path_entry list ref = ref []
 let paths_bytes = ref 0
 let paths_lock = Mutex.create ()
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 let path_entry loaded =
-  with_lock paths_lock (fun () ->
+  Mutex.protect paths_lock (fun () ->
       match List.find_opt (fun e -> e.key == loaded) !paths with
       | Some e -> e
       | None ->
@@ -98,7 +94,7 @@ let path_entry loaded =
           e)
 
 let clear_vm_paths () =
-  with_lock paths_lock (fun () ->
+  Mutex.protect paths_lock (fun () ->
       paths := [];
       paths_bytes := 0;
       Vmbp_obs.Registry.gauge_set g_path_bytes 0.)
@@ -114,7 +110,8 @@ let record_path ?poll ~cap_bytes (workload : Vmbp_workloads.t) loaded =
       let s = loaded.Vmbp_workloads.fresh_session () in
       let recorder, exec =
         Vm_path.recorder
-          ~cap_bytes:(cap_bytes - with_lock paths_lock (fun () -> !paths_bytes))
+          ~cap_bytes:
+            (cap_bytes - Mutex.protect paths_lock (fun () -> !paths_bytes))
           ~slots:(Vmbp_vm.Program.length program) s.Vmbp_workloads.exec
       in
       let steps, trapped =
@@ -126,7 +123,7 @@ let record_path ?poll ~cap_bytes (workload : Vmbp_workloads.t) loaded =
 (* Keep a finished recording if it fits the budget, else mark [Unfit]. *)
 let keep_path ~cap_bytes = function
   | Ok p ->
-      with_lock paths_lock (fun () ->
+      Mutex.protect paths_lock (fun () ->
           if !paths_bytes + Vm_path.bytes p > cap_bytes then Unfit
           else begin
             paths_bytes := !paths_bytes + Vm_path.bytes p;
@@ -140,7 +137,7 @@ let keep_path ~cap_bytes = function
 (* The workload's kept path, recording it first if it has none. *)
 let vm_path ?poll ~cap_bytes (workload : Vmbp_workloads.t) loaded =
   let e = path_entry loaded in
-  with_lock e.lock (fun () ->
+  Mutex.protect e.lock (fun () ->
       if Option.is_none e.slot then
         e.slot <-
           Some

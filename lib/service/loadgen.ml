@@ -28,24 +28,6 @@ let default_config ~socket =
 let rid_for cfg ~index ~n = Printf.sprintf "l%d-c%d-r%d" cfg.seed index n
 
 (* ------------------------------------------------------------------ *)
-(* Per-client determinism: splitmix64, the same generator the chaos
-   harness uses, seeded per client so runs are reproducible at any
-   [clients] count. *)
-
-let splitmix s =
-  let open Int64 in
-  s := add !s 0x9E3779B97F4A7C15L;
-  let z = !s in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-(* Uniform in [0,1): top 53 bits of the stream. *)
-let uniform s =
-  Int64.to_float (Int64.shift_right_logical (splitmix s) 11)
-  /. 9007199254740992.
-
-(* ------------------------------------------------------------------ *)
 (* The query universe and its zipf CDF *)
 
 let techniques () =
@@ -105,15 +87,16 @@ let pick cdf u =
   go 0 (n - 1)
 
 (* The pure, seeded pick sequence: exactly the (vm, workload, technique,
-   cpu) tuples client [index] will request, in order.  [client_loop]
-   consumes this list, so a test asserting two calls with the same seed
-   are equal is asserting the wire behavior, not a parallel
-   reimplementation. *)
+   cpu) tuples client [index] will request, in order.  Each client draws
+   its own splitmix64 stream, seeded from [seed + index], so runs are
+   reproducible at any [clients] count.  [client_loop] consumes this
+   list, so a test asserting two calls with the same seed are equal is
+   asserting the wire behavior, not a parallel reimplementation. *)
 let plan_picks cdf universe ~seed ~index ~count =
-  let s = ref (Int64.of_int (seed + index)) in
+  let s = Vmbp_sim.Splitmix.make (Int64.of_int (seed + index)) in
   let acc = ref [] in
   for _ = 1 to count do
-    acc := universe.(pick cdf (uniform s)) :: !acc
+    acc := universe.(pick cdf (Vmbp_sim.Splitmix.float s)) :: !acc
   done;
   List.rev !acc
 
@@ -130,18 +113,13 @@ let h_all = Vmbp_obs.Registry.histogram ~bounds "loadgen.latency_seconds"
 let h_hit = Vmbp_obs.Registry.histogram ~bounds "loadgen.hit_latency_seconds"
 let status_counter st = Vmbp_obs.Registry.counter ("loadgen.status." ^ st)
 
-let connect socket =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX socket);
-  fd
-
 let client_loop cfg cdf universe index count =
   let picks = plan_picks cdf universe ~seed:cfg.seed ~index ~count in
-  let fd = ref (connect cfg.socket) in
+  let fd = ref (P.connect cfg.socket) in
   let reconnect () =
     (try Unix.close !fd with Unix.Unix_error _ -> ());
     let rec go tries =
-      match connect cfg.socket with
+      match P.connect cfg.socket with
       | fd' -> fd := fd'
       | exception Unix.Unix_error _ when tries > 0 ->
           Unix.sleepf 0.05;
@@ -154,13 +132,14 @@ let client_loop cfg cdf universe index count =
     let payload =
       P.query_payload ~vm ~workload ~technique ~cpu ~scale:cfg.scale ~rid ()
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Vmbp_sim.Env.now () in
     match
       P.write_frame !fd payload;
       P.read_frame !fd
     with
     | Some reply ->
-        let dt = Unix.gettimeofday () -. t0 in
+        let t1 = Vmbp_sim.Env.now () in
+        let dt = t1 -. t0 in
         Vmbp_obs.Registry.observe h_all dt;
         let fields =
           try Vmbp_store.Sjson.parse_line reply
@@ -179,8 +158,7 @@ let client_loop cfg cdf universe index count =
         | _ -> ());
         Vmbp_obs.Span.interval ~trace:rid
           ~args:[ ("status", status); ("verb", "query") ]
-          ~name:"request" t0
-          (Unix.gettimeofday ());
+          ~name:"request" t0 t1;
         if Vmbp_store.Sjson.str_opt fields "source" = Some "store" then
           Vmbp_obs.Registry.observe h_hit dt
     | None ->
@@ -212,14 +190,15 @@ let quantile_line h =
       (Vmbp_obs.Registry.histogram_quantile h 0.99)
 
 let statuses () =
+  let prefix = "loadgen.status." in
+  let n = String.length prefix in
   List.filter_map
     (fun name ->
-      match String.length name > 15 && String.sub name 0 15 = "loadgen.status." with
-      | true ->
-          Option.map
-            (fun v -> (String.sub name 15 (String.length name - 15), v))
-            (Vmbp_obs.Registry.find_counter name)
-      | false -> None)
+      if String.starts_with ~prefix name then
+        Some
+          ( String.sub name n (String.length name - n),
+            Vmbp_obs.Registry.count name )
+      else None)
     (Vmbp_obs.Registry.names ())
   |> List.sort compare
 
@@ -250,7 +229,7 @@ let json_summary cfg ~elapsed ~universe_size =
     (fun i (st, v) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "\"%s\":%Ld" (Vmbp_store.Sjson.escape st) v))
+        (Printf.sprintf "\"%s\":%d" (Vmbp_store.Sjson.escape st) v))
     (statuses ());
   Buffer.add_string b "},\"latency\":{";
   hist "all" h_all;
@@ -265,21 +244,21 @@ let run cfg =
   let clients = max 1 cfg.clients in
   let per = cfg.requests / clients in
   let extra = cfg.requests mod clients in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Vmbp_sim.Env.now () in
   let domains =
     List.init clients (fun i ->
         let count = per + if i < extra then 1 else 0 in
         Domain.spawn (fun () -> client_loop cfg cdf universe i count))
   in
   List.iter Domain.join domains;
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Vmbp_sim.Env.now () -. t0 in
   Printf.printf "loadgen: %d requests, %d clients, %.2fs (%.1f req/s)\n"
     cfg.requests clients elapsed
     (float_of_int cfg.requests /. Float.max 1e-9 elapsed);
   Printf.printf "zipf s=%g over %d configurations, scale %d\n" cfg.zipf
     (Array.length universe) cfg.scale;
   Printf.printf "statuses:";
-  List.iter (fun (st, v) -> Printf.printf " %s=%Ld" st v) (statuses ());
+  List.iter (fun (st, v) -> Printf.printf " %s=%d" st v) (statuses ());
   print_newline ();
   Printf.printf "latency (all):\n%s\n" (quantile_line h_all);
   Printf.printf "latency (store hits):\n%s\n" (quantile_line h_hit);

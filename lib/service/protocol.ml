@@ -28,6 +28,14 @@ let peel ~max buf =
           String.sub buf (4 + n) (String.length buf - 4 - n) )
   end
 
+let connect socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX socket) with
+  | () -> fd
+  | exception e ->
+      Unix.close fd;
+      raise e
+
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
   let len = Bytes.length b in

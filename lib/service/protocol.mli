@@ -44,6 +44,11 @@ val peel : max:int -> string -> [ `Frame of string * string | `Await ]
     {!Oversized} as soon as a header exceeds [max], before the payload
     arrives. *)
 
+val connect : string -> Unix.file_descr
+(** A blocking connection to the service listening on this Unix-domain
+    socket path.  Raises [Unix.Unix_error] when nobody listens there,
+    having closed the socket it opened. *)
+
 val write_frame : Unix.file_descr -> string -> unit
 (** Blocking send of one frame. *)
 

@@ -412,11 +412,7 @@ let degraded_now st now =
 
 let service_stats st now =
   let s = Vmbp_store.Store.stats st.store in
-  let c name =
-    match Vmbp_obs.Registry.find_counter name with
-    | Some v -> Int64.to_int v
-    | None -> 0
-  in
+  let c = Vmbp_obs.Registry.count in
   let degraded_seconds =
     Vmbp_obs.Registry.gauge_value g_degraded
     +. (match st.deg_since with Some t0 -> now -. t0 | None -> 0.)
@@ -879,21 +875,13 @@ let serve (cfg : config) =
       rbuf = Bytes.create 65536;
     }
   in
-  (* Fresh-process semantics for the flight recorder, with every
-     timestamp drawn from this environment's clock: a simulated serve
-     records virtual time and dumps deterministically. *)
-  Vmbp_obs.Flight.set_clock env.Env.now;
+  (* Fresh-process semantics for the flight recorder.  Its entries and
+     the spans read [Env.now], the clock of the deadlines and the flush
+     bookkeeping above: virtual time under the simulator, which enables
+     spans itself ([trace_out] stays [None] there). *)
   Vmbp_obs.Flight.reset ();
   Vmbp_obs.Flight.note ~kind:"listen" cfg.socket;
-  (* Request tracing: spans must share one clock with the deadlines and
-     the flush bookkeeping above, so when this serve owns the trace file
-     it re-anchors the span clock to the env.  (Under the simulator the
-     harness installs the virtual clock and enables spans itself;
-     [trace_out] stays [None] there.) *)
-  if cfg.trace_out <> None then begin
-    Vmbp_obs.Span.set_clock env.Env.now;
-    Vmbp_obs.Span.enable ()
-  end;
+  if cfg.trace_out <> None then Vmbp_obs.Span.enable ();
   Atomic.set signal_shutdown false;
   Atomic.set signal_dump false;
   (* SIGINT and SIGTERM both mean drain-then-exit: finish in-flight
@@ -1020,40 +1008,18 @@ let serve (cfg : config) =
           try Sys.set_signal signum h with _ -> ())
         prev_signals;
       Vmbp_store.Store.close store;
-      (* [vmbp serve] checks both paths before it starts; one that has
-         become unwritable since costs its file and one stderr line, not
-         the drain. *)
-      let write_out write file =
-        try write ~file
-        with Sys_error msg ->
-          Printf.eprintf "[serve] could not write %s\n%!" msg
-      in
-      (match cfg.trace_out with
-      | Some file ->
-          Vmbp_obs.Span.disable ();
-          write_out Vmbp_obs.Span.write file;
-          Vmbp_obs.Span.set_clock Unix.gettimeofday
-      | None -> ());
-      Option.iter (write_out Vmbp_obs.Registry.write) cfg.metrics_out;
-      Vmbp_obs.Flight.set_clock Unix.gettimeofday;
-      if (cfg.trace_out <> None || cfg.metrics_out <> None) && not cfg.quiet
-      then begin
-        let c name =
-          match Vmbp_obs.Registry.find_counter name with
-          | Some v -> Int64.to_int v
-          | None -> 0
-        in
-        Printf.eprintf
-          "[obs] requests=%d coalesced=%d shed=%d degraded_refused=%d \
-           timeouts=%d conn_drops=%d flight_dumps=%d spans=%d\n\
-           %!"
-          (c "service.requests") (c "service.coalesced") (c "service.shed")
-          (c "service.degraded_refused")
-          (c "service.request_timeouts")
-          (c "service.conn_drops")
-          (c "service.flight_dumps")
-          (Vmbp_obs.Span.count ())
-      end;
+      let c = Vmbp_obs.Registry.count in
+      Vmbp_obs.Export.finish ~quiet:cfg.quiet ?spans:cfg.trace_out
+        ?metrics:cfg.metrics_out (fun () ->
+          Printf.sprintf
+            "[obs] requests=%d coalesced=%d shed=%d degraded_refused=%d \
+             timeouts=%d conn_drops=%d flight_dumps=%d spans=%d"
+            (c "service.requests") (c "service.coalesced") (c "service.shed")
+            (c "service.degraded_refused")
+            (c "service.request_timeouts")
+            (c "service.conn_drops")
+            (c "service.flight_dumps")
+            (Vmbp_obs.Span.count ()));
       if not cfg.quiet then
         Printf.eprintf "[serve] drained; socket closed\n%!")
     (fun () ->

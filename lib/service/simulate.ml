@@ -135,20 +135,18 @@ let grid_signature doc =
   List.sort compare !out
 
 (* ------------------------------------------------------------------ *)
-(* Cross-schedule reference tables (invariant 2 / 4).  Scoped to one
-   [run]: the first schedule to serve a cell or load an entry records
-   the reference, every later schedule must agree. *)
+(* Cross-schedule reference tables (invariant 2 / 4), one per [run]: the
+   first schedule to serve a cell or load an entry records the
+   reference, every later schedule must agree. *)
 
-let ref_replies : (string, string) Hashtbl.t = Hashtbl.create 64
-let ref_grid : string list option ref = ref None
+type references = {
+  replies : (string, string) Hashtbl.t;
+  mutable grid : string list option;
+  entries : (string * string, Vmbp_store.Cellrec.entry) Hashtbl.t;
+}
 
-let ref_entries : (string * string, Vmbp_store.Cellrec.entry) Hashtbl.t =
-  Hashtbl.create 256
-
-let reset_references () =
-  Hashtbl.reset ref_replies;
-  ref_grid := None;
-  Hashtbl.reset ref_entries
+let references () =
+  { replies = Hashtbl.create 64; grid = None; entries = Hashtbl.create 256 }
 
 (* ------------------------------------------------------------------ *)
 (* One seeded schedule *)
@@ -162,7 +160,6 @@ type outcome = {
   o_vtime : float;
   o_selects : int;
   o_trace : string;
-  o_spans : string;
 }
 
 type client = {
@@ -184,7 +181,7 @@ type client = {
 let sock_path = "/sim/report.sock"
 let store_dir = "/sim/store"
 
-let run_seed ?mutation seed =
+let run_seed ?mutation refs seed =
   set_mutation mutation;
   let w = Sim.create ~seed () in
   let failures = ref [] in
@@ -202,7 +199,6 @@ let run_seed ?mutation seed =
      to the invariant-5 span-path check after the schedule drains. *)
   let acked_rids : (string, string) Hashtbl.t = Hashtbl.create 32 in
   let grid_rids = ref [] in
-  let span_json = ref "" in
 
   (* -------- seeded schedule parameters (drawn before any event) ---- *)
   let chaos =
@@ -288,7 +284,7 @@ let run_seed ?mutation seed =
                 tag
             else
               let id = (e.Vmbp_store.Cellrec.key, e.Vmbp_store.Cellrec.fingerprint) in
-              match Hashtbl.find_opt ref_entries id with
+              match Hashtbl.find_opt refs.entries id with
               | Some e0 ->
                   if
                     compare e0.Vmbp_store.Cellrec.outcome
@@ -299,7 +295,7 @@ let run_seed ?mutation seed =
                       "%s: store entry for %s diverges across schedules \
                        (invariant 2)"
                       tag e.Vmbp_store.Cellrec.key
-              | None -> Hashtbl.replace ref_entries id e);
+              | None -> Hashtbl.replace refs.entries id e);
         Store.close st
   in
 
@@ -469,11 +465,11 @@ let run_seed ?mutation seed =
             let signature =
               grid_signature (Option.get (Sjson.str_opt fields "cells"))
             in
-            (match !ref_grid with
+            (match refs.grid with
             | Some s0 ->
                 if s0 <> signature then
                   fail "grid document diverges across schedules (invariant 2)"
-            | None -> ref_grid := Some signature);
+            | None -> refs.grid <- Some signature);
             advance cl
         | Some "ok" -> (
             match Sjson.str_opt fields "source" with
@@ -491,13 +487,13 @@ let run_seed ?mutation seed =
                           schedule (invariant 2): %s\n      was %s\n      got %s"
                       cl.c_id key prev norm
                 | _ -> Hashtbl.replace acked key (fp, norm));
-                (match Hashtbl.find_opt ref_replies key with
+                (match Hashtbl.find_opt refs.replies key with
                 | Some r when r <> norm ->
                     fail "reply diverges across schedules (invariant 2): %s\n\
                          \      was %s\n      got %s"
                       key r norm
                 | Some _ -> ()
-                | None -> Hashtbl.replace ref_replies key norm);
+                | None -> Hashtbl.replace refs.replies key norm);
                 advance cl)
         | Some ("degraded" | "overloaded" | "timeout") ->
             cl.c_tries <- cl.c_tries + 1;
@@ -553,8 +549,6 @@ let run_seed ?mutation seed =
   let finally () =
     Env.current := prev_env;
     Vmbp_obs.Span.disable ();
-    Vmbp_obs.Span.set_clock Unix.gettimeofday;
-    Vmbp_obs.Flight.set_clock Unix.gettimeofday;
     Vmbp_report.Faults.reset ()
   in
   Fun.protect ~finally (fun () ->
@@ -568,7 +562,6 @@ let run_seed ?mutation seed =
          run recorded. *)
       PR.clear_trace_cache ();
       PR.clear_result_cache ();
-      Vmbp_obs.Span.set_clock (fun () -> Sim.now w);
       Vmbp_obs.Span.enable ();
       (match Vmbp_report.Faults.configure chaos with
       | Ok () -> ()
@@ -628,7 +621,6 @@ let run_seed ?mutation seed =
         end
       in
       serve_loop 4;
-      span_json := Vmbp_obs.Span.to_json ();
       if !failures = [] then begin
         if not (all_done ()) then
           fail "server exited with unfinished clients (invariant 3)";
@@ -647,7 +639,6 @@ let run_seed ?mutation seed =
     o_vtime = Sim.now w;
     o_selects = Sim.selects w;
     o_trace = Sim.trace_contents w;
-    o_spans = !span_json;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -676,34 +667,20 @@ let print_failure ~trace_file outcome =
 
 let run ?(first_seed = 1) ?mutation ?trace_file ?span_out ?metrics_out ~seeds
     () =
-  reset_references ();
+  let refs = references () in
   let finally () = set_mutation None in
   (* Observability exports cover the last seed that ran: its span trace
-     (byte-identical across replays of the same seed) and the registry
-     it left behind. *)
+     (byte-identical across replays of the same seed), still in [Span],
+     and the registry it left behind. *)
   let write_artifacts (last : outcome option) =
-    (match (span_out, last) with
-    | Some path, Some o -> (
-        try
-          let oc = open_out path in
-          output_string oc o.o_spans;
-          close_out oc;
-          Printf.printf "[obs] spans of seed %d written to %s\n" o.o_seed path
-        with Sys_error e -> Printf.printf "[obs] could not write spans: %s\n" e)
-    | _ -> ());
-    (match metrics_out with
-    | Some path -> (
-        match Vmbp_obs.Registry.write ~file:path with
-        | () -> Printf.printf "[obs] metrics written to %s\n" path
-        | exception Sys_error e ->
-            Printf.printf "[obs] could not write metrics: %s\n" e)
-    | None -> ());
-    match (last, (span_out, metrics_out)) with
-    | Some o, (Some _, _ | _, Some _) ->
-        Printf.printf
-          "[obs] seed=%d acks=%d grids=%d crashes=%d selects=%d vtime=%.2fs\n"
-          o.o_seed o.o_acks o.o_grids o.o_crashes o.o_selects o.o_vtime
-    | _ -> ()
+    Option.iter
+      (fun o ->
+        Vmbp_obs.Export.finish ?spans:span_out ?metrics:metrics_out (fun () ->
+            Printf.sprintf
+              "[obs] seed=%d acks=%d grids=%d crashes=%d selects=%d \
+               vtime=%.2fs"
+              o.o_seed o.o_acks o.o_grids o.o_crashes o.o_selects o.o_vtime))
+      last
   in
   Fun.protect ~finally (fun () ->
       match mutation with
@@ -714,7 +691,7 @@ let run ?(first_seed = 1) ?mutation ?trace_file ?span_out ?metrics_out ~seeds
           let i = ref 0 in
           while !failed = None && !i < seeds do
             let seed = first_seed + !i in
-            let o = run_seed seed in
+            let o = run_seed refs seed in
             last := Some o;
             crashes := !crashes + o.o_crashes;
             acks := !acks + o.o_acks;
@@ -745,7 +722,7 @@ let run ?(first_seed = 1) ?mutation ?trace_file ?span_out ?metrics_out ~seeds
           let i = ref 0 in
           while !caught = None && !i < seeds do
             let seed = first_seed + !i in
-            let o = run_seed ~mutation:m seed in
+            let o = run_seed ~mutation:m refs seed in
             last := Some o;
             if o.o_failures <> [] then caught := Some o;
             incr i

@@ -50,15 +50,23 @@ type outcome = {
   o_vtime : float;  (** virtual seconds the schedule spanned *)
   o_selects : int;  (** event-loop iterations consumed *)
   o_trace : string;  (** the schedule trace, for failure forensics *)
-  o_spans : string;
-      (** the schedule's span trace (Chrome trace-event JSON); a pure
-          function of the seed *)
 }
 
-val run_seed : ?mutation:mutation -> int -> outcome
+type references
+(** What the first schedule of a sweep served and stored, which every
+    later schedule must reproduce (invariants 2 and 4). *)
+
+val references : unit -> references
+(** Empty tables, for a new sweep. *)
+
+val run_seed : ?mutation:mutation -> references -> int -> outcome
 (** Run one seeded schedule (with one past bug re-introduced when
-    [mutation] is given) and report what happened.  Restores {!Vmbp_sim.Env.current}, the chaos registry and the
-    mutation flags on exit. *)
+    [mutation] is given), check it against the sweep's [references], and
+    report what happened.  The schedule's spans stay in
+    {!Vmbp_obs.Span} (Chrome trace-event JSON through
+    {!Vmbp_obs.Span.to_json}, a pure function of the seed).  Restores
+    {!Vmbp_sim.Env.current}, the chaos registry and the mutation flags on
+    exit. *)
 
 val run :
   ?first_seed:int ->
@@ -82,5 +90,6 @@ val run :
 
     [span_out] writes the last seed's span trace (Chrome trace-event
     JSON; byte-identical across replays of that seed) and
-    [metrics_out] the registry it left behind; either also prints an
-    [\[obs\]] summary footer. *)
+    [metrics_out] the registry it left behind, through
+    {!Vmbp_obs.Export.finish}, whose [\[obs\]] footer on stderr
+    summarizes that seed. *)

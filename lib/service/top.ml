@@ -231,11 +231,10 @@ let render ?prev ~dt samples =
 (* The polling loop *)
 
 let fetch socket =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let fd = P.connect socket in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      Unix.connect fd (Unix.ADDR_UNIX socket);
       P.write_frame fd
         (P.obj [ ("verb", P.S "metrics"); ("format", P.S "prometheus") ]);
       match P.read_frame fd with
@@ -256,7 +255,7 @@ let fetch socket =
 let run ~socket ~interval ?iterations () =
   let clear = "\027[H\027[2J" in
   let prev = ref None in
-  let t_prev = ref (Unix.gettimeofday ()) in
+  let t_prev = ref (Vmbp_sim.Env.now ()) in
   let i = ref 0 in
   let stop = ref None in
   while !stop = None do
@@ -269,7 +268,7 @@ let run ~socket ~interval ?iterations () =
         Printf.eprintf "vmbp top: %s\n" msg;
         stop := Some 1
     | Ok body ->
-        let now = Unix.gettimeofday () in
+        let now = Vmbp_sim.Env.now () in
         let samples = parse body in
         let dt = now -. !t_prev in
         let header =

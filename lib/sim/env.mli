@@ -81,7 +81,8 @@ val current : t ref
     after. *)
 
 val now : unit -> float
-(** [(!current).now ()] *)
+(** [(!current).now ()]: the one clock of spans and flight-recorder
+    entries, and of the load generator's and [top]'s timings. *)
 
 val wall : unit -> float
 val sleep : float -> unit

@@ -1,4 +1,4 @@
-/* CLOCK_MONOTONIC for deadline arithmetic: Unix.gettimeofday is wall
+/* CLOCK_MONOTONIC for deadline arithmetic: gettimeofday(2) is wall
    time and steps under NTP, which can fire or suppress timeouts.  The
    OCaml Unix library shipped with this toolchain has no clock_gettime
    binding, so this is the one C stub in the tree. */

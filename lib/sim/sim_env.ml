@@ -69,7 +69,7 @@ type obj =
 
 type t = {
   seed : int;
-  mutable rng : Int64.t;
+  rng : Splitmix.t;
   mutable vnow : float;
   mutable events : (float * int * (unit -> unit)) list;  (* time-sorted *)
   mutable eseq : int;
@@ -110,17 +110,7 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Seeded stream *)
 
-let splitmix st =
-  let open Int64 in
-  st.rng <- add st.rng 0x9E3779B97F4A7C15L;
-  let z = st.rng in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let rand_float t =
-  Int64.to_float (Int64.shift_right_logical (splitmix t) 11)
-  /. 9007199254740992.
+let rand_float t = Splitmix.float t.rng
 
 let rand_int t n = if n <= 0 then 0 else int_of_float (rand_float t *. float_of_int n)
 
@@ -709,7 +699,7 @@ let create ?(select_cap = 500_000) ~seed () =
   let t =
     {
       seed;
-      rng = Int64.of_int ((seed * 2) + 1);
+      rng = Splitmix.make (Int64.of_int ((seed * 2) + 1));
       vnow = 0.;
       events = [];
       eseq = 0;

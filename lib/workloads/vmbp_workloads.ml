@@ -29,21 +29,12 @@ type t = {
    below have their own locks because building a profile loads workloads
    and trains on them (lock order: profile before load and before
    training, never the reverse). *)
-let locked m f =
-  Mutex.lock m;
-  match f () with
-  | v ->
-      Mutex.unlock m;
-      v
-  | exception e ->
-      Mutex.unlock m;
-      raise e
 
 let memo : (string, loaded) Hashtbl.t = Hashtbl.create 32
 let memo_lock = Mutex.create ()
 
 let memoised key f =
-  locked memo_lock (fun () ->
+  Mutex.protect memo_lock (fun () ->
       match Hashtbl.find_opt memo key with
       | Some loaded -> loaded
       | None ->
@@ -125,7 +116,7 @@ let training_memo : (loaded * training) list ref = ref []
 let training_lock = Mutex.create ()
 
 let training_run loaded =
-  locked training_lock (fun () ->
+  Mutex.protect training_lock (fun () ->
       match List.assq_opt loaded !training_memo with
       | Some t -> t
       | None ->
@@ -161,7 +152,7 @@ let training_profile ?(max_seq_len = 4) ~vm ~target ~scale () =
   let key =
     Printf.sprintf "%s/%s/%d/%d" (vm_name vm) target scale max_seq_len
   in
-  locked profile_lock (fun () ->
+  Mutex.protect profile_lock (fun () ->
       match Hashtbl.find_opt profile_memo key with
       | Some p -> p
       | None ->

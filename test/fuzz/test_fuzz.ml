@@ -30,21 +30,12 @@ let program_count = env_count "VMBP_FUZZ_PROGRAMS" 10_000
 let forth_count = env_count "VMBP_FUZZ_FORTH" 400
 let image_count = env_count "VMBP_FUZZ_IMAGES" 1_000
 
-(* splitmix64: one stream per case, derived from the case's seed. *)
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-type rng = { mutable state : int64 }
-
-let rng_of_seed seed = { state = Int64.of_int (seed * 2 + 1) }
+(* One splitmix64 stream per case, derived from the case's seed. *)
+let rng_of_seed seed = Vmbp_sim.Splitmix.make (Int64.of_int ((seed * 2) + 1))
 
 let next rng =
-  rng.state <- Int64.add rng.state 0x9e3779b97f4a7c15L;
-  Int64.to_int (Int64.logand (mix64 rng.state) 0x3fffffffffffffffL)
+  Int64.to_int
+    (Int64.logand (Vmbp_sim.Splitmix.next rng) 0x3fffffffffffffffL)
 
 let rand rng bound = if bound <= 0 then 0 else next rng mod bound
 

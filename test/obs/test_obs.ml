@@ -26,7 +26,9 @@ let test_counter_basics () =
   Alcotest.(check (option int64)) "find" (Some 8L)
     (Registry.find_counter "t.basic");
   Alcotest.(check (option int64)) "find missing" None
-    (Registry.find_counter "t.absent")
+    (Registry.find_counter "t.absent");
+  Alcotest.(check int) "count" 8 (Registry.count "t.basic");
+  Alcotest.(check int) "count missing" 0 (Registry.count "t.absent")
 
 let test_counter_overflow () =
   Registry.reset ();
@@ -279,20 +281,28 @@ let test_span_linkage () =
   Alcotest.(check bool) "parent arg" true (contains j "\"parent\":\"0\"");
   Alcotest.(check bool) "trace arg" true (contains j "\"trace\":\"r1\"")
 
+(* Spans and flight entries read the installed environment's clock, as
+   they do under the simulator. *)
 let test_span_clock () =
-  Span.set_clock (fun () -> 42.0);
+  let env = Vmbp_sim.Env.current in
+  let prev = !env in
+  env := { prev with Vmbp_sim.Env.now = (fun () -> 42.0) };
   Span.enable ();
   Fun.protect
     ~finally:(fun () ->
       Span.disable ();
-      Span.set_clock Unix.gettimeofday)
+      env := prev;
+      Flight.reset ())
   @@ fun () ->
-  Alcotest.(check (float 0.)) "now reads the clock" 42.0 (Span.now ());
   Span.with_ ~name:"tick" (fun () -> ());
   let e = List.hd (Span.events ()) in
   (* ts is relative to the enable-time origin, both on the same clock. *)
   Alcotest.(check (float 0.)) "origin anchored" 0.0 e.Span.ts;
-  Alcotest.(check (float 0.)) "zero duration" 0.0 e.Span.dur
+  Alcotest.(check (float 0.)) "zero duration" 0.0 e.Span.dur;
+  Flight.reset ();
+  Flight.note ~kind:"tick" "";
+  Alcotest.(check (float 0.)) "flight ts" 42.0
+    (List.hd (Flight.entries ())).Flight.ts
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder *)

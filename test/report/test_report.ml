@@ -790,8 +790,7 @@ let test_banked_replay_matches_per_cell () =
   | _ -> Alcotest.fail "bank-fuel: one result");
   Vmbp_report.Trace.release tr
 
-let counter name =
-  Int64.to_int (Option.value ~default:0L (Vmbp_obs.Registry.find_counter name))
+let counter = Vmbp_obs.Registry.count
 
 (* A loaded-once toy workload whose first [stalled] sessions sleep 0.2 s
    on their first step, so a recording can be caught in flight. *)

@@ -113,10 +113,7 @@ let with_server ?chaos ?admission ?degraded_after ?request_timeout ?flight_dir
   in
   Fun.protect ~finally:stop (fun () -> f socket)
 
-let counter name =
-  match Vmbp_obs.Registry.find_counter name with
-  | Some v -> Int64.to_int v
-  | None -> 0
+let counter = Vmbp_obs.Registry.count
 
 let gray_query =
   P.query_payload ~vm:"forth" ~workload:"gray" ~technique:"switch"
@@ -596,7 +593,40 @@ let test_loadgen_plan_determinism () =
      the prefix, so partial runs replay the same leading requests. *)
   let short = Vmbp_service.Loadgen.query_plan cfg ~index:0 ~count:10 in
   check_bool "shorter plan is a prefix" true
-    (short = List.filteri (fun i _ -> i < 10) a)
+    (short = List.filteri (fun i _ -> i < 10) a);
+  (* Seed 42's first picks, pinned: a seed names one query sequence, so
+     the splitmix64 stream behind it must not drift by a bit. *)
+  let pick vm w t cpu = Printf.sprintf "%s/%s/%s/%s" vm w t cpu in
+  Alcotest.(check (list string))
+    "seed 42 draws the pinned picks"
+    [
+      pick "forth" "bench-gc" "static repl" "pentium4-northwood";
+      pick "forth" "gray" "switch" "celeron-800";
+      pick "forth" "gray" "switch" "pentium4-prescott";
+      pick "forth" "gray" "switch" "pentium-m";
+      pick "forth" "gray" "switch" "celeron-800";
+      pick "forth" "vmgen" "across bb" "pentium4-prescott";
+      pick "forth" "gray" "switch" "pentium4-northwood";
+      pick "forth" "bench-gc" "subroutine threading" "ideal";
+      pick "forth" "gray" "switch" "pentium-m";
+      pick "forth" "gray" "dynamic repl" "pentium4-northwood";
+    ]
+    (List.map (fun (vm, w, t, cpu) -> pick vm w t cpu) short)
+
+(* A connect that finds no listener raises and leaves no descriptor
+   behind: the load generator retries it a hundred times per gap. *)
+let test_connect_closes_on_failure () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let socket = Filename.concat "/tmp" ("vmbp-nobody-" ^ uniq () ^ ".sock") in
+  let before = open_fds () in
+  for _ = 1 to 3 do
+    match P.connect socket with
+    | fd ->
+        Unix.close fd;
+        Alcotest.fail "connected to a socket nobody listens on"
+    | exception Unix.Unix_error _ -> ()
+  done;
+  check_int "no descriptor leaked" before (open_fds ())
 
 let test_loadgen_reconnects_under_conn_drop () =
   (* Point the generator at a server that keeps severing connections:
@@ -729,6 +759,8 @@ let () =
             test_sigterm_drains_like_sigint;
           Alcotest.test_case "unbindable socket leaves no store" `Quick
             test_unbindable_socket_leaves_no_store;
+          Alcotest.test_case "failed connect closes its socket" `Quick
+            test_connect_closes_on_failure;
         ] );
       ( "observability",
         [

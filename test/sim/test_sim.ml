@@ -215,12 +215,16 @@ let test_socket_roundtrip_and_crash_eof () =
 (* Whole-system schedules *)
 
 let test_schedule_passes_and_replays () =
-  let a = Simulate.run_seed 3 in
+  let refs = Simulate.references () in
+  let a = Simulate.run_seed refs 3 in
+  let a_spans = Vmbp_obs.Span.to_json () in
   Alcotest.(check (list string)) "no invariant failed" [] a.Simulate.o_failures;
   check_bool "acks checked" true (a.Simulate.o_acks > 0);
   check_int "grid schedule compared a grid" 1 a.Simulate.o_grids;
-  (* Replaying the seed reproduces the schedule bit for bit. *)
-  let b = Simulate.run_seed 3 in
+  (* Replaying the seed reproduces the schedule bit for bit, and agrees
+     with the first run's replies, store entries and grid. *)
+  let b = Simulate.run_seed refs 3 in
+  Alcotest.(check (list string)) "replay agrees" [] b.Simulate.o_failures;
   check_string "trace replays identically" a.Simulate.o_trace
     b.Simulate.o_trace;
   check_int "same acks" a.Simulate.o_acks b.Simulate.o_acks;
@@ -228,16 +232,17 @@ let test_schedule_passes_and_replays () =
   (* The span trace is a pure function of the seed: virtual clock plus
      per-seed span-id reset make the whole Chrome JSON byte-stable. *)
   check_bool "span trace non-trivial" true
-    (String.length a.Simulate.o_spans > 2);
-  check_string "span trace replays byte-identically" a.Simulate.o_spans
-    b.Simulate.o_spans
+    (Vmbp_obs.Span.count () > 0);
+  check_string "span trace replays byte-identically" a_spans
+    (Vmbp_obs.Span.to_json ())
 
 let test_crashing_schedule_holds_invariants () =
   (* Walk seeds until one injects a crash, then demand a clean bill. *)
+  let refs = Simulate.references () in
   let rec hunt seed =
     if seed > 30 then Alcotest.fail "no seed crashed within budget"
     else
-      let o = Simulate.run_seed seed in
+      let o = Simulate.run_seed refs seed in
       Alcotest.(check (list string))
         (Printf.sprintf "seed %d holds every invariant" seed)
         [] o.Simulate.o_failures;
@@ -250,17 +255,18 @@ let test_crashing_schedule_holds_invariants () =
 (* Mutation teeth: each re-introduced bug must be caught within a
    bounded seed budget, and the catching seed must replay. *)
 let catch_within mutation budget =
+  let refs = Simulate.references () in
   let rec hunt seed =
     if seed > budget then
       Alcotest.failf "mutation %s not caught within %d seeds"
         (Simulate.mutation_name mutation)
         budget
     else
-      let o = Simulate.run_seed ~mutation seed in
+      let o = Simulate.run_seed ~mutation refs seed in
       if o.Simulate.o_failures <> [] then seed else hunt (seed + 1)
   in
   let seed = hunt 1 in
-  let again = Simulate.run_seed ~mutation seed in
+  let again = Simulate.run_seed ~mutation refs seed in
   check_bool "catching seed replays the catch" true
     (again.Simulate.o_failures <> [])
 
