@@ -305,7 +305,7 @@ let cell_retries_arg =
    one-line usage error naming the flag, never a stack trace. *)
 let chaos_conv =
   let parse s =
-    match Vmbp_report.Faults.configure s with
+    match Vmbp_sim.Faults.configure s with
     | Ok () -> Ok s
     | Error msg -> Error (`Msg msg)
   in
@@ -424,32 +424,32 @@ let install_sigint () =
 let arm_chaos = function
   | None -> ()
   | Some spec -> (
-      match Vmbp_report.Faults.configure spec with
+      match Vmbp_sim.Faults.configure spec with
       | Ok () -> ()
       | Error msg ->
           Printf.eprintf "vmbp: bad --chaos spec: %s\n" msg;
           exit 2)
 
-let partial_marker () =
-  if Vmbp_report.Par_runner.shutting_down () then begin
-    print_newline ();
-    print_endline
-      "== PARTIAL REPORT: the run was interrupted; unfinished cells are \
-       reported as errors.  Re-run with the same --store DIR to complete \
-       it. =="
-  end
+(* How a stopped run resumes: through its --store, if it had one. *)
+let resume_hint = function
+  | Some dir -> "re-run with the same --store " ^ dir ^ " to continue"
+  | None -> "no --store was given, so the completed cells were not kept"
 
-(* A worker death with no pool above it (sequential runs) stands in for a
-   killed process: completed cells are safe in the --store store, if
-   there is one, so report a resumable failure instead of an uncaught
+let partial_marker store_dir =
+  if Vmbp_report.Par_runner.shutting_down () then
+    Printf.printf
+      "\n== PARTIAL REPORT: the run was interrupted; unfinished cells are \
+       reported as errors.  %s. ==\n"
+      (String.capitalize_ascii (resume_hint store_dir))
+
+(* A worker death stops the run at any --jobs; it stands in for a killed
+   process, so report a resumable failure instead of an uncaught
    exception. *)
-let run_killable f =
+let run_killable store_dir f =
   try f ()
-  with Vmbp_report.Faults.Worker_killed ->
+  with Vmbp_sim.Faults.Worker_killed ->
     flush stdout;
-    prerr_endline
-      "vmbp: worker killed; cells completed under --store DIR are kept \
-       there -- re-run with the same --store DIR to continue";
+    Printf.eprintf "vmbp: worker killed; %s\n" (resume_hint store_dir);
     exit 70
 
 let write_json ~ctx ?store = function
@@ -480,7 +480,7 @@ let finish_audit audit =
    [body] under both at the requested scale, then writes what was asked
    for, closes the store and fails on a divergence. *)
 let run_options =
-  let run_with scale jobs trace_cap json store cell_timeout cell_retries
+  let run_with scale jobs trace_cap json store_dir cell_timeout cell_retries
       chaos self_check audit_sample repro_dir trace_out metrics progress
       (body :
         Vmbp_report.Par_runner.ctx -> Vmbp_store.Store.t option ->
@@ -505,12 +505,12 @@ let run_options =
     let store =
       Option.map
         (fun dir -> exit_on_system_error (fun () -> Vmbp_store.Store.open_ dir))
-        store
+        store_dir
     in
     Vmbp_obs.Registry.reset ();
     if trace_out <> None then Vmbp_obs.Span.enable ();
-    run_killable (fun () -> body ctx store scale);
-    partial_marker ();
+    run_killable store_dir (fun () -> body ctx store scale);
+    partial_marker store_dir;
     write_json ~ctx ?store json;
     let c = Vmbp_obs.Registry.count in
     Vmbp_obs.Export.finish ?spans:trace_out ?metrics (fun () ->

@@ -1,5 +1,6 @@
 open Vmbp_core
 open Vmbp_machine
+module Faults = Vmbp_sim.Faults
 
 (* ------------------------------------------------------------------ *)
 (* Cells *)
@@ -69,8 +70,6 @@ let m_banked_configs = Vmbp_obs.Registry.counter "trace.banked_configs"
 let m_cell_retries = Vmbp_obs.Registry.counter "cells.retries"
 let m_cell_timeouts = Vmbp_obs.Registry.counter "cells.timeouts"
 
-(* Worker domains respawned after an injected (or real) worker death. *)
-let m_respawns = Vmbp_obs.Registry.counter "pool.respawns"
 let g_queue_depth = Vmbp_obs.Registry.gauge "pool.queue_depth"
 let g_busy_workers = Vmbp_obs.Registry.gauge "pool.busy_workers"
 
@@ -160,9 +159,6 @@ let shutdown = Atomic.make false
 let request_shutdown () = Atomic.set shutdown true
 let shutting_down () = Atomic.get shutdown
 let reset_shutdown () = Atomic.set shutdown false
-
-let worker_respawns () =
-  Int64.to_int (Vmbp_obs.Registry.counter_value m_respawns)
 
 let bank_replays () =
   Int64.to_int (Vmbp_obs.Registry.counter_value m_bank_replays)
@@ -382,10 +378,6 @@ let timed_of_entry c (e : Vmbp_store.Cellrec.entry) =
    later query for the same configuration, whatever experiment tag asked
    for it, and a killed run re-run over the same store recomputes only
    what it had not yet appended. *)
-
-(* The store sits below the fault harness in the library graph, so the
-   [store-io] chaos point reaches it through this hook. *)
-let () = Vmbp_store.Store.io_fault_hook := Faults.store_io
 
 (* The store key is the full-result cache's identity: tagless, with the
    complete CPU profile spelled out. *)
@@ -735,9 +727,9 @@ let run_group b idxs =
   in
   (* Group-level guard: anything raised outside the per-cell guards (the
      walk, its deadline, the injected record fault) degrades this group to
-     per-cell live runs instead of escaping into the pool.  Worker death
-     is the deliberate exception -- it must escape to exercise the
-     supervision layer above. *)
+     per-cell live runs instead of escaping into the pool, where it would
+     stop the run.  Worker death is the deliberate exception: stopping the
+     run is what it is for. *)
   Vmbp_obs.Registry.gauge_add g_busy_workers 1.;
   Fun.protect
     ~finally:(fun () -> Vmbp_obs.Registry.gauge_add g_busy_workers (-1.))
@@ -774,79 +766,50 @@ let interrupted_cell c =
   timed_cell c ~attempts:0 ~mode:Direct ~wall_seconds:0.
     (Error "interrupted before this cell ran (partial report)")
 
-(* A group abandoned after the respawn budget ran out. *)
-let abandoned_cell c =
-  timed_cell c ~attempts:0 ~mode:Direct ~wall_seconds:0.
-    (Error "worker died repeatedly on this cell's group")
-
-(* How many rounds of worker respawning the pool tolerates before it gives
-   the surviving groups up as poisoned.  Far above anything a real fault
-   produces; purely a livelock backstop for probabilistic chaos specs. *)
-let max_respawn_rounds = 64
-
 (* One group on the calling domain, behind the worker-death chaos point. *)
 let run_group_killable b g =
   Faults.worker_death ();
   run_group b g
 
-(* Pool supervision.  Every group is known before any worker starts, so a
-   round's workers take groups by index from one atomic cursor.  A worker
-   that hits [Worker_killed] stops taking groups -- from the pool's point
-   of view the domain is dead -- and marks its group orphaned.  After the
-   round's domains are joined, the supervisor respawns a fresh pool over
-   the orphans plus the groups no worker took, so pending groups survive
-   any number of worker deaths (up to the livelock backstop). *)
+(* The pool, at every job count.  Every group is known before any worker
+   starts, so the calling domain and up to [jobs - 1] spawned domains take
+   groups by index from one atomic cursor; with [jobs = 1] nothing is
+   spawned and groups run in plan order.  A group that raises -- a worker
+   death ({!Faults.Worker_killed}, the fault harness's stand-in for a
+   killed process) or anything else -- stops the run: every worker stops
+   after the group in hand, and once every spawned domain is joined the
+   first such exception leaves [run_cells].  The groups completed before
+   it are already in the store, so a re-run over the store resumes. *)
 let run_pool b ~jobs groups =
-  let rec round n groups =
-    let groups = Array.of_list groups in
-    let len = Array.length groups in
-    let cursor = Atomic.make 0 in
-    (* Written only by the worker that took index [k]; read after the
-       joins. *)
-    let orphaned = Array.make len false in
-    Vmbp_obs.Registry.gauge_add g_queue_depth (float_of_int len);
-    let rec worker () =
-      if not (shutting_down ()) then begin
-        let k = Atomic.fetch_and_add cursor 1 in
-        if k < len then begin
-          Vmbp_obs.Registry.gauge_add g_queue_depth (-1.);
-          match run_group_killable b groups.(k) with
-          | () -> worker ()
-          | exception Faults.Worker_killed -> orphaned.(k) <- true
-        end
+  let groups = Array.of_list groups in
+  let len = Array.length groups in
+  let cursor = Atomic.make 0 and failure = Atomic.make None in
+  Vmbp_obs.Registry.gauge_add g_queue_depth (float_of_int len);
+  let rec worker () =
+    if not (shutting_down () || Option.is_some (Atomic.get failure)) then begin
+      let k = Atomic.fetch_and_add cursor 1 in
+      if k < len then begin
+        Vmbp_obs.Registry.gauge_add g_queue_depth (-1.);
+        match run_group_killable b groups.(k) with
+        | () -> worker ()
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            ignore (Atomic.compare_and_set failure None (Some (e, bt)))
       end
-    in
-    let domains =
-      Array.init (min (jobs - 1) (len - 1)) (fun _ -> Domain.spawn worker)
-    in
-    worker ();
-    Array.iter Domain.join domains;
-    let taken = min len (Atomic.get cursor) in
-    Vmbp_obs.Registry.gauge_add g_queue_depth (-.float_of_int (len - taken));
-    let orphans = List.filter (Array.get orphaned) (List.init taken Fun.id) in
-    let stranded = List.init (len - taken) (fun k -> taken + k) in
-    let pending = List.map (Array.get groups) (orphans @ stranded) in
-    if pending <> [] && not (shutting_down ()) then begin
-      Vmbp_obs.Registry.add m_respawns (List.length orphans);
-      if n >= max_respawn_rounds then
-        List.iter
-          (fun g ->
-            match run_group_killable b g with
-            | () -> ()
-            | exception Faults.Worker_killed ->
-                List.iter
-                  (fun i ->
-                    if b.results.(i) = None then
-                      b.results.(i) <- Some (abandoned_cell b.cells.(i)))
-                  g)
-          pending
-      else round (n + 1) pending
     end
   in
-  round 0 groups
+  let domains =
+    List.init (max 0 (min jobs len - 1)) (fun _ -> Domain.spawn worker)
+  in
+  worker ();
+  List.iter Domain.join domains;
+  let taken = min len (Atomic.get cursor) in
+  Vmbp_obs.Registry.gauge_add g_queue_depth (-.float_of_int (len - taken));
+  Option.iter
+    (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+    (Atomic.get failure)
 
 let run_cells ?(ctx = default_ctx ()) ?store cells =
-  let jobs = max 1 ctx.jobs in
   let arr = Array.of_list cells in
   let b =
     {
@@ -879,16 +842,7 @@ let run_cells ?(ctx = default_ctx ()) ?store cells =
         | g -> Some g)
       (plan cells)
   in
-  if jobs = 1 || List.compare_length_with groups 1 <= 0 then
-    (* Sequential path, bit-for-bit the reference for the pool.  A worker
-       death here has no pool above it to respawn into, so it escapes
-       [run_cells] entirely -- deliberately: it is the fault harness's
-       stand-in for a killed process (the store keeps every success
-       completed so far; the harness maps it to a resumable exit). *)
-    List.iter
-      (fun g -> if not (shutting_down ()) then run_group_killable b g)
-      groups
-  else run_pool b ~jobs groups;
+  run_pool b ~jobs:ctx.jobs groups;
   if Option.is_some b.hb then erase ();
   let out =
     Array.to_list
@@ -986,8 +940,6 @@ let json_summary ?(ctx = default_ctx ()) ?store results =
        (countp (fun t -> t.attempts = 0 && not t.from_journal)));
   Buffer.add_string b
     (Printf.sprintf ",\"injected_faults\":%d" (Faults.total_injected ()));
-  Buffer.add_string b
-    (Printf.sprintf ",\"worker_respawns\":%d" (worker_respawns ()));
   (* vmbp-cells/5: group-walk counters since the last registry reset --
      [bank_replays] counts walks that served two or more cells,
      [banked_configs] the distinct simulators those walks drove. *)

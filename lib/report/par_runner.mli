@@ -2,17 +2,17 @@
 
     The report matrix is a grid of (workload, technique, cpu) cells, each of
     which owns its private predictor, I-cache and interpreter session state,
-    so cells are embarrassingly parallel.  This module runs a cell list on a
-    fixed-size pool of domains that take groups of cells from one atomic
-    cursor, returns results in deterministic input order, and wraps every
-    cell in a [result] so one trapped workload degrades to a reported
-    failure instead of killing the whole report.  A run's settings and its
-    audit log come in as one {!ctx} value.
+    so cells are embarrassingly parallel.  This module runs a cell list on
+    one pool loop at every job count -- the calling domain and up to
+    [jobs - 1] spawned domains take groups of cells from one atomic cursor
+    -- returns results in deterministic input order, and wraps every cell
+    in a [result] so one trapped workload degrades to a reported failure
+    instead of killing the whole report.  A run's settings and its audit
+    log come in as one {!ctx} value.
 
-    With [jobs = 1] (the default) no domain is spawned and cells run
-    sequentially in submission order, which is bit-for-bit the reference
-    behaviour for the pool: the simulated numbers do not depend on the job
-    count, only wall-clock time does.
+    With [jobs = 1] (the default) no domain is spawned and groups run in
+    plan order; the simulated numbers do not depend on the job count, only
+    wall-clock time does.
 
     Every cell run through this module is also appended to a session log
     ({!drain_log}) carrying per-cell wall-clock timings, which the CLI
@@ -72,8 +72,7 @@ type timed = {
   mode : mode;
   attempts : int;
       (** cell attempts consumed, [> 1] after transient-failure retries;
-          [0] for a cell skipped by a graceful shutdown or abandoned after
-          repeated worker deaths *)
+          [0] for a cell skipped by a graceful shutdown *)
   timed_out : bool;  (** the final attempt hit the [--cell-timeout] deadline *)
   from_journal : bool;
       (** reconstructed from the store passed to {!run_cells}; no
@@ -153,7 +152,7 @@ val default_ctx : unit -> ctx
     an interrupted run re-run over the same store is byte-identical to an
     uninterrupted one, and a grid run warms the store the report service
     answers queries from.  The caller opens and closes the store.  The
-    [store-io] chaos point is wired into the store's append path. *)
+    store's append path fires the [store-io] chaos point itself. *)
 
 val store_lookup : Vmbp_store.Store.t -> cell -> timed option
 (** Serve one cell straight from the store: [None] on a miss.  Used by
@@ -173,7 +172,7 @@ val config_fingerprint : cell -> string
     runs; a store record is served only when key and fingerprint both
     match. *)
 
-(** {2 Graceful shutdown and worker supervision} *)
+(** {2 Graceful shutdown} *)
 
 val request_shutdown : unit -> unit
 (** Stop taking groups: in-flight groups finish (and reach the store),
@@ -182,13 +181,6 @@ val request_shutdown : unit -> unit
 
 val shutting_down : unit -> bool
 val reset_shutdown : unit -> unit
-
-val worker_respawns : unit -> int
-(** Worker domains respawned after a death ({!Faults.Worker_killed})
-    since the last {!Vmbp_obs.Registry.reset} (the registry counter
-    [pool.respawns]).  In the sequential ([jobs = 1]) path there is no
-    pool to respawn into and the death escapes [run_cells] instead -- the
-    fault harness's stand-in for a killed process. *)
 
 val bank_replays : unit -> int
 (** Group walks ({!Runner.walk_group}) that served two or more cells
@@ -248,7 +240,13 @@ val run_cells :
     are grouped by {!plan}; groups are the unit of parallelism,
     [ctx.jobs] at a time, and within a group one walk of the workload's
     VM path serves every pending cell.  With [?store], cells found there
-    are served from it and every fresh success is appended to it. *)
+    are served from it and every fresh success is appended to it.
+
+    A group that raises stops the run: no worker takes another group,
+    every spawned domain is joined, and then the first exception -- at
+    any job count, a worker death ({!Vmbp_sim.Faults.Worker_killed}) --
+    is re-raised.  Completed groups are already in the store, so a re-run
+    over it resumes. *)
 
 val drain_log : unit -> timed list
 (** All cells recorded since the previous drain, in chronological batch
@@ -262,8 +260,8 @@ val json_summary :
     cell was cross-checked), wall-clock seconds and [serve_seconds] (or
     the error for failed cells), plus top-level [engine_runs]/[replays]/
     [from_journal]/[retries]/[timeouts]/[interrupted]/[injected_faults]/
-    [worker_respawns]/[bank_replays]/[banked_configs] counters (the last
-    two count group walks), the
+    [bank_replays]/[banked_configs] counters (the last two count group
+    walks), the
     report-service counters
     ([store_hits]/[store_misses]/[coalesced]/[shed]/[degraded_seconds]),
     the differential-checking block

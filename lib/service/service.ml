@@ -1,6 +1,7 @@
 open Vmbp_report
 module P = Protocol
 module Env = Vmbp_sim.Env
+module Faults = Vmbp_sim.Faults
 
 type config = {
   socket : string;
@@ -160,11 +161,11 @@ let grid_doc ctx store scale =
 (* One compute-pool step: drain every queued job, merge the cell jobs
    into one batch (one [run_cells] call, so cells sharing a workload
    share one recorded execution), then run grids.  Any exception --
-   including an injected worker death with no pool above it -- becomes an
-   [error] reply for the batch, never a dead compute pool.  Results are
-   published through [defer_done]: the real env runs the closure
-   immediately (the pre-seam ordering, byte for byte), the simulated env
-   schedules it a virtual latency later.  [block] is how the real domain
+   including an injected worker death, which stops a batch at any --jobs
+   -- becomes an [error] reply for the batch, never a dead compute pool.
+   Results are published through [defer_done]: the real env runs the
+   closure immediately (the pre-seam ordering, byte for byte), the
+   simulated env schedules it a virtual latency later.  [block] is how the real domain
    parks on the condition variable; the simulation polls. *)
 let compute_step ctx (env : Env.t) store sh ~block =
   Mutex.lock sh.lock;

@@ -33,7 +33,7 @@
       served, misses get a [degraded] reply, and the time spent degraded
       accumulates in the [service.degraded_seconds] gauge.
 
-    Chaos points ({!Vmbp_report.Faults}): [conn-drop] severs a connection
+    Chaos points ({!Vmbp_sim.Faults}): [conn-drop] severs a connection
     instead of replying, [store-io] drops store appends, [slow-client]
     stalls a connection's writes (exercising the slow-reader reaper),
     [pool-wedge] stalls the compute domain (exercising degradation).

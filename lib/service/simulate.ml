@@ -549,7 +549,7 @@ let run_seed ?mutation refs seed =
   let finally () =
     Env.current := prev_env;
     Vmbp_obs.Span.disable ();
-    Vmbp_report.Faults.reset ()
+    Vmbp_sim.Faults.reset ()
   in
   Fun.protect ~finally (fun () ->
       Env.current := Sim.env w;
@@ -563,7 +563,7 @@ let run_seed ?mutation refs seed =
       PR.clear_trace_cache ();
       PR.clear_result_cache ();
       Vmbp_obs.Span.enable ();
-      (match Vmbp_report.Faults.configure chaos with
+      (match Vmbp_sim.Faults.configure chaos with
       | Ok () -> ()
       | Error e -> fail "bad chaos spec %S: %s" chaos e);
       Array.iter

@@ -24,7 +24,6 @@ type pool = {
 type t = {
   name : string;
   now : unit -> float;  (* monotonic: durations and deadlines only *)
-  wall : unit -> float;  (* wall clock: log/stats timestamps only *)
   sleep : float -> unit;
   (* Files.  [read]/[write] are single-attempt syscall-shaped calls:
      they may be short and raise [Unix.Unix_error]. *)
@@ -127,7 +126,6 @@ let real =
   {
     name = "real";
     now = monotonic_now;
-    wall = Unix.gettimeofday;
     sleep = Unix.sleepf;
     openfile;
     read;
@@ -163,7 +161,6 @@ let real =
 let current = ref real
 
 let now () = !current.now ()
-let wall () = !current.wall ()
 let sleep d = !current.sleep d
 
 let missing_dirs (env : t) dir =

@@ -34,7 +34,6 @@ type pool = {
 type t = {
   name : string;
   now : unit -> float;  (** monotonic; durations and deadlines only *)
-  wall : unit -> float;  (** wall clock; log/stats timestamps only *)
   sleep : float -> unit;
   openfile : string -> Unix.open_flag list -> int -> fd;
   read : fd -> bytes -> int -> int -> int;
@@ -84,7 +83,6 @@ val now : unit -> float
 (** [(!current).now ()]: the one clock of spans and flight-recorder
     entries, and of the load generator's and [top]'s timings. *)
 
-val wall : unit -> float
 val sleep : float -> unit
 
 val missing_dirs : t -> string -> string list

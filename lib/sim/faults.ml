@@ -80,9 +80,9 @@ let lock = Mutex.create ()
 
 (* The chaos stream, guarded by [lock]. *)
 let default_seed = 0x5DEECE66DL
-let prng = ref (Vmbp_sim.Splitmix.make default_seed)
+let prng = ref (Splitmix.make default_seed)
 
-let jitter () = Mutex.protect lock (fun () -> Vmbp_sim.Splitmix.float !prng)
+let jitter () = Mutex.protect lock (fun () -> Splitmix.float !prng)
 
 let reset_locked () =
   List.iter
@@ -92,7 +92,7 @@ let reset_locked () =
       s.fires <- 0;
       s.duration <- default_duration p)
     all_points;
-  prng := Vmbp_sim.Splitmix.make default_seed
+  prng := Splitmix.make default_seed
 
 let reset () = Mutex.protect lock reset_locked
 
@@ -115,7 +115,7 @@ let fire p =
           true
         end
         else false
-    | Some (Prob p) -> Vmbp_sim.Splitmix.float !prng < p
+    | Some (Prob p) -> Splitmix.float !prng < p
   in
   if hit then s.fires <- s.fires + 1;
   Mutex.unlock lock;
@@ -136,7 +136,7 @@ let record_fail () =
   if fire Record_fail then raise (Injected "chaos: injected record failure")
 
 let slow_cell () =
-  if fire Slow_cell then Vmbp_sim.Env.sleep slots.(point_index Slow_cell).duration
+  if fire Slow_cell then Env.sleep slots.(point_index Slow_cell).duration
 
 let worker_death () = if fire Worker_death then raise Worker_killed
 
@@ -181,7 +181,7 @@ let parse_pair pair =
       if name = "seed" then
         match Int64.of_string_opt value with
         | Some s ->
-            prng := Vmbp_sim.Splitmix.make s;
+            prng := Splitmix.make s;
             Ok ()
         | None -> Error (Printf.sprintf "bad seed %S" value)
       else

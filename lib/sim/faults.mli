@@ -1,9 +1,11 @@
-(** Deterministic fault injection for the report supervisor.
+(** Deterministic fault injection for the report runner, the store and
+    the service.
 
     Robustness code that is never executed is robustness on inspection only,
-    so every supervision path in {!Par_runner} -- retry, timeout, record
-    fallback, store degradation, worker respawn -- has a named injection
-    point here, driven by the [--chaos SPEC] command-line flag.  Injection
+    so every supervision path of the report runner
+    ({!Vmbp_report.Par_runner}) -- retry, timeout, record fallback, store
+    degradation, stopping on a worker death -- has a named injection point
+    here, driven by the [--chaos SPEC] command-line flag.  Injection
     is deterministic: count-based specs fire on exact opportunity ordinals
     and probabilistic specs draw from a seeded splitmix64 stream, so a chaos
     run is reproducible bit-for-bit given the same spec (and, for
@@ -25,11 +27,11 @@
     [record-fail] (failure after a group walk; the group must degrade
     to per-cell live runs),
     [slow-cell] (cell attempt stalls; exercises [--cell-timeout]),
-    [worker-death] (a worker domain dies; sequentially this simulates a
-    killed process, in a pool it exercises respawn).
+    [worker-death] (a worker domain dies, standing in for a killed
+    process: the run stops at any job count and resumes from its store).
 
-    Service-side points, fired by {!Service} and (through
-    {!Vmbp_store.Store.io_fault_hook}) the store: [conn-drop] (the server
+    Service-side points, fired by {!Vmbp_service.Service} and the store
+    ({!Vmbp_store.Store.append}): [conn-drop] (the server
     drops a client connection mid-exchange; clients must reconnect and
     retry), [store-io] (a store append is dropped like a disk error; the
     reply still serves from memory), [slow-client] (the server treats the
@@ -47,17 +49,14 @@ type point =
   | Slow_client
   | Pool_wedge
 
-val point_name : point -> string
-val all_points : point list
-
 exception Injected of string
 (** A deliberately injected transient failure; the supervisor treats it as
     retryable, like any unexpected exception from a cell. *)
 
 exception Worker_killed
 (** Injected worker death.  Deliberately {e not} caught by the per-cell and
-    per-group guards: it must escape to the pool (or, sequentially, out of
-    [run_cells]) to exercise the supervision layer above. *)
+    per-group guards: it escapes to the pool, which stops the run and
+    re-raises it out of [run_cells] once every worker is joined. *)
 
 val configure : string -> (unit, string) result
 (** Parse a [--chaos] spec and arm the listed points, replacing any previous
@@ -93,9 +92,8 @@ val conn_drop : unit -> bool
     connection. *)
 
 val store_io : unit -> bool
-(** Whether the [store-io] point fires; wired into
-    {!Vmbp_store.Store.io_fault_hook} so the store itself drops the
-    append. *)
+(** Whether the [store-io] point fires; {!Vmbp_store.Store.append} asks
+    before each write and drops the append when it does. *)
 
 val slow_client : unit -> float option
 (** [Some stall_seconds] if the [slow-client] point fires. *)

@@ -745,7 +745,6 @@ let create ?(select_cap = 500_000) ~seed () =
     {
       Env.name = "sim";
       now = (fun () -> t.vnow);
-      wall = (fun () -> 1.7e9 +. t.vnow);
       sleep;
       openfile = (fun p f m -> sim_openfile t p f m);
       read = (fun fd b o l -> sim_read t fd b o l);

@@ -30,8 +30,6 @@ type t = {
   mutable compactions : int;
 }
 
-let io_fault_hook : (unit -> bool) ref = ref (fun () -> false)
-
 (* Mutation teeth for the simulation harness: each one reintroduces a
    durability bug on purpose so `simulate --mutate` can prove the
    invariant checks would catch it.  Never set outside tests. *)
@@ -104,7 +102,7 @@ let append t (e : Cellrec.entry) =
   (* The entry serves from memory either way; only durability can fail. *)
   Hashtbl.replace t.tbl (e.Cellrec.key, e.Cellrec.fingerprint) e;
   Hashtbl.replace t.latest e.Cellrec.key e.Cellrec.fingerprint;
-  let dropped = t.closed || !io_fault_hook () in
+  let dropped = t.closed || Vmbp_sim.Faults.store_io () in
   if dropped then begin
     t.write_errors <- t.write_errors + 1;
     Vmbp_obs.Registry.add m_write_errors 1

@@ -32,13 +32,6 @@ type stats = {
 
 type t
 
-val io_fault_hook : (unit -> bool) ref
-(** When it returns [true], the next append is dropped (and counted as a
-    write error) exactly as a disk error would drop it.  Wired to the
-    [store-io] chaos point by {!Vmbp_report.Par_runner}; the default
-    never fires.  Kept as a hook because the store sits below the fault
-    harness in the library graph. *)
-
 val mutation_skip_fsync : bool ref
 (** Mutation tooth: when [true], {!append} skips the per-record fsync --
     reintroducing ack-before-durability.  Exists so the simulation
@@ -74,10 +67,11 @@ val mem : t -> key:string -> fingerprint:string -> bool
 
 val append : t -> Cellrec.entry -> unit
 (** Frame, write and fsync one record to [cells.vcas], and make it
-    immediately lookup-able.  A write failure (or an injected [store-io]
-    fault) is counted and otherwise ignored: the entry still serves from
-    memory, and is simply recomputed by whatever process loads the store
-    next. *)
+    immediately lookup-able.  A write failure, or a fire of the
+    [store-io] chaos point ({!Vmbp_sim.Faults.store_io}), drops the write
+    exactly as a disk error would: it is counted and otherwise ignored,
+    the entry still serves from memory, and whatever process loads the
+    store next simply recomputes it. *)
 
 val compact : t -> unit
 (** Rewrite [cells.vcas] from the in-memory table: corrupt bytes and

@@ -382,8 +382,7 @@ let test_par_runner_json_summary () =
   check_bool "retry counter" true (contains "\"retries\":0");
   check_bool "timeout counter" true (contains "\"timeouts\":0");
   check_bool "interrupted counter" true (contains "\"interrupted\":0");
-  check_bool "injected-fault counter" true (contains "\"injected_faults\":");
-  check_bool "respawn counter" true (contains "\"worker_respawns\":")
+  check_bool "injected-fault counter" true (contains "\"injected_faults\":")
 
 (* The planner groups by physical workload, technique and scale, in
    first-occurrence order; it is pure, so the whole scale-1 registry plans
@@ -981,10 +980,10 @@ let test_bank_descriptor_injective () =
    Every report-side [Faults] injection point is exercised here:
    cell-raise (retry and exhaustion), record-fail (group degrades to
    direct), slow-cell (the watchdog timeout), store-io (append degrades,
-   run continues) and worker-death (sequential kill-and-resume, pool
-   respawn). *)
+   run continues) and worker-death (kill-and-resume, sequential and in a
+   pool). *)
 
-module Faults = Vmbp_report.Faults
+module Faults = Vmbp_sim.Faults
 
 let reset_supervision () =
   Faults.reset ();
@@ -1316,21 +1315,34 @@ let test_sequential_kill_and_resume () =
       check_bool "summary counts store-served cells" true
         (contains "\"from_journal\":2"))
 
-let test_pool_respawn () =
-  (* In a pool, a worker death is contained: the group is re-queued, fresh
-     workers are spawned, and every cell still completes. *)
-  let before = PR.worker_respawns () in
-  configure_chaos "worker-death=2";
-  let results = PR.run_cells ~ctx:(with_jobs 2) (toy_cells ()) in
-  check_int "all cells complete despite two dead workers" 12
-    (List.length results);
-  List.iter
-    (fun (t : PR.timed) ->
-      check_bool "cell completed" true (Result.is_ok t.PR.outcome);
-      check_bool "no shutdown holes" true (t.PR.attempts > 0))
-    results;
-  check_int "both deaths fired" 2 (Faults.fired Faults.Worker_death);
-  check_bool "respawns recorded" true (PR.worker_respawns () > before)
+let test_pool_worker_death () =
+  (* In a pool, as at one job, a worker death stops the run: it escapes
+     [run_cells] once every spawned domain is joined, and the groups
+     completed before it are in the store, so a re-run over the same
+     store resumes byte-identically. *)
+  with_temp_dir (fun dir ->
+      let reference = signature (PR.run_cells (toy_cells ())) in
+      PR.clear_result_cache ();
+      configure_chaos "worker-death=2+1";
+      let store = Vmbp_store.Store.open_ dir in
+      (match PR.run_cells ~ctx:(with_jobs 2) ~store (toy_cells ()) with
+      | exception Faults.Worker_killed -> ()
+      | _ -> Alcotest.fail "a pool worker death must stop the run");
+      check_int "the death fired once" 1 (Faults.fired Faults.Worker_death);
+      check_bool "every worker joined: none busy" true
+        (Vmbp_obs.Registry.gauge_value
+           (Vmbp_obs.Registry.gauge "pool.busy_workers")
+        = 0.);
+      Faults.reset ();
+      Vmbp_store.Store.close store;
+      PR.clear_result_cache ();
+      let store = Vmbp_store.Store.open_ dir in
+      let resumed = PR.run_cells ~ctx:(with_jobs 2) ~store (toy_cells ()) in
+      Vmbp_store.Store.close store;
+      Alcotest.(check (list (pair string string)))
+        "resumed report is byte-identical" reference (signature resumed);
+      check_bool "the groups before the death come from the store" true
+        (List.length (List.filter (fun t -> t.PR.from_journal) resumed) >= 2))
 
 let test_shutdown_skips_pending () =
   (* A shutdown requested before the run starts (the degenerate first-Ctrl-C
@@ -1850,8 +1862,8 @@ let () =
             (supervised test_store_io_fault_degrades);
           Alcotest.test_case "kill mid-run, resume byte-identical" `Quick
             (supervised test_sequential_kill_and_resume);
-          Alcotest.test_case "pool respawns dead workers" `Quick
-            (supervised test_pool_respawn);
+          Alcotest.test_case "a pool worker death stops the run" `Quick
+            (supervised test_pool_worker_death);
           Alcotest.test_case "shutdown skips pending cells" `Quick
             (supervised test_shutdown_skips_pending);
         ] );

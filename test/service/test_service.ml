@@ -9,7 +9,7 @@
 module P = Vmbp_service.Protocol
 module Service = Vmbp_service.Service
 module PR = Vmbp_report.Par_runner
-module Faults = Vmbp_report.Faults
+module Faults = Vmbp_sim.Faults
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

@@ -269,22 +269,28 @@ let test_store_stale_tmp_removed () =
   check_int "store unaffected" 3 (Store.stats t).Store.loaded;
   Store.close t
 
+(* The store-io chaos point fires inside [Store.append] itself, with no
+   runner linked in. *)
 let test_store_io_fault () =
   with_dir @@ fun dir ->
   let t = Store.open_ dir in
-  let fire = ref true in
-  Store.io_fault_hook := (fun () -> !fire);
-  Store.append t (sample_success "dropped");
-  Store.io_fault_hook := (fun () -> false);
-  fire := false;
+  (match Vmbp_sim.Faults.configure "store-io=1" with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  Fun.protect ~finally:Vmbp_sim.Faults.reset (fun () ->
+      Store.append t (sample_success "dropped");
+      Store.append t (sample_success "kept"));
   let s = Store.stats t in
   check_int "write error counted" 1 s.Store.write_errors;
+  check_int "the next append lands" 1 s.Store.appended;
   check_bool "still serves from memory" true
     (Store.lookup t ~key:"dropped" ~fingerprint:"fp-1" <> None);
   Store.close t;
   let t2 = Store.open_ dir in
   check_bool "dropped append not on disk" true
     (Store.lookup t2 ~key:"dropped" ~fingerprint:"fp-1" = None);
+  check_bool "kept append on disk" true
+    (Store.lookup t2 ~key:"kept" ~fingerprint:"fp-1" <> None);
   Store.close t2
 
 (* Offline scrub over a deliberately corrupted store.  The report of
