@@ -74,7 +74,7 @@ let cpu_arg =
   Arg.conv
     (parse, fun ppf c -> Fmt.string ppf c.Vmbp_machine.Cpu_model.name)
 
-(* Scales, job and client counts, retry budgets and deadlines are
+(* Scales, job and client counts, request counts and deadlines are
    checked where they are parsed: a value out of range is a one-line
    usage error naming the flag, never a silent clamp, an empty run or an
    exception from deep inside. *)
@@ -281,26 +281,6 @@ let trace_cap_arg =
            run, and walked by every cell).  0 or negative disables path \
            walks and the result cache, so every cell runs live.")
 
-let cell_timeout_arg =
-  Arg.(
-    value
-    & opt non_negative_float_conv 0.
-    & info [ "cell-timeout" ] ~docv:"SEC"
-        ~doc:
-          "Watchdog deadline per cell attempt, enforced cooperatively in \
-           the simulation loop; a cell that exceeds it becomes a reported \
-           timeout error instead of hanging the run.  0 disables (default).")
-
-let cell_retries_arg =
-  Arg.(
-    value
-    & opt non_negative_conv 1
-    & info [ "cell-retries" ] ~docv:"N"
-        ~doc:
-          "Extra attempts for a cell that failed transiently (unexpected \
-           exception; deterministic traps and timeouts are not retried), \
-           with jittered exponential backoff between attempts.")
-
 (* Validate the chaos spec at parse time so a typo yields cmdliner's
    one-line usage error naming the flag, never a stack trace. *)
 let chaos_conv =
@@ -317,12 +297,12 @@ let chaos_arg =
     & opt (some chaos_conv) None
     & info [ "chaos" ] ~docv:"SPEC"
         ~doc:
-          "Deterministic fault injection, e.g. \
-           'cell-raise=2,seed=7' or 'worker-death=2+1' (skip 2 \
-           opportunities, then fire once) or 'slow-cell=1@0.2'.  Points: \
-           cell-raise, record-fail, slow-cell, worker-death, conn-drop, \
-           store-io, slow-client, pool-wedge.  For exercising the \
-           supervision and service paths; see EXPERIMENTS.md.")
+          "Deterministic fault injection, e.g. 'record-fail=2' or \
+           'worker-death=2+1' (skip 2 opportunities, then fire once) or \
+           'store-io=0.1,seed=7' or 'pool-wedge=1@0.2'.  Points: \
+           record-fail, worker-death, conn-drop, store-io, slow-client, \
+           pool-wedge.  For exercising the supervision and service paths; \
+           see EXPERIMENTS.md.")
 
 let self_check_arg =
   Arg.(
@@ -404,20 +384,27 @@ let progress_arg =
         ])
 
 (* First Ctrl-C: drain in-flight cells (the store is already fsync'd per
-   append), emit the report marked partial.  Second Ctrl-C: force. *)
+   append), emit the report marked partial.  Second Ctrl-C: force.  A
+   SIGINT within [sigint_grace] seconds of the first is the same interrupt
+   delivered twice -- GNU [timeout -s INT] signals the child and then its
+   process group -- so it neither forces nor prints anything. *)
+let sigint_grace = 0.5
+
 let install_sigint () =
-  let seen = ref false in
+  let first = ref None in
   Sys.set_signal Sys.sigint
     (Sys.Signal_handle
        (fun _ ->
-         if !seen then exit 130
-         else begin
-           seen := true;
-           Vmbp_report.Par_runner.request_shutdown ();
-           prerr_endline
-             "\nvmbp: interrupted -- finishing in-flight cells (Ctrl-C \
-              again to force quit)"
-         end))
+         let now = Vmbp_sim.Env.monotonic_now () in
+         match !first with
+         | Some t when now -. t < sigint_grace -> ()
+         | Some _ -> exit 130
+         | None ->
+             first := Some now;
+             Vmbp_report.Par_runner.request_shutdown ();
+             prerr_endline
+               "\nvmbp: interrupted -- finishing in-flight cells (Ctrl-C \
+                again to force quit)"))
 
 (* The spec was validated (and armed) by the argument converter; re-arm
    defensively so the converter stays side-effect-agnostic. *)
@@ -480,8 +467,8 @@ let finish_audit audit =
    [body] under both at the requested scale, then writes what was asked
    for, closes the store and fails on a divergence. *)
 let run_options =
-  let run_with scale jobs trace_cap json store_dir cell_timeout cell_retries
-      chaos self_check audit_sample repro_dir trace_out metrics progress
+  let run_with scale jobs trace_cap json store_dir chaos self_check
+      audit_sample repro_dir trace_out metrics progress
       (body :
         Vmbp_report.Par_runner.ctx -> Vmbp_store.Store.t option ->
         int option -> unit) =
@@ -497,8 +484,6 @@ let run_options =
           | None -> Unix.isatty Unix.stderr);
         self_check;
         audit_sample;
-        cell_timeout;
-        cell_retries;
         audit = Vmbp_report.Audit.create_log ~repro_dir;
       }
     in
@@ -516,13 +501,12 @@ let run_options =
     Vmbp_obs.Export.finish ?spans:trace_out ?metrics (fun () ->
         Printf.sprintf
           "[obs] vm path %d records / %d walks (%.0f bytes); group walks %d \
-           / %d configs; store %d hits / %d appended; cells %d retries / %d \
-           timeouts"
+           / %d configs; store %d hits / %d appended"
           (c "vm_path.records") (c "vm_path.walks")
           (Vmbp_obs.Registry.gauge_value
              (Vmbp_obs.Registry.gauge "vm_path.bytes"))
           (c "trace.bank_replays") (c "trace.banked_configs") (c "store.hits")
-          (c "store.appended") (c "cells.retries") (c "cells.timeouts"));
+          (c "store.appended"));
     Option.iter Vmbp_store.Store.close store;
     finish_audit ctx.audit
   in
@@ -530,7 +514,7 @@ let run_options =
     const run_with $ scale_opt_arg
     $ jobs_arg ~most:max_domains
     $ trace_cap_arg $ json_arg
-    $ store_arg $ cell_timeout_arg $ cell_retries_arg
+    $ store_arg
     $ chaos_arg $ self_check_arg $ audit_sample_arg $ repro_dir_arg
     $ trace_out_arg $ metrics_arg $ progress_arg)
 

@@ -28,12 +28,6 @@ let slot_is_transfer program slot =
   | Instr.Call _ | Instr.Indirect_call | Instr.Return | Instr.Stop ->
       true
 
-(* How often the cooperative [poll] hook runs, in executed VM instructions.
-   Power of two, so the check is one masked compare on the hot path; small
-   enough that a watchdog deadline is noticed within microseconds. *)
-let poll_interval = 4096
-let poll_mask = poll_interval - 1
-
 (* ------------------------------------------------------------------ *)
 (* Decode-once translation.
 
@@ -193,8 +187,8 @@ let stop_running = 0
 let stop_finished = 1
 let stop_trapped = 2
 
-let run_events ?(fuel = max_int) ?(poll = fun () -> ()) ?translation
-    ~metrics:(m : Metrics.t) ~layout ~exec ~sink () =
+let run_events ?(fuel = max_int) ?translation ~metrics:(m : Metrics.t)
+    ~layout ~exec ~sink () =
   let program = layout.Code_layout.program in
   let n = Program.length program in
   (match translation with
@@ -220,13 +214,8 @@ let run_events ?(fuel = max_int) ?(poll = fun () -> ()) ?translation
   let stop = ref stop_running in
   let trap_msg = ref out_of_fuel in
   while !stop = stop_running do
-    (* The poll hook is how watchdogs regain control of a hung or slow
-       cell: it may raise, which aborts the run like any engine exception.
-       Polling at step 0 means a deadline that already passed is noticed
-       before any work happens.  Exhausting the fuel is a reported stop,
-       not an exception: the accumulated metrics of the truncated run stay
-       observable. *)
-    if !steps land poll_mask = 0 then poll ();
+    (* Exhausting the fuel is a reported stop, not an exception: the
+       accumulated metrics of the truncated run stay observable. *)
     if !steps >= fuel then begin
       trap_msg := out_of_fuel;
       stop := stop_trapped
@@ -339,7 +328,7 @@ let run_events ?(fuel = max_int) ?(poll = fun () -> ()) ?translation
   done;
   (!steps, if !stop = stop_trapped then Some !trap_msg else None)
 
-let run ?fuel ?poll ?translation ~config ~layout ~exec () =
+let run ?fuel ?translation ~config ~layout ~exec () =
   let cpu = config.Config.cpu in
   let m = Metrics.create () in
   let predictor = Predictor.create (Config.predictor_kind config) in
@@ -363,7 +352,7 @@ let run ?fuel ?poll ?translation ~config ~layout ~exec () =
     }
   in
   let steps, trapped =
-    run_events ?fuel ?poll ?translation ~metrics:m ~layout ~exec ~sink ()
+    run_events ?fuel ?translation ~metrics:m ~layout ~exec ~sink ()
   in
   m.Metrics.icache_fetches <- !hits + !misses;
   m.Metrics.icache_misses <- !misses;
@@ -376,8 +365,7 @@ let run ?fuel ?poll ?translation ~config ~layout ~exec () =
     trapped;
   }
 
-let run_functional ?(fuel = max_int) ?(poll = fun () -> ()) ?exec_counts
-    ~program ~exec () =
+let run_functional ?(fuel = max_int) ?exec_counts ~program ~exec () =
   let n = Program.length program in
   let has_counts = exec_counts <> None in
   let counts = match exec_counts with Some c -> c | None -> [||] in
@@ -386,7 +374,6 @@ let run_functional ?(fuel = max_int) ?(poll = fun () -> ()) ?exec_counts
   let stop = ref stop_running in
   let trap_msg = ref out_of_fuel in
   while !stop = stop_running do
-    if !steps land poll_mask = 0 then poll ();
     if !steps >= fuel then begin
       trap_msg := out_of_fuel;
       stop := stop_trapped

@@ -108,7 +108,6 @@ val translation_equal : translation -> translation -> bool
 
 val run_events :
   ?fuel:int ->
-  ?poll:(unit -> unit) ->
   ?translation:translation ->
   metrics:Vmbp_machine.Metrics.t ->
   layout:Code_layout.t ->
@@ -127,16 +126,10 @@ val run_events :
 
     [translation] is accepted for callers that still pass one (the
     benchmark's layer timings): the loop checks that its length matches
-    the layout and reads nothing else from it.
-
-    [poll] is called every few thousand executed VM instructions (and once
-    before the first); it is the cooperative watchdog hook: a hung-cell
-    deadline raises out of it, aborting the run, so supervisors regain
-    control without preemption.  The hook must not touch the run's state. *)
+    the layout and reads nothing else from it. *)
 
 val run :
   ?fuel:int ->
-  ?poll:(unit -> unit) ->
   ?translation:translation ->
   config:Config.t ->
   layout:Code_layout.t ->
@@ -153,7 +146,6 @@ val run :
 
 val run_functional :
   ?fuel:int ->
-  ?poll:(unit -> unit) ->
   ?exec_counts:int array ->
   program:Vmbp_vm.Program.t ->
   exec:exec ->
@@ -165,6 +157,4 @@ val run_functional :
     Used by tests to establish reference behaviour, by training runs that
     only need quickening to reach a fixed point, and to record a
     workload's control path ({!Vm_path}) for every walk.  The program is
-    mutated in place by quickening.  [poll] follows {!run_events}'
-    contract: called every few thousand steps and once before the first,
-    and may raise to abort the run. *)
+    mutated in place by quickening. *)

@@ -253,8 +253,8 @@ let line_sizes icaches =
   in
   (!sizes, index)
 
-let walk ?(fuel = max_int) ?(poll = fun () -> ()) ?translation ~path ~layout
-    ~predictors ~icaches () =
+let walk ?(fuel = max_int) ?translation ~path ~layout ~predictors ~icaches ()
+    =
   let n = Program.length layout.Code_layout.program in
   if Vm_path.slots path <> n then
     invalid_arg "Path_walk.walk: the path was recorded over another program";
@@ -314,10 +314,8 @@ let walk ?(fuel = max_int) ?(poll = fun () -> ()) ?translation ~path ~layout
         ~shadow:shadow.lines.(s) ~hits:hits.(j) ~misses:misses.(j)
     done;
     b.Slot_ranges.len <- 0;
-    st.in_block <- 0;
-    poll ()
+    st.in_block <- 0
   in
-  poll ();
   while not st.stopped do
     if st.steps >= fuel then stop st (Some Engine.out_of_fuel)
     else if st.pc < 0 || st.pc >= n then stop st (Some Engine.pc_out_of_range)

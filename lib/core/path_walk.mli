@@ -29,9 +29,7 @@
     - ranges are clipped at the fuel limit, so a walk stops
       [Engine.out_of_fuel] at the same step, with the same metrics, as a
       live run; control leaving the program stops it with the engine's
-      "pc out of range" trap.
-
-    [poll] runs once before any work and then after every block. *)
+      "pc out of range" trap. *)
 
 type counts = {
   base : Vmbp_machine.Metrics.t;
@@ -48,7 +46,6 @@ type counts = {
 
 val walk :
   ?fuel:int ->
-  ?poll:(unit -> unit) ->
   ?translation:Engine.translation ->
   path:Vm_path.t ->
   layout:Code_layout.t ->

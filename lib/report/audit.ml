@@ -198,7 +198,7 @@ exception Diverged_at of divergence
    differ.  On agreement the returned result is exactly what
    [Engine.run] would have produced: the fast side here IS the
    production predictor and I-cache (unless a test injects [?fast]). *)
-let dual_run ?fuel ?poll ?fast ?reference ~cell ~config ~layout ~exec () =
+let dual_run ?fuel ?fast ?reference ~cell ~config ~layout ~exec () =
   let cpu = config.Config.cpu in
   let predictor = Config.predictor_kind config in
   let icache = cpu.Cpu_model.icache in
@@ -233,7 +233,7 @@ let dual_run ?fuel ?poll ?fast ?reference ~cell ~config ~layout ~exec () =
     }
   in
   let m = Metrics.create () in
-  match Engine.run_events ?fuel ?poll ~metrics:m ~layout ~exec ~sink () with
+  match Engine.run_events ?fuel ~metrics:m ~layout ~exec ~sink () with
   | steps, trapped ->
       (* The fast side's counters are [Engine.run]'s. *)
       let c, _ = counters l in

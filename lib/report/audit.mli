@@ -98,7 +98,6 @@ val describe : divergence -> string
 
 val dual_run :
   ?fuel:int ->
-  ?poll:(unit -> unit) ->
   ?fast:sim ->
   ?reference:sim ->
   cell:string ->

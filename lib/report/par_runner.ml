@@ -28,7 +28,6 @@ type timed = {
   serve_seconds : float;
   mode : mode;
   attempts : int;
-  timed_out : bool;
   from_journal : bool;
   audited : bool;
 }
@@ -38,8 +37,6 @@ type ctx = {
   progress : bool;
   self_check : bool;
   audit_sample : float;
-  cell_timeout : float;
-  cell_retries : int;
   audit : Audit.log;
 }
 
@@ -49,8 +46,6 @@ let default_ctx () =
     progress = false;
     self_check = false;
     audit_sample = 0.02;
-    cell_timeout = 0.;
-    cell_retries = 1;
     audit = Audit.create_log ~repro_dir:".";
   }
 
@@ -67,8 +62,6 @@ let m_result_hits = Vmbp_obs.Registry.counter "result_cache.hits"
    more cells, and the distinct simulators those walks drove. *)
 let m_bank_replays = Vmbp_obs.Registry.counter "trace.bank_replays"
 let m_banked_configs = Vmbp_obs.Registry.counter "trace.banked_configs"
-let m_cell_retries = Vmbp_obs.Registry.counter "cells.retries"
-let m_cell_timeouts = Vmbp_obs.Registry.counter "cells.timeouts"
 
 let g_queue_depth = Vmbp_obs.Registry.gauge "pool.queue_depth"
 let g_busy_workers = Vmbp_obs.Registry.gauge "pool.busy_workers"
@@ -85,7 +78,7 @@ let h_cell_minor_words =
 
 (* ------------------------------------------------------------------ *)
 (* Progress heartbeat: one stderr line for one [run_cells] call, redrawn
-   in place at most twice a second from whichever domain happens to tick
+   in place at most twice a second from whichever domain finishes a cell
    first.  It exists only when [ctx.progress] is set, and it never writes
    to stdout, so report tables stay byte-identical with it on. *)
 
@@ -143,9 +136,6 @@ let erase () = Printf.eprintf "\r%s\r%!" (String.make 70 ' ')
    [ctx] field: the benchmark's reference generator assigns it. *)
 let trace_cap_mb = ref 256
 
-(* Base delay between retry attempts, doubled per attempt and jittered. *)
-let retry_backoff_s = 0.02
-
 (* ------------------------------------------------------------------ *)
 (* Graceful shutdown.
 
@@ -177,7 +167,7 @@ let cell_name c =
     c.cpu.Cpu_model.name
     (if c.scale = 1 then "" else Printf.sprintf "@%d" c.scale)
 
-(* A cell produced in one attempt, with no store, timeout or audit. *)
+(* A cell produced here, neither served from the store nor audited. *)
 let timed_cell ?(attempts = 1) ?(serve_seconds = 0.) ~mode ~wall_seconds c
     outcome =
   {
@@ -187,7 +177,6 @@ let timed_cell ?(attempts = 1) ?(serve_seconds = 0.) ~mode ~wall_seconds c
     serve_seconds;
     mode;
     attempts;
-    timed_out = false;
     from_journal = false;
     audited = false;
   }
@@ -312,7 +301,8 @@ let result_find ctx c =
 
 (* Only genuinely computed successes are stored: store-served outcomes
    were computed under a possibly different configuration of a previous
-   process, and failures may be transient (timeouts, injected faults). *)
+   process, and a failed cell is recomputed, never served, as in the
+   store. *)
 let result_store ctx c (t : timed) =
   if result_enabled ctx && not t.from_journal then
     match t.outcome with
@@ -334,38 +324,32 @@ let clear_result_cache () =
    record.  Only integer event counters ever touch the disk; cycles and
    seconds are recomputed through the same {!Cpu_model} arithmetic as a
    live run, so a resumed report is byte-identical by construction.  A
-   stored success is by definition untrapped ({!Runner.run} turns traps
-   into [Error] cells before they reach the store). *)
+   store record is a success, so by definition untrapped ({!Runner.run}
+   turns traps into [Error] cells, which never reach the store). *)
 let timed_of_entry c (e : Vmbp_store.Cellrec.entry) =
-  let outcome =
-    match e.Vmbp_store.Cellrec.outcome with
-    | Ok s ->
-        let m = Metrics.copy s.Vmbp_store.Cellrec.metrics in
-        Ok
-          {
-            Runner.workload = c.workload;
-            technique = c.technique;
-            cpu = c.cpu;
-            result =
-              {
-                Engine.metrics = m;
-                cycles = Cpu_model.cycles c.cpu m;
-                seconds = Cpu_model.seconds c.cpu m;
-                steps = s.Vmbp_store.Cellrec.steps;
-                trapped = None;
-              };
-            output = s.Vmbp_store.Cellrec.output;
-          }
-    | Error msg -> Error msg
-  in
+  let m = Metrics.copy e.Vmbp_store.Cellrec.metrics in
   {
     cell = c;
-    outcome;
+    outcome =
+      Ok
+        {
+          Runner.workload = c.workload;
+          technique = c.technique;
+          cpu = c.cpu;
+          result =
+            {
+              Engine.metrics = m;
+              cycles = Cpu_model.cycles c.cpu m;
+              seconds = Cpu_model.seconds c.cpu m;
+              steps = e.Vmbp_store.Cellrec.steps;
+              trapped = None;
+            };
+          output = e.Vmbp_store.Cellrec.output;
+        };
     wall_seconds = 0.;
     serve_seconds = 0.;
     mode = Replay;
-    attempts = e.Vmbp_store.Cellrec.attempts;
-    timed_out = e.Vmbp_store.Cellrec.timed_out;
+    attempts = 1;
     from_journal = true;
     audited = false;
   }
@@ -400,15 +384,15 @@ let store_lookup s c =
   | None -> None
 
 (* Persist a freshly computed success.  Only [Ok] outcomes are stored --
-   failures may be transient and a service must never serve one from
-   cache -- and an entry already present (the usual case when the same
+   a store record is a success, and a service must never serve a failure
+   from it -- and an entry already present (the usual case when the same
    cell appears twice in one batch) is not appended again. *)
 let store_append store c (t : timed) =
   match store with
   | None -> ()
   | Some s -> (
       match t.outcome with
-      | Ok r when (not t.from_journal) && t.attempts > 0 ->
+      | Ok r when not t.from_journal ->
           let key = store_key c and fingerprint = config_fingerprint c in
           if not (Vmbp_store.Store.mem s ~key ~fingerprint) then
             Vmbp_obs.Span.with_ ~name:"store-append"
@@ -418,110 +402,42 @@ let store_append store c (t : timed) =
                   {
                     Vmbp_store.Cellrec.key;
                     fingerprint;
-                    outcome =
-                      Ok
-                        {
-                          Vmbp_store.Cellrec.metrics =
-                            Metrics.copy r.Runner.result.Engine.metrics;
-                          steps = r.Runner.result.Engine.steps;
-                          output = r.Runner.output;
-                        };
-                    attempts = t.attempts;
-                    timed_out = t.timed_out;
+                    metrics = Metrics.copy r.Runner.result.Engine.metrics;
+                    steps = r.Runner.result.Engine.steps;
+                    output = r.Runner.output;
                   })
       | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Running *)
 
-exception Cell_deadline
-
-(* A poll hook for the engine's step loop and the path walk's blocks
-   that raises once a deadline [ctx.cell_timeout] seconds after [t0]
-   passes (and ticks the heartbeat, if there is one). *)
-let deadline_poll ctx hb t0 =
-  let t = ctx.cell_timeout in
-  if t > 0. then begin
-    let deadline = t0 +. t in
-    Some
-      (fun () ->
-        Option.iter tick hb;
-        if Vmbp_sim.Env.now () > deadline then raise Cell_deadline)
-  end
-  else Option.map (fun hb () -> tick hb) hb
-
-(* Run one cell attempt under the watchdog/retry policy.  The body gets a
-   poll hook that raises once the attempt's deadline passes, so every
-   cell honours [--cell-timeout] without preemption.
-   Deterministic failures ([Runner.Run_failed] traps, or any [Error]
-   return) are never retried; a timeout is not retried either (the next
-   attempt would hit the same deadline); everything else -- including the
-   [cell-raise] chaos point -- counts as transient and is retried up to
-   [ctx.cell_retries] times with jittered exponential backoff.  Returns
-   [(outcome, attempts, timed_out)]. *)
-let supervised ctx hb body =
-  let retries = max 0 ctx.cell_retries in
-  let rec attempt n =
-    let poll = deadline_poll ctx hb (Vmbp_sim.Env.now ()) in
-    let verdict =
-      match
-        (* The slow-cell chaos point stalls after the deadline is armed:
-           the body's very first poll then converts the stall into a
-           timeout, which is exactly the hang the watchdog exists for. *)
-        Faults.slow_cell ();
-        Faults.cell_raise ();
-        (body ?poll () : (Runner.run, string) result)
-      with
-      | o -> `Done o
-      | exception Faults.Worker_killed -> raise Faults.Worker_killed
-      | exception Runner.Run_failed msg -> `Done (Error msg)
-      | exception Cell_deadline -> `Timeout
-      | exception exn -> `Transient (Printexc.to_string exn)
-    in
-    match verdict with
-    | `Done o -> (o, n, false)
-    | `Timeout ->
-        ( Error (Printf.sprintf "timed out after %gs" ctx.cell_timeout),
-          n,
-          true )
-    | `Transient msg ->
-        if n > retries then (Error msg, n, false)
-        else begin
-          let base = retry_backoff_s *. float_of_int (1 lsl (n - 1)) in
-          Vmbp_sim.Env.sleep (base *. (0.5 +. Faults.jitter ()));
-          attempt (n + 1)
-        end
-  in
-  attempt 1
-
 (* Per-cell allocation pressure, from the domain-local GC counters; the
    delta is this domain's minor allocation while the cell ran, which is
    attributable because a cell never migrates between domains. *)
 let minor_words () = (Gc.quick_stat ()).Gc.minor_words
 
-(* One live cell. *)
-let run_cell ctx hb c =
+(* One live cell, run once: {!Runner.run_result} and {!Runner.run_checked}
+   turn any exception into the cell's [Error], and a cell is a
+   deterministic, fuel-capped simulation, so another attempt would only
+   repeat it. *)
+let run_cell ctx c =
   let t0 = Vmbp_sim.Env.now () in
   let w0 = minor_words () in
-  let outcome, attempts, timed_out =
+  let outcome =
     Vmbp_obs.Span.with_ ~name:"cell" ~args:[ ("cell", cell_name c) ] (fun () ->
         if ctx.self_check then
-          supervised ctx hb (fun ?poll () ->
-              Runner.run_checked ~scale:c.scale ?poll ?predictor:c.predictor
-                ~audit:ctx.audit ~cell:(cell_key c) ~cpu:c.cpu
-                ~technique:c.technique c.workload)
+          Runner.run_checked ~scale:c.scale ?predictor:c.predictor
+            ~audit:ctx.audit ~cell:(cell_key c) ~cpu:c.cpu
+            ~technique:c.technique c.workload
         else
-          supervised ctx hb (fun ?poll () ->
-              Ok
-                (Runner.run ~scale:c.scale ?poll ?predictor:c.predictor
-                   ~cpu:c.cpu ~technique:c.technique c.workload)))
+          Runner.run_result ~scale:c.scale ?predictor:c.predictor ~cpu:c.cpu
+            ~technique:c.technique c.workload)
   in
   Vmbp_obs.Registry.observe h_cell_minor_words (minor_words () -. w0);
   {
-    (timed_cell c outcome ~attempts ~mode:Direct
+    (timed_cell c outcome ~mode:Direct
        ~wall_seconds:(Vmbp_sim.Env.now () -. t0))
     with
-    timed_out;
     audited = ctx.self_check;
   }
 
@@ -649,8 +565,6 @@ let run_group b idxs =
     let t = if live then t else audit_crosscheck b.ctx arr.(i) t in
     results.(i) <- Some t;
     result_store b.ctx arr.(i) t;
-    Vmbp_obs.Registry.add m_cell_retries (max 0 (t.attempts - 1));
-    if t.timed_out then Vmbp_obs.Registry.add m_cell_timeouts 1;
     Vmbp_obs.Registry.observe h_cell_wall t.wall_seconds;
     store_append b.store arr.(i) t;
     Option.iter
@@ -662,14 +576,13 @@ let run_group b idxs =
   let pending () = List.filter (fun i -> results.(i) = None) idxs in
   let direct () =
     List.iter
-      (fun i -> finish ~live:true i (run_cell b.ctx b.hb arr.(i)))
+      (fun i -> finish ~live:true i (run_cell b.ctx arr.(i)))
       (pending ())
   in
-  (* One walk for [cells]; [false] when the workload is unfit.  The walk
-     and any recording it makes run under one group-level deadline; a
-     deadline or any other failure escapes to the group guard below.  Its
-     wall time is billed to the first cell, so summing wall_seconds still
-     accounts all work. *)
+  (* One walk for [cells]; [false] when the workload is unfit.  A failure
+     in the walk or in any recording it makes escapes to the group guard
+     below.  Its wall time is billed to the first cell, so summing
+     wall_seconds still accounts all work. *)
   let walk = function
     | [] -> true
     | i :: _ as cells -> (
@@ -678,8 +591,7 @@ let run_group b idxs =
         match
           Vmbp_obs.Span.with_ ~name:"bank" ~args:[ ("cell", cell_name c0) ]
             (fun () ->
-              Runner.walk_group ~scale:c0.scale
-                ?poll:(deadline_poll b.ctx b.hb t0) ~cap_bytes:(cap_bytes ())
+              Runner.walk_group ~scale:c0.scale ~cap_bytes:(cap_bytes ())
                 ~technique:c0.technique
                 ~configs:
                   (List.map (fun i -> (arr.(i).cpu, arr.(i).predictor)) cells)
@@ -726,25 +638,21 @@ let run_group b idxs =
       (pending ())
   in
   (* Group-level guard: anything raised outside the per-cell guards (the
-     walk, its deadline, the injected record fault) degrades this group to
-     per-cell live runs instead of escaping into the pool, where it would
-     stop the run.  Worker death is the deliberate exception: stopping the
-     run is what it is for. *)
+     walk, its recording, the injected record fault) degrades this group
+     to per-cell live runs instead of escaping into the pool, where it
+     would stop the run.  Worker death, which is meant to stop the run,
+     fires before this guard, in [run_group_killable]. *)
   Vmbp_obs.Registry.gauge_add g_busy_workers 1.;
   Fun.protect
     ~finally:(fun () -> Vmbp_obs.Registry.gauge_add g_busy_workers (-1.))
     (fun () ->
-      match
+      try
         serve_cached ();
         (* Self-check compares simulators event by event, which only a
            fresh live execution per cell provides. *)
         if b.ctx.self_check || !trace_cap_mb <= 0 || not (walk (pending ()))
-        then
-          direct ()
-      with
-      | () -> ()
-      | exception Faults.Worker_killed -> raise Faults.Worker_killed
-      | exception _ -> direct ())
+        then direct ()
+      with _ -> direct ())
 
 (* The planner: cell indices grouped by (workload, technique, scale) --
    physical workload identity, structural technique equality -- with
@@ -842,8 +750,11 @@ let run_cells ?(ctx = default_ctx ()) ?store cells =
         | g -> Some g)
       (plan cells)
   in
-  run_pool b ~jobs:ctx.jobs groups;
-  if Option.is_some b.hb then erase ();
+  (* Erase the heartbeat even when the pool re-raises, so the message the
+     caller prints next starts on a clean line. *)
+  Fun.protect
+    ~finally:(fun () -> if Option.is_some b.hb then erase ())
+    (fun () -> run_pool b ~jobs:ctx.jobs groups);
   let out =
     Array.to_list
       (Array.mapi
@@ -892,7 +803,6 @@ let json_of_timed t =
   | Error msg -> add ",\"ok\":false,\"error\":\"%s\"" (Json.escape msg));
   add ",\"mode\":\"%s\"" (mode_name t.mode);
   add ",\"attempts\":%d" t.attempts;
-  add ",\"timed_out\":%b" t.timed_out;
   add ",\"from_journal\":%b" t.from_journal;
   if t.audited then add ",\"audited\":true";
   add ",\"wall_seconds\":%s" (Json.float t.wall_seconds);
@@ -930,11 +840,6 @@ let json_summary ?(ctx = default_ctx ()) ?store results =
   Buffer.add_string b
     (Printf.sprintf ",\"from_journal\":%d"
        (countp (fun t -> t.from_journal)));
-  Buffer.add_string b
-    (Printf.sprintf ",\"retries\":%d"
-       (List.fold_left (fun a t -> a + max 0 (t.attempts - 1)) 0 results));
-  Buffer.add_string b
-    (Printf.sprintf ",\"timeouts\":%d" (countp (fun t -> t.timed_out)));
   Buffer.add_string b
     (Printf.sprintf ",\"interrupted\":%d"
        (countp (fun t -> t.attempts = 0 && not t.from_journal)));

@@ -7,8 +7,10 @@
     [jobs - 1] spawned domains take groups of cells from one atomic cursor
     -- returns results in deterministic input order, and wraps every cell
     in a [result] so one trapped workload degrades to a reported failure
-    instead of killing the whole report.  A run's settings and its audit
-    log come in as one {!ctx} value.
+    instead of killing the whole report.  Every cell is a deterministic
+    simulation capped at {!Runner.engine_fuel} VM steps, so it runs once:
+    it can neither fail transiently nor hang.  A run's settings and its
+    audit log come in as one {!ctx} value.
 
     With [jobs = 1] (the default) no domain is spawned and groups run in
     plan order; the simulated numbers do not depend on the job count, only
@@ -71,9 +73,8 @@ type timed = {
           simulation at all; [0] for cells that ran a simulator *)
   mode : mode;
   attempts : int;
-      (** cell attempts consumed, [> 1] after transient-failure retries;
-          [0] for a cell skipped by a graceful shutdown *)
-  timed_out : bool;  (** the final attempt hit the [--cell-timeout] deadline *)
+      (** [1] for a cell that ran or was served; [0] for a cell skipped by
+          a graceful shutdown *)
   from_journal : bool;
       (** reconstructed from the store passed to {!run_cells}; no
           simulator ran for this cell.  The name predates the store. *)
@@ -111,34 +112,21 @@ type ctx = {
   progress : bool;
       (** Emit a one-line heartbeat to stderr while {!run_cells} works:
           cells done / total, busy workers, elapsed time and a naive
-          ETA, redrawn in place at most twice a second from the engine
-          poll hook.  Never touches stdout, so report tables are
-          byte-identical either way. *)
+          ETA, redrawn in place at most twice a second as cells finish,
+          and erased when {!run_cells} returns or raises.  Never touches
+          stdout, so report tables are byte-identical either way. *)
   self_check : bool;
       (** Route every cell through the reference-model lockstep run. *)
   audit_sample : float;
       (** Fraction (in [0, 1]) of walked and result-cache cells to
           cross-check against a fresh live run. *)
-  cell_timeout : float;
-      (** Per-cell-attempt watchdog deadline in seconds, enforced
-          cooperatively through the engine and path-walk poll hooks (a
-          group walk runs under one group-level deadline and degrades to
-          per-cell live runs when it passes); [<= 0] disables it.  A
-          timed-out cell reports [Error] with [timed_out = true] and is
-          not retried. *)
-  cell_retries : int;
-      (** Extra attempts granted to a cell whose attempt failed
-          transiently (an unexpected exception -- not a deterministic
-          [Runner.Run_failed] trap, not a timeout).  The [n]th retry
-          first waits 20 ms times [2^(n-1)], jittered from the seeded
-          chaos stream. *)
   audit : Audit.log;  (** where the run's divergences go *)
 }
 
 val default_ctx : unit -> ctx
-(** Jobs 1, no progress, no self-check, audit sample 0.02, no cell
-    timeout, one retry, and a fresh audit log writing to ["."].  The CLI
-    builds its ctx from its flags instead. *)
+(** Jobs 1, no progress, no self-check, audit sample 0.02, and a fresh
+    audit log writing to ["."].  The CLI builds its ctx from its flags
+    instead. *)
 
 (** {2 Content-addressed result store and resume}
 
@@ -256,10 +244,10 @@ val json_summary :
   ?ctx:ctx -> ?store:Vmbp_store.Store.t -> timed list -> string
 (** A machine-readable summary: schema [vmbp-cells/8], one record per cell
     with simulated cycles, mispredict rate, I-cache misses, production
-    mode, [attempts]/[timed_out]/[from_journal] (plus [audited] when the
-    cell was cross-checked), wall-clock seconds and [serve_seconds] (or
-    the error for failed cells), plus top-level [engine_runs]/[replays]/
-    [from_journal]/[retries]/[timeouts]/[interrupted]/[injected_faults]/
+    mode, [attempts]/[from_journal] (plus [audited] when the cell was
+    cross-checked), wall-clock seconds and [serve_seconds] (or the error
+    for failed cells), plus top-level [engine_runs]/[replays]/
+    [from_journal]/[interrupted]/[injected_faults]/
     [bank_replays]/[banked_configs] counters (the last two count group
     walks), the
     report-service counters

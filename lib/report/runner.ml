@@ -60,8 +60,8 @@ let effective_profile ?profile ~scale ~technique (workload : Vmbp_workloads.t)
 
    Each workload records under its own lock, so a group on another domain
    that needs the path waits for that recording instead of making its
-   own.  A recording cut short by a deadline or an exception keeps
-   nothing, and the next group of the workload records again. *)
+   own.  A recording cut short by an exception keeps nothing, and the
+   next group of the workload records again. *)
 
 type path_slot = Kept of Vm_path.t | Unfit
 
@@ -102,7 +102,7 @@ let clear_vm_paths () =
 (* One functional run of [loaded] on a copy of its program (quickening
    rewrites the program it runs) and a fresh session, recording the path
    within what is left of [cap_bytes]. *)
-let record_path ?poll ~cap_bytes (workload : Vmbp_workloads.t) loaded =
+let record_path ~cap_bytes (workload : Vmbp_workloads.t) loaded =
   Vmbp_obs.Span.with_ ~name:"record"
     ~args:[ ("workload", workload.Vmbp_workloads.name) ]
     (fun () ->
@@ -115,7 +115,7 @@ let record_path ?poll ~cap_bytes (workload : Vmbp_workloads.t) loaded =
           ~slots:(Vmbp_vm.Program.length program) s.Vmbp_workloads.exec
       in
       let steps, trapped =
-        Engine.run_functional ~fuel:engine_fuel ?poll ~program ~exec ()
+        Engine.run_functional ~fuel:engine_fuel ~program ~exec ()
       in
       Vm_path.finish recorder ~steps ~trapped
         ~output:(s.Vmbp_workloads.output ()))
@@ -135,14 +135,12 @@ let keep_path ~cap_bytes = function
   | Error (`Overflow | `Incomplete) -> Unfit
 
 (* The workload's kept path, recording it first if it has none. *)
-let vm_path ?poll ~cap_bytes (workload : Vmbp_workloads.t) loaded =
+let vm_path ~cap_bytes (workload : Vmbp_workloads.t) loaded =
   let e = path_entry loaded in
   Mutex.protect e.lock (fun () ->
       if Option.is_none e.slot then
         e.slot <-
-          Some
-            (keep_path ~cap_bytes
-               (record_path ?poll ~cap_bytes workload loaded));
+          Some (keep_path ~cap_bytes (record_path ~cap_bytes workload loaded));
       match e.slot with Some (Kept p) -> Some p | Some Unfit | None -> None)
 
 (* Load the workload and build the layout a run of [technique] uses. *)
@@ -184,8 +182,7 @@ let simulators ~key ~create xs =
   (Array.of_list (List.rev !sims), Hashtbl.find slots)
 
 (* One walk of [path] for every (cpu, predictor override) of [configs]. *)
-let walk_configs ?poll ~workload ~technique ~layout ~translation ~path configs
-    =
+let walk_configs ~workload ~technique ~layout ~translation ~path configs =
   Vmbp_obs.Registry.add m_path_walks 1;
   let kinds =
     List.map
@@ -203,8 +200,8 @@ let walk_configs ?poll ~workload ~technique ~layout ~translation ~path configs
   in
   let counts =
     engine_span workload (fun () ->
-        Path_walk.walk ~fuel:engine_fuel ?poll ~translation ~path ~layout
-          ~predictors ~icaches ())
+        Path_walk.walk ~fuel:engine_fuel ~translation ~path ~layout ~predictors
+          ~icaches ())
   in
   ( List.map2
       (fun config kind ->
@@ -221,14 +218,14 @@ let walk_configs ?poll ~workload ~technique ~layout ~translation ~path configs
       configs kinds,
     Array.length predictors + Array.length icaches )
 
-let run ?(scale = 1) ?poll ?predictor ?profile ~cpu ~technique
+let run ?(scale = 1) ?predictor ?profile ~cpu ~technique
     (workload : Vmbp_workloads.t) =
   let config = Config.make ~cpu ?predictor technique in
   let loaded, layout = prepare ?profile ~scale ~config ~technique workload in
   let s = loaded.Vmbp_workloads.fresh_session () in
   let result =
     engine_span workload (fun () ->
-        Engine.run ~fuel:engine_fuel ?poll ~config ~layout
+        Engine.run ~fuel:engine_fuel ~config ~layout
           ~exec:s.Vmbp_workloads.exec ())
   in
   let output = s.Vmbp_workloads.output () in
@@ -236,11 +233,11 @@ let run ?(scale = 1) ?poll ?predictor ?profile ~cpu ~technique
   | Ok r -> r
   | Error msg -> raise (Run_failed msg)
 
-let walk_group ?(scale = 1) ?poll ~cap_bytes ~technique ~configs
+let walk_group ?(scale = 1) ~cap_bytes ~technique ~configs
     (workload : Vmbp_workloads.t) =
   (* An unfit workload builds nothing here: it runs live. *)
   let loaded = workload.Vmbp_workloads.load ~scale in
-  match vm_path ?poll ~cap_bytes workload loaded with
+  match vm_path ~cap_bytes workload loaded with
   | None -> None
   | Some path ->
       (* Layouts depend on technique and costs only, never on the CPU. *)
@@ -248,11 +245,11 @@ let walk_group ?(scale = 1) ?poll ~cap_bytes ~technique ~configs
         prepare ~scale ~config:(Config.make technique) ~technique workload
       in
       Some
-        (walk_configs ?poll ~workload ~technique ~layout
+        (walk_configs ~workload ~technique ~layout
            ~translation:(translate layout) ~path configs)
 
-let run_result ?scale ?poll ?predictor ?profile ~cpu ~technique workload =
-  match run ?scale ?poll ?predictor ?profile ~cpu ~technique workload with
+let run_result ?scale ?predictor ?profile ~cpu ~technique workload =
+  match run ?scale ?predictor ?profile ~cpu ~technique workload with
   | r -> Ok r
   | exception Run_failed msg -> Error msg
   | exception exn -> Error (Printexc.to_string exn)
@@ -262,8 +259,8 @@ let run_result ?scale ?poll ?predictor ?profile ~cpu ~technique workload =
    drives the production simulators and the naive reference models over
    the same event stream and stops at the first disagreement. *)
 
-let run_checked ?(scale = 1) ?poll ?predictor ?profile ?fast_maker ?reference
-    ~audit ~cell ~cpu ~technique (workload : Vmbp_workloads.t) =
+let run_checked ?(scale = 1) ?predictor ?profile ?fast_maker ?reference ~audit
+    ~cell ~cpu ~technique (workload : Vmbp_workloads.t) =
   let build () =
     let loaded = workload.Vmbp_workloads.load ~scale in
     let profile = effective_profile ?profile ~scale ~technique workload in
@@ -280,8 +277,8 @@ let run_checked ?(scale = 1) ?poll ?predictor ?profile ?fast_maker ?reference
     let fast = Option.map (fun f -> f ()) fast_maker in
     let checked =
       Vmbp_obs.Span.with_ ~name:"audit" ~args:[ ("cell", cell) ] (fun () ->
-          Audit.dual_run ~fuel:engine_fuel ?poll ?fast ?reference ~cell
-            ~config ~layout ~exec:session.Vmbp_workloads.exec ())
+          Audit.dual_run ~fuel:engine_fuel ?fast ?reference ~cell ~config
+            ~layout ~exec:session.Vmbp_workloads.exec ())
     in
     (checked, session)
   with

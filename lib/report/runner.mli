@@ -30,7 +30,6 @@ val effective_profile :
 
 val run :
   ?scale:int ->
-  ?poll:(unit -> unit) ->
   ?predictor:Vmbp_machine.Predictor.kind ->
   ?profile:Vmbp_vm.Profile.t ->
   cpu:Vmbp_machine.Cpu_model.t ->
@@ -41,14 +40,10 @@ val run :
     {!Vmbp_core.Engine.run}, the reference every walk ({!walk_group}) is
     checked against.  Default scale 1.  When the technique needs static
     selection and no [profile] is given, the paper's training policy for
-    the workload's VM is used (see {!Vmbp_workloads.training_profile}).
-    [poll] is the engine's cooperative watchdog hook (see
-    {!Vmbp_core.Engine.run_events}); a deadline exception raised from it
-    escapes this function unchanged. *)
+    the workload's VM is used (see {!Vmbp_workloads.training_profile}). *)
 
 val run_result :
   ?scale:int ->
-  ?poll:(unit -> unit) ->
   ?predictor:Vmbp_machine.Predictor.kind ->
   ?profile:Vmbp_vm.Profile.t ->
   cpu:Vmbp_machine.Cpu_model.t ->
@@ -60,7 +55,6 @@ val run_result :
 
 val run_checked :
   ?scale:int ->
-  ?poll:(unit -> unit) ->
   ?predictor:Vmbp_machine.Predictor.kind ->
   ?profile:Vmbp_vm.Profile.t ->
   ?fast_maker:(unit -> Audit.sim) ->
@@ -88,7 +82,6 @@ val speedup : baseline:run -> run -> float
 
 val walk_group :
   ?scale:int ->
-  ?poll:(unit -> unit) ->
   cap_bytes:int ->
   technique:Vmbp_core.Technique.t ->
   configs:
@@ -113,10 +106,9 @@ val walk_group :
     same workload on another domain waits for the recording and then
     uses it.  The path is kept if the kept paths' total stays within
     [cap_bytes].  [None] when the workload is unfit: its path did not
-    fit, or its recording ran out of fuel; it runs live from then on.
-    [poll] follows {!Vmbp_core.Path_walk.walk}'s contract and covers the
-    recording too; a recording that it (or anything else) aborts keeps
-    nothing, so the next walk of the workload records again. *)
+    fit, or its recording ran out of fuel; it runs live from then on.  A
+    recording that an exception aborts keeps nothing, so the next walk of
+    the workload records again. *)
 
 val clear_vm_paths : unit -> unit
 (** Drop every kept VM path (and every [Unfit] mark), so the next walk of

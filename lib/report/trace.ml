@@ -176,8 +176,7 @@ type t = {
   mutable live : bool;  (* false once [release]d; chunks dropped *)
 }
 
-let record ?fuel ?poll ?translation ?(cap_bytes = max_int) ~layout ~exec ~output
-    () =
+let record ?fuel ?translation ?(cap_bytes = max_int) ~layout ~exec ~output () =
   let budget = { allocated = 0; cap = cap_bytes } in
   try
     let dispatch = buf_create budget in
@@ -217,8 +216,7 @@ let record ?fuel ?poll ?translation ?(cap_bytes = max_int) ~layout ~exec ~output
       }
     in
     let steps, trapped =
-      Engine.run_events ?fuel ?poll ?translation ~metrics:m ~layout ~exec
-        ~sink ()
+      Engine.run_events ?fuel ?translation ~metrics:m ~layout ~exec ~sink ()
     in
     (* The hash tables only serve encoding; drop them before retention. *)
     Hashtbl.reset dispatch_dict.tbl;
@@ -257,27 +255,17 @@ let release t =
    starts.  Nothing is kept between banks: every call simulates every
    configuration it is given. *)
 
-(* Replays poll far less often than the engine: one token is a handful of
-   array reads, so ~65k tokens still bounds the watchdog's blind spot to
-   well under a millisecond. *)
-let replay_poll_tokens = 65536
-
 (* A block's codes stay cache-resident while every configuration runs
-   over them.  Must divide [replay_poll_tokens], so polls land on block
-   boundaries. *)
+   over them. *)
 let block_tokens = 2048
 
-let () = assert (replay_poll_tokens mod block_tokens = 0)
-
 (* Walk [b]'s tokens oldest-first, [f codes len] once per block, where
-   [codes.(0 .. len-1)] are the block's decoded dictionary codes.  Polls
-   after each block that ends on a multiple of [replay_poll_tokens]
-   tokens, so a walk of [n] tokens polls [n / 65536] times.  The block
-   buffer belongs to this call: banks run concurrently on several
+   [codes.(0 .. len-1)] are the block's decoded dictionary codes.  The
+   block buffer belongs to this call: banks run concurrently on several
    domains. *)
-let walk_blocks ~poll b f =
+let walk_blocks b f =
   let codes = Array.make block_tokens 0 in
-  let n = ref 0 and walked = ref 0 in
+  let n = ref 0 in
   let scan c limit =
     let pos = ref 0 in
     while !pos < limit do
@@ -295,9 +283,7 @@ let walk_blocks ~poll b f =
       n := k + take;
       if !n = block_tokens then begin
         f codes block_tokens;
-        n := 0;
-        walked := !walked + block_tokens;
-        if !walked mod replay_poll_tokens = 0 then poll ()
+        n := 0
       end
     done
   in
@@ -313,7 +299,7 @@ let walk_blocks ~poll b f =
    one's (mispredicts, VM-transfer mispredicts).  The dictionary's packed
    [b] word is split into target, opcode and VM-transfer columns once per
    bank, so the block loop indexes plain int arrays by code. *)
-let bank_predictors poll t sims =
+let bank_predictors t sims =
   let n = Array.length sims in
   let mis = Array.make n 0 and vm_mis = Array.make n 0 in
   let d = t.dispatch_dict in
@@ -342,12 +328,12 @@ let bank_predictors poll t sims =
       vm_mis.(j) <- vm_mis.(j) + !v
     done
   in
-  walk_blocks ~poll t.dispatch run_block;
+  walk_blocks t.dispatch run_block;
   Array.init n (fun j -> (mis.(j), vm_mis.(j)))
 
 (* Same shape over the fetch stream, whose dictionary is already the
    (addr, bytes) columns; returns each cache's (fetches, misses). *)
-let bank_icaches poll t sims =
+let bank_icaches t sims =
   let n = Array.length sims in
   let hits = Array.init n (fun _ -> ref 0) in
   let misses = Array.init n (fun _ -> ref 0) in
@@ -361,25 +347,24 @@ let bank_icaches poll t sims =
       done
     done
   in
-  walk_blocks ~poll t.fetch run_block;
+  walk_blocks t.fetch run_block;
   Array.init n (fun j -> (!(hits.(j)) + !(misses.(j)), !(misses.(j))))
 
 (* One bank: each distinct valid configuration's descriptor and counts,
    predictors first. *)
-let bank ?(poll = fun () -> ()) t ~predictors ~icaches =
+let bank t ~predictors ~icaches =
   if not t.live then invalid_arg "Trace: trace was released";
-  poll ();
   let run walk = function
     | [] -> []
     | bank ->
-        let counts = walk poll t (Array.of_list (List.map snd bank)) in
+        let counts = walk t (Array.of_list (List.map snd bank)) in
         List.mapi (fun j (d, _) -> (d, counts.(j))) bank
   in
   let preds = run bank_predictors (Predictor.create_bank predictors) in
   (preds, run bank_icaches (Icache.create_bank icaches))
 
-let replay_bank ?poll t ~predictors ~icaches =
-  let p, i = bank ?poll t ~predictors ~icaches in
+let replay_bank t ~predictors ~icaches =
+  let p, i = bank t ~predictors ~icaches in
   List.length p + List.length i
 
 let build_result t ~cpu (mispredicts, vm_mispredicts) (fetches, misses) =
@@ -397,9 +382,9 @@ let build_result t ~cpu (mispredicts, vm_mispredicts) (fetches, misses) =
     trapped = t.trapped;
   }
 
-let replay ?poll t ~configs =
+let replay t ~configs =
   let preds, icaches =
-    bank ?poll t ~predictors:(List.map snd configs)
+    bank t ~predictors:(List.map snd configs)
       ~icaches:(List.map (fun (cpu, _) -> cpu.Cpu_model.icache) configs)
   in
   List.map

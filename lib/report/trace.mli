@@ -28,7 +28,6 @@ type t
 
 val record :
   ?fuel:int ->
-  ?poll:(unit -> unit) ->
   ?translation:Vmbp_core.Engine.translation ->
   ?cap_bytes:int ->
   layout:Vmbp_core.Code_layout.t ->
@@ -43,15 +42,11 @@ val record :
     distinct events, or when an event exceeds the packed encoding's generous
     field widths; the caller must then run cells directly.  A trapped run
     (including fuel exhaustion) records normally: the trace reproduces its
-    partial metrics.  [poll] is the engine's cooperative watchdog hook (see
-    {!Vmbp_core.Engine.run_events}); an exception it raises aborts the
-    recording like any other run failure.  [translation] is kept for the
-    benchmark's layer timings only: it goes to
-    {!Vmbp_core.Engine.run_events}, which checks its length against
-    [layout] and reads nothing else from it. *)
+    partial metrics.  [translation] is kept for the benchmark's layer
+    timings only: it goes to {!Vmbp_core.Engine.run_events}, which checks
+    its length against [layout] and reads nothing else from it. *)
 
 val replay_bank :
-  ?poll:(unit -> unit) ->
   t ->
   predictors:Vmbp_machine.Predictor.kind list ->
   icaches:Vmbp_machine.Icache.config list ->
@@ -66,16 +61,10 @@ val replay_bank :
     or {!Vmbp_machine.Icache.fetch} before the next configuration starts.
     A stream with no configuration to drive is not walked.  Returns the
     number of distinct valid configurations simulated; their counts are
-    dropped (see {!replay}).
-
-    Polling contract: [poll] is invoked once on entry, then after every
-    65536 tokens of each stream walk (the block size divides 65536), so a
-    bank that walks [n] dispatch and [m] fetch tokens polls
-    [1 + n / 65536 + m / 65536] times.  Raises [Invalid_argument] on a
-    [release]d trace. *)
+    dropped (see {!replay}).  Raises [Invalid_argument] on a [release]d
+    trace. *)
 
 val replay :
-  ?poll:(unit -> unit) ->
   t ->
   configs:(Vmbp_machine.Cpu_model.t * Vmbp_machine.Predictor.kind) list ->
   Vmbp_core.Engine.result list
@@ -83,9 +72,8 @@ val replay :
     {!replay_bank} pass over every predictor and every CPU's I-cache.
     Each result is field-for-field identical to what [Engine.run] would
     produce for that configuration.  A configuration whose simulator
-    constructor raises re-raises that error.  [poll] follows
-    {!replay_bank}'s contract.  Raises [Invalid_argument] on a
-    [release]d trace. *)
+    constructor raises re-raises that error.  Raises [Invalid_argument] on
+    a [release]d trace. *)
 
 val release : t -> unit
 (** Drop the trace's chunks.  The trace must not be replayed afterwards

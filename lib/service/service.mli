@@ -3,8 +3,8 @@
 
     One event thread owns a Unix-domain listening socket and every
     connection; one compute domain runs misses through
-    {!Vmbp_report.Par_runner} (store pre-pass, grouped path walks,
-    watchdog, retries) over the store the service opened, so every
+    {!Vmbp_report.Par_runner} (store pre-pass, grouped path walks, one
+    run per cell) over the store the service opened, so every
     freshly computed success is fsync'd to the store before its reply
     goes out -- a [kill -9] at any instant loses at most the cells in
     flight, and a restart on the same store serves everything previously
@@ -24,7 +24,7 @@
       [request_timeout] gets a [timeout] reply (the compute keeps going
       and still lands in the store).  Computes run under the runner's
       default context ({!Vmbp_report.Par_runner.default_ctx}) with
-      [jobs] from the config: no per-cell watchdog.
+      [jobs] from the config.
     - {b Slow readers}: a connection whose outbound bytes make no
       progress for [slow_reader_timeout] is dropped.
     - {b Degradation}: when a {e cell} batch has been busy longer than

@@ -286,11 +286,7 @@ let run_seed ?mutation refs seed =
               let id = (e.Vmbp_store.Cellrec.key, e.Vmbp_store.Cellrec.fingerprint) in
               match Hashtbl.find_opt refs.entries id with
               | Some e0 ->
-                  if
-                    compare e0.Vmbp_store.Cellrec.outcome
-                      e.Vmbp_store.Cellrec.outcome
-                    <> 0
-                  then
+                  if compare e0 e <> 0 then
                     fail
                       "%s: store entry for %s diverges across schedules \
                        (invariant 2)"

@@ -161,7 +161,6 @@ let real =
 let current = ref real
 
 let now () = !current.now ()
-let sleep d = !current.sleep d
 
 let missing_dirs (env : t) dir =
   let rec go d acc =

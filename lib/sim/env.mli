@@ -83,8 +83,6 @@ val now : unit -> float
 (** [(!current).now ()]: the one clock of spans and flight-recorder
     entries, and of the load generator's and [top]'s timings. *)
 
-val sleep : float -> unit
-
 val missing_dirs : t -> string -> string list
 (** The directories, [dir] included, that {!mkdir_p} would create for
     [dir]: every missing one, outermost first. *)

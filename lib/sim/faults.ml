@@ -1,13 +1,11 @@
 (* Deterministic fault injection: named points armed from a [--chaos SPEC]
    string, counted and fired under one lock so concurrent workers see a
    consistent opportunity ordering on count-based specs.  Probabilistic
-   specs and retry jitter draw from one seeded splitmix64 stream, so a
-   chaos run reproduces exactly given the same spec and arrival order. *)
+   specs draw from one seeded splitmix64 stream, so a chaos run
+   reproduces exactly given the same spec and arrival order. *)
 
 type point =
-  | Cell_raise
   | Record_fail
-  | Slow_cell
   | Worker_death
   | Conn_drop
   | Store_io
@@ -15,9 +13,7 @@ type point =
   | Pool_wedge
 
 let point_name = function
-  | Cell_raise -> "cell-raise"
   | Record_fail -> "record-fail"
-  | Slow_cell -> "slow-cell"
   | Worker_death -> "worker-death"
   | Conn_drop -> "conn-drop"
   | Store_io -> "store-io"
@@ -26,9 +22,7 @@ let point_name = function
 
 let all_points =
   [
-    Cell_raise;
     Record_fail;
-    Slow_cell;
     Worker_death;
     Conn_drop;
     Store_io;
@@ -37,19 +31,16 @@ let all_points =
   ]
 
 let point_index = function
-  | Cell_raise -> 0
-  | Record_fail -> 1
-  | Slow_cell -> 2
-  | Worker_death -> 3
-  | Conn_drop -> 4
-  | Store_io -> 5
-  | Slow_client -> 6
-  | Pool_wedge -> 7
+  | Record_fail -> 0
+  | Worker_death -> 1
+  | Conn_drop -> 2
+  | Store_io -> 3
+  | Slow_client -> 4
+  | Pool_wedge -> 5
 
 (* Points that stall rather than fail carry a per-fire duration,
    overridable with [POINT=...@DUR]. *)
 let default_duration = function
-  | Slow_cell -> 0.05
   | Slow_client -> 0.2
   | Pool_wedge -> 0.5
   | _ -> 0.
@@ -81,8 +72,6 @@ let lock = Mutex.create ()
 (* The chaos stream, guarded by [lock]. *)
 let default_seed = 0x5DEECE66DL
 let prng = ref (Splitmix.make default_seed)
-
-let jitter () = Mutex.protect lock (fun () -> Splitmix.float !prng)
 
 let reset_locked () =
   List.iter
@@ -129,14 +118,8 @@ let total_injected () =
   Mutex.protect lock (fun () ->
       Array.fold_left (fun a s -> a + s.fires) 0 slots)
 
-let cell_raise () =
-  if fire Cell_raise then raise (Injected "chaos: injected cell failure")
-
 let record_fail () =
   if fire Record_fail then raise (Injected "chaos: injected record failure")
-
-let slow_cell () =
-  if fire Slow_cell then Env.sleep slots.(point_index Slow_cell).duration
 
 let worker_death () = if fire Worker_death then raise Worker_killed
 

@@ -3,9 +3,9 @@
 
     Robustness code that is never executed is robustness on inspection only,
     so every supervision path of the report runner
-    ({!Vmbp_report.Par_runner}) -- retry, timeout, record fallback, store
-    degradation, stopping on a worker death -- has a named injection point
-    here, driven by the [--chaos SPEC] command-line flag.  Injection
+    ({!Vmbp_report.Par_runner}) -- record fallback, store degradation,
+    stopping on a worker death -- has a named injection point here, driven
+    by the [--chaos SPEC] command-line flag.  Injection
     is deterministic: count-based specs fire on exact opportunity ordinals
     and probabilistic specs draw from a seeded splitmix64 stream, so a chaos
     run is reproducible bit-for-bit given the same spec (and, for
@@ -18,15 +18,12 @@
       (how tests kill a run mid-way: [worker-death=2+1]).
     - [POINT=P] with [0 < P < 1] (a float) -- fire each opportunity with
       probability [P], drawn from the seeded stream.
-    - [POINT=...@DUR] -- timed points ([slow-cell], [slow-client],
-      [pool-wedge]) additionally stall [DUR] seconds per fire (defaults
-      0.05 / 0.2 / 0.5).
-    - [seed=N] -- seed for the probabilistic stream and retry jitter.
+    - [POINT=...@DUR] -- timed points ([slow-client], [pool-wedge])
+      additionally stall [DUR] seconds per fire (defaults 0.2 / 0.5).
+    - [seed=N] -- seed for the probabilistic stream.
 
-    Points: [cell-raise] (transient exception inside a cell attempt),
-    [record-fail] (failure after a group walk; the group must degrade
-    to per-cell live runs),
-    [slow-cell] (cell attempt stalls; exercises [--cell-timeout]),
+    Points: [record-fail] (failure after a group walk; the group must
+    degrade to per-cell live runs),
     [worker-death] (a worker domain dies, standing in for a killed
     process: the run stops at any job count and resumes from its store).
 
@@ -40,9 +37,7 @@
     store-only service). *)
 
 type point =
-  | Cell_raise
   | Record_fail
-  | Slow_cell
   | Worker_death
   | Conn_drop
   | Store_io
@@ -50,13 +45,14 @@ type point =
   | Pool_wedge
 
 exception Injected of string
-(** A deliberately injected transient failure; the supervisor treats it as
-    retryable, like any unexpected exception from a cell. *)
+(** A deliberately injected failure ([record-fail]); the group guard
+    degrades the group to per-cell live runs, as it does for any exception
+    from a group walk. *)
 
 exception Worker_killed
-(** Injected worker death.  Deliberately {e not} caught by the per-cell and
-    per-group guards: it escapes to the pool, which stops the run and
-    re-raises it out of [run_cells] once every worker is joined. *)
+(** Injected worker death.  Raised before a group starts, outside the
+    per-cell and per-group guards: it escapes to the pool, which stops the
+    run and re-raises it out of [run_cells] once every worker is joined. *)
 
 val configure : string -> (unit, string) result
 (** Parse a [--chaos] spec and arm the listed points, replacing any previous
@@ -75,14 +71,8 @@ val fired : point -> int
 val total_injected : unit -> int
 (** Total fires across all points, for the JSON summary. *)
 
-val cell_raise : unit -> unit
-(** Raise {!Injected} if the [cell-raise] point fires. *)
-
 val record_fail : unit -> unit
 (** Raise {!Injected} if the [record-fail] point fires. *)
-
-val slow_cell : unit -> unit
-(** Sleep the configured duration if the [slow-cell] point fires. *)
 
 val worker_death : unit -> unit
 (** Raise {!Worker_killed} if the [worker-death] point fires. *)
@@ -102,9 +92,5 @@ val pool_wedge : unit -> float option
 (** [Some wedge_seconds] if the [pool-wedge] point fires. *)
 
 val duration : point -> float
-(** The configured per-fire stall for a timed point ([slow-cell],
-    [slow-client], [pool-wedge]); 0 for the rest. *)
-
-val jitter : unit -> float
-(** A float in [0, 1) from the seeded stream, for retry backoff jitter.
-    Deterministic under a fixed seed and draw order. *)
+(** The configured per-fire stall for a timed point ([slow-client],
+    [pool-wedge]); 0 for the rest. *)

@@ -1,7 +1,7 @@
 (** splitmix64 (Steele, Lea and Flood, OOPSLA 2014): the one seeded
     stream behind every reproducible draw -- the simulated world's
-    delays and crash points, [--chaos] probabilities and retry jitter,
-    and the load generator's picks.  Not thread-safe: a stream shared
+    delays and crash points, [--chaos] probabilities and the load
+    generator's picks.  Not thread-safe: a stream shared
     between domains needs its owner's lock. *)
 
 type t

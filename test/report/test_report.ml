@@ -379,8 +379,9 @@ let test_par_runner_json_summary () =
   check_bool "wall time present" true (contains "\"wall_seconds\":");
   check_bool "attempts per cell" true (contains "\"attempts\":1");
   check_bool "from_journal per cell" true (contains "\"from_journal\":false");
-  check_bool "retry counter" true (contains "\"retries\":0");
-  check_bool "timeout counter" true (contains "\"timeouts\":0");
+  check_bool "no retry counter" false (contains "\"retries\":");
+  check_bool "no timeout counter" false (contains "\"timeouts\":");
+  check_bool "no per-cell timeout flag" false (contains "\"timed_out\":");
   check_bool "interrupted counter" true (contains "\"interrupted\":0");
   check_bool "injected-fault counter" true (contains "\"injected_faults\":")
 
@@ -791,22 +792,23 @@ let test_banked_replay_matches_per_cell () =
 
 let counter = Vmbp_obs.Registry.count
 
-(* A loaded-once toy workload whose first [stalled] sessions sleep 0.2 s
-   on their first step, so a recording can be caught in flight. *)
-let stalling_toy ?(counters = 200) ~stalled name =
+(* A loaded-once toy workload whose first [hooked] sessions call
+   [first_step] before their first step: a stall catches a recording in
+   flight, a raise cuts it short. *)
+let hooked_toy ~hooked ~first_step name =
   let w = toy_workload name in
   let program = Vmbp_toyvm.Toy_vm.table1_loop () in
   let sessions = ref 0 in
   let fresh_session () =
     let state =
-      Vmbp_toyvm.Toy_vm.create_state ~counters:(Array.make 16 counters) ()
+      Vmbp_toyvm.Toy_vm.create_state ~counters:(Array.make 16 200) ()
     in
     incr sessions;
-    let first = ref (!sessions <= stalled) in
+    let first = ref (!sessions <= hooked) in
     let exec p pc =
       if !first then begin
         first := false;
-        Unix.sleepf 0.2
+        first_step ()
       end;
       Vmbp_toyvm.Toy_vm.exec state p pc
     in
@@ -822,7 +824,11 @@ let stalling_toy ?(counters = 200) ~stalled name =
    while the first one is still recording. *)
 let test_record_once_across_jobs () =
   Vmbp_report.Par_runner.clear_trace_cache ();
-  let w = stalling_toy ~stalled:max_int "walk-two-groups" in
+  let w =
+    hooked_toy ~hooked:max_int
+      ~first_step:(fun () -> Unix.sleepf 0.2)
+      "walk-two-groups"
+  in
   let cells =
     List.concat_map
       (fun technique ->
@@ -848,69 +854,6 @@ let test_record_once_across_jobs () =
           timed));
   Vmbp_report.Par_runner.clear_trace_cache ();
   ignore (Vmbp_report.Par_runner.drain_log ())
-
-(* Polls: a group walk polls once before any work -- so a deadline that
-   already passed is noticed at once -- and after every block. *)
-let test_group_walk_polls () =
-  let w = loaded_once_toy "walk-poll" in
-  let configs = [ (Cpu_model.ideal, None); (Cpu_model.celeron_800, None) ] in
-  ignore (walk_group ~technique:Technique.plain ~configs w);
-  let polls = ref 0 in
-  let poll () = incr polls in
-  (match
-     Vmbp_report.Runner.walk_group ~poll ~cap_bytes:max_int
-       ~technique:Technique.plain ~configs w
-   with
-  | Some _ -> ()
-  | None -> Alcotest.fail "the path is kept");
-  check_bool "a group walk polls before and after its blocks" true
-    (!polls >= 2);
-  let stalled () = raise Exit in
-  check_bool "a passed deadline stops the walk before any work" true
-    (match
-       Vmbp_report.Runner.walk_group ~poll:stalled ~cap_bytes:max_int
-         ~technique:Technique.plain ~configs w
-     with
-    | _ -> false
-    | exception Exit -> true)
-
-(* The bank's poll contract, counted exactly: one entry poll, then one
-   per 65536 tokens of each stream it walks, whatever its block size. *)
-let test_bank_poll_count () =
-  let program = Vmbp_toyvm.Toy_vm.table1_loop () in
-  let layout = Config.build_layout (Config.make Technique.plain) ~program in
-  let state =
-    Vmbp_toyvm.Toy_vm.create_state ~counters:(Array.make 16 40_000) ()
-  in
-  let tr =
-    Option.get
-      (Vmbp_report.Trace.record ~layout ~exec:(Vmbp_toyvm.Toy_vm.exec state)
-         ~output:(fun () -> "") ())
-  in
-  let nd = Vmbp_report.Trace.dispatch_events tr in
-  let nf = Vmbp_report.Trace.fetch_events tr in
-  check_bool "streams span several poll intervals" true
-    (nd > 2 * 65536 && nf > 2 * 65536);
-  let polls = ref 0 in
-  let poll () = incr polls in
-  let bank ~predictors ~icaches =
-    polls := 0;
-    ignore (Vmbp_report.Trace.replay_bank ~poll tr ~predictors ~icaches : int);
-    !polls
-  in
-  let icache size_bytes =
-    Icache.make_config ~size_bytes ~line_bytes:32 ~associativity:2
-  in
-  check_int "dispatch walk" (1 + (nd / 65536))
-    (bank
-       ~predictors:
-         [ Predictor.Btb Btb.ideal; Predictor.Two_level Two_level.default ]
-       ~icaches:[]);
-  check_int "fetch walk" (1 + (nf / 65536))
-    (bank ~predictors:[] ~icaches:[ icache 1024; icache 2048 ]);
-  check_int "both walks" (1 + (nd / 65536) + (nf / 65536))
-    (bank ~predictors:[ Predictor.Case_block 64 ] ~icaches:[ icache 4096 ]);
-  Vmbp_report.Trace.release tr
 
 (* Satellite: the canonical descriptors that dedup a bank's simulators
    must never collide across distinct configurations -- checked over a
@@ -975,12 +918,11 @@ let test_bank_descriptor_injective () =
     (List.length (Predictor.create_bank [ bad; Predictor.Perfect ]))
 
 (* ------------------------------------------------------------------ *)
-(* Supervision: chaos injection, watchdog/retry, the store and resume.
+(* Supervision: chaos injection, failed cells, the store and resume.
 
    Every report-side [Faults] injection point is exercised here:
-   cell-raise (retry and exhaustion), record-fail (group degrades to
-   direct), slow-cell (the watchdog timeout), store-io (append degrades,
-   run continues) and worker-death (kill-and-resume, sequential and in a
+   record-fail (group degrades to direct), store-io (append degrades, run
+   continues) and worker-death (kill-and-resume, sequential and in a
    pool). *)
 
 module Faults = Vmbp_sim.Faults
@@ -1010,17 +952,19 @@ let test_chaos_spec_parsing () =
     | Error _ -> ()
     | Ok () -> Alcotest.fail (Printf.sprintf "spec %S must be rejected" s)
   in
-  configure_chaos "cell-raise=2";
+  configure_chaos "record-fail=2";
   configure_chaos "worker-death=2+1,seed=42";
   configure_chaos "store-io=0.25,seed=7";
-  configure_chaos "slow-cell=1@0.2";
+  configure_chaos "slow-client=1@0.2";
   check_bool "armed after configure" true (Faults.armed ());
   bad "bogus-point=1";
-  bad "cell-raise";
-  bad "cell-raise=0";
-  bad "cell-raise=1.5";
+  bad "record-fail";
+  bad "record-fail=0";
+  bad "record-fail=1.5";
   bad "worker-death=-1+2";
-  bad "slow-cell=1@nope";
+  bad "slow-client=1@nope";
+  (* Only the timed points take a stall. *)
+  bad "record-fail=1@0.2";
   bad "seed=abc";
   (* Append failures are the store's io point; there is no journal-io. *)
   bad "journal-io=1";
@@ -1031,37 +975,6 @@ let test_chaos_spec_parsing () =
 let one_cell ?predictor ?(cpu = Cpu_model.ideal) name =
   PR.cell ~tag:"test" ?predictor ~cpu ~technique:Technique.plain
     (toy_workload name)
-
-let test_cell_raise_retry () =
-  (* One injected transient failure: the retry makes the cell succeed on
-     attempt 2, and the outcome matches an injection-free run.  Retries
-     belong to live attempts, so every cell runs live. *)
-  PR.trace_cap_mb := 0;
-  configure_chaos "cell-raise=1";
-  (match PR.run_cells [ one_cell "chaos-retry" ] with
-  | [ t ] ->
-      check_bool "retried cell succeeds" true (Result.is_ok t.PR.outcome);
-      check_int "two attempts" 2 t.PR.attempts;
-      check_bool "not a timeout" false t.PR.timed_out
-  | _ -> Alcotest.fail "one cell in, one result out");
-  check_int "cell-raise fired once" 1 (Faults.fired Faults.Cell_raise);
-  (* More injected failures than retries: the cell fails with the injected
-     error after exhausting its attempts, and siblings are untouched. *)
-  Faults.reset ();
-  PR.clear_trace_cache ();
-  configure_chaos "cell-raise=5";
-  match
-    PR.run_cells
-      ~ctx:{ (PR.default_ctx ()) with PR.cell_retries = 2 }
-      [ one_cell "chaos-exhaust"; one_cell "chaos-ok" ]
-  with
-  | [ t1; t2 ] ->
-      (match t1.PR.outcome with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "5 injected failures must exhaust 2 retries");
-      check_int "attempts = 1 + retries" 3 t1.PR.attempts;
-      check_bool "sibling cell unharmed" true (Result.is_ok t2.PR.outcome)
-  | _ -> Alcotest.fail "two cells in, two results out"
 
 let test_record_fail_degrades () =
   (* A failure in the group walk must degrade the group to per-cell live
@@ -1085,92 +998,73 @@ let test_record_fail_degrades () =
     "degraded group agrees with the walked run" reference (signature chaos)
 
 let test_recording_deadline_degrades () =
-  (* A group whose recording is still running at its deadline degrades to
-     live attempts and keeps no path; the next group of the workload
-     records again.  Only the first session -- the first recording's --
-     stalls, and the program runs long enough to poll after the stall. *)
-  let w = stalling_toy ~counters:5_000 ~stalled:1 "chaos-record-deadline" in
+  (* A group whose recording raises degrades to per-cell live runs and
+     keeps no path; the next group of the workload records again.  Only
+     the first session -- the first recording's -- raises.  (The case
+     keeps the name it had when a deadline could also cut a recording
+     short.) *)
+  let w =
+    hooked_toy ~hooked:1
+      ~first_step:(fun () -> failwith "the first session fails")
+      "chaos-record-raise"
+  in
   let group technique =
     List.map
       (fun cpu -> PR.cell ~tag:"test" ~cpu ~technique w)
       [ Cpu_model.ideal; Cpu_model.pentium4_northwood ]
   in
   let modes = List.map (fun (t : PR.timed) -> PR.mode_name t.PR.mode) in
-  let ctx = { (PR.default_ctx ()) with PR.cell_timeout = 0.1 } in
   let records = counter "vm_path.records" in
-  let cut = PR.run_cells ~ctx (group Technique.plain) in
+  let cut = PR.run_cells (group Technique.plain) in
   Alcotest.(check (list string))
     "the cut group runs live" [ "direct"; "direct" ] (modes cut);
   List.iter
     (fun (t : PR.timed) ->
-      check_bool "live attempts succeed" true (Result.is_ok t.PR.outcome);
-      check_bool "live attempts meet their deadline" false t.PR.timed_out)
+      check_bool "live runs succeed" true (Result.is_ok t.PR.outcome))
     cut;
   check_int "the cut recording keeps no path" 0
     (counter "vm_path.records" - records);
-  let next = PR.run_cells ~ctx (group Technique.switch) in
+  let next = PR.run_cells (group Technique.switch) in
   Alcotest.(check (list string))
     "the next group records and walks" [ "record"; "replay" ] (modes next);
   check_int "the next group keeps the path" 1
     (counter "vm_path.records" - records)
 
-let test_slow_cell_timeout () =
-  (* The slow-cell stall trips the cooperative deadline of a live attempt
-     both with every cell live and when a failed group walk degrades to
-     live attempts; the sibling cell is unaffected.  [supervised] restores
-     the trace cap. *)
-  let ctx = { (PR.default_ctx ()) with PR.cell_timeout = 0.05 } in
-  List.iter
-    (fun (cap, path, spec) ->
-      PR.trace_cap_mb := cap;
-      PR.clear_trace_cache ();
-      Faults.reset ();
-      configure_chaos spec;
-      match
-        PR.run_cells ~ctx
-          [ one_cell ("chaos-slow-" ^ path); one_cell ("chaos-fast-" ^ path) ]
-      with
-      | [ slow; fast ] ->
-          (match slow.PR.outcome with
-          | Error msg ->
-              check_bool (path ^ ": timeout message") true
-                (String.length msg > 0)
-          | Ok _ -> Alcotest.fail (path ^ ": stalled cell must time out"));
-          check_bool (path ^ ": timed_out flag") true slow.PR.timed_out;
-          check_int (path ^ ": timeouts are not retried") 1 slow.PR.attempts;
-          check_bool (path ^ ": sibling finishes") true
-            (Result.is_ok fast.PR.outcome)
-      | _ -> Alcotest.fail "two cells in, two results out")
-    [
-      (0, "direct", "slow-cell=1@0.3");
-      (256, "replay", "record-fail=1,slow-cell=1@0.3");
-    ]
-
 let test_bad_predictor_is_failed_cell () =
-  (* An invalid BTB override surfaces as that cell's [Error], not a pool
-     abort; valid siblings still complete. *)
+  (* An invalid BTB override surfaces as that cell's [Error] after one
+     attempt, not a pool abort, on each path a cell can take: a live run
+     ([Runner.run_result]'s guard), a path walk (the walk's per-config
+     guard) and the self-check ([Runner.run_checked]'s guard); valid
+     siblings still complete.  [supervised] restores the trace cap. *)
   let bad =
     Predictor.Btb
       { Btb.entries = 64; associativity = 0; two_bit_counters = false }
   in
-  match
-    PR.run_cells
-      ~ctx:{ (PR.default_ctx ()) with PR.cell_retries = 0 }
-      [
-        one_cell "pred-good-a";
-        one_cell ~predictor:bad "pred-bad";
-        one_cell ~predictor:Predictor.Perfect "pred-good-b";
-      ]
-  with
-  | [ a; b; c ] ->
-      check_bool "plain sibling ok" true (Result.is_ok a.PR.outcome);
-      (match b.PR.outcome with
-      | Error msg ->
-          check_bool "error mentions the config" true
-            (String.length msg > 0)
-      | Ok _ -> Alcotest.fail "zero associativity must fail the cell");
-      check_bool "override sibling ok" true (Result.is_ok c.PR.outcome)
-  | _ -> Alcotest.fail "three cells in, three results out"
+  List.iter
+    (fun (path, cap, self_check) ->
+      PR.trace_cap_mb := cap;
+      let ctx = { (PR.default_ctx ()) with PR.self_check } in
+      match
+        PR.run_cells ~ctx
+          [
+            one_cell "pred-good-a";
+            one_cell ~predictor:bad "pred-bad";
+            one_cell ~predictor:Predictor.Perfect "pred-good-b";
+          ]
+      with
+      | [ a; b; c ] ->
+          check_bool (path ^ ": plain sibling ok") true
+            (Result.is_ok a.PR.outcome);
+          (match b.PR.outcome with
+          | Error msg ->
+              check_bool (path ^ ": error mentions the config") true
+                (String.length msg > 0)
+          | Ok _ -> Alcotest.fail (path ^ ": zero associativity must fail"));
+          check_int (path ^ ": one attempt") 1 b.PR.attempts;
+          check_bool (path ^ ": override sibling ok") true
+            (Result.is_ok c.PR.outcome)
+      | _ -> Alcotest.fail "three cells in, three results out")
+    [ ("live", 0, false); ("walked", 256, false); ("self-check", 256, true) ]
 
 let rec remove_tree path =
   if Sys.file_exists path then
@@ -1737,9 +1631,9 @@ let test_store_refuses_descriptor_mismatch () =
         {
           Vmbp_store.Cellrec.key = PR.store_key c1;
           fingerprint = shared_fp;
-          outcome = Error "seeded entry";
-          attempts = 1;
-          timed_out = false;
+          metrics = Metrics.create ();
+          steps = 0;
+          output = "seeded entry";
         };
       Vmbp_store.Store.close s;
       let s = Vmbp_store.Store.open_ dir in
@@ -1834,26 +1728,19 @@ let () =
             test_record_overflow_and_fallback;
           Alcotest.test_case "banked replay equals per-cell replay" `Quick
             test_banked_replay_matches_per_cell;
-          Alcotest.test_case "group walk polls" `Quick test_group_walk_polls;
           Alcotest.test_case "two groups record a path once" `Quick
             test_record_once_across_jobs;
           Alcotest.test_case "bank descriptors injective" `Quick
             test_bank_descriptor_injective;
-          Alcotest.test_case "bank polls once per 65536 tokens" `Quick
-            test_bank_poll_count;
         ] );
       ( "supervision",
         [
           Alcotest.test_case "chaos spec parsing" `Quick
             (supervised test_chaos_spec_parsing);
-          Alcotest.test_case "cell-raise retries then exhausts" `Quick
-            (supervised test_cell_raise_retry);
           Alcotest.test_case "record failure degrades to direct" `Quick
             (supervised test_record_fail_degrades);
           Alcotest.test_case "recording past its deadline degrades" `Quick
             (supervised test_recording_deadline_degrades);
-          Alcotest.test_case "slow cell hits the watchdog" `Quick
-            (supervised test_slow_cell_timeout);
           Alcotest.test_case "bad predictor fails one cell" `Quick
             (supervised test_bad_predictor_is_failed_cell);
           Alcotest.test_case "store round-trip serves" `Quick

@@ -371,9 +371,9 @@ let test_unbindable_socket_leaves_no_store () =
         {
           Vmbp_store.Cellrec.key = "k";
           fingerprint = "f";
-          outcome = Error "seeded";
-          attempts = 1;
-          timed_out = false;
+          metrics = Vmbp_machine.Metrics.create ();
+          steps = 0;
+          output = "seeded";
         };
       Vmbp_store.Store.close store;
       serve base;

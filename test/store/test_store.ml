@@ -81,42 +81,24 @@ let sample_success key =
   {
     Cellrec.key;
     fingerprint = "fp-1";
-    outcome = Ok { Cellrec.metrics = m; steps = 1234; output = "42 \n|x" };
-    attempts = 2;
-    timed_out = false;
+    metrics = m;
+    steps = 1234;
+    output = "42 \n|x";
   }
-
-let entry_equal (a : Cellrec.entry) (b : Cellrec.entry) =
-  a.Cellrec.key = b.Cellrec.key
-  && a.Cellrec.fingerprint = b.Cellrec.fingerprint
-  && a.Cellrec.attempts = b.Cellrec.attempts
-  && a.Cellrec.timed_out = b.Cellrec.timed_out
-  &&
-  match (a.Cellrec.outcome, b.Cellrec.outcome) with
-  | Ok x, Ok y ->
-      x.Cellrec.steps = y.Cellrec.steps
-      && x.Cellrec.output = y.Cellrec.output
-      && x.Cellrec.metrics = y.Cellrec.metrics
-  | Error x, Error y -> x = y
-  | _ -> false
 
 let test_cellrec_roundtrip () =
   let e = sample_success "forth/gray|switch|p4|1|default" in
   (match Cellrec.of_line (Cellrec.to_line e) with
-  | Some e' -> check_bool "success round-trips" true (entry_equal e e')
+  | Some e' -> check_bool "success round-trips" true (e = e')
   | None -> Alcotest.fail "success line did not parse");
-  let err =
-    {
-      Cellrec.key = "k";
-      fingerprint = "fp";
-      outcome = Error "trap: div0 \"quoted\"";
-      attempts = 3;
-      timed_out = true;
-    }
+  (* The output is the record's free-form text: quotes, backslashes and
+     control characters must survive the escaping. *)
+  let quoted =
+    { e with Cellrec.output = "div0 \"quoted\" \\ \t\r\001\n" }
   in
-  (match Cellrec.of_line (Cellrec.to_line err) with
-  | Some e' -> check_bool "error round-trips" true (entry_equal err e')
-  | None -> Alcotest.fail "error line did not parse");
+  (match Cellrec.of_line (Cellrec.to_line quoted) with
+  | Some e' -> check_bool "escaped output round-trips" true (quoted = e')
+  | None -> Alcotest.fail "escaped line did not parse");
   check_bool "garbage rejected" true (Cellrec.of_line "{\"oops\":1}" = None);
   check_bool "non-json rejected" true (Cellrec.of_line "not json" = None)
 
@@ -169,7 +151,7 @@ let test_store_basic () =
   (match Store.lookup t2 ~key:"a" ~fingerprint:"f" with
   | Some e' ->
       check_bool "round-trips through disk" true
-        (entry_equal { e with Cellrec.fingerprint = "f" } e')
+        ({ e with Cellrec.fingerprint = "f" } = e')
   | None -> Alcotest.fail "entry lost across reopen");
   Store.close t2
 
@@ -177,12 +159,12 @@ let test_store_last_write_wins () =
   with_dir @@ fun dir ->
   let t = Store.open_ dir in
   let e = sample_success "k" in
-  Store.append t { e with Cellrec.attempts = 1 };
-  Store.append t { e with Cellrec.attempts = 9 };
+  Store.append t { e with Cellrec.steps = 1 };
+  Store.append t { e with Cellrec.steps = 9 };
   Store.close t;
   let t2 = Store.open_ dir in
   (match Store.lookup t2 ~key:"k" ~fingerprint:"fp-1" with
-  | Some e' -> check_int "last write wins" 9 e'.Cellrec.attempts
+  | Some e' -> check_int "last write wins" 9 e'.Cellrec.steps
   | None -> Alcotest.fail "entry missing");
   check_int "one distinct entry" 1 (Store.stats t2).Store.entries;
   Store.close t2
@@ -195,6 +177,54 @@ let populate dir n =
   Store.close t
 
 let store_file dir = Filename.concat dir "cells.vcas"
+
+(* Write [payloads] to a fresh store file, each framed as an append
+   would frame it. *)
+let write_framed dir payloads =
+  Unix.mkdir dir 0o755;
+  let oc = open_out_bin (store_file dir) in
+  List.iter (fun p -> output_string oc (Frame.encode p)) payloads;
+  close_out oc
+
+(* A failure record is never written, so a well-framed ["ok":false] line
+   is corrupt: skipped, counted, never served. *)
+let test_store_failure_record_corrupt () =
+  with_dir @@ fun dir ->
+  write_framed dir
+    [
+      {|{"key":"k","fp":"fp-1","attempts":2,"timed_out":true,|}
+      ^ {|"ok":false,"error":"timed out after 0.1s"}|};
+    ];
+  let t = Store.open_ dir in
+  let s = Store.stats t in
+  check_int "counted corrupt" 1 s.Store.corrupt;
+  check_int "nothing loaded" 0 s.Store.loaded;
+  check_bool "not served" true
+    (Store.lookup t ~key:"k" ~fingerprint:"fp-1" = None);
+  Store.close t
+
+(* A success record as an older build wrote it, with its [attempts] and
+   [timed_out] fields, loads and serves unchanged. *)
+let test_store_older_record_serves () =
+  with_dir @@ fun dir ->
+  let e = sample_success "forth/gray|switch|p4|1|default" in
+  write_framed dir
+    [
+      {|{"key":"forth/gray|switch|p4|1|default","fp":"fp-1","attempts":1,|}
+      ^ {|"timed_out":false,"ok":true,"steps":1234,"output":"42 \n|x",|}
+      ^ {|"vm_instrs":1234,"native_instrs":9876,"dispatches":1233,|}
+      ^ {|"indirect_branches":1300,"mispredicts":777,|}
+      ^ {|"vm_branch_mispredicts":55,"icache_fetches":4000,|}
+      ^ {|"icache_misses":41,"code_bytes":512,"quickenings":7}|};
+    ];
+  let t = Store.open_ dir in
+  let s = Store.stats t in
+  check_int "loaded" 1 s.Store.loaded;
+  check_int "nothing corrupt" 0 s.Store.corrupt;
+  (match Store.lookup t ~key:e.Cellrec.key ~fingerprint:"fp-1" with
+  | Some e' -> check_bool "served intact" true (e = e')
+  | None -> Alcotest.fail "the older record must serve");
+  Store.close t
 
 (* Corruption fuzz.  Flip bytes all over the store file; reopening must
    never raise, must count the damage, and must never serve a record
@@ -227,8 +257,7 @@ let test_store_corruption_fuzz () =
       match Store.lookup t ~key ~fingerprint:"fp-1" with
       | Some e' ->
           incr survivors;
-          check_bool "served record is intact" true
-            (entry_equal (sample_success key) e')
+          check_bool "served record is intact" true (sample_success key = e')
       | None -> ()
     done;
     check_int "loaded = served survivors" s.Store.loaded !survivors;
@@ -379,6 +408,10 @@ let () =
           Alcotest.test_case "basic" `Quick test_store_basic;
           Alcotest.test_case "last write wins" `Quick
             test_store_last_write_wins;
+          Alcotest.test_case "failure record counted corrupt" `Quick
+            test_store_failure_record_corrupt;
+          Alcotest.test_case "older success record serves" `Quick
+            test_store_older_record_serves;
           Alcotest.test_case "corruption fuzz" `Quick
             test_store_corruption_fuzz;
           Alcotest.test_case "torn tail" `Quick test_store_torn_tail;
