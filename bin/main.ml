@@ -616,7 +616,8 @@ let serve_cmd =
       & info [ "store" ] ~docv:"DIR"
           ~doc:
             "Store directory (created if missing; corrupt records found on \
-             load are repaired by a compaction pass).")
+             load are repaired by a compaction pass, and records this build \
+             cannot read are kept unserved).")
   in
   (* Its compute domain takes one of the process's domains. *)
   let jobs = jobs_arg ~most:(max_domains - 1) in
@@ -642,14 +643,6 @@ let serve_cmd =
             "Drop a connection whose outbound bytes make no progress for \
              $(docv) seconds.")
   in
-  let degraded_after =
-    Arg.(
-      value & opt positive_float_conv 2.
-      & info [ "degraded-after" ] ~docv:"SEC"
-          ~doc:
-            "Go store-only (serve hits, refuse misses with 'degraded') \
-             when a cell batch has been busy this long.")
-  in
   let max_frame =
     Arg.(
       value
@@ -664,7 +657,7 @@ let serve_cmd =
     out_dir "flight-dir"
       ~doc:
         "Directory receiving vmbp-flight-*.json crash-flight-recorder dumps \
-         (degradation entry, unclean exit, SIGQUIT, the 'dump' verb)."
+         (unclean exit, SIGQUIT, the 'dump' verb)."
   in
   let serve_trace_out =
     out_file "trace-out"
@@ -684,7 +677,7 @@ let serve_cmd =
          top)."
   in
   let run socket store jobs admission request_timeout
-      slow_reader degraded_after max_frame chaos verbose flight_dir
+      slow_reader max_frame chaos verbose flight_dir
       trace_out metrics =
     arm_chaos chaos;
     Vmbp_obs.Registry.reset ();
@@ -697,7 +690,6 @@ let serve_cmd =
         admission;
         request_timeout;
         slow_reader_timeout = slow_reader;
-        degraded_after;
         max_request_frame = max_frame;
         verbose;
         quiet = false;
@@ -709,9 +701,8 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ socket_arg $ store $ jobs $ admission $ request_timeout
-      $ slow_reader $ degraded_after
-      $ max_frame $ chaos_arg $ verbose $ flight_dir $ serve_trace_out
-      $ serve_metrics)
+      $ slow_reader $ max_frame $ chaos_arg $ verbose $ flight_dir
+      $ serve_trace_out $ serve_metrics)
 
 let loadgen_cmd =
   let doc =
@@ -762,9 +753,9 @@ let loadgen_cmd =
     let c name = Vmbp_obs.Registry.count ("loadgen.status." ^ name) in
     Vmbp_obs.Export.finish ?spans:trace_out ?metrics (fun () ->
         Printf.sprintf
-          "[obs] statuses ok=%d overloaded=%d degraded=%d timeout=%d \
-           conn-drop=%d rid-mismatch=%d; spans=%d"
-          (c "ok") (c "overloaded") (c "degraded") (c "timeout")
+          "[obs] statuses ok=%d overloaded=%d timeout=%d conn-drop=%d \
+           rid-mismatch=%d; spans=%d"
+          (c "ok") (c "overloaded") (c "timeout")
           (c "conn-drop") (c "rid-mismatch") (Vmbp_obs.Span.count ()))
   in
   Cmd.v (Cmd.info "loadgen" ~doc)
@@ -1003,8 +994,10 @@ let store_cmd =
   let scrub_cmd =
     let doc =
       "Offline integrity scan of a store directory: per-file counts of \
-       well-formed, corrupt and stale-fingerprint records.  Exits 4 if any \
-       corruption is found (after the repair when $(b,--compact) is given)."
+       well-formed, corrupt, unreadable (intact, but written by another \
+       record format; kept by compaction) and stale-fingerprint records.  \
+       Exits 4 if any corruption is found (after the repair when \
+       $(b,--compact) is given)."
     in
     (* [Arg.dir] rejects a path that is not an existing directory, so a
        mistyped path is a usage error, not a clean scan of nothing. *)
@@ -1023,16 +1016,23 @@ let store_cmd =
                records) and compact it, then re-scan.")
     in
     let print_reports reports =
-      let tr, tc, ts =
-        List.fold_left
-          (fun (r, c, s) (sr : Vmbp_store.Store.scrub_report) ->
-            Printf.printf "%-14s records %-6d corrupt %-4d stale %d\n"
-              sr.sr_file sr.sr_records sr.sr_corrupt sr.sr_stale;
-            (r + sr.sr_records, c + sr.sr_corrupt, s + sr.sr_stale))
-          (0, 0, 0) reports
+      let line name r c u s =
+        Printf.printf
+          "%-14s records %-6d corrupt %-4d unreadable %-4d stale %d\n" name r
+          c u s
       in
-      Printf.printf "total          records %-6d corrupt %-4d stale %d\n" tr
-        tc ts;
+      let tr, tc, tu, ts =
+        List.fold_left
+          (fun (r, c, u, s) (sr : Vmbp_store.Store.scrub_report) ->
+            line sr.sr_file sr.sr_records sr.sr_corrupt sr.sr_unreadable
+              sr.sr_stale;
+            ( r + sr.sr_records,
+              c + sr.sr_corrupt,
+              u + sr.sr_unreadable,
+              s + sr.sr_stale ))
+          (0, 0, 0, 0) reports
+      in
+      line "total" tr tc tu ts;
       tc
     in
     let run dir compact =

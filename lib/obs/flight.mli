@@ -3,10 +3,10 @@
 
     Recording is always on and always cheap (one record allocation and
     two atomic operations per {!note}); the ring overwrites its oldest
-    entries, so whatever the process was doing just before a degradation,
-    a wedge, or a crash is what survives.  Hosts dump {!to_json} to a
-    [vmbp-flight-*.json] artifact on degradation entry, unclean exit,
-    fatal signal, and on demand.
+    entries, so whatever the process was doing just before a wedge or a
+    crash is what survives.  Hosts dump {!to_json} to a
+    [vmbp-flight-*.json] artifact on unclean exit, SIGQUIT, and on
+    demand.
 
     Timestamps are {!Vmbp_sim.Env.now}, as in {!Span}: simulated runs,
     on virtual time, produce deterministic dumps. *)

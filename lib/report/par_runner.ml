@@ -871,10 +871,9 @@ let json_summary ?(ctx = default_ctx ()) ?store results =
   (* vmbp-cells/7: report-service counters since process start --
      [store_hits]/[store_misses] count content-addressed store lookups,
      [coalesced] counts queries merged onto an identical in-flight miss,
-     [shed] counts requests refused by admission control, and
-     [degraded_seconds] is the time the service spent in store-only
-     degradation.  All read from the registry so the summary works in
-     the service process and reads zero elsewhere. *)
+     and [shed] counts requests refused by admission control.  All read
+     from the registry so the summary works in the service process and
+     reads zero elsewhere. *)
   Buffer.add_string b
     (Printf.sprintf ",\"store_hits\":%d"
        (Vmbp_obs.Registry.count "store.hits"));
@@ -886,11 +885,6 @@ let json_summary ?(ctx = default_ctx ()) ?store results =
        (Vmbp_obs.Registry.count "service.coalesced"));
   Buffer.add_string b
     (Printf.sprintf ",\"shed\":%d" (Vmbp_obs.Registry.count "service.shed"));
-  Buffer.add_string b
-    (Printf.sprintf ",\"degraded_seconds\":%s"
-       (Json.float
-          (Vmbp_obs.Registry.gauge_value
-             (Vmbp_obs.Registry.gauge "service.degraded_seconds"))));
   (* Differential-checking counters (vmbp-cells/3): [audited] counts
      cells cross-checked against an oracle in this result set;
      [divergences] counts oracle disagreements recorded in [ctx]'s audit

@@ -251,7 +251,7 @@ val json_summary :
     [bank_replays]/[banked_configs] counters (the last two count group
     walks), the
     report-service counters
-    ([store_hits]/[store_misses]/[coalesced]/[shed]/[degraded_seconds]),
+    ([store_hits]/[store_misses]/[coalesced]/[shed]),
     the differential-checking block
     ([self_check]/[audit_sample]/[audited]/[divergences], read from
     [ctx], default {!default_ctx}), [?store]'s

@@ -28,9 +28,10 @@
     end-to-end across client, event thread and compute domain.
 
     Every reply carries ["status"]: [ok], [overloaded] (admission control
-    shed the request), [degraded] (the compute pool is wedged; only store
-    hits are served), [timeout] (the per-request deadline passed),
-    [error] (the cell computed to a failure), or [bad-request]. *)
+    shed the request, or the service is draining), [timeout] (the
+    per-request deadline passed), [error] (the cell computed to a
+    failure), or [bad-request].  A [health] reply's ["state"] is
+    [serving] or [draining]. *)
 
 exception Oversized of int
 (** A frame header announced more bytes than the reader's cap. *)

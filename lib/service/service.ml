@@ -10,7 +10,6 @@ type config = {
   admission : int;
   request_timeout : float;
   slow_reader_timeout : float;
-  degraded_after : float;
   max_request_frame : int;
   verbose : bool;
   quiet : bool;
@@ -27,7 +26,6 @@ let default_config ~socket ~store_dir =
     admission = 64;
     request_timeout = 30.;
     slow_reader_timeout = 5.;
-    degraded_after = 2.;
     max_request_frame = 64 * 1024;
     verbose = false;
     quiet = false;
@@ -36,18 +34,16 @@ let default_config ~socket ~store_dir =
     flight_dir = ".";
   }
 
-(* Registry instruments; the vmbp-cells/8 summary reads [coalesced],
-   [shed] and [degraded_seconds] from here. *)
+(* Registry instruments; the vmbp-cells/8 summary reads [coalesced] and
+   [shed] from here. *)
 let m_requests = Vmbp_obs.Registry.counter "service.requests"
 let m_coalesced = Vmbp_obs.Registry.counter "service.coalesced"
 let m_shed = Vmbp_obs.Registry.counter "service.shed"
-let m_degraded_refused = Vmbp_obs.Registry.counter "service.degraded_refused"
 let m_request_timeouts = Vmbp_obs.Registry.counter "service.request_timeouts"
 let m_conn_drops = Vmbp_obs.Registry.counter "service.conn_drops"
 let m_slow_drops = Vmbp_obs.Registry.counter "service.slow_reader_drops"
 let m_flight_dumps = Vmbp_obs.Registry.counter "service.flight_dumps"
 let m_store_hits = Vmbp_obs.Registry.counter "service.store_hits"
-let g_degraded = Vmbp_obs.Registry.gauge "service.degraded_seconds"
 let g_connections = Vmbp_obs.Registry.gauge "service.connections"
 let g_queue = Vmbp_obs.Registry.gauge "service.queue_depth"
 let g_inflight = Vmbp_obs.Registry.gauge "service.inflight"
@@ -119,15 +115,13 @@ type done_msg =
   | D_cells of (string * string * string) list
   | D_grid of { d_id : int; d_payload : string; d_status : string }
 
-type busy_kind = Busy_cells | Busy_grid
-
 type shared = {
   s_env : Env.t;
   lock : Mutex.t;
   cond : Condition.t;
   jobs : job Queue.t;
   mutable results : done_msg list;  (* newest first *)
-  mutable busy : (float * busy_kind) option;
+  mutable busy : bool;  (* a step holds a batch; [drained] waits for it *)
   wake_w : Env.fd;
   mutable pool : Env.pool option;
 }
@@ -192,13 +186,11 @@ let compute_step ctx (env : Env.t) store sh ~block =
         batch
     in
     let stop = List.exists (function J_stop -> true | _ -> false) batch in
-    sh.busy <-
-      Some
-        ( env.Env.now (),
-          match cells with [] -> Busy_grid | _ -> Busy_cells );
+    sh.busy <- true;
     Mutex.unlock sh.lock;
-    (* The pool-wedge chaos point: the compute pool stalls with work in
-       hand, which is what the degradation detector keys on. *)
+    (* The pool-wedge chaos point holds a batch in flight: misses that
+       arrive meanwhile coalesce, queue, shed or time out as behind any
+       slow batch. *)
     (match Faults.pool_wedge () with
     | Some d -> env.Env.sleep d
     | None -> ());
@@ -264,10 +256,10 @@ let compute_step ctx (env : Env.t) store sh ~block =
       grids;
     env.Env.defer_done (fun () ->
         Mutex.lock sh.lock;
-        sh.busy <- None;
+        sh.busy <- false;
         Mutex.unlock sh.lock;
-        (* Wake the event loop even with no results: busy-state changes
-           feed the degradation detector and the drain condition. *)
+        (* Wake the event loop even with no results: the drain condition
+           reads [busy]. *)
         wake sh);
     if stop then `Stop else `Ran
   end
@@ -314,7 +306,6 @@ type state = {
   mutable conn_next : int;
   mutable flight_next : int;
   mutable shutting : bool;
-  mutable deg_since : float option;
   started : float;
   rbuf : Bytes.t;
       (* [read_conn]'s scratch buffer, shared by every connection of this
@@ -399,25 +390,9 @@ let send st conn ?rctx ~status payload =
     end
   end
 
-(* Degraded = the compute pool has been stuck on a *cell* batch longer
-   than the threshold.  A grid run is legitimately long and does not
-   count; its queued queries are answered when it finishes (or by the
-   per-request deadline). *)
-let degraded_now st now =
-  Mutex.lock st.sh.lock;
-  let busy = st.sh.busy in
-  Mutex.unlock st.sh.lock;
-  match busy with
-  | Some (t0, Busy_cells) -> now -. t0 > st.cfg.degraded_after
-  | _ -> false
-
 let service_stats st now =
   let s = Vmbp_store.Store.stats st.store in
   let c = Vmbp_obs.Registry.count in
-  let degraded_seconds =
-    Vmbp_obs.Registry.gauge_value g_degraded
-    +. (match st.deg_since with Some t0 -> now -. t0 | None -> 0.)
-  in
   P.obj
     [
       ("status", P.S "ok");
@@ -428,15 +403,14 @@ let service_stats st now =
       ("appended", P.I s.Vmbp_store.Store.appended);
       ("write_errors", P.I s.Vmbp_store.Store.write_errors);
       ("corrupt", P.I s.Vmbp_store.Store.corrupt);
+      ("unreadable", P.I s.Vmbp_store.Store.unreadable);
       ("compactions", P.I s.Vmbp_store.Store.compactions);
       ("requests", P.I (c "service.requests"));
       ("coalesced", P.I (c "service.coalesced"));
       ("shed", P.I (c "service.shed"));
-      ("degraded_refused", P.I (c "service.degraded_refused"));
       ("request_timeouts", P.I (c "service.request_timeouts"));
       ("conn_drops", P.I (c "service.conn_drops"));
       ("slow_reader_drops", P.I (c "service.slow_reader_drops"));
-      ("degraded_seconds", P.F degraded_seconds);
       ("inflight", P.I (Hashtbl.length st.inflight));
       ("connections", P.I (List.length st.conns));
       ("uptime_seconds", P.F (now -. st.started));
@@ -496,11 +470,7 @@ let handle_request st conn rx req =
   let now = st.env.Env.now () in
   match req with
   | P.Health ->
-      let state_name =
-        if st.shutting then "draining"
-        else if degraded_now st now then "degraded"
-        else "serving"
-      in
+      let state_name = if st.shutting then "draining" else "serving" in
       admit st rx "inline" now;
       send st conn ~rctx:rx ~status:"ok"
         (P.obj
@@ -546,10 +516,9 @@ let handle_request st conn rx req =
       logf st "shutdown requested; draining %d in-flight key(s)"
         (Hashtbl.length st.inflight)
   | P.Grid { scale } ->
-      if st.shutting || degraded_now st now then begin
-        let status = if st.shutting then "overloaded" else "degraded" in
-        admit st rx ~args:[ ("status", status) ] "refuse" now;
-        send st conn ~rctx:rx ~status (reply_status status)
+      if st.shutting then begin
+        admit st rx ~args:[ ("status", "overloaded") ] "refuse" now;
+        send st conn ~rctx:rx ~status:"overloaded" (reply_status "overloaded")
       end
       else begin
         let id = st.grid_next in
@@ -573,11 +542,6 @@ let handle_request st conn rx req =
             admit st rx ~args:[ ("status", "overloaded") ] "refuse" now;
             send st conn ~rctx:rx ~status:"overloaded"
               (reply_status "overloaded")
-          end
-          else if degraded_now st now then begin
-            Vmbp_obs.Registry.add m_degraded_refused 1;
-            admit st rx ~args:[ ("status", "degraded") ] "refuse" now;
-            send st conn ~rctx:rx ~status:"degraded" (reply_status "degraded")
           end
           else begin
             let key = ikey c in
@@ -781,27 +745,6 @@ let reap st now =
       end)
     st.conns
 
-let update_degraded st now =
-  let d = degraded_now st now in
-  match (st.deg_since, d) with
-  | None, true ->
-      st.deg_since <- Some now;
-      Vmbp_obs.Flight.note ~kind:"degraded-enter"
-        (Printf.sprintf "inflight=%d" (Hashtbl.length st.inflight));
-      (* Degradation entry is one of the flight recorder's dump
-         triggers: the ring at this instant holds the transitions that
-         led to the wedge. *)
-      ignore (dump_flight st "degraded");
-      logf st "compute pool wedged; degrading to store-only service"
-  | Some t0, false ->
-      Vmbp_obs.Registry.gauge_add g_degraded (now -. t0);
-      st.deg_since <- None;
-      Vmbp_obs.Flight.note ~kind:"degraded-exit"
-        (Printf.sprintf "after=%.3fs" (now -. t0));
-      logf st "compute pool recovered after %.2fs; serving misses again"
-        (now -. t0)
-  | _ -> ()
-
 let drained st =
   st.shutting
   && Hashtbl.length st.inflight = 0
@@ -809,22 +752,24 @@ let drained st =
   && List.for_all (fun c -> c.outbuf = "") st.conns
   &&
   (Mutex.lock st.sh.lock;
-   let idle = Queue.is_empty st.sh.jobs && st.sh.busy = None in
+   let idle = Queue.is_empty st.sh.jobs && not st.sh.busy in
    Mutex.unlock st.sh.lock;
    idle)
 
 let serve (cfg : config) =
   let env = !Env.current in
   let ctx = { (Par_runner.default_ctx ()) with jobs = max 1 cfg.jobs } in
-  (* The store opens before the socket is bound, so a store that cannot be
-     opened never unlinks another daemon's socket; a socket that cannot be
-     bound then removes what opening the store created. *)
+  (* The store opens before the socket is bound, and a socket that cannot
+     be bound -- [listen] replaces only a stale socket, never a file or a
+     live daemon's socket -- removes what opening the store created. *)
   let new_dirs = Env.missing_dirs env cfg.store_dir in
   let store_file = Vmbp_store.Store.file cfg.store_dir in
   let new_file = not (env.Env.file_exists store_file) in
   let store = Vmbp_store.Store.open_ cfg.store_dir in
   let listen_fd =
     try
+      (* Only corrupt frames call for a repair; unreadable ones are intact
+         and every compaction keeps them. *)
       let corrupt = (Vmbp_store.Store.stats store).Vmbp_store.Store.corrupt in
       if corrupt > 0 then begin
         if not cfg.quiet then
@@ -833,7 +778,6 @@ let serve (cfg : config) =
             corrupt;
         Vmbp_store.Store.compact store
       end;
-      (try env.Env.unlink cfg.socket with Unix.Unix_error _ -> ());
       env.Env.listen cfg.socket ~backlog:64
     with e ->
       Vmbp_store.Store.close store;
@@ -853,7 +797,7 @@ let serve (cfg : config) =
       cond = Condition.create ();
       jobs = Queue.create ();
       results = [];
-      busy = None;
+      busy = false;
       wake_w;
       pool = None;
     }
@@ -871,7 +815,6 @@ let serve (cfg : config) =
       conn_next = 0;
       flight_next = 0;
       shutting = false;
-      deg_since = None;
       started = env.Env.now ();
       rbuf = Bytes.create 65536;
     }
@@ -984,7 +927,6 @@ let serve (cfg : config) =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       let now = env.Env.now () in
       reap st now;
-      update_degraded st now;
       refresh_gauges st;
       loop ()
     end
@@ -1000,10 +942,6 @@ let serve (cfg : config) =
       (try env.Env.unlink cfg.socket with Unix.Unix_error _ -> ());
       (try env.Env.close wake_r with Unix.Unix_error _ -> ());
       (try env.Env.close wake_w with Unix.Unix_error _ -> ());
-      (match st.deg_since with
-      | Some t0 ->
-          Vmbp_obs.Registry.gauge_add g_degraded (env.Env.now () -. t0)
-      | None -> ());
       List.iter
         (fun (signum, h) ->
           try Sys.set_signal signum h with _ -> ())
@@ -1013,10 +951,9 @@ let serve (cfg : config) =
       Vmbp_obs.Export.finish ~quiet:cfg.quiet ?spans:cfg.trace_out
         ?metrics:cfg.metrics_out (fun () ->
           Printf.sprintf
-            "[obs] requests=%d coalesced=%d shed=%d degraded_refused=%d \
-             timeouts=%d conn_drops=%d flight_dumps=%d spans=%d"
+            "[obs] requests=%d coalesced=%d shed=%d timeouts=%d \
+             conn_drops=%d flight_dumps=%d spans=%d"
             (c "service.requests") (c "service.coalesced") (c "service.shed")
-            (c "service.degraded_refused")
             (c "service.request_timeouts")
             (c "service.conn_drops")
             (c "service.flight_dumps")

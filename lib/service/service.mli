@@ -24,22 +24,23 @@
       [request_timeout] gets a [timeout] reply (the compute keeps going
       and still lands in the store).  Computes run under the runner's
       default context ({!Vmbp_report.Par_runner.default_ctx}) with
-      [jobs] from the config.
+      [jobs] from the config.  A miss that arrives while a batch runs
+      coalesces onto it, queues for the next batch, is shed, or times
+      out; store hits are served throughout.
     - {b Slow readers}: a connection whose outbound bytes make no
       progress for [slow_reader_timeout] is dropped.
-    - {b Degradation}: when a {e cell} batch has been busy longer than
-      [degraded_after] (the wedged-pool signature, injectable with
-      [--chaos pool-wedge]), the service goes store-only: hits are
-      served, misses get a [degraded] reply, and the time spent degraded
-      accumulates in the [service.degraded_seconds] gauge.
+
+    The service is either serving or, after [shutdown], draining.
 
     Chaos points ({!Vmbp_sim.Faults}): [conn-drop] severs a connection
     instead of replying, [store-io] drops store appends, [slow-client]
     stalls a connection's writes (exercising the slow-reader reaper),
-    [pool-wedge] stalls the compute domain (exercising degradation).
+    [pool-wedge] holds a batch in flight (exercising coalescing,
+    admission and drain).
 
     A store whose load skipped corrupt records is repaired by a
-    compaction pass at startup. *)
+    compaction pass at startup; records this build cannot read are kept
+    and never served. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path *)
@@ -49,8 +50,6 @@ type config = {
   request_timeout : float;  (** seconds until a waiter gets [timeout] *)
   slow_reader_timeout : float;
       (** seconds of no outbound progress before a connection is dropped *)
-  degraded_after : float;
-      (** seconds a cell batch may run before the service goes store-only *)
   max_request_frame : int;  (** request frames above this are rejected *)
   verbose : bool;
   quiet : bool;  (** suppress the listening/drained banner lines *)
@@ -61,13 +60,13 @@ type config = {
       (** write the [vmbp-metrics/1] registry dump here at drain *)
   flight_dir : string;
       (** directory for [vmbp-flight-*.json] crash-flight-recorder dumps
-          (degradation entry, unclean exit, SIGQUIT, the [dump] verb) *)
+          (unclean exit, SIGQUIT, the [dump] verb) *)
 }
 
 val default_config : socket:string -> store_dir:string -> config
 (** jobs 1, admission 64, request timeout 30s, slow-reader timeout 5s,
-    degraded after 2s, 64 KiB request frames, no trace/metrics export,
-    flight dumps into ["."]. *)
+    64 KiB request frames, no trace/metrics export, flight dumps into
+    ["."]. *)
 
 val serve : config -> unit
 (** Run until a [shutdown] request (or SIGINT/SIGTERM) and the drain
@@ -77,8 +76,9 @@ val serve : config -> unit
     environment captured from {!Vmbp_sim.Env.current} at this call, so
     {!Simulate} can run the whole server single-threaded on virtual
     time; under the default real environment behavior is unchanged.
-    Deadlines (request timeout, slow-reader, degraded-after, stall
-    windows) use the monotonic clock and are immune to wall-clock
-    steps.  Raises [Unix.Unix_error] if the socket cannot be bound (the
-    error names the socket path), and [Unix.Unix_error] or [Sys_error]
-    if the store cannot be opened. *)
+    Deadlines (request timeout, slow-reader, stall windows) use the
+    monotonic clock and are immune to wall-clock steps.  Raises
+    [Unix.Unix_error] if the socket cannot be bound (the error names the
+    socket path): a path that exists and is not a stale socket, a live
+    daemon's included, is left untouched.  Raises [Unix.Unix_error] or
+    [Sys_error] if the store cannot be opened. *)

@@ -67,51 +67,14 @@ let find_sub s sub from =
   let rec go i = if i + m > n then -1 else if String.sub s i m = sub then i else go (i + 1) in
   go from
 
-let replace_all ~sub ~by s =
-  let b = Buffer.create (String.length s) in
-  let m = String.length sub in
-  let rec go i =
-    match find_sub s sub i with
-    | -1 -> Buffer.add_substring b s i (String.length s - i)
-    | j ->
-        Buffer.add_substring b s i (j - i);
-        Buffer.add_string b by;
-        go (j + m)
-  in
-  go 0;
-  Buffer.contents b
-
-(* Replies echo the request id of whichever waiter they were flushed to;
-   two schedules (and two waiters coalesced onto one compute) differ in
-   rids while serving identical results, so normalization strips the
-   echo.  The rid is always the last field ({!Protocol.with_rid} splices
-   it before the closing brace at send time). *)
-let strip_rid payload =
-  let marker = ",\"rid\":\"" in
-  let n = String.length payload in
-  let rec last i best =
-    match find_sub payload marker i with
-    | -1 -> best
-    | j -> last (j + 1) (Some j)
-  in
-  match last 0 None with
-  | None -> payload
-  | Some i ->
-      let v0 = i + String.length marker in
-      if
-        n >= v0 + 2
-        && payload.[n - 1] = '}'
-        && payload.[n - 2] = '"'
-        && not (String.contains (String.sub payload v0 (n - 2 - v0)) '"')
-      then String.sub payload 0 i ^ "}"
-      else payload
-
 (* A served result must be numerically identical whether it was just
-   computed or replayed from the store; only the provenance tag (and the
-   rid echo) may differ between schedules. *)
-let normalize_reply payload =
-  replace_all ~sub:"\"source\":\"store\"" ~by:"\"source\":\"computed\""
-    (strip_rid payload)
+   computed or replayed from the store, and whichever waiter it was
+   flushed to: only the provenance tag and the request-id echo may differ
+   between schedules.  Replies compare as these field lists with
+   [compare], under which a NaN field equals itself. *)
+let normalize fields =
+  List.sort compare
+    (List.filter (fun (k, _) -> k <> "rid" && k <> "source") fields)
 
 (* The per-cell prefix of a grid document row: tag through code_bytes,
    i.e. every deterministic field.  The fields after ["mode"] (attempt
@@ -139,8 +102,12 @@ let grid_signature doc =
    first schedule to serve a cell or load an entry records the
    reference, every later schedule must agree. *)
 
+(* A reply as compared ([normalize]d fields) and as printed (the raw
+   payload). *)
+type reply = (string * Sjson.v) list * string
+
 type references = {
-  replies : (string, string) Hashtbl.t;
+  replies : (string, reply) Hashtbl.t;
   mutable grid : string list option;
   entries : (string * string, Vmbp_store.Cellrec.entry) Hashtbl.t;
 }
@@ -173,7 +140,7 @@ type client = {
   mutable c_epoch : int;
       (* bumped on every state transition; scheduled resends capture it
          and no-op when stale, so at most one send per request is ever
-         in flight (an EOF resend racing a degraded-retry resend would
+         in flight (an EOF resend racing an overloaded-retry resend would
          otherwise double-send and shift reply attribution by one). *)
   mutable c_done : bool;
 }
@@ -193,8 +160,8 @@ let run_seed ?mutation refs seed =
       fmt
   in
   let acks = ref 0 and grids = ref 0 in
-  (* store_key -> normalized reply, for every ack of this schedule *)
-  let acked : (string, string * string) Hashtbl.t = Hashtbl.create 16 in
+  (* store_key -> (fingerprint, reply), for every ack of this schedule *)
+  let acked : (string, string * reply) Hashtbl.t = Hashtbl.create 16 in
   (* rid -> store_key for every acked query; grid rids separately.  Fed
      to the invariant-5 span-path check after the schedule drains. *)
   let acked_rids : (string, string) Hashtbl.t = Hashtbl.create 32 in
@@ -476,22 +443,22 @@ let run_seed ?mutation refs seed =
                 incr acks;
                 let key, fp = key_fp cl.c_plan.(cl.c_idx) in
                 Hashtbl.replace acked_rids (req_rid cl) key;
-                let norm = normalize_reply payload in
+                let norm = normalize fields in
                 (match Hashtbl.find_opt acked key with
-                | Some (_, prev) when prev <> norm ->
+                | Some (_, (prev, was)) when compare prev norm <> 0 ->
                     fail "client %d: replies for one cell differ within a \
                           schedule (invariant 2): %s\n      was %s\n      got %s"
-                      cl.c_id key prev norm
-                | _ -> Hashtbl.replace acked key (fp, norm));
+                      cl.c_id key was payload
+                | _ -> Hashtbl.replace acked key (fp, (norm, payload)));
                 (match Hashtbl.find_opt refs.replies key with
-                | Some r when r <> norm ->
+                | Some (r, was) when compare r norm <> 0 ->
                     fail "reply diverges across schedules (invariant 2): %s\n\
                          \      was %s\n      got %s"
-                      key r norm
+                      key was payload
                 | Some _ -> ()
-                | None -> Hashtbl.replace refs.replies key norm);
+                | None -> Hashtbl.replace refs.replies key (norm, payload));
                 advance cl)
-        | Some ("degraded" | "overloaded" | "timeout") ->
+        | Some ("overloaded" | "timeout") ->
             cl.c_tries <- cl.c_tries + 1;
             if cl.c_tries > 40 then begin
               fail "client %d: gave up after 40 retries" cl.c_id;
@@ -585,7 +552,6 @@ let run_seed ?mutation refs seed =
           admission = 8;
           request_timeout = 12.0;
           slow_reader_timeout = 2.0;
-          degraded_after = 1.5;
           max_request_frame = 64 * 1024;
           verbose = false;
           quiet = true;
@@ -679,64 +645,46 @@ let run ?(first_seed = 1) ?mutation ?trace_file ?span_out ?metrics_out ~seeds
       last
   in
   Fun.protect ~finally (fun () ->
-      match mutation with
-      | None ->
-          let failed = ref None in
-          let last = ref None in
-          let crashes = ref 0 and acks = ref 0 and grids = ref 0 in
-          let i = ref 0 in
-          while !failed = None && !i < seeds do
-            let seed = first_seed + !i in
-            let o = run_seed refs seed in
-            last := Some o;
-            crashes := !crashes + o.o_crashes;
-            acks := !acks + o.o_acks;
-            grids := !grids + o.o_grids;
-            if o.o_failures <> [] then failed := Some o
-            else if (!i + 1) mod 100 = 0 then begin
+      (* One seed loop for the sweep and for a mutation: seeds run in
+         order until one fails (under a mutation, until one catches it). *)
+      let rec sweep i (crashes, acks, grids) last =
+        if i = seeds then (last, None, (crashes, acks, grids))
+        else
+          let o = run_seed ?mutation refs (first_seed + i) in
+          let crashes = crashes + o.o_crashes
+          and acks = acks + o.o_acks
+          and grids = grids + o.o_grids in
+          if o.o_failures <> [] then (Some o, Some o, (crashes, acks, grids))
+          else begin
+            if mutation = None && (i + 1) mod 100 = 0 then
               Printf.printf
-                "  %d/%d seeds ok (%d crashes, %d acks, %d grids so far)\n"
-                (!i + 1) seeds !crashes !acks !grids;
-              flush stdout
-            end;
-            incr i
-          done;
-          write_artifacts !last;
-          (match !failed with
-          | Some o ->
-              print_failure ~trace_file o;
-              3
-          | None ->
-              Printf.printf
-                "simulate: %d seeds passed (%d crashes survived, %d acks \
-                 checked, %d grid documents compared)\n"
-                seeds !crashes !acks !grids;
-              0)
-      | Some m ->
-          let caught = ref None in
-          let last = ref None in
-          let i = ref 0 in
-          while !caught = None && !i < seeds do
-            let seed = first_seed + !i in
-            let o = run_seed ~mutation:m refs seed in
-            last := Some o;
-            if o.o_failures <> [] then caught := Some o;
-            incr i
-          done;
-          write_artifacts !last;
-          (match !caught with
-          | Some o ->
-              Printf.printf
-                "mutation %s caught by seed %d (%d of %d seeds):\n"
-                (mutation_name m) o.o_seed !i seeds;
-              List.iter (fun msg -> Printf.printf "  - %s\n" msg) o.o_failures;
-              Printf.printf
-                "replay with: vmbp simulate --seed %d --mutate %s\n" o.o_seed
-                (mutation_name m);
-              0
-          | None ->
-              Printf.printf
-                "mutation %s NOT caught within %d seeds: the harness lost its \
-                 teeth\n"
-                (mutation_name m) seeds;
-              3))
+                "  %d/%d seeds ok (%d crashes, %d acks, %d grids so far)\n%!"
+                (i + 1) seeds crashes acks grids;
+            sweep (i + 1) (crashes, acks, grids) (Some o)
+          end
+      in
+      let last, failed, (crashes, acks, grids) = sweep 0 (0, 0, 0) None in
+      write_artifacts last;
+      match (mutation, failed) with
+      | None, Some o ->
+          print_failure ~trace_file o;
+          3
+      | None, None ->
+          Printf.printf
+            "simulate: %d seeds passed (%d crashes survived, %d acks checked, \
+             %d grid documents compared)\n"
+            seeds crashes acks grids;
+          0
+      | Some m, Some o ->
+          Printf.printf "mutation %s caught by seed %d (%d of %d seeds):\n"
+            (mutation_name m) o.o_seed (o.o_seed - first_seed + 1) seeds;
+          List.iter (fun msg -> Printf.printf "  - %s\n" msg) o.o_failures;
+          Printf.printf "replay with: vmbp simulate --seed %d --mutate %s\n"
+            o.o_seed (mutation_name m);
+          0
+      | Some m, None ->
+          Printf.printf
+            "mutation %s NOT caught within %d seeds: the harness lost its \
+             teeth\n"
+            (mutation_name m) seeds;
+          3)

@@ -181,10 +181,9 @@ let render ?prev ~dt samples =
        (g "connections") (g "queue_depth") (g "inflight"));
   Buffer.add_string b
     (Printf.sprintf
-       "coalesced %.0f  shed %.0f  degraded-refused %.0f  timeouts %.0f  \
-        conn-drops %.0f  degraded %.1fs  flight-dumps %.0f\n"
-       (c "coalesced") (c "shed") (c "degraded_refused")
-       (c "request_timeouts") (c "conn_drops") (g "degraded_seconds")
+       "coalesced %.0f  shed %.0f  timeouts %.0f  conn-drops %.0f  \
+        flight-dumps %.0f\n"
+       (c "coalesced") (c "shed") (c "request_timeouts") (c "conn_drops")
        (c "flight_dumps"));
   Buffer.add_string b
     (Printf.sprintf "%-10s %8s %8s %8s %8s %8s\n" "verb" "n" "rps" "p50"

@@ -3,7 +3,7 @@
     Polls the service's [metrics] verb in Prometheus text-exposition
     format -- the exact bytes a scraper would see -- and renders a
     rolling view: request rate, store-hit ratio, queue/inflight/
-    connection gauges, shed/coalesced/degraded counters, and per-verb
+    connection gauges, coalesced/shed/timeout counters, and per-verb
     p50/p95/p99 latency quantiles computed from the interval's own
     histogram-bucket deltas (falling back to the all-time distribution
     over idle intervals).

@@ -77,11 +77,29 @@ let real =
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> Some (really_input_string ic (in_channel_length ic)))
   in
+  (* A socket that refuses a connect was left by a daemon that died
+     without unlinking it.  Any other file, a live daemon's socket
+     included, is not this daemon's to take. *)
+  let stale path =
+    (Unix.lstat path).Unix.st_kind = Unix.S_SOCK
+    &&
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        match Unix.connect fd (Unix.ADDR_UNIX path) with
+        | () -> false
+        | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> true)
+  in
   let listen path ~backlog =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     (* [bind] names no path in its error; a refused socket path must. *)
     (try
-       Unix.bind fd (Unix.ADDR_UNIX path);
+       (try Unix.bind fd (Unix.ADDR_UNIX path)
+        with Unix.Unix_error (Unix.EADDRINUSE, _, _) as e ->
+          if not (stale path) then raise e;
+          Unix.unlink path;
+          Unix.bind fd (Unix.ADDR_UNIX path));
        Unix.listen fd backlog
      with Unix.Unix_error (e, fn, _) ->
        Unix.close fd;

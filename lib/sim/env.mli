@@ -56,7 +56,10 @@ type t = {
           (some filesystems refuse directory fsync). *)
   listen : string -> backlog:int -> fd;
       (** Bind a Unix-domain path; the returned listener and every fd
-          {!t.accept} yields are non-blocking. *)
+          {!t.accept} yields are non-blocking.  The path must be missing
+          or a stale socket (one that refuses a connect), which the real
+          env replaces; anything else raises [EADDRINUSE] naming the
+          path and leaves it untouched. *)
   accept : fd -> fd option;  (** [None] on EAGAIN. *)
   select : fd list -> fd list -> float -> fd list * fd list;
   pipe : unit -> fd * fd;  (** read end non-blocking *)

@@ -3,7 +3,7 @@
 
     Robustness code that is never executed is robustness on inspection only,
     so every supervision path of the report runner
-    ({!Vmbp_report.Par_runner}) -- record fallback, store degradation,
+    ({!Vmbp_report.Par_runner}) -- record fallback, dropped store appends,
     stopping on a worker death -- has a named injection point here, driven
     by the [--chaos SPEC] command-line flag.  Injection
     is deterministic: count-based specs fire on exact opportunity ordinals
@@ -33,8 +33,8 @@
     retry), [store-io] (a store append is dropped like a disk error; the
     reply still serves from memory), [slow-client] (the server treats the
     connection as a stalled reader; exercises the slow-reader timeout),
-    [pool-wedge] (the compute pool stalls; exercises degradation to
-    store-only service). *)
+    [pool-wedge] (holds a batch in flight; exercises coalescing,
+    admission and drain while the compute pool is busy). *)
 
 type point =
   | Record_fail

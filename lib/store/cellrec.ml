@@ -34,8 +34,8 @@ let of_line line =
   match
     let fields = Sjson.parse_line line in
     let int = Sjson.int fields in
-    (* Only successes are ever written, so an ["ok":false] line is as
-       malformed as any other. *)
+    (* Only successes are written now; an older build's ["ok":false]
+       line is one this format does not read. *)
     if not (Sjson.bool fields "ok") then raise Sjson.Bad;
     let m = Metrics.create () in
     m.Metrics.vm_instrs <- int "vm_instrs";

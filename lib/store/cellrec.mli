@@ -22,7 +22,7 @@ val to_line : entry -> string
     newline are the container's business). *)
 
 val of_line : string -> entry option
-(** Parse one payload line; [None] on anything malformed, and on an
-    ["ok":false] line (a failure record, which no writer produces).
-    Fields an older build wrote beside a success ([attempts],
-    [timed_out]) are ignored. *)
+(** Parse one payload line; [None] on anything this format cannot read,
+    an ["ok":false] failure record (which no writer produces now)
+    included.  The store keeps such a line unread.  Fields an older build
+    wrote beside a success ([attempts], [timed_out]) are ignored. *)

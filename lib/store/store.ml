@@ -6,6 +6,7 @@ type stats = {
   appended : int;
   write_errors : int;
   corrupt : int;
+  unreadable : int;
   compactions : int;
 }
 
@@ -27,6 +28,9 @@ type t = {
   mutable appended : int;
   mutable write_errors : int;
   mutable corrupt : int;
+  mutable unreadable : string list;
+      (* framed lines this build cannot parse, newest first; never
+         served, written back byte-identical by [compact] *)
   mutable compactions : int;
 }
 
@@ -49,8 +53,10 @@ let file dir = Filename.concat dir file_name
 
 (* Every line of a store file is framed on its own, so a corrupt record
    -- flipped bytes, a spliced write, a torn tail -- is skipped and
-   counted without giving up on the rest of the file. *)
-let read_records (env : Vmbp_sim.Env.t) path ~record ~corrupt =
+   counted without giving up on the rest of the file.  A line whose frame
+   checks but whose payload [Cellrec] rejects is intact but unreadable
+   here: another record format wrote it. *)
+let read_records (env : Vmbp_sim.Env.t) path ~record ~corrupt ~unreadable =
   match env.read_file path with
   | None -> ()
   | Some contents ->
@@ -61,7 +67,7 @@ let read_records (env : Vmbp_sim.Env.t) path ~record ~corrupt =
             | Frame.Framed payload -> (
                 match Cellrec.of_line payload with
                 | Some e -> record e
-                | None -> corrupt ())
+                | None -> unreadable line)
             | Frame.Corrupt -> corrupt ())
         (Vmbp_sim.Env.lines_of_contents contents)
 
@@ -144,10 +150,15 @@ let compact t =
         let fd =
           env.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
         in
+        (* Unreadable lines go last, so the build that wrote them still
+           finds each one the latest record of its key. *)
         (try
            Hashtbl.iter
              (fun _ e -> write_all env fd (Frame.encode (Cellrec.to_line e)))
              t.tbl;
+           List.iter
+             (fun line -> write_all env fd (line ^ "\n"))
+             (List.rev t.unreadable);
            env.fsync fd
          with e ->
            env.close fd;
@@ -200,6 +211,7 @@ let open_ dir =
       appended = 0;
       write_errors = 0;
       corrupt = 0;
+      unreadable = [];
       compactions = 0;
     }
   in
@@ -212,7 +224,8 @@ let open_ dir =
       Hashtbl.replace t.tbl (e.Cellrec.key, e.Cellrec.fingerprint) e;
       Hashtbl.replace t.latest e.Cellrec.key e.Cellrec.fingerprint;
       t.loaded <- t.loaded + 1)
-    ~corrupt:(fun () -> t.corrupt <- t.corrupt + 1);
+    ~corrupt:(fun () -> t.corrupt <- t.corrupt + 1)
+    ~unreadable:(fun line -> t.unreadable <- line :: t.unreadable);
   if t.corrupt > 0 then Vmbp_obs.Registry.add m_corrupt t.corrupt;
   t
 
@@ -227,6 +240,7 @@ let stats t =
       appended = t.appended;
       write_errors = t.write_errors;
       corrupt = t.corrupt;
+      unreadable = List.length t.unreadable;
       compactions = t.compactions;
     }
   in
@@ -247,6 +261,7 @@ type scrub_report = {
   sr_file : string;
   sr_records : int;
   sr_corrupt : int;
+  sr_unreadable : int;
   sr_stale : int;
 }
 
@@ -255,11 +270,12 @@ let scrub dir =
   let path = file dir in
   if not (env.file_exists path) then []
   else begin
-    let records = ref [] and corrupt = ref 0 in
+    let records = ref [] and corrupt = ref 0 and unreadable = ref 0 in
     read_records env path
       ~record:(fun e ->
         records := (e.Cellrec.key, e.Cellrec.fingerprint) :: !records)
-      ~corrupt:(fun () -> incr corrupt);
+      ~corrupt:(fun () -> incr corrupt)
+      ~unreadable:(fun _ -> incr unreadable);
     (* The last fingerprint appended for each key is the current one. *)
     let current = Hashtbl.create 256 in
     List.iter
@@ -276,6 +292,7 @@ let scrub dir =
         sr_file = file_name;
         sr_records = List.length !records;
         sr_corrupt = !corrupt;
+        sr_unreadable = !unreadable;
         sr_stale = stale;
       };
     ]

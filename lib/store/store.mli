@@ -10,10 +10,14 @@
     detected, skipped and counted on load, and repaired by {!compact}.
     Appends are written whole and fsync'd; a [kill -9] at any instant
     leaves at worst one torn tail record, which the framing skips, so the
-    store is loadable after any crash.  Records load in append order, so
-    the latest record of a key always wins.  Compaction rewrites the file
-    through write-temp/fsync/rename, so it too can die at any instant
-    without losing the old file.
+    store is loadable after any crash.  A record whose frame checks but
+    whose payload this build's {!Cellrec} cannot parse -- one a newer
+    record format wrote -- is {e unreadable}: kept, counted, never
+    served, and carried through compaction byte for byte, so opening a
+    store with an older build loses nothing.  Records load in append
+    order, so the latest record of a key always wins.  Compaction
+    rewrites the file through write-temp/fsync/rename, so it too can die
+    at any instant without losing the old file.
 
     The store is a live table: an appended entry is immediately
     {!lookup}-able, which is what a long-running service needs.  All
@@ -27,6 +31,7 @@ type stats = {
   appended : int;  (** records durably written this session *)
   write_errors : int;  (** appends dropped (I/O failure or injected) *)
   corrupt : int;  (** corrupt records skipped on load, since [open_] *)
+  unreadable : int;  (** intact records this build cannot parse, kept *)
   compactions : int;
 }
 
@@ -74,8 +79,9 @@ val append : t -> Cellrec.entry -> unit
     store next simply recomputes it. *)
 
 val compact : t -> unit
-(** Rewrite [cells.vcas] from the in-memory table: corrupt bytes and
-    superseded records are dropped, and the file is replaced by
+(** Rewrite [cells.vcas] from the in-memory table, followed by the
+    unreadable records byte-identical: corrupt bytes and superseded
+    records are dropped, and the file is replaced by
     write-temp / fsync / rename, then the directory is fsync'd, so a
     crash mid-compaction loses nothing. *)
 
@@ -95,6 +101,7 @@ type scrub_report = {
   sr_file : string;  (** file name *)
   sr_records : int;  (** well-formed records *)
   sr_corrupt : int;  (** undecodable or unframed lines *)
+  sr_unreadable : int;  (** intact frames this build cannot parse *)
   sr_stale : int;
       (** records whose key reappears later (in append order) under a
           {e different} fingerprint: computed under a configuration that
@@ -105,4 +112,5 @@ val scrub : string -> scrub_report list
 (** Read-only scan of a store directory's [cells.vcas] (no report when
     the directory has none), without opening the store for writing.  Safe on a
     directory another process has open.  [compact] (on an opened store)
-    repairs everything scrub counts. *)
+    repairs the corrupt and stale records scrub counts and keeps the
+    unreadable ones. *)

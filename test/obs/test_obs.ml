@@ -320,9 +320,9 @@ let test_flight_ring () =
       Alcotest.(check string) "kind" "accept" a.Flight.kind;
       Alcotest.(check string) "detail" "rid=r1" b.Flight.detail
   | l -> Alcotest.failf "unexpected entry count %d" (List.length l));
-  let j = Flight.to_json ~reason:"degraded" () in
+  let j = Flight.to_json ~reason:"crash" () in
   Alcotest.(check bool) "schema" true (contains j "\"schema\":\"vmbp-flight/1\"");
-  Alcotest.(check bool) "reason" true (contains j "\"reason\":\"degraded\"");
+  Alcotest.(check bool) "reason" true (contains j "\"reason\":\"crash\"");
   Alcotest.(check bool) "dropped" true (contains j "\"dropped\":0");
   Flight.reset ();
   Alcotest.(check int) "reset clears" 0 (Flight.recorded ())

@@ -1145,8 +1145,8 @@ let test_store_roundtrip_serve () =
         (contains "\"store_misses\":");
       check_bool "summary has coalesced" true (contains "\"coalesced\":");
       check_bool "summary has shed" true (contains "\"shed\":");
-      check_bool "summary has degraded_seconds" true
-        (contains "\"degraded_seconds\":");
+      check_bool "summary has no degraded-mode gauge" false
+        (contains "\"degraded");
       check_bool "summary has store stats block" true
         (contains "\"store\":{\"entries\":12,\"loaded\":12,");
       check_bool "summary has no journal block" false

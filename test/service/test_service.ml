@@ -3,8 +3,8 @@
    real Unix-domain socket.  Covered: miss-compute-then-hit, duplicate
    coalescing (one compute, N identical replies), protocol edges
    (oversized frame, truncated frame, unknown verb, grid scale below 1),
-   degradation under a wedged pool, and shutdown draining in-flight
-   requests. *)
+   misses queued behind a held batch, the socket paths a daemon refuses,
+   and shutdown draining in-flight requests. *)
 
 module P = Vmbp_service.Protocol
 module Service = Vmbp_service.Service
@@ -64,10 +64,14 @@ let source reply = Vmbp_store.Sjson.str_opt (fields_of reply) "source"
    returned [stop] shuts it down (via the shutdown verb unless the test
    already did), joins its domain and cleans up; it is idempotent.  After
    [stop] the daemon has drained: every span it records is recorded. *)
-let start_server ?(chaos = "") ?(admission = 64) ?(degraded_after = 2.)
-    ?(request_timeout = 30.) ?flight_dir () =
+let start_server ?(chaos = "") ?(admission = 64) ?(request_timeout = 30.)
+    ?flight_dir ?socket () =
   let id = uniq () in
-  let socket = Filename.concat "/tmp" ("vmbp-svc-" ^ id ^ ".sock") in
+  let socket =
+    match socket with
+    | Some s -> s
+    | None -> Filename.concat "/tmp" ("vmbp-svc-" ^ id ^ ".sock")
+  in
   let store = Filename.concat "/tmp" ("vmbp-svc-store-" ^ id) in
   (match Faults.configure chaos with
   | Ok () -> ()
@@ -77,7 +81,6 @@ let start_server ?(chaos = "") ?(admission = 64) ?(degraded_after = 2.)
       (Service.default_config ~socket ~store_dir:store) with
       Service.jobs = 2;
       admission;
-      degraded_after;
       request_timeout;
       slow_reader_timeout = 2.;
       flight_dir = Option.value ~default:"." flight_dir;
@@ -105,11 +108,9 @@ let start_server ?(chaos = "") ?(admission = 64) ?(degraded_after = 2.)
   in
   (socket, stop)
 
-let with_server ?chaos ?admission ?degraded_after ?request_timeout ?flight_dir
-    f =
+let with_server ?chaos ?admission ?request_timeout ?flight_dir f =
   let socket, stop =
-    start_server ?chaos ?admission ?degraded_after ?request_timeout
-      ?flight_dir ()
+    start_server ?chaos ?admission ?request_timeout ?flight_dir ()
   in
   Fun.protect ~finally:stop (fun () -> f socket)
 
@@ -238,54 +239,49 @@ let test_protocol_edges () =
         (status (rpc fd3 (P.obj [ ("verb", P.S "health") ])));
       Unix.close fd3)
 
-let test_degraded_store_only () =
-  (* Wedge the pool past [degraded_after]: a store hit still serves, a
-     fresh miss is refused with [degraded], and the degradation window is
-     accounted. *)
-  with_server ~degraded_after:0.15 (fun socket ->
+let test_slow_batch_queues_misses () =
+  (* While the pool holds a batch, the daemon keeps serving: a store hit
+     is answered at once, health says serving, and a fresh miss waits for
+     the next batch and is computed. *)
+  with_server (fun socket ->
       let fd = connect socket in
       (* Warm the store with one computed cell. *)
       check_string "warmup" "ok" (status (rpc fd gray_query));
       (match Faults.configure "pool-wedge=1@0.9" with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "chaos: %s" msg);
-      (* A miss that wedges the compute domain. *)
+      (* A miss whose batch the pool holds. *)
       let slow = connect socket in
       P.write_frame slow
         (P.query_payload ~vm:"forth" ~workload:"gray" ~technique:"switch"
            ~cpu:"pentium-m" ~scale:1 ());
-      Unix.sleepf 0.4;
-      (* Store hits keep serving while degraded. *)
+      Unix.sleepf 0.2;
       let hit = rpc fd gray_query in
-      check_bool "hit served while degraded" true (source hit = Some "store");
-      (* A different miss is refused. *)
-      check_string "miss refused while degraded" "degraded"
-        (status
-           (rpc fd
-              (P.query_payload ~vm:"forth" ~workload:"gray"
-                 ~technique:"switch" ~cpu:"pentium4-prescott" ~scale:1 ())));
-      check_bool "health reports degraded" true
+      check_bool "hit served during the hold" true (source hit = Some "store");
+      check_bool "health reports serving" true
         (Vmbp_store.Sjson.str_opt
            (fields_of (rpc fd (P.obj [ ("verb", P.S "health") ])))
            "state"
-        = Some "degraded");
-      (* The wedged request itself completes once the pool recovers. *)
+        = Some "serving");
+      let held, _, _ = Unix.select [ slow ] [] [] 0. in
+      check_bool "the held batch is still in flight" true (held = []);
+      let miss =
+        rpc fd
+          (P.query_payload ~vm:"forth" ~workload:"gray" ~technique:"switch"
+             ~cpu:"pentium4-prescott" ~scale:1 ())
+      in
+      check_string "a fresh miss is answered" "ok" (status miss);
+      check_bool "and computed" true (source miss = Some "computed");
       (match P.read_frame slow with
-      | Some r -> check_string "wedged miss completes" "ok" (status r)
-      | None -> Alcotest.fail "wedged request lost");
-      let s = fields_of (rpc fd (P.obj [ ("verb", P.S "stats") ])) in
-      check_bool "degraded window accounted" true
-        (match Vmbp_store.Sjson.num s "degraded_seconds" with
-        | v -> v > 0.
-        | exception Vmbp_store.Sjson.Bad -> false);
+      | Some r -> check_string "held miss completes" "ok" (status r)
+      | None -> Alcotest.fail "held request lost");
       Unix.close slow;
       Unix.close fd)
 
 let test_admission_shed () =
   (* admission=1 with a wedged pool: the second distinct miss sheds with
      an explicit [overloaded] reply. *)
-  with_server ~admission:1 ~chaos:"pool-wedge=1@0.5" ~degraded_after:10.
-    (fun socket ->
+  with_server ~admission:1 ~chaos:"pool-wedge=1@0.5" (fun socket ->
       let a = connect socket in
       P.write_frame a gray_query;
       Unix.sleepf 0.1;
@@ -379,6 +375,93 @@ let test_unbindable_socket_leaves_no_store () =
       serve base;
       check_bool "a store with records stays" true
         (Sys.file_exists (Vmbp_store.Store.file base)))
+
+(* Run [Service.serve cfg] on a socket path it must refuse and return the
+   path its error names.  A serve that binds instead is drained by
+   SIGTERM, which every daemon in this process obeys, so the test fails
+   rather than hangs. *)
+let serve_refused cfg =
+  let result = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set result
+          (Some
+             (match Service.serve cfg with () -> None | exception e -> Some e)))
+  in
+  let rec wait n =
+    match Atomic.get result with
+    | Some r ->
+        Domain.join d;
+        r
+    | None when n > 0 ->
+        Unix.sleepf 0.02;
+        wait (n - 1)
+    | None ->
+        Unix.kill (Unix.getpid ()) Sys.sigterm;
+        Domain.join d;
+        Alcotest.fail "serve took over a socket path it must refuse"
+  in
+  match wait 150 with
+  | Some (Unix.Unix_error (Unix.EADDRINUSE, _, path)) -> path
+  | Some e -> Alcotest.failf "serve raised %s" (Printexc.to_string e)
+  | None -> Alcotest.fail "serve returned without refusing its socket"
+
+let refused_config socket =
+  let store_dir = Filename.concat "/tmp" ("vmbp-svc-refused-" ^ uniq ()) in
+  ( { (Service.default_config ~socket ~store_dir) with Service.quiet = true },
+    store_dir )
+
+let test_socket_refuses_file () =
+  (* A regular file at the socket path is not a socket to replace: serve
+     exits naming the path, the file keeps its bytes, and the store the
+     attempt opened is gone again. *)
+  let path = Filename.concat "/tmp" ("vmbp-svc-notes-" ^ uniq () ^ ".txt") in
+  let notes = "notes, not a socket\n" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc notes);
+  let cfg, store = refused_config path in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove path with Sys_error _ -> ());
+      rm_rf store)
+    (fun () ->
+      check_string "the error names the path" path (serve_refused cfg);
+      check_string "the file is untouched" notes
+        (In_channel.with_open_bin path In_channel.input_all);
+      check_bool "no store directory left behind" false (Sys.file_exists store))
+
+let test_socket_refuses_live_daemon () =
+  (* A second daemon on a live daemon's socket is refused, and the first
+     keeps answering on it. *)
+  with_server (fun socket ->
+      let fd = connect socket in
+      check_string "first daemon up" "ok"
+        (status (rpc fd (P.obj [ ("verb", P.S "health") ])));
+      let cfg, store = refused_config socket in
+      Fun.protect
+        ~finally:(fun () -> rm_rf store)
+        (fun () ->
+          check_string "the error names the socket" socket (serve_refused cfg);
+          check_bool "no store directory left behind" false
+            (Sys.file_exists store));
+      let fd2 = connect socket in
+      check_string "the first daemon still answers" "ok"
+        (status (rpc fd2 (P.obj [ ("verb", P.S "health") ])));
+      Unix.close fd2;
+      Unix.close fd)
+
+let test_socket_replaces_stale () =
+  (* A socket nobody listens on, left by a daemon that died without
+     unlinking it, is replaced. *)
+  let socket = Filename.concat "/tmp" ("vmbp-svc-stale-" ^ uniq () ^ ".sock") in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX socket);
+  Unix.close fd;
+  let socket, stop = start_server ~socket () in
+  Fun.protect ~finally:stop (fun () ->
+      let fd = connect socket in
+      check_string "serving on the replaced socket" "ok"
+        (status (rpc fd (P.obj [ ("verb", P.S "health") ])));
+      Unix.close fd)
 
 let test_metrics_verb () =
   with_server (fun socket ->
@@ -750,8 +833,8 @@ let () =
           Alcotest.test_case "duplicates coalesce" `Quick
             test_duplicate_queries_coalesce;
           Alcotest.test_case "protocol edges" `Quick test_protocol_edges;
-          Alcotest.test_case "degraded store-only" `Quick
-            test_degraded_store_only;
+          Alcotest.test_case "slow batch queues misses" `Quick
+            test_slow_batch_queues_misses;
           Alcotest.test_case "admission shed" `Quick test_admission_shed;
           Alcotest.test_case "shutdown drains in-flight" `Quick
             test_shutdown_drains_inflight;
@@ -759,6 +842,12 @@ let () =
             test_sigterm_drains_like_sigint;
           Alcotest.test_case "unbindable socket leaves no store" `Quick
             test_unbindable_socket_leaves_no_store;
+          Alcotest.test_case "file at socket path is refused" `Quick
+            test_socket_refuses_file;
+          Alcotest.test_case "live daemon's socket is refused" `Quick
+            test_socket_refuses_live_daemon;
+          Alcotest.test_case "stale socket is replaced" `Quick
+            test_socket_replaces_stale;
           Alcotest.test_case "failed connect closes its socket" `Quick
             test_connect_closes_on_failure;
         ] );

@@ -1,7 +1,8 @@
 (* Tests of the content-addressed result store and its codecs: CRC-32
    against the reference vector, frame classification, cell-record
    round-trips, crash/corruption survival (byte-flip fuzzing, torn
-   tails, stale compaction temps) and compaction repair. *)
+   tails, stale compaction temps), compaction repair, and records another
+   format wrote, kept unread. *)
 
 open Vmbp_store
 
@@ -186,22 +187,69 @@ let write_framed dir payloads =
   List.iter (fun p -> output_string oc (Frame.encode p)) payloads;
   close_out oc
 
-(* A failure record is never written, so a well-framed ["ok":false] line
-   is corrupt: skipped, counted, never served. *)
-let test_store_failure_record_corrupt () =
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A failure record as an older build wrote it is intact but not a
+   record this format reads: counted unreadable, never served, and kept
+   by compaction. *)
+let test_store_failure_record_unreadable () =
   with_dir @@ fun dir ->
   write_framed dir
     [
       {|{"key":"k","fp":"fp-1","attempts":2,"timed_out":true,|}
       ^ {|"ok":false,"error":"timed out after 0.1s"}|};
     ];
+  let before = read_file (store_file dir) in
   let t = Store.open_ dir in
   let s = Store.stats t in
-  check_int "counted corrupt" 1 s.Store.corrupt;
+  check_int "counted unreadable" 1 s.Store.unreadable;
+  check_int "not corrupt" 0 s.Store.corrupt;
   check_int "nothing loaded" 0 s.Store.loaded;
   check_bool "not served" true
     (Store.lookup t ~key:"k" ~fingerprint:"fp-1" = None);
-  Store.close t
+  Store.compact t;
+  Store.close t;
+  check_string "kept byte-identical" before (read_file (store_file dir));
+  check_bool "scrub counts it unreadable, not corrupt" true
+    (List.map
+       (fun r ->
+         (r.Store.sr_records, r.Store.sr_corrupt, r.Store.sr_unreadable))
+       (Store.scrub dir)
+    = [ (0, 0, 1) ])
+
+(* A record a newer format wrote, beside one this build reads: opening
+   and compacting the store serves the one and keeps the other byte for
+   byte, after this build's records. *)
+let test_store_future_record_survives () =
+  with_dir @@ fun dir ->
+  let future =
+    Frame.encode
+      {|{"format":2,"key":"k2","fp":"fp-1","ok":true,"counters":"v2"}|}
+  in
+  let t = Store.open_ dir in
+  Store.append t (sample_success "k1");
+  Store.close t;
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 (store_file dir) in
+  output_string oc future;
+  close_out oc;
+  let t = Store.open_ dir in
+  check_int "one unreadable" 1 (Store.stats t).Store.unreadable;
+  Store.compact t;
+  Store.append t (sample_success "k3");
+  Store.close t;
+  let t = Store.open_ dir in
+  let s = Store.stats t in
+  check_int "still unreadable after compaction" 1 s.Store.unreadable;
+  check_int "readable records load" 2 s.Store.loaded;
+  check_bool "k1 serves" true
+    (Store.lookup t ~key:"k1" ~fingerprint:"fp-1" <> None);
+  check_bool "k2 does not" true
+    (Store.lookup t ~key:"k2" ~fingerprint:"fp-1" = None);
+  Store.close t;
+  let contents = read_file (store_file dir) in
+  let k1 = Frame.encode (Cellrec.to_line (sample_success "k1")) in
+  check_bool "compaction wrote k1, then the future line, byte for byte" true
+    (String.starts_with ~prefix:(k1 ^ future) contents)
 
 (* A success record as an older build wrote it, with its [attempts] and
    [timed_out] fields, loads and serves unchanged. *)
@@ -408,8 +456,10 @@ let () =
           Alcotest.test_case "basic" `Quick test_store_basic;
           Alcotest.test_case "last write wins" `Quick
             test_store_last_write_wins;
-          Alcotest.test_case "failure record counted corrupt" `Quick
-            test_store_failure_record_corrupt;
+          Alcotest.test_case "failure record kept unreadable" `Quick
+            test_store_failure_record_unreadable;
+          Alcotest.test_case "future record survives compaction" `Quick
+            test_store_future_record_survives;
           Alcotest.test_case "older success record serves" `Quick
             test_store_older_record_serves;
           Alcotest.test_case "corruption fuzz" `Quick
