@@ -37,7 +37,8 @@ import sys
 HOT = [
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Btb.o",
      "Vmbp_machine__Btb",
-     ["access", "access_unbounded", "access_finite", "run_ranges"]),
+     ["access", "access_unbounded", "access_finite", "find_way", "shift_down",
+      "run_ranges"]),
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Two_level.o",
      "Vmbp_machine__Two_level", ["access", "run_ranges"]),
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Case_block_table.o",
@@ -45,8 +46,7 @@ HOT = [
      ["access", "run_ranges"]),
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Icache.o",
      "Vmbp_machine__Icache",
-     ["fetch", "fetch_lines", "touch_line", "touch_set", "run_ranges",
-      "fill_lines"]),
+     ["fetch", "fetch_lines", "touch_line", "run_ranges", "fill_lines"]),
     ("lib/machine/.vmbp_machine.objs/native/vmbp_machine__Predictor.o",
      "Vmbp_machine__Predictor",
      ["access", "run_ranges", "never_ranges"]),

@@ -16,13 +16,18 @@ let with_counters ~entries ~associativity =
 let descriptor { entries; associativity; two_bit_counters } =
   Printf.sprintf "btb(%d,%d,%b)" entries associativity two_bit_counters
 
-(* One way of one set is four parallel-array slots at [set * assoc + i]:
+(* One way of one set is three parallel-array slots at [set * assoc + i]:
    [tag] is the full branch address (-1 = invalid); [counter] implements
-   the two-bit hysteresis (3..2 = strong, replace only below 2); [stamp]
-   is a per-set LRU timestamp.  Flat int arrays instead of an array of
-   way records: the access path runs once per dispatch -- the hottest
-   simulator code in both live runs and path walks -- and scanning
-   boxed records costs one pointer chase per way examined. *)
+   the two-bit hysteresis (3..2 = strong, replace only below 2).  Every
+   set keeps its ways in recency order, most recent first: way 0 holds
+   the branch accessed last, the last way the least recently used one,
+   and the valid ways form a prefix.  That order is the set's LRU stack
+   (Mattson et al., 1970), so a repeat access hits way 0 and a miss
+   drops the last way; no per-way age is written or compared.  Flat int
+   arrays instead of an array of way records: the access path runs once
+   per dispatch -- the hottest simulator code in both live runs and path
+   walks -- and scanning boxed records costs one pointer chase per way
+   examined. *)
 
 (* The unbounded ("ideal") table: open-addressing over flat int arrays,
    keyed by branch address with linear probing.  This table takes one
@@ -88,13 +93,11 @@ type t = {
   f_tags : int array;  (* finite table, way-major within each set *)
   f_targets : int array;
   f_counters : int array;
-  f_stamps : int array;
   set_mask : int;
       (* nsets - 1 when the set count is a power of two (every paper
          geometry), so the per-access set index is a mask instead of a
          division; -1 = fall back to [mod] *)
   unbounded : ub;  (* branch -> target, counter *)
-  mutable tick : int;
 }
 
 let create cfg =
@@ -121,10 +124,8 @@ let create cfg =
     f_tags = Array.make (max 1 cfg.entries) (-1);
     f_targets = Array.make (max 1 cfg.entries) 0;
     f_counters = Array.make (max 1 cfg.entries) 0;
-    f_stamps = Array.make (max 1 cfg.entries) 0;
     set_mask;
     unbounded = ub_create ();
-    tick = 0;
   }
 
 let config t = t.cfg
@@ -135,15 +136,19 @@ let[@inline] set_index t branch =
   let h = branch lsr 2 in
   if t.set_mask >= 0 then h land t.set_mask else h mod t.nsets
 
-(* Slot of [branch] in the finite table, -1 when absent. *)
-let find_slot t branch =
-  let base = set_index t branch * t.assoc in
-  let rec loop i =
-    if i >= t.assoc then -1
-    else if t.f_tags.(base + i) = branch then base + i
-    else loop (i + 1)
-  in
-  loop 0
+(* The way of the finite set starting at [base] that holds [branch], -1
+   when absent: the front way first, where a repeat access finds it. *)
+let[@inline] find_way t base branch =
+  let tags = t.f_tags in
+  if Array.unsafe_get tags base = branch then base
+  else begin
+    let stop = base + t.assoc in
+    let i = ref (base + 1) in
+    while !i < stop && Array.unsafe_get tags !i <> branch do
+      incr i
+    done;
+    if !i < stop then !i else -1
+  end
 
 let predict t ~branch =
   if t.assoc = 0 then begin
@@ -154,7 +159,7 @@ let predict t ~branch =
       if u.ub_keys.(i) = branch then Some u.ub_targets.(i) else None
   end
   else
-    match find_slot t branch with
+    match find_way t (set_index t branch * t.assoc) branch with
     | -1 -> None
     | j -> Some t.f_targets.(j)
 
@@ -197,20 +202,20 @@ let[@inline] access_unbounded t ~branch ~target =
     false
   end
 
+(* Ways [base .. last - 1] of a set move down one, over way [last]. *)
+let[@inline] shift_down t base last =
+  let tags = t.f_tags and targets = t.f_targets and counters = t.f_counters in
+  for i = last downto base + 1 do
+    Array.unsafe_set tags i (Array.unsafe_get tags (i - 1));
+    Array.unsafe_set targets i (Array.unsafe_get targets (i - 1));
+    Array.unsafe_set counters i (Array.unsafe_get counters (i - 1))
+  done
+
 let[@inline] access_finite t ~branch ~target =
-  t.tick <- t.tick + 1;
-  let assoc = t.assoc in
-  let base = set_index t branch * assoc in
-  let tags = t.f_tags in
-  let hit = ref (-1) in
-  let i = ref 0 in
-  while !hit < 0 && !i < assoc do
-    if Array.unsafe_get tags (base + !i) = branch then hit := base + !i;
-    incr i
-  done;
-  if !hit >= 0 then begin
-    let j = !hit in
-    let targets = t.f_targets and counters = t.f_counters in
+  let base = set_index t branch * t.assoc in
+  let targets = t.f_targets and counters = t.f_counters in
+  let j = find_way t base branch in
+  if j >= 0 then begin
     let correct = Array.unsafe_get targets j = target in
     let c = Array.unsafe_get counters j in
     (if correct then Array.unsafe_set counters j (if c >= 3 then 3 else c + 1)
@@ -223,22 +228,24 @@ let[@inline] access_finite t ~branch ~target =
        Array.unsafe_set targets j target;
        Array.unsafe_set counters j 2
      end);
-    Array.unsafe_set t.f_stamps j t.tick;
+    if j > base then begin
+      (* Not yet in front: the more recent ways shift down past it. *)
+      let tg = Array.unsafe_get targets j and c = Array.unsafe_get counters j in
+      shift_down t base j;
+      Array.unsafe_set t.f_tags base branch;
+      Array.unsafe_set targets base tg;
+      Array.unsafe_set counters base c
+    end;
     correct
   end
   else begin
-    (* Miss: allocate the LRU way of the set. *)
-    let stamps = t.f_stamps in
-    let victim = ref base in
-    for i = 1 to assoc - 1 do
-      if Array.unsafe_get stamps (base + i) < Array.unsafe_get stamps !victim
-      then victim := base + i
-    done;
-    let j = !victim in
-    Array.unsafe_set tags j branch;
-    Array.unsafe_set t.f_targets j target;
-    Array.unsafe_set t.f_counters j 2;
-    Array.unsafe_set stamps j t.tick;
+    (* Miss: the set shifts down, dropping its last way (the LRU entry, or
+       an invalid way while the set is not full), and the branch enters
+       at the front. *)
+    shift_down t base (base + t.assoc - 1);
+    Array.unsafe_set t.f_tags base branch;
+    Array.unsafe_set targets base target;
+    Array.unsafe_set counters base 2;
     false
   end
 

@@ -33,23 +33,15 @@ type t = {
       (* log2 of [line_bytes] (enforced a power of two), so the per-fetch
          address-to-line map is a shift, not a division *)
   set_mask : int;  (* nsets - 1 when a power of two, else -1 = use [mod] *)
-  tags : int array;  (* nsets * associativity, -1 = invalid *)
-  stamps : int array;
-  mutable tick : int;
-  (* One-entry fetch memo: consecutive fetches of the same line (straight-
-     line execution inside a block) hit without a full set scan.  [last_slot]
-     is the way the memoized line occupies, so a memo hit can refresh the
-     line's LRU stamp without rescanning the set: skipping the refresh would
-     leave the hot line's stamp stale and let it be evicted as the "LRU"
-     victim, inflating miss counts for exactly the replicated layouts whose
-     I-cache pressure the paper measures (Section 7.4). *)
+  tags : int array;
+      (* nsets * associativity, -1 = invalid.  Every set keeps its ways in
+         recency order, most recent first, so valid ways form a prefix,
+         the victim of a miss is the last way and a repeat of the set's
+         newest line is found at its front way. *)
   mutable last_line : int;
-  mutable last_slot : int;
-  (* Per set, the index into [tags] of the line touched last in that set
-     (-1 = none).  That line already holds its set's newest stamp, so the
-     range kernel can count a repeat of it as a hit without re-stamping
-     it: stamps are only compared within a set. *)
-  mru : int array;
+      (* One-entry fetch memo: the line touched last.  It is at the front
+         of its set, so a repeat of it (straight-line execution inside a
+         block) is a hit that changes nothing and skips the set lookup. *)
 }
 
 let create cfg =
@@ -84,11 +76,7 @@ let create cfg =
     set_mask =
       (if nsets > 0 && nsets land (nsets - 1) = 0 then nsets - 1 else -1);
     tags = Array.make (max 1 (nsets * cfg.associativity)) (-1);
-    stamps = Array.make (max 1 (nsets * cfg.associativity)) 0;
-    tick = 0;
     last_line = -1;
-    last_slot = -1;
-    mru = Array.make (max 1 nsets) (-1);
   }
 
 let create_bank configs =
@@ -110,39 +98,26 @@ let config t = t.cfg
 let[@inline] set_of t line =
   if t.set_mask >= 0 then line land t.set_mask else line mod t.nsets
 
-let[@inline] touch_set t line set =
-  let assoc = t.assoc in
-  let base = set * assoc in
+(* Touch [line] in its set; true on a hit.  A line not already in front
+   moves there and the ways before it shift down one; on a miss the shift
+   drops the set's last way. *)
+let[@inline] touch_line t line =
+  let base = set_of t line * t.assoc in
   let tags = t.tags in
-  t.tick <- t.tick + 1;
-  let hit = ref (-1) in
-  let i = ref 0 in
-  while !hit < 0 && !i < assoc do
-    if Array.unsafe_get tags (base + !i) = line then hit := base + !i;
-    incr i
-  done;
-  if !hit >= 0 then begin
-    Array.unsafe_set t.stamps !hit t.tick;
-    t.last_slot <- !hit;
-    Array.unsafe_set t.mru set !hit;
-    true
-  end
+  if Array.unsafe_get tags base = line then true
   else begin
-    let stamps = t.stamps in
-    let victim = ref base in
-    for i = 1 to assoc - 1 do
-      if Array.unsafe_get stamps (base + i) < Array.unsafe_get stamps !victim
-      then victim := base + i
+    let stop = base + t.assoc in
+    let j = ref (base + 1) in
+    while !j < stop && Array.unsafe_get tags !j <> line do
+      incr j
     done;
-    let j = !victim in
-    Array.unsafe_set tags j line;
-    Array.unsafe_set stamps j t.tick;
-    t.last_slot <- j;
-    Array.unsafe_set t.mru set j;
-    false
+    let hit = !j < stop in
+    for i = (if hit then !j else stop - 1) downto base + 1 do
+      Array.unsafe_set tags i (Array.unsafe_get tags (i - 1))
+    done;
+    Array.unsafe_set tags base line;
+    hit
   end
-
-let[@inline] touch_line t line = touch_set t line (set_of t line)
 
 (* The last line a fetch of [bytes] at [addr] touches under line size
    [1 lsl shift]; a zero-byte fetch still touches its first line.  An int
@@ -155,27 +130,10 @@ let[@inline] last_line shift ~addr ~bytes =
    rest hit. *)
 let[@inline] fetch_lines t first last =
   if t.infinite then 0
-  else if last = first && first = t.last_line then begin
-    (* Single-line memo hit, the overwhelmingly common fetch: straight-line
-       code re-fetching the line it already ran from.  Same bookkeeping as
-       the loop's memo arm, minus the loop. *)
-    let tk = t.tick + 1 in
-    t.tick <- tk;
-    Array.unsafe_set t.stamps t.last_slot tk;
-    0
-  end
   else begin
     let missed = ref 0 in
     for line = first to last do
-      if line = t.last_line then begin
-        (* Memo hit: the line is resident in [last_slot].  Advance the LRU
-           clock and refresh the stamp exactly as the full-scan path would,
-           so the memoized run stays in lock-step with a memo-free one. *)
-        let tk = t.tick + 1 in
-        t.tick <- tk;
-        Array.unsafe_set t.stamps t.last_slot tk
-      end
-      else begin
+      if line <> t.last_line then begin
         t.last_line <- line;
         if not (touch_line t line) then incr missed
       end
@@ -251,21 +209,19 @@ let lines_equal a b =
   a.shift = b.shift && a.start = b.start && used a = used b
 
 (* The path-walk kernel: every fetch of a block of slot ranges (see
-   {!Slot_ranges}), read as the ranges' line columns.  A line equal to
-   the memo line (the last one touched), or to the line touched last in
-   its set, is a hit that [fetch] would re-stamp; it already holds its
-   set's newest stamp, and stamps are only compared within a set, so the
-   kernel skips the stamp and adds the skipped ticks to the clock once at
-   the end.  Counts touched lines and misses; hits are the difference.
-   It lives in this module so that [touch_set] inlines into the loop (the
-   libraries build with [-opaque]; nothing inlines across modules). *)
+   {!Slot_ranges}), read as the ranges' line columns, touched as [fetch]
+   touches them: a repeat of the memo line changes nothing, and a repeat
+   of its set's newest line is one read of the set's front way.  Counts
+   touched lines and misses; hits are the difference.  It lives in this
+   module so that [touch_line] inlines into the loop (the libraries build
+   with [-opaque]; nothing inlines across modules). *)
 let run_ranges t (b : Slot_ranges.t) ~main ~shadow ~hits ~misses =
   if main.shift <> t.line_shift || shadow.shift <> t.line_shift then
     invalid_arg "Icache.run_ranges: line columns of another line size";
   if main.cols != b.Slot_ranges.main || shadow.cols != b.Slot_ranges.shadow
   then invalid_arg "Icache.run_ranges: line columns of another block";
-  let touched = ref 0 and real = ref 0 and m = ref 0 in
-  let memo = ref t.last_line and slot = ref t.last_slot in
+  let touched = ref 0 and m = ref 0 in
+  let memo = ref t.last_line in
   for r = 0 to b.Slot_ranges.len - 1 do
     let l =
       if Array.unsafe_get b.Slot_ranges.in_shadow r then shadow else main
@@ -281,27 +237,14 @@ let run_ranges t (b : Slot_ranges.t) ~main ~shadow ~hits ~misses =
         let line = Array.unsafe_get seq i in
         if line <> !memo then begin
           memo := line;
-          let set = set_of t line in
-          let w = Array.unsafe_get t.mru set in
-          if w >= 0 && Array.unsafe_get t.tags w = line then slot := w
-          else begin
-            incr real;
-            if not (touch_set t line set) then incr m;
-            slot := t.last_slot
-          end
+          if not (touch_line t line) then incr m
         end
       done
     end
   done;
-  if not t.infinite then begin
-    t.last_line <- !memo;
-    t.last_slot <- !slot;
-    t.tick <- t.tick + (!touched - !real)
-  end;
+  t.last_line <- !memo;
   hits := !hits + (!touched - !m);
   misses := !misses + !m
-
-let clock t = t.tick
 
 let resident t ~line =
   if t.cfg.size_bytes = 0 then true

@@ -42,11 +42,12 @@ val create_bank : config list -> (string * t) list
 
 val fetch : t -> addr:int -> bytes:int -> hits:int ref -> misses:int ref -> unit
 (** Touch every line overlapping [addr, addr+bytes); adds the line hit and
-    miss counts into the given accumulators.  Every counted line access --
-    including fast-path hits on the internally memoized last line -- advances
-    the LRU clock and refreshes that line's recency stamp.  The per-event
-    entry: live runs and the self-check audit (which [explain] is) fetch
-    through it. *)
+    miss counts into the given accumulators.  Each set is an LRU stack: a
+    touched line becomes its set's most recent, and a miss evicts the
+    least recent line.  A repeat of the line touched last (internally
+    memoized) is a hit that leaves every set as it is, since that line is
+    already its set's most recent.  The per-event entry: live runs and the
+    self-check audit (which [explain] is) fetch through it. *)
 
 type lines
 (** Decode-time line columns: one {!Slot_ranges.columns} read at one line
@@ -84,19 +85,10 @@ val run_ranges :
     must have been built over the block's [main] and [shadow] columns at
     this cache's line size ([Invalid_argument] otherwise).  It counts a
     range's lines from the start offsets and touches only the lines that
-    differ from the last one touched and from the last one touched in
-    their set; such a repeat already holds its set's newest stamp and
-    writes none, and the clock advances by the repeats once at the end of
-    the call.  The result is the per-event loop's: the same counts,
-    clock, residency and LRU order within every set as {!fetch} once for
-    every fetch, in {!Slot_ranges}' order. *)
-
-val clock : t -> int
-(** Number of line accesses applied to the LRU recency clock so far.  For a
-    finite cache this equals the total hits plus misses reported by [fetch];
-    the invariant is what keeps hot lines from going stale in the eviction
-    order, and what tests use to pin the memoized fast path to the memo-free
-    reference behaviour.  Always [0] for the infinite cache. *)
+    differ from the last one touched; a line already its set's most recent
+    is found at the set's first way.  The result is the per-event loop's:
+    the same counts, residency and LRU order within every set as {!fetch}
+    once for every fetch, in {!Slot_ranges}' order. *)
 
 val resident : t -> line:int -> bool
 (** Whether the given line index currently occupies a way (always [true] for

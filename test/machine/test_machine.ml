@@ -245,6 +245,9 @@ module Ref_icache = struct
     end;
     !hit
 
+  let resident t line =
+    Array.mem line (Array.sub t.tags (line mod t.nsets * t.assoc) t.assoc)
+
   let fetch t ~addr ~bytes ~hits ~misses =
     let first = addr / t.line_bytes in
     let last = (addr + max 1 bytes - 1) / t.line_bytes in
@@ -253,11 +256,11 @@ module Ref_icache = struct
     done
 end
 
-(* Regression test for the fetch-memo LRU staleness: a memo hit must advance
-   the LRU clock and refresh the hot line's stamp exactly like the full-scan
-   path, so the memoized cache stays in lock-step with a memo-free model
-   through eviction decisions.  The clock assertion fails on the stale-memo
-   code (memo hits used to leave the tick behind by one per hit). *)
+(* Regression test for the fetch-memo LRU staleness: a memo hit must leave
+   the hot line as recent as a full touch does, so the memoized cache stays
+   in lock-step with a memo-free model through eviction decisions.  After
+   every fetch, every line the case can touch is resident exactly when the
+   model holds it. *)
 let test_icache_memo_lru_refresh () =
   (* 2-way, 4 sets: lines 0, 4, 8, ... all compete for set 0. *)
   let cfg = Icache.make_config ~size_bytes:256 ~line_bytes:32 ~associativity:2 in
@@ -270,9 +273,10 @@ let test_icache_memo_lru_refresh () =
     Ref_icache.fetch r ~addr ~bytes ~hits:rhits ~misses:rmisses;
     check_int "hits track the memo-free reference" !rhits !hits;
     check_int "misses track the memo-free reference" !rmisses !misses;
-    (* every access advances the LRU clock, memo hit or not *)
-    check_int "clock counts every line access" (!hits + !misses)
-      (Icache.clock c)
+    for line = 0 to (2048 + 64) / 32 do
+      check_bool "residency tracks the memo-free reference"
+        (Ref_icache.resident r line) (Icache.resident c ~line)
+    done
   in
   (* Straight-line re-fetches of line 0 engage the memo... *)
   for _ = 1 to 8 do
@@ -437,27 +441,82 @@ let dispatch_stream_gen =
       (triple (map (fun n -> n * 4) (int_bound 63)) (int_bound 7) (int_bound 63)))
 
 (* The reference models' reports, reduced to the answers the fast
-   simulators give. *)
-let ref_predicts oracle ~branch ~target ~opcode =
-  (Reference.access oracle ~branch ~target ~opcode).Reference.outcome
-  = Reference.Hit
+   simulators give.  Each also follows in [held] what the reference
+   holds: a miss allocates its branch or line and displaces [evicted]
+   (-1 for an empty way).  Only a BTB's and an I-cache's [held] are read;
+   the tagless tables' misses mean an empty slot. *)
+let hold held ~key ~evicted =
+  if evicted >= 0 then Hashtbl.remove held evicted;
+  Hashtbl.replace held key ()
 
-let ref_fetch oracle ~addr ~bytes ~hits ~misses =
+let ref_predicts ~held oracle ~branch ~target ~opcode =
+  let a = Reference.access oracle ~branch ~target ~opcode in
+  if a.Reference.outcome = Reference.Miss then
+    hold held ~key:branch ~evicted:a.Reference.evicted;
+  a.Reference.outcome = Reference.Hit
+
+let ref_fetch ~held oracle ~addr ~bytes ~hits ~misses =
   let h, missed = Reference.fetch oracle ~addr ~bytes in
+  List.iter
+    (fun { Reference.line; evicted; _ } -> hold held ~key:line ~evicted)
+    missed;
   hits := !hits + h;
   misses := !misses + List.length missed
+
+(* The fast simulator of a predictor kind.  A BTB is driven directly, not
+   through {!Predictor}, so that [holds] can ask [Btb.predict] whether
+   every branch address the generators draw (multiples of 4 below 256) is
+   in the table exactly when the reference holds it. *)
+type fast_predictor = {
+  access : branch:int -> target:int -> opcode:int -> bool;
+  run_ranges : Slot_ranges.t -> mis:int ref -> vm_mis:int ref -> unit;
+  holds : (int, unit) Hashtbl.t -> bool;
+}
+
+let fast_predictor = function
+  | Predictor.Btb cfg ->
+      let b = Btb.create cfg in
+      {
+        access = (fun ~branch ~target ~opcode:_ -> Btb.access b ~branch ~target);
+        run_ranges = Btb.run_ranges b;
+        holds =
+          (fun held ->
+            List.for_all
+              (fun branch ->
+                Btb.predict b ~branch <> None = Hashtbl.mem held branch)
+              (List.init 64 (fun n -> n * 4)));
+      }
+  | kind ->
+      let p = Predictor.create kind in
+      {
+        access = Predictor.access p;
+        run_ranges = Predictor.run_ranges p;
+        holds = (fun _ -> true);
+      }
+
+(* Every line an I-cache case can touch (addresses below 1024 + 48) is
+   resident in [fast] exactly when the reference holds it; the infinite
+   cache holds every line. *)
+let icache_holds fast (cfg : Icache.config) held =
+  List.for_all
+    (fun line ->
+      Icache.resident fast ~line
+      = (cfg.Icache.size_bytes = 0 || Hashtbl.mem held line))
+    (List.init ((1024 + 48) / cfg.Icache.line_bytes + 1) Fun.id)
 
 let prop_predictor_matches_reference (name, kind) =
   QCheck.Test.make ~count:150
     ~name:(Printf.sprintf "%s agrees with reference" name)
     (QCheck.make ~print:QCheck.Print.(list (triple int int int)) dispatch_stream_gen)
     (fun events ->
-      let fast = Predictor.create kind in
+      let fast = fast_predictor kind in
       let oracle = Reference.create_predictor kind in
+      let held = Hashtbl.create 64 in
       List.for_all
         (fun (branch, target, opcode) ->
-          Predictor.access fast ~branch ~target ~opcode
-          = ref_predicts oracle ~branch ~target ~opcode)
+          fast.access ~branch ~target ~opcode
+          = ref_predicts ~held oracle ~branch ~target ~opcode
+          && fast.holds held)
         events)
 
 let fetch_stream_gen =
@@ -471,12 +530,13 @@ let prop_icache_matches_reference (name, cfg) =
     (fun fetches ->
       let fast = Icache.create cfg in
       let oracle = Reference.create_icache cfg in
+      let held = Hashtbl.create 64 in
       List.for_all
         (fun (addr, bytes) ->
           let fh = ref 0 and fm = ref 0 and rh = ref 0 and rm = ref 0 in
           Icache.fetch fast ~addr ~bytes ~hits:fh ~misses:fm;
-          ref_fetch oracle ~addr ~bytes ~hits:rh ~misses:rm;
-          !fh = !rh && !fm = !rm)
+          ref_fetch ~held oracle ~addr ~bytes ~hits:rh ~misses:rm;
+          !fh = !rh && !fm = !rm && icache_holds fast cfg held)
         fetches)
 
 let icache_geometries =
@@ -581,8 +641,9 @@ let fold_slot_fetches (col : Slot_ranges.columns) k ~fetch =
   fetch ~addr:col.Slot_ranges.fetch_addr.(k)
     ~bytes:col.Slot_ranges.fetch_bytes.(k)
 
-(* Every event of [c]'s ranges, in {!Slot_ranges}' order. *)
-let fold_events c ~dispatch ~fetch =
+(* Every event of ranges [rs] over [c]'s columns, in {!Slot_ranges}'
+   order. *)
+let fold_events c rs ~dispatch ~fetch =
   List.iter
     (fun r ->
       let col = if r.in_shadow then c.shadow else c.main in
@@ -600,11 +661,12 @@ let fold_events c ~dispatch ~fetch =
             ~transfer:false;
         fold_slot_fetches col k ~fetch
       done)
-    c.ranges
+    rs
 
 (* Hand [c]'s ranges to [kernel] block by block, cutting at [c.blocks]
-   (reused cyclically).  A cut list with no positive size would never
-   advance, so then the rest goes as one block. *)
+   (reused cyclically), with the block's ranges as a list.  A cut list
+   with no positive size would never advance, so then the rest goes as
+   one block. *)
 let iter_blocks c kernel =
   let b = Slot_ranges.create ~main:c.main ~shadow:c.shadow in
   let block rs =
@@ -617,7 +679,7 @@ let iter_blocks c kernel =
         b.Slot_ranges.in_shadow.(i) <- r.in_shadow)
       rs;
     b.Slot_ranges.len <- List.length rs;
-    kernel b
+    kernel b rs
   in
   let rec go pending = function
     | [] -> ()
@@ -631,24 +693,32 @@ let iter_blocks c kernel =
   in
   go c.blocks c.ranges
 
+(* After every block the fast simulator also holds what the reference
+   holds. *)
 let prop_predictor_kernel_matches_reference (name, kind) =
   QCheck.Test.make ~count:150
     ~name:(Printf.sprintf "%s block kernel agrees with reference" name)
     kernel_case
     (fun c ->
       let oracle = Reference.create_predictor kind in
-      let rmis = ref 0 and rvm = ref 0 in
-      fold_events c
-        ~dispatch:(fun ~branch ~target ~opcode ~transfer ->
-          if not (ref_predicts oracle ~branch ~target ~opcode) then begin
-            incr rmis;
-            if transfer then incr rvm
-          end)
-        ~fetch:(fun ~addr:_ ~bytes:_ -> ());
-      let fast = Predictor.create kind in
-      let mis = ref 0 and vm_mis = ref 0 in
-      iter_blocks c (fun b -> Predictor.run_ranges fast b ~mis ~vm_mis);
-      !mis = !rmis && !vm_mis = !rvm)
+      let held = Hashtbl.create 64 in
+      let fast = fast_predictor kind in
+      let mis = ref 0 and vm_mis = ref 0 and rmis = ref 0 and rvm = ref 0 in
+      let holds = ref true in
+      iter_blocks c (fun b rs ->
+          fast.run_ranges b ~mis ~vm_mis;
+          fold_events c rs
+            ~dispatch:(fun ~branch ~target ~opcode ~transfer ->
+              if not (ref_predicts ~held oracle ~branch ~target ~opcode)
+              then begin
+                incr rmis;
+                if transfer then incr rvm
+              end)
+            ~fetch:(fun ~addr:_ ~bytes:_ -> ());
+          holds := !holds && fast.holds held);
+      !holds && !mis = !rmis && !vm_mis = !rvm)
+
+let no_dispatch ~branch:_ ~target:_ ~opcode:_ ~transfer:_ = ()
 
 let prop_icache_kernel_matches_reference (name, cfg) =
   QCheck.Test.make ~count:150
@@ -656,33 +726,7 @@ let prop_icache_kernel_matches_reference (name, cfg) =
     kernel_case
     (fun c ->
       let oracle = Reference.create_icache cfg in
-      let rh = ref 0 and rm = ref 0 in
-      fold_events c
-        ~dispatch:(fun ~branch:_ ~target:_ ~opcode:_ ~transfer:_ -> ())
-        ~fetch:(fun ~addr ~bytes ->
-          ref_fetch oracle ~addr ~bytes ~hits:rh ~misses:rm);
-      let fast = Icache.create cfg in
-      let line_bytes = cfg.Icache.line_bytes in
-      let main = Icache.lines ~line_bytes c.main in
-      let shadow =
-        if c.shadow == c.main then main else Icache.lines ~line_bytes c.shadow
-      in
-      let hits = ref 0 and misses = ref 0 in
-      iter_blocks c (fun b ->
-          Icache.run_ranges fast b ~main ~shadow ~hits ~misses);
-      (* The memo repeats the kernel skips still advance the clock. *)
-      let clock = if cfg.Icache.size_bytes = 0 then 0 else !hits + !misses in
-      !hits = !rh && !misses = !rm && Icache.clock fast = clock)
-
-(* Per-event fetches between the kernel's blocks, on the same cache: the
-   kernel's skipped re-stamps, its per-set and one-line memos and the
-   clock must leave the cache in the state the per-event loop leaves. *)
-let prop_icache_kernel_interleaves_fetch (name, cfg) =
-  QCheck.Test.make ~count:150
-    ~name:(Printf.sprintf "icache %s kernel between fetches agrees with reference" name)
-    kernel_case
-    (fun c ->
-      let oracle = Reference.create_icache cfg in
+      let held = Hashtbl.create 64 in
       let fast = Icache.create cfg in
       let line_bytes = cfg.Icache.line_bytes in
       let main = Icache.lines ~line_bytes c.main in
@@ -690,26 +734,46 @@ let prop_icache_kernel_interleaves_fetch (name, cfg) =
         if c.shadow == c.main then main else Icache.lines ~line_bytes c.shadow
       in
       let hits = ref 0 and misses = ref 0 and rh = ref 0 and rm = ref 0 in
+      let holds = ref true in
+      iter_blocks c (fun b rs ->
+          Icache.run_ranges fast b ~main ~shadow ~hits ~misses;
+          fold_events c rs ~dispatch:no_dispatch ~fetch:(fun ~addr ~bytes ->
+              ref_fetch ~held oracle ~addr ~bytes ~hits:rh ~misses:rm);
+          holds := !holds && icache_holds fast cfg held);
+      !holds && !hits = !rh && !misses = !rm)
+
+(* Per-event fetches between the kernel's blocks, on the same cache: the
+   kernel's memo and front-way repeats must leave the cache in the state
+   the per-event loop leaves. *)
+let prop_icache_kernel_interleaves_fetch (name, cfg) =
+  QCheck.Test.make ~count:150
+    ~name:(Printf.sprintf "icache %s kernel between fetches agrees with reference" name)
+    kernel_case
+    (fun c ->
+      let oracle = Reference.create_icache cfg in
+      let held = Hashtbl.create 64 in
+      let fast = Icache.create cfg in
+      let line_bytes = cfg.Icache.line_bytes in
+      let main = Icache.lines ~line_bytes c.main in
+      let shadow =
+        if c.shadow == c.main then main else Icache.lines ~line_bytes c.shadow
+      in
+      let hits = ref 0 and misses = ref 0 and rh = ref 0 and rm = ref 0 in
+      let ref_fetch = ref_fetch ~held oracle ~hits:rh ~misses:rm in
       let both ~addr ~bytes =
         Icache.fetch fast ~addr ~bytes ~hits ~misses;
-        ref_fetch oracle ~addr ~bytes ~hits:rh ~misses:rm
+        ref_fetch ~addr ~bytes
       in
-      let n = ref 0 in
-      iter_blocks c (fun b ->
+      let n = ref 0 and holds = ref true in
+      iter_blocks c (fun b rs ->
           for _ = 0 to !n mod 3 do
             incr n;
             both ~addr:(37 * !n mod 1024) ~bytes:(1 + (!n mod 48))
           done;
           Icache.run_ranges fast b ~main ~shadow ~hits ~misses;
-          for r = 0 to b.Slot_ranges.len - 1 do
-            let col = if b.Slot_ranges.in_shadow.(r) then c.shadow else c.main in
-            for k = b.Slot_ranges.lo.(r) to b.Slot_ranges.hi.(r) do
-              fold_slot_fetches col k ~fetch:(fun ~addr ~bytes ->
-                  ref_fetch oracle ~addr ~bytes ~hits:rh ~misses:rm)
-            done
-          done;
-          (* A memo hit on the block's last line, which [fetch] re-stamps
-             through its memo slot. *)
+          fold_events c rs ~dispatch:no_dispatch ~fetch:ref_fetch;
+          (* A memo hit on the block's last line, which [fetch] answers
+             from its memo. *)
           let len = b.Slot_ranges.len in
           if len > 0 then begin
             let col =
@@ -718,9 +782,9 @@ let prop_icache_kernel_interleaves_fetch (name, cfg) =
             let k = b.Slot_ranges.hi.(len - 1) in
             both ~addr:col.Slot_ranges.fetch_addr.(k)
               ~bytes:col.Slot_ranges.fetch_bytes.(k)
-          end);
-      let clock = if cfg.Icache.size_bytes = 0 then 0 else !hits + !misses in
-      !hits = !rh && !misses = !rm && Icache.clock fast = clock)
+          end;
+          holds := !holds && icache_holds fast cfg held);
+      !holds && !hits = !rh && !misses = !rm)
 
 (* Line columns repaired from slot [k] after slots [k ..] changed -- as a
    quickening re-translates a run of slots and every later slot's lines
@@ -833,21 +897,57 @@ let test_btb_outcome_taxonomy () =
   | [ (Reference.Miss, -1, -1); (Reference.Hit, -1, -1) ] -> ()
   | _ -> Alcotest.fail "unbounded BTB must report set = -1"
 
-let test_btb_miss_path_allocates_nothing () =
-  (* Eight branches share the one set of a 4-way table and are visited
-     round-robin, so under LRU every access misses.  The fast BTB's miss
-     path must not allocate. *)
-  let btb = Btb.create (Btb.classic ~entries:4 ~associativity:4) in
+let test_btb_access_allocates_nothing () =
+  (* One full 4-way set, 1M accesses round-robin over [k] branches after a
+     warm-up round: under LRU eight branches miss every time (the whole set
+     shifts down), four hit the last way every time (the whole set
+     rotates) and one hits the front way.  No path may allocate. *)
+  List.iter
+    (fun (what, k, hit) ->
+      let btb = Btb.create (Btb.classic ~entries:4 ~associativity:4) in
+      for i = 0 to k - 1 do
+        ignore (Btb.access btb ~branch:(i * 4) ~target:1)
+      done;
+      let n = 1_000_000 in
+      let hits = ref 0 in
+      let before = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        if Btb.access btb ~branch:(i mod k * 4) ~target:1 then incr hits
+      done;
+      let words = Gc.minor_words () -. before in
+      check_int (what ^ ": hits") (if hit then n else 0) !hits;
+      Alcotest.(check (float 0.)) (what ^ ": minor words over 1M accesses") 0.
+        words)
+    [
+      ("eight branches", 8, false);
+      ("four branches", 4, true);
+      ("one branch", 1, true);
+    ]
+
+let test_icache_fetch_allocates_nothing () =
+  (* Two sets of four ways.  Once lines 0, 2, 4 and 6 fill set 0 (line 6
+     in front), the round 6, 4, 2, 0 hits set 0's ways at positions 0, 1,
+     2 and 3 and reverses the set, so the round 0, 2, 4, 6 does the same.
+     Line 1 (set 1) between them keeps the memo from answering, so every
+     fetch runs its set's lookup and all but the front hits rotate. *)
+  let c =
+    Icache.create
+      (Icache.make_config ~size_bytes:256 ~line_bytes:32 ~associativity:4)
+  in
+  let hits = ref 0 and misses = ref 0 in
+  let fetch line = Icache.fetch c ~addr:(line * 32) ~bytes:4 ~hits ~misses in
+  List.iter fetch [ 0; 2; 4; 6; 1 ];
+  let rounds = [| 6; 4; 2; 0; 0; 2; 4; 6 |] in
   let n = 1_000_000 in
-  let misses = ref 0 in
+  hits := 0;
+  misses := 0;
   let before = Gc.minor_words () in
   for i = 0 to n - 1 do
-    if not (Btb.access btb ~branch:((i land 7) * 4) ~target:1) then
-      incr misses
+    fetch (if i land 1 = 0 then rounds.(i lsr 1 land 7) else 1)
   done;
   let words = Gc.minor_words () -. before in
-  check_int "every access missed" n !misses;
-  Alcotest.(check (float 0.)) "minor words over 1M misses" 0. words
+  check_int "every fetch hit" n !hits;
+  Alcotest.(check (float 0.)) "minor words over 1M fetches" 0. words
 
 let test_two_level_slot_reporting () =
   (* With one target of history, every access with target 100 leaves the
@@ -978,8 +1078,10 @@ let () =
             test_btb_eviction_chain;
           Alcotest.test_case "btb outcome taxonomy" `Quick
             test_btb_outcome_taxonomy;
-          Alcotest.test_case "btb miss path allocates nothing" `Quick
-            test_btb_miss_path_allocates_nothing;
+          Alcotest.test_case "btb access allocates nothing" `Quick
+            test_btb_access_allocates_nothing;
+          Alcotest.test_case "icache fetch allocates nothing" `Quick
+            test_icache_fetch_allocates_nothing;
           Alcotest.test_case "two-level slot reporting" `Quick
             test_two_level_slot_reporting;
           Alcotest.test_case "two-level reports access result" `Quick
